@@ -20,7 +20,7 @@ from .core import (CMat, Coordinate, Expr, JetsymError, Jet, MATRIX, Mul, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul, neg)
 from .calculus import iterated_total, total_derivative
-from .normalize import is_zero, normal_form
+from .normalize import is_zero, nf, normal_form
 from .symmetry import Pde, _match_linear, reduce_mod_pde
 
 
@@ -142,10 +142,10 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem,
     if basis is None:
         basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)
-    targets = [reduce_mod_pde(pair.rhs_x, pde, problem),
-               reduce_mod_pde(pair.rhs_t, pde, problem)]
-    rows = [[reduce_mod_pde(total_derivative(b, x, problem), pde, problem),
-             reduce_mod_pde(total_derivative(b, t, problem), pde, problem)]
+    targets = [nf(reduce_mod_pde(pair.rhs_x, pde, problem)),
+               nf(reduce_mod_pde(pair.rhs_t, pde, problem))]
+    rows = [[nf(reduce_mod_pde(total_derivative(b, c, problem), pde, problem))
+             for c in (x, t)]
             for b in basis]
     sol = _match_linear(targets, rows)
     if sol is None:

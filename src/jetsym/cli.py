@@ -314,25 +314,37 @@ def cmd_list(ctx):
 @click.pass_context
 def cmd_batch(ctx, path):
     """Run commands from a file: one CLI argument vector per line, '#'
-    comments allowed; global flags from this invocation apply to each."""
+    comments allowed; global flags from this invocation apply to each.  A
+    line that fails (a NotSymmetry verdict, or an error, which is reported
+    on stderr) counts as a failure and the lines after it still run."""
     failures = 0
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            args = shlex.split(line)
             base = ["--json"] if ctx.obj["json"] else []
             if ctx.obj["pde"]:
                 base += ["--pde", ctx.obj["pde"]]
             try:
-                rv = main.main(args=base + args, standalone_mode=False,
+                args = base + shlex.split(line)
+            except ValueError as exc:  # unbalanced quotes
+                click.echo(f"error: line {lineno}: {exc}", err=True)
+                failures += 1
+                continue
+            try:
+                rv = main.main(args=args, standalone_mode=False,
                                prog_name="jetsym")
                 if isinstance(rv, int) and rv:
                     failures += 1
             except click.exceptions.Exit as exc:
                 if exc.exit_code:
                     failures += 1
+            except (click.UsageError, JetsymError) as exc:
+                msg = (exc.format_message()
+                       if isinstance(exc, click.UsageError) else str(exc))
+                click.echo(f"error: line {lineno}: {msg}", err=True)
+                failures += 1
     ctx.exit(1 if failures else 0)
 
 

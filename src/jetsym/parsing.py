@@ -30,6 +30,7 @@ _BUILTINS = ("inv", "comm", "D") + tuple(FUNC_DERIVATIVES)
 class ParseError(JetsymError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -207,49 +208,76 @@ def parse_expr(text: str, problem: Problem) -> Expr:
     return Parser(text, problem).parse()
 
 
+def _split_factors(text: str, offset: int) -> list[tuple[int, str]]:
+    """(position, text) of the '*'-separated pieces of `text` outside
+    brackets."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "*" and depth == 0:
+            pieces.append((offset + start, text[start:i]))
+            start = i + 1
+    pieces.append((offset + start, text[start:]))
+    return pieces
+
+
+def _split_terms(text: str) -> list[tuple[int, int, str]]:
+    """(sign, position, text) of the terms of an operator spec: split at
+    '+'/'-' outside brackets, except a sign right after '*' or '/', which
+    belongs to the factor it precedes.  Consecutive signs multiply."""
+    terms, depth, sign, start, last = [], 0, 1, 0, ""
+    for i, ch in enumerate(text):
+        if ch in "+-" and depth == 0 and last not in ("*", "/"):
+            if last:
+                terms.append((sign, start, text[start:i]))
+                sign = 1
+            if ch == "-":
+                sign = -sign
+            start, last = i + 1, ""
+            continue
+        depth += (ch == "(") - (ch == ")")
+        if not ch.isspace():
+            last = ch
+    if text[start:].strip():
+        terms.append((sign, start, text[start:]))
+    elif terms or start:
+        raise ParseError("operator spec ends with a sign", len(text))
+    return terms
+
+
 def parse_operator(text: str, problem: Problem):
     """Linear-operator specs like "D_x*F", "t*D_x*F", "5*F + x*D_x*F",
-    "F*M - M*F".  Each term is a product of scalar coefficients, D_<coord>
-    factors and constant-matrix names around an optional F placeholder;
-    factors after F multiply from the right.  "0" denotes the zero operator.
+    "F*M - M*F", "((-2)*t)*D_x*F".  Each term is a product of scalar
+    coefficients, D_<coord> factors and constant-matrix names around an
+    optional F placeholder; factors after F multiply from the right.  Terms
+    and factors split only outside brackets, so bracketed coefficients may
+    hold sums and signs.  "0" denotes the zero operator.
     """
     from .symmetry import LinearOperatorAnsatz
 
-    chunks: list[tuple[int, str]] = []
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch in "+-":
-            if cur.strip():
-                chunks.append((sign, cur))
-            elif ch == "-" and not cur.strip():
-                # consecutive sign: fold into the pending one
-                pass
-            cur = ""
-            sign = -1 if ch == "-" else 1
-        else:
-            cur += ch
-    if cur.strip():
-        chunks.append((sign, cur))
     terms = []
-    for sgn, chunk in chunks:
+    for sgn, tpos, chunk in _split_terms(text):
         left: list[Expr] = [Rat(Fraction(sgn))]
         right: list[Expr] = []
         deriv: list[int] = []
         seen_f = False
-        for factor in chunk.split("*"):
+        for pos, factor in _split_factors(chunk, tpos):
+            pos += len(factor) - len(factor.lstrip())
             factor = factor.strip()
             if not factor:
-                raise ParseError("empty factor in operator spec", 0)
+                raise ParseError("empty factor in operator spec", pos)
             if factor == "F":
                 if seen_f:
-                    raise ParseError("duplicate F in operator term", 0)
+                    raise ParseError("duplicate F in operator term", pos)
                 seen_f = True
                 continue
             if factor.startswith("D_") and factor[2:] in problem._coord_by_name:
                 deriv.append(problem.coordinate(factor[2:]).index)
                 continue
-            e = parse_expr(factor, problem)
+            try:
+                e = parse_expr(factor, problem)
+            except ParseError as exc:
+                raise ParseError(exc.message, pos + exc.pos) from exc
             (right if seen_f else left).append(e)
         terms.append((mul(*left), tuple(sorted(deriv)),
                       mul(*right) if right else Rat(Fraction(1))))

@@ -19,8 +19,9 @@ from .core import (Add, CMat, Expr, Jet, JetsymError, MATRIX, Mul, Problem,
 from .calculus import Characteristic, char_derivative, bracket_characteristic, \
     iterated_total
 from .linsolve import rank, solve
-from .normalize import (collect_jets, is_zero, key_sort_key, nf,
+from .normalize import (NF, _nf_mul, collect_jets, is_zero, key_sort_key, nf,
     normal_form, substitute)
+from .printing import render
 
 
 class PdeError(JetsymError):
@@ -48,12 +49,14 @@ class Pde:
 def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
              problem: Problem) -> Pde:
     if leading.dep != problem.dependent:
-        raise PdeError("solved form is not over the problem's dependent")
+        raise PdeError(f"solved form leads with {render(leading, problem)}, "
+                       "which is not over the problem's dependent")
     lead = Counter(leading.idx)
-    for j in collect_jets(rhs):
+    for j in sorted(collect_jets(rhs), key=lambda j: (j.order, j.idx)):
         if j.dep == leading.dep and not (lead - Counter(j.idx)):
             raise PdeError(
-                f"solved-form rhs contains {j} at or above the leading jet")
+                f"solved-form rhs contains {render(j, problem)} at or above "
+                f"the leading jet {render(leading, problem)}")
     if not is_zero(substitute(f, leading, rhs)):
         raise PdeError("substituting the solved form into F does not give 0")
     return Pde(name, normal_form(f), leading, normal_form(rhs))
@@ -188,23 +191,15 @@ def _candidate_terms(problem: Problem, cfg: AnsatzConfig):
     return terms
 
 
-def _match_linear(targets: list[Expr], candidates: list[list[Expr]]
+def _match_linear(targets: list[NF], candidates: list[list[NF]]
                   ) -> Optional[list[Fraction]]:
     """Solve  sum_k c_k * candidates[k][r] = targets[r]  for every row r,
-    by matching normalized term coefficients."""
-    target_nfs = [nf(t) for t in targets]
-    cand_nfs = [[nf(e) for e in row] for row in candidates]
-    keys: list = sorted({k for n in target_nfs for k in n}
-                        | {k for row in cand_nfs for n in row for k in n},
-                        key=key_sort_key)
-    a = []
-    b = []
-    for r in range(len(targets)):
-        for key in keys:
-            a.append([cand_nfs[k][r].get(key, Fraction(0))
-                      for k in range(len(candidates))])
-            b.append(target_nfs[r].get(key, Fraction(0)))
-    return solve(a, b)
+    by matching the term coefficients of normal forms: the unknowns' columns
+    are keyed by (row, normal-form term)."""
+    def column(row: list[NF]) -> dict:
+        return {(r, key): v for r, n in enumerate(row) for key, v in n.items()}
+
+    return solve([column(row) for row in candidates], column(targets))
 
 
 def find_operator(pde: Pde, Q: Characteristic | None, problem: Problem,
@@ -217,9 +212,16 @@ def find_operator(pde: Pde, Q: Characteristic | None, problem: Problem,
     if lhs is None:
         lhs = char_derivative(pde.f, Q, problem)
     terms = _candidate_terms(problem, cfg)
-    applied = [normal_form(mul(left, iterated_total(pde.f, j, problem), right))
-               for left, j, right in terms]
-    sol = _match_linear([normal_form(lhs)], [[a] for a in applied])
+    derivs: dict[tuple[int, ...], NF] = {}
+    for _, j, _ in terms:
+        if j not in derivs:
+            derivs[j] = nf(iterated_total(pde.f, j, problem))
+    one = Rat(Fraction(1))
+    applied = []
+    for left, j, right in terms:
+        col = derivs[j] if left == one else _nf_mul(nf(left), derivs[j])
+        applied.append(col if right == one else _nf_mul(col, nf(right)))
+    sol = _match_linear([nf(lhs)], [[a] for a in applied])
     if sol is None:
         return None
     kept = tuple((mul(Rat(c), left), j, right)
@@ -244,17 +246,15 @@ def structure_constants(pde: Pde, basis: list[Characteristic],
     for q in basis:
         if not check_symmetry(pde, q, problem).is_symmetry:
             raise BasisError(f"{q.name} is not a symmetry of {pde.name}")
-    basis_nfs = [nf(normal_form(q.q)) for q in basis]
-    keys = sorted({k for n in basis_nfs for k in n}, key=key_sort_key)
-    mat = [[n.get(k, Fraction(0)) for n in basis_nfs] for k in keys]
-    if rank(mat) < len(basis):
+    basis_nfs = [nf(q.q) for q in basis]
+    if rank(basis_nfs) < len(basis):
         raise BasisError("basis dependent")
     n = len(basis)
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             br = bracket_characteristic(basis[i], basis[j], problem)
-            coeffs = _match_linear([br.q], [[q.q] for q in basis])
+            coeffs = _match_linear([nf(br.q)], [[b] for b in basis_nfs])
             if coeffs is None:
                 raise SpanError(
                     f"bracket not in span: [{basis[i].name}, {basis[j].name}]")

@@ -165,6 +165,32 @@ def test_batch(runner, tmp_path):
     assert "NotSymmetry" in r.output
 
 
+def test_batch_line_errors_do_not_stop_the_batch(runner, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text('check --q "u_x +"\n'
+                      "check --q u_x\n")
+    r = invoke(runner, "--pde", "heat", "batch", str(script))
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert code(r) == 1
+    assert "error: line 1:" in r.stderr
+    assert "verdict: Symmetry" in r.stdout
+
+
+def test_certify_folds_consecutive_signs(runner):
+    args = ("--pde", "kdv", "certify", "--lhat", "2*D_x*F - -D_x*F", "--q")
+    assert code(invoke(runner, *args, "3*u_x")) == 0
+    assert code(invoke(runner, *args, "u_x")) == 1
+
+
+def test_certify_reads_what_check_prints(runner):
+    q = "u_x - 2*t*u_x + 2"
+    r = invoke(runner, "--json", "--pde", "kdv", "check", "--q", q)
+    cert = json.loads(r.output)["certificate"]
+    assert "((-2)*t)" in cert
+    assert code(invoke(runner, "--pde", "kdv", "certify", "--q", q,
+                       "--lhat", cert)) == 0
+
+
 def test_run_entrypoint_exit_codes():
     import subprocess
     import sys

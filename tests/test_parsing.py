@@ -129,6 +129,49 @@ def test_parse_operator_plain_term_is_multiplication(sp):
     assert structural_eq(got, want)
 
 
+def test_parse_operator_folds_consecutive_signs():
+    from jetsym.catalog import get_pde
+    p = get_pde("kdv").problem
+
+    def same_action(a, b):
+        return is_zero(parse_operator(a, p).apply(p.u, p)
+                       - parse_operator(b, p).apply(p.u, p))
+
+    assert same_action("2*D_x*F - -D_x*F", "3*D_x*F")
+    assert same_action("x*F + -(t)*F", "x*F - t*F")
+    assert same_action("-+-F", "F")
+
+
+def test_parse_operator_splits_outside_brackets_only(sp):
+    op = parse_operator("((-2)*t)*D_x*F + (x - t)*F", sp)
+    got = op.apply(sp.u, sp)
+    want = normal_form(-2 * sp.coord("t") * sp.jet("x")
+                       + (sp.coord("x") - sp.coord("t")) * sp.u)
+    assert is_zero(got - want)
+
+
+@pytest.mark.parametrize("text", ["D_x*F +", "-", "D_x*F + * F"])
+def test_parse_operator_rejects_dangling_pieces(sp, text):
+    with pytest.raises(ParseError):
+        parse_operator(text, sp)
+
+
+@pytest.mark.parametrize("pde,q", [("kdv", "u_x - 2*t*u_x + 2"),
+                                   ("heat", "-1/2*x*u_x - t*u_t")])
+def test_found_certificate_render_parse_round_trip(pde, q):
+    from jetsym.calculus import Characteristic
+    from jetsym.catalog import get_pde
+    from jetsym.cli import _render_operator
+    from jetsym.symmetry import find_operator
+    entry = get_pde(pde)
+    p = entry.problem
+    op = find_operator(entry.pde,
+                       Characteristic("Q", parse_expr(q, p), p.dependent), p)
+    text = _render_operator(op, p)
+    assert "((-" in text  # a bracketed negative coefficient
+    assert parse_operator(text, p).same_operator(op)
+
+
 # --- round trips ----------------------------------------------------------
 
 def test_render_examples(sp, mp):

@@ -35,7 +35,8 @@ def test_make_pde_rejects_inconsistent_solved_form(sp):
 
 def test_make_pde_rejects_unsolved_rhs(sp):
     f = sp.jet("t") - sp.jet("xt")
-    with pytest.raises(PdeError):
+    with pytest.raises(PdeError, match=r"contains u_xt at or above the "
+                                       r"leading jet u_t$"):
         make_pde("bad", f, sp.jet("t"), sp.jet("xt"), sp)
 
 
