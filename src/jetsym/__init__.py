@@ -3,8 +3,7 @@
 from .core import (CMat, Comm, Coord, Coordinate, Dependent, Expr, Fn, Inv,
                    Jet, JetsymError, KindError, MATRIX, Mul, Pot,
                    PotentialDef, Problem, Rat, SCALAR, Sym, add, as_expr,
-                   commutator, func, inverse, mk_jet, mul, neg, rat,
-                   structural_eq, sub)
+                   commutator, func, inverse, mk_jet, mul, neg, rat, sub)
 from .normalize import is_zero, normal_form, substitute
 from .calculus import (Characteristic, bracket_characteristic,
                        char_derivative, iterated_total,

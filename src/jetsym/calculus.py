@@ -32,36 +32,42 @@ def _fn_derivative(e: Fn, darg: Expr) -> Expr:
     return mul(Rat(coeff), Fn(newname, e.arg), darg)
 
 
-def total_derivative(e: Expr, coord: Coordinate, problem: Problem) -> Expr:
-    """D_i e, returned in normal form."""
-    return normal_form(_total(as_expr(e), coord, problem))
-
-
-def _total(e: Expr, c: Coordinate, p: Problem) -> Expr:
+def _derive(e: Expr, atom) -> Expr:
+    """The derivation whose value on each coordinate, jet, base-function or
+    potential atom a is atom(a): zero on constants, Leibniz on products,
+    -w^-1 (Dw) w^-1 on inverses, the chain rule through analytic functions."""
     if isinstance(e, (Rat, Sym, CMat)):
         return ZERO
-    if isinstance(e, Coord):
-        return rat(1) if e.coordinate == c else ZERO
-    if isinstance(e, Jet):
-        return Jet(e.dep, e.idx + (c.index,))
-    if isinstance(e, Base):
-        return Base(e.name, e.matrix, e.partials + (c.index,))
-    if isinstance(e, Pot):
-        return p.potentials[e.name].derivatives[c.name]
+    if isinstance(e, (Coord, Jet, Base, Pot)):
+        return atom(e)
     if isinstance(e, Add):
-        return add(*(_total(t, c, p) for t in e.terms))
+        return add(*(_derive(t, atom) for t in e.terms))
     if isinstance(e, Mul):
         fs = e.factors
-        return add(*(mul(*fs[:i], _total(fs[i], c, p), *fs[i + 1:])
+        return add(*(mul(*fs[:i], _derive(fs[i], atom), *fs[i + 1:])
                      for i in range(len(fs))))
     if isinstance(e, Inv):
-        return neg(mul(e, _total(e.base, c, p), e))
+        return neg(mul(e, _derive(e.base, atom), e))
     if isinstance(e, Comm):
-        return add(commutator(_total(e.lhs, c, p), e.rhs),
-                   commutator(e.lhs, _total(e.rhs, c, p)))
+        return add(commutator(_derive(e.lhs, atom), e.rhs),
+                   commutator(e.lhs, _derive(e.rhs, atom)))
     if isinstance(e, Fn):
-        return _fn_derivative(e, _total(e.arg, c, p))
+        return _fn_derivative(e, _derive(e.arg, atom))
     raise TypeError(f"cannot differentiate node {type(e).__name__}")
+
+
+def total_derivative(e: Expr, coord: Coordinate, problem: Problem) -> Expr:
+    """D_i e, returned in normal form."""
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, Coord):
+            return rat(1) if a.coordinate == coord else ZERO
+        if isinstance(a, Jet):
+            return Jet(a.dep, a.idx + (coord.index,))
+        if isinstance(a, Base):
+            return Base(a.name, a.matrix, a.partials + (coord.index,))
+        return problem.potentials[a.name].derivatives[coord.name]
+
+    return normal_form(_derive(as_expr(e), atom))
 
 
 def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
@@ -75,37 +81,22 @@ def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
 
 def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
     """D_Q e, returned in normal form."""
-    return normal_form(_char(as_expr(e), Q, problem))
-
-
-def _char(e: Expr, Q: Characteristic, p: Problem) -> Expr:
-    if isinstance(e, (Rat, Sym, Coord, Base, CMat)):
-        return ZERO
-    if isinstance(e, Jet):
-        if e.dep != Q.dependent:
-            raise KindError("characteristic declared for a different dependent")
-        return iterated_total(Q.q, e.idx, p)
-    if isinstance(e, Pot):
-        images = p.potentials[e.name].char_images
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, (Coord, Base)):
+            return ZERO
+        if isinstance(a, Jet):
+            if a.dep != Q.dependent:
+                raise KindError(
+                    "characteristic declared for a different dependent")
+            return iterated_total(Q.q, a.idx, problem)
+        images = problem.potentials[a.name].char_images
         if Q.name not in images:
             raise NonlocalActionError(
                 f"nonlocal action undefined: no image of potential "
-                f"{e.name!r} under characteristic {Q.name!r}")
+                f"{a.name!r} under characteristic {Q.name!r}")
         return images[Q.name]
-    if isinstance(e, Add):
-        return add(*(_char(t, Q, p) for t in e.terms))
-    if isinstance(e, Mul):
-        fs = e.factors
-        return add(*(mul(*fs[:i], _char(fs[i], Q, p), *fs[i + 1:])
-                     for i in range(len(fs))))
-    if isinstance(e, Inv):
-        return neg(mul(e, _char(e.base, Q, p), e))
-    if isinstance(e, Comm):
-        return add(commutator(_char(e.lhs, Q, p), e.rhs),
-                   commutator(e.lhs, _char(e.rhs, Q, p)))
-    if isinstance(e, Fn):
-        return _fn_derivative(e, _char(e.arg, Q, p))
-    raise TypeError(f"cannot differentiate node {type(e).__name__}")
+
+    return normal_form(_derive(as_expr(e), atom))
 
 
 def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,

@@ -275,32 +275,37 @@ def func(fname: str, arg: Expr) -> Fn:
     return Fn(fname, arg)
 
 
+def is_commuting_atom(a: Expr) -> bool:
+    """True for an atom of the commuting (scalar) class."""
+    if isinstance(a, (Coord, Sym, Fn)):
+        return True  # analytic functions take scalar arguments only
+    if isinstance(a, Jet):
+        return a.dep.kind == SCALAR
+    if isinstance(a, (Base, Pot)):
+        return not a.matrix
+    return False
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of e; an atom has none."""
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Inv):
+        return (e.base,)
+    if isinstance(e, Comm):
+        return (e.lhs, e.rhs)
+    if isinstance(e, Fn):
+        return (e.arg,)
+    return ()
+
+
 def is_scalar(e: Expr) -> bool:
     """True when every atom in e belongs to the commuting (scalar) class."""
-    if isinstance(e, (Rat, Sym, Coord)):
-        return True
-    if isinstance(e, Jet):
-        return e.dep.kind == SCALAR
-    if isinstance(e, Base):
-        return not e.matrix
-    if isinstance(e, (CMat, Pot)):
-        return isinstance(e, Pot) and not e.matrix
-    if isinstance(e, Add):
-        return all(is_scalar(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return all(is_scalar(f) for f in e.factors)
-    if isinstance(e, Inv):
-        return is_scalar(e.base)
-    if isinstance(e, Comm):
-        return is_scalar(e.lhs) and is_scalar(e.rhs)
-    if isinstance(e, Fn):
-        return True
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def structural_eq(a: Expr, b: Expr) -> bool:
-    """Node-for-node tree identity (not semantic equality)."""
-    return a == b
+    if isinstance(e, (Add, Mul, Inv, Comm)):
+        return all(is_scalar(c) for c in children(e))
+    return isinstance(e, Rat) or is_commuting_atom(e)
 
 
 def expr_key(e: Expr) -> tuple:

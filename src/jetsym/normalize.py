@@ -13,26 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, InversionError,
-                   Jet, Mul, Pot, Rat, SCALAR, Sym, ZERO, expr_key, inverse,
-                   mul, structural_eq)
+                   Jet, Mul, Pot, Rat, Sym, ZERO, children, expr_key, inverse,
+                   is_commuting_atom)
 
 # cmono: tuple[(atom, int exponent)] sorted by expr_key; word: tuple[factor]
 Key = tuple[tuple, tuple]
 NF = dict[Key, Fraction]
-
-
-def _is_commuting_atom(a: Expr) -> bool:
-    if isinstance(a, (Coord, Sym)):
-        return True
-    if isinstance(a, Jet):
-        return a.dep.kind == SCALAR
-    if isinstance(a, Base):
-        return not a.matrix
-    if isinstance(a, Pot):
-        return not a.matrix
-    if isinstance(a, Fn):
-        return True  # analytic functions take scalar arguments only
-    return False
 
 
 def _merge_cmono(a: tuple, b: tuple) -> tuple:
@@ -96,7 +82,7 @@ def _nf_mul(a: NF, b: NF) -> NF:
 
 
 def _atom_nf(atom: Expr, exp: int = 1) -> NF:
-    if _is_commuting_atom(atom):
+    if is_commuting_atom(atom):
         return {(((atom, exp),), ()): Fraction(1)}
     return {((), (atom,)): Fraction(1)}
 
@@ -124,7 +110,7 @@ def nf(e: Expr) -> NF:
         base = e.base
         if isinstance(base, Rat):
             return nf(inverse(base))
-        if _is_commuting_atom(base):
+        if is_commuting_atom(base):
             if not (isinstance(base, Jet) and not base.idx
                     and base.dep.invertible):
                 raise InversionError(
@@ -180,11 +166,6 @@ def is_zero(e: Expr) -> bool:
     return not nf(e)
 
 
-def equivalent(a: Expr, b: Expr) -> bool:
-    """Semantic equality within the rewrite fragment."""
-    return is_zero(a - b)
-
-
 def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
     """Replace every occurrence of exactly the jet coordinate `target`;
     the result is normalized."""
@@ -213,23 +194,11 @@ def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
 def collect_jets(e: Expr) -> set[Jet]:
     """All jet atoms occurring anywhere in e (including function arguments)."""
     out: set[Jet] = set()
-
-    def walk(x: Expr):
+    stack = [e]
+    while stack:
+        x = stack.pop()
         if isinstance(x, Jet):
             out.add(x)
-        elif isinstance(x, Add):
-            for t in x.terms:
-                walk(t)
-        elif isinstance(x, Mul):
-            for f in x.factors:
-                walk(f)
-        elif isinstance(x, Inv):
-            walk(x.base)
-        elif isinstance(x, Comm):
-            walk(x.lhs)
-            walk(x.rhs)
-        elif isinstance(x, Fn):
-            walk(x.arg)
-
-    walk(e)
+        else:
+            stack.extend(children(x))
     return out

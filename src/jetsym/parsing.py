@@ -26,6 +26,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
 
 _BUILTINS = ("inv", "comm", "D") + tuple(FUNC_DERIVATIVES)
 
+#: deepest nesting of factors (brackets, calls, signs) the parser accepts
+MAX_DEPTH = 100
+
 
 class ParseError(JetsymError):
     def __init__(self, message: str, pos: int):
@@ -67,6 +70,7 @@ class Parser:
         self.problem = problem
         self.toks = _lex(text)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Tok:
@@ -105,10 +109,18 @@ class Parser:
         return mul(*factors)
 
     def _factor(self) -> Expr:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self._advance()
-            return neg(self._factor())
-        return self._primary()
+        # every recursive production passes through here, so this depth
+        # bounds the Python stack the parser and the tree walkers need
+        if self.depth >= MAX_DEPTH:
+            raise ParseError("expression nested too deeply", self.cur.pos)
+        self.depth += 1
+        try:
+            if self.cur.kind == "op" and self.cur.text == "-":
+                self._advance()
+                return neg(self._factor())
+            return self._primary()
+        finally:
+            self.depth -= 1
 
     def _primary(self) -> Expr:
         tok = self.cur
@@ -208,77 +220,50 @@ def parse_expr(text: str, problem: Problem) -> Expr:
     return Parser(text, problem).parse()
 
 
-def _split_factors(text: str, offset: int) -> list[tuple[int, str]]:
-    """(position, text) of the '*'-separated pieces of `text` outside
-    brackets."""
-    pieces, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "*" and depth == 0:
-            pieces.append((offset + start, text[start:i]))
-            start = i + 1
-    pieces.append((offset + start, text[start:]))
-    return pieces
+class _OperatorParser(Parser):
+    """Operator specs in the expression grammar, where a term's factors may
+    also be the placeholder F and total derivatives D_<coord>, and signs may
+    open any factor."""
 
+    def parse(self) -> list:
+        terms = [self._op_term()]
+        while self.cur.kind == "op" and self.cur.text in "+-":
+            terms.append(self._op_term())
+        if self.cur.kind != "end":
+            raise ParseError(f"trailing input {self.cur.text!r}", self.cur.pos)
+        return terms
 
-def _split_terms(text: str) -> list[tuple[int, int, str]]:
-    """(sign, position, text) of the terms of an operator spec: split at
-    '+'/'-' outside brackets, except a sign right after '*' or '/', which
-    belongs to the factor it precedes.  Consecutive signs multiply."""
-    terms, depth, sign, start, last = [], 0, 1, 0, ""
-    for i, ch in enumerate(text):
-        if ch in "+-" and depth == 0 and last not in ("*", "/"):
-            if last:
-                terms.append((sign, start, text[start:i]))
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            start, last = i + 1, ""
-            continue
-        depth += (ch == "(") - (ch == ")")
-        if not ch.isspace():
-            last = ch
-    if text[start:].strip():
-        terms.append((sign, start, text[start:]))
-    elif terms or start:
-        raise ParseError("operator spec ends with a sign", len(text))
-    return terms
+    def _op_term(self) -> tuple:
+        sign, left, right, deriv, seen_f = 1, [], [], [], False
+        while True:
+            while self.cur.kind == "op" and self.cur.text in "+-":
+                sign *= -1 if self._advance().text == "-" else 1
+            name = self.cur.text if self.cur.kind == "name" else ""
+            if name == "F":
+                if seen_f:
+                    raise ParseError("duplicate F in operator term",
+                                     self.cur.pos)
+                seen_f = True
+                self._advance()
+            elif name[:2] == "D_" and name[2:] in self.problem._coord_by_name:
+                deriv.append(self.problem.coordinate(name[2:]).index)
+                self._advance()
+            else:
+                (right if seen_f else left).append(self._factor())
+            if not (self.cur.kind == "op" and self.cur.text == "*"):
+                break
+            self._advance()
+        return (mul(Rat(Fraction(sign)), *left), tuple(sorted(deriv)),
+                mul(*right) if right else Rat(Fraction(1)))
 
 
 def parse_operator(text: str, problem: Problem):
     """Linear-operator specs like "D_x*F", "t*D_x*F", "5*F + x*D_x*F",
-    "F*M - M*F", "((-2)*t)*D_x*F".  Each term is a product of scalar
-    coefficients, D_<coord> factors and constant-matrix names around an
-    optional F placeholder; factors after F multiply from the right.  Terms
-    and factors split only outside brackets, so bracketed coefficients may
-    hold sums and signs.  "0" denotes the zero operator.
+    "F*M - M*F", "((-2)*t)*D_x*F", "2*-D_x*F".  Each term is a product of
+    scalar coefficients, D_<coord> factors and constant-matrix names around
+    an optional F placeholder; factors after F multiply from the right.
+    "0" denotes the zero operator.
     """
     from .symmetry import LinearOperatorAnsatz
 
-    terms = []
-    for sgn, tpos, chunk in _split_terms(text):
-        left: list[Expr] = [Rat(Fraction(sgn))]
-        right: list[Expr] = []
-        deriv: list[int] = []
-        seen_f = False
-        for pos, factor in _split_factors(chunk, tpos):
-            pos += len(factor) - len(factor.lstrip())
-            factor = factor.strip()
-            if not factor:
-                raise ParseError("empty factor in operator spec", pos)
-            if factor == "F":
-                if seen_f:
-                    raise ParseError("duplicate F in operator term", pos)
-                seen_f = True
-                continue
-            if factor.startswith("D_") and factor[2:] in problem._coord_by_name:
-                deriv.append(problem.coordinate(factor[2:]).index)
-                continue
-            try:
-                e = parse_expr(factor, problem)
-            except ParseError as exc:
-                raise ParseError(exc.message, pos + exc.pos) from exc
-            (right if seen_f else left).append(e)
-        terms.append((mul(*left), tuple(sorted(deriv)),
-                      mul(*right) if right else Rat(Fraction(1))))
-    return LinearOperatorAnsatz(tuple(terms))
+    return LinearOperatorAnsatz(tuple(_OperatorParser(text, problem).parse()))

@@ -99,17 +99,17 @@ class LinearOperatorAnsatz:
         return normal_form(add(*out))
 
     def canonical(self) -> tuple:
-        """Order-independent fingerprint for comparing operators."""
-        items = []
+        """Order-independent fingerprint for comparing operators: the
+        coefficient of each (left term, J, right term), like terms
+        collected and zeros dropped."""
+        coeffs: dict[tuple, Fraction] = {}
         for left, j, right in self.terms:
-            ln, rn = normal_form(left), normal_form(right)
-            if ln == Rat(Fraction(0)) or rn == Rat(Fraction(0)):
-                continue
-            items.append((
-                tuple(sorted(((key_sort_key(k), v) for k, v in nf(ln).items()))),
-                tuple(sorted(j)),
-                tuple(sorted(((key_sort_key(k), v) for k, v in nf(rn).items())))))
-        return tuple(sorted(items))
+            j = tuple(sorted(j))
+            for lk, lv in nf(left).items():
+                for rk, rv in nf(right).items():
+                    key = (key_sort_key(lk), j, key_sort_key(rk))
+                    coeffs[key] = coeffs.get(key, 0) + lv * rv
+        return tuple(sorted((k, v) for k, v in coeffs.items() if v))
 
     def same_operator(self, other: "LinearOperatorAnsatz") -> bool:
         return self.canonical() == other.canonical()
@@ -261,11 +261,6 @@ def structure_constants(pde: Pde, basis: list[Characteristic],
             for k in range(n):
                 c[i][j][k] = coeffs[k]
                 c[j][i][k] = -coeffs[k]
-    out = StructureConstants(tuple(basis),
-                             tuple(tuple(tuple(row) for row in plane)
-                                   for plane in c))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                assert out.c[i][j][k] == -out.c[j][i][k]
-    return out
+    return StructureConstants(tuple(basis),
+                              tuple(tuple(tuple(row) for row in plane)
+                                    for plane in c))

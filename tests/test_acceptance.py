@@ -10,8 +10,8 @@ from random import Random
 from jetsym import (Characteristic, Rat, Verdict, bracket_characteristic,
                     char_derivative, check_symmetry, certify_operator,
                     commutator, find_operator, inverse, is_zero, normal_form,
-                    scalar_prolongation_apply, structural_eq,
-                    structure_constants, total_derivative)
+                    scalar_prolongation_apply, structure_constants,
+                    total_derivative)
 from jetsym.backlund import (PotentialError, bt_apply, chiral_phi_condition,
                              declare_potential, left_current)
 from jetsym.catalog import get_pde
@@ -56,7 +56,7 @@ def test_criterion_1_micro_examples():
         got = total_derivative(x * t * ux * ux, SP.coordinate("t"), SP)
         uxt = SP.jet("xt")
         want = x * ux * ux + x * t * (uxt * ux + ux * uxt)
-        assert structural_eq(got, normal_form(want))
+        assert got == normal_form(want)
 
         q = MP.base("a")  # opaque matrix proxy for an arbitrary Q
         Q = Characteristic("Q", q, MP.dependent)
@@ -67,7 +67,7 @@ def test_criterion_1_micro_examples():
         dtq = total_derivative(q, MP.coordinate("t"), MP)
         want = (a * (q * u + u * q) * b
                 + commutator(dxq, mut) + commutator(mux, dtq))
-        assert structural_eq(got, normal_form(want))
+        assert got == normal_form(want)
 
 
 FIXTURES = {
@@ -174,7 +174,7 @@ def test_criterion_5_chiral_potential_and_bt():
             got = bt_apply(parse_expr(phi_txt, p), pde, p)
             assert got is not None, phi_txt
             want = normal_form(parse_expr(want_txt, p))
-            assert structural_eq(got, want), phi_txt
+            assert got == want, phi_txt
             cond = chiral_phi_condition(got, pde, p)
             assert is_zero(reduce_mod_pde(cond, pde, p)), phi_txt
 
@@ -188,7 +188,7 @@ def test_criterion_6_property_suites():
                 e = random_expr(rng, p, rng.randint(0, MAX_DEPTH))
                 ab = total_derivative(total_derivative(e, x, p), t, p)
                 ba = total_derivative(total_derivative(e, t, p), x, p)
-                assert structural_eq(ab, ba)
+                assert ab == ba
             # characteristic derivative commutes with totals
             for rng in _cases(2):
                 e = random_expr(rng, p, rng.randint(0, 4))
@@ -196,7 +196,7 @@ def test_criterion_6_property_suites():
                 c = x if rng.random() < 0.5 else t
                 lhs = char_derivative(total_derivative(e, c, p), Q, p)
                 rhs = total_derivative(char_derivative(e, Q, p), c, p)
-                assert structural_eq(lhs, rhs)
+                assert lhs == rhs
             # Leibniz for both derivations
             for rng in _cases(3):
                 a = random_expr(rng, p, rng.randint(0, 3))
@@ -257,8 +257,8 @@ def test_criterion_7_oracle_equivalence():
         for rng in _cases(8, n=200):
             e = random_expr(rng, SP, rng.randint(0, 4), scalar_only=True)
             Q = random_characteristic(rng, SP)
-            assert structural_eq(char_derivative(e, Q, SP),
-                                 scalar_prolongation_apply(e, Q, SP))
+            assert (char_derivative(e, Q, SP)
+                    == scalar_prolongation_apply(e, Q, SP))
 
 
 def test_criterion_8_negative_controls():

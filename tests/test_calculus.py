@@ -5,7 +5,7 @@ import pytest
 from jetsym import (Characteristic, Sym, bracket_characteristic,
                     char_derivative, commutator, inverse, is_zero,
                     normal_form, scalar_prolongation_apply,
-                    scale_characteristic, structural_eq, total_derivative)
+                    scale_characteristic, total_derivative)
 from jetsym.core import KindError, PotentialDef, func
 
 from conftest import seeded_characteristics, seeded_exprs
@@ -26,7 +26,7 @@ def test_total_derivative_product_example(mp):
     ux, uxt = mp.jet("x"), mp.jet("xt")
     got = total_derivative(x * t * ux * ux, mp.coordinate("t"), mp)
     want = x * ux * ux + x * t * (uxt * ux + ux * uxt)
-    assert structural_eq(got, normal_form(want))
+    assert got == normal_form(want)
 
 
 def test_total_derivative_base_function(sp):
@@ -38,7 +38,7 @@ def test_total_derivative_base_function(sp):
     dxt = total_derivative(got, sp.coordinate("t"), sp)
     dtx = total_derivative(total_derivative(f, sp.coordinate("t"), sp),
                            sp.coordinate("x"), sp)
-    assert structural_eq(dxt, dtx)
+    assert dxt == dtx
 
 
 def test_total_derivative_of_identity(mp):
@@ -58,7 +58,7 @@ def test_potential_gradient_derivative():
     X = p.potential("X")
     got = total_derivative(X, p.coordinate("x"), p)
     want = normal_form(inverse(p.u) * p.jet("t"))
-    assert structural_eq(got, want)
+    assert got == want
 
 
 def test_char_derivative_micro_example():
@@ -75,7 +75,7 @@ def test_char_derivative_micro_example():
     dxq = total_derivative(q, pq.coordinate("x"), pq)
     dtq = total_derivative(q, pq.coordinate("t"), pq)
     want = a * (q * u + u * q) * b + commutator(dxq, ut) + commutator(ux, dtq)
-    assert structural_eq(got, normal_form(want))
+    assert got == normal_form(want)
 
 
 def test_char_derivative_base_and_constants(sp, mp):
@@ -91,7 +91,7 @@ def test_char_derivative_inverse(mp):
     Q = Q_of(mp, q)
     got = char_derivative(inverse(mp.u), Q, mp)
     want = -(inverse(mp.u) * q * inverse(mp.u))
-    assert structural_eq(got, normal_form(want))
+    assert got == normal_form(want)
 
 
 def test_char_derivative_second_order_jet(sp):
@@ -99,7 +99,7 @@ def test_char_derivative_second_order_jet(sp):
     got = char_derivative(sp.jet("xt"), Q, sp)
     want = total_derivative(total_derivative(Q.q, sp.coordinate("x"), sp),
                             sp.coordinate("t"), sp)
-    assert structural_eq(got, want)
+    assert got == want
 
 
 def test_unregistered_potential_action_errors():
@@ -125,8 +125,7 @@ def test_registered_potential_image_is_used():
                         char_images={"q": img})
     declare_potential(pdef, pde, p)
     Q = Characteristic("q", p.jet("x"), p.dependent)
-    assert structural_eq(char_derivative(p.potential("X"), Q, p),
-                         normal_form(img))
+    assert char_derivative(p.potential("X"), Q, p) == normal_form(img)
 
 
 # --- Example 5.1 brackets -------------------------------------------------
@@ -137,7 +136,7 @@ def test_bracket_kdv_examples(sp):
     q3 = Q_of(sp, sp.coord("t") * sp.jet("x") - 1, "q3")
     assert is_zero(bracket_characteristic(q1, q2, sp).q)
     br = bracket_characteristic(q2, q3, sp)
-    assert structural_eq(br.q, normal_form(-sp.jet("x")))
+    assert br.q == normal_form(-sp.jet("x"))
     assert is_zero(bracket_characteristic(q3, q3, sp).q)
 
 
@@ -154,20 +153,19 @@ def test_scaling_rejects_nonconstants(sp):
 def test_prolongation_simple(sp):
     Q = Q_of(sp, sp.base("f") * sp.u)
     got = scalar_prolongation_apply(sp.u * sp.u, Q, sp)
-    assert structural_eq(got, normal_form(2 * sp.u * Q.q))
+    assert got == normal_form(2 * sp.u * Q.q)
 
 
 def test_prolongation_heat(sp):
     Q = Q_of(sp, sp.u)
     e = sp.jet("t") - sp.jet("xx")
-    assert structural_eq(scalar_prolongation_apply(e, Q, sp), normal_form(e))
+    assert scalar_prolongation_apply(e, Q, sp) == normal_form(e)
 
 
 def test_prolongation_kdv_shape(sp):
     Q = Q_of(sp, sp.jet("x"))
     e = sp.jet("t") + sp.u * sp.jet("x") + sp.jet("xxx")
-    assert structural_eq(scalar_prolongation_apply(e, Q, sp),
-                         char_derivative(e, Q, sp))
+    assert scalar_prolongation_apply(e, Q, sp) == char_derivative(e, Q, sp)
 
 
 def test_prolongation_rejects_matrix(mp):
@@ -190,7 +188,7 @@ def test_totals_commute(e):
     x, t = MP.coordinates
     ab = total_derivative(total_derivative(e, x, MP), t, MP)
     ba = total_derivative(total_derivative(e, t, MP), x, MP)
-    assert structural_eq(ab, ba)
+    assert ab == ba
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +197,7 @@ def test_char_commutes_with_total(e, Q):
     x = MP.coordinates[0]
     lhs = char_derivative(total_derivative(e, x, MP), Q, MP)
     rhs = total_derivative(char_derivative(e, Q, MP), x, MP)
-    assert structural_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,5 +227,4 @@ def test_jacobi_scalar(q1, q2, q3):
 @settings(max_examples=100, deadline=None)
 @given(seeded_exprs(SP, depth=3), seeded_characteristics(SP))
 def test_oracle_equivalence_sample(e, Q):
-    assert structural_eq(char_derivative(e, Q, SP),
-                         scalar_prolongation_apply(e, Q, SP))
+    assert char_derivative(e, Q, SP) == scalar_prolongation_apply(e, Q, SP)

@@ -176,6 +176,16 @@ def test_batch_line_errors_do_not_stop_the_batch(runner, tmp_path):
     assert "verdict: Symmetry" in r.stdout
 
 
+def test_batch_too_deep_line_fails_on_its_own(runner, tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text('parse "' + "(" * 3000 + "u" + ")" * 3000 + '"\n'
+                      "check --q u_x\n")
+    r = invoke(runner, "--pde", "heat", "batch", str(script))
+    assert code(r) == 1
+    assert "error: line 1: expression nested too deeply" in r.stderr
+    assert "verdict: Symmetry" in r.stdout
+
+
 def test_certify_folds_consecutive_signs(runner):
     args = ("--pde", "kdv", "certify", "--lhat", "2*D_x*F - -D_x*F", "--q")
     assert code(invoke(runner, *args, "3*u_x")) == 0

@@ -3,7 +3,7 @@ import copy
 from hypothesis import given, settings
 
 from jetsym import (commutator, inverse, is_zero, normal_form, parse_expr,
-                    structural_eq, substitute)
+                    substitute)
 from jetsym.core import Rat, rat
 
 from conftest import seeded_exprs
@@ -45,7 +45,7 @@ def test_total_derivatives_commute_zero(sp):
 def test_substitute_heat(sp):
     ut, uxx = sp.jet("t"), sp.jet("xx")
     assert is_zero(substitute(ut - uxx, ut, uxx))
-    assert structural_eq(substitute(ut * ut, ut, uxx), normal_form(uxx * uxx))
+    assert substitute(ut * ut, ut, uxx) == normal_form(uxx * uxx)
 
 
 def test_substitute_chiral_solved_form():
@@ -54,7 +54,7 @@ def test_substitute_chiral_solved_form():
     p = entry.problem
     gtt = p.jet("tt")
     rhs = parse_expr("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p)
-    assert structural_eq(substitute(gtt, gtt, rhs), normal_form(rhs))
+    assert substitute(gtt, gtt, rhs) == normal_form(rhs)
     assert is_zero(substitute(entry.pde.f, gtt, rhs))
 
 
@@ -62,34 +62,34 @@ def test_substitute_chiral_solved_form():
 @given(seeded_exprs(SP, depth=6))
 def test_idempotent_scalar(e):
     n = normal_form(e)
-    assert structural_eq(normal_form(n), n)
+    assert normal_form(n) == n
 
 
 @settings(max_examples=120, deadline=None)
 @given(seeded_exprs(MP, depth=6))
 def test_idempotent_matrix(e):
     n = normal_form(e)
-    assert structural_eq(normal_form(n), n)
+    assert normal_form(n) == n
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeded_exprs(MP, depth=5))
 def test_deterministic(e):
-    assert structural_eq(normal_form(copy.deepcopy(e)), normal_form(e))
+    assert normal_form(copy.deepcopy(e)) == normal_form(e)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeded_exprs(MP, depth=3), seeded_exprs(MP, depth=3),
        seeded_exprs(MP, depth=3))
 def test_distributivity(a, b, c):
-    assert structural_eq(normal_form(a * (b + c)), normal_form(a * b + a * c))
+    assert normal_form(a * (b + c)) == normal_form(a * b + a * c)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeded_exprs(MP, depth=4))
 def test_inverse_cancellation_random(e):
     u = MP.u
-    assert structural_eq(normal_form(u * inverse(u) * e), normal_form(e))
+    assert normal_form(u * inverse(u) * e) == normal_form(e)
 
 
 @settings(max_examples=100, deadline=None)

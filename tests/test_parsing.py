@@ -1,12 +1,12 @@
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 
 import pytest
 
-from jetsym import (Rat, Sym, is_zero, normal_form, structural_eq,
-                    total_derivative)
-from jetsym.parsing import ParseError, parse_expr, parse_operator
+from jetsym import Rat, Sym, is_zero, normal_form, total_derivative
+from jetsym.parsing import MAX_DEPTH, ParseError, parse_expr, parse_operator
 from jetsym.printing import pretty, render
 
 from conftest import seeded_exprs
@@ -20,8 +20,8 @@ MP = matrix_problem()
 
 def test_numbers_and_rationals(sp):
     assert parse_expr("3", sp) == Rat(Fraction(3))
-    assert structural_eq(normal_form(parse_expr("-2/6 * u", sp)),
-                         normal_form(Rat(Fraction(-1, 3)) * sp.u))
+    assert (normal_form(parse_expr("-2/6 * u", sp))
+            == normal_form(Rat(Fraction(-1, 3)) * sp.u))
 
 
 def test_jets_by_subscript(sp):
@@ -46,8 +46,8 @@ def test_unary_minus(sp):
 
 def test_inv_and_comm(mp):
     from jetsym import commutator, inverse
-    assert structural_eq(normal_form(parse_expr("inv(u)*u_x", mp)),
-                         normal_form(inverse(mp.u) * mp.jet("x")))
+    assert (normal_form(parse_expr("inv(u)*u_x", mp))
+            == normal_form(inverse(mp.u) * mp.jet("x")))
     assert is_zero(parse_expr("comm(u_x, u_t)", mp)
                    - (mp.jet("x") * mp.jet("t") - mp.jet("t") * mp.jet("x")))
 
@@ -62,7 +62,7 @@ def test_functions_scalar_only(sp, mp):
 def test_total_derivative_builtin(sp):
     got = parse_expr("D(u*u_x, x)", sp)
     want = total_derivative(sp.u * sp.jet("x"), sp.coordinate("x"), sp)
-    assert structural_eq(normal_form(got), want)
+    assert normal_form(got) == want
 
 
 def test_constants_and_matrices(sp, mp):
@@ -114,6 +114,18 @@ def test_parse_operator_zero(sp):
     assert parse_operator("0", sp).same_operator(ZERO_OPERATOR)
 
 
+def test_same_operator_collects_like_terms(sp):
+    from jetsym.symmetry import ZERO_OPERATOR
+
+    def same(a, b):
+        return parse_operator(a, sp).same_operator(parse_operator(b, sp))
+
+    assert same("2*D_x*F + D_x*F", "3*D_x*F")
+    assert same("2*-D_x*F", "-2*D_x*F")
+    assert not same("2*D_x*F", "3*D_x*F")
+    assert parse_operator("D_x*F - D_x*F", sp).same_operator(ZERO_OPERATOR)
+
+
 def test_parse_operator_matrix_sides():
     from jetsym.catalog import get_pde
     ch = get_pde("chiral")
@@ -126,7 +138,7 @@ def test_parse_operator_plain_term_is_multiplication(sp):
     op = parse_operator("u_x + 2", sp)
     got = op.apply(sp.u, sp)
     want = normal_form((sp.jet("x") + 2) * sp.u)
-    assert structural_eq(got, want)
+    assert got == want
 
 
 def test_parse_operator_folds_consecutive_signs():
@@ -140,6 +152,7 @@ def test_parse_operator_folds_consecutive_signs():
     assert same_action("2*D_x*F - -D_x*F", "3*D_x*F")
     assert same_action("x*F + -(t)*F", "x*F - t*F")
     assert same_action("-+-F", "F")
+    assert same_action("2*-D_x*F", "-2*D_x*F")
 
 
 def test_parse_operator_splits_outside_brackets_only(sp):
@@ -154,6 +167,16 @@ def test_parse_operator_splits_outside_brackets_only(sp):
 def test_parse_operator_rejects_dangling_pieces(sp, text):
     with pytest.raises(ParseError):
         parse_operator(text, sp)
+
+
+@pytest.mark.parametrize("text,pos", [("D_x*F + x*D_y*F", 10),
+                                      ("F + (x + )*F", 9),
+                                      ("2*F + F*F", 8),
+                                      ("x*F - (t*%)*F", 9)])
+def test_parse_operator_error_positions(sp, text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text, sp)
+    assert exc.value.pos == pos
 
 
 @pytest.mark.parametrize("pde,q", [("kdv", "u_x - 2*t*u_x + 2"),
@@ -172,15 +195,45 @@ def test_found_certificate_render_parse_round_trip(pde, q):
     assert parse_operator(text, p).same_operator(op)
 
 
+# --- nesting bound --------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "u" + ")" * 3000,
+                                  "-" * 3000 + "u",
+                                  "sin(" * 3000 + "u" + ")" * 3000],
+                         ids=["brackets", "signs", "calls"])
+def test_deep_nesting_exits_two(monkeypatch, capsys, text):
+    from jetsym.cli import run
+    monkeypatch.setattr(sys, "argv",
+                        ["jetsym", "--pde", "heat", "parse", "--", text])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: expression nested too deeply")
+
+
+def test_deepest_allowed_nesting_goes_through(monkeypatch, capsys):
+    from jetsym.cli import run
+    k = MAX_DEPTH - 1  # the innermost u is one factor deeper than the sin(
+    text = "sin(" * k + "u" + ")" * k
+    monkeypatch.setattr(sys, "argv", ["jetsym", "--pde", "heat", "parse", text])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text + "\n"
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expr("sin(" + text + ")", SP)
+
+
 # --- round trips ----------------------------------------------------------
 
 def test_render_examples(sp, mp):
     for text in ("u_x", "sin(u)", "x*u_x + 2*t*u_t"):
         e = normal_form(parse_expr(text, sp))
-        assert structural_eq(normal_form(parse_expr(render(e, sp), sp)), e)
+        assert normal_form(parse_expr(render(e, sp), sp)) == e
     for text in ("inv(u)*u_x", "comm(u_x, A)"):
         e = normal_form(parse_expr(text, mp))
-        assert structural_eq(normal_form(parse_expr(render(e, mp), mp)), e)
+        assert normal_form(parse_expr(render(e, mp), mp)) == e
 
 
 def test_pretty_resugars_commutators():
@@ -196,7 +249,7 @@ def test_pretty_resugars_commutators():
 def test_roundtrip_scalar(e):
     n = normal_form(e)
     back = parse_expr(render(n, SP), SP)
-    assert structural_eq(normal_form(back), n)
+    assert normal_form(back) == n
 
 
 @settings(max_examples=80, deadline=None)
@@ -204,4 +257,4 @@ def test_roundtrip_scalar(e):
 def test_roundtrip_matrix(e):
     n = normal_form(e)
     back = parse_expr(render(n, MP), MP)
-    assert structural_eq(normal_form(back), n)
+    assert normal_form(back) == n

@@ -6,7 +6,7 @@ import pytest
 
 from jetsym import (Characteristic, Verdict, bracket_characteristic,
                     check_symmetry, certify_operator, find_operator, is_zero,
-                    make_pde, normal_form, reduce_mod_pde, structural_eq,
+                    make_pde, normal_form, reduce_mod_pde,
                     structure_constants)
 from jetsym.catalog import get_pde
 from jetsym.parsing import parse_expr, parse_operator
@@ -45,7 +45,7 @@ def test_make_pde_rejects_unsolved_rhs(sp):
 def test_reduce_heat_utt():
     p = HEAT.problem
     got = reduce_mod_pde(p.jet("tt"), HEAT.pde, p)
-    assert structural_eq(got, normal_form(p.jet("xxxx")))
+    assert got == normal_form(p.jet("xxxx"))
 
 
 def test_reduce_heat_mixed():
@@ -53,7 +53,7 @@ def test_reduce_heat_mixed():
     e = parse_expr("u_xt * u + u_t", p)
     got = reduce_mod_pde(e, HEAT.pde, p)
     want = normal_form(parse_expr("u_xxx * u + u_xx", p))
-    assert structural_eq(got, want)
+    assert got == want
 
 
 def test_reduce_chiral_multiple_of_f():
@@ -66,7 +66,7 @@ def test_reduce_chiral_multiple_of_f():
 def test_reduce_leaves_irreducible_alone():
     p = HEAT.problem
     e = normal_form(parse_expr("u_xx + x*u", p))
-    assert structural_eq(reduce_mod_pde(e, HEAT.pde, p), e)
+    assert reduce_mod_pde(e, HEAT.pde, p) == e
 
 
 # --- check_symmetry -------------------------------------------------------
@@ -152,7 +152,7 @@ def test_chiral_constant_conjugation_certificate():
 def test_identity_operator_applies():
     p = HEAT.problem
     got = IDENTITY_OPERATOR.apply(p.jet("x"), p)
-    assert structural_eq(got, normal_form(p.jet("x")))
+    assert got == normal_form(p.jet("x"))
 
 
 # --- structure constants --------------------------------------------------
