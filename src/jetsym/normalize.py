@@ -166,15 +166,13 @@ def is_zero(e: Expr) -> bool:
     return not nf(e)
 
 
-def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
-    """Replace every occurrence of exactly the jet coordinate `target`;
-    the result is normalized."""
-    if not isinstance(target, Jet):
-        raise TypeError("substitution target must be a jet coordinate")
-
+def substitute_jets(e: Expr, values: dict[Jet, Expr]) -> Expr:
+    """Replace every jet atom that `values` maps, everywhere in e (function
+    arguments and inverses included), in one walk; the result is
+    normalized."""
     def walk(x: Expr) -> Expr:
         if isinstance(x, Jet):
-            return replacement if x == target else x
+            return values.get(x, x)
         if isinstance(x, Add):
             return Add(tuple(walk(t) for t in x.terms))
         if isinstance(x, Mul):
@@ -189,6 +187,14 @@ def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
         return x
 
     return normal_form(walk(e))
+
+
+def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
+    """Replace every occurrence of exactly the jet coordinate `target`;
+    the result is normalized."""
+    if not isinstance(target, Jet):
+        raise TypeError("substitution target must be a jet coordinate")
+    return substitute_jets(e, {target: replacement})
 
 
 def collect_jets(e: Expr) -> set[Jet]:

@@ -1,9 +1,19 @@
 """Symmetry condition D_Q F = 0 mod F, operator certificates, and structure
 constants of symmetry bases.
 
-"mod F" is realized through a solved form of the PDE: the leading jet
-equals a right-hand side containing no jet at-or-above the leading one, so
-repeated substitution of total derivatives of the solved form terminates.
+"mod F" is realized through a solved form of the PDE, leading = rhs.  The
+principal jets are the leading jet and its derivatives; every other jet is
+parametric.  Each principal jet J has exactly one value R[J] in parametric
+jets: R[leading] = rhs, and R[J] = D_i R[J - i] with its principal jets
+replaced by their values, for a coordinate i in J - leading.  Reducing an
+expression replaces all its principal jets by their values in one pass.
+
+The solved form must be ranked: some lex ranking of the jets (over an order
+of the coordinates) or orderly one (total order first, then lex) puts every
+jet of the rhs strictly below the leading jet.  Such rankings are
+well-orders compatible with every D_i, so every jet of R[J] ranks below J,
+the values that R[J] needs belong to lower principal jets, and filling the
+table terminates.
 """
 from __future__ import annotations
 
@@ -14,13 +24,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .core import (Add, CMat, Expr, Jet, JetsymError, MATRIX, Mul, Problem,
-                   Rat, add, as_expr, mul)
+from .core import (Add, CMat, Expr, Jet, JetsymError, MATRIX, Mul, Pot,
+                   Problem, Rat, add, as_expr, children, mul)
 from .calculus import Characteristic, char_derivative, bracket_characteristic, \
-    iterated_total
+    iterated_total, total_derivative
 from .linsolve import rank, solve
 from .normalize import (NF, _nf_mul, collect_jets, is_zero, key_sort_key, nf,
-    normal_form, substitute)
+    normal_form, substitute, substitute_jets)
 from .printing import render
 
 
@@ -44,6 +54,41 @@ class Pde:
     f: Expr
     leading: Jet
     rhs: Expr
+    # coordinates -> {principal multi-index: reduced value}, filled lazily
+    # by reduce_mod_pde; a value depends only on rhs and the coordinates, so
+    # every Pde starts with its own (dataclasses.replace does not copy it)
+    table: dict = field(default_factory=dict, init=False, compare=False,
+                        hash=False, repr=False)
+
+
+def _lex_unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
+    """The exponent vectors that no lex ranking of the coordinates puts
+    below `lead` together with the rest; empty iff one ranking puts all of
+    them below.  Greedy: taking next any coordinate in which no unsettled
+    jet exceeds the lead never hurts, because it only settles jets, and a
+    settled jet no longer restricts the later choices."""
+    free = list(range(len(lead)))
+    while jets:
+        c = next((c for c in free if all(v[c] <= lead[c] for v in jets)),
+                 None)
+        if c is None:
+            return jets
+        free.remove(c)
+        jets = [v for v in jets if v[c] == lead[c]]
+    return jets
+
+
+def _ranked(lead: list[int], jets: list[list[int]]) -> bool:
+    """True iff a lex or an orderly ranking puts every jet below `lead`."""
+    order = sum(lead)
+    orderly = all(sum(v) <= order for v in jets) and not _lex_unranked(
+        lead, [v for v in jets if sum(v) == order])
+    return orderly or not _lex_unranked(lead, jets)
+
+
+def _is_principal(j: Jet, leading: Jet) -> bool:
+    """True for the leading jet and its derivatives."""
+    return j.dep == leading.dep and not (Counter(leading.idx) - Counter(j.idx))
 
 
 def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
@@ -51,34 +96,102 @@ def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
     if leading.dep != problem.dependent:
         raise PdeError(f"solved form leads with {render(leading, problem)}, "
                        "which is not over the problem's dependent")
-    lead = Counter(leading.idx)
-    for j in sorted(collect_jets(rhs), key=lambda j: (j.order, j.idx)):
-        if j.dep == leading.dep and not (lead - Counter(j.idx)):
+    jets = sorted((j for j in collect_jets(rhs) if j.dep == leading.dep),
+                  key=lambda j: (j.order, j.idx))
+    for j in jets:
+        if _is_principal(j, leading):
             raise PdeError(
                 f"solved-form rhs contains {render(j, problem)} at or above "
                 f"the leading jet {render(leading, problem)}")
+    n = len(problem.coordinates)
+
+    def exponents(j: Jet) -> list[int]:
+        return [j.idx.count(i) for i in range(n)]
+
+    lead, vectors = exponents(leading), [exponents(j) for j in jets]
+    if not _ranked(lead, vectors):
+        unsettled = _lex_unranked(lead, vectors)
+        names = ", ".join(render(j, problem) for j in jets
+                          if exponents(j) in unsettled)
+        raise PdeError(
+            f"no lex or orderly ranking puts the solved-form rhs jets {names} "
+            f"below the leading jet {render(leading, problem)}")
     if not is_zero(substitute(f, leading, rhs)):
         raise PdeError("substituting the solved form into F does not give 0")
     return Pde(name, normal_form(f), leading, normal_form(rhs))
 
 
-def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem,
-                   max_steps: int = 2000) -> Expr:
-    """Substitute total derivatives of the solved form until no jet contains
-    the leading multi-index; returns the normalized fixed point."""
-    lead = Counter(pde.leading.idx)
+def _mentions_potential(e: Expr) -> bool:
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Pot):
+            return True
+        stack.extend(children(x))
+    return False
+
+
+def _principal_jets(e: Expr, pde: Pde) -> list[Jet]:
+    return [j for j in collect_jets(e) if _is_principal(j, pde.leading)]
+
+
+def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
+                problem: Problem) -> None:
+    """Enter R[J] into `table` for every principal multi-index J in `idxs`
+    and every principal jet those values need, on an explicit stack.
+    R[J] = D_i R[J - i] with its principal jets replaced, where i is a
+    coordinate of J - leading, preferring coordinates that occur less often
+    in the leading jet (D_x keeps u_x...x parametric when u_t leads)."""
+    dep, lead = pde.leading.dep, pde.leading.idx
+    table.setdefault(lead, pde.rhs)
+    derived: dict[tuple[int, ...], Expr] = {}  # D_i R[J - i], not yet reduced
+    stack = list(idxs)
+
+    def push(needed: list[tuple[int, ...]]) -> None:
+        for m in needed:
+            if m in derived:  # only a potential in rhs can lead back here
+                raise PdeError(f"the value of {render(Jet(dep, m), problem)}"
+                               " mod F depends on itself")
+        stack.extend(needed)
+
+    while stack:
+        idx = stack[-1]
+        if idx in table:
+            stack.pop()
+            continue
+        if idx not in derived:
+            extra = Counter(idx) - Counter(lead)
+            i = min(extra, key=lambda c: (lead.count(c), c))
+            k = idx.index(i)
+            prev = idx[:k] + idx[k + 1:]
+            if prev not in table:
+                push([prev])
+                continue
+            derived[idx] = total_derivative(table[prev],
+                                            problem.coordinates[i], problem)
+        principal = _principal_jets(derived[idx], pde)
+        missing = [j.idx for j in principal if j.idx not in table]
+        if missing:
+            push(missing)
+            continue
+        table[idx] = substitute_jets(derived.pop(idx),
+                                     {j: table[j.idx] for j in principal})
+        stack.pop()
+
+
+def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem) -> Expr:
+    """The normal form of e with every principal jet replaced by its value
+    mod F, which contains parametric jets only."""
     out = normal_form(as_expr(e))
-    for _ in range(max_steps):
-        reducible = [j for j in collect_jets(out)
-                     if j.dep == pde.leading.dep
-                     and not (lead - Counter(j.idx))]
-        if not reducible:
-            return out
-        j = max(reducible, key=lambda j: (j.order, j.idx))
-        extra = Counter(j.idx) - lead
-        repl = iterated_total(pde.rhs, tuple(extra.elements()), problem)
-        out = substitute(out, j, repl)
-    raise RuntimeError("mod-F reduction did not terminate")
+    principal = _principal_jets(out, pde)
+    if not principal:
+        return out
+    if _mentions_potential(pde.rhs):  # values depend on the potentials
+        table: dict = {}
+    else:
+        table = pde.table.setdefault(problem.coordinates, {})
+    _fill_table(table, [j.idx for j in principal], pde, problem)
+    return substitute_jets(out, {j: table[j.idx] for j in principal})
 
 
 class Verdict(Enum):

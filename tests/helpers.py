@@ -2,12 +2,15 @@
 used by both the hypothesis strategies and the acceptance property loops."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
-                    commutator, func, inverse, mul)
+                    as_expr, commutator, func, inverse, iterated_total, mul,
+                    normal_form, substitute)
 from jetsym.core import Expr
+from jetsym.normalize import collect_jets
 
 
 def scalar_problem() -> Problem:
@@ -77,3 +80,21 @@ def random_characteristic(rng: Random, p: Problem, depth: int = 2
     q = random_expr(rng, p, depth,
                     scalar_only=p.dependent.kind == "scalar")
     return Characteristic(f"Q{rng.randint(0, 10**6)}", q, p.dependent)
+
+
+def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
+    """Reduction mod F one principal jet at a time, the highest first, each
+    replaced by the total derivative of the unreduced solved form: the
+    reference that the engine's table reducer must agree with exactly."""
+    lead = Counter(pde.leading.idx)
+    out = normal_form(as_expr(e))
+    while True:
+        reducible = [j for j in collect_jets(out)
+                     if j.dep == pde.leading.dep
+                     and not (lead - Counter(j.idx))]
+        if not reducible:
+            return out
+        j = max(reducible, key=lambda j: (j.order, j.idx))
+        extra = Counter(j.idx) - lead
+        repl = iterated_total(pde.rhs, tuple(extra.elements()), problem)
+        out = substitute(out, j, repl)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import click
 from click.testing import CliRunner
@@ -209,3 +210,21 @@ def test_run_entrypoint_exit_codes():
          "--q", "x*u_t"],
         capture_output=True, text=True)
     assert out.returncode == 1
+
+
+UNRANKED = ["--coords", "x,t", "--f", "u_xt - u_xx - u_tt",
+            "--solved", "u_xt = u_xx + u_tt"]
+
+
+@pytest.mark.parametrize("command", [["check", "--no-find", "--q", "u_x"],
+                                     ["reduce", "u_xxt"]],
+                         ids=["check", "reduce"])
+def test_unranked_solved_form_exits_two(monkeypatch, capsys, command):
+    from jetsym.cli import run
+    monkeypatch.setattr(sys, "argv", ["jetsym", *UNRANKED, *command])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: no lex or orderly ranking puts the solved-form rhs jets "
+        "u_xx, u_tt below the leading jet u_xt")

@@ -40,6 +40,25 @@ def test_make_pde_rejects_unsolved_rhs(sp):
         make_pde("bad", f, sp.jet("t"), sp.jet("xt"), sp)
 
 
+def test_make_pde_rejects_unranked_solved_form(sp):
+    f = parse_expr("u_xt - u_xx - u_tt", sp)
+    with pytest.raises(PdeError, match=r"no lex or orderly ranking puts the "
+                                       r"solved-form rhs jets u_xx, u_tt "
+                                       r"below the leading jet u_xt$"):
+        make_pde("bad", f, sp.jet("xt"), parse_expr("u_xx + u_tt", sp), sp)
+
+
+@pytest.mark.parametrize("lead, rhs", [
+    ("u_t", "u_xx + u_xxxxx"),        # lex with t first, not orderly
+    ("u_xxtt", "u_xxx + u_ttt"),      # orderly, not lex
+    ("u_xt", "u_xx + u_x*u_t"),       # lex with t first and orderly
+    ("u_xx", "u_t + u_ttt"),          # lex with x first
+])
+def test_make_pde_accepts_lex_and_orderly_rankings(sp, lead, rhs):
+    f = parse_expr(f"{lead} - ({rhs})", sp)
+    make_pde("ranked", f, parse_expr(lead, sp), parse_expr(rhs, sp), sp)
+
+
 # --- reduce_mod_pde -------------------------------------------------------
 
 def test_reduce_heat_utt():
