@@ -13,13 +13,12 @@ nonlocal, characteristics Q' = g*Phi'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .core import (CMat, Coordinate, Expr, JetsymError, Jet, MATRIX, Mul, Pot,
+from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul, neg)
-from .calculus import iterated_total, total_derivative
+from .calculus import total_derivative
 from .normalize import is_zero, nf, normal_form
 from .symmetry import Pde, _match_linear, reduce_mod_pde
 
@@ -76,18 +75,6 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     return problem.register_potential(pdef)
 
 
-def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
-    """Linearized symmetry condition in Phi-form:
-    D_x(Phi_x + [inv(g)g_x, Phi]) + D_t(Phi_t + [inv(g)g_t, Phi]),
-    returned normalized (not reduced mod F)."""
-    x, t = _xt(problem)
-    ax, at = left_current(problem, x), left_current(problem, t)
-    inner_x = add(total_derivative(phi, x, problem), commutator(ax, phi))
-    inner_t = add(total_derivative(phi, t, problem), commutator(at, phi))
-    return normal_form(add(total_derivative(inner_x, x, problem),
-                           total_derivative(inner_t, t, problem)))
-
-
 def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
     """The pair of right-hand sides defining Phi' up to integration."""
     x, t = _xt(problem)
@@ -99,37 +86,40 @@ def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
     return BtPair(phi, normal_form(rhs_x), normal_form(rhs_t))
 
 
+def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
+    """Linearized symmetry condition in Phi-form, the cross derivative
+    (Phi'_x)_t - (Phi'_t)_x of the Backlund pair:
+    D_x(Phi_x + [inv(g)g_x, Phi]) + D_t(Phi_t + [inv(g)g_t, Phi]),
+    returned normalized (not reduced mod F)."""
+    x, t = _xt(problem)
+    pair = bt_rhs(phi, problem)
+    return normal_form(total_derivative(pair.rhs_x, t, problem)
+                       - total_derivative(pair.rhs_t, x, problem))
+
+
 def bt_integrability_check(phi: Expr, pde: Pde, problem: Problem) -> bool:
     """(Phi'_x)_t = (Phi'_t)_x mod F; holds iff Phi solves the symmetry
     condition."""
-    x, t = _xt(problem)
-    pair = bt_rhs(phi, problem)
-    cross = (total_derivative(pair.rhs_x, t, problem)
-             - total_derivative(pair.rhs_t, x, problem))
-    return is_zero(reduce_mod_pde(cross, pde, problem))
+    return is_zero(reduce_mod_pde(chiral_phi_condition(phi, pde, problem),
+                                  pde, problem))
 
 
-def default_bt_basis(problem: Problem, word_length: int = 2) -> list[Expr]:
-    """Candidate alphabet for integrating the Backlund system: bounded words
-    over the left currents, registered potentials and constant matrices,
-    plus single commutators of alphabet pairs."""
+def default_bt_basis(problem: Problem) -> list[Expr]:
+    """Candidate alphabet for integrating the Backlund system: the left
+    currents, registered potentials and constant matrices, their products
+    of two, and single commutators of alphabet pairs."""
     x, t = _xt(problem)
     alphabet: list[Expr] = [left_current(problem, x), left_current(problem, t)]
     alphabet.extend(problem.potential(n) for n in problem.potentials)
     alphabet.extend(problem.matrices.values())
     basis: list[Expr] = list(alphabet)
-    if word_length >= 2:
-        for a in alphabet:
-            for b in alphabet:
-                basis.append(mul(a, b))
-        for i, a in enumerate(alphabet):
-            for b in alphabet[i + 1:]:
-                basis.append(commutator(a, b))
+    basis.extend(mul(a, b) for a in alphabet for b in alphabet)
+    basis.extend(commutator(a, b)
+                 for i, a in enumerate(alphabet) for b in alphabet[i + 1:])
     return basis
 
 
-def bt_apply(phi: Expr, pde: Pde, problem: Problem,
-             basis: list[Expr] | None = None) -> Optional[Expr]:
+def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     """Integrate the Backlund system for Phi' as an exact rational
     combination of basis candidates satisfying both equations mod F.
 
@@ -139,8 +129,7 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem,
     x, t = _xt(problem)
     if not bt_integrability_check(phi, pde, problem):
         return None
-    if basis is None:
-        basis = default_bt_basis(problem)
+    basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)
     targets = [nf(reduce_mod_pde(pair.rhs_x, pde, problem)),
                nf(reduce_mod_pde(pair.rhs_t, pde, problem))]

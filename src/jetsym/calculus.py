@@ -15,7 +15,7 @@ from .core import (Add, Base, CMat, Comm, Coord, Coordinate, Dependent, Expr,
                    Fn, FUNC_DERIVATIVES, Inv, Jet, KindError, Mul,
                    NonlocalActionError, Pot, Problem, Rat, SCALAR, Sym, ZERO,
                    add, as_expr, commutator, mul, neg, rat)
-from .normalize import collect_jets, nf, normal_form
+from .normalize import collect_jets, normal_form
 
 
 @dataclass(frozen=True)

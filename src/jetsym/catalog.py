@@ -7,7 +7,7 @@ through the engine; the test suite keeps the catalog self-validating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -58,10 +58,6 @@ class CatalogEntry:
             if c.name == name:
                 return c
         raise DeclarationError(f"{self.name}: no characteristic {name!r}")
-
-    @property
-    def is_chiral(self) -> bool:
-        return any(c.phi is not None for c in self.characteristics)
 
 
 def _load_raw() -> dict:

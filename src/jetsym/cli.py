@@ -9,18 +9,17 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from fractions import Fraction
 
 import click
 
 from .core import (Dependent, JetsymError, Jet, Problem)
 from .calculus import Characteristic, bracket_characteristic
 from .catalog import CATALOG_NAMES, get_pde, load_catalog
-from .normalize import is_zero, normal_form
+from .normalize import normal_form
 from .parsing import parse_expr, parse_operator
 from .printing import pretty, render
-from .symmetry import (certify_operator, check_symmetry, find_operator,
-                       make_pde, reduce_mod_pde, structure_constants)
+from .symmetry import (certify_operator, check_symmetry, make_pde,
+                       reduce_mod_pde, structure_constants)
 from .backlund import bt_apply, chiral_phi_condition
 
 
@@ -317,15 +316,19 @@ def cmd_batch(ctx, path):
     comments allowed; global flags from this invocation apply to each.  A
     line that fails (a NotSymmetry verdict, or an error, which is reported
     on stderr) counts as a failure and the lines after it still run."""
+    base = []  # this invocation's global flags, as a command line
+    for param in main.params:
+        value = ctx.parent.params[param.name]
+        if param.is_flag:
+            base += [param.opts[0]] if value else []
+        elif value is not None:
+            base += [param.opts[0], value]
     failures = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            base = ["--json"] if ctx.obj["json"] else []
-            if ctx.obj["pde"]:
-                base += ["--pde", ctx.obj["pde"]]
             try:
                 args = base + shlex.split(line)
             except ValueError as exc:  # unbalanced quotes

@@ -7,6 +7,12 @@ factors.  Rewrites applied: distribute products over sums, flatten, extract
 scalars, cancel adjacent w*inv(w) pairs, expand commutators, collect like
 terms.  Commutators between scalar-class expressions therefore collapse to
 zero, and fully commuting words reorder into the canonical monomial.
+
+The normaliser is also the one walk that substitutes: `nf(e, values)` takes
+a map from jets to normal forms and uses the mapped normal form for each
+mapped jet as it goes, so `substitute` and the reduction mod F
+(`symmetry.reduce_mod_pde`) add no tree walk of their own, and a mapped
+value is never normalized again.
 """
 from __future__ import annotations
 
@@ -87,27 +93,35 @@ def _atom_nf(atom: Expr, exp: int = 1) -> NF:
     return {((), (atom,)): Fraction(1)}
 
 
-def nf(e: Expr) -> NF:
+def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
+    """The normal form of e with every jet that `values` maps replaced by
+    its mapped normal form, everywhere in e (function arguments, inverses
+    and commutators included).  The returned dict may be a value of
+    `values`; no caller mutates a normal form."""
     if isinstance(e, Rat):
         return {((), ()): e.value} if e.value else {}
-    if isinstance(e, (Coord, Sym, CMat, Pot)):
+    if isinstance(e, Jet):
+        if values is not None and e in values:
+            return values[e]
         return _atom_nf(e)
-    if isinstance(e, (Jet, Base)):
+    if isinstance(e, (Coord, Sym, CMat, Pot, Base)):
         return _atom_nf(e)
     if isinstance(e, Fn):
-        return _atom_nf(Fn(e.fname, normal_form(e.arg)))
+        return _atom_nf(Fn(e.fname, rebuild(nf(e.arg, values))))
     if isinstance(e, Add):
         out: NF = {}
         for t in e.terms:
-            out = _nf_add(out, nf(t))
+            out = _nf_add(out, nf(t, values))
         return out
     if isinstance(e, Mul):
         out = {((), ()): Fraction(1)}
         for f in e.factors:
-            out = _nf_mul(out, nf(f))
+            out = _nf_mul(out, nf(f, values))
         return out
     if isinstance(e, Inv):
         base = e.base
+        if values is not None and base in values:
+            return nf(inverse(rebuild(values[base])))
         if isinstance(base, Rat):
             return nf(inverse(base))
         if is_commuting_atom(base):
@@ -118,9 +132,9 @@ def nf(e: Expr) -> NF:
             return _atom_nf(base, -1)
         return _atom_nf(e)  # matrix atom inverse: opaque word factor
     if isinstance(e, Comm):
-        ab = _nf_mul(nf(e.lhs), nf(e.rhs))
-        ba = _nf_mul(nf(e.rhs), nf(e.lhs))
-        return _nf_add(ab, _nf_scale(ba, Fraction(-1)))
+        lhs, rhs = nf(e.lhs, values), nf(e.rhs, values)
+        return _nf_add(_nf_mul(lhs, rhs), _nf_scale(_nf_mul(rhs, lhs),
+                                                     Fraction(-1)))
     raise TypeError(f"cannot normalize node {type(e).__name__}")
 
 
@@ -166,35 +180,12 @@ def is_zero(e: Expr) -> bool:
     return not nf(e)
 
 
-def substitute_jets(e: Expr, values: dict[Jet, Expr]) -> Expr:
-    """Replace every jet atom that `values` maps, everywhere in e (function
-    arguments and inverses included), in one walk; the result is
-    normalized."""
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Jet):
-            return values.get(x, x)
-        if isinstance(x, Add):
-            return Add(tuple(walk(t) for t in x.terms))
-        if isinstance(x, Mul):
-            return Mul(tuple(walk(f) for f in x.factors))
-        if isinstance(x, Inv):
-            inner = walk(x.base)
-            return x if inner == x.base else inverse(inner)
-        if isinstance(x, Comm):
-            return Comm(walk(x.lhs), walk(x.rhs))
-        if isinstance(x, Fn):
-            return Fn(x.fname, walk(x.arg))
-        return x
-
-    return normal_form(walk(e))
-
-
 def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
     """Replace every occurrence of exactly the jet coordinate `target`;
     the result is normalized."""
     if not isinstance(target, Jet):
         raise TypeError("substitution target must be a jet coordinate")
-    return substitute_jets(e, {target: replacement})
+    return rebuild(nf(e, {target: nf(replacement)}))
 
 
 def collect_jets(e: Expr) -> set[Jet]:

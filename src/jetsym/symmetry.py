@@ -5,8 +5,11 @@ constants of symmetry bases.
 principal jets are the leading jet and its derivatives; every other jet is
 parametric.  Each principal jet J has exactly one value R[J] in parametric
 jets: R[leading] = rhs, and R[J] = D_i R[J - i] with its principal jets
-replaced by their values, for a coordinate i in J - leading.  Reducing an
-expression replaces all its principal jets by their values in one pass.
+replaced by their values, for a coordinate i in J - leading.  Each Pde
+keeps one table of these values per Problem, held as normal forms.
+Reducing an expression normalizes it, fills the table for its principal
+jets, and normalizes once more with the table as the jet map of
+`normalize.nf`, which puts each value in place of its jet.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
@@ -24,13 +27,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .core import (Add, CMat, Expr, Jet, JetsymError, MATRIX, Mul, Pot,
-                   Problem, Rat, add, as_expr, children, mul)
+from .core import (Expr, Jet, JetsymError, MATRIX, Problem, Rat, add,
+                   as_expr, mul)
 from .calculus import Characteristic, char_derivative, bracket_characteristic, \
     iterated_total, total_derivative
 from .linsolve import rank, solve
 from .normalize import (NF, _nf_mul, collect_jets, is_zero, key_sort_key, nf,
-    normal_form, substitute, substitute_jets)
+    normal_form, rebuild, substitute)
 from .printing import render
 
 
@@ -54,8 +57,9 @@ class Pde:
     f: Expr
     leading: Jet
     rhs: Expr
-    # coordinates -> {principal multi-index: reduced value}, filled lazily
-    # by reduce_mod_pde; a value depends only on rhs and the coordinates, so
+    # problem -> {principal multi-index: normal form of its value}, filled
+    # lazily by reduce_mod_pde; a value depends only on rhs, the coordinates
+    # and the potentials' gradients, none of which a Problem ever changes;
     # every Pde starts with its own (dataclasses.replace does not copy it)
     table: dict = field(default_factory=dict, init=False, compare=False,
                         hash=False, repr=False)
@@ -121,29 +125,20 @@ def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
     return Pde(name, normal_form(f), leading, normal_form(rhs))
 
 
-def _mentions_potential(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Pot):
-            return True
-        stack.extend(children(x))
-    return False
-
-
 def _principal_jets(e: Expr, pde: Pde) -> list[Jet]:
     return [j for j in collect_jets(e) if _is_principal(j, pde.leading)]
 
 
 def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
                 problem: Problem) -> None:
-    """Enter R[J] into `table` for every principal multi-index J in `idxs`
-    and every principal jet those values need, on an explicit stack.
+    """Enter the normal form of R[J] into `table` for every principal
+    multi-index J in `idxs` and every principal jet those values need, on
+    an explicit stack.
     R[J] = D_i R[J - i] with its principal jets replaced, where i is a
     coordinate of J - leading, preferring coordinates that occur less often
     in the leading jet (D_x keeps u_x...x parametric when u_t leads)."""
     dep, lead = pde.leading.dep, pde.leading.idx
-    table.setdefault(lead, pde.rhs)
+    table.setdefault(lead, nf(pde.rhs))
     derived: dict[tuple[int, ...], Expr] = {}  # D_i R[J - i], not yet reduced
     stack = list(idxs)
 
@@ -167,15 +162,14 @@ def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
             if prev not in table:
                 push([prev])
                 continue
-            derived[idx] = total_derivative(table[prev],
+            derived[idx] = total_derivative(rebuild(table[prev]),
                                             problem.coordinates[i], problem)
         principal = _principal_jets(derived[idx], pde)
         missing = [j.idx for j in principal if j.idx not in table]
         if missing:
             push(missing)
             continue
-        table[idx] = substitute_jets(derived.pop(idx),
-                                     {j: table[j.idx] for j in principal})
+        table[idx] = nf(derived.pop(idx), {j: table[j.idx] for j in principal})
         stack.pop()
 
 
@@ -186,12 +180,9 @@ def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem) -> Expr:
     principal = _principal_jets(out, pde)
     if not principal:
         return out
-    if _mentions_potential(pde.rhs):  # values depend on the potentials
-        table: dict = {}
-    else:
-        table = pde.table.setdefault(problem.coordinates, {})
+    table = pde.table.setdefault(problem, {})
     _fill_table(table, [j.idx for j in principal], pde, problem)
-    return substitute_jets(out, {j: table[j.idx] for j in principal})
+    return rebuild(nf(out, {j: table[j.idx] for j in principal}))
 
 
 class Verdict(Enum):
@@ -246,8 +237,7 @@ class SymmetryReport:
 
 def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
                    raw: Expr | None = None,
-                   search_certificate: bool = False,
-                   ansatz_config: "AnsatzConfig | None" = None) -> SymmetryReport:
+                   search_certificate: bool = False) -> SymmetryReport:
     """Evaluate D_Q F for arbitrary u, then reduce mod F.  `raw` overrides
     the left-hand side (used for the chiral Phi-form condition)."""
     if raw is None:
@@ -256,7 +246,7 @@ def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
     verdict = Verdict.SYMMETRY if is_zero(remainder) else Verdict.NOT_SYMMETRY
     certificate = None
     if search_certificate and verdict is Verdict.SYMMETRY:
-        certificate = find_operator(pde, Q, problem, cfg=ansatz_config, lhs=raw)
+        certificate = find_operator(pde, Q, problem, lhs=raw)
     return SymmetryReport(verdict, raw, remainder, certificate)
 
 
@@ -273,7 +263,6 @@ def certify_operator(pde: Pde, Q: Characteristic | None,
 class AnsatzConfig:
     max_deriv_order: int = 2
     coeff_degree: int = 2
-    use_const_matrices: bool = True
 
 
 def _coordinate_monomials(problem: Problem, degree: int) -> list[Expr]:
@@ -296,7 +285,7 @@ def _candidate_terms(problem: Problem, cfg: AnsatzConfig):
         js.extend(combinations_with_replacement(range(ncoords), d))
     one = Rat(Fraction(1))
     terms = [(m, j, one) for j in js for m in monos]
-    if problem.dependent.kind == MATRIX and cfg.use_const_matrices:
+    if problem.dependent.kind == MATRIX:
         for cm in problem.matrices.values():
             for m in monos:
                 terms.append((mul(m, cm), (), one))

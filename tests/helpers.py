@@ -1,5 +1,7 @@
 """Shared fixtures: sample problems and a seeded random expression builder
-used by both the hypothesis strategies and the acceptance property loops."""
+used by both the hypothesis strategies and the acceptance property loops,
+and reference substitution and reduction that share no code with the
+engine's jet map (`normalize.nf(e, values)`)."""
 from __future__ import annotations
 
 from collections import Counter
@@ -8,8 +10,8 @@ from random import Random
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
                     as_expr, commutator, func, inverse, iterated_total, mul,
-                    normal_form, substitute)
-from jetsym.core import Expr
+                    normal_form)
+from jetsym.core import Add, Comm, Expr, Fn, Inv, Jet, Mul
 from jetsym.normalize import collect_jets
 
 
@@ -82,6 +84,29 @@ def random_characteristic(rng: Random, p: Problem, depth: int = 2
     return Characteristic(f"Q{rng.randint(0, 10**6)}", q, p.dependent)
 
 
+def reference_substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
+    """Replace every occurrence of the jet `target` by a tree walk that
+    rebuilds e (function arguments and inverses included), then normalize:
+    the reference for `jetsym.substitute`."""
+    def walk(x: Expr) -> Expr:
+        if isinstance(x, Jet):
+            return replacement if x == target else x
+        if isinstance(x, Add):
+            return Add(tuple(walk(t) for t in x.terms))
+        if isinstance(x, Mul):
+            return Mul(tuple(walk(f) for f in x.factors))
+        if isinstance(x, Inv):
+            inner = walk(x.base)
+            return x if inner == x.base else inverse(inner)
+        if isinstance(x, Comm):
+            return Comm(walk(x.lhs), walk(x.rhs))
+        if isinstance(x, Fn):
+            return Fn(x.fname, walk(x.arg))
+        return x
+
+    return normal_form(walk(e))
+
+
 def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
     """Reduction mod F one principal jet at a time, the highest first, each
     replaced by the total derivative of the unreduced solved form: the
@@ -97,4 +122,4 @@ def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
         j = max(reducible, key=lambda j: (j.order, j.idx))
         extra = Counter(j.idx) - lead
         repl = iterated_total(pde.rhs, tuple(extra.elements()), problem)
-        out = substitute(out, j, repl)
+        out = reference_substitute(out, j, repl)

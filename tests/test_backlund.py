@@ -90,6 +90,30 @@ def test_phi_condition_for_currents(ch):
         assert is_zero(reduce_mod_pde(cond, pde, p)), text
 
 
+def textbook_phi_condition(phi, p):
+    """D_x(Phi_x + [inv(g)*g_x, Phi]) + D_t(Phi_t + [inv(g)*g_t, Phi]),
+    the linearized chiral equation in Phi-form, built term by term."""
+    x, t = p.coordinates
+    a_x, a_t = inverse(p.u) * p.jet("x"), inverse(p.u) * p.jet("t")
+    inner_x = total_derivative(phi, x, p) + commutator(a_x, phi)
+    inner_t = total_derivative(phi, t, p) + commutator(a_t, phi)
+    return normal_form(total_derivative(inner_x, x, p)
+                       + total_derivative(inner_t, t, p))
+
+
+def test_phi_condition_is_the_textbook_formula(ch):
+    p, pde = ch.problem, ch.pde
+    phis = [c.phi for c in ch.characteristics if c.phi is not None]
+    for phi, image in ch.bt_fixtures:
+        phis += [phi, image, bt_apply(phi, pde, p)]
+    phis += [phi_of(ch, text) for text in ("g", "X", "g_xt*inv(g)",
+                                           "comm(X, M)*inv(g)*g_x")]
+    assert len(phis) == 14
+    for phi in phis:
+        assert chiral_phi_condition(phi, pde, p) == \
+            textbook_phi_condition(phi, p), phi
+
+
 def test_phi_condition_fails_for_g(ch):
     p, pde = ch.problem, ch.pde
     cond = chiral_phi_condition(p.u, pde, p)

@@ -187,6 +187,25 @@ def test_batch_too_deep_line_fails_on_its_own(runner, tmp_path):
     assert "verdict: Symmetry" in r.stdout
 
 
+CUSTOM = ["--coords", "x,t", "--constants", "k", "--f", "u_t - k*u_xx",
+          "--solved", "u_t = k*u_xx"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_batch_forwards_every_global_flag(runner, tmp_path, json_flag):
+    lines = [["check", "--no-find", "--q", "u_x"], ["reduce", "u_tt"],
+             ["check", "--no-find", "--q", "u*u"]]
+    script = tmp_path / "cmds.txt"
+    script.write_text("".join(" ".join(f'"{a}"' for a in line) + "\n"
+                              for line in lines))
+    direct = [invoke(runner, *json_flag, *CUSTOM, *line) for line in lines]
+    assert [code(r) for r in direct] == [0, 0, 1]
+    r = invoke(runner, *json_flag, *CUSTOM, "batch", str(script))
+    assert code(r) == 1
+    assert r.stderr == ""
+    assert r.stdout == "".join(d.stdout for d in direct)
+
+
 def test_certify_folds_consecutive_signs(runner):
     args = ("--pde", "kdv", "certify", "--lhat", "2*D_x*F - -D_x*F", "--q")
     assert code(invoke(runner, *args, "3*u_x")) == 0

@@ -1,13 +1,17 @@
 import copy
+from random import Random
 
+import pytest
 from hypothesis import given, settings
 
 from jetsym import (commutator, inverse, is_zero, normal_form, parse_expr,
                     substitute)
-from jetsym.core import Rat, rat
+from jetsym.core import Comm, Fn, Inv, InversionError, Rat, children, rat
+from jetsym.normalize import collect_jets
 
 from conftest import seeded_exprs
-from helpers import matrix_problem, scalar_problem
+from helpers import (matrix_problem, random_expr, reference_substitute,
+                     scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -56,6 +60,54 @@ def test_substitute_chiral_solved_form():
     rhs = parse_expr("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p)
     assert substitute(gtt, gtt, rhs) == normal_form(rhs)
     assert is_zero(substitute(entry.pde.f, gtt, rhs))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InversionError:
+        return InversionError
+
+
+def _enclosing_kinds(e, target) -> set:
+    """The node kinds among Fn, Inv and Comm with `target` inside them."""
+    kinds, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Fn, Inv, Comm)) and target in collect_jets(x):
+            kinds.add(type(x))
+        stack.extend(children(x))
+    return kinds
+
+
+@pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
+def test_substitute_matches_reference_walker(problem):
+    """substitute, which substitutes inside the normaliser, agrees with a
+    tree walk that rebuilds the expression first, on seeded random
+    expressions; replacements are normal forms, so both invert the same
+    expression under inv() and raise InversionError on the same inputs."""
+    p = problem
+    rng = Random(f"substitute-{p.dependent.kind}")
+    special = [inverse(p.u), p.jet("x"), Rat(0), Rat(2)] + \
+        [p.cmat(m) for m in p.matrices]
+    seen = {Fn: 0, Inv: 0, Comm: 0, InversionError: 0, "value": 0}
+    for _ in range(300):
+        e = random_expr(rng, p, 4)
+        jets = sorted(collect_jets(e), key=lambda j: j.idx)
+        target = rng.choice(jets) if jets and rng.random() < 0.6 else p.u
+        if rng.random() < 0.5:
+            repl = rng.choice(special)
+        else:
+            repl = normal_form(random_expr(rng, p, 2))
+        got = _outcome(lambda: substitute(e, target, repl))
+        want = _outcome(lambda: reference_substitute(e, target, repl))
+        assert got == want, (e, target, repl)
+        for kind in _enclosing_kinds(e, target):
+            seen[kind] += 1
+        seen[InversionError if got is InversionError else "value"] += 1
+    if p.dependent.kind == "matrix":  # analytic functions take scalars
+        del seen[Fn]
+    assert min(seen.values()) >= 5, seen
 
 
 @settings(max_examples=120, deadline=None)

@@ -140,15 +140,33 @@ def _potential_problem(dx: str, dt: str) -> Problem:
     return p
 
 
-def test_potential_in_rhs_builds_a_table_per_call():
-    p = _potential_problem("u", "u_x")
-    pde = make_pde("nonlocal", parse_expr("u_t - X", p), p.jet("t"),
-                   p.potential("X"), p)
-    e = parse_expr("u_tt + u_xt*u_t", p)
-    got = reduce_mod_pde(e, pde, p)
-    assert got == normal_form(parse_expr("u_x + u*X", p))
-    assert got == reference_reduce(e, pde, p)
-    assert pde.table == {}
+def test_potential_in_rhs_keeps_a_table_per_problem():
+    # the same coordinates and rhs X, but different gradients of X
+    p1 = _potential_problem("u", "u_x")
+    p2 = _potential_problem("u_x", "u_xx")
+    pde = make_pde("nonlocal", parse_expr("u_t - X", p1), p1.jet("t"),
+                   p1.potential("X"), p1)
+    e = parse_expr("u_tt + u_xt*u_t", p1)
+    got1 = reduce_mod_pde(e, pde, p1)
+    got2 = reduce_mod_pde(e, pde, p2)
+    assert got1 == normal_form(parse_expr("u_x + u*X", p1))
+    assert got2 == normal_form(parse_expr("u_xx + u_x*X", p2))
+    assert got1 == reference_reduce(e, pde, p1)
+    assert got2 == reference_reduce(e, pde, p2)
+    assert reduce_mod_pde(e, pde, p1) == got1
+    assert len(pde.table) == 2
+
+
+def test_jets_that_cancel_fill_no_entries():
+    # the input is normalized before its principal jets are collected, so
+    # u_t^8 - u_t^8 leaves only u_tt and the entries its value needs
+    entry = get_pde("kdv")
+    p, pde = entry.problem, fresh_pde(entry)
+    ut8 = mul(*[p.jet("t")] * 8)
+    assert reduce_mod_pde(add(ut8, -ut8, p.jet("tt")), pde, p) == \
+        reduce_mod_pde(p.jet("tt"), fresh_pde(entry), p)
+    assert sorted(pde.table[p]) == [(0, 0, 0, 1), (0, 0, 1), (0, 1), (1,),
+                                    (1, 1)]
 
 
 def test_potential_that_leads_back_to_its_jet_is_an_error():
