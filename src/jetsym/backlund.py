@@ -1,8 +1,8 @@
 """Chiral-field Backlund-transformation recursion machinery.
 
-The chiral equation (inv(g)*g_x)_x + (inv(g)*g_t)_t = 0 admits an
+The chiral equation F = (inv(g)*g_x)_x + (inv(g)*g_t)_t = 0 admits an
 auto-Backlund transformation between solutions Phi, Phi' of its linearized
-symmetry condition:
+symmetry condition D_{g*Phi} F = 0 (the Phi-form of D_Q F, Q = g*Phi):
 
     Phi'_x = Phi_t + [inv(g)*g_t, Phi]
    -Phi'_t = Phi_x + [inv(g)*g_x, Phi]
@@ -18,7 +18,7 @@ from typing import Optional
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul, neg)
-from .calculus import total_derivative
+from .calculus import Characteristic, char_derivative, total_derivative
 from .normalize import is_zero, nf, normal_form
 from .symmetry import Pde, _match_linear, reduce_mod_pde
 
@@ -51,6 +51,15 @@ def left_current(problem: Problem, coord: Coordinate) -> Expr:
     if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
         raise JetsymError("left current needs an invertible matrix dependent")
     return mul(inverse(problem.u), Jet(problem.dependent, (coord.index,)))
+
+
+def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
+    """The characteristic Q = g*Phi of a Phi-form seed, for any invertible
+    matrix dependent g."""
+    if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
+        raise JetsymError("the Phi-form needs an invertible matrix dependent")
+    return Characteristic("Q", normal_form(mul(problem.u, as_expr(phi))),
+                          problem.dependent)
 
 
 def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
@@ -87,19 +96,16 @@ def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
 
 
 def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
-    """Linearized symmetry condition in Phi-form, the cross derivative
-    (Phi'_x)_t - (Phi'_t)_x of the Backlund pair:
-    D_x(Phi_x + [inv(g)g_x, Phi]) + D_t(Phi_t + [inv(g)g_t, Phi]),
-    returned normalized (not reduced mod F)."""
-    x, t = _xt(problem)
-    pair = bt_rhs(phi, problem)
-    return normal_form(total_derivative(pair.rhs_x, t, problem)
-                       - total_derivative(pair.rhs_t, x, problem))
+    """Linearized symmetry condition in Phi-form, D_{g*Phi} F, normalized
+    (not reduced mod F).  As D_{g*Phi}(inv(g)g_i) = Phi_i + [inv(g)g_i, Phi],
+    for chiral it is the cross derivative of the Backlund pair,
+    D_x(Phi_x + [inv(g)g_x, Phi]) + D_t(Phi_t + [inv(g)g_t, Phi])."""
+    return char_derivative(pde.f, phi_characteristic(phi, problem), problem)
 
 
 def bt_integrability_check(phi: Expr, pde: Pde, problem: Problem) -> bool:
-    """(Phi'_x)_t = (Phi'_t)_x mod F; holds iff Phi solves the symmetry
-    condition."""
+    """D_{g*Phi} F = 0 mod F: Phi solves the symmetry condition, which for
+    chiral is (Phi'_x)_t = (Phi'_t)_x mod F."""
     return is_zero(reduce_mod_pde(chiral_phi_condition(phi, pde, problem),
                                   pde, problem))
 

@@ -81,6 +81,7 @@ def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
 
 def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
     """D_Q e, returned in normal form."""
+    totals = {(): as_expr(Q.q)}  # D_J Q by sorted J, each taken once per call
     def atom(a: Expr) -> Expr:
         if isinstance(a, (Coord, Base)):
             return ZERO
@@ -88,7 +89,12 @@ def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
             if a.dep != Q.dependent:
                 raise KindError(
                     "characteristic declared for a different dependent")
-            return iterated_total(Q.q, a.idx, problem)
+            idx = tuple(sorted(a.idx))
+            for n in range(len(idx)):  # D_J Q = D_{J[n]} D_{J[:n]} Q
+                if idx[:n + 1] not in totals:
+                    totals[idx[:n + 1]] = total_derivative(
+                        totals[idx[:n]], problem.coordinates[idx[n]], problem)
+            return totals[idx]
         images = problem.potentials[a.name].char_images
         if Q.name not in images:
             raise NonlocalActionError(

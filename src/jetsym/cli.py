@@ -17,10 +17,10 @@ from .calculus import Characteristic, bracket_characteristic
 from .catalog import CATALOG_NAMES, get_pde, load_catalog
 from .normalize import normal_form
 from .parsing import parse_expr, parse_operator
-from .printing import pretty, render
+from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import bt_apply, chiral_phi_condition
+from .backlund import bt_apply, phi_characteristic
 
 
 class Session:
@@ -39,6 +39,14 @@ class Session:
         q = parse_expr(text, self.problem)
         return Characteristic(name, normal_form(q), self.problem.dependent)
 
+    def question(self, q: str | None, phi: str | None) -> Characteristic:
+        """The characteristic of exactly one of --q / --phi (Q = g*Phi)."""
+        if (q is None) == (phi is None):
+            raise click.UsageError("pass exactly one of --q / --phi")
+        if phi is None:
+            return self.characteristic(q)
+        return phi_characteristic(parse_expr(phi, self.problem), self.problem)
+
 
 def _emit(ctx_json: bool, doc: dict, text_lines: list[str]):
     if ctx_json:
@@ -46,23 +54,6 @@ def _emit(ctx_json: bool, doc: dict, text_lines: list[str]):
     else:
         for line in text_lines:
             click.echo(line)
-
-
-def _render_operator(ansatz, problem) -> str:
-    parts = []
-    for left, j, right in ansatz.terms:
-        bits = []
-        ls = render(normal_form(left), problem)
-        if ls != "1":
-            bits.append(ls if "+" not in ls and "-" not in ls[1:] else f"({ls})")
-        for i in j:
-            bits.append(f"D_{problem.coordinates[i].name}")
-        bits.append("F")
-        rs = render(normal_form(right), problem)
-        if rs != "1":
-            bits.append(rs)
-        parts.append("*".join(bits))
-    return " + ".join(parts) if parts else "0"
 
 
 def _session(ctx) -> Session:
@@ -135,7 +126,8 @@ def cmd_parse(ctx, expression):
 
 @main.command("check")
 @click.option("--q", default=None, help="characteristic Q (expression or catalog name)")
-@click.option("--phi", default=None, help="chiral Phi-form characteristic")
+@click.option("--phi", default=None,
+              help="Phi-form seed: Q = g*Phi, for an invertible matrix g")
 @click.option("--find/--no-find", "find", default=True,
               help="search for an operator certificate")
 @click.pass_context
@@ -144,17 +136,9 @@ def cmd_check(ctx, q, phi, find):
     sess = _session(ctx)
     pde = _need_pde(sess)
     p = sess.problem
-    if (q is None) == (phi is None):
-        raise click.UsageError("pass exactly one of --q / --phi")
-    if phi is not None:
-        phi_e = parse_expr(phi, p)
-        raw = chiral_phi_condition(phi_e, pde, p)
-        qc = Characteristic("Q", normal_form(p.u * phi_e), p.dependent)
-    else:
-        raw = None
-        qc = sess.characteristic(q)
-    report = check_symmetry(pde, qc, p, raw=raw, search_certificate=find)
-    cert = (_render_operator(report.certificate, p)
+    report = check_symmetry(pde, sess.question(q, phi), p,
+                            search_certificate=find)
+    cert = (render_operator(report.certificate, p)
             if report.certificate is not None else None)
     _emit(ctx.obj["json"],
           {"command": "check", "inputs": {"pde": pde.name, "q": q, "phi": phi},
@@ -169,7 +153,8 @@ def cmd_check(ctx, q, phi, find):
 
 @main.command("certify")
 @click.option("--q", required=False, default=None)
-@click.option("--phi", default=None)
+@click.option("--phi", default=None,
+              help="Phi-form seed: Q = g*Phi, for an invertible matrix g")
 @click.option("--lhat", required=True, help='operator spec, e.g. "t*D_x*F"')
 @click.pass_context
 def cmd_certify(ctx, q, phi, lhat):
@@ -177,14 +162,8 @@ def cmd_certify(ctx, q, phi, lhat):
     sess = _session(ctx)
     pde = _need_pde(sess)
     p = sess.problem
-    op = parse_operator(lhat, p)
-    if (q is None) == (phi is None):
-        raise click.UsageError("pass exactly one of --q / --phi")
-    if phi is not None:
-        lhs = chiral_phi_condition(parse_expr(phi, p), pde, p)
-        ok = certify_operator(pde, None, op, p, lhs=lhs)
-    else:
-        ok = certify_operator(pde, sess.characteristic(q), op, p)
+    ok = certify_operator(pde, sess.question(q, phi),
+                          parse_operator(lhat, p), p)
     _emit(ctx.obj["json"],
           {"command": "certify", "inputs": {"pde": pde.name, "q": q,
                                             "phi": phi, "lhat": lhat},
@@ -278,7 +257,7 @@ def cmd_bt_apply(ctx, phi):
               ["no integral inside the candidate basis (basis insufficiency "
                "or Phi fails the symmetry condition)"])
         ctx.exit(1)
-    qprime = normal_form(p.u * out)
+    qprime = phi_characteristic(out, p).q
     _emit(ctx.obj["json"],
           {"command": "bt-apply", "inputs": {"pde": pde.name, "phi": phi},
            "verdict": "Integrated", "remainder": None, "certificate": None,

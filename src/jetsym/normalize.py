@@ -58,14 +58,14 @@ def _cancel_word(word: tuple) -> tuple:
 
 
 def _nf_add(a: NF, b: NF) -> NF:
-    out = dict(a)
+    """a + b, added into a, which the caller owns; returns a."""
     for k, c in b.items():
-        s = out.get(k, 0) + c
+        s = a.get(k, 0) + c
         if s:
-            out[k] = s
+            a[k] = s
         else:
-            out.pop(k, None)
-    return out
+            a.pop(k, None)
+    return a
 
 
 def _nf_scale(a: NF, c: Fraction) -> NF:
@@ -111,7 +111,7 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
     if isinstance(e, Add):
         out: NF = {}
         for t in e.terms:
-            out = _nf_add(out, nf(t, values))
+            _nf_add(out, nf(t, values))
         return out
     if isinstance(e, Mul):
         out = {((), ()): Fraction(1)}

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, Pot,
                    Problem, Rat, Sym)
+from .normalize import _term_sort_key, nf, normal_form, rebuild
 
 
 def _coord_names(problem: Problem, idx) -> list[str]:
@@ -88,8 +89,6 @@ def render(e: Expr, problem: Problem) -> str:
 def resugar_commutators(e: Expr, problem: Problem) -> Expr:
     """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
     into  c*comm(a, b).  Purely cosmetic; used by the pretty printer."""
-    from .normalize import nf, rebuild, _term_sort_key
-
     n = dict(nf(e))
     pieces: list[Expr] = []
     for (cmono, word), coeff in sorted(n.items(), key=_term_sort_key):
@@ -115,3 +114,21 @@ def resugar_commutators(e: Expr, problem: Problem) -> Expr:
 
 def pretty(e: Expr, problem: Problem) -> str:
     return render(resugar_commutators(e, problem), problem)
+
+
+def render_operator(ansatz, problem: Problem) -> str:
+    """A linear operator ansatz in the grammar `certify --lhat` reads."""
+    parts = []
+    for left, j, right in ansatz.terms:
+        bits = []
+        ls = render(normal_form(left), problem)
+        if ls != "1":
+            bits.append(ls if "+" not in ls and "-" not in ls[1:] else f"({ls})")
+        for i in j:
+            bits.append(f"D_{problem.coordinates[i].name}")
+        bits.append("F")
+        rs = render(normal_form(right), problem)
+        if rs != "1":
+            bits.append(rs)
+        parts.append("*".join(bits))
+    return " + ".join(parts) if parts else "0"

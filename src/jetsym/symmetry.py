@@ -26,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from .core import (Expr, Jet, JetsymError, MATRIX, Problem, Rat, add,
                    as_expr, mul)
@@ -58,11 +59,12 @@ class Pde:
     leading: Jet
     rhs: Expr
     # problem -> {principal multi-index: normal form of its value}, filled
-    # lazily by reduce_mod_pde; a value depends only on rhs, the coordinates
-    # and the potentials' gradients, none of which a Problem ever changes;
-    # every Pde starts with its own (dataclasses.replace does not copy it)
-    table: dict = field(default_factory=dict, init=False, compare=False,
-                        hash=False, repr=False)
+    # lazily by reduce_mod_pde and dropped with its problem; a value depends
+    # only on rhs, the coordinates and the potentials' gradients, which a
+    # Problem never changes; dataclasses.replace starts an empty table
+    table: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                     init=False, compare=False, hash=False,
+                                     repr=False)
 
 
 def _lex_unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
@@ -236,12 +238,10 @@ class SymmetryReport:
 
 
 def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
-                   raw: Expr | None = None,
                    search_certificate: bool = False) -> SymmetryReport:
-    """Evaluate D_Q F for arbitrary u, then reduce mod F.  `raw` overrides
-    the left-hand side (used for the chiral Phi-form condition)."""
-    if raw is None:
-        raw = char_derivative(pde.f, Q, problem)
+    """Evaluate D_Q F for arbitrary u, then reduce mod F.  A Phi-form seed
+    goes in as its characteristic (`backlund.phi_characteristic`)."""
+    raw = char_derivative(pde.f, Q, problem)
     remainder = reduce_mod_pde(raw, pde, problem)
     verdict = Verdict.SYMMETRY if is_zero(remainder) else Verdict.NOT_SYMMETRY
     certificate = None
@@ -250,13 +250,11 @@ def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
     return SymmetryReport(verdict, raw, remainder, certificate)
 
 
-def certify_operator(pde: Pde, Q: Characteristic | None,
-                     lhat: LinearOperatorAnsatz, problem: Problem,
-                     lhs: Expr | None = None) -> bool:
+def certify_operator(pde: Pde, Q: Characteristic,
+                     lhat: LinearOperatorAnsatz, problem: Problem) -> bool:
     """True iff  D_Q F  equals  lhat F  identically (no mod-F reduction)."""
-    if lhs is None:
-        lhs = char_derivative(pde.f, Q, problem)
-    return is_zero(lhs - lhat.apply(pde.f, problem))
+    return is_zero(char_derivative(pde.f, Q, problem)
+                   - lhat.apply(pde.f, problem))
 
 
 @dataclass(frozen=True)

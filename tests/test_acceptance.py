@@ -13,7 +13,8 @@ from jetsym import (Characteristic, Rat, Verdict, bracket_characteristic,
                     scalar_prolongation_apply, structure_constants,
                     total_derivative)
 from jetsym.backlund import (PotentialError, bt_apply, chiral_phi_condition,
-                             declare_potential, left_current)
+                             declare_potential, left_current,
+                             phi_characteristic)
 from jetsym.catalog import get_pde
 from jetsym.core import Dependent, PotentialDef, Problem
 from jetsym.parsing import parse_expr, parse_operator
@@ -102,13 +103,12 @@ def test_criterion_2_certificates():
         entry = get_pde("chiral")
         p, pde = entry.problem, entry.pde
         for phi_txt, lhat_txt in CHIRAL_FIXTURES:
-            phi = parse_expr(phi_txt, p)
-            lhs = chiral_phi_condition(phi, pde, p)
+            Q = phi_characteristic(parse_expr(phi_txt, p), p)
             given = parse_operator(lhat_txt, p)
-            assert certify_operator(pde, None, given, p, lhs=lhs), phi_txt
-            found = find_operator(pde, None, p, lhs=lhs)
+            assert certify_operator(pde, Q, given, p), phi_txt
+            found = find_operator(pde, Q, p)
             assert found is not None, phi_txt
-            assert certify_operator(pde, None, found, p, lhs=lhs), phi_txt
+            assert certify_operator(pde, Q, found, p), phi_txt
 
 
 def test_criterion_3_wave_derived_certificate():

@@ -1,7 +1,11 @@
+from fractions import Fraction
+from random import Random
+
 import pytest
 
-from jetsym import (Characteristic, check_symmetry, commutator, inverse,
-                    is_zero, normal_form, reduce_mod_pde, total_derivative)
+from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
+                    inverse, is_zero, mul, normal_form, reduce_mod_pde,
+                    total_derivative)
 from jetsym.backlund import (PotentialError, bt_apply, bt_integrability_check,
                              bt_rhs, chiral_phi_condition, declare_potential,
                              default_bt_basis, left_current)
@@ -101,6 +105,20 @@ def textbook_phi_condition(phi, p):
                        + total_derivative(inner_t, t, p))
 
 
+def random_phi_words(ch, n, seed):
+    """Seeded sums of rational multiples of words in g, inv(g), first and
+    second jets, x, t, M and the potential X."""
+    rng = Random(seed)
+    letters = [phi_of(ch, text) for text in ("g", "inv(g)", "g_x", "g_t",
+                                             "g_xx", "g_xt", "x", "t", "M",
+                                             "X")]
+    return [add(*(mul(Rat(Fraction(rng.randint(-3, 3) or 1,
+                                    rng.randint(1, 3))),
+                      *rng.choices(letters, k=rng.randint(1, 3)))
+                  for _ in range(rng.randint(1, 2))))
+            for _ in range(n)]
+
+
 def test_phi_condition_is_the_textbook_formula(ch):
     p, pde = ch.problem, ch.pde
     phis = [c.phi for c in ch.characteristics if c.phi is not None]
@@ -108,7 +126,8 @@ def test_phi_condition_is_the_textbook_formula(ch):
         phis += [phi, image, bt_apply(phi, pde, p)]
     phis += [phi_of(ch, text) for text in ("g", "X", "g_xt*inv(g)",
                                            "comm(X, M)*inv(g)*g_x")]
-    assert len(phis) == 14
+    phis += random_phi_words(ch, 16, seed=9)
+    assert len(phis) == 30
     for phi in phis:
         assert chiral_phi_condition(phi, pde, p) == \
             textbook_phi_condition(phi, p), phi

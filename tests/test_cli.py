@@ -63,6 +63,39 @@ def test_check_phi_form(runner):
     assert code(r) == 0
 
 
+GROUP_HEAT = ("--coords", "x,t", "--dependent", "g", "--matrix",
+              "--invertible", "--matrices", "M", "--f", "g_t - g_xx",
+              "--solved", "g_t = g_xx")
+
+
+@pytest.mark.parametrize("phi", ["inv(g)*g_x", "inv(g)*g_t", "M"])
+def test_phi_form_on_a_non_chiral_group_pde(runner, phi):
+    # Q = g*Phi is g_x, g_t, g*M: translations and g -> g*(1 + a*M)
+    r = invoke(runner, "--json", *GROUP_HEAT, "check", "--no-find",
+               "--phi", phi)
+    via_q = invoke(runner, "--json", *GROUP_HEAT, "check", "--no-find",
+                   "--q", f"g*({phi})")
+    assert code(r) == code(via_q) == 0
+    got, want = json.loads(r.output), json.loads(via_q.output)
+    assert got["verdict"] == want["verdict"] == "Symmetry"
+    assert got["values"] == want["values"]
+
+
+def test_certify_phi_on_a_non_chiral_group_pde(runner):
+    r = invoke(runner, *GROUP_HEAT, "certify", "--phi", "inv(g)*g_x",
+               "--lhat", "D_x*F")
+    assert code(r) == 0
+    r = invoke(runner, *GROUP_HEAT, "certify", "--phi", "M",
+               "--lhat", "F*M")
+    assert code(r) == 0
+
+
+def test_phi_form_needs_an_invertible_matrix_dependent(runner):
+    r = invoke(runner, "--pde", "heat", "check", "--phi", "u_x")
+    assert code(r) == 2
+    assert "invertible matrix" in str(r.exception)
+
+
 def test_check_requires_exactly_one_of_q_phi(runner):
     r = invoke(runner, "--pde", "heat", "check")
     assert code(r) == 2

@@ -184,13 +184,13 @@ def test_parse_operator_error_positions(sp, text, pos):
 def test_found_certificate_render_parse_round_trip(pde, q):
     from jetsym.calculus import Characteristic
     from jetsym.catalog import get_pde
-    from jetsym.cli import _render_operator
+    from jetsym.printing import render_operator
     from jetsym.symmetry import find_operator
     entry = get_pde(pde)
     p = entry.problem
     op = find_operator(entry.pde,
                        Characteristic("Q", parse_expr(q, p), p.dependent), p)
-    text = _render_operator(op, p)
+    text = render_operator(op, p)
     assert "((-" in text  # a bracketed negative coefficient
     assert parse_operator(text, p).same_operator(op)
 

@@ -1,6 +1,7 @@
 """The principal-jet table behind reduce_mod_pde, checked against the
 step-by-step reference reducer in helpers.py: the same output, whatever was
 reduced before and in whatever order."""
+import gc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
@@ -155,6 +156,17 @@ def test_potential_in_rhs_keeps_a_table_per_problem():
     assert got2 == reference_reduce(e, pde, p2)
     assert reduce_mod_pde(e, pde, p1) == got1
     assert len(pde.table) == 2
+
+
+def test_a_table_goes_with_its_problem():
+    entry = get_pde("heat")
+    pde = fresh_pde(entry)
+    p = Problem(coords=("x", "t"), dependent=entry.problem.dependent)
+    reduce_mod_pde(parse_expr("u_tt", p), pde, p)
+    assert len(pde.table) == 1
+    del p
+    gc.collect()
+    assert len(pde.table) == 0
 
 
 def test_jets_that_cancel_fill_no_entries():

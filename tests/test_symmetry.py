@@ -161,11 +161,9 @@ def test_find_operator_none_for_nonsymmetry():
 
 
 def test_chiral_constant_conjugation_certificate():
-    from jetsym.backlund import chiral_phi_condition
     ch = get_pde("chiral")
     cc = ch.characteristic("phi4")
-    lhs = chiral_phi_condition(cc.phi, ch.pde, ch.problem)
-    assert certify_operator(ch.pde, cc.q, cc.certificate, ch.problem, lhs=lhs)
+    assert certify_operator(ch.pde, cc.q, cc.certificate, ch.problem)
 
 
 def test_identity_operator_applies():
