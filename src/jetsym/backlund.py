@@ -18,8 +18,9 @@ from typing import Optional
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul, neg)
-from .calculus import Characteristic, char_derivative, total_derivative
-from .normalize import is_zero, nf, normal_form
+from .calculus import (Characteristic, Image, char_derivative, derivation,
+                       derive_nf, total_atoms, total_derivative)
+from .normalize import NF, is_zero, nf, normal_form, rebuild
 from .symmetry import Pde, _match_linear, reduce_mod_pde
 
 
@@ -125,24 +126,45 @@ def default_bt_basis(problem: Problem) -> list[Expr]:
     return basis
 
 
+def bt_rows(basis: list[Expr], pde: Pde, problem: Problem
+            ) -> list[list[NF]]:
+    """[R(D_x b), R(D_t b)] for every candidate b, as normal forms, where R
+    is reduction mod F: the derivation whose image of an atom a is
+    R(D_i a), applied to R(b) (`bt_apply` says why that is exact).  Only the
+    atoms of the basis are reduced, one image map per coordinate and call."""
+    def reduced_total(c: Coordinate) -> Image:
+        total = total_atoms(c, problem)
+        return derivation(
+            lambda a: nf(reduce_mod_pde(rebuild(total(a)), pde, problem)))
+
+    images = [reduced_total(c) for c in _xt(problem)]
+    return [[derive_nf(n, image) for image in images]
+            for n in (nf(reduce_mod_pde(b, pde, problem)) for b in basis)]
+
+
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     """Integrate the Backlund system for Phi' as an exact rational
     combination of basis candidates satisfying both equations mod F.
 
-    Constants of integration are fixed to zero.  None signals that the
-    integration lies outside the candidate basis (basis insufficiency),
-    not that no Phi' exists."""
-    x, t = _xt(problem)
+    The rows R(D_x b), R(D_t b) of each candidate b come from `bt_rows`:
+    the derivation whose image of an atom a is R(D_i a), applied to R(b).
+    That is exact: reduction mod F (R) is a ring homomorphism that vanishes
+    exactly on the differential ideal of F, and every D_i preserves that
+    ideal, so R(D_i b) = R(D_i R(b)); R(b) has parametric jets only, which
+    R fixes, so on it R o D_i is the derivation with image R(D_i a) on each
+    atom a.
+
+    Constants of integration are fixed to zero.  None signals either that
+    Phi fails the symmetry condition or that the integration lies outside
+    the candidate basis (basis insufficiency), not that no Phi' exists."""
+    _xt(problem)  # two coordinates, or a JetsymError before any work
     if not bt_integrability_check(phi, pde, problem):
         return None
     basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)
     targets = [nf(reduce_mod_pde(pair.rhs_x, pde, problem)),
                nf(reduce_mod_pde(pair.rhs_t, pde, problem))]
-    rows = [[nf(reduce_mod_pde(total_derivative(b, c, problem), pde, problem))
-             for c in (x, t)]
-            for b in basis]
-    sol = _match_linear(targets, rows)
+    sol = _match_linear(targets, bt_rows(basis, pde, problem))
     if sol is None:
         return None
     return normal_form(add(*(mul(Rat(c), b)

@@ -5,17 +5,29 @@ inverses through -w^-1 (Dw) w^-1, and distribute over commutators.  The
 characteristic derivative acts only in the fiber space: it annihilates
 base-space functions and constants, sends the dependent to the
 characteristic Q, and commutes with every total derivative.
+
+A derivation is fixed by its value on the atoms, and it acts on normal
+forms (`normalize.nf`) term by term: `derive_nf` applies the Leibniz rule
+to each factor of each term, and `derivation` gives the image of each
+factor (an atom, the inverse of one, or an analytic function), taken once
+per call and held in a dict local to that call.  An `Expr` tree is built
+only where a result is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import (Add, Base, CMat, Comm, Coord, Coordinate, Dependent, Expr,
                    Fn, FUNC_DERIVATIVES, Inv, Jet, KindError, Mul,
                    NonlocalActionError, Pot, Problem, Rat, SCALAR, Sym, ZERO,
                    add, as_expr, commutator, mul, neg, rat)
-from .normalize import collect_jets, normal_form
+from .normalize import (NF, _cancel_word, _merge_cmono, _nf_mul, _nf_scale,
+                        collect_jets, nf, normal_form, rebuild)
+
+# image of a factor of a normal form under a derivation, as a normal form
+Image = Callable[[Expr], NF]
 
 
 @dataclass(frozen=True)
@@ -32,77 +44,146 @@ def _fn_derivative(e: Fn, darg: Expr) -> Expr:
     return mul(Rat(coeff), Fn(newname, e.arg), darg)
 
 
-def _derive(e: Expr, atom) -> Expr:
-    """The derivation whose value on each coordinate, jet, base-function or
-    potential atom a is atom(a): zero on constants, Leibniz on products,
-    -w^-1 (Dw) w^-1 on inverses, the chain rule through analytic functions."""
-    if isinstance(e, (Rat, Sym, CMat)):
-        return ZERO
-    if isinstance(e, (Coord, Jet, Base, Pot)):
-        return atom(e)
-    if isinstance(e, Add):
-        return add(*(_derive(t, atom) for t in e.terms))
-    if isinstance(e, Mul):
-        fs = e.factors
-        return add(*(mul(*fs[:i], _derive(fs[i], atom), *fs[i + 1:])
-                     for i in range(len(fs))))
-    if isinstance(e, Inv):
-        return neg(mul(e, _derive(e.base, atom), e))
-    if isinstance(e, Comm):
-        return add(commutator(_derive(e.lhs, atom), e.rhs),
-                   commutator(e.lhs, _derive(e.rhs, atom)))
-    if isinstance(e, Fn):
-        return _fn_derivative(e, _derive(e.arg, atom))
-    raise TypeError(f"cannot differentiate node {type(e).__name__}")
+def derive_nf(n: NF, image: Image) -> NF:
+    """The derivation with `image` on each factor, applied to the normal
+    form n by the Leibniz rule: a commuting atom a^e of a term's monomial
+    gives e*a^(e-1)*image(a), and word position i gives
+    w[:i]*image(w_i)*w[i+1:]."""
+    out: NF = {}
+
+    def put(key, v):
+        s = out.get(key, 0) + v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+    for (cmono, word), c in n.items():
+        for i, (a, e) in enumerate(cmono):
+            da = image(a)
+            if not da:
+                continue
+            rest = cmono[:i] + ((a, e - 1),) + cmono[i + 1:] if e != 1 \
+                else cmono[:i] + cmono[i + 1:]
+            for (dc, dw), dv in da.items():
+                put((_merge_cmono(rest, dc) if dc else rest,
+                     _cancel_word(dw + word) if dw else word), c * e * dv)
+        for i, f in enumerate(word):
+            da = image(f)
+            if not da:
+                continue
+            left, right = word[:i], word[i + 1:]
+            for (dc, dw), dv in da.items():
+                put((_merge_cmono(cmono, dc) if dc else cmono,
+                     _cancel_word(left + dw + right)), c * dv)
+    return out
+
+
+def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> NF:
+    """The image of one factor of a normal form under the derivation whose
+    value on each coordinate, jet, base-function or potential atom a is the
+    normal form atom(a): zero on constants, -w^-1 (Dw) w^-1 on inverses,
+    the chain rule through analytic functions."""
+    if isinstance(f, (Sym, CMat)):
+        return {}
+    if isinstance(f, (Coord, Jet, Base, Pot)):
+        return atom(f)
+    if isinstance(f, Inv):
+        db = image(f.base)
+        if not db:
+            return {}
+        w = nf(f)
+        return _nf_scale(_nf_mul(_nf_mul(w, db), w), Fraction(-1))
+    if isinstance(f, Fn):
+        coeff, newname = FUNC_DERIVATIVES[f.fname]
+        return _nf_mul({(((Fn(newname, f.arg), 1),), ()): coeff},
+                       derive_nf(nf(f.arg), image))
+    raise TypeError(f"cannot differentiate factor {type(f).__name__}")
+
+
+def derivation(atom: Callable[[Expr], NF]) -> Image:
+    """The image map of the derivation whose value on each atom a is the
+    normal form atom(a).  It holds each factor's image once taken, so one
+    map serves one call and is dropped with it."""
+    images: dict[Expr, NF] = {}
+
+    def image(f: Expr) -> NF:
+        d = images.get(f)
+        if d is None:
+            d = images[f] = _derive(f, atom, image)
+        return d
+
+    return image
+
+
+def total_atoms(coord: Coordinate, problem: Problem) -> Callable[[Expr], NF]:
+    """The value of D_i on each atom, as a normal form."""
+    def atom(a: Expr) -> NF:
+        if isinstance(a, Coord):
+            return {((), ()): Fraction(1)} if a.coordinate == coord else {}
+        if isinstance(a, Jet):
+            return nf(Jet(a.dep, a.idx + (coord.index,)))
+        if isinstance(a, Base):
+            return nf(Base(a.name, a.matrix, a.partials + (coord.index,)))
+        return nf(problem.potentials[a.name].derivatives[coord.name])
+
+    return atom
 
 
 def total_derivative(e: Expr, coord: Coordinate, problem: Problem) -> Expr:
     """D_i e, returned in normal form."""
-    def atom(a: Expr) -> Expr:
-        if isinstance(a, Coord):
-            return rat(1) if a.coordinate == coord else ZERO
-        if isinstance(a, Jet):
-            return Jet(a.dep, a.idx + (coord.index,))
-        if isinstance(a, Base):
-            return Base(a.name, a.matrix, a.partials + (coord.index,))
-        return problem.potentials[a.name].derivatives[coord.name]
+    return rebuild(derive_nf(nf(as_expr(e)),
+                             derivation(total_atoms(coord, problem))))
 
-    return normal_form(_derive(as_expr(e), atom))
+
+def total_images(problem: Problem) -> Callable[[int], Image]:
+    """The D_i image map of each coordinate index, made on first use."""
+    maps: dict[int, Image] = {}
+
+    def total(i: int) -> Image:
+        if i not in maps:
+            maps[i] = derivation(total_atoms(problem.coordinates[i], problem))
+        return maps[i]
+
+    return total
 
 
 def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
     """D_J e for a multi-index of coordinate indices, applied in sorted
-    order (totals commute, so the order is immaterial)."""
-    out = as_expr(e)
+    order (totals commute, so the order is immaterial), in normal form."""
+    total = total_images(problem)
+    out = nf(as_expr(e))
     for i in sorted(i.index if isinstance(i, Coordinate) else i for i in idx):
-        out = total_derivative(out, problem.coordinates[i], problem)
-    return out
+        out = derive_nf(out, total(i))
+    return rebuild(out)
 
 
 def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
     """D_Q e, returned in normal form."""
-    totals = {(): as_expr(Q.q)}  # D_J Q by sorted J, each taken once per call
-    def atom(a: Expr) -> Expr:
+    total = total_images(problem)
+    totals = {(): nf(as_expr(Q.q))}  # D_J Q by sorted J, each taken once
+
+    def atom(a: Expr) -> NF:
         if isinstance(a, (Coord, Base)):
-            return ZERO
+            return {}
         if isinstance(a, Jet):
             if a.dep != Q.dependent:
                 raise KindError(
                     "characteristic declared for a different dependent")
-            idx = tuple(sorted(a.idx))
+            idx = a.idx
             for n in range(len(idx)):  # D_J Q = D_{J[n]} D_{J[:n]} Q
                 if idx[:n + 1] not in totals:
-                    totals[idx[:n + 1]] = total_derivative(
-                        totals[idx[:n]], problem.coordinates[idx[n]], problem)
+                    totals[idx[:n + 1]] = derive_nf(totals[idx[:n]],
+                                                    total(idx[n]))
             return totals[idx]
         images = problem.potentials[a.name].char_images
         if Q.name not in images:
             raise NonlocalActionError(
                 f"nonlocal action undefined: no image of potential "
                 f"{a.name!r} under characteristic {Q.name!r}")
-        return images[Q.name]
+        return nf(images[Q.name])
 
-    return normal_form(_derive(as_expr(e), atom))
+    return rebuild(derive_nf(nf(as_expr(e)), derivation(atom)))
 
 
 def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,

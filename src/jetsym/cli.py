@@ -15,12 +15,12 @@ import click
 from .core import (Dependent, JetsymError, Jet, Problem)
 from .calculus import Characteristic, bracket_characteristic
 from .catalog import CATALOG_NAMES, get_pde, load_catalog
-from .normalize import normal_form
+from .normalize import is_zero, normal_form
 from .parsing import parse_expr, parse_operator
 from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import bt_apply, phi_characteristic
+from .backlund import bt_apply, chiral_phi_condition, phi_characteristic
 
 
 class Session:
@@ -250,12 +250,22 @@ def cmd_bt_apply(ctx, phi):
     phi_e = parse_expr(phi, p)
     out = bt_apply(phi_e, pde, p)
     if out is None:
+        rem = reduce_mod_pde(chiral_phi_condition(phi_e, pde, p), pde, p)
+        if is_zero(rem):
+            verdict, remainder = "NoIntegral", None
+            lines = [f"verdict: {verdict}", "Phi satisfies the symmetry "
+                     "condition, but no integral lies inside the candidate "
+                     "basis (basis insufficiency)"]
+        else:
+            verdict, remainder = "NotSymmetry", render(rem, p)
+            lines = [f"verdict: {verdict}",
+                     "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
+                     f"remainder: {pretty(rem, p)}"]
         _emit(ctx.obj["json"],
               {"command": "bt-apply", "inputs": {"pde": pde.name, "phi": phi},
-               "verdict": "NoIntegral", "remainder": None, "certificate": None,
-               "values": {}},
-              ["no integral inside the candidate basis (basis insufficiency "
-               "or Phi fails the symmetry condition)"])
+               "verdict": verdict, "remainder": remainder,
+               "certificate": None, "values": {}},
+              lines)
         ctx.exit(1)
     qprime = phi_characteristic(out, p).q
     _emit(ctx.obj["json"],

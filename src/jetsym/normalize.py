@@ -190,8 +190,18 @@ def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
 
 def collect_jets(e: Expr) -> set[Jet]:
     """All jet atoms occurring anywhere in e (including function arguments)."""
+    return _jets([e])
+
+
+def nf_jets(n: NF) -> set[Jet]:
+    """All jet atoms occurring anywhere in the normal form n (including
+    function arguments)."""
+    return _jets([f for cmono, word in n
+                  for f in (*(a for a, _ in cmono), *word)])
+
+
+def _jets(stack: list[Expr]) -> set[Jet]:
     out: set[Jet] = set()
-    stack = [e]
     while stack:
         x = stack.pop()
         if isinstance(x, Jet):

@@ -31,10 +31,10 @@ from weakref import WeakKeyDictionary
 from .core import (Expr, Jet, JetsymError, MATRIX, Problem, Rat, add,
                    as_expr, mul)
 from .calculus import Characteristic, char_derivative, bracket_characteristic, \
-    iterated_total, total_derivative
+    derive_nf, iterated_total, total_images
 from .linsolve import rank, solve
 from .normalize import (NF, _nf_mul, collect_jets, is_zero, key_sort_key, nf,
-    normal_form, rebuild, substitute)
+    nf_jets, normal_form, rebuild, substitute)
 from .printing import render
 
 
@@ -127,8 +127,8 @@ def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
     return Pde(name, normal_form(f), leading, normal_form(rhs))
 
 
-def _principal_jets(e: Expr, pde: Pde) -> list[Jet]:
-    return [j for j in collect_jets(e) if _is_principal(j, pde.leading)]
+def _principal_jets(jets: set[Jet], pde: Pde) -> list[Jet]:
+    return [j for j in jets if _is_principal(j, pde.leading)]
 
 
 def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
@@ -141,7 +141,8 @@ def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
     in the leading jet (D_x keeps u_x...x parametric when u_t leads)."""
     dep, lead = pde.leading.dep, pde.leading.idx
     table.setdefault(lead, nf(pde.rhs))
-    derived: dict[tuple[int, ...], Expr] = {}  # D_i R[J - i], not yet reduced
+    derived: dict[tuple[int, ...], NF] = {}  # D_i R[J - i], not yet reduced
+    total = total_images(problem)
     stack = list(idxs)
 
     def push(needed: list[tuple[int, ...]]) -> None:
@@ -164,14 +165,14 @@ def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
             if prev not in table:
                 push([prev])
                 continue
-            derived[idx] = total_derivative(rebuild(table[prev]),
-                                            problem.coordinates[i], problem)
-        principal = _principal_jets(derived[idx], pde)
+            derived[idx] = derive_nf(table[prev], total(i))
+        principal = _principal_jets(nf_jets(derived[idx]), pde)
         missing = [j.idx for j in principal if j.idx not in table]
         if missing:
             push(missing)
             continue
-        table[idx] = nf(derived.pop(idx), {j: table[j.idx] for j in principal})
+        table[idx] = nf(rebuild(derived.pop(idx)),
+                        {j: table[j.idx] for j in principal})
         stack.pop()
 
 
@@ -179,7 +180,7 @@ def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem) -> Expr:
     """The normal form of e with every principal jet replaced by its value
     mod F, which contains parametric jets only."""
     out = normal_form(as_expr(e))
-    principal = _principal_jets(out, pde)
+    principal = _principal_jets(collect_jets(out), pde)
     if not principal:
         return out
     table = pde.table.setdefault(problem, {})
@@ -200,8 +201,13 @@ class LinearOperatorAnsatz:
     terms: tuple[tuple[Expr, tuple[int, ...], Expr], ...]
 
     def apply(self, e: Expr, problem: Problem) -> Expr:
-        out = [mul(left, iterated_total(e, j, problem), right)
-               for left, j, right in self.terms]
+        derivs: dict[tuple[int, ...], Expr] = {}  # D_J e, each taken once
+        out = []
+        for left, j, right in self.terms:
+            j = tuple(sorted(j))
+            if j not in derivs:
+                derivs[j] = iterated_total(e, j, problem)
+            out.append(mul(left, derivs[j], right))
         return normal_form(add(*out))
 
     def canonical(self) -> tuple:

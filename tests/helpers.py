@@ -1,7 +1,9 @@
 """Shared fixtures: sample problems and a seeded random expression builder
-used by both the hypothesis strategies and the acceptance property loops,
-and reference substitution and reduction that share no code with the
-engine's jet map (`normalize.nf(e, values)`)."""
+used by both the hypothesis strategies and the acceptance property loops;
+reference substitution and reduction that share no code with the engine's
+jet map (`normalize.nf(e, values)`); and reference total and
+characteristic derivatives that walk the expression tree instead of
+acting on normal forms (`calculus.derive_nf`)."""
 from __future__ import annotations
 
 from collections import Counter
@@ -11,7 +13,9 @@ from random import Random
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
                     as_expr, commutator, func, inverse, iterated_total, mul,
                     normal_form)
-from jetsym.core import Add, Comm, Expr, Fn, Inv, Jet, Mul
+from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
+                         FUNC_DERIVATIVES, Inv, Jet, KindError, Mul,
+                         NonlocalActionError, Pot, ZERO, neg)
 from jetsym.normalize import collect_jets
 
 
@@ -123,3 +127,66 @@ def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
         extra = Counter(j.idx) - lead
         repl = iterated_total(pde.rhs, tuple(extra.elements()), problem)
         out = reference_substitute(out, j, repl)
+
+
+def _reference_derive(e: Expr, atom) -> Expr:
+    """The derivation whose value on each coordinate, jet, base-function or
+    potential atom a is atom(a), by a walk over the whole tree: zero on
+    constants, Leibniz on products, -w^-1 (Dw) w^-1 on inverses, both
+    sides of a commutator, the chain rule through analytic functions."""
+    if isinstance(e, (Rat, Sym, CMat)):
+        return ZERO
+    if isinstance(e, (Coord, Jet, Base, Pot)):
+        return atom(e)
+    if isinstance(e, Add):
+        return add(*(_reference_derive(t, atom) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return add(*(mul(*fs[:i], _reference_derive(fs[i], atom), *fs[i + 1:])
+                     for i in range(len(fs))))
+    if isinstance(e, Inv):
+        return neg(mul(e, _reference_derive(e.base, atom), e))
+    if isinstance(e, Comm):
+        return add(commutator(_reference_derive(e.lhs, atom), e.rhs),
+                   commutator(e.lhs, _reference_derive(e.rhs, atom)))
+    if isinstance(e, Fn):
+        coeff, newname = FUNC_DERIVATIVES[e.fname]
+        return mul(Rat(coeff), Fn(newname, e.arg),
+                   _reference_derive(e.arg, atom))
+    raise TypeError(f"cannot differentiate node {type(e).__name__}")
+
+
+def reference_total(e: Expr, coord, problem: Problem) -> Expr:
+    """D_i e by the tree walk, normalized: the reference for
+    `jetsym.total_derivative`."""
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, Coord):
+            return Rat(1) if a.coordinate == coord else ZERO
+        if isinstance(a, Jet):
+            return Jet(a.dep, a.idx + (coord.index,))
+        if isinstance(a, Base):
+            return Base(a.name, a.matrix, a.partials + (coord.index,))
+        return problem.potentials[a.name].derivatives[coord.name]
+
+    return normal_form(_reference_derive(as_expr(e), atom))
+
+
+def reference_char(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
+    """D_Q e by the tree walk, with D_J Q from `reference_total`,
+    normalized: the reference for `jetsym.char_derivative`."""
+    def atom(a: Expr) -> Expr:
+        if isinstance(a, (Coord, Base)):
+            return ZERO
+        if isinstance(a, Jet):
+            if a.dep != Q.dependent:
+                raise KindError("characteristic of another dependent")
+            out = as_expr(Q.q)
+            for i in a.idx:
+                out = reference_total(out, problem.coordinates[i], problem)
+            return out
+        images = problem.potentials[a.name].char_images
+        if Q.name not in images:
+            raise NonlocalActionError(f"no image of {a.name} under {Q.name}")
+        return images[Q.name]
+
+    return normal_form(_reference_derive(as_expr(e), atom))

@@ -4,14 +4,16 @@ from random import Random
 import pytest
 
 from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
-                    inverse, is_zero, mul, normal_form, reduce_mod_pde,
-                    total_derivative)
+                    inverse, is_zero, make_pde, mul, normal_form,
+                    reduce_mod_pde, total_derivative)
 from jetsym.backlund import (PotentialError, bt_apply, bt_integrability_check,
-                             bt_rhs, chiral_phi_condition, declare_potential,
-                             default_bt_basis, left_current)
+                             bt_rhs, bt_rows, chiral_phi_condition,
+                             declare_potential, default_bt_basis, left_current)
 from jetsym.catalog import get_pde
 from jetsym.core import NonlocalActionError, PotentialDef, Problem, Dependent
+from jetsym.normalize import nf
 from jetsym.parsing import parse_expr
+from jetsym.printing import render
 
 
 @pytest.fixture()
@@ -213,3 +215,73 @@ def test_default_basis_contains_currents_and_potentials(ch):
     for text in ("inv(g)*g_x", "inv(g)*g_t", "X", "M"):
         want = normal_form(parse_expr(text, p))
         assert any(b == want for b in nfs), text
+
+
+# --- the Backlund chain ---------------------------------------------------
+
+CHAIN_SEED = "2*M - inv(g)*g_x + 1/3*inv(g)*g_t"
+
+
+def chain(before_step=None):
+    """Four bt_apply steps on a fresh chiral problem with the constant
+    matrix M and the potential X, declaring potential P<k> from the
+    Backlund pair of each image before step k, as perfbench's chain does;
+    yields each image, rendered.  before_step(p, pde) runs before each
+    bt_apply."""
+    p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
+                matrices=[("M", False)])
+    pde = make_pde("chiral",
+                   parse_expr("D(inv(g)*g_x, x) + D(inv(g)*g_t, t)", p),
+                   p.jet("tt"),
+                   parse_expr("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p), p)
+    declare_potential(PotentialDef("X", {"x": parse_expr("inv(g)*g_t", p),
+                                         "t": parse_expr("-(inv(g)*g_x)", p)}),
+                      pde, p)
+    phi = parse_expr(CHAIN_SEED, p)
+    for step in range(4):
+        if step:
+            pair = bt_rhs(phi, p)
+            declare_potential(PotentialDef(f"P{step}", {"x": pair.rhs_x,
+                                                        "t": pair.rhs_t}),
+                              pde, p)
+        if before_step is not None:
+            before_step(p, pde)
+        phi = bt_apply(phi, pde, p)
+        assert phi is not None, step
+        yield render(phi, p)
+
+
+def test_bt_rows_are_reduced_total_derivatives():
+    """Every row that bt_apply solves with, taken as the derivation with
+    reduced atom images applied to the reduced candidate, equals the
+    reduced total derivative of the candidate, along the whole chain."""
+    sizes = []
+
+    def check(p, pde):
+        basis = default_bt_basis(p)
+        sizes.append(len(basis))
+        want = [[nf(reduce_mod_pde(total_derivative(b, c, p), pde, p))
+                 for c in p.coordinates] for b in basis]
+        assert bt_rows(basis, pde, p) == want
+
+    list(chain(check))
+    assert sizes == [26, 40, 57, 77]
+
+
+def test_chain_does_not_depend_on_call_history(ch):
+    """Two chains on fresh problems give the same images, step by step,
+    with unrelated calls on other problems run between them."""
+    kdv = get_pde("kdv")
+    p = ch.problem
+
+    def unrelated(*_):
+        bt_apply(p.cmat("M"), ch.pde, p)
+        bt_apply(phi_of(ch, "inv(g)*g_t"), ch.pde, p)
+        reduce_mod_pde(kdv.problem.jet("ttt"), kdv.pde, kdv.problem)
+        total_derivative(phi_of(ch, "X*inv(g)*g_x"), p.coordinates[1], p)
+
+    first, second = chain(unrelated), chain()
+    for a in first:
+        unrelated()
+        assert next(second) == a
+    assert next(second, None) is None

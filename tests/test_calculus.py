@@ -1,3 +1,5 @@
+from random import Random
+
 from hypothesis import given, settings
 
 import pytest
@@ -6,10 +8,12 @@ from jetsym import (Characteristic, Sym, bracket_characteristic,
                     char_derivative, commutator, inverse, is_zero,
                     normal_form, scalar_prolongation_apply,
                     scale_characteristic, total_derivative)
-from jetsym.core import KindError, PotentialDef, func
+from jetsym.core import (Comm, Fn, Inv, KindError, Pot, PotentialDef,
+                         children, func)
 
 from conftest import seeded_characteristics, seeded_exprs
-from helpers import matrix_problem, scalar_problem
+from helpers import (matrix_problem, random_characteristic, random_expr,
+                     reference_char, reference_total, scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -228,3 +232,51 @@ def test_jacobi_scalar(q1, q2, q3):
 @given(seeded_exprs(SP, depth=3), seeded_characteristics(SP))
 def test_oracle_equivalence_sample(e, Q):
     assert char_derivative(e, Q, SP) == scalar_prolongation_apply(e, Q, SP)
+
+
+def _kinds(e) -> set:
+    """The node kinds among Fn, Inv, Comm and Pot that occur in e."""
+    kinds, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Fn, Inv, Comm, Pot)):
+            kinds.add(type(x))
+        stack.extend(children(x))
+    return kinds
+
+
+@pytest.mark.parametrize("make", [scalar_problem, matrix_problem],
+                         ids=["scalar", "matrix"])
+def test_derivatives_match_reference_walker(make):
+    """total_derivative and char_derivative, which act on normal forms,
+    agree with a walk over the whole expression tree on seeded random
+    expressions with inverses, commutators, analytic functions and a
+    registered potential W."""
+    p = make()
+    rng = Random(f"derive-{p.dependent.kind}")
+    x, t = p.coord("x"), p.coord("t")
+    matrix = p.dependent.kind == "matrix"
+    pdef = PotentialDef("W", {"x": inverse(p.u) * p.jet("t") if matrix
+                              else p.u * p.jet("t"),
+                              "t": x * p.jet("x") - t},
+                        matrix=matrix)
+    W = p.register_potential(pdef)
+    seen = {Fn: 0, Inv: 0, Comm: 0, Pot: 0}
+    for _ in range(300):
+        e = random_expr(rng, p, 4)
+        pick = rng.random()
+        if pick < 0.2:
+            e = e * W
+        elif pick < 0.4:
+            e = commutator(W, e) + W * random_expr(rng, p, 2)
+        elif pick < 0.5 and not matrix:
+            e = e + func("exp", x * W)
+        Q = random_characteristic(rng, p)
+        pdef.char_images = {Q.name: random_expr(rng, p, 2) * W}
+        for c in p.coordinates:
+            assert total_derivative(e, c, p) == reference_total(e, c, p), \
+                (e, c)
+        assert char_derivative(e, Q, p) == reference_char(e, Q, p), (e, Q)
+        for kind in _kinds(e):
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen

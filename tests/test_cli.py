@@ -150,6 +150,31 @@ def test_bt_apply_insufficient_basis(runner):
     assert code(r) == 1
 
 
+@pytest.mark.parametrize("phi, verdict", [
+    ("g_x", "NotSymmetry"),
+    ("x*inv(g)*g_t - t*inv(g)*g_x", "NoIntegral"),
+    ("comm(X, M)", "NoIntegral"),
+])
+def test_bt_apply_tells_its_failures_apart(runner, phi, verdict):
+    """A seed that fails the symmetry condition answers NotSymmetry with
+    its remainder; one that passes it but has no integral in the basis
+    answers NoIntegral; both exit 1."""
+    text = invoke(runner, "--pde", "chiral", "bt-apply", "--phi", phi)
+    assert code(text) == 1
+    assert text.output.splitlines()[0] == f"verdict: {verdict}"
+    r = invoke(runner, "--json", "--pde", "chiral", "bt-apply", "--phi", phi)
+    assert code(r) == 1
+    payload = json.loads(r.output)
+    assert payload["verdict"] == verdict
+    if verdict == "NotSymmetry":
+        check = json.loads(invoke(runner, "--json", "--pde", "chiral", "check",
+                                  "--no-find", "--phi", phi).output)
+        assert payload["remainder"] == check["remainder"] != "0"
+        assert "remainder: " in text.output
+    else:
+        assert payload["remainder"] is None
+
+
 # --- parse / list ---------------------------------------------------------
 
 def test_parse_roundtrip(runner):
