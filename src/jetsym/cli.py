@@ -48,9 +48,11 @@ class Session:
         return phi_characteristic(parse_expr(phi, self.problem), self.problem)
 
 
-def _emit(ctx_json: bool, doc: dict, text_lines: list[str]):
-    if ctx_json:
-        click.echo(json.dumps(doc, sort_keys=True))
+def _emit(ctx, text_lines: list[str], **fields):
+    if ctx.obj["json"]:
+        doc = {"command": ctx.command.name, "inputs": {}, "verdict": None,
+               "remainder": None, "certificate": None, "values": {}}
+        click.echo(json.dumps({**doc, **fields}, sort_keys=True))
     else:
         for line in text_lines:
             click.echo(line)
@@ -117,11 +119,9 @@ def cmd_parse(ctx, expression):
     """Parse an expression and print its normal form."""
     sess = _session(ctx)
     e = normal_form(parse_expr(expression, sess.problem))
-    _emit(ctx.obj["json"],
-          {"command": "parse", "inputs": {"expression": expression},
-           "verdict": None, "remainder": None, "certificate": None,
-           "values": {"normal_form": render(e, sess.problem)}},
-          [pretty(e, sess.problem)])
+    _emit(ctx, [pretty(e, sess.problem)],
+          inputs={"expression": expression},
+          values={"normal_form": render(e, sess.problem)})
 
 
 @main.command("check")
@@ -140,14 +140,12 @@ def cmd_check(ctx, q, phi, find):
                             search_certificate=find)
     cert = (render_operator(report.certificate, p)
             if report.certificate is not None else None)
-    _emit(ctx.obj["json"],
-          {"command": "check", "inputs": {"pde": pde.name, "q": q, "phi": phi},
-           "verdict": report.verdict.value,
-           "remainder": render(report.remainder, p),
-           "certificate": cert, "values": {"raw": render(report.raw, p)}},
-          [f"verdict: {report.verdict.value}",
-           f"remainder: {pretty(report.remainder, p)}"]
-          + ([f"certificate: {cert}"] if cert is not None else []))
+    _emit(ctx, [f"verdict: {report.verdict.value}",
+                f"remainder: {pretty(report.remainder, p)}"]
+          + ([f"certificate: {cert}"] if cert is not None else []),
+          inputs={"pde": pde.name, "q": q, "phi": phi},
+          verdict=report.verdict.value, remainder=render(report.remainder, p),
+          certificate=cert, values={"raw": render(report.raw, p)})
     ctx.exit(0 if report.is_symmetry else 1)
 
 
@@ -164,13 +162,10 @@ def cmd_certify(ctx, q, phi, lhat):
     p = sess.problem
     ok = certify_operator(pde, sess.question(q, phi),
                           parse_operator(lhat, p), p)
-    _emit(ctx.obj["json"],
-          {"command": "certify", "inputs": {"pde": pde.name, "q": q,
-                                            "phi": phi, "lhat": lhat},
-           "verdict": "Certified" if ok else "NotCertified",
-           "remainder": None, "certificate": lhat if ok else None,
-           "values": {}},
-          [f"certified: {ok}"])
+    _emit(ctx, [f"certified: {ok}"],
+          inputs={"pde": pde.name, "q": q, "phi": phi, "lhat": lhat},
+          verdict="Certified" if ok else "NotCertified",
+          certificate=lhat if ok else None)
     ctx.exit(0 if ok else 1)
 
 
@@ -184,11 +179,8 @@ def cmd_bracket(ctx, q1, q2):
     p = sess.problem
     br = bracket_characteristic(sess.characteristic(q1, "Q1"),
                                 sess.characteristic(q2, "Q2"), p)
-    _emit(ctx.obj["json"],
-          {"command": "bracket", "inputs": {"q1": q1, "q2": q2},
-           "verdict": None, "remainder": None, "certificate": None,
-           "values": {"bracket": render(br.q, p)}},
-          [pretty(br.q, p)])
+    _emit(ctx, [pretty(br.q, p)], inputs={"q1": q1, "q2": q2},
+          values={"bracket": render(br.q, p)})
 
 
 @main.command("structconsts")
@@ -214,12 +206,8 @@ def cmd_structconsts(ctx, basis):
                if sc[i, j, k]}
     lines = [f"basis: {', '.join(q.name for q in qs)}"]
     lines += [f"{k} = {v}" for k, v in sorted(entries.items())] or ["all zero"]
-    _emit(ctx.obj["json"],
-          {"command": "structconsts", "inputs": {"pde": pde.name,
-                                                 "basis": names},
-           "verdict": None, "remainder": None, "certificate": None,
-           "values": {"nonzero": entries}},
-          lines)
+    _emit(ctx, lines, inputs={"pde": pde.name, "basis": names},
+          values={"nonzero": entries})
 
 
 @main.command("reduce")
@@ -231,12 +219,9 @@ def cmd_reduce(ctx, expression):
     pde = _need_pde(sess)
     p = sess.problem
     out = reduce_mod_pde(parse_expr(expression, p), pde, p)
-    _emit(ctx.obj["json"],
-          {"command": "reduce", "inputs": {"pde": pde.name,
-                                           "expression": expression},
-           "verdict": None, "remainder": render(out, p),
-           "certificate": None, "values": {}},
-          [pretty(out, p)])
+    _emit(ctx, [pretty(out, p)],
+          inputs={"pde": pde.name, "expression": expression},
+          remainder=render(out, p))
 
 
 @main.command("bt-apply")
@@ -261,19 +246,13 @@ def cmd_bt_apply(ctx, phi):
             lines = [f"verdict: {verdict}",
                      "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
                      f"remainder: {pretty(rem, p)}"]
-        _emit(ctx.obj["json"],
-              {"command": "bt-apply", "inputs": {"pde": pde.name, "phi": phi},
-               "verdict": verdict, "remainder": remainder,
-               "certificate": None, "values": {}},
-              lines)
+        _emit(ctx, lines, inputs={"pde": pde.name, "phi": phi},
+              verdict=verdict, remainder=remainder)
         ctx.exit(1)
     qprime = phi_characteristic(out, p).q
-    _emit(ctx.obj["json"],
-          {"command": "bt-apply", "inputs": {"pde": pde.name, "phi": phi},
-           "verdict": "Integrated", "remainder": None, "certificate": None,
-           "values": {"phi_prime": render(out, p),
-                      "q_prime": render(qprime, p)}},
-          [f"phi' = {pretty(out, p)}", f"Q' = {pretty(qprime, p)}"])
+    _emit(ctx, [f"phi' = {pretty(out, p)}", f"Q' = {pretty(qprime, p)}"],
+          inputs={"pde": pde.name, "phi": phi}, verdict="Integrated",
+          values={"phi_prime": render(out, p), "q_prime": render(qprime, p)})
 
 
 @main.command("list")
@@ -291,10 +270,7 @@ def cmd_list(ctx):
             q_txt = render(c.q.q, e.problem)
             lines.append(f"  {c.name}: Q = {q_txt}" +
                          (f"  ({c.doc})" if c.doc else ""))
-    _emit(ctx.obj["json"],
-          {"command": "list", "inputs": {}, "verdict": None,
-           "remainder": None, "certificate": None, "values": values},
-          lines)
+    _emit(ctx, lines, values=values)
 
 
 @main.command("batch")

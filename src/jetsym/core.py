@@ -360,57 +360,56 @@ class PotentialDef:
 
 class Problem:
     """Declaration context: coordinates, the single dependent, constants,
-    constant matrices, base functions and the potential registry."""
+    constant matrices, base functions and the potential registry.  One table
+    maps each declared name to its atom, and no name is declared twice."""
 
     def __init__(self, coords: Iterable[str] = ("x", "t"),
                  dependent: Dependent = None,
                  constants: Iterable[str] = (),
                  matrices: Iterable = (),
                  base_functions: Iterable = ()):
-        names = list(coords)
-        if len(set(names)) != len(names):
-            raise DeclarationError("coordinate names must be unique")
-        self.coordinates = tuple(Coordinate(n, i) for i, n in enumerate(names))
-        self._coord_by_name = {c.name: c for c in self.coordinates}
+        self._atoms: dict[str, Expr] = {}
+        self.coordinates = tuple(Coordinate(n, i) for i, n in enumerate(coords))
+        for c in self.coordinates:
+            self._declare(c.name, Coord(c))
         self.dependent = dependent or Dependent("u")
-        self.constants = tuple(constants)
+        self._declare(self.dependent.name, Jet(self.dependent))
+        self.constants = tuple(self._declare(n, Sym(n)).name for n in constants)
         self.matrices: dict[str, CMat] = {}
-        for m in matrices:
-            if isinstance(m, CMat):
-                self.matrices[m.name] = m
-            elif isinstance(m, tuple):
-                self.matrices[m[0]] = CMat(m[0], bool(m[1]))
-            else:
-                self.matrices[m] = CMat(m)
+        for m in matrices:  # a name, or (name, invertible)
+            name, invertible = m if isinstance(m, tuple) else (m, False)
+            self.matrices[name] = self._declare(name,
+                                                CMat(name, bool(invertible)))
         self.base_functions: dict[str, Base] = {}
-        for b in base_functions:
-            if isinstance(b, Base):
-                self.base_functions[b.name] = b
-            elif isinstance(b, tuple):
-                self.base_functions[b[0]] = Base(b[0], bool(b[1]))
-            else:
-                self.base_functions[b] = Base(b)
+        for b in base_functions:  # a name, or (name, matrix-valued)
+            name, matrix = b if isinstance(b, tuple) else (b, False)
+            self.base_functions[name] = self._declare(name,
+                                                      Base(name, bool(matrix)))
         self.potentials: dict[str, PotentialDef] = {}
-        self._check_name_clashes()
 
-    def _check_name_clashes(self):
-        seen: set[str] = set()
-        for n in ([c.name for c in self.coordinates] + [self.dependent.name]
-                  + list(self.constants) + list(self.matrices)
-                  + list(self.base_functions)):
-            if n in seen:
-                raise DeclarationError(f"name {n!r} declared more than once")
-            seen.add(n)
+    def _declare(self, name: str, atom: Expr) -> Expr:
+        """Enter a name in the one table of declared names, exactly once."""
+        if name in self._atoms:
+            raise DeclarationError(f"name {name!r} declared more than once")
+        self._atoms[name] = atom
+        return atom
 
     # --- lookups -----------------------------------------------------------
+    def declared(self, name: str) -> Expr | None:
+        """The atom declared under `name`, or None."""
+        return self._atoms.get(name)
+
+    def _lookup(self, name: str, kind: type, what: str) -> Expr:
+        atom = self._atoms.get(name)
+        if not isinstance(atom, kind):
+            raise DeclarationError(f"unknown {what} {name!r}")
+        return atom
+
     def coordinate(self, name: str) -> Coordinate:
-        try:
-            return self._coord_by_name[name]
-        except KeyError:
-            raise DeclarationError(f"unknown coordinate {name!r}") from None
+        return self.coord(name).coordinate
 
     def coord(self, name: str) -> Coord:
-        return Coord(self.coordinate(name))
+        return self._lookup(name, Coord, "coordinate")
 
     @property
     def u(self) -> Jet:
@@ -421,27 +420,16 @@ class Problem:
                    tuple(self.coordinate(s).index for s in subscripts))
 
     def const(self, name: str) -> Sym:
-        if name not in self.constants:
-            raise DeclarationError(f"unknown constant {name!r}")
-        return Sym(name)
+        return self._lookup(name, Sym, "constant")
 
     def cmat(self, name: str) -> CMat:
-        try:
-            return self.matrices[name]
-        except KeyError:
-            raise DeclarationError(f"unknown constant matrix {name!r}") from None
+        return self._lookup(name, CMat, "constant matrix")
 
     def base(self, name: str) -> Base:
-        try:
-            return self.base_functions[name]
-        except KeyError:
-            raise DeclarationError(f"unknown base function {name!r}") from None
+        return self._lookup(name, Base, "base function")
 
     def potential(self, name: str) -> Pot:
-        try:
-            return self.potentials[name].atom()
-        except KeyError:
-            raise DeclarationError(f"unknown potential {name!r}") from None
+        return self._lookup(name, Pot, "potential")
 
     def register_potential(self, pdef: PotentialDef) -> Pot:
         """Raw registration; `backlund.declare_potential` performs the
@@ -450,7 +438,6 @@ class Problem:
             if c.name not in pdef.derivatives:
                 raise DeclarationError(
                     f"potential {pdef.name}: no derivative for {c.name}")
-        if pdef.name in self.potentials or pdef.name in self._coord_by_name:
-            raise DeclarationError(f"name {pdef.name!r} already declared")
+        atom = self._declare(pdef.name, pdef.atom())
         self.potentials[pdef.name] = pdef
-        return pdef.atom()
+        return atom

@@ -19,12 +19,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, InversionError,
-                   Jet, Mul, Pot, Rat, Sym, ZERO, children, expr_key, inverse,
-                   is_commuting_atom)
+                   Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO, children,
+                   expr_key, inverse, is_commuting_atom)
 
 # cmono: tuple[(atom, int exponent)] sorted by expr_key; word: tuple[factor]
 Key = tuple[tuple, tuple]
 NF = dict[Key, Fraction]
+
+#: most terms a product may form, as the product of its factors' term counts
+MAX_TERMS = 250_000
+
+
+class TermBudgetError(JetsymError):
+    """A product of normal forms would exceed MAX_TERMS terms."""
 
 
 def _merge_cmono(a: tuple, b: tuple) -> tuple:
@@ -39,22 +46,16 @@ def _merge_cmono(a: tuple, b: tuple) -> tuple:
 
 
 def _cancel_word(word: tuple) -> tuple:
-    w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(w):
-            a, b = w[i], w[i + 1]
-            if (isinstance(a, Inv) and a.base == b) or \
-               (isinstance(b, Inv) and b.base == a):
-                del w[i:i + 2]
-                changed = True
-                if i > 0:
-                    i -= 1
-            else:
-                i += 1
-    return tuple(w)
+    """The reduced word: one stack pass, since w*inv(w) -> 1 is confluent."""
+    kept: list = []
+    for b in word:
+        a = kept[-1] if kept else None
+        if (isinstance(a, Inv) and a.base == b) or \
+           (isinstance(b, Inv) and b.base == a):
+            kept.pop()
+        else:
+            kept.append(b)
+    return tuple(kept)
 
 
 def _nf_add(a: NF, b: NF) -> NF:
@@ -75,6 +76,9 @@ def _nf_scale(a: NF, c: Fraction) -> NF:
 
 
 def _nf_mul(a: NF, b: NF) -> NF:
+    if len(a) * len(b) > MAX_TERMS:
+        raise TermBudgetError(f"a product of {len(a)} by {len(b)} terms "
+                              f"exceeds the budget of {MAX_TERMS} terms")
     out: NF = {}
     for (ca, wa), va in a.items():
         for (cb, wb), vb in b.items():

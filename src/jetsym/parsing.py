@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (DeclarationError, Expr, FUNC_DERIVATIVES, JetsymError,
-                   Problem, Rat, add, commutator, func, inverse, mul, neg)
+from .core import (Coord, DeclarationError, Expr, FUNC_DERIVATIVES,
+                   JetsymError, Problem, Rat, add, commutator, func, inverse,
+                   mul, neg)
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<op>[+\-*/(),]))")
@@ -201,19 +202,10 @@ class Parser:
                 return p.jet(subs)
             except DeclarationError as exc:
                 raise ParseError(str(exc), tok.pos) from exc
-        if name == p.dependent.name:
-            return p.u
-        if name in p._coord_by_name:
-            return p.coord(name)
-        if name in p.constants:
-            return p.const(name)
-        if name in p.matrices:
-            return p.cmat(name)
-        if name in p.base_functions:
-            return p.base(name)
-        if name in p.potentials:
-            return p.potential(name)
-        raise ParseError(f"undeclared symbol {name!r}", tok.pos)
+        atom = p.declared(name)
+        if atom is None:
+            raise ParseError(f"undeclared symbol {name!r}", tok.pos)
+        return atom
 
 
 def parse_expr(text: str, problem: Problem) -> Expr:
@@ -239,14 +231,15 @@ class _OperatorParser(Parser):
             while self.cur.kind == "op" and self.cur.text in "+-":
                 sign *= -1 if self._advance().text == "-" else 1
             name = self.cur.text if self.cur.kind == "name" else ""
+            coord = self.problem.declared(name[2:]) if name[:2] == "D_" else None
             if name == "F":
                 if seen_f:
                     raise ParseError("duplicate F in operator term",
                                      self.cur.pos)
                 seen_f = True
                 self._advance()
-            elif name[:2] == "D_" and name[2:] in self.problem._coord_by_name:
-                deriv.append(self.problem.coordinate(name[2:]).index)
+            elif isinstance(coord, Coord):
+                deriv.append(coord.coordinate.index)
                 self._advance()
             else:
                 (right if seen_f else left).append(self._factor())

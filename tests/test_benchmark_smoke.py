@@ -1,6 +1,8 @@
 """One round of each benchmark workload through perfbench's timed client:
 every operation it runs must succeed, so a change to a name or signature
 the benchmark calls fails here and not only in a benchmark run."""
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,3 +27,19 @@ def test_one_round_has_no_failed_operation(workload, tmp_path):
     failed = [(op_id, run["outputs"][str(op_id)])
               for op_id, _, bad, _ in run["times"] if bad]
     assert not failed
+
+
+def test_every_traced_name_exists():
+    """A traced run (`--trace 1`) wraps each name that perfbench's tracing
+    table lists; the table is read from its file, and nothing is wrapped."""
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    listed = [(home, name) for home, names, _ in tracing.GROUPS.values()
+              for name in names]
+    assert listed
+    missing = [f"jetsym.{home}.{name}" for home, name in listed
+               if not callable(getattr(importlib.import_module(f"jetsym.{home}"),
+                                       name, None))]
+    assert not missing

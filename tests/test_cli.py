@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import pytest
 
+from jetsym import normalize
 from jetsym.core import JetsymError
 from jetsym.cli import main
 
@@ -305,3 +306,62 @@ def test_unranked_solved_form_exits_two(monkeypatch, capsys, command):
     assert capsys.readouterr().err.startswith(
         "error: no lex or orderly ranking puts the solved-form rhs jets "
         "u_xx, u_tt below the leading jet u_xt")
+
+
+# --- term budget ----------------------------------------------------------
+
+def binomial_product(factors: int) -> str:
+    return "*".join(["(g + g_x)"] * factors)
+
+
+def nested_commutators(depth: int) -> str:
+    e = "g_x"
+    for _ in range(depth):
+        e = f"comm({e}, g + g_t + X + M)"
+    return e
+
+
+def run_cli(monkeypatch, capsys, *args):
+    from jetsym.cli import run
+    monkeypatch.setattr(sys, "argv", ["jetsym", *args])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    return exc.value.code, capsys.readouterr()
+
+
+def test_binomial_product_exits_two_at_the_term_budget(monkeypatch, capsys):
+    # n factors expand to 2**n words; the product forming more than
+    # MAX_TERMS is refused before it is formed
+    n = normalize.MAX_TERMS.bit_length()
+    status, out = run_cli(monkeypatch, capsys, "--pde", "chiral", "parse",
+                          binomial_product(n))
+    assert status == 2
+    assert out.out == ""
+    assert out.err == (f"error: a product of {2 ** (n - 1)} by 2 terms "
+                       f"exceeds the budget of {normalize.MAX_TERMS} terms\n")
+
+
+@pytest.mark.parametrize("command", [["parse", nested_commutators(6)],
+                                     ["reduce", nested_commutators(6)],
+                                     ["check", "--phi", nested_commutators(6)],
+                                     ["parse", binomial_product(13)]],
+                         ids=["parse", "reduce", "check", "product"])
+def test_blowups_exit_two_with_a_readable_message(monkeypatch, capsys,
+                                                  command):
+    # a small budget keeps this quick; the test above uses the real one
+    monkeypatch.setattr(normalize, "MAX_TERMS", 4096)
+    status, out = run_cli(monkeypatch, capsys, "--pde", "chiral", *command)
+    assert status == 2
+    assert out.err.startswith("error: a product of ")
+    assert out.err.endswith(" terms exceeds the budget of 4096 terms\n")
+
+
+def test_batch_blowup_line_fails_on_its_own(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(normalize, "MAX_TERMS", 4096)
+    script = tmp_path / "cmds.txt"
+    script.write_text(f'parse "{nested_commutators(6)}"\n'
+                      "check --phi M\n")
+    r = invoke(runner, "--pde", "chiral", "batch", str(script))
+    assert code(r) == 1
+    assert r.stderr.startswith("error: line 1: a product of ")
+    assert "verdict: Symmetry" in r.stdout

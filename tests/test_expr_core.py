@@ -3,8 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from jetsym import (Dependent, Problem, commutator, inverse, is_zero, mk_jet,
-                    normal_form)
+from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
+                    is_zero, mk_jet, normal_form, parse_expr)
 from jetsym.core import DeclarationError, InversionError, Jet, KindError, func
 
 
@@ -78,3 +78,33 @@ def test_duplicate_declarations_rejected():
         Problem(coords=["x", "x"])
     with pytest.raises(DeclarationError):
         Problem(coords=["x", "t"], dependent=Dependent("x"))
+    for declaration in ({"constants": ["c", "c"]},
+                        {"constants": ["c"], "matrices": ["c"]},
+                        {"matrices": ["M", ("M", True)]},
+                        {"matrices": ["M"], "base_functions": [("M", True)]},
+                        {"base_functions": ["f", "f"]},
+                        {"base_functions": ["u"]}):
+        with pytest.raises(DeclarationError,
+                           match="'.' declared more than once"):
+            Problem(coords=["x", "t"], **declaration)
+
+
+def chiral_shaped() -> Problem:
+    return Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
+                   constants=["c"], matrices=[("M", False)],
+                   base_functions=[("f", True)])
+
+
+@pytest.mark.parametrize("name", ["g", "x", "c", "M", "f", "X"],
+                         ids=["dependent", "coordinate", "constant", "matrix",
+                              "base-function", "potential"])
+def test_a_potential_may_not_reuse_a_declared_name(name):
+    p = chiral_shaped()
+    gradient = {"x": p.jet("t"), "t": p.jet("x")}
+    p.register_potential(PotentialDef("X", gradient))
+    declared = parse_expr(name, p)
+    with pytest.raises(DeclarationError,
+                       match=f"name '{name}' declared more than once"):
+        p.register_potential(PotentialDef(name, gradient))
+    assert parse_expr(name, p) == declared
+    assert list(p.potentials) == ["X"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from jetsym import (commutator, inverse, is_zero, normal_form, parse_expr,
                     substitute)
 from jetsym.core import Comm, Fn, Inv, InversionError, Rat, children, rat
-from jetsym.normalize import collect_jets
+from jetsym.normalize import _cancel_word, collect_jets
 
 from conftest import seeded_exprs
 from helpers import (matrix_problem, random_expr, reference_substitute,
@@ -20,6 +20,39 @@ MP = matrix_problem()
 def test_inverse_cancellation(mp):
     assert normal_form(mp.u * inverse(mp.u)) == rat(1)
     assert normal_form(inverse(mp.u) * mp.u) == rat(1)
+
+
+def test_inverse_cancellation_cascades(mp):
+    A, B, u = mp.cmat("A"), mp.cmat("B"), mp.u
+    assert normal_form(B * u * inverse(u) * inverse(B) * A) == A
+    assert normal_form(inverse(u) * u * inverse(u)) == inverse(u)
+    # the whole word at once, where one cancellation exposes the next
+    assert _cancel_word((B, u, inverse(u), inverse(B), A)) == (A,)
+    assert _cancel_word((inverse(u), u, inverse(u))) == (inverse(u),)
+
+
+def _cancels(a, b) -> bool:
+    return (isinstance(a, Inv) and a.base == b) or \
+        (isinstance(b, Inv) and b.base == a)
+
+
+def reference_cancel_word(word: tuple) -> tuple:
+    """Delete the leftmost adjacent w*inv(w) pair until none is left."""
+    w = list(word)
+    while True:
+        pairs = [i for i in range(len(w) - 1) if _cancels(w[i], w[i + 1])]
+        if not pairs:
+            return tuple(w)
+        del w[pairs[0]:pairs[0] + 2]
+
+
+def test_cancel_word_matches_repeated_pair_deletion(mp):
+    u, A, B = mp.u, mp.cmat("A"), mp.cmat("B")
+    letters = [u, inverse(u), A, B, inverse(B)]
+    for seed in range(400):
+        rng = Random(seed)
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+        assert _cancel_word(word) == reference_cancel_word(word), word
 
 
 def test_like_terms_collect(sp):
