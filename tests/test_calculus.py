@@ -8,12 +8,15 @@ from jetsym import (Characteristic, Sym, bracket_characteristic,
                     char_derivative, commutator, inverse, is_zero,
                     normal_form, scalar_prolongation_apply,
                     scale_characteristic, total_derivative)
-from jetsym.core import (Comm, Fn, Inv, KindError, Pot, PotentialDef,
-                         children, func)
+from jetsym.calculus import formal_jet_partial
+from jetsym.core import (Comm, Fn, Inv, KindError, Pot, PotentialDef, Rat,
+                         ZERO, children, func)
+from jetsym.normalize import collect_jets
 
 from conftest import seeded_characteristics, seeded_exprs
-from helpers import (matrix_problem, random_characteristic, random_expr,
-                     reference_char, reference_total, scalar_problem)
+from helpers import (_reference_derive, matrix_problem,
+                     random_characteristic, random_expr, reference_char,
+                     reference_total, scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -182,6 +185,19 @@ def test_prolongation_max_order_guard(sp):
     Q = Q_of(sp, sp.u)
     with pytest.raises(ValueError):
         scalar_prolongation_apply(sp.jet("xxx"), Q, sp, max_order=2)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_formal_jet_partial_matches_the_tree_walk(seed):
+    """d/du_J against the reference walk with the atom map 1 on u_J and 0
+    elsewhere, on scalar expressions with inv(u) and function arguments."""
+    rng = Random(seed)
+    e = random_expr(rng, SP, 4, scalar_only=True) \
+        + inverse(SP.u) * random_expr(rng, SP, 3, scalar_only=True)
+    for j in sorted(collect_jets(e), key=lambda j: j.idx):
+        want = normal_form(_reference_derive(
+            e, lambda a: Rat(1) if a == j else ZERO))
+        assert normal_form(formal_jet_partial(e, j)) == want, (seed, j.idx)
 
 
 # --- randomized properties (full 200-case versions live in acceptance) ----

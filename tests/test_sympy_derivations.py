@@ -1,7 +1,8 @@
-"""total_derivative and char_derivative checked against sympy's chain rule
-in jet space, on seeded random scalar expressions: polynomials in the jets
-and coordinates, times sin and exp of such polynomials.  The sympy side
-shares no code with the engine's derivation: jets are plain symbols and
+"""total_derivative, char_derivative and formal_jet_partial checked against
+sympy's chain rule in jet space, on seeded random scalar expressions:
+polynomials in the jets and coordinates, times sin and exp of such
+polynomials.  The sympy side shares no code with the engine's derivation:
+jets are plain symbols and
 
     D_i f = df/dx^i + sum_J u_{J+i} df/du_J,    D_Q f = sum_J (D_J Q) df/du_J.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from jetsym import (Characteristic, Dependent, Problem, add, char_derivative,
                     func, mul, total_derivative)
+from jetsym.calculus import formal_jet_partial
 from jetsym.core import Add, Coord, Fn, Jet, Mul, Rat
 
 sympy = pytest.importorskip("sympy")
@@ -112,3 +114,13 @@ def test_char_derivative_matches_sympy(seed):
     q = _poly(rng, 3, 2)
     got = char_derivative(e, Characteristic("Q", q, P.dependent), P)
     assert _same(got, sympy_char(to_sympy(e), to_sympy(q))), seed
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_formal_jet_partial_matches_sympy(seed):
+    e = random_scalar(Random(seed))
+    f = to_sympy(e)
+    for j in LEAVES:
+        if isinstance(j, Jet):
+            assert _same(formal_jet_partial(e, j),
+                         sympy.diff(f, _jet(j.idx))), (seed, j.idx)
