@@ -13,15 +13,16 @@ nonlocal, characteristics Q' = g*Phi'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul, neg)
 from .calculus import (Characteristic, Image, char_derivative, derivation,
-                       derive_nf, total_atoms, total_derivative)
-from .normalize import NF, is_zero, nf, normal_form, rebuild
-from .symmetry import Pde, _match_linear, reduce_mod_pde
+                       derive_nf, total_atoms, total_derivative, total_images)
+from .normalize import NF, _nf_add, _nf_scale, nf, normal_form, rebuild
+from .symmetry import Pde, _match_linear, check_symmetry, reduce_nf
 
 
 class PotentialError(JetsymError):
@@ -66,7 +67,7 @@ def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
 def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     """Register a gradient-defined potential after checking that its mixed
     second derivatives agree mod the PDE."""
-    coords = problem.coordinates
+    coords, total = problem.coordinates, total_images(problem)
     for c in coords:
         if c.name not in pdef.derivatives:
             raise JetsymError(f"potential {pdef.name}: missing derivative "
@@ -74,14 +75,16 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             ci, cj = coords[i], coords[j]
-            cross = (total_derivative(pdef.derivatives[ci.name], cj, problem)
-                     - total_derivative(pdef.derivatives[cj.name], ci, problem))
-            residual = reduce_mod_pde(cross, pde, problem)
-            if not is_zero(residual):
+            cross = _nf_add(
+                derive_nf(nf(as_expr(pdef.derivatives[ci.name])), total[j]),
+                _nf_scale(derive_nf(nf(as_expr(pdef.derivatives[cj.name])),
+                                    total[i]), Fraction(-1)))
+            residual = reduce_nf(cross, pde, problem)
+            if residual:
                 raise PotentialError(
                     f"potential {pdef.name}: D_{cj.name}({pdef.name}_{ci.name})"
                     f" != D_{ci.name}({pdef.name}_{cj.name}) mod {pde.name}",
-                    residual)
+                    rebuild(residual))
     return problem.register_potential(pdef)
 
 
@@ -107,8 +110,8 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
 def bt_integrability_check(phi: Expr, pde: Pde, problem: Problem) -> bool:
     """D_{g*Phi} F = 0 mod F: Phi solves the symmetry condition, which for
     chiral is (Phi'_x)_t = (Phi'_t)_x mod F."""
-    return is_zero(reduce_mod_pde(chiral_phi_condition(phi, pde, problem),
-                                  pde, problem))
+    return check_symmetry(pde, phi_characteristic(phi, problem),
+                          problem).is_symmetry
 
 
 def default_bt_basis(problem: Problem) -> list[Expr]:
@@ -134,12 +137,11 @@ def bt_rows(basis: list[Expr], pde: Pde, problem: Problem
     atoms of the basis are reduced, one image map per coordinate and call."""
     def reduced_total(c: Coordinate) -> Image:
         total = total_atoms(c, problem)
-        return derivation(
-            lambda a: nf(reduce_mod_pde(rebuild(total(a)), pde, problem)))
+        return derivation(lambda a: reduce_nf(total(a), pde, problem))
 
     images = [reduced_total(c) for c in _xt(problem)]
     return [[derive_nf(n, image) for image in images]
-            for n in (nf(reduce_mod_pde(b, pde, problem)) for b in basis)]
+            for n in (reduce_nf(nf(b), pde, problem) for b in basis)]
 
 
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
@@ -162,8 +164,7 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
         return None
     basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)
-    targets = [nf(reduce_mod_pde(pair.rhs_x, pde, problem)),
-               nf(reduce_mod_pde(pair.rhs_t, pde, problem))]
+    targets = [reduce_nf(nf(r), pde, problem) for r in (pair.rhs_x, pair.rhs_t)]
     sol = _match_linear(targets, bt_rows(basis, pde, problem))
     if sol is None:
         return None

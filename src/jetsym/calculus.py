@@ -10,8 +10,10 @@ A derivation is fixed by its value on the atoms, and it acts on normal
 forms (`normalize.nf`) term by term: `derive_nf` applies the Leibniz rule
 to each factor of each term, and `derivation` gives the image of each
 factor (an atom, the inverse of one, or an analytic function), taken once
-per call and held in a dict local to that call.  An `Expr` tree is built
-only where a result is returned.
+per call and held in a dict local to that call.  Every derivative is taken
+there: D_i, D_Q, D_J (`jet_totals`) and the formal partial d/du_J.  The
+`_nf` functions take and return normal forms; an `Expr` tree is built only
+where a public function returns a result.
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import (Add, Base, CMat, Comm, Coord, Coordinate, Dependent, Expr,
-                   Fn, FUNC_DERIVATIVES, Inv, Jet, KindError, Mul,
-                   NonlocalActionError, Pot, Problem, Rat, SCALAR, Sym, ZERO,
-                   add, as_expr, commutator, mul, neg, rat)
-from .normalize import (NF, _cancel_word, _merge_cmono, _nf_mul, _nf_scale,
-                        collect_jets, nf, normal_form, rebuild)
+from .core import (Base, CMat, Coord, Coordinate, Dependent, Expr, Fn,
+                   FUNC_DERIVATIVES, Inv, Jet, KindError, NonlocalActionError,
+                   Pot, Problem, Rat, SCALAR, Sym, as_expr, mul)
+from .normalize import (NF, _cancel_word, _merge_cmono, _nf_add, _nf_mul,
+                        _nf_scale, collect_jets, nf, normal_form, rebuild)
 
 # image of a factor of a normal form under a derivation, as a normal form
 Image = Callable[[Expr], NF]
@@ -37,11 +38,6 @@ class Characteristic:
     name: str
     q: Expr
     dependent: Dependent
-
-
-def _fn_derivative(e: Fn, darg: Expr) -> Expr:
-    coeff, newname = FUNC_DERIVATIVES[e.fname]
-    return mul(Rat(coeff), Fn(newname, e.arg), darg)
 
 
 def derive_nf(n: NF, image: Image) -> NF:
@@ -132,36 +128,40 @@ def total_atoms(coord: Coordinate, problem: Problem) -> Callable[[Expr], NF]:
 
 def total_derivative(e: Expr, coord: Coordinate, problem: Problem) -> Expr:
     """D_i e, returned in normal form."""
-    return rebuild(derive_nf(nf(as_expr(e)),
-                             derivation(total_atoms(coord, problem))))
+    return rebuild(jet_totals(nf(as_expr(e)), problem)((coord.index,)))
 
 
-def total_images(problem: Problem) -> Callable[[int], Image]:
-    """The D_i image map of each coordinate index, made on first use."""
-    maps: dict[int, Image] = {}
+def total_images(problem: Problem) -> list[Image]:
+    """The D_i image map of each coordinate, by coordinate index."""
+    return [derivation(total_atoms(c, problem)) for c in problem.coordinates]
 
-    def total(i: int) -> Image:
-        if i not in maps:
-            maps[i] = derivation(total_atoms(problem.coordinates[i], problem))
-        return maps[i]
 
-    return total
+def jet_totals(n: NF, problem: Problem) -> Callable[[tuple[int, ...]], NF]:
+    """The map J -> D_J n on multi-indices of coordinate indices.  Totals
+    commute, so J is sorted; each sorted J is taken once, by one D_i from
+    its longest prefix already taken, and held in a dict local to the map."""
+    total = total_images(problem)
+    taken: dict[tuple[int, ...], NF] = {(): n}
+
+    def totals(idx: tuple[int, ...]) -> NF:
+        idx = tuple(sorted(idx))
+        if idx not in taken:
+            taken[idx] = derive_nf(totals(idx[:-1]), total[idx[-1]])
+        return taken[idx]
+
+    return totals
 
 
 def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
-    """D_J e for a multi-index of coordinate indices, applied in sorted
-    order (totals commute, so the order is immaterial), in normal form."""
-    total = total_images(problem)
-    out = nf(as_expr(e))
-    for i in sorted(i.index if isinstance(i, Coordinate) else i for i in idx):
-        out = derive_nf(out, total(i))
-    return rebuild(out)
+    """D_J e for a multi-index of coordinates or coordinate indices, in
+    normal form."""
+    return rebuild(jet_totals(nf(as_expr(e)), problem)(
+        tuple(i.index if isinstance(i, Coordinate) else i for i in idx)))
 
 
-def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
-    """D_Q e, returned in normal form."""
-    total = total_images(problem)
-    totals = {(): nf(as_expr(Q.q))}  # D_J Q by sorted J, each taken once
+def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
+    """D_Q n for a normal form n, as a normal form."""
+    totals = jet_totals(nf(as_expr(Q.q)), problem)  # D_J Q
 
     def atom(a: Expr) -> NF:
         if isinstance(a, (Coord, Base)):
@@ -170,12 +170,7 @@ def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
             if a.dep != Q.dependent:
                 raise KindError(
                     "characteristic declared for a different dependent")
-            idx = a.idx
-            for n in range(len(idx)):  # D_J Q = D_{J[n]} D_{J[:n]} Q
-                if idx[:n + 1] not in totals:
-                    totals[idx[:n + 1]] = derive_nf(totals[idx[:n]],
-                                                    total(idx[n]))
-            return totals[idx]
+            return totals(a.idx)
         images = problem.potentials[a.name].char_images
         if Q.name not in images:
             raise NonlocalActionError(
@@ -183,7 +178,12 @@ def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
                 f"{a.name!r} under characteristic {Q.name!r}")
         return nf(images[Q.name])
 
-    return rebuild(derive_nf(nf(as_expr(e)), derivation(atom)))
+    return derive_nf(n, derivation(atom))
+
+
+def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
+    """D_Q e, returned in normal form."""
+    return rebuild(char_nf(nf(as_expr(e)), Q, problem))
 
 
 def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,
@@ -191,9 +191,10 @@ def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,
     """Characteristic of the Lie bracket: D_1 Q2 - D_2 Q1."""
     if Q1.dependent != Q2.dependent:
         raise KindError("bracket of characteristics over different dependents")
-    q = normal_form(char_derivative(Q2.q, Q1, problem)
-                    - char_derivative(Q1.q, Q2, problem))
-    return Characteristic(f"[{Q1.name},{Q2.name}]", q, Q1.dependent)
+    q = _nf_add(char_nf(nf(as_expr(Q2.q)), Q1, problem),
+                _nf_scale(char_nf(nf(as_expr(Q1.q)), Q2, problem),
+                          Fraction(-1)))
+    return Characteristic(f"[{Q1.name},{Q2.name}]", rebuild(q), Q1.dependent)
 
 
 def scale_characteristic(Q: Characteristic, lam) -> Characteristic:
@@ -209,27 +210,17 @@ def scale_characteristic(Q: Characteristic, lam) -> Characteristic:
                           Q.dependent)
 
 
+def jet_partial(target: Jet) -> Image:
+    """The image map of the formal partial derivative d/d(target): 1 on the
+    jet atom `target`, 0 on every other atom."""
+    one = {((), ()): Fraction(1)}
+    return derivation(lambda a: one if a == target else {})
+
+
 def formal_jet_partial(e: Expr, target: Jet) -> Expr:
     """Formal commutative partial derivative with respect to a jet atom;
     only meaningful for scalar dependents."""
-    if isinstance(e, Jet):
-        return rat(1) if e == target else ZERO
-    if isinstance(e, (Rat, Sym, Coord, Base, CMat, Pot)):
-        return ZERO
-    if isinstance(e, Add):
-        return add(*(formal_jet_partial(t, target) for t in e.terms))
-    if isinstance(e, Mul):
-        fs = e.factors
-        return add(*(mul(*fs[:i], formal_jet_partial(fs[i], target), *fs[i + 1:])
-                     for i in range(len(fs))))
-    if isinstance(e, Inv):
-        return neg(mul(e, formal_jet_partial(e.base, target), e))
-    if isinstance(e, Comm):
-        return add(commutator(formal_jet_partial(e.lhs, target), e.rhs),
-                   commutator(e.lhs, formal_jet_partial(e.rhs, target)))
-    if isinstance(e, Fn):
-        return _fn_derivative(e, formal_jet_partial(e.arg, target))
-    raise TypeError(f"cannot differentiate node {type(e).__name__}")
+    return rebuild(derive_nf(nf(as_expr(e)), jet_partial(target)))
 
 
 def scalar_prolongation_apply(e: Expr, Q: Characteristic, problem: Problem,
@@ -246,8 +237,8 @@ def scalar_prolongation_apply(e: Expr, Q: Characteristic, problem: Problem,
         too_high = [j for j in jets if j.order > max_order]
         if too_high:
             raise ValueError(f"expression contains jets above order {max_order}")
-    out = ZERO
+    n, totals = nf(e), jet_totals(nf(as_expr(Q.q)), problem)
+    out: NF = {}
     for j in sorted(jets, key=lambda j: (j.order, j.idx)):
-        part = formal_jet_partial(e, j)
-        out = add(out, mul(iterated_total(Q.q, j.idx, problem), part))
-    return normal_form(out)
+        _nf_add(out, _nf_mul(totals(j.idx), derive_nf(n, jet_partial(j))))
+    return rebuild(out)

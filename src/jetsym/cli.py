@@ -15,12 +15,12 @@ import click
 from .core import (Dependent, JetsymError, Jet, Problem)
 from .calculus import Characteristic, bracket_characteristic
 from .catalog import CATALOG_NAMES, get_pde, load_catalog
-from .normalize import is_zero, normal_form
+from .normalize import normal_form
 from .parsing import parse_expr, parse_operator
 from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import bt_apply, chiral_phi_condition, phi_characteristic
+from .backlund import bt_apply, phi_characteristic
 
 
 class Session:
@@ -235,17 +235,17 @@ def cmd_bt_apply(ctx, phi):
     phi_e = parse_expr(phi, p)
     out = bt_apply(phi_e, pde, p)
     if out is None:
-        rem = reduce_mod_pde(chiral_phi_condition(phi_e, pde, p), pde, p)
-        if is_zero(rem):
+        report = check_symmetry(pde, phi_characteristic(phi_e, p), p)
+        if report.is_symmetry:
             verdict, remainder = "NoIntegral", None
             lines = [f"verdict: {verdict}", "Phi satisfies the symmetry "
                      "condition, but no integral lies inside the candidate "
                      "basis (basis insufficiency)"]
         else:
-            verdict, remainder = "NotSymmetry", render(rem, p)
+            verdict, remainder = "NotSymmetry", render(report.remainder, p)
             lines = [f"verdict: {verdict}",
                      "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
-                     f"remainder: {pretty(rem, p)}"]
+                     f"remainder: {pretty(report.remainder, p)}"]
         _emit(ctx, lines, inputs={"pde": pde.name, "phi": phi},
               verdict=verdict, remainder=remainder)
         ctx.exit(1)

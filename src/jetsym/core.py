@@ -388,7 +388,12 @@ class Problem:
         self.potentials: dict[str, PotentialDef] = {}
 
     def _declare(self, name: str, atom: Expr) -> Expr:
-        """Enter a name in the one table of declared names, exactly once."""
+        """Enter a name in the one table of declared names, exactly once.
+        A name is an ASCII letter and then letters and digits, so that the
+        parser reads every rendered atom back."""
+        if not (name[:1].isalpha() and name.isalnum() and name.isascii()):
+            raise DeclarationError(
+                f"name {name!r} is not a letter followed by letters and digits")
         if name in self._atoms:
             raise DeclarationError(f"name {name!r} declared more than once")
         self._atoms[name] = atom

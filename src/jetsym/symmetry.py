@@ -7,8 +7,8 @@ parametric.  Each principal jet J has exactly one value R[J] in parametric
 jets: R[leading] = rhs, and R[J] = D_i R[J - i] with its principal jets
 replaced by their values, for a coordinate i in J - leading.  Each Pde
 keeps one table of these values per Problem, held as normal forms.
-Reducing an expression normalizes it, fills the table for its principal
-jets, and normalizes once more with the table as the jet map of
+Reducing a normal form (`reduce_nf`) fills the table for its principal
+jets and normalizes it once more with the table as the jet map of
 `normalize.nf`, which puts each value in place of its jet.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
@@ -24,17 +24,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Optional
 from weakref import WeakKeyDictionary
 
-from .core import (Expr, Jet, JetsymError, MATRIX, Problem, Rat, add,
-                   as_expr, mul)
-from .calculus import Characteristic, char_derivative, bracket_characteristic, \
-    derive_nf, iterated_total, total_images
+from .core import Expr, Jet, JetsymError, MATRIX, Problem, Rat, as_expr, mul
+from .calculus import (Characteristic, bracket_characteristic, char_nf,
+                       derive_nf, jet_totals, total_images)
 from .linsolve import rank, solve
-from .normalize import (NF, _nf_mul, collect_jets, is_zero, key_sort_key, nf,
-    nf_jets, normal_form, rebuild, substitute)
+from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
+                        key_sort_key, nf, nf_jets, normal_form, rebuild,
+                        substitute)
 from .printing import render
 
 
@@ -165,7 +166,7 @@ def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
             if prev not in table:
                 push([prev])
                 continue
-            derived[idx] = derive_nf(table[prev], total(i))
+            derived[idx] = derive_nf(table[prev], total[i])
         principal = _principal_jets(nf_jets(derived[idx]), pde)
         missing = [j.idx for j in principal if j.idx not in table]
         if missing:
@@ -176,16 +177,20 @@ def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
         stack.pop()
 
 
-def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem) -> Expr:
-    """The normal form of e with every principal jet replaced by its value
-    mod F, which contains parametric jets only."""
-    out = normal_form(as_expr(e))
-    principal = _principal_jets(collect_jets(out), pde)
+def reduce_nf(n: NF, pde: Pde, problem: Problem) -> NF:
+    """The normal form n with every principal jet replaced by its value mod
+    F, which contains parametric jets only."""
+    principal = _principal_jets(nf_jets(n), pde)
     if not principal:
-        return out
+        return n
     table = pde.table.setdefault(problem, {})
     _fill_table(table, [j.idx for j in principal], pde, problem)
-    return rebuild(nf(out, {j: table[j.idx] for j in principal}))
+    return nf(rebuild(n), {j: table[j.idx] for j in principal})
+
+
+def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem) -> Expr:
+    """The normal form of e reduced mod F (`reduce_nf`)."""
+    return rebuild(reduce_nf(nf(as_expr(e)), pde, problem))
 
 
 class Verdict(Enum):
@@ -200,15 +205,18 @@ class LinearOperatorAnsatz:
 
     terms: tuple[tuple[Expr, tuple[int, ...], Expr], ...]
 
-    def apply(self, e: Expr, problem: Problem) -> Expr:
-        derivs: dict[tuple[int, ...], Expr] = {}  # D_J e, each taken once
+    def columns(self, n: NF, problem: Problem) -> list[NF]:
+        """left * (D_J n) * right for each term, as normal forms."""
+        totals, one = jet_totals(n, problem), Rat(Fraction(1))
         out = []
         for left, j, right in self.terms:
-            j = tuple(sorted(j))
-            if j not in derivs:
-                derivs[j] = iterated_total(e, j, problem)
-            out.append(mul(left, derivs[j], right))
-        return normal_form(add(*out))
+            col = totals(j) if left == one else _nf_mul(nf(left), totals(j))
+            out.append(col if right == one else _nf_mul(col, nf(right)))
+        return out
+
+    def apply(self, e: Expr, problem: Problem) -> Expr:
+        return rebuild(reduce(_nf_add, self.columns(nf(as_expr(e)), problem),
+                              {}))
 
     def canonical(self) -> tuple:
         """Order-independent fingerprint for comparing operators: the
@@ -247,9 +255,10 @@ def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
                    search_certificate: bool = False) -> SymmetryReport:
     """Evaluate D_Q F for arbitrary u, then reduce mod F.  A Phi-form seed
     goes in as its characteristic (`backlund.phi_characteristic`)."""
-    raw = char_derivative(pde.f, Q, problem)
-    remainder = reduce_mod_pde(raw, pde, problem)
-    verdict = Verdict.SYMMETRY if is_zero(remainder) else Verdict.NOT_SYMMETRY
+    raw = char_nf(nf(pde.f), Q, problem)
+    remainder = reduce_nf(raw, pde, problem)
+    verdict = Verdict.NOT_SYMMETRY if remainder else Verdict.SYMMETRY
+    raw, remainder = rebuild(raw), rebuild(remainder)
     certificate = None
     if search_certificate and verdict is Verdict.SYMMETRY:
         certificate = find_operator(pde, Q, problem, lhs=raw)
@@ -259,8 +268,9 @@ def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
 def certify_operator(pde: Pde, Q: Characteristic,
                      lhat: LinearOperatorAnsatz, problem: Problem) -> bool:
     """True iff  D_Q F  equals  lhat F  identically (no mod-F reduction)."""
-    return is_zero(char_derivative(pde.f, Q, problem)
-                   - lhat.apply(pde.f, problem))
+    f = nf(pde.f)
+    return char_nf(f, Q, problem) == reduce(_nf_add,
+                                            lhat.columns(f, problem), {})
 
 
 @dataclass(frozen=True)
@@ -315,19 +325,11 @@ def find_operator(pde: Pde, Q: Characteristic | None, problem: Problem,
     coefficients on the bounded monomial ansatz.  None means no certificate
     inside the bounds, which is not a proof of non-symmetry."""
     cfg = cfg or AnsatzConfig()
-    if lhs is None:
-        lhs = char_derivative(pde.f, Q, problem)
+    f = nf(pde.f)
+    target = char_nf(f, Q, problem) if lhs is None else nf(lhs)
     terms = _candidate_terms(problem, cfg)
-    derivs: dict[tuple[int, ...], NF] = {}
-    for _, j, _ in terms:
-        if j not in derivs:
-            derivs[j] = nf(iterated_total(pde.f, j, problem))
-    one = Rat(Fraction(1))
-    applied = []
-    for left, j, right in terms:
-        col = derivs[j] if left == one else _nf_mul(nf(left), derivs[j])
-        applied.append(col if right == one else _nf_mul(col, nf(right)))
-    sol = _match_linear([nf(lhs)], [[a] for a in applied])
+    columns = LinearOperatorAnsatz(tuple(terms)).columns(f, problem)
+    sol = _match_linear([target], [[c] for c in columns])
     if sol is None:
         return None
     kept = tuple((mul(Rat(c), left), j, right)

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from random import Random
 
 from hypothesis import given, settings
@@ -8,10 +9,11 @@ from jetsym import (Characteristic, Sym, bracket_characteristic,
                     char_derivative, commutator, inverse, is_zero,
                     normal_form, scalar_prolongation_apply,
                     scale_characteristic, total_derivative)
-from jetsym.calculus import formal_jet_partial
+from jetsym import calculus
+from jetsym.calculus import formal_jet_partial, jet_totals
 from jetsym.core import (Comm, Fn, Inv, KindError, Pot, PotentialDef, Rat,
                          ZERO, children, func)
-from jetsym.normalize import collect_jets
+from jetsym.normalize import collect_jets, nf, rebuild
 
 from conftest import seeded_characteristics, seeded_exprs
 from helpers import (_reference_derive, matrix_problem,
@@ -198,6 +200,38 @@ def test_formal_jet_partial_matches_the_tree_walk(seed):
         want = normal_form(_reference_derive(
             e, lambda a: Rat(1) if a == j else ZERO))
         assert normal_form(formal_jet_partial(e, j)) == want, (seed, j.idx)
+
+
+@pytest.mark.parametrize("p", [SP, MP], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("seed", range(3))
+def test_jet_totals_take_each_prefix_once(p, seed, monkeypatch):
+    """D_J by the one memo equals chained reference totals for every J up
+    to order 3, and the memo applies one D_i per distinct nonempty prefix
+    (asked longest first, unsorted, and twice over)."""
+    js = [j for order in range(4)
+          for j in combinations_with_replacement(range(2), order)]
+    e = random_expr(Random(seed), p, 3)
+    top, calls = [0], []
+
+    def counting(n, image):  # counts the outermost derive_nf calls only
+        calls.append(top[0] == 0)
+        top[0] += 1
+        try:
+            return derive_nf(n, image)
+        finally:
+            top[0] -= 1
+
+    derive_nf = calculus.derive_nf
+    monkeypatch.setattr(calculus, "derive_nf", counting)
+    totals = jet_totals(nf(e), p)
+    got = {j: rebuild(totals(j[::-1])) for j in reversed(js + js)}
+    monkeypatch.undo()
+    assert sum(calls) == len({j[:k] for j in js for k in range(1, len(j) + 1)})
+    for j in js:
+        want = normal_form(e)
+        for i in j:
+            want = reference_total(want, p.coordinates[i], p)
+        assert got[j] == want, j
 
 
 # --- randomized properties (full 200-case versions live in acceptance) ----

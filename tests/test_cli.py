@@ -206,6 +206,15 @@ def test_custom_pde(runner):
     assert code(r) == 0
 
 
+@pytest.mark.parametrize("flags", [("--constants", "c_1"),
+                                   ("--coords", "x,,t"),
+                                   ("--dependent", "1u")])
+def test_a_name_the_parser_cannot_read_exits_two(runner, flags):
+    r = invoke(runner, *flags, "parse", "x")
+    assert code(r) == 2
+    assert "is not a letter followed by letters and digits" in str(r.exception)
+
+
 def test_unknown_pde_exit_two(runner):
     r = invoke(runner, "--pde", "laplace", "check", "--q", "u_x")
     assert code(r) == 2

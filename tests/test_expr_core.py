@@ -89,6 +89,34 @@ def test_duplicate_declarations_rejected():
             Problem(coords=["x", "t"], **declaration)
 
 
+def _declare(kind: str, name: str):
+    if kind == "coordinate":
+        return Problem(coords=["x", name])
+    if kind == "dependent":
+        return Problem(dependent=Dependent(name))
+    if kind == "constant":
+        return Problem(constants=[name])
+    if kind == "matrix":
+        return Problem(matrices=[name])
+    if kind == "base-function":
+        return Problem(base_functions=[name])
+    p = Problem()
+    return p.register_potential(
+        PotentialDef(name, {"x": p.jet("t"), "t": p.jet("x")}))
+
+
+@pytest.mark.parametrize("name", ["", "c_1", "1c"])
+@pytest.mark.parametrize("kind", ["coordinate", "dependent", "constant",
+                                  "matrix", "base-function", "potential"])
+def test_a_declared_name_is_one_the_parser_reads(kind, name):
+    """Every declared name renders as itself, so it must be an identifier
+    of the expression parser: a letter, then letters and digits."""
+    with pytest.raises(DeclarationError,
+                       match="is not a letter followed by letters and digits"):
+        _declare(kind, name)
+    _declare(kind, "c1")  # a letter, then letters and digits
+
+
 def chiral_shaped() -> Problem:
     return Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
                    constants=["c"], matrices=[("M", False)],
