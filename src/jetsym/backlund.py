@@ -19,10 +19,11 @@ from typing import Optional
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul, neg)
-from .calculus import (Characteristic, Image, char_derivative, derivation,
-                       derive_nf, total_atoms, total_derivative, total_images)
+from .calculus import (Characteristic, char_derivative, derive_nf,
+                       total_derivative)
 from .normalize import NF, _nf_add, _nf_scale, nf, normal_form, rebuild
-from .symmetry import Pde, _match_linear, check_symmetry, reduce_nf
+from .symmetry import (Pde, _match_linear, check_symmetry, reduce_nf,
+                       reduction)
 
 
 class PotentialError(JetsymError):
@@ -66,21 +67,22 @@ def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
 
 def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     """Register a gradient-defined potential after checking that its mixed
-    second derivatives agree mod the PDE."""
-    coords, total = problem.coordinates, total_images(problem)
+    second derivatives agree mod the PDE: R(D_j g_i) = R(D_i g_j) for its
+    gradient g, computed as (R o D_j) R(g_i) (`symmetry.reduction`)."""
+    coords = problem.coordinates
     for c in coords:
         if c.name not in pdef.derivatives:
             raise JetsymError(f"potential {pdef.name}: missing derivative "
                               f"for coordinate {c.name}")
+    reduce, totals = reduction(pde, problem)
+    grad = [reduce(nf(as_expr(pdef.derivatives[c.name]))) for c in coords]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            ci, cj = coords[i], coords[j]
-            cross = _nf_add(
-                derive_nf(nf(as_expr(pdef.derivatives[ci.name])), total[j]),
-                _nf_scale(derive_nf(nf(as_expr(pdef.derivatives[cj.name])),
-                                    total[i]), Fraction(-1)))
-            residual = reduce_nf(cross, pde, problem)
+            residual = _nf_add(derive_nf(grad[i], totals[j]),
+                               _nf_scale(derive_nf(grad[j], totals[i]),
+                                         Fraction(-1)))
             if residual:
+                ci, cj = coords[i], coords[j]
                 raise PotentialError(
                     f"potential {pdef.name}: D_{cj.name}({pdef.name}_{ci.name})"
                     f" != D_{ci.name}({pdef.name}_{cj.name}) mod {pde.name}",
@@ -132,29 +134,16 @@ def default_bt_basis(problem: Problem) -> list[Expr]:
 def bt_rows(basis: list[Expr], pde: Pde, problem: Problem
             ) -> list[list[NF]]:
     """[R(D_x b), R(D_t b)] for every candidate b, as normal forms, where R
-    is reduction mod F: the derivation whose image of an atom a is
-    R(D_i a), applied to R(b) (`bt_apply` says why that is exact).  Only the
-    atoms of the basis are reduced, one image map per coordinate and call."""
-    def reduced_total(c: Coordinate) -> Image:
-        total = total_atoms(c, problem)
-        return derivation(lambda a: reduce_nf(total(a), pde, problem))
-
-    images = [reduced_total(c) for c in _xt(problem)]
-    return [[derive_nf(n, image) for image in images]
-            for n in (reduce_nf(nf(b), pde, problem) for b in basis)]
+    is reduction mod F: R o D_i (`symmetry.reduction`) applied to R(b)."""
+    _xt(problem)  # two coordinates, so totals are R o D_x and R o D_t
+    reduce, totals = reduction(pde, problem)
+    return [[derive_nf(reduce(nf(b)), d) for d in totals] for b in basis]
 
 
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     """Integrate the Backlund system for Phi' as an exact rational
-    combination of basis candidates satisfying both equations mod F.
-
-    The rows R(D_x b), R(D_t b) of each candidate b come from `bt_rows`:
-    the derivation whose image of an atom a is R(D_i a), applied to R(b).
-    That is exact: reduction mod F (R) is a ring homomorphism that vanishes
-    exactly on the differential ideal of F, and every D_i preserves that
-    ideal, so R(D_i b) = R(D_i R(b)); R(b) has parametric jets only, which
-    R fixes, so on it R o D_i is the derivation with image R(D_i a) on each
-    atom a.
+    combination of basis candidates satisfying both equations mod F, with
+    the rows R(D_x b), R(D_t b) of each candidate b from `bt_rows`.
 
     Constants of integration are fixed to zero.  None signals either that
     Phi fails the symmetry condition or that the integration lies outside

@@ -256,8 +256,9 @@ def inverse(e: Expr) -> Expr:
         return e.base
     if isinstance(e, Jet):
         if e.idx or not e.dep.invertible:
-            raise InversionError(
-                f"jet {e.dep.name}_{e.idx} is not declared invertible")
+            what = "a derivative of" if e.idx else "dependent"
+            raise InversionError(f"{what} {e.dep.name} is not declared "
+                                 "invertible")
         return Inv(e)
     if isinstance(e, CMat):
         if not e.invertible:

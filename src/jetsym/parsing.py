@@ -241,6 +241,9 @@ class _OperatorParser(Parser):
             elif isinstance(coord, Coord):
                 deriv.append(coord.coordinate.index)
                 self._advance()
+            elif name[:2] == "D_" and self.problem.dependent.name != "D":
+                raise ParseError(f"unknown coordinate {name[2:]!r}",
+                                 self.cur.pos)
             else:
                 (right if seen_f else left).append(self._factor())
             if not (self.cur.kind == "op" and self.cur.text == "*"):

@@ -3,13 +3,20 @@ constants of symmetry bases.
 
 "mod F" is realized through a solved form of the PDE, leading = rhs.  The
 principal jets are the leading jet and its derivatives; every other jet is
-parametric.  Each principal jet J has exactly one value R[J] in parametric
-jets: R[leading] = rhs, and R[J] = D_i R[J - i] with its principal jets
-replaced by their values, for a coordinate i in J - leading.  Each Pde
-keeps one table of these values per Problem, held as normal forms.
-Reducing a normal form (`reduce_nf`) fills the table for its principal
-jets and normalizes it once more with the table as the jet map of
-`normalize.nf`, which puts each value in place of its jet.
+parametric.  Reduction mod F (R) is the ring homomorphism that fixes the
+parametric jets and sends each principal jet J to its value R[J], which
+has parametric jets only.  It vanishes exactly on the differential ideal
+of F, which every D_i preserves, so R(D_i b) = R(D_i R(b)); R(b) has
+parametric jets only, so on it R o D_i is the derivation whose image of an
+atom a is R(D_i a).  Hence the one rule for the values,
+
+    R[leading] = rhs,   R[J] = (R o D_i) R[J - i]
+
+for a coordinate i in J - leading.  `reduction` gives R and every R o D_i
+for one call; each Pde keeps one table of the values per Problem, held as
+normal forms.  Reducing a normal form (`reduce_nf`) fills the table for
+its principal jets and normalizes it once with the table as the jet map
+of `normalize.nf`, which puts each value in place of its jet.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
@@ -26,12 +33,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
 from .core import Expr, Jet, JetsymError, MATRIX, Problem, Rat, as_expr, mul
-from .calculus import (Characteristic, bracket_characteristic, char_nf,
-                       derive_nf, jet_totals, total_images)
+from .calculus import (Characteristic, Image, bracket_characteristic,
+                       char_nf, derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import rank, solve
 from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
                         key_sort_key, nf, nf_jets, normal_form, rebuild,
@@ -59,10 +66,11 @@ class Pde:
     f: Expr
     leading: Jet
     rhs: Expr
-    # problem -> {principal multi-index: normal form of its value}, filled
-    # lazily by reduce_mod_pde and dropped with its problem; a value depends
-    # only on rhs, the coordinates and the potentials' gradients, which a
-    # Problem never changes; dataclasses.replace starts an empty table
+    # problem -> {principal multi-index J: normal form of R[J]}, filled by
+    # `reduction` as R[J] = (R o D_i) R[J - i] and dropped with its problem;
+    # a value depends only on rhs, the coordinates and the potentials'
+    # gradients, which a Problem never changes; dataclasses.replace starts
+    # an empty table
     table: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                      init=False, compare=False, hash=False,
                                      repr=False)
@@ -132,60 +140,59 @@ def _principal_jets(jets: set[Jet], pde: Pde) -> list[Jet]:
     return [j for j in jets if _is_principal(j, pde.leading)]
 
 
-def _fill_table(table: dict, idxs: list[tuple[int, ...]], pde: Pde,
-                problem: Problem) -> None:
-    """Enter the normal form of R[J] into `table` for every principal
-    multi-index J in `idxs` and every principal jet those values need, on
-    an explicit stack.
-    R[J] = D_i R[J - i] with its principal jets replaced, where i is a
-    coordinate of J - leading, preferring coordinates that occur less often
-    in the leading jet (D_x keeps u_x...x parametric when u_t leads)."""
+def reduction(pde: Pde, problem: Problem
+              ) -> tuple[Callable[[NF], NF], list[Image]]:
+    """The reduction mod F (R) as a context for one call: reduce(n) puts
+    each principal jet's value in place in the normal form n, and totals[i]
+    is R o D_i, the derivation whose image of an atom a is R(D_i a): the
+    value of u_(K+i) for a jet u_K, R(D_i X) for a potential X and D_i a
+    for any other atom.  Its image maps live as long as the context; the
+    values go into pde.table, which every call on this problem shares."""
     dep, lead = pde.leading.dep, pde.leading.idx
-    table.setdefault(lead, nf(pde.rhs))
-    derived: dict[tuple[int, ...], NF] = {}  # D_i R[J - i], not yet reduced
-    total = total_images(problem)
-    stack = list(idxs)
+    table = pde.table.setdefault(problem, {})
+    if lead not in table:
+        table[lead] = nf(pde.rhs)
+    busy: set[tuple[int, ...]] = set()  # entries being filled
 
-    def push(needed: list[tuple[int, ...]]) -> None:
-        for m in needed:
-            if m in derived:  # only a potential in rhs can lead back here
-                raise PdeError(f"the value of {render(Jet(dep, m), problem)}"
+    def value(idx: tuple[int, ...]) -> NF:
+        """R[J] = (R o D_i) R[J - i] for the principal multi-index J, filled
+        in a loop down J - i, J - i - i', ... to an entry in the table; i
+        is a coordinate of J - leading that occurs least often in the
+        leading jet (D_x keeps u_x...x parametric when u_t leads)."""
+        chain = []
+        while idx not in table:
+            if idx in busy:  # only a potential in rhs can lead back here
+                raise PdeError(f"the value of {render(Jet(dep, idx), problem)}"
                                " mod F depends on itself")
-        stack.extend(needed)
-
-    while stack:
-        idx = stack[-1]
-        if idx in table:
-            stack.pop()
-            continue
-        if idx not in derived:
+            busy.add(idx)
             extra = Counter(idx) - Counter(lead)
             i = min(extra, key=lambda c: (lead.count(c), c))
+            chain.append((idx, i))
             k = idx.index(i)
-            prev = idx[:k] + idx[k + 1:]
-            if prev not in table:
-                push([prev])
-                continue
-            derived[idx] = derive_nf(table[prev], total[i])
-        principal = _principal_jets(nf_jets(derived[idx]), pde)
-        missing = [j.idx for j in principal if j.idx not in table]
-        if missing:
-            push(missing)
-            continue
-        table[idx] = nf(rebuild(derived.pop(idx)),
-                        {j: table[j.idx] for j in principal})
-        stack.pop()
+            idx = idx[:k] + idx[k + 1:]
+        n = table[idx]
+        for idx, i in reversed(chain):
+            n = table[idx] = derive_nf(n, totals[i])
+            busy.discard(idx)
+        return n
+
+    def reduce(n: NF) -> NF:
+        principal = _principal_jets(nf_jets(n), pde)
+        if not principal:
+            return n
+        return nf(rebuild(n), {j: value(j.idx) for j in principal})
+
+    totals = [derivation(lambda a, total=total_atoms(c, problem):
+                         reduce(total(a))) for c in problem.coordinates]
+    return reduce, totals
 
 
 def reduce_nf(n: NF, pde: Pde, problem: Problem) -> NF:
     """The normal form n with every principal jet replaced by its value mod
     F, which contains parametric jets only."""
-    principal = _principal_jets(nf_jets(n), pde)
-    if not principal:
+    if not _principal_jets(nf_jets(n), pde):
         return n
-    table = pde.table.setdefault(problem, {})
-    _fill_table(table, [j.idx for j in principal], pde, problem)
-    return nf(rebuild(n), {j: table[j.idx] for j in principal})
+    return reduction(pde, problem)[0](n)
 
 
 def reduce_mod_pde(e: Expr, pde: Pde, problem: Problem) -> Expr:

@@ -184,6 +184,16 @@ def test_parse_roundtrip(runner):
     assert "2*u_xt" in r.output
 
 
+@pytest.mark.parametrize("pde,text,name", [("heat", "inv(u)", "u"),
+                                           ("chiral", "inv(g_x)", "g")])
+def test_inverse_errors_name_the_dependent(monkeypatch, capsys, pde, text,
+                                           name):
+    status, out = run_cli(monkeypatch, capsys, "--pde", pde, "reduce", text)
+    assert status == 2
+    assert out.err.startswith("error: ")
+    assert f" {name} " in out.err and "_(" not in out.err
+
+
 def test_parse_error_exit_two(runner):
     r = invoke(runner, "--pde", "heat", "parse", "u_x + %")
     assert code(r) == 2

@@ -169,6 +169,12 @@ def test_parse_operator_rejects_dangling_pieces(sp, text):
         parse_operator(text, sp)
 
 
+OPERATOR_ERRORS = {"D_x*F + x*D_y*F": "unknown coordinate 'y'",
+                   "F + (x + )*F": "unexpected token ')'",
+                   "2*F + F*F": "duplicate F in operator term",
+                   "x*F - (t*%)*F": "unexpected character '%'"}
+
+
 @pytest.mark.parametrize("text,pos", [("D_x*F + x*D_y*F", 10),
                                       ("F + (x + )*F", 9),
                                       ("2*F + F*F", 8),
@@ -177,6 +183,7 @@ def test_parse_operator_error_positions(sp, text, pos):
     with pytest.raises(ParseError) as exc:
         parse_operator(text, sp)
     assert exc.value.pos == pos
+    assert exc.value.message == OPERATOR_ERRORS[text]
 
 
 @pytest.mark.parametrize("pde,q", [("kdv", "u_x - 2*t*u_x + 2"),

@@ -187,3 +187,19 @@ def test_potential_that_leads_back_to_its_jet_is_an_error():
                    p.potential("X"), p)
     with pytest.raises(PdeError, match="u_xx mod F depends on itself"):
         reduce_mod_pde(p.jet("xx"), pde, p)
+
+
+@pytest.mark.parametrize("name,k", [("heat", 300), ("wave", 400),
+                                    ("wave", 1200)])
+def test_deep_principal_jets_reduce_on_a_cold_table(name, k):
+    # heat u_t = u_xx and wave u_tt = c^2 u_xx: u_t^k reduces to a single
+    # term through a chain of about k table entries; at k = 1200 the chain
+    # is longer than Python's default recursion limit of 1000 frames
+    entry = get_pde(name)
+    p = entry.problem
+    got = reduce_mod_pde(p.jet("t" * k), fresh_pde(entry), p)
+    if name == "heat":
+        want = p.jet("x" * 2 * k)
+    else:
+        want = mul(*[p.declared("c")] * k, p.jet("x" * k))
+    assert got == normal_form(want)
