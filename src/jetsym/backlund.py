@@ -13,7 +13,6 @@ nonlocal, characteristics Q' = g*Phi'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
@@ -79,8 +78,7 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             residual = _nf_add(derive_nf(grad[i], totals[j]),
-                               _nf_scale(derive_nf(grad[j], totals[i]),
-                                         Fraction(-1)))
+                               _nf_scale(derive_nf(grad[j], totals[i]), -1))
             if residual:
                 ci, cj = coords[i], coords[j]
                 raise PotentialError(

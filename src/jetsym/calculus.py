@@ -24,8 +24,8 @@ from typing import Callable
 from .core import (Base, CMat, Coord, Coordinate, Dependent, Expr, Fn,
                    FUNC_DERIVATIVES, Inv, Jet, KindError, NonlocalActionError,
                    Pot, Problem, Rat, SCALAR, Sym, as_expr, mul)
-from .normalize import (NF, _cancel_word, _merge_cmono, _nf_add, _nf_mul,
-                        _nf_scale, collect_jets, nf, normal_form, rebuild)
+from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_scale,
+                        collect_jets, nf, normal_form, rebuild)
 
 # image of a factor of a normal form under a derivation, as a normal form
 Image = Callable[[Expr], NF]
@@ -62,16 +62,15 @@ def derive_nf(n: NF, image: Image) -> NF:
             rest = cmono[:i] + ((a, e - 1),) + cmono[i + 1:] if e != 1 \
                 else cmono[:i] + cmono[i + 1:]
             for (dc, dw), dv in da.items():
-                put((_merge_cmono(rest, dc) if dc else rest,
-                     _cancel_word(dw + word) if dw else word), c * e * dv)
+                put((_merge_cmono(rest, dc), _join(dw, word)), c * e * dv)
         for i, f in enumerate(word):
             da = image(f)
             if not da:
                 continue
             left, right = word[:i], word[i + 1:]
             for (dc, dw), dv in da.items():
-                put((_merge_cmono(cmono, dc) if dc else cmono,
-                     _cancel_word(left + dw + right)), c * dv)
+                put((_merge_cmono(cmono, dc), _join(_join(left, dw), right)),
+                    c * dv)
     return out
 
 
@@ -89,7 +88,7 @@ def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> NF:
         if not db:
             return {}
         w = nf(f)
-        return _nf_scale(_nf_mul(_nf_mul(w, db), w), Fraction(-1))
+        return _nf_scale(_nf_mul(_nf_mul(w, db), w), -1)
     if isinstance(f, Fn):
         coeff, newname = FUNC_DERIVATIVES[f.fname]
         return _nf_mul({(((Fn(newname, f.arg), 1),), ()): coeff},
@@ -116,7 +115,7 @@ def total_atoms(coord: Coordinate, problem: Problem) -> Callable[[Expr], NF]:
     """The value of D_i on each atom, as a normal form."""
     def atom(a: Expr) -> NF:
         if isinstance(a, Coord):
-            return {((), ()): Fraction(1)} if a.coordinate == coord else {}
+            return {((), ()): 1} if a.coordinate == coord else {}
         if isinstance(a, Jet):
             return nf(Jet(a.dep, a.idx + (coord.index,)))
         if isinstance(a, Base):
@@ -192,8 +191,7 @@ def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,
     if Q1.dependent != Q2.dependent:
         raise KindError("bracket of characteristics over different dependents")
     q = _nf_add(char_nf(nf(as_expr(Q2.q)), Q1, problem),
-                _nf_scale(char_nf(nf(as_expr(Q1.q)), Q2, problem),
-                          Fraction(-1)))
+                _nf_scale(char_nf(nf(as_expr(Q1.q)), Q2, problem), -1))
     return Characteristic(f"[{Q1.name},{Q2.name}]", rebuild(q), Q1.dependent)
 
 
@@ -213,7 +211,7 @@ def scale_characteristic(Q: Characteristic, lam) -> Characteristic:
 def jet_partial(target: Jet) -> Image:
     """The image map of the formal partial derivative d/d(target): 1 on the
     jet atom `target`, 0 on every other atom."""
-    one = {((), ()): Fraction(1)}
+    one = {((), ()): 1}
     return derivation(lambda a: one if a == target else {})
 
 

@@ -49,13 +49,16 @@ class Session:
 
 
 def _emit(ctx, text_lines: list[str], **fields):
+    # every echo names its stream: for the default one, click caches a
+    # wrapper per sys.stdout that keeps a redirected buffer alive
     if ctx.obj["json"]:
         doc = {"command": ctx.command.name, "inputs": {}, "verdict": None,
                "remainder": None, "certificate": None, "values": {}}
-        click.echo(json.dumps({**doc, **fields}, sort_keys=True))
+        click.echo(json.dumps({**doc, **fields}, sort_keys=True),
+                   file=sys.stdout)
     else:
         for line in text_lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 def _session(ctx) -> Session:
@@ -297,7 +300,7 @@ def cmd_batch(ctx, path):
             try:
                 args = base + shlex.split(line)
             except ValueError as exc:  # unbalanced quotes
-                click.echo(f"error: line {lineno}: {exc}", err=True)
+                click.echo(f"error: line {lineno}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
             try:
@@ -311,7 +314,7 @@ def cmd_batch(ctx, path):
             except (click.UsageError, JetsymError) as exc:
                 msg = (exc.format_message()
                        if isinstance(exc, click.UsageError) else str(exc))
-                click.echo(f"error: line {lineno}: {msg}", err=True)
+                click.echo(f"error: line {lineno}: {msg}", file=sys.stderr)
                 failures += 1
     ctx.exit(1 if failures else 0)
 
@@ -323,10 +326,10 @@ def run():  # console entry point with error-to-exit-code-2 mapping
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         sys.exit(2)
     except JetsymError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     except click.Abort:
         sys.exit(2)

@@ -4,11 +4,23 @@ Expressions are sums of products of alternating base-space factors (functions
 of the coordinates) and fiber factors (the dependent and its derivative
 coordinates).  Products are order-preserving: matrix-class factors commute
 with nothing except scalar-class factors.
+
+Atoms (coordinates, constants, jets, base functions, constant matrices,
+potentials, inverses and analytic-function applications) are interned, that
+is hash-consed: building an atom looks its class and its field values up in
+one table and returns the object already there, so equal atoms are one
+object, and atoms hash and compare by identity.  Each atom carries its
+`expr_key` as `key`.  The table is a plain dict that is never emptied: it
+holds one entry per distinct atom built in the process, bounded by the
+declared names, the jet orders reached and the analytic-function arguments
+met (a whole verdict-stream benchmark run builds 48).  Rat, Add, Mul and
+Comm stay value nodes, compared and hashed by their fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 SCALAR = "scalar"
@@ -55,7 +67,7 @@ class Dependent:
 class Expr:
     """Base class of all expression nodes.  Instances are immutable."""
 
-    __hash__ = None  # subclasses are frozen dataclasses and define it
+    __hash__ = None  # value nodes hash by their fields, atoms by identity
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -88,20 +100,64 @@ class Rat(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
-class Sym(Expr):
+#: (atom class, field values) -> the one atom with those values
+_ATOMS: dict[tuple, "Atom"] = {}
+
+
+class _Interned(type):
+    """Metaclass of the atoms: calling an atom class returns the atom
+    already in the table under its class and field values (after
+    __post_init__), and enters the new one, with its key, otherwise."""
+
+    def __call__(cls, *args, **kwargs):
+        atom = super().__call__(*args, **kwargs)
+        entry = (cls, cls._values(atom))
+        found = _ATOMS.get(entry)
+        if found is None:
+            object.__setattr__(atom, "key", _atom_key(atom))
+            found = _ATOMS[entry] = atom
+        return found
+
+
+class Atom(Expr, metaclass=_Interned):
+    """An interned leaf of the expression tree (or an inverse or analytic
+    function of one expression), hashed and compared by identity."""
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    key: tuple  # expr_key(self), set once when the atom is interned
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):  # unpickling interns again
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def _atom(cls):
+    """Make an atom class a frozen dataclass compared by identity."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._values = attrgetter(*cls.__match_args__)
+    return cls
+
+
+@_atom
+class Sym(Atom):
     """Declared opaque commuting constant symbol (c, lambda, ...)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Coord(Expr):
+@_atom
+class Coord(Atom):
     coordinate: Coordinate
 
 
-@dataclass(frozen=True)
-class Jet(Expr):
+@_atom
+class Jet(Atom):
     """Derivative coordinate u_J; idx is the sorted multi-index of coordinate
     indices (empty for the dependent itself)."""
 
@@ -116,8 +172,8 @@ class Jet(Expr):
         return len(self.idx)
 
 
-@dataclass(frozen=True)
-class Base(Expr):
+@_atom
+class Base(Atom):
     """Base-space function a(x^k).  `partials` is the sorted multi-index of
     accumulated partial derivatives."""
 
@@ -129,16 +185,16 @@ class Base(Expr):
         object.__setattr__(self, "partials", tuple(sorted(self.partials)))
 
 
-@dataclass(frozen=True)
-class CMat(Expr):
+@_atom
+class CMat(Atom):
     """Constant matrix of symbolic dimension."""
 
     name: str
     invertible: bool = False
 
 
-@dataclass(frozen=True)
-class Pot(Expr):
+@_atom
+class Pot(Atom):
     """Nonlocal potential atom; its gradient lives in the problem registry."""
 
     name: str
@@ -155,8 +211,8 @@ class Mul(Expr):
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class Inv(Expr):
+@_atom
+class Inv(Atom):
     base: Expr
 
 
@@ -166,8 +222,8 @@ class Comm(Expr):
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class Fn(Expr):
+@_atom
+class Fn(Atom):
     """Analytic scalar function applied to a scalar argument."""
 
     fname: str
@@ -179,9 +235,9 @@ ONE = Rat(Fraction(1))
 
 #: derivative rules for analytic scalar functions: name -> (coeff, new name)
 FUNC_DERIVATIVES = {
-    "sin": (Fraction(1), "cos"),
-    "cos": (Fraction(-1), "sin"),
-    "exp": (Fraction(1), "exp"),
+    "sin": (1, "cos"),
+    "cos": (-1, "sin"),
+    "exp": (1, "exp"),
 }
 
 
@@ -314,10 +370,24 @@ def expr_key(e: Expr) -> tuple:
 
     Atoms rank: coordinates < constants < jets (by order, then multi-index)
     < base functions < analytic functions < constant matrices < potentials;
-    an inverse sorts directly after the atom it inverts.
+    an inverse sorts directly after the atom it inverts.  An atom's key is
+    the one it was interned with.
     """
+    if isinstance(e, Atom):
+        return e.key
     if isinstance(e, Rat):
         return (0, e.value.numerator, e.value.denominator)
+    if isinstance(e, Mul):
+        return (8, tuple(expr_key(f) for f in e.factors))
+    if isinstance(e, Add):
+        return (9, tuple(expr_key(t) for t in e.terms))
+    if isinstance(e, Comm):
+        return (10, expr_key(e.lhs), expr_key(e.rhs))
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _atom_key(e: Atom) -> tuple:
+    """The key of a new atom, in the rank order that `expr_key` states."""
     if isinstance(e, Coord):
         return (1, e.coordinate.index)
     if isinstance(e, Sym):
@@ -332,15 +402,7 @@ def expr_key(e: Expr) -> tuple:
         return (6, e.name)
     if isinstance(e, Pot):
         return (7, e.name)
-    if isinstance(e, Inv):
-        return expr_key(e.base) + (("inv",),)
-    if isinstance(e, Mul):
-        return (8, tuple(expr_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (9, tuple(expr_key(t) for t in e.terms))
-    if isinstance(e, Comm):
-        return (10, expr_key(e.lhs), expr_key(e.rhs))
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return expr_key(e.base) + (("inv",),)  # Inv
 
 
 @dataclass

@@ -1,18 +1,34 @@
 """Exact rational elimination over sparse columns (no pivot tolerances: no
 floats).
 
-A column is a dict from row key to a nonzero Fraction; keys need only be
-hashable.  Columns are taken in order, and each is reduced against the
-pivots found before it.  A nonzero remainder makes it a pivot, so the pivot
-columns are exactly the columns independent of the columns before them,
-whatever the row order and whichever key is chosen as a pivot.
+A column is a dict from row key to a nonzero rational, an `int` or a
+`Fraction` (normal-form coefficients are ints while they are integral);
+keys need only be hashable.  Columns are taken in order, and each is
+reduced against the pivots found before it.  A nonzero remainder makes it
+a pivot, so the pivot columns are exactly the columns independent of the
+columns before them, whatever the row order and whichever key is chosen as
+a pivot.
+
+Entries stay ints while elimination keeps them integral.  Every quotient
+goes through `_div`, which gives an int when the division is exact and a
+Fraction otherwise, never through int / int, which would give a float.
+`solve` returns Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Union
 
-Column = dict[Hashable, Fraction]
+Rational = Union[int, Fraction]
+Column = dict[Hashable, Rational]
+
+
+def _div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly: an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b  # one side is a Fraction, so the quotient is one too
 
 
 def _renumber(columns: list[Column]) -> list[Column]:
@@ -24,7 +40,7 @@ def _renumber(columns: list[Column]) -> list[Column]:
 
 
 def _eliminate(columns: list[Column]
-               ) -> list[tuple[dict[int, Fraction], Optional[Fraction]]]:
+               ) -> list[tuple[dict[int, Rational], Optional[Rational]]]:
     """Greedy column echelon form.  Pivot i is 1 at its key and 0 at the key
     of every pivot before it.  For each column, (factors, scale) with
 
@@ -36,8 +52,8 @@ def _eliminate(columns: list[Column]
     pivots: list[Column] = []
     out = []
     for column in columns:
-        rest = {k: Fraction(v) for k, v in column.items() if v}
-        factors: dict[int, Fraction] = {}
+        rest = {k: v for k, v in column.items() if v}
+        factors: dict[int, Rational] = {}
         for i, key in enumerate(keys):
             f = rest.get(key)
             if not f:
@@ -54,7 +70,7 @@ def _eliminate(columns: list[Column]
             key = next(iter(rest))
             scale = rest[key]
             keys.append(key)
-            pivots.append({k: v / scale for k, v in rest.items()})
+            pivots.append({k: _div(v, scale) for k, v in rest.items()})
         out.append((factors, scale))
     return out
 
@@ -71,16 +87,16 @@ def solve(columns: list[Column], target: Column) -> Optional[list[Fraction]]:
     pivot_steps = [(j, scale, factors)
                    for j, (factors, scale) in enumerate(steps)
                    if scale is not None]
-    x = [Fraction(0)] * len(steps)
+    x: list[Rational] = [0] * len(steps)
     for i in range(len(pivot_steps) - 1, -1, -1):
         j, scale, factors = pivot_steps[i]
         c = coeffs.pop(i, 0)
         if not c:
             continue
-        x[j] = c / scale
+        x[j] = _div(c, scale)
         for p, f in factors.items():
             coeffs[p] = coeffs.get(p, 0) - x[j] * f
-    return x
+    return [Fraction(v) for v in x]
 
 
 def rank(columns: list[Column]) -> int:

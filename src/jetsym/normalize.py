@@ -1,12 +1,16 @@
 """Canonical form for noncommutative jet-space expressions.
 
 A normal form is a sum of terms (rational coefficient, commuting monomial,
-noncommutative word).  The commuting monomial collects scalar-class atoms
-with integer exponents; the word is the ordered tuple of matrix-class
-factors.  Rewrites applied: distribute products over sums, flatten, extract
-scalars, cancel adjacent w*inv(w) pairs, expand commutators, collect like
-terms.  Commutators between scalar-class expressions therefore collapse to
-zero, and fully commuting words reorder into the canonical monomial.
+noncommutative word).  A coefficient is an `int` while it is integral and
+a `Fraction` otherwise (an integral value that arithmetic with a Fraction
+produced may stay a Fraction); it is never a float, and the two compare
+and hash alike.  The commuting monomial collects scalar-class atoms with
+integer exponents, sorted by their `key`; the word is the ordered tuple of
+matrix-class factors.  Atoms are interned, so term keys hash by identity.
+Rewrites applied: distribute products over sums, flatten, extract scalars,
+cancel adjacent w*inv(w) pairs, expand commutators, collect like terms.
+Commutators between scalar-class expressions therefore collapse to zero,
+and fully commuting words reorder into the canonical monomial.
 
 The normaliser is also the one walk that substitutes: `nf(e, values)` takes
 a map from jets to normal forms and uses the mapped normal form for each
@@ -17,14 +21,16 @@ value is never normalized again.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, InversionError,
                    Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO, children,
                    expr_key, inverse, is_commuting_atom)
 
-# cmono: tuple[(atom, int exponent)] sorted by expr_key; word: tuple[factor]
+# cmono: tuple[(atom, int exponent)] sorted by atom.key; word: tuple[factor]
 Key = tuple[tuple, tuple]
-NF = dict[Key, Fraction]
+Coeff = Union[int, Fraction]
+NF = dict[Key, Coeff]
 
 #: most terms a product may form, as the product of its factors' term counts
 MAX_TERMS = 250_000
@@ -34,28 +40,43 @@ class TermBudgetError(JetsymError):
     """A product of normal forms would exceed MAX_TERMS terms."""
 
 
+def _atom_order(item: tuple) -> tuple:
+    return item[0].key
+
+
 def _merge_cmono(a: tuple, b: tuple) -> tuple:
-    exps: dict[Expr, Fraction] = {}
-    order: dict[Expr, tuple] = {}
-    for atom, e in a + b:
-        exps[atom] = exps.get(atom, 0) + e
-        order.setdefault(atom, expr_key(atom))
-    items = [(atom, e) for atom, e in exps.items() if e != 0]
-    items.sort(key=lambda it: order[it[0]])
-    return tuple(items)
-
-
-def _cancel_word(word: tuple) -> tuple:
-    """The reduced word: one stack pass, since w*inv(w) -> 1 is confluent."""
-    kept: list = []
-    for b in word:
-        a = kept[-1] if kept else None
-        if (isinstance(a, Inv) and a.base == b) or \
-           (isinstance(b, Inv) and b.base == a):
-            kept.pop()
+    """The product of two commuting monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for atom, e in b:
+        s = exps.get(atom, 0) + e
+        if s:
+            exps[atom] = s
         else:
-            kept.append(b)
-    return tuple(kept)
+            del exps[atom]
+    return tuple(sorted(exps.items(), key=_atom_order))
+
+
+def _inverse_pair(a: Expr, b: Expr) -> bool:
+    """True when a*b is w*inv(w) or inv(w)*w (atoms are interned)."""
+    return (type(a) is Inv and a.base is b) or (type(b) is Inv and b.base is a)
+
+
+def _join(u: tuple, v: tuple) -> tuple:
+    """The reduced word of u*v for reduced words u and v (every word of a
+    normal form is reduced): w*inv(w) -> 1 is confluent, so pairs cancel
+    only where the two meet."""
+    if not u:
+        return v
+    if not v:
+        return u
+    i, n = 0, min(len(u), len(v))
+    while i < n and _inverse_pair(u[-1 - i], v[i]):
+        i += 1
+    return u[:len(u) - i] + v[i:] if i else u + v
 
 
 def _nf_add(a: NF, b: NF) -> NF:
@@ -69,7 +90,7 @@ def _nf_add(a: NF, b: NF) -> NF:
     return a
 
 
-def _nf_scale(a: NF, c: Fraction) -> NF:
+def _nf_scale(a: NF, c: Coeff) -> NF:
     if c == 0:
         return {}
     return {k: v * c for k, v in a.items()}
@@ -82,7 +103,7 @@ def _nf_mul(a: NF, b: NF) -> NF:
     out: NF = {}
     for (ca, wa), va in a.items():
         for (cb, wb), vb in b.items():
-            key = (_merge_cmono(ca, cb), _cancel_word(wa + wb))
+            key = (_merge_cmono(ca, cb), _join(wa, wb))
             s = out.get(key, 0) + va * vb
             if s:
                 out[key] = s
@@ -93,8 +114,8 @@ def _nf_mul(a: NF, b: NF) -> NF:
 
 def _atom_nf(atom: Expr, exp: int = 1) -> NF:
     if is_commuting_atom(atom):
-        return {(((atom, exp),), ()): Fraction(1)}
-    return {((), (atom,)): Fraction(1)}
+        return {(((atom, exp),), ()): 1}
+    return {((), (atom,)): 1}
 
 
 def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
@@ -103,7 +124,10 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
     and commutators included).  The returned dict may be a value of
     `values`; no caller mutates a normal form."""
     if isinstance(e, Rat):
-        return {((), ()): e.value} if e.value else {}
+        v = e.value
+        if not v:
+            return {}
+        return {((), ()): v.numerator if v.denominator == 1 else v}
     if isinstance(e, Jet):
         if values is not None and e in values:
             return values[e]
@@ -118,7 +142,7 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
             _nf_add(out, nf(t, values))
         return out
     if isinstance(e, Mul):
-        out = {((), ()): Fraction(1)}
+        out = {((), ()): 1}
         for f in e.factors:
             out = _nf_mul(out, nf(f, values))
         return out
@@ -137,8 +161,7 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
         return _atom_nf(e)  # matrix atom inverse: opaque word factor
     if isinstance(e, Comm):
         lhs, rhs = nf(e.lhs, values), nf(e.rhs, values)
-        return _nf_add(_nf_mul(lhs, rhs), _nf_scale(_nf_mul(rhs, lhs),
-                                                     Fraction(-1)))
+        return _nf_add(_nf_mul(lhs, rhs), _nf_scale(_nf_mul(rhs, lhs), -1))
     raise TypeError(f"cannot normalize node {type(e).__name__}")
 
 

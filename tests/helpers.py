@@ -1,9 +1,11 @@
 """Shared fixtures: sample problems and a seeded random expression builder
 used by both the hypothesis strategies and the acceptance property loops;
 reference substitution and reduction that share no code with the engine's
-jet map (`normalize.nf(e, values)`); and reference total and
-characteristic derivatives that walk the expression tree instead of
-acting on normal forms (`calculus.derive_nf`)."""
+jet map (`normalize.nf(e, values)`); reference total and characteristic
+derivatives that walk the expression tree instead of acting on normal
+forms (`calculus.derive_nf`); the order key computed by a walk over the
+tree, for the key each interned atom carries; and a dense elimination in
+Fractions only, for `linsolve`."""
 from __future__ import annotations
 
 from collections import Counter
@@ -190,3 +192,76 @@ def reference_char(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
         return images[Q.name]
 
     return normal_form(_reference_derive(as_expr(e), atom))
+
+
+def reference_expr_key(e: Expr) -> tuple:
+    """The order key of e by a walk over the whole tree: the reference for
+    the key an atom is interned with (`core.expr_key`)."""
+    if isinstance(e, Rat):
+        return (0, e.value.numerator, e.value.denominator)
+    if isinstance(e, Coord):
+        return (1, e.coordinate.index)
+    if isinstance(e, Sym):
+        return (2, e.name)
+    if isinstance(e, Jet):
+        return (3, e.dep.name, len(e.idx), e.idx)
+    if isinstance(e, Base):
+        return (4, e.name, e.partials)
+    if isinstance(e, Fn):
+        return (5, e.fname, reference_expr_key(e.arg))
+    if isinstance(e, CMat):
+        return (6, e.name)
+    if isinstance(e, Pot):
+        return (7, e.name)
+    if isinstance(e, Inv):
+        return reference_expr_key(e.base) + (("inv",),)
+    if isinstance(e, Mul):
+        return (8, tuple(reference_expr_key(f) for f in e.factors))
+    if isinstance(e, Add):
+        return (9, tuple(reference_expr_key(t) for t in e.terms))
+    if isinstance(e, Comm):
+        return (10, reference_expr_key(e.lhs), reference_expr_key(e.rhs))
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _reference_echelon(columns: list[dict], rows: list
+                       ) -> tuple[list[list[Fraction]], list[int]]:
+    """Dense reduced row echelon form, in Fractions only, of the matrix
+    whose j-th column is columns[j] over `rows`; and its pivot columns."""
+    m = [[Fraction(c.get(r, 0)) for c in columns] for r in rows]
+    pivots: list[int] = []
+    for j in range(len(columns)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][j] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(j)
+    return m, pivots
+
+
+def reference_solve(columns: list[dict], target: dict):
+    """The solution of sum_j x[j] * columns[j] = target with x[j] = 0 for
+    every column that depends on the columns before it, by dense
+    Gauss-Jordan elimination in Fractions; None when inconsistent: the
+    reference for `linsolve.solve`."""
+    rows = list(dict.fromkeys(k for c in (*columns, target) for k in c))
+    m, pivots = _reference_echelon([*columns, target], rows)
+    if len(columns) in pivots:
+        return None
+    x = [Fraction(0)] * len(columns)
+    for r, j in enumerate(pivots):
+        x[j] = m[r][-1]
+    return x
+
+
+def reference_rank(columns: list[dict]) -> int:
+    """The rank by dense elimination in Fractions: the reference for
+    `linsolve.rank`."""
+    rows = list(dict.fromkeys(k for c in columns for k in c))
+    return len(_reference_echelon(columns, rows)[1])

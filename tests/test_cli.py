@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import sys
+import weakref
 
 import click
 from click.testing import CliRunner
@@ -384,3 +388,30 @@ def test_batch_blowup_line_fails_on_its_own(runner, tmp_path, monkeypatch):
     assert code(r) == 1
     assert r.stderr.startswith("error: line 1: a product of ")
     assert "verdict: Symmetry" in r.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--pde", "kdv", "check", "--q", "q1"],
+    ["--json", "--pde", "heat", "reduce", "u_tt"],
+    ["batch"],  # its error lines go to stderr
+], ids=["text", "json", "batch"])
+def test_in_process_cli_keeps_no_stream_alive(args, tmp_path):
+    """Embedding the CLI with redirected stdout and stderr (as `batch` and
+    perfbench do) must not keep the redirected buffers alive after they
+    are dropped."""
+    if args == ["batch"]:
+        path = tmp_path / "lines"
+        path.write_text('--pde heat reduce u_t\n--pde heat reduce "inv(u)"\n')
+        args = ["batch", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    refs = weakref.ref(out), weakref.ref(err)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=args, standalone_mode=False, prog_name="jetsym")
+        except click.exceptions.Exit:
+            pass
+    assert out.getvalue()
+    assert bool(err.getvalue()) == (args[0] == "batch")
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

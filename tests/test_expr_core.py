@@ -1,11 +1,16 @@
+import copy
 import dataclasses
+import pickle
 from itertools import permutations
 
 import pytest
 
 from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
                     is_zero, mk_jet, normal_form, parse_expr)
-from jetsym.core import DeclarationError, InversionError, Jet, KindError, func
+from jetsym.core import (Atom, Base, DeclarationError, Fn, Inv, InversionError,
+                         Jet, KindError, expr_key, func)
+
+from helpers import reference_expr_key
 
 
 def test_jet_indices_canonicalize(sp):
@@ -136,3 +141,57 @@ def test_a_potential_may_not_reuse_a_declared_name(name):
         p.register_potential(PotentialDef(name, gradient))
     assert parse_expr(name, p) == declared
     assert list(p.potentials) == ["X"]
+
+
+def every_kind_of_atom(p: Problem) -> list:
+    """One atom of each class in a chiral-shaped problem with a potential,
+    nested function arguments and inverses included."""
+    p.register_potential(PotentialDef("X", {"x": p.jet("t"),
+                                            "t": p.jet("x")}))
+    x, t, c = p.coord("x"), p.coord("t"), p.const("c")
+    return [x, t, c, p.u, p.jet("xt"), p.jet("ttx"), p.base("f"),
+            Base("f", True, (1, 0)), p.cmat("M"), p.potential("X"),
+            inverse(p.u), Fn("sin", c * x + 1), func("exp", x * t - 2),
+            Fn("cos", Fn("sin", t) * x)]
+
+
+def test_equal_atoms_are_one_object():
+    dep = Dependent("u")
+    assert Jet(dep, (1, 0)) is Jet(dep, (0, 1))
+    assert Jet(Dependent("u"), (0, 0, 1)) is mk_jet(dep, [1, 0, 0])
+    assert Base("f", False, (1, 0)) is Base("f", partials=(0, 1))
+    p = chiral_shaped()
+    assert Inv(p.u) is inverse(p.u)
+    assert Fn("sin", p.coord("x") + 1) is func("sin", p.coord("x") + 1)
+    assert Jet(dep) is not Jet(Dependent("u", invertible=True))
+
+
+def test_atoms_of_two_equal_problems_are_the_same_objects():
+    a, b = every_kind_of_atom(chiral_shaped()), every_kind_of_atom(
+        chiral_shaped())
+    assert all(x is y for x, y in zip(a, b))
+    assert len({id(x) for x in a}) == len(a)  # distinct atoms stay distinct
+
+
+def test_atoms_hash_and_compare_by_identity():
+    for atom in every_kind_of_atom(chiral_shaped()):
+        assert isinstance(atom, Atom)
+        assert hash(atom) == object.__hash__(atom)
+        assert atom == atom and not atom != atom
+
+
+def test_copy_deepcopy_and_pickle_return_the_same_atom():
+    atoms = every_kind_of_atom(chiral_shaped())
+    for atom in atoms:
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+    tree = atoms[4] * atoms[8] + inverse(atoms[3])
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert copy.deepcopy(tree) == tree
+
+
+def test_the_cached_key_is_the_tree_walk_key():
+    for atom in every_kind_of_atom(chiral_shaped()):
+        assert atom.key == reference_expr_key(atom)
+        assert expr_key(atom) is atom.key

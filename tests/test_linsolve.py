@@ -8,6 +8,8 @@ import pytest
 
 from jetsym.linsolve import rank, solve
 
+from helpers import reference_rank, reference_solve
+
 sympy = pytest.importorskip("sympy")
 
 CASES = 300
@@ -98,3 +100,39 @@ def test_solution_is_exact():
     cols = [{"a": Fraction(3), "b": Fraction(1)}, {"a": Fraction(1)}]
     assert solve(cols, {"a": Fraction(1), "b": Fraction(1, 3)}) == [
         Fraction(1, 3), Fraction(0)]
+
+
+def test_integer_system_with_a_fractional_solution():
+    """Integer entries, as normal forms give them, whose solution is not
+    integral: 2a + b = 1, a + 3b = 0."""
+    cols, target = [{0: 2, 1: 1}, {0: 1, 1: 3}], {0: 1}
+    x = solve(cols, target)
+    assert x == reference_solve(cols, target) == [Fraction(3, 5),
+                                                  Fraction(-1, 5)]
+    assert all(type(v) is Fraction for v in x)
+    assert rank(cols) == reference_rank(cols) == 2
+    assert solve(cols, {0: 4, 1: 7}) == [1, 2]
+    assert all(type(v) is Fraction for v in solve(cols, {0: 4, 1: 7}))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_integer_systems_match_the_fraction_only_elimination(seed):
+    """Seeded integer systems, with dependent columns and pivots other than
+    +-1, against a dense elimination that uses Fractions only."""
+    rng = Random(seed)
+    keys = list(range(rng.randint(1, 6)))
+    cols: list[dict] = []
+    for _ in range(rng.randint(1, 6)):
+        if cols and rng.random() < 0.3:
+            a, b = rng.choice(cols), rng.choice(cols)
+            col = {k: 2 * a.get(k, 0) - 3 * b.get(k, 0) for k in keys}
+        else:
+            col = {k: rng.randint(-6, 6)
+                   for k in rng.sample(keys, min(2, len(keys)))}
+        cols.append({k: v for k, v in col.items() if v})
+    target = {k: rng.randint(-6, 6) for k in keys}
+    target = {k: v for k, v in target.items() if v}
+    x = solve(cols, target)
+    assert x == reference_solve(cols, target), seed
+    assert x is None or all(type(v) is Fraction for v in x)
+    assert rank(cols) == reference_rank(cols)

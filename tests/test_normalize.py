@@ -4,14 +4,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from jetsym import (commutator, inverse, is_zero, normal_form, parse_expr,
-                    substitute)
+from fractions import Fraction
+
+from jetsym import (commutator, get_pde, inverse, is_zero, normal_form,
+                    parse_expr, substitute)
+from jetsym.calculus import char_nf, jet_totals
 from jetsym.core import Comm, Fn, Inv, InversionError, Rat, children, rat
-from jetsym.normalize import _cancel_word, collect_jets
+from jetsym.normalize import _join, _nf_mul, collect_jets, nf
+from jetsym.symmetry import reduce_nf
 
 from conftest import seeded_exprs
-from helpers import (matrix_problem, random_expr, reference_substitute,
-                     scalar_problem)
+from helpers import (matrix_problem, random_characteristic, random_expr,
+                     reference_substitute, scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -26,9 +30,10 @@ def test_inverse_cancellation_cascades(mp):
     A, B, u = mp.cmat("A"), mp.cmat("B"), mp.u
     assert normal_form(B * u * inverse(u) * inverse(B) * A) == A
     assert normal_form(inverse(u) * u * inverse(u)) == inverse(u)
-    # the whole word at once, where one cancellation exposes the next
-    assert _cancel_word((B, u, inverse(u), inverse(B), A)) == (A,)
-    assert _cancel_word((inverse(u), u, inverse(u))) == (inverse(u),)
+    # two reduced words, where one cancellation exposes the next
+    assert _join((B, u), (inverse(u), inverse(B), A)) == (A,)
+    assert _join((inverse(u),), (u, inverse(B))) == (inverse(B),)
+    assert _join((A, u), (inverse(u),)) == (A,)
 
 
 def _cancels(a, b) -> bool:
@@ -47,12 +52,27 @@ def reference_cancel_word(word: tuple) -> tuple:
 
 
 def test_cancel_word_matches_repeated_pair_deletion(mp):
+    """Any word, reduced by joining its letters one at a time."""
     u, A, B = mp.u, mp.cmat("A"), mp.cmat("B")
     letters = [u, inverse(u), A, B, inverse(B)]
     for seed in range(400):
         rng = Random(seed)
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
-        assert _cancel_word(word) == reference_cancel_word(word), word
+        reduced = ()
+        for letter in word:
+            reduced = _join(reduced, (letter,))
+        assert reduced == reference_cancel_word(word), word
+
+
+def test_join_of_reduced_words_matches_repeated_pair_deletion(mp):
+    u, A, B = mp.u, mp.cmat("A"), mp.cmat("B")
+    letters = [u, inverse(u), A, B, inverse(B)]
+    for seed in range(400):
+        rng = Random(seed)
+        left, right = (reference_cancel_word(tuple(
+            rng.choice(letters) for _ in range(rng.randint(0, 8))))
+            for _ in range(2))
+        assert _join(left, right) == reference_cancel_word(left + right)
 
 
 def test_like_terms_collect(sp):
@@ -181,3 +201,29 @@ def test_inverse_cancellation_random(e):
 @given(seeded_exprs(MP, depth=3), seeded_exprs(MP, depth=3))
 def test_commutator_antisymmetry(a, b):
     assert is_zero(commutator(a, b) + commutator(b, a))
+
+
+def test_an_integral_rational_normalizes_to_an_int():
+    assert nf(Rat(Fraction(4, 2))) == {((), ()): 2}
+    assert type(nf(Rat(Fraction(-3)))[((), ())]) is int
+    assert type(nf(Rat(Fraction(1, 2)))[((), ())]) is Fraction
+    assert nf(Rat(Fraction(0))) == {}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_no_coefficient_is_ever_a_float(seed):
+    """Normal forms, their products, D_i, D_Q and reduction mod F keep
+    every coefficient an int or a Fraction, for random expressions with
+    integral and non-integral rational coefficients."""
+    rng = Random(seed)
+    wave = get_pde("wave")
+    for p, pde in ((SP, None), (MP, None), (wave.problem, wave.pde)):
+        scalar = p.dependent.kind == "scalar"
+        n = nf(random_expr(rng, p, 4, scalar_only=scalar))
+        q = random_characteristic(rng, p, 2)
+        forms = [n, _nf_mul(n, nf(random_expr(rng, p, 2, scalar))),
+                 jet_totals(n, p)((0, 1)), char_nf(n, q, p)]
+        if pde is not None:
+            forms += [reduce_nf(f, pde, p) for f in forms]
+        for f in forms:
+            assert {type(v) for v in f.values()} <= {int, Fraction}, seed

@@ -5,6 +5,9 @@ polynomials.  The sympy side shares no code with the engine's derivation:
 jets are plain symbols and
 
     D_i f = df/dx^i + sum_J u_{J+i} df/du_J,    D_Q f = sum_J (D_J Q) df/du_J.
+
+normal_form itself is checked against sympy.expand on products and sums
+with integral and non-integral rational coefficients and inv(u).
 """
 from fractions import Fraction
 from random import Random
@@ -12,9 +15,9 @@ from random import Random
 import pytest
 
 from jetsym import (Characteristic, Dependent, Problem, add, char_derivative,
-                    func, mul, total_derivative)
+                    func, inverse, mul, normal_form, total_derivative)
 from jetsym.calculus import formal_jet_partial
-from jetsym.core import Add, Coord, Fn, Jet, Mul, Rat
+from jetsym.core import Add, Coord, Fn, Inv, Jet, Mul, Rat
 
 sympy = pytest.importorskip("sympy")
 
@@ -51,6 +54,8 @@ def to_sympy(e):
         return sympy.Mul(*(to_sympy(f) for f in e.factors))
     if isinstance(e, Fn):
         return getattr(sympy, e.fname)(to_sympy(e.arg))
+    if isinstance(e, Inv):
+        return 1 / to_sympy(e.base)
     raise TypeError(type(e).__name__)
 
 
@@ -124,3 +129,46 @@ def test_formal_jet_partial_matches_sympy(seed):
         if isinstance(j, Jet):
             assert _same(formal_jet_partial(e, j),
                          sympy.diff(f, _jet(j.idx))), (seed, j.idx)
+
+
+# the same coordinates and jet names, with u declared nonzero for inv(u)
+PI = Problem(coords=["x", "t"], dependent=Dependent("u", invertible=True))
+
+
+def random_rational_product(rng: Random):
+    """A sum of products of sums whose leaves are coordinates, jets and
+    inv(u) with integral or non-integral rational coefficients, and at
+    times sin or exp of a monomial plus a constant (sympy would evaluate a
+    function of a constant, and the engine keeps it an atom)."""
+    jets = [PI.coord("x"), PI.coord("t")] + [
+        PI.jet(s) for s in ("", "x", "t", "xt")]
+    leaves = jets + [inverse(PI.u)]
+
+    def coefficient(lo=-6):
+        return Rat(Fraction(rng.randint(lo, 6), rng.choice([1, 1, 2, 3, 4])))
+
+    def summand():
+        return mul(coefficient(), *(rng.choice(leaves)
+                                    for _ in range(rng.randint(0, 3))))
+
+    def factor():
+        if rng.random() < 0.2:
+            arg = mul(coefficient(1), *(rng.choice(jets)
+                                        for _ in range(rng.randint(1, 2))))
+            return func(rng.choice(["sin", "exp"]), add(arg, coefficient()))
+        return add(*(summand() for _ in range(rng.randint(1, 3))))
+
+    return add(*(mul(*(factor() for _ in range(rng.randint(1, 3))))
+                 for _ in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_normal_form_matches_sympy(seed):
+    e = random_rational_product(Random(2 * 10**6 + seed))
+    n = normal_form(e)
+    assert sympy.expand(to_sympy(n) - to_sympy(e)) == 0, seed
+    # like terms collected: one term per monomial, as in sympy's expansion
+    want = sympy.expand(to_sympy(e))
+    terms = len(n.terms) if isinstance(n, Add) else int(n != Rat(0))
+    assert terms == (len(want.args) if isinstance(want, sympy.Add)
+                     else int(want != 0)), seed
