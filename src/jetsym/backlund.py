@@ -13,14 +13,16 @@ nonlocal, characteristics Q' = g*Phi'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
-                   inverse, mul, neg)
-from .calculus import (Characteristic, char_derivative, derive_nf,
-                       total_derivative)
-from .normalize import NF, _nf_add, _nf_scale, nf, normal_form, rebuild
+                   inverse, mul)
+from .calculus import (Characteristic, char_derivative, derive_cleared,
+                       derive_nf, total_images)
+from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, clear_denominators,
+                        nf, nf_divide, normal_form, rebuild)
 from .symmetry import (Pde, _match_linear, check_symmetry, reduce_nf,
                        reduction)
 
@@ -74,7 +76,10 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
             raise JetsymError(f"potential {pdef.name}: missing derivative "
                               f"for coordinate {c.name}")
     reduce, totals = reduction(pde, problem)
-    grad = [reduce(nf(as_expr(pdef.derivatives[c.name]))) for c in coords]
+    # the check is homogeneous in the gradient: run it on ints
+    grad, d = clear_denominators([nf(as_expr(pdef.derivatives[c.name]))
+                                  for c in coords])
+    grad = [reduce(g) for g in grad]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             residual = _nf_add(derive_nf(grad[i], totals[j]),
@@ -84,19 +89,26 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
                 raise PotentialError(
                     f"potential {pdef.name}: D_{cj.name}({pdef.name}_{ci.name})"
                     f" != D_{ci.name}({pdef.name}_{cj.name}) mod {pde.name}",
-                    rebuild(residual))
+                    rebuild(nf_divide(residual, d)))
     return problem.register_potential(pdef)
 
 
 def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
-    """The pair of right-hand sides defining Phi' up to integration."""
+    """The pair of right-hand sides defining Phi' up to integration,
+    D_t Phi + [inv(g)g_t, Phi] and -(D_x Phi + [inv(g)g_x, Phi]).  Both
+    are linear in Phi, so they are taken on Phi cleared of denominators."""
     x, t = _xt(problem)
     phi = as_expr(phi)
-    rhs_x = add(total_derivative(phi, t, problem),
-                commutator(left_current(problem, t), phi))
-    rhs_t = neg(add(total_derivative(phi, x, problem),
-                    commutator(left_current(problem, x), phi)))
-    return BtPair(phi, normal_form(rhs_x), normal_form(rhs_t))
+    [n], d = clear_denominators([nf(phi)])
+    totals = total_images(problem)
+
+    def side(c: Coordinate) -> NF:  # d * (D_c Phi + [inv(g)g_c, Phi])
+        a = nf(left_current(problem, c))
+        return _nf_add(_nf_add(derive_nf(n, totals[c.index]), _nf_mul(a, n)),
+                       _nf_scale(_nf_mul(n, a), -1))
+
+    return BtPair(phi, rebuild(nf_divide(side(t), d)),
+                  rebuild(nf_divide(_nf_scale(side(x), -1), d)))
 
 
 def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
@@ -133,9 +145,25 @@ def bt_rows(basis: list[Expr], pde: Pde, problem: Problem
             ) -> list[list[NF]]:
     """[R(D_x b), R(D_t b)] for every candidate b, as normal forms, where R
     is reduction mod F: R o D_i (`symmetry.reduction`) applied to R(b)."""
+    return [[nf_divide(row, d) for row in rows]
+            for rows, d in _bt_columns(basis, pde, problem)]
+
+
+def _bt_columns(basis: list[Expr], pde: Pde, problem: Problem
+                ) -> list[tuple[list[NF], int]]:
+    """([d*R(D_x b), d*R(D_t b)], d) for every candidate b: its `bt_rows`
+    with int coefficients and their one denominator d, which a
+    potential's gradient brings in."""
     _xt(problem)  # two coordinates, so totals are R o D_x and R o D_t
     reduce, totals = reduction(pde, problem)
-    return [[derive_nf(reduce(nf(b)), d) for d in totals] for b in basis]
+    out = []
+    for b in basis:
+        n = reduce(nf(b))
+        rows = [derive_cleared(n, total) for total in totals]
+        d = lcm(*(dr for _, dr in rows))
+        out.append(([_nf_scale(row, d // dr) if dr != d else row
+                     for row, dr in rows], d))
+    return out
 
 
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
@@ -147,13 +175,20 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     Phi fails the symmetry condition or that the integration lies outside
     the candidate basis (basis insufficiency), not that no Phi' exists."""
     _xt(problem)  # two coordinates, or a JetsymError before any work
+    # Phi' is linear in Phi: integrate d*Phi, cleared of denominators
+    [n], d = clear_denominators([nf(as_expr(phi))])
+    phi = rebuild(n)
     if not bt_integrability_check(phi, pde, problem):
         return None
     basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)
     targets = [reduce_nf(nf(r), pde, problem) for r in (pair.rhs_x, pair.rhs_t)]
-    sol = _match_linear(targets, bt_rows(basis, pde, problem))
+    columns = _bt_columns(basis, pde, problem)
+    sol = _match_linear(targets, [rows for rows, _ in columns])
     if sol is None:
         return None
-    return normal_form(add(*(mul(Rat(c), b)
-                             for c, b in zip(sol, basis) if c)))
+    # candidate k's rows are d_k times its column, so its coefficient in
+    # Phi' is d_k times the one solved for, divided by Phi's d
+    return normal_form(add(*(mul(Rat(c * dk / d), b)
+                             for c, (_, dk), b in zip(sol, columns, basis)
+                             if c)))

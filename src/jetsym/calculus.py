@@ -19,16 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .core import (Base, CMat, Coord, Coordinate, Dependent, Expr, Fn,
                    FUNC_DERIVATIVES, Inv, Jet, KindError, NonlocalActionError,
                    Pot, Problem, Rat, SCALAR, Sym, as_expr, mul)
 from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_scale,
-                        collect_jets, nf, normal_form, rebuild)
+                        clear_denominators, collect_jets, nf, nf_divide,
+                        normal_form, rebuild)
 
-# image of a factor of a normal form under a derivation, as a normal form
-Image = Callable[[Expr], NF]
+# a normal form n cleared of denominators: (d*n, d), int coefficients
+# (`normalize.clear_denominators`)
+Cleared = tuple[NF, int]
+# image of a factor of a normal form under a derivation, cleared
+Image = Callable[[Expr], Cleared]
 
 
 @dataclass(frozen=True)
@@ -45,64 +50,99 @@ def derive_nf(n: NF, image: Image) -> NF:
     form n by the Leibniz rule: a commuting atom a^e of a term's monomial
     gives e*a^(e-1)*image(a), and word position i gives
     w[:i]*image(w_i)*w[i+1:]."""
-    out: NF = {}
+    return nf_divide(*derive_cleared(n, image))
 
-    def put(key, v):
-        s = out.get(key, 0) + v
-        if s:
-            out[key] = s
+
+def derive_cleared(n: NF, image: Image) -> Cleared:
+    """(d * derive_nf(n, image), d) with int coefficients, for a linear
+    caller that would clear the value of denominators again.
+
+    It multiplies ints only: n is cleared of denominators, each factor's
+    image comes cleared (a potential's gradient may hold Fractions), and
+    the products are collected apart for each image denominator, which
+    are brought to one denominator at the end."""
+    [n], dn = clear_denominators([n])
+    outs: dict[int, NF] = {}  # image denominator -> int products
+
+    def put(out: NF, key, v):
+        s = out.get(key)
+        if s is None:
+            out[key] = v
         else:
-            out.pop(key, None)
+            s += v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
     for (cmono, word), c in n.items():
         for i, (a, e) in enumerate(cmono):
-            da = image(a)
+            da, d = image(a)
             if not da:
                 continue
+            out = outs.get(d)
+            if out is None:
+                out = outs[d] = {}
             rest = cmono[:i] + ((a, e - 1),) + cmono[i + 1:] if e != 1 \
                 else cmono[:i] + cmono[i + 1:]
             for (dc, dw), dv in da.items():
-                put((_merge_cmono(rest, dc), _join(dw, word)), c * e * dv)
+                put(out, (_merge_cmono(rest, dc), _join(dw, word)), c * e * dv)
         for i, f in enumerate(word):
-            da = image(f)
+            da, d = image(f)
             if not da:
                 continue
+            out = outs.get(d)
+            if out is None:
+                out = outs[d] = {}
             left, right = word[:i], word[i + 1:]
             for (dc, dw), dv in da.items():
-                put((_merge_cmono(cmono, dc), _join(_join(left, dw), right)),
-                    c * dv)
-    return out
+                put(out, (_merge_cmono(cmono, dc),
+                          _join(_join(left, dw), right)), c * dv)
+    outs = {d: out for d, out in outs.items() if out}
+    if len(outs) < 2:
+        for d, out in outs.items():
+            return out, d * dn
+        return {}, 1
+    common = lcm(*outs)
+    result: NF = {}
+    for d, out in outs.items():
+        _nf_add(result, _nf_scale(out, common // d))
+    return result, common * dn
 
 
-def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> NF:
-    """The image of one factor of a normal form under the derivation whose
-    value on each coordinate, jet, base-function or potential atom a is the
-    normal form atom(a): zero on constants, -w^-1 (Dw) w^-1 on inverses,
-    the chain rule through analytic functions."""
+def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> Cleared:
+    """The image of one factor of a normal form, cleared of denominators,
+    under the derivation whose value on each coordinate, jet, base-function
+    or potential atom a is the normal form atom(a): zero on constants,
+    -w^-1 (Dw) w^-1 on inverses, the chain rule through analytic
+    functions."""
     if isinstance(f, (Sym, CMat)):
-        return {}
+        return {}, 1
     if isinstance(f, (Coord, Jet, Base, Pot)):
-        return atom(f)
+        [n], d = clear_denominators([atom(f)])
+        return n, d
     if isinstance(f, Inv):
-        db = image(f.base)
+        db, d = image(f.base)
         if not db:
-            return {}
-        w = nf(f)
-        return _nf_scale(_nf_mul(_nf_mul(w, db), w), -1)
+            return {}, 1
+        w = nf(f)  # one term, coefficient 1
+        return _nf_scale(_nf_mul(_nf_mul(w, db), w), -1), d
     if isinstance(f, Fn):
         coeff, newname = FUNC_DERIVATIVES[f.fname]
-        return _nf_mul({(((Fn(newname, f.arg), 1),), ()): coeff},
-                       derive_nf(nf(f.arg), image))
+        [n], d = clear_denominators([_nf_mul(
+            {(((Fn(newname, f.arg), 1),), ()): coeff},
+            derive_nf(nf(f.arg), image))])
+        return n, d
     raise TypeError(f"cannot differentiate factor {type(f).__name__}")
 
 
 def derivation(atom: Callable[[Expr], NF]) -> Image:
     """The image map of the derivation whose value on each atom a is the
-    normal form atom(a).  It holds each factor's image once taken, so one
-    map serves one call and is dropped with it."""
-    images: dict[Expr, NF] = {}
+    normal form atom(a).  It holds each factor's image once taken and
+    cleared, so one map serves one call and is dropped with it."""
+    images: dict[Expr, Cleared] = {}
 
-    def image(f: Expr) -> NF:
+    def image(f: Expr) -> Cleared:
         d = images.get(f)
         if d is None:
             d = images[f] = _derive(f, atom, image)
@@ -159,8 +199,10 @@ def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
 
 
 def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
-    """D_Q n for a normal form n, as a normal form."""
-    totals = jet_totals(nf(as_expr(Q.q)), problem)  # D_J Q
+    """D_Q n for a normal form n, as a normal form.  D_Q is linear in Q, so
+    it is taken along d*Q, cleared of denominators, and divided by d."""
+    [q], d = clear_denominators([nf(as_expr(Q.q))])
+    totals = jet_totals(q, problem)  # D_J (d*Q)
 
     def atom(a: Expr) -> NF:
         if isinstance(a, (Coord, Base)):
@@ -175,9 +217,9 @@ def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
             raise NonlocalActionError(
                 f"nonlocal action undefined: no image of potential "
                 f"{a.name!r} under characteristic {Q.name!r}")
-        return nf(images[Q.name])
+        return _nf_scale(nf(images[Q.name]), d)
 
-    return derive_nf(n, derivation(atom))
+    return nf_divide(derive_nf(n, derivation(atom)), d)
 
 
 def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:

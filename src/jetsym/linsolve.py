@@ -9,14 +9,17 @@ a pivot, so the pivot columns are exactly the columns independent of the
 columns before them, whatever the row order and whichever key is chosen as
 a pivot.
 
-Entries stay ints while elimination keeps them integral.  Every quotient
-goes through `_div`, which gives an int when the division is exact and a
+Elimination runs on ints (`_eliminate`): each column is cleared of
+denominators, and the pivots are primitive int vectors.  Only the factors
+that express a column in the pivots are rationals.  Every quotient goes
+through `_div`, which gives an int when the division is exact and a
 Fraction otherwise, never through int / int, which would give a float.
 `solve` returns Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Optional, Union
 
 Rational = Union[int, Fraction]
@@ -39,38 +42,69 @@ def _renumber(columns: list[Column]) -> list[Column]:
             for c in columns]
 
 
+def _cleared(column: Column) -> tuple[dict[int, int], int]:
+    """(d*column, d) for the least common denominator d of its entries, so
+    that d*column has int entries; zero entries are dropped."""
+    d = 1
+    for v in column.values():
+        if type(v) is not int:
+            d = lcm(d, v.denominator)
+    return {k: v * d if type(v) is int else v.numerator * (d // v.denominator)
+            for k, v in column.items() if v}, d
+
+
 def _eliminate(columns: list[Column]
                ) -> list[tuple[dict[int, Rational], Optional[Rational]]]:
-    """Greedy column echelon form.  Pivot i is 1 at its key and 0 at the key
-    of every pivot before it.  For each column, (factors, scale) with
+    """Greedy column echelon form, fraction-free: pivot i is a primitive int
+    vector (its entries have no common factor) that is 0 at the key of
+    every pivot before it and nonzero at its own key.  For each column,
+    (factors, scale) with
 
         column = sum_i factors[i] * pivot_i + scale * (the new pivot),
 
     where scale is None when the column depends on the columns before it
-    (its remainder is zero) and no pivot is added."""
+    (its remainder is zero) and no pivot is added.
+
+    A column is cleared of denominators and reduced on ints: the remainder
+    `rest` is kept as s*column - sum_i a[i]*pivot_i with int s and a[i];
+    removing pivot i multiplies rest by lead_i/g and subtracts
+    rest[key_i]/g times pivot i, with g their gcd.  Only the factors
+    a[i]/s and the scale are rationals, so the cost of a system does not
+    depend on how many of its entries are integral."""
     keys: list[int] = []
-    pivots: list[Column] = []
+    pivots: list[dict[int, int]] = []
     out = []
     for column in columns:
-        rest = {k: v for k, v in column.items() if v}
-        factors: dict[int, Rational] = {}
+        rest, s = _cleared(column)
+        a: dict[int, int] = {}
         for i, key in enumerate(keys):
             f = rest.get(key)
             if not f:
                 continue
-            factors[i] = f
-            for k, w in pivots[i].items():
-                s = rest.get(k, 0) - f * w
-                if s:
-                    rest[k] = s
+            pivot = pivots[i]
+            lead = pivot[key]
+            g = gcd(f, lead)
+            m, f = lead // g, f // g
+            if m != 1:
+                s *= m
+                for j in a:
+                    a[j] *= m
+                for k in rest:
+                    rest[k] *= m
+            a[i] = f
+            for k, w in pivot.items():
+                v = rest.get(k, 0) - f * w
+                if v:
+                    rest[k] = v
                 else:
                     del rest[k]
+        factors = {i: _div(v, s) for i, v in a.items()}
         scale = None
         if rest:
-            key = next(iter(rest))
-            scale = rest[key]
-            keys.append(key)
-            pivots.append({k: _div(v, scale) for k, v in rest.items()})
+            c = gcd(*rest.values())
+            keys.append(next(iter(rest)))
+            pivots.append({k: v // c for k, v in rest.items()})
+            scale = _div(c, s)
         out.append((factors, scale))
     return out
 

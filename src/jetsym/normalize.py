@@ -4,7 +4,11 @@ A normal form is a sum of terms (rational coefficient, commuting monomial,
 noncommutative word).  A coefficient is an `int` while it is integral and
 a `Fraction` otherwise (an integral value that arithmetic with a Fraction
 produced may stay a Fraction); it is never a float, and the two compare
-and hash alike.  The commuting monomial collects scalar-class atoms with
+and hash alike.  Fraction arithmetic costs many times int arithmetic, so
+a map linear over the rationals runs on its input cleared of denominators
+(`clear_denominators`) and divides its value back once (`nf_divide`);
+then its cost does not depend on whether the input's coefficients happen
+to be integral.  The commuting monomial collects scalar-class atoms with
 integer exponents, sorted by their `key`; the word is the ordered tuple of
 matrix-class factors.  Atoms are interned, so term keys hash by identity.
 Rewrites applied: distribute products over sums, flatten, extract scalars,
@@ -21,6 +25,7 @@ value is never normalized again.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, InversionError,
@@ -82,11 +87,15 @@ def _join(u: tuple, v: tuple) -> tuple:
 def _nf_add(a: NF, b: NF) -> NF:
     """a + b, added into a, which the caller owns; returns a."""
     for k, c in b.items():
-        s = a.get(k, 0) + c
-        if s:
-            a[k] = s
+        s = a.get(k)
+        if s is None:
+            a[k] = c
         else:
-            a.pop(k, None)
+            s += c
+            if s:
+                a[k] = s
+            else:
+                del a[k]
     return a
 
 
@@ -104,11 +113,46 @@ def _nf_mul(a: NF, b: NF) -> NF:
     for (ca, wa), va in a.items():
         for (cb, wb), vb in b.items():
             key = (_merge_cmono(ca, cb), _join(wa, wb))
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
+            s = out.get(key)
+            if s is None:
+                out[key] = va * vb
             else:
-                out.pop(key, None)
+                s += va * vb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+def clear_denominators(ns: list[NF]) -> tuple[list[NF], int]:
+    """([d*n for n in ns], d) for the least common denominator d of all
+    their coefficients: every d*n has int coefficients, and d is 1 (and the
+    normal forms are returned as they are) when none holds a Fraction.  A
+    map linear over the rationals then runs on ints only, and its value
+    on ns is its value on the d*n divided by d (`nf_divide`)."""
+    d = 1
+    for n in ns:
+        for v in n.values():
+            if type(v) is not int:
+                d = lcm(d, v.denominator)
+    if d == 1:
+        return ns, 1
+    return [{k: v * d if type(v) is int else v.numerator * (d // v.denominator)
+             for k, v in n.items()} for n in ns], d
+
+
+def nf_divide(n: NF, d: int) -> NF:
+    """n / d, exactly: an int coefficient stays an int when d divides it."""
+    if d == 1:
+        return n
+    out: NF = {}
+    for k, v in n.items():
+        if type(v) is int:
+            q, r = divmod(v, d)
+            out[k] = Fraction(v, d) if r else q
+        else:
+            out[k] = v / d
     return out
 
 
@@ -142,10 +186,17 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
             _nf_add(out, nf(t, values))
         return out
     if isinstance(e, Mul):
-        out = {((), ()): 1}
+        # rational factors multiply into one coefficient, applied once
+        out, c = {((), ()): 1}, 1
         for f in e.factors:
-            out = _nf_mul(out, nf(f, values))
-        return out
+            if isinstance(f, Rat):
+                v = f.value
+                c *= v.numerator if v.denominator == 1 else v
+            else:
+                out = _nf_mul(out, nf(f, values))
+        if c == 1:
+            return out
+        return _nf_scale(out, c.numerator if c.denominator == 1 else c)
     if isinstance(e, Inv):
         base = e.base
         if values is not None and base in values:

@@ -40,9 +40,9 @@ from .core import Expr, Jet, JetsymError, MATRIX, Problem, Rat, as_expr, mul
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import rank, solve
-from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
-                        key_sort_key, nf, nf_jets, normal_form, rebuild,
-                        substitute)
+from .normalize import (NF, _nf_add, _nf_mul, clear_denominators,
+                        collect_jets, is_zero, key_sort_key, nf, nf_divide,
+                        nf_jets, normal_form, rebuild, substitute)
 from .printing import render
 
 
@@ -180,7 +180,9 @@ def reduction(pde: Pde, problem: Problem
         principal = _principal_jets(nf_jets(n), pde)
         if not principal:
             return n
-        return nf(rebuild(n), {j: value(j.idx) for j in principal})
+        [n], d = clear_denominators([n])  # R is linear over the rationals
+        return nf_divide(nf(rebuild(n), {j: value(j.idx) for j in principal}),
+                         d)
 
     totals = [derivation(lambda a, total=total_atoms(c, problem):
                          reduce(total(a))) for c in problem.coordinates]

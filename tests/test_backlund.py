@@ -71,6 +71,23 @@ def test_declare_potential_rejects_sign_flip():
     assert not is_zero(exc.value.residual)
 
 
+def test_declare_potential_residual_of_a_rational_gradient():
+    """The cross-derivative check runs on the gradient cleared of
+    denominators; the residual it reports is that of the gradient given."""
+    p, pde = fresh_chiral()
+    residuals = []
+    for name, c in (("Y", "1"), ("Z", "2/3")):
+        pdef = PotentialDef(name, {"x": parse_expr(f"{c}*inv(g)*g_t", p),
+                                   "t": parse_expr(f"{c}*inv(g)*g_x", p)})
+        with pytest.raises(PotentialError) as exc:
+            declare_potential(pdef, pde, p)
+        residuals.append(exc.value.residual)
+    assert residuals[1] == normal_form(mul(Rat(Fraction(2, 3)), residuals[0]))
+    half = PotentialDef("W", {"x": parse_expr("1/2*inv(g)*g_t", p),
+                              "t": parse_expr("-1/2*inv(g)*g_x", p)})
+    assert declare_potential(half, pde, p) == p.potential("W")
+
+
 def test_declare_potential_missing_coordinate():
     from jetsym.core import JetsymError
     p, pde = fresh_chiral()
@@ -173,6 +190,42 @@ def test_bt_apply_current_swaps_currents(ch):
     got = bt_apply(phi_of(ch, "inv(g)*g_x"), pde, p)
     assert got is not None
     assert got == normal_form(phi_of(ch, "inv(g)*g_t"))
+
+
+def test_bt_apply_is_linear_in_a_rational_seed(ch):
+    """bt_apply integrates the seed cleared of denominators and divides
+    the image back: c*Phi has image c*Phi' for rational c."""
+    p, pde = ch.problem, ch.pde
+    seed = "M + 2*inv(g)*g_x - inv(g)*g_t"
+    base = bt_apply(phi_of(ch, seed), pde, p)
+    assert base is not None and not is_zero(base)
+    for c in ("1/2", "-5/4", "3", "7/3"):
+        got = bt_apply(phi_of(ch, f"{c}*({seed})"), pde, p)
+        assert got == normal_form(mul(Rat(Fraction(c)), base)), c
+    mixed = bt_apply(phi_of(ch, "1/2*M - 2/3*inv(g)*g_x"), pde, p)
+    assert mixed == normal_form(
+        add(mul(Rat(Fraction(1, 2)), bt_apply(p.cmat("M"), pde, p)),
+            mul(Rat(Fraction(-2, 3)),
+                bt_apply(phi_of(ch, "inv(g)*g_x"), pde, p))))
+
+
+def test_bt_apply_with_a_rational_potential():
+    """Candidates made of a potential whose gradient holds Fractions give
+    columns with a denominator: with Y = X/2 declared instead of X, the
+    image of M is [2Y, M]."""
+    p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
+                matrices=[("M", False)])
+    pde = make_pde("chiral",
+                   parse_expr("D(inv(g)*g_x, x) + D(inv(g)*g_t, t)", p),
+                   p.jet("tt"),
+                   parse_expr("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p), p)
+    Y = declare_potential(PotentialDef(
+        "Y", {"x": parse_expr("1/2*inv(g)*g_t", p),
+              "t": parse_expr("-1/2*inv(g)*g_x", p)}), pde, p)
+    M = p.cmat("M")
+    assert bt_apply(M, pde, p) == normal_form(commutator(mul(Rat(2), Y), M))
+    assert bt_apply(parse_expr("1/5*M", p), pde, p) == normal_form(
+        commutator(mul(Rat(Fraction(2, 5)), Y), M))
 
 
 def test_bt_apply_zero_seed(ch):

@@ -12,8 +12,9 @@ from jetsym import (Characteristic, Sym, bracket_characteristic,
 from jetsym import calculus
 from jetsym.calculus import formal_jet_partial, jet_totals
 from jetsym.core import (Comm, Fn, Inv, KindError, Pot, PotentialDef, Rat,
-                         ZERO, children, func)
+                         ZERO, add, children, func)
 from jetsym.normalize import collect_jets, nf, rebuild
+from jetsym.parsing import parse_expr
 
 from conftest import seeded_characteristics, seeded_exprs
 from helpers import (_reference_derive, matrix_problem,
@@ -135,6 +136,12 @@ def test_registered_potential_image_is_used():
     declare_potential(pdef, pde, p)
     Q = Characteristic("q", p.jet("x"), p.dependent)
     assert char_derivative(p.potential("X"), Q, p) == normal_form(img)
+    # D_Q is taken along Q cleared of denominators; the registered image
+    # is the image under Q itself, whatever Q's coefficients
+    Q = Characteristic("q", parse_expr("1/3*g_x - 5/2*g_t", p), p.dependent)
+    assert char_derivative(p.potential("X"), Q, p) == normal_form(img)
+    assert char_derivative(p.potential("X") * p.u, Q, p) == normal_form(
+        img * p.u + p.potential("X") * Q.q)
 
 
 # --- Example 5.1 brackets -------------------------------------------------
@@ -330,3 +337,20 @@ def test_derivatives_match_reference_walker(make):
         for kind in _kinds(e):
             seen[kind] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_potentials_with_coprime_gradient_denominators():
+    """derive_nf collects the products of each image denominator apart and
+    brings them to one denominator: potentials whose gradients have
+    denominators 2 and 3 (and an integral one) against the tree walk."""
+    p = matrix_problem()
+    x, t = p.coord("x"), p.coord("t")
+    half = p.register_potential(PotentialDef(
+        "H", {"x": parse_expr("1/2*u_t*A", p), "t": parse_expr("x*u_x", p)}))
+    third = p.register_potential(PotentialDef(
+        "T", {"x": parse_expr("1/3*inv(u)", p),
+              "t": parse_expr("2/3*u*B + t", p)}))
+    e = add(half * third * p.u, third * half, half + 5 * third,
+            x * half * p.jet("x") * third, t * third * p.cmat("A"))
+    for c in p.coordinates:
+        assert total_derivative(e, c, p) == reference_total(e, c, p), c.name

@@ -136,3 +136,24 @@ def test_integer_systems_match_the_fraction_only_elimination(seed):
     assert x == reference_solve(cols, target), seed
     assert x is None or all(type(v) is Fraction for v in x)
     assert rank(cols) == reference_rank(cols)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_solution_scales_with_columns_and_target(seed):
+    """Scaling column j by a[j] and the target by b scales x[j] by
+    b / a[j]: the pivot columns stay the same, so the particular solution
+    does too.  Elimination clears every column of denominators, so this
+    holds only if that clearing is exact."""
+    keys, cols, target = random_system(seed)
+    rng = Random(f"scale-{seed}")
+    a = [_rat(rng) for _ in cols]
+    b = _rat(rng)
+    x = solve(cols, target)
+    y = solve([{k: aj * v for k, v in c.items()} for aj, c in zip(a, cols)],
+              {k: b * v for k, v in target.items()})
+    assert rank(cols) == rank([{k: aj * v for k, v in c.items()}
+                               for aj, c in zip(a, cols)])
+    if x is None:
+        assert y is None
+    else:
+        assert y == [b * xj / aj for xj, aj in zip(x, a)]

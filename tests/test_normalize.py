@@ -1,4 +1,5 @@
 import copy
+from math import lcm
 from random import Random
 
 import pytest
@@ -10,7 +11,8 @@ from jetsym import (commutator, get_pde, inverse, is_zero, normal_form,
                     parse_expr, substitute)
 from jetsym.calculus import char_nf, jet_totals
 from jetsym.core import Comm, Fn, Inv, InversionError, Rat, children, rat
-from jetsym.normalize import _join, _nf_mul, collect_jets, nf
+from jetsym.normalize import (_join, _nf_mul, clear_denominators,
+                              collect_jets, nf, nf_divide)
 from jetsym.symmetry import reduce_nf
 
 from conftest import seeded_exprs
@@ -227,3 +229,24 @@ def test_no_coefficient_is_ever_a_float(seed):
             forms += [reduce_nf(f, pde, p) for f in forms]
         for f in forms:
             assert {type(v) for v in f.values()} <= {int, Fraction}, seed
+
+
+def test_clear_denominators_and_divide_round_trip():
+    """clear_denominators scales normal forms by the least common
+    denominator of their coefficients to int coefficients, and nf_divide
+    by it gives them back, an integral value as an int."""
+    rng = Random("clear-denominators")
+    for _ in range(200):
+        ns = [nf(random_expr(rng, SP, 3)) for _ in range(rng.randint(1, 3))]
+        cleared, d = clear_denominators(ns)
+        assert d == lcm(1, *(Fraction(v).denominator
+                             for n in ns for v in n.values()))
+        for n, m in zip(ns, cleared):
+            assert all(type(v) is int for v in m.values())
+            back = nf_divide(m, d)
+            assert back == n
+            assert all(type(v) is int for v in back.values()
+                       if Fraction(v).denominator == 1)
+    n = nf(SP.u * 2 + SP.jet("x"))
+    assert clear_denominators([n]) == ([n], 1)
+    assert nf_divide(n, 1) is n

@@ -8,14 +8,15 @@ from random import Random
 
 import pytest
 
-from jetsym import (Characteristic, PotentialDef, Problem, Rat, add,
-                    char_derivative, inverse, make_pde, mul, normal_form,
-                    reduce_mod_pde)
+from jetsym import (Characteristic, Dependent, PotentialDef, Problem, Rat,
+                    add, char_derivative, inverse, make_pde, mul,
+                    normal_form, reduce_mod_pde)
 from jetsym.backlund import chiral_phi_condition
 from jetsym.catalog import CATALOG_NAMES, get_pde
 from jetsym.core import Jet
+from jetsym.normalize import nf
 from jetsym.parsing import parse_expr
-from jetsym.symmetry import PdeError
+from jetsym.symmetry import PdeError, reduce_nf
 
 from helpers import reference_reduce
 
@@ -203,3 +204,33 @@ def test_deep_principal_jets_reduce_on_a_cold_table(name, k):
     else:
         want = mul(*[p.declared("c")] * k, p.jet("x" * k))
     assert got == normal_form(want)
+
+
+@pytest.mark.parametrize("name", ["kdv", "burgers", "chiral"])
+def test_reduction_of_a_rational_multiple(name):
+    """reduce_nf reduces a normal form cleared of denominators and divides
+    the value back: exact, and an integral coefficient comes back as an
+    int."""
+    entry = get_pde(name)
+    p, pde = entry.problem, entry.pde
+    jet = "g_ttt" if name == "chiral" else "u_ttt"
+    n = nf(parse_expr(f"{jet} + x*{jet}*{jet}", p))
+    base = reduce_nf(n, pde, p)
+    assert all(type(v) is int for v in base.values())
+    for c in (Fraction(1, 2), Fraction(-7, 3), Fraction(4), 3):
+        got = reduce_nf({k: v * c for k, v in n.items()}, pde, p)
+        assert got == {k: v * c for k, v in base.items()}, c
+        assert all(type(v) is int for v in got.values()
+                   if Fraction(v).denominator == 1), c
+
+
+def test_rational_solved_form_with_an_inverse_matches_reference():
+    """A solved form with non-integral coefficients and inv(g): the image
+    of g under R o D_t, and so that of inv(g), holds Fractions, which the
+    derivation carries as a denominator."""
+    p = Problem(coords=("x", "t"), dependent=Dependent("g", "matrix", True))
+    rhs = parse_expr("1/2*g_xx + 1/3*g_x*inv(g)*g_x", p)
+    pde = make_pde("rational", p.jet("t") - rhs, p.jet("t"), rhs, p)
+    for text in ("g_tt", "g_xtt", "inv(g)*g_t", "2/5*g_ttt*inv(g)"):
+        e = parse_expr(text, p)
+        assert reduce_mod_pde(e, pde, p) == reference_reduce(e, pde, p), text
