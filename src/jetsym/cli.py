@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import shlex
 import sys
+from typing import Callable
 
 import click
 
@@ -48,7 +49,9 @@ class Session:
         return phi_characteristic(parse_expr(phi, self.problem), self.problem)
 
 
-def _emit(ctx, text_lines: list[str], **fields):
+def _emit(ctx, text_lines: Callable[[], list[str]], **fields):
+    """Print the JSON document of fields, or else the lines that text_lines
+    makes: text only is pretty-printed, so it is made only when asked for."""
     # every echo names its stream: for the default one, click caches a
     # wrapper per sys.stdout that keeps a redirected buffer alive
     if ctx.obj["json"]:
@@ -57,7 +60,7 @@ def _emit(ctx, text_lines: list[str], **fields):
         click.echo(json.dumps({**doc, **fields}, sort_keys=True),
                    file=sys.stdout)
     else:
-        for line in text_lines:
+        for line in text_lines():
             click.echo(line, file=sys.stdout)
 
 
@@ -122,7 +125,7 @@ def cmd_parse(ctx, expression):
     """Parse an expression and print its normal form."""
     sess = _session(ctx)
     e = normal_form(parse_expr(expression, sess.problem))
-    _emit(ctx, [pretty(e, sess.problem)],
+    _emit(ctx, lambda: [pretty(e, sess.problem)],
           inputs={"expression": expression},
           values={"normal_form": render(e, sess.problem)})
 
@@ -143,8 +146,8 @@ def cmd_check(ctx, q, phi, find):
                             search_certificate=find)
     cert = (render_operator(report.certificate, p)
             if report.certificate is not None else None)
-    _emit(ctx, [f"verdict: {report.verdict.value}",
-                f"remainder: {pretty(report.remainder, p)}"]
+    _emit(ctx, lambda: [f"verdict: {report.verdict.value}",
+                        f"remainder: {pretty(report.remainder, p)}"]
           + ([f"certificate: {cert}"] if cert is not None else []),
           inputs={"pde": pde.name, "q": q, "phi": phi},
           verdict=report.verdict.value, remainder=render(report.remainder, p),
@@ -165,7 +168,7 @@ def cmd_certify(ctx, q, phi, lhat):
     p = sess.problem
     ok = certify_operator(pde, sess.question(q, phi),
                           parse_operator(lhat, p), p)
-    _emit(ctx, [f"certified: {ok}"],
+    _emit(ctx, lambda: [f"certified: {ok}"],
           inputs={"pde": pde.name, "q": q, "phi": phi, "lhat": lhat},
           verdict="Certified" if ok else "NotCertified",
           certificate=lhat if ok else None)
@@ -182,7 +185,7 @@ def cmd_bracket(ctx, q1, q2):
     p = sess.problem
     br = bracket_characteristic(sess.characteristic(q1, "Q1"),
                                 sess.characteristic(q2, "Q2"), p)
-    _emit(ctx, [pretty(br.q, p)], inputs={"q1": q1, "q2": q2},
+    _emit(ctx, lambda: [pretty(br.q, p)], inputs={"q1": q1, "q2": q2},
           values={"bracket": render(br.q, p)})
 
 
@@ -209,7 +212,7 @@ def cmd_structconsts(ctx, basis):
                if sc[i, j, k]}
     lines = [f"basis: {', '.join(q.name for q in qs)}"]
     lines += [f"{k} = {v}" for k, v in sorted(entries.items())] or ["all zero"]
-    _emit(ctx, lines, inputs={"pde": pde.name, "basis": names},
+    _emit(ctx, lambda: lines, inputs={"pde": pde.name, "basis": names},
           values={"nonzero": entries})
 
 
@@ -222,7 +225,7 @@ def cmd_reduce(ctx, expression):
     pde = _need_pde(sess)
     p = sess.problem
     out = reduce_mod_pde(parse_expr(expression, p), pde, p)
-    _emit(ctx, [pretty(out, p)],
+    _emit(ctx, lambda: [pretty(out, p)],
           inputs={"pde": pde.name, "expression": expression},
           remainder=render(out, p))
 
@@ -239,21 +242,24 @@ def cmd_bt_apply(ctx, phi):
     out = bt_apply(phi_e, pde, p)
     if out is None:
         report = check_symmetry(pde, phi_characteristic(phi_e, p), p)
-        if report.is_symmetry:
-            verdict, remainder = "NoIntegral", None
-            lines = [f"verdict: {verdict}", "Phi satisfies the symmetry "
-                     "condition, but no integral lies inside the candidate "
-                     "basis (basis insufficiency)"]
-        else:
-            verdict, remainder = "NotSymmetry", render(report.remainder, p)
-            lines = [f"verdict: {verdict}",
-                     "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
-                     f"remainder: {pretty(report.remainder, p)}"]
+        verdict = "NoIntegral" if report.is_symmetry else "NotSymmetry"
+
+        def lines() -> list[str]:
+            if report.is_symmetry:
+                return [f"verdict: {verdict}", "Phi satisfies the symmetry "
+                        "condition, but no integral lies inside the "
+                        "candidate basis (basis insufficiency)"]
+            return [f"verdict: {verdict}",
+                    "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
+                    f"remainder: {pretty(report.remainder, p)}"]
+
         _emit(ctx, lines, inputs={"pde": pde.name, "phi": phi},
-              verdict=verdict, remainder=remainder)
+              verdict=verdict, remainder=None if report.is_symmetry
+              else render(report.remainder, p))
         ctx.exit(1)
     qprime = phi_characteristic(out, p).q
-    _emit(ctx, [f"phi' = {pretty(out, p)}", f"Q' = {pretty(qprime, p)}"],
+    _emit(ctx, lambda: [f"phi' = {pretty(out, p)}",
+                        f"Q' = {pretty(qprime, p)}"],
           inputs={"pde": pde.name, "phi": phi}, verdict="Integrated",
           values={"phi_prime": render(out, p), "q_prime": render(qprime, p)})
 
@@ -273,7 +279,7 @@ def cmd_list(ctx):
             q_txt = render(c.q.q, e.problem)
             lines.append(f"  {c.name}: Q = {q_txt}" +
                          (f"  ({c.doc})" if c.doc else ""))
-    _emit(ctx, lines, values=values)
+    _emit(ctx, lambda: lines, values=values)
 
 
 @main.command("batch")

@@ -239,6 +239,8 @@ FUNC_DERIVATIVES = {
     "cos": (-1, "sin"),
     "exp": (1, "exp"),
 }
+#: value of each analytic function at 0, the one argument it is evaluated at
+FUNC_AT_ZERO = {"sin": 0, "cos": 1, "exp": 1}
 
 
 def as_expr(v) -> Expr:

@@ -12,15 +12,20 @@ to be integral.  The commuting monomial collects scalar-class atoms with
 integer exponents, sorted by their `key`; the word is the ordered tuple of
 matrix-class factors.  Atoms are interned, so term keys hash by identity.
 Rewrites applied: distribute products over sums, flatten, extract scalars,
-cancel adjacent w*inv(w) pairs, expand commutators, collect like terms.
-Commutators between scalar-class expressions therefore collapse to zero,
-and fully commuting words reorder into the canonical monomial.
+cancel adjacent w*inv(w) pairs, expand commutators, collect like terms, and
+evaluate sin, cos and exp at 0 (at any other constant they stay atoms, so
+no float enters).  Commutators between scalar-class expressions therefore
+collapse to zero, and fully commuting words reorder into the canonical
+monomial.  A product stays one term until a factor of more than one term
+comes, so the terms of a rebuilt normal form are read in one pass each.
 
-The normaliser is also the one walk that substitutes: `nf(e, values)` takes
-a map from jets to normal forms and uses the mapped normal form for each
-mapped jet as it goes, so `substitute` and the reduction mod F
-(`symmetry.reduce_mod_pde`) add no tree walk of their own, and a mapped
-value is never normalized again.
+The normaliser is also the one walk that substitutes into a tree:
+`nf(e, values)` takes a map from jets to normal forms and uses the mapped
+normal form for each mapped jet as it goes, so `substitute` adds no tree
+walk of its own, and a mapped value is never normalized again.  The
+reduction mod F (`symmetry.reduce_nf`) substitutes into a normal form term
+by term instead, and takes this walk only for a function argument or an
+inverse that holds a jet it maps.
 """
 from __future__ import annotations
 
@@ -28,9 +33,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, InversionError,
-                   Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO, children,
-                   expr_key, inverse, is_commuting_atom)
+from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, FUNC_AT_ZERO, Inv,
+                   InversionError, Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO,
+                   children, expr_key, inverse, is_commuting_atom)
 
 # cmono: tuple[(atom, int exponent)] sorted by atom.key; word: tuple[factor]
 Key = tuple[tuple, tuple]
@@ -63,6 +68,13 @@ def _merge_cmono(a: tuple, b: tuple) -> tuple:
         else:
             del exps[atom]
     return tuple(sorted(exps.items(), key=_atom_order))
+
+
+def _term_key(exps: dict, word: tuple) -> Key:
+    """The key of the term with the word `word` and the atom exponents
+    exps, zeros dropped."""
+    return (tuple(sorted(((a, k) for a, k in exps.items() if k),
+                         key=_atom_order)), word)
 
 
 def _inverse_pair(a: Expr, b: Expr) -> bool:
@@ -179,21 +191,41 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
     if isinstance(e, (Coord, Sym, CMat, Pot, Base)):
         return _atom_nf(e)
     if isinstance(e, Fn):
-        return _atom_nf(Fn(e.fname, rebuild(nf(e.arg, values))))
+        arg = nf(e.arg, values)
+        if not arg:  # a nonzero constant argument stays symbolic: no floats
+            v = FUNC_AT_ZERO[e.fname]
+            return {((), ()): v} if v else {}
+        return _atom_nf(Fn(e.fname, rebuild(arg)))
     if isinstance(e, Add):
         out: NF = {}
         for t in e.terms:
             _nf_add(out, nf(t, values))
         return out
     if isinstance(e, Mul):
-        # rational factors multiply into one coefficient, applied once
-        out, c = {((), ()): 1}, 1
+        # rational factors multiply into one coefficient, applied once; up
+        # to the first factor of more than one term, the product is one
+        # term, whose monomial is sorted once (a rebuilt normal form's
+        # terms are read in one pass)
+        out, c = None, 1
+        exps, word, v = {}, (), 1  # the one-term product while out is None
         for f in e.factors:
             if isinstance(f, Rat):
-                v = f.value
-                c *= v.numerator if v.denominator == 1 else v
-            else:
-                out = _nf_mul(out, nf(f, values))
+                x = f.value
+                c *= x.numerator if x.denominator == 1 else x
+                continue
+            n = nf(f, values)
+            if out is None:
+                if len(n) == 1:
+                    for (cmono, w), x in n.items():
+                        for a, k in cmono:
+                            exps[a] = exps.get(a, 0) + k
+                        word = _join(word, w)
+                        v *= x
+                    continue
+                out = {_term_key(exps, word): v}
+            out = _nf_mul(out, n)
+        if out is None:
+            out = {_term_key(exps, word): v}
         if c == 1:
             return out
         return _nf_scale(out, c.numerator if c.denominator == 1 else c)
@@ -269,13 +301,6 @@ def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
 def collect_jets(e: Expr) -> set[Jet]:
     """All jet atoms occurring anywhere in e (including function arguments)."""
     return _jets([e])
-
-
-def nf_jets(n: NF) -> set[Jet]:
-    """All jet atoms occurring anywhere in the normal form n (including
-    function arguments)."""
-    return _jets([f for cmono, word in n
-                  for f in (*(a for a, _ in cmono), *word)])
 
 
 def _jets(stack: list[Expr]) -> set[Jet]:

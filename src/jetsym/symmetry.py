@@ -14,9 +14,14 @@ atom a is R(D_i a).  Hence the one rule for the values,
 
 for a coordinate i in J - leading.  `reduction` gives R and every R o D_i
 for one call; each Pde keeps one table of the values per Problem, held as
-normal forms.  Reducing a normal form (`reduce_nf`) fills the table for
-its principal jets and normalizes it once with the table as the jet map
-of `normalize.nf`, which puts each value in place of its jet.
+normal forms.  R is a ring homomorphism, so reducing a normal form
+(`reduce_nf`) maps it term by term, with no tree built: a term that holds
+no principal jet passes through, and any other is the product of its
+coefficient, the rest of its monomial and the image of each factor that
+holds one, multiplied in the order `normalize.rebuild` lays the term out.
+A principal jet's image is its table value; a function or an inverse that
+holds one is normalized with the table values as the jet map of
+`normalize.nf`.  Each factor's image is taken once per call.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
@@ -36,13 +41,14 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
-from .core import Expr, Jet, JetsymError, MATRIX, Problem, Rat, as_expr, mul
+from .core import (Expr, Fn, Inv, Jet, JetsymError, MATRIX, Problem, Rat,
+                   as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import rank, solve
 from .normalize import (NF, _nf_add, _nf_mul, clear_denominators,
                         collect_jets, is_zero, key_sort_key, nf, nf_divide,
-                        nf_jets, normal_form, rebuild, substitute)
+                        normal_form, rebuild, substitute)
 from .printing import render
 
 
@@ -101,9 +107,15 @@ def _ranked(lead: list[int], jets: list[list[int]]) -> bool:
     return orderly or not _lex_unranked(lead, jets)
 
 
-def _is_principal(j: Jet, leading: Jet) -> bool:
-    """True for the leading jet and its derivatives."""
-    return j.dep == leading.dep and not (Counter(leading.idx) - Counter(j.idx))
+def _principal_test(leading: Jet) -> Callable[[Jet], bool]:
+    """The test that is true for the leading jet and its derivatives.
+    Dependents are compared by value: equal ones need not be one object."""
+    dep, need = leading.dep, tuple(Counter(leading.idx).items())
+
+    def principal(j: Jet) -> bool:
+        return j.dep == dep and all(j.idx.count(c) >= k for c, k in need)
+
+    return principal
 
 
 def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
@@ -113,8 +125,9 @@ def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
                        "which is not over the problem's dependent")
     jets = sorted((j for j in collect_jets(rhs) if j.dep == leading.dep),
                   key=lambda j: (j.order, j.idx))
+    principal = _principal_test(leading)
     for j in jets:
-        if _is_principal(j, leading):
+        if principal(j):
             raise PdeError(
                 f"solved-form rhs contains {render(j, problem)} at or above "
                 f"the leading jet {render(leading, problem)}")
@@ -136,10 +149,6 @@ def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
     return Pde(name, normal_form(f), leading, normal_form(rhs))
 
 
-def _principal_jets(jets: set[Jet], pde: Pde) -> list[Jet]:
-    return [j for j in jets if _is_principal(j, pde.leading)]
-
-
 def reduction(pde: Pde, problem: Problem
               ) -> tuple[Callable[[NF], NF], list[Image]]:
     """The reduction mod F (R) as a context for one call: reduce(n) puts
@@ -149,6 +158,8 @@ def reduction(pde: Pde, problem: Problem
     for any other atom.  Its image maps live as long as the context; the
     values go into pde.table, which every call on this problem shares."""
     dep, lead = pde.leading.dep, pde.leading.idx
+    principal = _principal_test(pde.leading)
+    lead_count = Counter(lead)
     table = pde.table.setdefault(problem, {})
     if lead not in table:
         table[lead] = nf(pde.rhs)
@@ -165,8 +176,8 @@ def reduction(pde: Pde, problem: Problem
                 raise PdeError(f"the value of {render(Jet(dep, idx), problem)}"
                                " mod F depends on itself")
             busy.add(idx)
-            extra = Counter(idx) - Counter(lead)
-            i = min(extra, key=lambda c: (lead.count(c), c))
+            i = min(Counter(idx) - lead_count,
+                    key=lambda c: (lead.count(c), c))
             chain.append((idx, i))
             k = idx.index(i)
             idx = idx[:k] + idx[k + 1:]
@@ -177,12 +188,62 @@ def reduction(pde: Pde, problem: Problem
         return n
 
     def reduce(n: NF) -> NF:
-        principal = _principal_jets(nf_jets(n), pde)
-        if not principal:
-            return n
-        [n], d = clear_denominators([n])  # R is linear over the rationals
-        return nf_divide(nf(rebuild(n), {j: value(j.idx) for j in principal}),
-                         d)
+        """R(n), term by term (the module docstring has the rule): the
+        normal form of rebuild(n) with each principal jet replaced by its
+        value, an integral coefficient an int."""
+        images: dict[Expr, Optional[NF]] = {}  # factor -> image, None if fixed
+
+        def image(f: Expr) -> Optional[NF]:
+            if f in images:
+                return images[f]
+            im = None
+            if type(f) is Jet:
+                if principal(f):
+                    im = value(f.idx)
+            elif type(f) in (Inv, Fn):  # the tree path, for what it holds
+                jets = [j for j in collect_jets(f) if principal(j)]
+                if jets:
+                    im = nf(f, {j: value(j.idx) for j in jets})
+            images[f] = im
+            return im
+
+        out: NF = {}  # the terms that R fixes
+        mapped: NF = {}
+        for key, c in n.items():
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator  # as `nf` reads a coefficient
+            if any(image(a) is not None for a, _ in key[0]) \
+                    or any(image(f) is not None for f in key[1]):
+                mapped[key] = c
+            else:
+                out[key] = c
+        if not mapped:
+            return out
+        [mapped], d = clear_denominators([mapped])  # R is linear
+        reduced: NF = {}  # d times the image of the mapped terms
+        for (cmono, word), c in mapped.items():
+            fixed, factors = [], []
+            for a, e in cmono:
+                im = image(a)
+                if im is None:
+                    fixed.append((a, e))
+                else:
+                    factors += [im] * e if e > 0 else [image(Inv(a))] * -e
+            p = {(tuple(fixed), ()): c}
+            for im in factors:
+                p = _nf_mul(p, im)
+            start = 0  # the fixed factors of the word from here go in as one
+            for i, f in enumerate(word):
+                im = image(f)
+                if im is not None:
+                    if start < i:
+                        p = _nf_mul(p, {((), word[start:i]): 1})
+                    p = _nf_mul(p, im)
+                    start = i + 1
+            if start < len(word):
+                p = _nf_mul(p, {((), word[start:]): 1})
+            _nf_add(reduced, p)
+        return _nf_add(nf_divide(reduced, d), out)
 
     totals = [derivation(lambda a, total=total_atoms(c, problem):
                          reduce(total(a))) for c in problem.coordinates]
@@ -192,8 +253,6 @@ def reduction(pde: Pde, problem: Problem
 def reduce_nf(n: NF, pde: Pde, problem: Problem) -> NF:
     """The normal form n with every principal jet replaced by its value mod
     F, which contains parametric jets only."""
-    if not _principal_jets(nf_jets(n), pde):
-        return n
     return reduction(pde, problem)[0](n)
 
 
@@ -267,11 +326,11 @@ def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
     raw = char_nf(nf(pde.f), Q, problem)
     remainder = reduce_nf(raw, pde, problem)
     verdict = Verdict.NOT_SYMMETRY if remainder else Verdict.SYMMETRY
-    raw, remainder = rebuild(raw), rebuild(remainder)
     certificate = None
     if search_certificate and verdict is Verdict.SYMMETRY:
-        certificate = find_operator(pde, Q, problem, lhs=raw)
-    return SymmetryReport(verdict, raw, remainder, certificate)
+        certificate = _find_operator_nf(pde, raw, problem, AnsatzConfig())
+    return SymmetryReport(verdict, rebuild(raw), rebuild(remainder),
+                          certificate)
 
 
 def certify_operator(pde: Pde, Q: Characteristic,
@@ -331,11 +390,17 @@ def find_operator(pde: Pde, Q: Characteristic | None, problem: Problem,
                   cfg: AnsatzConfig | None = None,
                   lhs: Expr | None = None) -> Optional[LinearOperatorAnsatz]:
     """Search for L-hat with  D_Q F = L-hat F  identically, over rational
-    coefficients on the bounded monomial ansatz.  None means no certificate
-    inside the bounds, which is not a proof of non-symmetry."""
-    cfg = cfg or AnsatzConfig()
+    coefficients on the bounded monomial ansatz; `lhs`, when given, is
+    D_Q F itself and Q is not used.  None means no certificate inside the
+    bounds, which is not a proof of non-symmetry."""
+    target = char_nf(nf(pde.f), Q, problem) if lhs is None else nf(lhs)
+    return _find_operator_nf(pde, target, problem, cfg or AnsatzConfig())
+
+
+def _find_operator_nf(pde: Pde, target: NF, problem: Problem,
+                      cfg: AnsatzConfig) -> Optional[LinearOperatorAnsatz]:
+    """`find_operator` for the normal form target of D_Q F."""
     f = nf(pde.f)
-    target = char_nf(f, Q, problem) if lhs is None else nf(lhs)
     terms = _candidate_terms(problem, cfg)
     columns = LinearOperatorAnsatz(tuple(terms)).columns(f, problem)
     sol = _match_linear([target], [[c] for c in columns])

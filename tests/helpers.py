@@ -1,11 +1,12 @@
 """Shared fixtures: sample problems and a seeded random expression builder
 used by both the hypothesis strategies and the acceptance property loops;
 reference substitution and reduction that share no code with the engine's
-jet map (`normalize.nf(e, values)`); reference total and characteristic
-derivatives that walk the expression tree instead of acting on normal
-forms (`calculus.derive_nf`); the order key computed by a walk over the
-tree, for the key each interned atom carries; and a dense elimination in
-Fractions only, for `linsolve`."""
+jet map (`normalize.nf(e, values)`); the reduction of a normal form by a
+tree round trip, the reference for the engine's term-by-term map;
+reference total and characteristic derivatives that walk the expression
+tree instead of acting on normal forms (`calculus.derive_nf`); the order
+key computed by a walk over the tree, for the key each interned atom
+carries; and a dense elimination in Fractions only, for `linsolve`."""
 from __future__ import annotations
 
 from collections import Counter
@@ -18,7 +19,9 @@ from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
 from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
                          FUNC_DERIVATIVES, Inv, Jet, KindError, Mul,
                          NonlocalActionError, Pot, ZERO, neg)
-from jetsym.normalize import collect_jets
+from jetsym.normalize import (clear_denominators, collect_jets, nf,
+                              nf_divide, rebuild)
+from jetsym.symmetry import reduce_nf
 
 
 def scalar_problem() -> Problem:
@@ -129,6 +132,24 @@ def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
         extra = Counter(j.idx) - lead
         repl = iterated_total(pde.rhs, tuple(extra.elements()), problem)
         out = reference_substitute(out, j, repl)
+
+
+def reference_reduce_nf(n: dict, pde, problem: Problem) -> dict:
+    """reduce_nf by the tree round trip: n, cleared of denominators, is
+    rebuilt as a tree and normalized again with each principal jet's table
+    value as the jet map of `normalize.nf`, then divided back.  The table
+    entries are filled by reducing each principal jet on its own."""
+    lead = Counter(pde.leading.idx)
+    principal = [j for j in collect_jets(rebuild(n))
+                 if j.dep == pde.leading.dep and not (lead - Counter(j.idx))]
+    if not principal:
+        return n
+    values = {}
+    for j in principal:
+        reduce_nf(nf(j), pde, problem)
+        values[j] = pde.table[problem][j.idx]
+    [n], d = clear_denominators([n])
+    return nf_divide(nf(rebuild(n), values), d)
 
 
 def _reference_derive(e: Expr, atom) -> Expr:

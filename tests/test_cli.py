@@ -188,6 +188,16 @@ def test_parse_roundtrip(runner):
     assert "2*u_xt" in r.output
 
 
+def test_parse_folds_functions_of_zero(runner):
+    # sin(0) = 0 and exp(0) = 1: the expression is 0; sin(2) stays symbolic
+    r = invoke(runner, "--pde", "heat", "parse", "sin(x - x) + exp(0)*u - u")
+    assert code(r) == 0
+    assert r.output == "0\n"
+    r = invoke(runner, "--json", "--pde", "heat", "parse",
+               "cos(2*x - x - x)*sin(2) + exp(t*0)")
+    assert json.loads(r.output)["values"]["normal_form"] == "1 + sin(2)"
+
+
 @pytest.mark.parametrize("pde,text,name", [("heat", "inv(u)", "u"),
                                            ("chiral", "inv(g_x)", "g")])
 def test_inverse_errors_name_the_dependent(monkeypatch, capsys, pde, text,

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given, settings
 
@@ -10,7 +11,7 @@ from jetsym.parsing import MAX_DEPTH, ParseError, parse_expr, parse_operator
 from jetsym.printing import pretty, render
 
 from conftest import seeded_exprs
-from helpers import matrix_problem, scalar_problem
+from helpers import matrix_problem, random_expr, scalar_problem
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -249,6 +250,26 @@ def test_pretty_resugars_commutators():
     p = ch.problem
     e = normal_form(parse_expr("comm(g_x, M)", p))
     assert "comm(" in pretty(e, p)
+
+
+def test_pretty_reads_a_normal_form_off_the_tree():
+    """pretty takes the terms of a rebuilt normal form as they stand: the
+    normal form itself, coefficient types included, with no product taken
+    again; a tree whose terms are not products of atoms is normalized."""
+    from jetsym.catalog import get_pde
+    from jetsym.normalize import nf, rebuild
+    from jetsym.printing import _terms
+    for p, scalar in ((SP, True), (MP, False)):
+        rng = Random(f"terms-{p.dependent.kind}")
+        for _ in range(80):
+            e = rebuild(nf(random_expr(rng, p, 4, scalar)))
+            got, want = _terms(e), nf(e)
+            assert got == want, e
+            assert [type(got[k]) for k in want] == list(map(type,
+                                                            want.values()))
+    p = get_pde("chiral").problem
+    e = parse_expr("comm(g_x, M) + 2*(g + g_x)*inv(g) - g*inv(g)", p)
+    assert _terms(e) == nf(e)
 
 
 @settings(max_examples=80, deadline=None)

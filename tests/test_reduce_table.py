@@ -9,16 +9,16 @@ from random import Random
 import pytest
 
 from jetsym import (Characteristic, Dependent, PotentialDef, Problem, Rat,
-                    add, char_derivative, inverse, make_pde, mul,
+                    add, char_derivative, func, inverse, make_pde, mul,
                     normal_form, reduce_mod_pde)
 from jetsym.backlund import chiral_phi_condition
 from jetsym.catalog import CATALOG_NAMES, get_pde
-from jetsym.core import Jet
+from jetsym.core import Inv, InversionError, Jet
 from jetsym.normalize import nf
 from jetsym.parsing import parse_expr
 from jetsym.symmetry import PdeError, reduce_nf
 
-from helpers import reference_reduce
+from helpers import reference_reduce, reference_reduce_nf
 
 MAX_ORDER = 5
 MAX_KDV_T = 4  # kdv's u_t...t grows fastest; the reference takes seconds at 5
@@ -222,6 +222,72 @@ def test_reduction_of_a_rational_multiple(name):
         assert got == {k: v * c for k, v in base.items()}, c
         assert all(type(v) is int for v in got.values()
                    if Fraction(v).denominator == 1), c
+
+
+# coefficient draws: ints, integral Fractions, and Fractions
+COEFFICIENTS = ([1, -1, 2, -3, 6],
+                [Fraction(1), Fraction(-2), Fraction(6, 3), Fraction(-9, 3)],
+                [1, -2, Fraction(1, 2), Fraction(-7, 3), Fraction(4),
+                 Fraction(5, 6)])
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_term_by_term_reduction_matches_the_tree_round_trip(name):
+    """reduce_nf maps a normal form term by term: the same normal form as
+    rebuilding it as a tree and normalizing that with the table values, on
+    random normal forms (with sin of a jet on a scalar problem) whose
+    coefficients are drawn as ints, integral Fractions or Fractions; an
+    integral input gives int coefficients."""
+    entry = get_pde(name)
+    p, pde = entry.problem, entry.pde
+    rng = Random(f"term-by-term-{name}")
+    for case in range(24):
+        e = random_jet_polynomial(rng, p)
+        if p.dependent.kind == "scalar" and rng.random() < 0.5:
+            jet = p.jet([rng.choice("xt") for _ in range(rng.randint(0, 3))])
+            e = add(e, mul(func("sin", jet), p.jet("x")))
+        draws = COEFFICIENTS[case % 3]
+        n = {k: rng.choice(draws) for k in nf(e)}
+        got = reduce_nf(n, pde, p)
+        assert got == reference_reduce_nf(n, pde, p), (case, e)
+        if case % 3 != 2:
+            assert all(type(v) is int for v in got.values()), (case, e)
+
+
+def test_function_of_a_principal_jet_reduces_its_argument():
+    entry = get_pde("sine-gordon")  # u_xt = sin(u)
+    p, pde = entry.problem, entry.pde
+    n = nf(parse_expr("3*sin(u_xt)*u_x + u_xt*cos(u_xxt - u_x*cos(u))", p))
+    got = reduce_nf(n, pde, p)
+    assert got == reference_reduce_nf(n, pde, p)
+    assert got == nf(parse_expr("3*sin(sin(u))*u_x + sin(u)", p))
+
+
+def test_inverse_of_a_principal_jet_fails_as_on_the_tree():
+    # chiral leads with g_tt, whose value is a sum: inv(g_tt) has no
+    # normal form on either path (inv of a derivative is built directly,
+    # as the parser refuses it)
+    entry = get_pde("chiral")
+    p, pde = entry.problem, entry.pde
+    n = nf(mul(p.jet("x"), Inv(p.jet("tt")), p.jet("x")))
+    for reduce in (reduce_nf, reference_reduce_nf):
+        with pytest.raises(InversionError):
+            reduce(n, pde, p)
+
+
+def test_principal_jet_under_a_negative_exponent():
+    # an invertible scalar u solved as u = 2/3: u itself is principal, so
+    # inv(u) maps through the inverse of its value
+    p = Problem(coords=("x", "t"), dependent=Dependent("u", "scalar", True))
+    pde = make_pde("constant", parse_expr("u - 2/3", p), p.u,
+                   parse_expr("2/3", p), p)
+    for text in ("x*inv(u)*inv(u) + t*u_x*inv(u)", "5*inv(u) - u*t",
+                 "inv(u)*u_t*u_t + x"):
+        n = nf(parse_expr(text, p))
+        got = reduce_nf(n, pde, p)
+        assert got == reference_reduce_nf(n, pde, p), text
+    assert reduce_nf(nf(parse_expr("x*inv(u)*inv(u) + 5*inv(u)", p)),
+                     pde, p) == nf(parse_expr("9/4*x + 15/2", p))
 
 
 def test_rational_solved_form_with_an_inverse_matches_reference():

@@ -156,6 +156,22 @@ def test_find_operator_zero_for_x():
     assert lhat.same_operator(ZERO_OPERATOR)
 
 
+@pytest.mark.parametrize("name", ["heat", "kdv", "chiral"])
+def test_certificate_search_of_check_symmetry(name):
+    """check_symmetry hands its normal form of D_Q F to the certificate
+    search: the certificate find_operator gives from Q or from the
+    reported D_Q F."""
+    entry = get_pde(name)
+    pde, p = entry.pde, entry.problem
+    for c in entry.characteristics:
+        report = check_symmetry(pde, c.q, p, search_certificate=True)
+        if not report.is_symmetry:
+            continue
+        assert report.certificate == find_operator(pde, c.q, p), c.name
+        assert report.certificate == find_operator(pde, None, p,
+                                                   lhs=report.raw), c.name
+
+
 def test_find_operator_none_for_nonsymmetry():
     assert find_operator(HEAT.pde, Q_of(HEAT, "x*u_t"), HEAT.problem) is None
 

@@ -139,7 +139,8 @@ def random_rational_product(rng: Random):
     """A sum of products of sums whose leaves are coordinates, jets and
     inv(u) with integral or non-integral rational coefficients, and at
     times sin or exp of a monomial plus a constant (sympy would evaluate a
-    function of a constant, and the engine keeps it an atom)."""
+    function of a nonzero constant, and the engine keeps it an atom), or
+    sin, cos or exp of a monomial minus itself, which both evaluate at 0."""
     jets = [PI.coord("x"), PI.coord("t")] + [
         PI.jet(s) for s in ("", "x", "t", "xt")]
     leaves = jets + [inverse(PI.u)]
@@ -155,6 +156,8 @@ def random_rational_product(rng: Random):
         if rng.random() < 0.2:
             arg = mul(coefficient(1), *(rng.choice(jets)
                                         for _ in range(rng.randint(1, 2))))
+            if rng.random() < 0.25:
+                return func(rng.choice(["sin", "cos", "exp"]), add(arg, -arg))
             return func(rng.choice(["sin", "exp"]), add(arg, coefficient()))
         return add(*(summand() for _ in range(rng.randint(1, 3))))
 
