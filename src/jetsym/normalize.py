@@ -16,8 +16,7 @@ cancel adjacent w*inv(w) pairs, expand commutators, collect like terms, and
 evaluate sin, cos and exp at 0 (at any other constant they stay atoms, so
 no float enters).  Commutators between scalar-class expressions therefore
 collapse to zero, and fully commuting words reorder into the canonical
-monomial.  A product stays one term until a factor of more than one term
-comes, so the terms of a rebuilt normal form are read in one pass each.
+monomial.
 
 The normaliser is also the one walk that substitutes into a tree:
 `nf(e, values)` takes a map from jets to normal forms and uses the mapped
@@ -68,13 +67,6 @@ def _merge_cmono(a: tuple, b: tuple) -> tuple:
         else:
             del exps[atom]
     return tuple(sorted(exps.items(), key=_atom_order))
-
-
-def _term_key(exps: dict, word: tuple) -> Key:
-    """The key of the term with the word `word` and the atom exponents
-    exps, zeros dropped."""
-    return (tuple(sorted(((a, k) for a, k in exps.items() if k),
-                         key=_atom_order)), word)
 
 
 def _inverse_pair(a: Expr, b: Expr) -> bool:
@@ -202,30 +194,14 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
             _nf_add(out, nf(t, values))
         return out
     if isinstance(e, Mul):
-        # rational factors multiply into one coefficient, applied once; up
-        # to the first factor of more than one term, the product is one
-        # term, whose monomial is sorted once (a rebuilt normal form's
-        # terms are read in one pass)
-        out, c = None, 1
-        exps, word, v = {}, (), 1  # the one-term product while out is None
+        # rational factors multiply into one coefficient, applied once
+        out, c = {((), ()): 1}, 1
         for f in e.factors:
             if isinstance(f, Rat):
-                x = f.value
-                c *= x.numerator if x.denominator == 1 else x
-                continue
-            n = nf(f, values)
-            if out is None:
-                if len(n) == 1:
-                    for (cmono, w), x in n.items():
-                        for a, k in cmono:
-                            exps[a] = exps.get(a, 0) + k
-                        word = _join(word, w)
-                        v *= x
-                    continue
-                out = {_term_key(exps, word): v}
-            out = _nf_mul(out, n)
-        if out is None:
-            out = {_term_key(exps, word): v}
+                v = f.value
+                c *= v.numerator if v.denominator == 1 else v
+            else:
+                out = _nf_mul(out, nf(f, values))
         if c == 1:
             return out
         return _nf_scale(out, c.numerator if c.denominator == 1 else c)

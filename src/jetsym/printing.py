@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (Add, Atom, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul,
-                   Pot, Problem, Rat, Sym, is_commuting_atom)
-from .normalize import (NF, _term_key, _term_sort_key, nf, normal_form,
-                        rebuild)
+from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, Pot,
+                   Problem, Rat, Sym)
+from .normalize import _term_sort_key, nf, normal_form, rebuild
 
 
 def _coord_names(problem: Problem, idx) -> list[str]:
@@ -87,39 +86,10 @@ def render(e: Expr, problem: Problem) -> str:
     raise TypeError(f"cannot render node {type(e).__name__}")
 
 
-def _terms(e: Expr) -> NF:
-    """The terms of e, read off the tree without multiplying when every
-    term is a product of rationals and atoms (as `rebuild` lays a normal
-    form out, for which this is the normal form itself); nf(e) otherwise."""
-    out: NF = {}
-    for t in (e.terms if isinstance(e, Add) else (e,)):
-        coeff, exps, word = 1, {}, []
-        for f in (t.factors if isinstance(t, Mul) else (t,)):
-            if isinstance(f, Rat):
-                v = f.value
-                coeff *= v.numerator if v.denominator == 1 else v
-            elif not isinstance(f, Atom) or (isinstance(f, Inv)
-                                             and isinstance(f.base, Rat)):
-                return nf(e)
-            elif isinstance(f, Inv) and is_commuting_atom(f.base):
-                exps[f.base] = exps.get(f.base, 0) - 1
-            elif is_commuting_atom(f):
-                exps[f] = exps.get(f, 0) + 1
-            else:
-                word.append(f)
-        key = _term_key(exps, tuple(word))
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 def resugar_commutators(e: Expr, problem: Problem) -> Expr:
     """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
     into  c*comm(a, b).  Purely cosmetic; used by the pretty printer."""
-    n = _terms(e)
+    n = nf(e)
     pieces: list[Expr] = []
     for (cmono, word), coeff in sorted(
             (t for t in n.items() if len(t[0][1]) == 2), key=_term_sort_key):

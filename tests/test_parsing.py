@@ -252,24 +252,16 @@ def test_pretty_resugars_commutators():
     assert "comm(" in pretty(e, p)
 
 
-def test_pretty_reads_a_normal_form_off_the_tree():
-    """pretty takes the terms of a rebuilt normal form as they stand: the
-    normal form itself, coefficient types included, with no product taken
-    again; a tree whose terms are not products of atoms is normalized."""
+def test_pretty_prints_the_normal_form_of_any_tree():
+    """pretty normalizes what it is given, not only rebuilt normal forms."""
     from jetsym.catalog import get_pde
-    from jetsym.normalize import nf, rebuild
-    from jetsym.printing import _terms
-    for p, scalar in ((SP, True), (MP, False)):
-        rng = Random(f"terms-{p.dependent.kind}")
-        for _ in range(80):
-            e = rebuild(nf(random_expr(rng, p, 4, scalar)))
-            got, want = _terms(e), nf(e)
-            assert got == want, e
-            assert [type(got[k]) for k in want] == list(map(type,
-                                                            want.values()))
-    p = get_pde("chiral").problem
-    e = parse_expr("comm(g_x, M) + 2*(g + g_x)*inv(g) - g*inv(g)", p)
-    assert _terms(e) == nf(e)
+    from jetsym.core import Inv, InversionError, Mul
+    ch, heat = get_pde("chiral").problem, get_pde("heat").problem
+    assert pretty(parse_expr("g*inv(g)", ch), ch) == "1"
+    assert pretty(parse_expr("sin(x - x)", heat), heat) == "0"
+    assert pretty(parse_expr("sin(x + x)", heat), heat) == "sin(2*x)"
+    with pytest.raises(InversionError):
+        pretty(Mul((heat.u, Inv(heat.jet("x")))), heat)
 
 
 @settings(max_examples=80, deadline=None)

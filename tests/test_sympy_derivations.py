@@ -135,12 +135,13 @@ def test_formal_jet_partial_matches_sympy(seed):
 PI = Problem(coords=["x", "t"], dependent=Dependent("u", invertible=True))
 
 
-def random_rational_product(rng: Random):
+def random_rational_product(rng: Random, zero_args: bool = False):
     """A sum of products of sums whose leaves are coordinates, jets and
     inv(u) with integral or non-integral rational coefficients, and at
     times sin or exp of a monomial plus a constant (sympy would evaluate a
-    function of a nonzero constant, and the engine keeps it an atom), or
-    sin, cos or exp of a monomial minus itself, which both evaluate at 0."""
+    function of a constant, and the engine keeps it an atom).  With
+    zero_args, half of the functions are instead sin, cos or exp of a
+    monomial minus itself, which both evaluate at 0."""
     jets = [PI.coord("x"), PI.coord("t")] + [
         PI.jet(s) for s in ("", "x", "t", "xt")]
     leaves = jets + [inverse(PI.u)]
@@ -156,7 +157,7 @@ def random_rational_product(rng: Random):
         if rng.random() < 0.2:
             arg = mul(coefficient(1), *(rng.choice(jets)
                                         for _ in range(rng.randint(1, 2))))
-            if rng.random() < 0.25:
+            if zero_args and rng.random() < 0.5:
                 return func(rng.choice(["sin", "cos", "exp"]), add(arg, -arg))
             return func(rng.choice(["sin", "exp"]), add(arg, coefficient()))
         return add(*(summand() for _ in range(rng.randint(1, 3))))
@@ -165,9 +166,7 @@ def random_rational_product(rng: Random):
                  for _ in range(rng.randint(1, 3))))
 
 
-@pytest.mark.parametrize("seed", range(CASES))
-def test_normal_form_matches_sympy(seed):
-    e = random_rational_product(Random(2 * 10**6 + seed))
+def _check_normal_form(e, seed):
     n = normal_form(e)
     assert sympy.expand(to_sympy(n) - to_sympy(e)) == 0, seed
     # like terms collected: one term per monomial, as in sympy's expansion
@@ -175,3 +174,16 @@ def test_normal_form_matches_sympy(seed):
     terms = len(n.terms) if isinstance(n, Add) else int(n != Rat(0))
     assert terms == (len(want.args) if isinstance(want, sympy.Add)
                      else int(want != 0)), seed
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_normal_form_matches_sympy(seed):
+    _check_normal_form(random_rational_product(Random(2 * 10**6 + seed)), seed)
+
+
+@pytest.mark.parametrize("seed", range(CASES // 2))
+def test_normal_form_matches_sympy_at_zero_arguments(seed):
+    """sin, cos and exp of an argument whose normal form is 0 evaluate, as
+    in sympy, so like terms still collect."""
+    e = random_rational_product(Random(3 * 10**6 + seed), zero_args=True)
+    _check_normal_form(e, seed)
