@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 SCALAR = "scalar"
 MATRIX = "matrix"
@@ -204,11 +204,17 @@ class Pot(Atom):
 @dataclass(frozen=True)
 class Add(Expr):
     terms: tuple[Expr, ...]
+    # the normal form of a tree that `normalize.rebuild` built, which `nf`
+    # returns; not part of the value: no equality, hash or repr
+    form: Optional[dict] = field(default=None, init=False, compare=False,
+                                 repr=False)
 
 
 @dataclass(frozen=True)
 class Mul(Expr):
     factors: tuple[Expr, ...]
+    form: Optional[dict] = field(default=None, init=False, compare=False,
+                                 repr=False)  # as Add.form
 
 
 @_atom

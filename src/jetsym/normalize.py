@@ -18,6 +18,13 @@ no float enters).  Commutators between scalar-class expressions therefore
 collapse to zero, and fully commuting words reorder into the canonical
 monomial.
 
+A normal form is a value that no caller mutates, so it is shared, never
+copied.  `rebuild` hands each Add or Mul it returns the normal form that
+`nf` would compute from that tree (the same terms in the same order, each
+integral coefficient an int), and `nf` without a jet map returns it, also
+where the tree sits in a larger one: an engine output fed back in is not
+normalized again.
+
 The normaliser is also the one walk that substitutes into a tree:
 `nf(e, values)` takes a map from jets to normal forms and uses the mapped
 normal form for each mapped jet as it goes, so `substitute` adds no tree
@@ -169,8 +176,10 @@ def _atom_nf(atom: Expr, exp: int = 1) -> NF:
 def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
     """The normal form of e with every jet that `values` maps replaced by
     its mapped normal form, everywhere in e (function arguments, inverses
-    and commutators included).  The returned dict may be a value of
-    `values`; no caller mutates a normal form."""
+    and commutators included).  Without `values`, an Add or Mul that
+    `rebuild` returned answers with the normal form it carries.  The
+    returned dict may be that form or a value of `values`: no caller
+    mutates a normal form."""
     if isinstance(e, Rat):
         v = e.value
         if not v:
@@ -188,6 +197,8 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
             v = FUNC_AT_ZERO[e.fname]
             return {((), ()): v} if v else {}
         return _atom_nf(Fn(e.fname, rebuild(arg)))
+    if type(e) in (Add, Mul) and e.form is not None and values is None:
+        return e.form
     if isinstance(e, Add):
         out: NF = {}
         for t in e.terms:
@@ -238,9 +249,15 @@ def _term_sort_key(item):
 
 
 def rebuild(n: NF) -> Expr:
-    """Deterministic canonical expression from an internal normal form."""
-    terms = []
+    """Deterministic canonical expression from an internal normal form.
+    An Add or Mul it returns carries, as its `form`, the normal form that
+    `nf` would compute from the tree: the terms in the tree's order, each
+    integral coefficient an int."""
+    terms, form = [], {}
     for (cmono, word), coeff in sorted(n.items(), key=_term_sort_key):
+        if type(coeff) is not int and coeff.denominator == 1:
+            coeff = coeff.numerator
+        form[cmono, word] = coeff
         factors: list[Expr] = []
         for atom, exp in cmono:
             if exp >= 0:
@@ -253,9 +270,10 @@ def rebuild(n: NF) -> Expr:
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
     if not terms:
         return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    e = terms[0] if len(terms) == 1 else Add(tuple(terms))
+    if type(e) in (Add, Mul):
+        object.__setattr__(e, "form", form)
+    return e
 
 
 def normal_form(e: Expr) -> Expr:

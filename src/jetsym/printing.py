@@ -88,26 +88,24 @@ def render(e: Expr, problem: Problem) -> str:
 
 def resugar_commutators(e: Expr, problem: Problem) -> Expr:
     """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
-    into  c*comm(a, b).  Purely cosmetic; used by the pretty printer."""
+    into  c*comm(a, b).  Purely cosmetic; used by the pretty printer.  The
+    normal form of e is read, never changed: a tree that carries it and
+    folds no pair is returned as it is."""
     n = nf(e)
     pieces: list[Expr] = []
+    folded: set[tuple] = set()
     for (cmono, word), coeff in sorted(
             (t for t in n.items() if len(t[0][1]) == 2), key=_term_sort_key):
-        if n.get((cmono, word)) != coeff:
-            continue
         a, b = word
-        if a == b:
-            continue
         rev = (cmono, (b, a))
-        if n.get(rev) == -coeff:
-            del n[(cmono, word)]
-            del n[rev]
+        if a != b and rev not in folded and n.get(rev) == -coeff:
+            folded.update(((cmono, word), rev))
             scal = rebuild({(cmono, ()): coeff})
             com = Comm(a, b)
             pieces.append(com if scal == Rat(Fraction(1)) else Mul((scal, com)))
-    rest = rebuild(n)
     if not pieces:
-        return rest
+        return e if getattr(e, "form", None) is n else rebuild(n)
+    rest = rebuild({k: v for k, v in n.items() if k not in folded})
     terms = pieces + (list(rest.terms) if isinstance(rest, Add)
                       else ([] if rest == Rat(Fraction(0)) else [rest]))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from random import Random
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
@@ -68,20 +69,55 @@ def _leaf(rng: Random, p: Problem, scalar_only: bool) -> Expr:
     return p.cmat(rng.choice(list(p.matrices)))
 
 
+def term_bound(e: Expr) -> int:
+    """An upper bound, read off the tree, on the terms of nf(e) and of
+    every product that `normalize.nf` forms on the way: a sum adds its
+    terms' bounds, a product multiplies its factors' bounds, a commutator
+    is twice the product of its sides', and an atom or a number is 1.  An
+    analytic function's argument is normalized on its own; `random_expr`
+    draws it at depth 2 at most, where its bound is at most 27."""
+    if isinstance(e, Add):
+        return sum(term_bound(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return prod(term_bound(f) for f in e.factors)
+    if isinstance(e, Comm):
+        return 2 * term_bound(e.lhs) * term_bound(e.rhs)
+    return 1
+
+
+#: the most terms a drawn expression may form, as its `term_bound`
+DRAW_TERMS = 20_000
+
+
+def _capped(make, parts: list[Expr]) -> Expr:
+    """make(*parts), with trailing parts dropped while its term bound
+    exceeds DRAW_TERMS; the first part alone is within it.  No draw is
+    made here, so an expression within the bound is drawn as before."""
+    e = make(*parts)
+    while term_bound(e) > DRAW_TERMS:
+        parts = parts[:-1]
+        e = make(*parts) if len(parts) > 1 else parts[0]
+    return e
+
+
 def random_expr(rng: Random, p: Problem, depth: int = 4,
                 scalar_only: bool = False) -> Expr:
+    """A seeded random expression whose `term_bound` is at most
+    DRAW_TERMS, so that normalizing it forms no product above
+    `normalize.MAX_TERMS`."""
     if depth <= 0 or rng.random() < 0.35:
         return _leaf(rng, p, scalar_only)
     kind = rng.choice(["add", "add", "mul", "mul", "comm", "fn"])
     if kind == "add":
-        return add(*(random_expr(rng, p, depth - 1, scalar_only)
-                     for _ in range(rng.randint(2, 3))))
+        return _capped(add, [random_expr(rng, p, depth - 1, scalar_only)
+                             for _ in range(rng.randint(2, 3))])
     if kind == "mul":
-        return mul(*(random_expr(rng, p, depth - 1, scalar_only)
-                     for _ in range(rng.randint(2, 3))))
+        return _capped(mul, [random_expr(rng, p, depth - 1, scalar_only)
+                             for _ in range(rng.randint(2, 3))])
     if kind == "comm":
-        return commutator(random_expr(rng, p, depth - 1, scalar_only),
-                          random_expr(rng, p, depth - 1, scalar_only))
+        return _capped(commutator,
+                       [random_expr(rng, p, depth - 1, scalar_only),
+                        random_expr(rng, p, depth - 1, scalar_only)])
     return func(rng.choice(["sin", "cos", "exp"]),
                 random_expr(rng, p, min(depth - 1, 2), scalar_only=True))
 
@@ -91,6 +127,21 @@ def random_characteristic(rng: Random, p: Problem, depth: int = 2
     q = random_expr(rng, p, depth,
                     scalar_only=p.dependent.kind == "scalar")
     return Characteristic(f"Q{rng.randint(0, 10**6)}", q, p.dependent)
+
+
+def fresh_copy(e: Expr) -> Expr:
+    """e copied node by node, with no normal form carried on any Add or
+    Mul (`normalize.rebuild` gives its trees one, which `nf` returns), so
+    that normalizing the copy walks the tree: the oracle for a normal
+    form read off an engine output.  Atoms are interned and come back as
+    they are, an analytic function's argument included."""
+    if isinstance(e, Add):
+        return Add(tuple(fresh_copy(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(fresh_copy(f) for f in e.factors))
+    if isinstance(e, Comm):
+        return Comm(fresh_copy(e.lhs), fresh_copy(e.rhs))
+    return e
 
 
 def reference_substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:

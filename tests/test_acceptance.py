@@ -19,8 +19,8 @@ from jetsym.catalog import get_pde
 from jetsym.core import Dependent, PotentialDef, Problem
 from jetsym.parsing import parse_expr, parse_operator
 
-from helpers import (matrix_problem, random_characteristic, random_expr,
-                     scalar_problem)
+from helpers import (fresh_copy, matrix_problem, random_characteristic,
+                     random_expr, scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -248,7 +248,7 @@ def test_criterion_6_property_suites():
             for rng in _cases(7):
                 e = random_expr(rng, p, rng.randint(0, MAX_DEPTH))
                 n1 = normal_form(e)
-                assert n1 == normal_form(n1)
+                assert n1 == normal_form(fresh_copy(n1))
                 assert n1 == normal_form(e)
 
 

@@ -11,13 +11,14 @@ from jetsym import (commutator, get_pde, inverse, is_zero, normal_form,
                     parse_expr, substitute)
 from jetsym.calculus import char_nf, jet_totals
 from jetsym.core import Comm, Fn, Inv, InversionError, Rat, children, rat
-from jetsym.normalize import (_join, _nf_mul, clear_denominators,
+from jetsym.normalize import (MAX_TERMS, _join, _nf_mul, clear_denominators,
                               collect_jets, nf, nf_divide)
 from jetsym.symmetry import reduce_nf
 
 from conftest import seeded_exprs
-from helpers import (matrix_problem, random_characteristic, random_expr,
-                     reference_substitute, scalar_problem)
+from helpers import (DRAW_TERMS, fresh_copy, matrix_problem,
+                     random_characteristic, random_expr, reference_substitute,
+                     scalar_problem, term_bound)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -169,14 +170,29 @@ def test_substitute_matches_reference_walker(problem):
 @given(seeded_exprs(SP, depth=6))
 def test_idempotent_scalar(e):
     n = normal_form(e)
-    assert normal_form(n) == n
+    assert normal_form(fresh_copy(n)) == n
 
 
 @settings(max_examples=120, deadline=None)
 @given(seeded_exprs(MP, depth=6))
 def test_idempotent_matrix(e):
     n = normal_form(e)
-    assert normal_form(n) == n
+    assert normal_form(fresh_copy(n)) == n
+
+
+def test_drawn_expressions_form_no_product_above_the_budget():
+    """`random_expr` keeps the term bound of what it draws, read off the
+    tree, within DRAW_TERMS, and so within MAX_TERMS: before that bound,
+    depth-6 matrix seed 106157 (as `seeded_exprs` draws it) formed a
+    product of 182,968 terms, and about 1 draw in 140,000 exceeded
+    MAX_TERMS.  On small draws the bound is checked against `nf`."""
+    assert DRAW_TERMS <= MAX_TERMS
+    for seed in (106157, *range(3000)):
+        for p in (SP, MP):
+            assert term_bound(random_expr(Random(seed), p, 6)) <= DRAW_TERMS
+    for seed in range(300):
+        e = random_expr(Random(seed), MP, 3)
+        assert len(nf(e)) <= term_bound(e), seed
 
 
 @settings(max_examples=100, deadline=None)

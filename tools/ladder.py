@@ -1,4 +1,4 @@
-"""Size ladders of the engine's two deepest costs, written to BENCH_ladder.json.
+"""Size ladders of the engine's deepest costs, written to BENCH_ladder.json.
 
     python3 tools/ladder.py
 
@@ -12,6 +12,14 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   s - 1 is declared, and step s applies `bt_apply` to that image, so the
   candidate basis grows 26 -> 40 -> 57 -> 77.  Each repetition builds the
   chain afresh.
+* fed back: `reduce_mod_pde(char_derivative(F, Q))`, an engine output
+  passed back in, on the catalog kdv with Q = (u_x + u_t)^k for k = 1..6
+  and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
+  inv(g)*g_t)^k for k = 1..5, with the term counts of the input and of
+  the result.  The first repetition fills the principal-jet table.
+* pretty: `pretty` of the normal form of (g + g_x)^k on the catalog
+  chiral problem (2^k terms) for k = 8..13, with the term count and the
+  length of the printed text.
 
 Every rung records its operation counts (terms, candidates) next to the
 best of REPEATS wall-clock times, so records from noisy machines can still
@@ -28,14 +36,18 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from jetsym import backlund, catalog, parsing, symmetry  # noqa: E402
+from jetsym import (backlund, calculus, catalog, parsing, printing,  # noqa: E402
+                    symmetry)
 from jetsym.core import Dependent, PotentialDef, Problem  # noqa: E402
-from jetsym.normalize import nf  # noqa: E402
+from jetsym.normalize import nf, normal_form  # noqa: E402
 
 REPEATS = 3
 KDV_ORDERS = range(4, 11)
 CHAIN_SEED = "M + 2*inv(g)*g_x - inv(g)*g_t"
 CHAIN_STEPS = 4
+FED_BACK = {"kdv": ("(u_x + u_t)", "", range(1, 7)),
+            "chiral": ("(inv(g)*g_x + inv(g)*g_t)", "g*", range(1, 6))}
+PRETTY_POWERS = range(8, 14)
 
 
 def timed(fn, *args):
@@ -106,6 +118,39 @@ def chain_ladder() -> list[dict]:
     return out
 
 
+def best_of(fn, *args) -> tuple[list[float], object]:
+    """The seconds of each of REPEATS calls, and the last call's result."""
+    runs = [timed(fn, *args) for _ in range(REPEATS)]
+    return [secs for secs, _ in runs], runs[-1][1]
+
+
+def fed_back_ladder() -> list[dict]:
+    out = []
+    for name, (factor, prefix, powers) in FED_BACK.items():
+        entry = catalog.get_pde(name)
+        p, pde = entry.problem, entry.pde
+        for k in powers:
+            q = parsing.parse_expr(prefix + "*".join([factor] * k), p)
+            cond = calculus.char_derivative(
+                pde.f, calculus.Characteristic("Q", q, p.dependent), p)
+            runs, r = best_of(symmetry.reduce_mod_pde, cond, pde, p)
+            out.append({"pde": name, "k": k, "input_terms": len(nf(cond)),
+                        "terms": len(nf(r)), "best_s": min(runs),
+                        "runs_s": runs})
+    return out
+
+
+def pretty_ladder() -> list[dict]:
+    p = catalog.get_pde("chiral").problem
+    out = []
+    for k in PRETTY_POWERS:
+        e = normal_form(parsing.parse_expr("*".join(["(g + g_x)"] * k), p))
+        runs, text = best_of(printing.pretty, e, p)
+        out.append({"k": k, "terms": len(nf(e)), "chars": len(text),
+                    "best_s": min(runs), "runs_s": runs})
+    return out
+
+
 def main() -> int:
     record = {
         "machine": {"python": platform.python_version(),
@@ -115,6 +160,8 @@ def main() -> int:
         "repeats": REPEATS,
         "reduce_kdv_u_t_k": reduce_ladder(),
         "bt_apply_chain": chain_ladder(),
+        "reduce_fed_back": fed_back_ladder(),
+        "pretty_chiral_g_plus_g_x_k": pretty_ladder(),
     }
     path = os.path.join(ROOT, "BENCH_ladder.json")
     with open(path, "w") as fh:
@@ -125,6 +172,12 @@ def main() -> int:
     for r in record["bt_apply_chain"]:
         print(f"chain step {r['step']}: {r['candidates']} candidates, "
               f"{r['image_terms']} image terms, {r['best_s']:.4f} s")
+    for r in record["reduce_fed_back"]:
+        print(f"{r['pde']} fed back k={r['k']}: {r['input_terms']} -> "
+              f"{r['terms']} terms, {r['best_s']:.4f} s")
+    for r in record["pretty_chiral_g_plus_g_x_k"]:
+        print(f"pretty (g + g_x)^{r['k']}: {r['terms']} terms, "
+              f"{r['chars']} chars, {r['best_s']:.4f} s")
     return 0
 
 
