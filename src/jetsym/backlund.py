@@ -21,8 +21,8 @@ from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    inverse, mul)
 from .calculus import (Characteristic, char_derivative, derive_cleared,
                        derive_nf, total_images)
-from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, clear_denominators,
-                        nf, nf_divide, normal_form, rebuild)
+from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf, nf_divide,
+                        normal_form, rebuild)
 from .symmetry import (Pde, _match_linear, check_symmetry, reduce_nf,
                        reduction)
 
@@ -76,10 +76,7 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
             raise JetsymError(f"potential {pdef.name}: missing derivative "
                               f"for coordinate {c.name}")
     reduce, totals = reduction(pde, problem)
-    # the check is homogeneous in the gradient: run it on ints
-    grad, d = clear_denominators([nf(as_expr(pdef.derivatives[c.name]))
-                                  for c in coords])
-    grad = [reduce(g) for g in grad]
+    grad = [reduce(nf(as_expr(pdef.derivatives[c.name]))) for c in coords]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             residual = _nf_add(derive_nf(grad[i], totals[j]),
@@ -89,26 +86,25 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
                 raise PotentialError(
                     f"potential {pdef.name}: D_{cj.name}({pdef.name}_{ci.name})"
                     f" != D_{ci.name}({pdef.name}_{cj.name}) mod {pde.name}",
-                    rebuild(nf_divide(residual, d)))
+                    rebuild(residual))
     return problem.register_potential(pdef)
 
 
 def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
     """The pair of right-hand sides defining Phi' up to integration,
-    D_t Phi + [inv(g)g_t, Phi] and -(D_x Phi + [inv(g)g_x, Phi]).  Both
-    are linear in Phi, so they are taken on Phi cleared of denominators."""
+    D_t Phi + [inv(g)g_t, Phi] and -(D_x Phi + [inv(g)g_x, Phi]).  Each
+    D_c Phi is taken on ints (`calculus.derive_cleared`)."""
     x, t = _xt(problem)
     phi = as_expr(phi)
-    [n], d = clear_denominators([nf(phi)])
+    n = nf(phi)
     totals = total_images(problem)
 
-    def side(c: Coordinate) -> NF:  # d * (D_c Phi + [inv(g)g_c, Phi])
+    def side(c: Coordinate) -> NF:  # D_c Phi + [inv(g)g_c, Phi]
         a = nf(left_current(problem, c))
         return _nf_add(_nf_add(derive_nf(n, totals[c.index]), _nf_mul(a, n)),
                        _nf_scale(_nf_mul(n, a), -1))
 
-    return BtPair(phi, rebuild(nf_divide(side(t), d)),
-                  rebuild(nf_divide(_nf_scale(side(x), -1), d)))
+    return BtPair(phi, rebuild(side(t)), rebuild(_nf_scale(side(x), -1)))
 
 
 def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
@@ -175,9 +171,6 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     Phi fails the symmetry condition or that the integration lies outside
     the candidate basis (basis insufficiency), not that no Phi' exists."""
     _xt(problem)  # two coordinates, or a JetsymError before any work
-    # Phi' is linear in Phi: integrate d*Phi, cleared of denominators
-    [n], d = clear_denominators([nf(as_expr(phi))])
-    phi = rebuild(n)
     if not bt_integrability_check(phi, pde, problem):
         return None
     basis = default_bt_basis(problem)
@@ -187,8 +180,8 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     sol = _match_linear(targets, [rows for rows, _ in columns])
     if sol is None:
         return None
-    # candidate k's rows are d_k times its column, so its coefficient in
-    # Phi' is d_k times the one solved for, divided by Phi's d
-    return normal_form(add(*(mul(Rat(c * dk / d), b)
+    # candidate k's column holds d_k times its rows, so its coefficient in
+    # Phi' is d_k times the one solved for
+    return normal_form(add(*(mul(Rat(c * dk), b)
                              for c, (_, dk), b in zip(sol, columns, basis)
                              if c)))

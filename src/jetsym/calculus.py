@@ -29,8 +29,8 @@ from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_scale,
                         clear_denominators, collect_jets, nf, nf_divide,
                         normal_form, rebuild)
 
-# a normal form n cleared of denominators: (d*n, d), int coefficients
-# (`normalize.clear_denominators`)
+# a normal form n as (d*n, d) with d*n's coefficients ints
+# (`normalize.clear_denominators`, `derive_cleared`)
 Cleared = tuple[NF, int]
 # image of a factor of a normal form under a derivation, cleared
 Image = Callable[[Expr], Cleared]
@@ -57,14 +57,26 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
     """(d * derive_nf(n, image), d) with int coefficients, for a linear
     caller that would clear the value of denominators again.
 
-    It multiplies ints only: n is cleared of denominators, each factor's
-    image comes cleared (a potential's gradient may hold Fractions), and
-    the products are collected apart for each image denominator, which
-    are brought to one denominator at the end."""
-    [n], dn = clear_denominators([n])
-    outs: dict[int, NF] = {}  # image denominator -> int products
+    It multiplies ints only: n is cleared of denominators, and each
+    factor's image comes cleared (a potential's gradient may hold
+    Fractions).  The products are collected in one dict over a running
+    common denominator d, which is raised, and what the dict holds
+    rescaled, only when an image's denominator does not divide it."""
+    n, dn = clear_denominators(n)
+    out: NF = {}  # d times the derivative of the terms taken so far
+    d = 1
 
-    def put(out: NF, key, v):
+    def to_common(di: int) -> int:
+        """The factor that brings an image of denominator di to d."""
+        nonlocal d
+        if d % di:
+            m = lcm(d, di) // d
+            for k in out:
+                out[k] *= m
+            d *= m
+        return d // di
+
+    def put(key, v):
         s = out.get(key)
         if s is None:
             out[key] = v
@@ -77,37 +89,24 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
 
     for (cmono, word), c in n.items():
         for i, (a, e) in enumerate(cmono):
-            da, d = image(a)
+            da, di = image(a)
             if not da:
                 continue
-            out = outs.get(d)
-            if out is None:
-                out = outs[d] = {}
+            m = c * e * to_common(di)
             rest = cmono[:i] + ((a, e - 1),) + cmono[i + 1:] if e != 1 \
                 else cmono[:i] + cmono[i + 1:]
             for (dc, dw), dv in da.items():
-                put(out, (_merge_cmono(rest, dc), _join(dw, word)), c * e * dv)
+                put((_merge_cmono(rest, dc), _join(dw, word)), m * dv)
         for i, f in enumerate(word):
-            da, d = image(f)
+            da, di = image(f)
             if not da:
                 continue
-            out = outs.get(d)
-            if out is None:
-                out = outs[d] = {}
+            m = c * to_common(di)
             left, right = word[:i], word[i + 1:]
             for (dc, dw), dv in da.items():
-                put(out, (_merge_cmono(cmono, dc),
-                          _join(_join(left, dw), right)), c * dv)
-    outs = {d: out for d, out in outs.items() if out}
-    if len(outs) < 2:
-        for d, out in outs.items():
-            return out, d * dn
-        return {}, 1
-    common = lcm(*outs)
-    result: NF = {}
-    for d, out in outs.items():
-        _nf_add(result, _nf_scale(out, common // d))
-    return result, common * dn
+                put((_merge_cmono(cmono, dc), _join(_join(left, dw), right)),
+                    m * dv)
+    return out, d * dn
 
 
 def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> Cleared:
@@ -119,8 +118,7 @@ def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> Cleared:
     if isinstance(f, (Sym, CMat)):
         return {}, 1
     if isinstance(f, (Coord, Jet, Base, Pot)):
-        [n], d = clear_denominators([atom(f)])
-        return n, d
+        return clear_denominators(atom(f))
     if isinstance(f, Inv):
         db, d = image(f.base)
         if not db:
@@ -129,10 +127,8 @@ def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> Cleared:
         return _nf_scale(_nf_mul(_nf_mul(w, db), w), -1), d
     if isinstance(f, Fn):
         coeff, newname = FUNC_DERIVATIVES[f.fname]
-        [n], d = clear_denominators([_nf_mul(
-            {(((Fn(newname, f.arg), 1),), ()): coeff},
-            derive_nf(nf(f.arg), image))])
-        return n, d
+        da, d = derive_cleared(nf(f.arg), image)
+        return _nf_mul({(((Fn(newname, f.arg), 1),), ()): coeff}, da), d
     raise TypeError(f"cannot differentiate factor {type(f).__name__}")
 
 
@@ -201,7 +197,7 @@ def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
 def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
     """D_Q n for a normal form n, as a normal form.  D_Q is linear in Q, so
     it is taken along d*Q, cleared of denominators, and divided by d."""
-    [q], d = clear_denominators([nf(as_expr(Q.q))])
+    q, d = clear_denominators(nf(as_expr(Q.q)))
     totals = jet_totals(q, problem)  # D_J (d*Q)
 
     def atom(a: Expr) -> NF:
@@ -241,7 +237,7 @@ def scale_characteristic(Q: Characteristic, lam) -> Characteristic:
     """lam * Q for a constant lam (rational or declared symbol); scaling by
     non-constant base functions would break commutation with the totals."""
     if isinstance(lam, (int, Fraction)):
-        factor: Expr = Rat(Fraction(lam))
+        factor: Expr = Rat(lam)
     elif isinstance(lam, Sym):
         factor = lam
     else:

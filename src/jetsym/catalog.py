@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from typing import Optional
 
@@ -61,7 +62,9 @@ class CatalogEntry:
         raise DeclarationError(f"{self.name}: no characteristic {name!r}")
 
 
+@cache
 def _load_raw() -> dict:
+    """The parsed data file, read once per process; no caller changes it."""
     data = resources.files("jetsym.data").joinpath("catalog.yaml").read_text()
     return yaml.safe_load(data)
 

@@ -93,11 +93,18 @@ class Expr:
 
 @dataclass(frozen=True)
 class Rat(Expr):
-    value: Fraction
+    """A rational constant.  Its value follows the coefficient rule of a
+    normal form: an `int` while it is integral, a `Fraction` otherwise."""
+
+    value: Union[int, Fraction]
 
     def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+        v = self.value
+        if type(v) is not int:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            object.__setattr__(self, "value",
+                               v.numerator if v.denominator == 1 else v)
 
 
 #: (atom class, field values) -> the one atom with those values
@@ -236,8 +243,8 @@ class Fn(Atom):
     arg: Expr
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
+ZERO = Rat(0)
+ONE = Rat(1)
 
 #: derivative rules for analytic scalar functions: name -> (coeff, new name)
 FUNC_DERIVATIVES = {
@@ -253,7 +260,7 @@ def as_expr(v) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction)):
-        return Rat(Fraction(v))
+        return Rat(v)
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
@@ -292,7 +299,7 @@ def mul(*factors: Expr) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(Rat(Fraction(-1)), e)
+    return mul(Rat(-1), e)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -315,7 +322,7 @@ def inverse(e: Expr) -> Expr:
     if isinstance(e, Rat):
         if e.value == 0:
             raise InversionError("cannot invert zero")
-        return Rat(1 / e.value)
+        return Rat(Fraction(1) / e.value)
     if isinstance(e, Inv):
         return e.base
     if isinstance(e, Jet):

@@ -9,18 +9,21 @@ a pivot, so the pivot columns are exactly the columns independent of the
 columns before them, whatever the row order and whichever key is chosen as
 a pivot.
 
-Elimination runs on ints (`_eliminate`): each column is cleared of
-denominators, and the pivots are primitive int vectors.  Only the factors
-that express a column in the pivots are rationals.  Every quotient goes
-through `_div`, which gives an int when the division is exact and a
-Fraction otherwise, never through int / int, which would give a float.
-`solve` returns Fractions.
+Elimination runs on ints (`_eliminate`): `_prepared` clears each column of
+denominators with `normalize.clear_denominators`, the one clearing
+primitive, as it renumbers its keys, and the pivots are primitive int
+vectors.  Only the factors that express a column in the pivots are
+rationals.  Every quotient goes through `_div`, which gives an int when the
+division is exact and a Fraction otherwise, never through int / int, which
+would give a float.  `solve` returns Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Hashable, Optional, Union
+
+from .normalize import clear_denominators
 
 Rational = Union[int, Fraction]
 Column = dict[Hashable, Rational]
@@ -34,26 +37,21 @@ def _div(a: Rational, b: Rational) -> Rational:
     return a / b  # one side is a Fraction, so the quotient is one too
 
 
-def _renumber(columns: list[Column]) -> list[Column]:
-    """The same columns keyed by small ints: row keys such as normal-form
-    terms are hashed once here instead of at every elimination step."""
+def _prepared(columns: list[Column]) -> list[tuple[dict[int, int], int]]:
+    """(d*column, d) for each column, cleared of denominators and keyed by
+    small ints, zero entries dropped: row keys such as normal-form terms
+    are hashed once here instead of at every elimination step.  Each
+    (d*column) is a new dict, which `_eliminate` may change."""
     index: dict[Hashable, int] = {}
-    return [{index.setdefault(k, len(index)): v for k, v in c.items()}
-            for c in columns]
+    out = []
+    for c in columns:
+        c, d = clear_denominators(c)
+        out.append(({index.setdefault(k, len(index)): v
+                     for k, v in c.items() if v}, d))
+    return out
 
 
-def _cleared(column: Column) -> tuple[dict[int, int], int]:
-    """(d*column, d) for the least common denominator d of its entries, so
-    that d*column has int entries; zero entries are dropped."""
-    d = 1
-    for v in column.values():
-        if type(v) is not int:
-            d = lcm(d, v.denominator)
-    return {k: v * d if type(v) is int else v.numerator * (d // v.denominator)
-            for k, v in column.items() if v}, d
-
-
-def _eliminate(columns: list[Column]
+def _eliminate(columns: list[tuple[dict[int, int], int]]
                ) -> list[tuple[dict[int, Rational], Optional[Rational]]]:
     """Greedy column echelon form, fraction-free: pivot i is a primitive int
     vector (its entries have no common factor) that is 0 at the key of
@@ -65,17 +63,17 @@ def _eliminate(columns: list[Column]
     where scale is None when the column depends on the columns before it
     (its remainder is zero) and no pivot is added.
 
-    A column is cleared of denominators and reduced on ints: the remainder
-    `rest` is kept as s*column - sum_i a[i]*pivot_i with int s and a[i];
-    removing pivot i multiplies rest by lead_i/g and subtracts
-    rest[key_i]/g times pivot i, with g their gcd.  Only the factors
-    a[i]/s and the scale are rationals, so the cost of a system does not
-    depend on how many of its entries are integral."""
+    Each column comes cleared of denominators, as (s*column, s)
+    (`_prepared`), and is reduced on ints: the remainder `rest` is kept as
+    s*column - sum_i a[i]*pivot_i with int s and a[i]; removing pivot i
+    multiplies rest by lead_i/g and subtracts rest[key_i]/g times pivot i,
+    with g their gcd.  Only the factors a[i]/s and the scale are
+    rationals, so the cost of a system does not depend on how many of its
+    entries are integral."""
     keys: list[int] = []
     pivots: list[dict[int, int]] = []
     out = []
-    for column in columns:
-        rest, s = _cleared(column)
+    for rest, s in columns:
         a: dict[int, int] = {}
         for i, key in enumerate(keys):
             f = rest.get(key)
@@ -113,7 +111,7 @@ def solve(columns: list[Column], target: Column) -> Optional[list[Fraction]]:
     """A particular solution x of  sum_j x[j] * columns[j] = target  over the
     rationals, with every non-pivot x[j] fixed to zero (which makes it
     unique); None when the system is inconsistent."""
-    *steps, (coeffs, outside) = _eliminate(_renumber([*columns, target]))
+    *steps, (coeffs, outside) = _eliminate(_prepared([*columns, target]))
     if outside is not None:
         return None
     # target = sum_i coeffs[i] * pivot_i; rewrite the pivots in terms of their
@@ -134,4 +132,4 @@ def solve(columns: list[Column], target: Column) -> Optional[list[Fraction]]:
 
 
 def rank(columns: list[Column]) -> int:
-    return sum(scale is not None for _, scale in _eliminate(_renumber(columns)))
+    return sum(scale is not None for _, scale in _eliminate(_prepared(columns)))

@@ -1,22 +1,23 @@
 """Canonical form for noncommutative jet-space expressions.
 
 A normal form is a sum of terms (rational coefficient, commuting monomial,
-noncommutative word).  A coefficient is an `int` while it is integral and
-a `Fraction` otherwise (an integral value that arithmetic with a Fraction
-produced may stay a Fraction); it is never a float, and the two compare
-and hash alike.  Fraction arithmetic costs many times int arithmetic, so
-a map linear over the rationals runs on its input cleared of denominators
-(`clear_denominators`) and divides its value back once (`nf_divide`);
-then its cost does not depend on whether the input's coefficients happen
-to be integral.  The commuting monomial collects scalar-class atoms with
-integer exponents, sorted by their `key`; the word is the ordered tuple of
-matrix-class factors.  Atoms are interned, so term keys hash by identity.
-Rewrites applied: distribute products over sums, flatten, extract scalars,
-cancel adjacent w*inv(w) pairs, expand commutators, collect like terms, and
-evaluate sin, cos and exp at 0 (at any other constant they stay atoms, so
-no float enters).  Commutators between scalar-class expressions therefore
-collapse to zero, and fully commuting words reorder into the canonical
-monomial.
+noncommutative word).  A coefficient follows the rule of a `Rat` value: an
+`int` while it is integral and a `Fraction` otherwise, never a float
+(arithmetic with Fractions may leave an integral Fraction, which compares
+and hashes as the int).  Fraction arithmetic costs many times int
+arithmetic, so a map linear over the rationals runs on ints:
+`clear_denominators`, the one clearing primitive, gives (d*n, d) with int
+coefficients, and a value is divided back once (`nf_divide`) where a
+caller needs it over the rationals.  Then the cost does not depend on
+whether the coefficients happen to be integral.  The commuting monomial
+collects scalar-class atoms with integer exponents, sorted by their `key`;
+the word is the ordered tuple of matrix-class factors.  Atoms are
+interned, so term keys hash by identity.  Rewrites applied: distribute
+products over sums, flatten, extract scalars, cancel adjacent w*inv(w)
+pairs, expand commutators, collect like terms, and evaluate sin, cos and
+exp at 0 (at any other constant they stay atoms, so no float enters).
+Commutators between scalar-class expressions therefore collapse to zero,
+and fully commuting words reorder into the canonical monomial.
 
 A normal form is a value that no caller mutates, so it is shared, never
 copied.  `rebuild` hands each Add or Mul it returns the normal form that
@@ -41,7 +42,7 @@ from typing import Union
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, FUNC_AT_ZERO, Inv,
                    InversionError, Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO,
-                   children, expr_key, inverse, is_commuting_atom)
+                   children, inverse, is_commuting_atom)
 
 # cmono: tuple[(atom, int exponent)] sorted by atom.key; word: tuple[factor]
 Key = tuple[tuple, tuple]
@@ -136,21 +137,18 @@ def _nf_mul(a: NF, b: NF) -> NF:
     return out
 
 
-def clear_denominators(ns: list[NF]) -> tuple[list[NF], int]:
-    """([d*n for n in ns], d) for the least common denominator d of all
-    their coefficients: every d*n has int coefficients, and d is 1 (and the
-    normal forms are returned as they are) when none holds a Fraction.  A
-    map linear over the rationals then runs on ints only, and its value
-    on ns is its value on the d*n divided by d (`nf_divide`)."""
-    d = 1
-    for n in ns:
-        for v in n.values():
-            if type(v) is not int:
-                d = lcm(d, v.denominator)
-    if d == 1:
-        return ns, 1
-    return [{k: v * d if type(v) is int else v.numerator * (d // v.denominator)
-             for k, v in n.items()} for n in ns], d
+def clear_denominators(n: NF) -> tuple[NF, int]:
+    """(d*n, d) for the least common denominator d of n's coefficients:
+    d*n has int coefficients (n itself is returned when all of its are
+    ints already).  A map linear over the rationals then runs on ints
+    only, and its value on n is its value on d*n divided by d
+    (`nf_divide`)."""
+    dens = [v.denominator for v in n.values() if type(v) is not int]
+    if not dens:
+        return n, 1
+    d = lcm(*dens)
+    return {k: v * d if type(v) is int else v.numerator * (d // v.denominator)
+            for k, v in n.items()}, d
 
 
 def nf_divide(n: NF, d: int) -> NF:
@@ -181,10 +179,7 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
     returned dict may be that form or a value of `values`: no caller
     mutates a normal form."""
     if isinstance(e, Rat):
-        v = e.value
-        if not v:
-            return {}
-        return {((), ()): v.numerator if v.denominator == 1 else v}
+        return {((), ()): e.value} if e.value else {}
     if isinstance(e, Jet):
         if values is not None and e in values:
             return values[e]
@@ -209,13 +204,10 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
         out, c = {((), ()): 1}, 1
         for f in e.factors:
             if isinstance(f, Rat):
-                v = f.value
-                c *= v.numerator if v.denominator == 1 else v
+                c *= f.value
             else:
                 out = _nf_mul(out, nf(f, values))
-        if c == 1:
-            return out
-        return _nf_scale(out, c.numerator if c.denominator == 1 else c)
+        return out if c == 1 else _nf_scale(out, c)
     if isinstance(e, Inv):
         base = e.base
         if values is not None and base in values:
@@ -237,11 +229,11 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
 
 def key_sort_key(key: Key) -> tuple:
     """Sortable surrogate for an internal term key (word length, then word
-    factor keys, then commuting-monomial keys)."""
+    factor keys, then commuting-monomial keys): every factor of a term key
+    is an interned atom, which carries its `expr_key` as `key`."""
     cmono, word = key
-    wkeys = tuple(expr_key(f) for f in word)
-    ckeys = tuple((expr_key(a), e) for a, e in cmono)
-    return (len(word), wkeys, ckeys)
+    return (len(word), tuple(f.key for f in word),
+            tuple((a.key, e) for a, e in cmono))
 
 
 def _term_sort_key(item):

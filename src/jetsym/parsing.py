@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (Coord, DeclarationError, Expr, FUNC_DERIVATIVES,
-                   JetsymError, Problem, Rat, add, commutator, func, inverse,
-                   mul, neg)
+                   JetsymError, ONE, Problem, Rat, add, commutator, func,
+                   inverse, mul, neg)
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<op>[+\-*/(),]))")
@@ -137,7 +137,7 @@ class Parser:
                 if int(den.text) == 0:
                     raise ParseError("zero denominator", den.pos)
                 return Rat(Fraction(num, int(den.text)))
-            return Rat(Fraction(num))
+            return Rat(num)
         if tok.kind == "op" and tok.text == "(":
             self._advance()
             e = self._expr()
@@ -249,8 +249,8 @@ class _OperatorParser(Parser):
             if not (self.cur.kind == "op" and self.cur.text == "*"):
                 break
             self._advance()
-        return (mul(Rat(Fraction(sign)), *left), tuple(sorted(deriv)),
-                mul(*right) if right else Rat(Fraction(1)))
+        return (mul(Rat(sign), *left), tuple(sorted(deriv)),
+                mul(*right) if right else ONE)
 
 
 def parse_operator(text: str, problem: Problem):

@@ -6,10 +6,8 @@ to normalized two-factor word pairs a*b - b*a when requested.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, Pot,
-                   Problem, Rat, Sym)
+from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, ONE,
+                   Pot, Problem, Rat, Sym, ZERO)
 from .normalize import _term_sort_key, nf, normal_form, rebuild
 
 
@@ -39,15 +37,14 @@ def _render_base(e: Base, p: Problem) -> str:
 def _render_factor(e: Expr, p: Problem) -> str:
     if isinstance(e, (Add,)):
         return "(" + render(e, p) + ")"
-    if isinstance(e, Rat) and (e.value < 0 or e.value.denominator != 1):
+    if isinstance(e, Rat) and (type(e.value) is not int or e.value < 0):
         return "(" + render(e, p) + ")"
     return render(e, p)
 
 
 def render(e: Expr, problem: Problem) -> str:
     if isinstance(e, Rat):
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(e.value)  # an int, or a Fraction as "n/d"
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Coord):
@@ -102,12 +99,12 @@ def resugar_commutators(e: Expr, problem: Problem) -> Expr:
             folded.update(((cmono, word), rev))
             scal = rebuild({(cmono, ()): coeff})
             com = Comm(a, b)
-            pieces.append(com if scal == Rat(Fraction(1)) else Mul((scal, com)))
+            pieces.append(com if scal == ONE else Mul((scal, com)))
     if not pieces:
         return e if getattr(e, "form", None) is n else rebuild(n)
     rest = rebuild({k: v for k, v in n.items() if k not in folded})
     terms = pieces + (list(rest.terms) if isinstance(rest, Add)
-                      else ([] if rest == Rat(Fraction(0)) else [rest]))
+                      else ([] if rest == ZERO else [rest]))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 

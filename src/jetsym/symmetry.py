@@ -41,8 +41,8 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
-from .core import (Expr, Fn, Inv, Jet, JetsymError, MATRIX, Problem, Rat,
-                   as_expr, mul)
+from .core import (Expr, Fn, Inv, Jet, JetsymError, MATRIX, ONE, Problem,
+                   Rat, as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import rank, solve
@@ -219,7 +219,7 @@ def reduction(pde: Pde, problem: Problem
                 out[key] = c
         if not mapped:
             return out
-        [mapped], d = clear_denominators([mapped])  # R is linear
+        mapped, d = clear_denominators(mapped)  # R is linear
         reduced: NF = {}  # d times the image of the mapped terms
         for (cmono, word), c in mapped.items():
             fixed, factors = [], []
@@ -275,11 +275,11 @@ class LinearOperatorAnsatz:
 
     def columns(self, n: NF, problem: Problem) -> list[NF]:
         """left * (D_J n) * right for each term, as normal forms."""
-        totals, one = jet_totals(n, problem), Rat(Fraction(1))
+        totals = jet_totals(n, problem)
         out = []
         for left, j, right in self.terms:
-            col = totals(j) if left == one else _nf_mul(nf(left), totals(j))
-            out.append(col if right == one else _nf_mul(col, nf(right)))
+            col = totals(j) if left == ONE else _nf_mul(nf(left), totals(j))
+            out.append(col if right == ONE else _nf_mul(col, nf(right)))
         return out
 
     def apply(self, e: Expr, problem: Problem) -> Expr:
@@ -304,7 +304,7 @@ class LinearOperatorAnsatz:
 
 
 ZERO_OPERATOR = LinearOperatorAnsatz(())
-IDENTITY_OPERATOR = LinearOperatorAnsatz(((Rat(Fraction(1)), (), Rat(Fraction(1))),))
+IDENTITY_OPERATOR = LinearOperatorAnsatz(((ONE, (), ONE),))
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,7 @@ class AnsatzConfig:
 
 
 def _coordinate_monomials(problem: Problem, degree: int) -> list[Expr]:
-    out: list[Expr] = [Rat(Fraction(1))]
+    out: list[Expr] = [ONE]
     coords = [problem.coord(c.name) for c in problem.coordinates]
     for d in range(1, degree + 1):
         for combo in combinations_with_replacement(coords, d):
@@ -365,12 +365,11 @@ def _candidate_terms(problem: Problem, cfg: AnsatzConfig):
     js: list[tuple[int, ...]] = [()]
     for d in range(1, cfg.max_deriv_order + 1):
         js.extend(combinations_with_replacement(range(ncoords), d))
-    one = Rat(Fraction(1))
-    terms = [(m, j, one) for j in js for m in monos]
+    terms = [(m, j, ONE) for j in js for m in monos]
     if problem.dependent.kind == MATRIX:
         for cm in problem.matrices.values():
             for m in monos:
-                terms.append((mul(m, cm), (), one))
+                terms.append((mul(m, cm), (), ONE))
                 terms.append((m, (), cm))
     return terms
 

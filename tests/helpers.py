@@ -199,7 +199,7 @@ def reference_reduce_nf(n: dict, pde, problem: Problem) -> dict:
     for j in principal:
         reduce_nf(nf(j), pde, problem)
         values[j] = pde.table[problem][j.idx]
-    [n], d = clear_denominators([n])
+    n, d = clear_denominators(n)
     return nf_divide(nf(rebuild(n), values), d)
 
 

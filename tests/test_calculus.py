@@ -341,9 +341,13 @@ def test_derivatives_match_reference_walker(make):
 
 
 def test_potentials_with_coprime_gradient_denominators():
-    """derive_nf collects the products of each image denominator apart and
-    brings them to one denominator: potentials whose gradients have
-    denominators 2 and 3 (and an integral one) against the tree walk."""
+    """derive_cleared collects the products in one dict over a running
+    common denominator, raised (and what the dict holds rescaled) only
+    when an image's denominator does not divide it: potentials whose
+    gradients have denominators 2, 3, 6 and 4 (and integral ones) against
+    the tree walk.  Along x the word H*T*S*V brings the denominators in
+    the order 2, 3, 6, 4, and in H + T - 3*S the terms of H and S cancel
+    after T has raised the denominator from 2 to 6."""
     p = matrix_problem()
     x, t = p.coord("x"), p.coord("t")
     half = p.register_potential(PotentialDef(
@@ -351,7 +355,20 @@ def test_potentials_with_coprime_gradient_denominators():
     third = p.register_potential(PotentialDef(
         "T", {"x": parse_expr("1/3*inv(u)", p),
               "t": parse_expr("2/3*u*B + t", p)}))
+    sixth = p.register_potential(PotentialDef(
+        "S", {"x": parse_expr("1/6*u_t*A", p), "t": parse_expr("5/6*u", p)}))
+    fourth = p.register_potential(PotentialDef(
+        "V", {"x": parse_expr("3/4*B", p),
+              "t": parse_expr("1/4*inv(u)*u_t", p)}))
     e = add(half * third * p.u, third * half, half + 5 * third,
             x * half * p.jet("x") * third, t * third * p.cmat("A"))
+    word = half * third * sixth * fourth
+    cancelling = add(half, third, -3 * sixth)
     for c in p.coordinates:
-        assert total_derivative(e, c, p) == reference_total(e, c, p), c.name
+        for f in (e, word, cancelling, add(cancelling, word, e)):
+            assert total_derivative(f, c, p) == reference_total(f, c, p), \
+                (c.name, f)
+    dx = calculus.total_images(p)[0]
+    assert calculus.derive_cleared(nf(word), dx)[1] == 12
+    assert rebuild(calculus.derive_nf(nf(cancelling), dx)) \
+        == parse_expr("1/3*inv(u)", p)

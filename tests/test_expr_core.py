@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
                     is_zero, mk_jet, normal_form, parse_expr)
 from jetsym.core import (Atom, Base, DeclarationError, Fn, Inv, InversionError,
-                         Jet, KindError, expr_key, func)
+                         Jet, KindError, Mul, Rat, expr_key, func)
+from jetsym.normalize import nf
+from jetsym.printing import render
 
 from helpers import reference_expr_key
 
@@ -195,3 +198,39 @@ def test_the_cached_key_is_the_tree_walk_key():
     for atom in every_kind_of_atom(chiral_shaped()):
         assert atom.key == reference_expr_key(atom)
         assert expr_key(atom) is atom.key
+
+
+@pytest.mark.parametrize("value, kind", [
+    (0, int), (-1, int), (3, int), (Fraction(4, 2), int),
+    (Fraction(-3, 2), Fraction)])
+def test_a_rat_value_is_an_int_while_integral(value, kind):
+    """A Rat's value follows the normal-form coefficient rule, and a Rat
+    built from a Fraction equals, hashes and sorts as one built from the
+    same value otherwise."""
+    r, f = Rat(value), Rat(Fraction(value))
+    assert r.value == value and type(r.value) is kind
+    assert type(f.value) is kind
+    assert f == r and hash(f) == hash(r) and expr_key(f) == expr_key(r)
+
+
+def test_the_inverse_of_a_rational_is_a_fraction(sp):
+    """inverse and nf invert a rational exactly, never through a float."""
+    for e, want in ((inverse(Rat(2)), Fraction(1, 2)),
+                    (inverse(Rat(3)), Fraction(1, 3)),
+                    (inverse(Rat(Fraction(2, 3))), Fraction(3, 2))):
+        assert type(e.value) is Fraction and e.value == want
+    assert type(inverse(Rat(-1)).value) is int
+    for base, want in ((Rat(2), Fraction(1, 2)), (Rat(3), Fraction(1, 3))):
+        [v] = nf(Inv(base)).values()
+        assert type(v) is Fraction and v == want
+
+
+def test_rendering_a_rat_does_not_depend_on_how_it_was_built(sp):
+    u = sp.u
+    for value, alone, times_u in ((Fraction(4, 2), "2", "2*u"),
+                                  (Fraction(-1), "-1", "-u"),
+                                  (Fraction(-3, 2), "-3/2", "(-3/2)*u"),
+                                  (Fraction(1, 2), "1/2", "(1/2)*u")):
+        for r in (Rat(value), Rat(Fraction(value))):
+            assert render(r, sp) == alone
+            assert render(Mul((r, u)), sp) == times_u

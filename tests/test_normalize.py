@@ -248,21 +248,31 @@ def test_no_coefficient_is_ever_a_float(seed):
 
 
 def test_clear_denominators_and_divide_round_trip():
-    """clear_denominators scales normal forms by the least common
-    denominator of their coefficients to int coefficients, and nf_divide
-    by it gives them back, an integral value as an int."""
+    """clear_denominators scales a normal form by the least common
+    denominator of its coefficients to int coefficients, and nf_divide
+    by it gives it back, an integral value as an int."""
     rng = Random("clear-denominators")
     for _ in range(200):
-        ns = [nf(random_expr(rng, SP, 3)) for _ in range(rng.randint(1, 3))]
-        cleared, d = clear_denominators(ns)
-        assert d == lcm(1, *(Fraction(v).denominator
-                             for n in ns for v in n.values()))
-        for n, m in zip(ns, cleared):
-            assert all(type(v) is int for v in m.values())
-            back = nf_divide(m, d)
-            assert back == n
-            assert all(type(v) is int for v in back.values()
-                       if Fraction(v).denominator == 1)
+        n = nf(random_expr(rng, SP, 3))
+        cleared, d = clear_denominators(n)
+        assert d == lcm(1, *(Fraction(v).denominator for v in n.values()))
+        assert all(type(v) is int for v in cleared.values())
+        back = nf_divide(cleared, d)
+        assert back == n
+        assert all(type(v) is int for v in back.values()
+                   if Fraction(v).denominator == 1)
     n = nf(SP.u * 2 + SP.jet("x"))
-    assert clear_denominators([n]) == ([n], 1)
+    assert clear_denominators(n) == (n, 1)
     assert nf_divide(n, 1) is n
+
+
+def test_clearing_an_integral_fraction_gives_ints():
+    """A form whose only non-int coefficient is an integral Fraction (as
+    arithmetic with Fractions leaves one) comes back with int coefficients
+    and d == 1, and the form given is not changed."""
+    n = {**nf(3 * SP.jet("x")),
+         **{k: Fraction(4, 2) for k in nf(SP.u)}}
+    cleared, d = clear_denominators(n)
+    assert d == 1 and cleared == n
+    assert all(type(v) is int for v in cleared.values())
+    assert any(type(v) is Fraction for v in n.values())

@@ -7,11 +7,15 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
 * reduce: kdv `reduce_mod_pde(u_t^k)` for k = 4..10, each on a cold
   principal-jet table (a fresh `Pde`), with the term count of the result.
 * chain: the chiral Backlund chain on a private problem with the potential
-  X declared.  Step 0 applies `bt_apply` to CHAIN_SEED; before each later
-  step s, the potential Ps with the gradient `bt_rhs` of the image of step
-  s - 1 is declared, and step s applies `bt_apply` to that image, so the
-  candidate basis grows 26 -> 40 -> 57 -> 77.  Each repetition builds the
-  chain afresh.
+  X declared, once from each of CHAIN_SEEDS: an integral seed, and a
+  fractional one whose image and potential gradients carry denominators
+  for the derivations and the elimination to clear.  Step 0 applies
+  `bt_apply` to the seed; before each later step s, the potential Ps with
+  the gradient `bt_rhs` of the image of step s - 1 is declared (`declare`:
+  `bt_rhs` plus `declare_potential`), and step s applies `bt_apply` to
+  that image, so the candidate basis grows 26 -> 40 -> 57 -> 77.  Each
+  step records both times, the image's term count and the lcm of its
+  coefficients' denominators.  Each repetition builds the chain afresh.
 * fed back: `reduce_mod_pde(char_derivative(F, Q))`, an engine output
   passed back in, on the catalog kdv with Q = (u_x + u_t)^k for k = 1..6
   and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
@@ -31,6 +35,8 @@ import json
 import os
 import platform
 import sys
+from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -43,7 +49,8 @@ from jetsym.normalize import nf, normal_form  # noqa: E402
 
 REPEATS = 3
 KDV_ORDERS = range(4, 11)
-CHAIN_SEED = "M + 2*inv(g)*g_x - inv(g)*g_t"
+CHAIN_SEEDS = {"integral": "M + 2*inv(g)*g_x - inv(g)*g_t",
+               "fractional": "3/2*M + 2/3*inv(g)*g_x - 5/4*inv(g)*g_t"}
 CHAIN_STEPS = 4
 FED_BACK = {"kdv": ("(u_x + u_t)", "", range(1, 7)),
             "chiral": ("(inv(g)*g_x + inv(g)*g_t)", "g*", range(1, 6))}
@@ -87,34 +94,43 @@ def private_chiral() -> tuple[Problem, symmetry.Pde]:
     return p, pde
 
 
-def chain_once() -> list[tuple[int, int, float]]:
-    """(candidates, image terms, seconds) of each bt_apply of one chain."""
+def declare(phi, step: int, pde, p) -> None:
+    """Declare the potential Ps whose gradient is the Backlund pair of phi."""
+    pair = backlund.bt_rhs(phi, p)
+    backlund.declare_potential(
+        PotentialDef(f"P{step}", {"x": pair.rhs_x, "t": pair.rhs_t}), pde, p)
+
+
+def chain_once(seed: str) -> list[tuple]:
+    """(candidates, image terms, image denominator, bt_apply seconds,
+    declare seconds or None at step 0) of each step of one chain."""
     p, pde = private_chiral()
-    phi = parsing.parse_expr(CHAIN_SEED, p)
+    phi = parsing.parse_expr(seed, p)
     steps = []
     for step in range(CHAIN_STEPS):
-        if step:
-            pair = backlund.bt_rhs(phi, p)
-            backlund.declare_potential(
-                PotentialDef(f"P{step}", {"x": pair.rhs_x, "t": pair.rhs_t}),
-                pde, p)
+        declare_s = timed(declare, phi, step, pde, p)[0] if step else None
         candidates = len(backlund.default_bt_basis(p))
         secs, phi = timed(backlund.bt_apply, phi, pde, p)
         if phi is None:
             raise RuntimeError(f"chain step {step}: no image")
-        steps.append((candidates, len(nf(phi)), secs))
+        n = nf(phi)
+        den = lcm(*(Fraction(v).denominator for v in n.values()))
+        steps.append((candidates, len(n), den, secs, declare_s))
     return steps
 
 
-def chain_ladder() -> list[dict]:
-    chains = [chain_once() for _ in range(REPEATS)]
+def chain_ladder(seed: str) -> list[dict]:
+    chains = [chain_once(seed) for _ in range(REPEATS)]
     out = []
     for step, rungs in enumerate(zip(*chains)):
-        candidates, terms, _ = rungs[0]
-        runs = [secs for _, _, secs in rungs]
-        out.append({"step": step, "candidates": candidates,
-                    "image_terms": terms, "best_s": min(runs),
-                    "runs_s": runs})
+        candidates, terms, den, _, _ = rungs[0]
+        runs = [r[3] for r in rungs]
+        rung = {"step": step, "candidates": candidates, "image_terms": terms,
+                "image_denominator": den, "best_s": min(runs), "runs_s": runs}
+        if step:
+            declares = [r[4] for r in rungs]
+            rung.update(declare_best_s=min(declares), declare_runs_s=declares)
+        out.append(rung)
     return out
 
 
@@ -159,7 +175,8 @@ def main() -> int:
                     "cpus": os.cpu_count()},
         "repeats": REPEATS,
         "reduce_kdv_u_t_k": reduce_ladder(),
-        "bt_apply_chain": chain_ladder(),
+        **{f"bt_apply_chain_{kind}": chain_ladder(seed)
+           for kind, seed in CHAIN_SEEDS.items()},
         "reduce_fed_back": fed_back_ladder(),
         "pretty_chiral_g_plus_g_x_k": pretty_ladder(),
     }
@@ -169,9 +186,14 @@ def main() -> int:
         fh.write("\n")
     for r in record["reduce_kdv_u_t_k"]:
         print(f"kdv u_t^{r['k']}: {r['terms']} terms, {r['best_s']:.4f} s")
-    for r in record["bt_apply_chain"]:
-        print(f"chain step {r['step']}: {r['candidates']} candidates, "
-              f"{r['image_terms']} image terms, {r['best_s']:.4f} s")
+    for kind in CHAIN_SEEDS:
+        for r in record[f"bt_apply_chain_{kind}"]:
+            declared = (f", declare {r['declare_best_s']:.4f} s"
+                        if r["step"] else "")
+            print(f"{kind} chain step {r['step']}: {r['candidates']} "
+                  f"candidates, {r['image_terms']} image terms over "
+                  f"{r['image_denominator']}, bt_apply {r['best_s']:.4f} s"
+                  f"{declared}")
     for r in record["reduce_fed_back"]:
         print(f"{r['pde']} fed back k={r['k']}: {r['input_terms']} -> "
               f"{r['terms']} terms, {r['best_s']:.4f} s")
