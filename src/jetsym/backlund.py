@@ -23,8 +23,8 @@ from .calculus import (Characteristic, char_derivative, derive_cleared,
                        derive_nf, total_images)
 from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf, nf_divide,
                         normal_form, rebuild)
-from .symmetry import (Pde, _match_linear, check_symmetry, reduce_nf,
-                       reduction)
+from .symmetry import (Pde, SymmetryReport, _match_linear, check_symmetry,
+                       reduce_nf, reduction)
 
 
 class PotentialError(JetsymError):
@@ -71,12 +71,9 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     second derivatives agree mod the PDE: R(D_j g_i) = R(D_i g_j) for its
     gradient g, computed as (R o D_j) R(g_i) (`symmetry.reduction`)."""
     coords = problem.coordinates
-    for c in coords:
-        if c.name not in pdef.derivatives:
-            raise JetsymError(f"potential {pdef.name}: missing derivative "
-                              f"for coordinate {c.name}")
+    gradient = pdef.gradient(coords)  # before any reduction work
     reduce, totals = reduction(pde, problem)
-    grad = [reduce(nf(as_expr(pdef.derivatives[c.name]))) for c in coords]
+    grad = [reduce(nf(as_expr(g))) for g in gradient]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             residual = _nf_add(derive_nf(grad[i], totals[j]),
@@ -115,11 +112,16 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
     return char_derivative(pde.f, phi_characteristic(phi, problem), problem)
 
 
+def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
+    """The report on D_{g*Phi} F = 0 mod F, which for chiral is
+    (Phi'_x)_t = (Phi'_t)_x mod F, for two coordinates only."""
+    _xt(problem)
+    return check_symmetry(pde, phi_characteristic(phi, problem), problem)
+
+
 def bt_integrability_check(phi: Expr, pde: Pde, problem: Problem) -> bool:
-    """D_{g*Phi} F = 0 mod F: Phi solves the symmetry condition, which for
-    chiral is (Phi'_x)_t = (Phi'_t)_x mod F."""
-    return check_symmetry(pde, phi_characteristic(phi, problem),
-                          problem).is_symmetry
+    """True iff Phi solves the symmetry condition (`bt_seed_check`)."""
+    return bt_seed_check(phi, pde, problem).is_symmetry
 
 
 def default_bt_basis(problem: Problem) -> list[Expr]:
@@ -163,16 +165,19 @@ def _bt_columns(basis: list[Expr], pde: Pde, problem: Problem
 
 
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
-    """Integrate the Backlund system for Phi' as an exact rational
-    combination of basis candidates satisfying both equations mod F, with
-    the rows R(D_x b), R(D_t b) of each candidate b from `bt_rows`.
-
-    Constants of integration are fixed to zero.  None signals either that
-    Phi fails the symmetry condition or that the integration lies outside
-    the candidate basis (basis insufficiency), not that no Phi' exists."""
-    _xt(problem)  # two coordinates, or a JetsymError before any work
+    """`bt_integrate` for a seed Phi that passes `bt_integrability_check`,
+    and None for one that fails it."""
     if not bt_integrability_check(phi, pde, problem):
         return None
+    return bt_integrate(phi, pde, problem)
+
+
+def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
+    """Phi' for a seed Phi that solves the symmetry condition: the exact
+    rational combination of basis candidates, with the rows of each from
+    `bt_rows` and constants of integration zero, that satisfies both
+    equations mod F.  None signals that the integration lies outside the
+    candidate basis (basis insufficiency), not that no Phi' exists."""
     basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)
     targets = [reduce_nf(nf(r), pde, problem) for r in (pair.rhs_x, pair.rhs_t)]

@@ -25,9 +25,9 @@ from typing import Callable
 from .core import (Base, CMat, Coord, Coordinate, Dependent, Expr, Fn,
                    FUNC_DERIVATIVES, Inv, Jet, KindError, NonlocalActionError,
                    Pot, Problem, Rat, SCALAR, Sym, as_expr, mul)
-from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_scale,
-                        clear_denominators, collect_jets, nf, nf_divide,
-                        normal_form, rebuild)
+from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_put,
+                        _nf_scale, clear_denominators, collect_jets, nf,
+                        nf_divide, normal_form, rebuild)
 
 # a normal form n as (d*n, d) with d*n's coefficients ints
 # (`normalize.clear_denominators`, `derive_cleared`)
@@ -76,17 +76,6 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
             d *= m
         return d // di
 
-    def put(key, v):
-        s = out.get(key)
-        if s is None:
-            out[key] = v
-        else:
-            s += v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-
     for (cmono, word), c in n.items():
         for i, (a, e) in enumerate(cmono):
             da, di = image(a)
@@ -96,7 +85,7 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
             rest = cmono[:i] + ((a, e - 1),) + cmono[i + 1:] if e != 1 \
                 else cmono[:i] + cmono[i + 1:]
             for (dc, dw), dv in da.items():
-                put((_merge_cmono(rest, dc), _join(dw, word)), m * dv)
+                _nf_put(out, (_merge_cmono(rest, dc), _join(dw, word)), m * dv)
         for i, f in enumerate(word):
             da, di = image(f)
             if not da:
@@ -104,8 +93,8 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
             m = c * to_common(di)
             left, right = word[:i], word[i + 1:]
             for (dc, dw), dv in da.items():
-                put((_merge_cmono(cmono, dc), _join(_join(left, dw), right)),
-                    m * dv)
+                _nf_put(out, (_merge_cmono(cmono, dc),
+                              _join(_join(left, dw), right)), m * dv)
     return out, d * dn
 
 

@@ -21,7 +21,7 @@ from .parsing import parse_expr, parse_operator
 from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import bt_apply, phi_characteristic
+from .backlund import bt_integrate, bt_seed_check, phi_characteristic
 
 
 class Session:
@@ -239,9 +239,9 @@ def cmd_bt_apply(ctx, phi):
     pde = _need_pde(sess)
     p = sess.problem
     phi_e = parse_expr(phi, p)
-    out = bt_apply(phi_e, pde, p)
+    report = bt_seed_check(phi_e, pde, p)
+    out = bt_integrate(phi_e, pde, p) if report.is_symmetry else None
     if out is None:
-        report = check_symmetry(pde, phi_characteristic(phi_e, p), p)
         verdict = "NoIntegral" if report.is_symmetry else "NotSymmetry"
 
         def lines() -> list[str]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 SCALAR = "scalar"
 MATRIX = "matrix"
@@ -373,11 +373,20 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def nodes(e: Expr) -> Iterator[Expr]:
+    """Every node of e, e first, by a walk that keeps its own stack, so a
+    deep tree raises no RecursionError."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(children(x))
+
+
 def is_scalar(e: Expr) -> bool:
     """True when every atom in e belongs to the commuting (scalar) class."""
-    if isinstance(e, (Add, Mul, Inv, Comm)):
-        return all(is_scalar(c) for c in children(e))
-    return isinstance(e, Rat) or is_commuting_atom(e)
+    return all(isinstance(x, (Add, Mul, Inv, Comm, Rat))
+               or is_commuting_atom(x) for x in nodes(e))
 
 
 def expr_key(e: Expr) -> tuple:
@@ -434,6 +443,14 @@ class PotentialDef:
 
     def atom(self) -> Pot:
         return Pot(self.name, self.matrix)
+
+    def gradient(self, coordinates: tuple[Coordinate, ...]) -> list[Expr]:
+        """The derivative for each coordinate, in their order."""
+        for c in coordinates:
+            if c.name not in self.derivatives:
+                raise DeclarationError(
+                    f"potential {self.name}: no derivative for {c.name}")
+        return [self.derivatives[c.name] for c in coordinates]
 
 
 class Problem:
@@ -517,10 +534,7 @@ class Problem:
     def register_potential(self, pdef: PotentialDef) -> Pot:
         """Raw registration; `backlund.declare_potential` performs the
         cross-derivative compatibility check first."""
-        for c in self.coordinates:
-            if c.name not in pdef.derivatives:
-                raise DeclarationError(
-                    f"potential {pdef.name}: no derivative for {c.name}")
+        pdef.gradient(self.coordinates)
         atom = self._declare(pdef.name, pdef.atom())
         self.potentials[pdef.name] = pdef
         return atom

@@ -22,27 +22,23 @@ and fully commuting words reorder into the canonical monomial.
 A normal form is a value that no caller mutates, so it is shared, never
 copied.  `rebuild` hands each Add or Mul it returns the normal form that
 `nf` would compute from that tree (the same terms in the same order, each
-integral coefficient an int), and `nf` without a jet map returns it, also
-where the tree sits in a larger one: an engine output fed back in is not
-normalized again.
+integral coefficient an int), and `nf` returns it, also where the tree sits
+in a larger one: an engine output fed back in is not normalized again.
 
-The normaliser is also the one walk that substitutes into a tree:
-`nf(e, values)` takes a map from jets to normal forms and uses the mapped
-normal form for each mapped jet as it goes, so `substitute` adds no tree
-walk of its own, and a mapped value is never normalized again.  The
-reduction mod F (`symmetry.reduce_nf`) substitutes into a normal form term
-by term instead, and takes this walk only for a function argument or an
-inverse that holds a jet it maps.
+A map of jets to normal forms extends to one ring homomorphism on normal
+forms, `map_nf`, which maps a normal form term by term with no tree built.
+It is the one place a jet map is applied: `substitute` maps one jet, and
+the reduction mod F (`symmetry.reduce_nf`) maps every principal jet.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import Callable, Optional, Union
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, FUNC_AT_ZERO, Inv,
                    InversionError, Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO,
-                   children, inverse, is_commuting_atom)
+                   inverse, is_commuting_atom, nodes)
 
 # cmono: tuple[(atom, int exponent)] sorted by atom.key; word: tuple[factor]
 Key = tuple[tuple, tuple]
@@ -96,18 +92,23 @@ def _join(u: tuple, v: tuple) -> tuple:
     return u[:len(u) - i] + v[i:] if i else u + v
 
 
+def _nf_put(a: NF, k: Key, c: Coeff) -> None:
+    """Add the term c*k into a, which the caller owns."""
+    s = a.get(k)
+    if s is None:
+        a[k] = c
+    else:
+        s += c
+        if s:
+            a[k] = s
+        else:
+            del a[k]
+
+
 def _nf_add(a: NF, b: NF) -> NF:
     """a + b, added into a, which the caller owns; returns a."""
     for k, c in b.items():
-        s = a.get(k)
-        if s is None:
-            a[k] = c
-        else:
-            s += c
-            if s:
-                a[k] = s
-            else:
-                del a[k]
+        _nf_put(a, k, c)
     return a
 
 
@@ -125,7 +126,7 @@ def _nf_mul(a: NF, b: NF) -> NF:
     for (ca, wa), va in a.items():
         for (cb, wb), vb in b.items():
             key = (_merge_cmono(ca, cb), _join(wa, wb))
-            s = out.get(key)
+            s = out.get(key)  # `_nf_put` in line: the hottest loop
             if s is None:
                 out[key] = va * vb
             else:
@@ -171,33 +172,25 @@ def _atom_nf(atom: Expr, exp: int = 1) -> NF:
     return {((), (atom,)): 1}
 
 
-def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
-    """The normal form of e with every jet that `values` maps replaced by
-    its mapped normal form, everywhere in e (function arguments, inverses
-    and commutators included).  Without `values`, an Add or Mul that
-    `rebuild` returned answers with the normal form it carries.  The
-    returned dict may be that form or a value of `values`: no caller
-    mutates a normal form."""
+def nf(e: Expr) -> NF:
+    """The normal form of e.  An Add or Mul that `rebuild` returned answers
+    with the normal form it carries: no caller mutates a normal form."""
     if isinstance(e, Rat):
         return {((), ()): e.value} if e.value else {}
-    if isinstance(e, Jet):
-        if values is not None and e in values:
-            return values[e]
-        return _atom_nf(e)
-    if isinstance(e, (Coord, Sym, CMat, Pot, Base)):
+    if isinstance(e, (Jet, Coord, Sym, CMat, Pot, Base)):
         return _atom_nf(e)
     if isinstance(e, Fn):
-        arg = nf(e.arg, values)
+        arg = nf(e.arg)
         if not arg:  # a nonzero constant argument stays symbolic: no floats
             v = FUNC_AT_ZERO[e.fname]
             return {((), ()): v} if v else {}
         return _atom_nf(Fn(e.fname, rebuild(arg)))
-    if type(e) in (Add, Mul) and e.form is not None and values is None:
+    if type(e) in (Add, Mul) and e.form is not None:
         return e.form
     if isinstance(e, Add):
         out: NF = {}
         for t in e.terms:
-            _nf_add(out, nf(t, values))
+            _nf_add(out, nf(t))
         return out
     if isinstance(e, Mul):
         # rational factors multiply into one coefficient, applied once
@@ -206,12 +199,10 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
             if isinstance(f, Rat):
                 c *= f.value
             else:
-                out = _nf_mul(out, nf(f, values))
+                out = _nf_mul(out, nf(f))
         return out if c == 1 else _nf_scale(out, c)
     if isinstance(e, Inv):
         base = e.base
-        if values is not None and base in values:
-            return nf(inverse(rebuild(values[base])))
         if isinstance(base, Rat):
             return nf(inverse(base))
         if is_commuting_atom(base):
@@ -222,9 +213,72 @@ def nf(e: Expr, values: dict[Jet, NF] | None = None) -> NF:
             return _atom_nf(base, -1)
         return _atom_nf(e)  # matrix atom inverse: opaque word factor
     if isinstance(e, Comm):
-        lhs, rhs = nf(e.lhs, values), nf(e.rhs, values)
+        lhs, rhs = nf(e.lhs), nf(e.rhs)
         return _nf_add(_nf_mul(lhs, rhs), _nf_scale(_nf_mul(rhs, lhs), -1))
     raise TypeError(f"cannot normalize node {type(e).__name__}")
+
+
+def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
+    """The image of n under the ring homomorphism that sends each jet j
+    with values(j) not None to that normal form and fixes every other
+    atom; an inverse or an analytic function maps through what it holds.
+    A term with no mapped factor passes through; any other is the product
+    of its coefficient, the rest of its monomial and each mapped factor's
+    image, in the order `rebuild` lays the term out, taken on ints.  An
+    integral coefficient comes back an int."""
+    images: dict[Expr, Optional[NF]] = {}  # factor -> image, None if fixed
+
+    def image(f: Expr) -> Optional[NF]:
+        if f not in images:
+            im = values(f) if type(f) is Jet else None
+            if type(f) is Inv:
+                base = nf(f.base)
+                im = map_nf(base, values)
+                im = None if im == base else nf(inverse(rebuild(im)))
+            elif type(f) is Fn:  # nf folds a function at 0
+                arg = nf(f.arg)
+                im = map_nf(arg, values)
+                im = None if im == arg else nf(Fn(f.fname, rebuild(im)))
+            images[f] = im
+        return images[f]
+
+    out: NF = {}  # the terms that the map fixes
+    mapped: NF = {}
+    for key, c in n.items():
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator  # as `nf` reads a coefficient
+        if any(image(a if e > 0 else Inv(a)) is not None for a, e in key[0]) \
+                or any(image(f) is not None for f in key[1]):
+            mapped[key] = c
+        else:
+            out[key] = c
+    if not mapped:
+        return out
+    mapped, d = clear_denominators(mapped)  # the map is linear
+    total: NF = {}  # d times the image of the mapped terms
+    for (cmono, word), c in mapped.items():
+        fixed, factors = [], []
+        for a, e in cmono:  # a^e, e < 0, is laid out as inv(a)^-e
+            im = image(a if e > 0 else Inv(a))
+            if im is None:
+                fixed.append((a, e))
+            else:
+                factors += [im] * abs(e)
+        p = {(tuple(fixed), ()): c}
+        for im in factors:
+            p = _nf_mul(p, im)
+        start = 0  # the fixed factors of the word from here go in as one
+        for i, f in enumerate(word):
+            im = image(f)
+            if im is not None:
+                if start < i:
+                    p = _nf_mul(p, {((), word[start:i]): 1})
+                p = _nf_mul(p, im)
+                start = i + 1
+        if start < len(word):
+            p = _nf_mul(p, {((), word[start:]): 1})
+        _nf_add(total, p)
+    return _nf_add(nf_divide(total, d), out)
 
 
 def key_sort_key(key: Key) -> tuple:
@@ -277,24 +331,17 @@ def is_zero(e: Expr) -> bool:
 
 
 def substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
-    """Replace every occurrence of exactly the jet coordinate `target`;
-    the result is normalized."""
+    """Replace every occurrence of exactly the jet coordinate `target` and
+    normalize.  An inverse of the target raises as the replacement's
+    inverse does, also where the normal form of e cancels it."""
     if not isinstance(target, Jet):
         raise TypeError("substitution target must be a jet coordinate")
-    return rebuild(nf(e, {target: nf(replacement)}))
+    r = nf(replacement)
+    if any(type(x) is Inv and x.base is target for x in nodes(e)):
+        inverse(rebuild(r))
+    return rebuild(map_nf(nf(e), lambda j: r if j is target else None))
 
 
 def collect_jets(e: Expr) -> set[Jet]:
     """All jet atoms occurring anywhere in e (including function arguments)."""
-    return _jets([e])
-
-
-def _jets(stack: list[Expr]) -> set[Jet]:
-    out: set[Jet] = set()
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Jet):
-            out.add(x)
-        else:
-            stack.extend(children(x))
-    return out
+    return {x for x in nodes(e) if type(x) is Jet}

@@ -15,13 +15,8 @@ atom a is R(D_i a).  Hence the one rule for the values,
 for a coordinate i in J - leading.  `reduction` gives R and every R o D_i
 for one call; each Pde keeps one table of the values per Problem, held as
 normal forms.  R is a ring homomorphism, so reducing a normal form
-(`reduce_nf`) maps it term by term, with no tree built: a term that holds
-no principal jet passes through, and any other is the product of its
-coefficient, the rest of its monomial and the image of each factor that
-holds one, multiplied in the order `normalize.rebuild` lays the term out.
-A principal jet's image is its table value; a function or an inverse that
-holds one is normalized with the table values as the jet map of
-`normalize.nf`.  Each factor's image is taken once per call.
+(`reduce_nf`) is `normalize.map_nf` with each principal jet sent to its
+table value: it maps the normal form term by term, with no tree built.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
@@ -41,14 +36,14 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
-from .core import (Expr, Fn, Inv, Jet, JetsymError, MATRIX, ONE, Problem,
-                   Rat, as_expr, mul)
+from .core import (Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
+                   as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import rank, solve
-from .normalize import (NF, _nf_add, _nf_mul, clear_denominators,
-                        collect_jets, is_zero, key_sort_key, nf, nf_divide,
-                        normal_form, rebuild, substitute)
+from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
+                        key_sort_key, map_nf, nf, normal_form, rebuild,
+                        substitute)
 from .printing import render
 
 
@@ -188,62 +183,7 @@ def reduction(pde: Pde, problem: Problem
         return n
 
     def reduce(n: NF) -> NF:
-        """R(n), term by term (the module docstring has the rule): the
-        normal form of rebuild(n) with each principal jet replaced by its
-        value, an integral coefficient an int."""
-        images: dict[Expr, Optional[NF]] = {}  # factor -> image, None if fixed
-
-        def image(f: Expr) -> Optional[NF]:
-            if f in images:
-                return images[f]
-            im = None
-            if type(f) is Jet:
-                if principal(f):
-                    im = value(f.idx)
-            elif type(f) in (Inv, Fn):  # the tree path, for what it holds
-                jets = [j for j in collect_jets(f) if principal(j)]
-                if jets:
-                    im = nf(f, {j: value(j.idx) for j in jets})
-            images[f] = im
-            return im
-
-        out: NF = {}  # the terms that R fixes
-        mapped: NF = {}
-        for key, c in n.items():
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator  # as `nf` reads a coefficient
-            if any(image(a) is not None for a, _ in key[0]) \
-                    or any(image(f) is not None for f in key[1]):
-                mapped[key] = c
-            else:
-                out[key] = c
-        if not mapped:
-            return out
-        mapped, d = clear_denominators(mapped)  # R is linear
-        reduced: NF = {}  # d times the image of the mapped terms
-        for (cmono, word), c in mapped.items():
-            fixed, factors = [], []
-            for a, e in cmono:
-                im = image(a)
-                if im is None:
-                    fixed.append((a, e))
-                else:
-                    factors += [im] * e if e > 0 else [image(Inv(a))] * -e
-            p = {(tuple(fixed), ()): c}
-            for im in factors:
-                p = _nf_mul(p, im)
-            start = 0  # the fixed factors of the word from here go in as one
-            for i, f in enumerate(word):
-                im = image(f)
-                if im is not None:
-                    if start < i:
-                        p = _nf_mul(p, {((), word[start:i]): 1})
-                    p = _nf_mul(p, im)
-                    start = i + 1
-            if start < len(word):
-                p = _nf_mul(p, {((), word[start:]): 1})
-            _nf_add(reduced, p)
-        return _nf_add(nf_divide(reduced, d), out)
+        return map_nf(n, lambda j: value(j.idx) if principal(j) else None)
 
     totals = [derivation(lambda a, total=total_atoms(c, problem):
                          reduce(total(a))) for c in problem.coordinates]

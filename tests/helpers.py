@@ -1,8 +1,8 @@
 """Shared fixtures: sample problems and a seeded random expression builder
 used by both the hypothesis strategies and the acceptance property loops;
-reference substitution and reduction that share no code with the engine's
-jet map (`normalize.nf(e, values)`); the reduction of a normal form by a
-tree round trip, the reference for the engine's term-by-term map;
+reference substitution and reduction by a tree walk that shares no code
+with the engine's jet map (`normalize.map_nf`), for `substitute`,
+`reduce_mod_pde` and the term-by-term `reduce_nf`;
 reference total and characteristic derivatives that walk the expression
 tree instead of acting on normal forms (`calculus.derive_nf`); the order
 key computed by a walk over the tree, for the key each interned atom
@@ -144,13 +144,14 @@ def fresh_copy(e: Expr) -> Expr:
     return e
 
 
-def reference_substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
-    """Replace every occurrence of the jet `target` by a tree walk that
-    rebuilds e (function arguments and inverses included), then normalize:
-    the reference for `jetsym.substitute`."""
+def _reference_map(e: Expr, image) -> Expr:
+    """e rebuilt by a tree walk with each jet j for which image(j) is not
+    None replaced by that tree, function arguments and inverses included;
+    an inverse whose base changed is taken again with `inverse`."""
     def walk(x: Expr) -> Expr:
         if isinstance(x, Jet):
-            return replacement if x == target else x
+            r = image(x)
+            return x if r is None else r
         if isinstance(x, Add):
             return Add(tuple(walk(t) for t in x.terms))
         if isinstance(x, Mul):
@@ -164,7 +165,15 @@ def reference_substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
             return Fn(x.fname, walk(x.arg))
         return x
 
-    return normal_form(walk(e))
+    return walk(e)
+
+
+def reference_substitute(e: Expr, target: Jet, replacement: Expr) -> Expr:
+    """Replace every occurrence of the jet `target` by a tree walk that
+    rebuilds e (function arguments and inverses included), then normalize:
+    the reference for `jetsym.substitute`."""
+    return normal_form(_reference_map(
+        e, lambda j: replacement if j == target else None))
 
 
 def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
@@ -186,21 +195,26 @@ def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
 
 
 def reference_reduce_nf(n: dict, pde, problem: Problem) -> dict:
-    """reduce_nf by the tree round trip: n, cleared of denominators, is
-    rebuilt as a tree and normalized again with each principal jet's table
-    value as the jet map of `normalize.nf`, then divided back.  The table
-    entries are filled by reducing each principal jet on its own."""
+    """reduce_nf by a tree walk: n, cleared of denominators, is rebuilt as
+    a tree, each principal jet in it is replaced by the tree of its table
+    value (`_reference_map`), and the tree is normalized and divided back.
+    A table value is read after reducing its principal jet on its own,
+    which `test_principal_jets_match_reference` checks against
+    `reference_reduce`; how the terms of n combine the values is found
+    with no engine jet map."""
     lead = Counter(pde.leading.idx)
-    principal = [j for j in collect_jets(rebuild(n))
-                 if j.dep == pde.leading.dep and not (lead - Counter(j.idx))]
-    if not principal:
-        return n
     values = {}
-    for j in principal:
-        reduce_nf(nf(j), pde, problem)
-        values[j] = pde.table[problem][j.idx]
+
+    def image(j: Jet):
+        if j.dep != pde.leading.dep or lead - Counter(j.idx):
+            return None
+        if j not in values:
+            reduce_nf(nf(j), pde, problem)
+            values[j] = rebuild(pde.table[problem][j.idx])
+        return values[j]
+
     n, d = clear_denominators(n)
-    return nf_divide(nf(rebuild(n), values), d)
+    return nf_divide(nf(_reference_map(rebuild(n), image)), d)
 
 
 def _reference_derive(e: Expr, atom) -> Expr:

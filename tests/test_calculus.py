@@ -12,7 +12,7 @@ from jetsym import (Characteristic, Sym, bracket_characteristic,
 from jetsym import calculus
 from jetsym.calculus import formal_jet_partial, jet_totals
 from jetsym.core import (Comm, Fn, Inv, KindError, Pot, PotentialDef, Rat,
-                         ZERO, add, children, func)
+                         ZERO, add, func, nodes)
 from jetsym.normalize import collect_jets, nf, rebuild
 from jetsym.parsing import parse_expr
 
@@ -294,13 +294,7 @@ def test_oracle_equivalence_sample(e, Q):
 
 def _kinds(e) -> set:
     """The node kinds among Fn, Inv, Comm and Pot that occur in e."""
-    kinds, stack = set(), [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (Fn, Inv, Comm, Pot)):
-            kinds.add(type(x))
-        stack.extend(children(x))
-    return kinds
+    return {type(x) for x in nodes(e) if isinstance(x, (Fn, Inv, Comm, Pot))}
 
 
 @pytest.mark.parametrize("make", [scalar_problem, matrix_problem],

@@ -180,6 +180,28 @@ def test_bt_apply_tells_its_failures_apart(runner, phi, verdict):
         assert payload["remainder"] is None
 
 
+@pytest.mark.parametrize("phi, verdict", [
+    ("g_x", "NotSymmetry"),
+    ("x*inv(g)*g_t - t*inv(g)*g_x", "NoIntegral"),
+    ("M", "Integrated"),
+])
+def test_bt_apply_asks_check_symmetry_once(runner, monkeypatch, phi, verdict):
+    """bt-apply decides on the one report of the seed's check: a failure
+    is told apart without asking check_symmetry again."""
+    from jetsym import backlund, cli, symmetry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return symmetry.check_symmetry(*args, **kwargs)
+
+    for module in (backlund, cli):
+        monkeypatch.setattr(module, "check_symmetry", counted)
+    r = invoke(runner, "--json", "--pde", "chiral", "bt-apply", "--phi", phi)
+    assert json.loads(r.output)["verdict"] == verdict
+    assert len(calls) == 1
+
+
 # --- parse / list ---------------------------------------------------------
 
 def test_parse_roundtrip(runner):

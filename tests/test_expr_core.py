@@ -9,8 +9,9 @@ import pytest
 from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
                     is_zero, mk_jet, normal_form, parse_expr)
 from jetsym.core import (Atom, Base, DeclarationError, Fn, Inv, InversionError,
-                         Jet, KindError, Mul, Rat, expr_key, func)
-from jetsym.normalize import nf
+                         Jet, KindError, Mul, Rat, expr_key, func, is_scalar,
+                         nodes)
+from jetsym.normalize import collect_jets, nf
 from jetsym.printing import render
 
 from helpers import reference_expr_key
@@ -234,3 +235,22 @@ def test_rendering_a_rat_does_not_depend_on_how_it_was_built(sp):
         for r in (Rat(value), Rat(Fraction(value))):
             assert render(r, sp) == alone
             assert render(Mul((r, u)), sp) == times_u
+
+
+def test_a_deep_library_built_tree_is_walked_without_recursion():
+    """is_scalar and collect_jets walk with their own stack
+    (`core.nodes`): a 3,000-deep commutator chain, deeper than Python's
+    recursion limit, gets an answer, and func refuses a deep matrix chain
+    with a KindError."""
+    depth = 3000
+    for p, scalar in ((Problem(), True),
+                      (Problem(dependent=Dependent("g", "matrix", True)),
+                       False)):
+        e = p.u
+        for _ in range(depth):
+            e = commutator(e, p.jet("x"))
+        assert is_scalar(e) is scalar
+        assert collect_jets(e) == {p.u, p.jet("x")}
+        assert sum(1 for _ in nodes(e)) == 2 * depth + 1
+    with pytest.raises(KindError):
+        func("sin", e)

@@ -10,9 +10,10 @@ from fractions import Fraction
 from jetsym import (commutator, get_pde, inverse, is_zero, normal_form,
                     parse_expr, substitute)
 from jetsym.calculus import char_nf, jet_totals
-from jetsym.core import Comm, Fn, Inv, InversionError, Rat, children, rat
-from jetsym.normalize import (MAX_TERMS, _join, _nf_mul, clear_denominators,
-                              collect_jets, nf, nf_divide)
+from jetsym.core import Comm, Fn, Inv, InversionError, Rat, nodes, rat
+from jetsym.normalize import (MAX_TERMS, _join, _nf_add, _nf_mul,
+                              clear_denominators, collect_jets, map_nf, nf,
+                              nf_divide)
 from jetsym.symmetry import reduce_nf
 
 from conftest import seeded_exprs
@@ -127,13 +128,8 @@ def _outcome(fn):
 
 def _enclosing_kinds(e, target) -> set:
     """The node kinds among Fn, Inv and Comm with `target` inside them."""
-    kinds, stack = set(), [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (Fn, Inv, Comm)) and target in collect_jets(x):
-            kinds.add(type(x))
-        stack.extend(children(x))
-    return kinds
+    return {type(x) for x in nodes(e)
+            if isinstance(x, (Fn, Inv, Comm)) and target in collect_jets(x)}
 
 
 @pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
@@ -164,6 +160,65 @@ def test_substitute_matches_reference_walker(problem):
     if p.dependent.kind == "matrix":  # analytic functions take scalars
         del seen[Fn]
     assert min(seen.values()) >= 5, seen
+
+
+def _jet_map(rng: Random, p) -> dict:
+    """A seeded map that sends some jets of order 1 and 2 to normal forms
+    (scalar ones on a scalar problem, so that the images commute) and the
+    dependent, sometimes, to an invertible normal form."""
+    scalar = p.dependent.kind == "scalar"
+    values = {}
+    for subs in ("x", "t", "xx", "xt", "tt"):
+        if rng.random() < 0.7:
+            values[p.jet(subs)] = nf(random_expr(rng, p, 2,
+                                                 scalar_only=scalar))
+    if rng.random() < 0.7:
+        values[p.u] = nf(rng.choice([Rat(Fraction(2, 3)), inverse(p.u),
+                                     *(p.cmat(m) for m in p.matrices
+                                       if p.cmat(m).invertible)]))
+    return values
+
+
+def _maps_inside(n: dict, values: dict) -> set:
+    """The kinds among Fn and Inv of the factors of n that hold a mapped
+    jet; a negative exponent of a mapped jet counts as an Inv."""
+    kinds = set()
+    for cmono, word in n:
+        for f in [a for a, _ in cmono] + list(word):
+            if type(f) in (Fn, Inv) and collect_jets(f) & values.keys():
+                kinds.add(type(f))
+        if any(e < 0 and a in values for a, e in cmono):
+            kinds.add(Inv)
+    return kinds
+
+
+@pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
+def test_map_nf_is_a_ring_homomorphism(problem):
+    """map_nf preserves products and sums on seeded random normal forms
+    with analytic functions and inverses among their factors, and a map
+    that sends nothing gives back n's terms in n's order, each integral
+    coefficient an int."""
+    p = problem
+    rng = Random(f"map-nf-{p.dependent.kind}")
+    seen = {Fn: 0, Inv: 0, "moved": 0}
+    for _ in range(100):
+        values = _jet_map(rng, p)
+        mapped = lambda n: map_nf(n, values.get)  # noqa: E731
+        a, b = (nf(random_expr(rng, p, 4)) for _ in range(2))
+        seen["moved"] += mapped(a) != a
+        assert mapped(_nf_mul(a, b)) == _nf_mul(mapped(a), mapped(b))
+        assert mapped(_nf_add(dict(a), b)) == \
+            _nf_add(dict(mapped(a)), mapped(b))
+        for kind in _maps_inside(a, values) | _maps_inside(b, values):
+            seen[kind] += 1
+        n = {k: rng.choice([2, Fraction(-6, 3), Fraction(1, 2)]) for k in a}
+        fixed = map_nf(n, lambda j: None)
+        assert list(fixed) == list(n) and fixed == n
+        assert all(type(v) is int for v in fixed.values()
+                   if Fraction(v).denominator == 1)
+    if p.dependent.kind == "matrix":  # analytic functions take scalars
+        del seen[Fn]
+    assert min(seen.values()) >= 10, seen
 
 
 @settings(max_examples=120, deadline=None)

@@ -21,6 +21,10 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
   inv(g)*g_t)^k for k = 1..5, with the term counts of the input and of
   the result.  The first repetition fills the principal-jet table.
+* substitute: `substitute(F^k, leading, rhs)`, the solved form put into
+  a power of F, on the catalog kdv and chiral for k = 1..5, F^k given as
+  its normal form, with the term counts of F^k and of the result (0,
+  since F vanishes under its solved form).
 * pretty: `pretty` of the normal form of (g + g_x)^k on the catalog
   chiral problem (2^k terms) for k = 8..13, with the term count and the
   length of the printed text.
@@ -44,8 +48,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from jetsym import (backlund, calculus, catalog, parsing, printing,  # noqa: E402
                     symmetry)
-from jetsym.core import Dependent, PotentialDef, Problem  # noqa: E402
-from jetsym.normalize import nf, normal_form  # noqa: E402
+from jetsym.core import Dependent, PotentialDef, Problem, mul  # noqa: E402
+from jetsym.normalize import nf, normal_form, substitute  # noqa: E402
 
 REPEATS = 3
 KDV_ORDERS = range(4, 11)
@@ -54,6 +58,7 @@ CHAIN_SEEDS = {"integral": "M + 2*inv(g)*g_x - inv(g)*g_t",
 CHAIN_STEPS = 4
 FED_BACK = {"kdv": ("(u_x + u_t)", "", range(1, 7)),
             "chiral": ("(inv(g)*g_x + inv(g)*g_t)", "g*", range(1, 6))}
+SUBSTITUTE = {"kdv": range(1, 6), "chiral": range(1, 6)}
 PRETTY_POWERS = range(8, 14)
 
 
@@ -156,6 +161,19 @@ def fed_back_ladder() -> list[dict]:
     return out
 
 
+def substitute_ladder() -> list[dict]:
+    out = []
+    for name, powers in SUBSTITUTE.items():
+        pde = catalog.get_pde(name).pde
+        for k in powers:
+            fk = normal_form(mul(*[pde.f] * k))
+            runs, r = best_of(substitute, fk, pde.leading, pde.rhs)
+            out.append({"pde": name, "k": k, "input_terms": len(nf(fk)),
+                        "terms": len(nf(r)), "best_s": min(runs),
+                        "runs_s": runs})
+    return out
+
+
 def pretty_ladder() -> list[dict]:
     p = catalog.get_pde("chiral").problem
     out = []
@@ -178,6 +196,7 @@ def main() -> int:
         **{f"bt_apply_chain_{kind}": chain_ladder(seed)
            for kind, seed in CHAIN_SEEDS.items()},
         "reduce_fed_back": fed_back_ladder(),
+        "substitute_solved_form_in_f_k": substitute_ladder(),
         "pretty_chiral_g_plus_g_x_k": pretty_ladder(),
     }
     path = os.path.join(ROOT, "BENCH_ladder.json")
@@ -196,6 +215,9 @@ def main() -> int:
                   f"{declared}")
     for r in record["reduce_fed_back"]:
         print(f"{r['pde']} fed back k={r['k']}: {r['input_terms']} -> "
+              f"{r['terms']} terms, {r['best_s']:.4f} s")
+    for r in record["substitute_solved_form_in_f_k"]:
+        print(f"{r['pde']} substitute into F^{r['k']}: {r['input_terms']} -> "
               f"{r['terms']} terms, {r['best_s']:.4f} s")
     for r in record["pretty_chiral_g_plus_g_x_k"]:
         print(f"pretty (g + g_x)^{r['k']}: {r['terms']} terms, "
