@@ -13,9 +13,9 @@ from .symmetry import (AnsatzConfig, LinearOperatorAnsatz, Pde,
                        SymmetryReport, Verdict, certify_operator,
                        check_symmetry, find_operator, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import (BtPair, bt_apply, bt_integrability_check,
-                       bt_integrate, bt_rhs, bt_seed_check,
-                       chiral_phi_condition, declare_potential, left_current)
+from .backlund import (BtPair, bt_apply, bt_integrate, bt_rhs,
+                       bt_seed_check, chiral_phi_condition,
+                       declare_potential, left_current)
 from .parsing import ParseError, parse_expr, parse_operator
 from .printing import pretty, render
 from .catalog import CatalogEntry, get_pde, load_catalog, validate_entry

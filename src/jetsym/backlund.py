@@ -14,17 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul)
-from .calculus import (Characteristic, char_derivative, derive_cleared,
-                       derive_nf, total_images)
-from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf, nf_divide,
+from .calculus import (Characteristic, Image, char_derivative,
+                       derive_cleared, derive_nf, total_images)
+from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf,
                         normal_form, rebuild)
 from .symmetry import (Pde, SymmetryReport, _match_linear, check_symmetry,
-                       reduce_nf, reduction)
+                       reduction)
 
 
 class PotentialError(JetsymError):
@@ -119,11 +119,6 @@ def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     return check_symmetry(pde, phi_characteristic(phi, problem), problem)
 
 
-def bt_integrability_check(phi: Expr, pde: Pde, problem: Problem) -> bool:
-    """True iff Phi solves the symmetry condition (`bt_seed_check`)."""
-    return bt_seed_check(phi, pde, problem).is_symmetry
-
-
 def default_bt_basis(problem: Problem) -> list[Expr]:
     """Candidate alphabet for integrating the Backlund system: the left
     currents, registered potentials and constant matrices, their products
@@ -139,21 +134,12 @@ def default_bt_basis(problem: Problem) -> list[Expr]:
     return basis
 
 
-def bt_rows(basis: list[Expr], pde: Pde, problem: Problem
-            ) -> list[list[NF]]:
-    """[R(D_x b), R(D_t b)] for every candidate b, as normal forms, where R
-    is reduction mod F: R o D_i (`symmetry.reduction`) applied to R(b)."""
-    return [[nf_divide(row, d) for row in rows]
-            for rows, d in _bt_columns(basis, pde, problem)]
-
-
-def _bt_columns(basis: list[Expr], pde: Pde, problem: Problem
-                ) -> list[tuple[list[NF], int]]:
-    """([d*R(D_x b), d*R(D_t b)], d) for every candidate b: its `bt_rows`
-    with int coefficients and their one denominator d, which a
-    potential's gradient brings in."""
-    _xt(problem)  # two coordinates, so totals are R o D_x and R o D_t
-    reduce, totals = reduction(pde, problem)
+def _bt_columns(basis: list[Expr], reduce: Callable[[NF], NF],
+                totals: list[Image]) -> list[tuple[list[NF], int]]:
+    """([d*R(D_x b), d*R(D_t b)], d) for every candidate b, where R is the
+    reduction mod F of one `symmetry.reduction` context (reduce, totals):
+    R o D_i applied to R(b), with int coefficients and their one
+    denominator d, which a potential's gradient brings in."""
     out = []
     for b in basis:
         n = reduce(nf(b))
@@ -165,9 +151,9 @@ def _bt_columns(basis: list[Expr], pde: Pde, problem: Problem
 
 
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
-    """`bt_integrate` for a seed Phi that passes `bt_integrability_check`,
-    and None for one that fails it."""
-    if not bt_integrability_check(phi, pde, problem):
+    """`bt_integrate` for a seed Phi that passes `bt_seed_check`, and None
+    for one that fails it."""
+    if not bt_seed_check(phi, pde, problem).is_symmetry:
         return None
     return bt_integrate(phi, pde, problem)
 
@@ -175,13 +161,14 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
 def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     """Phi' for a seed Phi that solves the symmetry condition: the exact
     rational combination of basis candidates, with the rows of each from
-    `bt_rows` and constants of integration zero, that satisfies both
+    `_bt_columns` and constants of integration zero, that satisfies both
     equations mod F.  None signals that the integration lies outside the
     candidate basis (basis insufficiency), not that no Phi' exists."""
     basis = default_bt_basis(problem)
-    pair = bt_rhs(phi, problem)
-    targets = [reduce_nf(nf(r), pde, problem) for r in (pair.rhs_x, pair.rhs_t)]
-    columns = _bt_columns(basis, pde, problem)
+    pair = bt_rhs(phi, problem)  # two coordinates: totals are R o D_x, R o D_t
+    reduce, totals = reduction(pde, problem)
+    targets = [reduce(nf(r)) for r in (pair.rhs_x, pair.rhs_t)]
+    columns = _bt_columns(basis, reduce, totals)
     sol = _match_linear(targets, [rows for rows, _ in columns])
     if sol is None:
         return None

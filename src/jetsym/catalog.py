@@ -1,19 +1,23 @@
-"""Built-in PDE catalog loaded from the versioned data file.
+"""Built-in PDE catalog, read from the versioned data file
+`data/catalog.json` with the standard library's `json`.
 
 Each entry carries the PDE in solved form, its known symmetry
 characteristics with operator certificates, and (for the chiral field) the
-potential and Backlund fixtures.  `validate_entry` re-runs every fixture
-through the engine; the test suite keeps the catalog self-validating.
+potential and Backlund fixtures.  All expressions use the CLI grammar;
+certificates use the operator grammar (products of coefficients, D_<coord>
+factors and constant matrices around an F placeholder).  The file holds one
+characteristic, structure claim or fixture per line.  `validate_entry`
+re-runs every fixture through the engine; the test suite keeps the catalog
+self-validating.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from typing import Optional
-
-import yaml
 
 from .core import (DeclarationError, Dependent, Expr, Jet, PotentialDef,
                    Problem)
@@ -22,7 +26,7 @@ from .normalize import is_zero
 from .parsing import parse_expr, parse_operator
 from .symmetry import (LinearOperatorAnsatz, Pde, certify_operator,
                        check_symmetry, make_pde, structure_constants)
-from .backlund import (bt_apply, bt_integrability_check, declare_potential,
+from .backlund import (bt_apply, bt_seed_check, declare_potential,
                        phi_characteristic)
 
 CATALOG_NAMES = ("sine-gordon", "heat", "burgers", "wave", "kdv", "chiral")
@@ -65,8 +69,8 @@ class CatalogEntry:
 @cache
 def _load_raw() -> dict:
     """The parsed data file, read once per process; no caller changes it."""
-    data = resources.files("jetsym.data").joinpath("catalog.yaml").read_text()
-    return yaml.safe_load(data)
+    return json.loads(
+        resources.files("jetsym.data").joinpath("catalog.json").read_text())
 
 
 def _build_entry(name: str, raw: dict) -> CatalogEntry:
@@ -158,5 +162,5 @@ def validate_entry(entry: CatalogEntry) -> None:
         got = bt_apply(phi, pde, problem)
         assert got is not None and is_zero(got - expected), \
             f"{entry.name}: BT fixture mismatch for {phi}"
-        assert bt_integrability_check(got, pde, problem), \
+        assert bt_seed_check(got, pde, problem).is_symmetry, \
             f"{entry.name}: BT image fails the symmetry condition"

@@ -6,14 +6,15 @@ import pytest
 from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
                     inverse, is_zero, make_pde, mul, normal_form,
                     reduce_mod_pde, total_derivative)
-from jetsym.backlund import (PotentialError, bt_apply, bt_integrability_check,
-                             bt_rhs, bt_rows, chiral_phi_condition,
+from jetsym.backlund import (PotentialError, _bt_columns, bt_apply, bt_rhs,
+                             bt_seed_check, chiral_phi_condition,
                              declare_potential, default_bt_basis, left_current)
 from jetsym.catalog import get_pde
 from jetsym.core import NonlocalActionError, PotentialDef, Problem, Dependent
-from jetsym.normalize import nf
+from jetsym.normalize import nf, nf_divide
 from jetsym.parsing import parse_expr
 from jetsym.printing import render
+from jetsym.symmetry import reduction
 
 from helpers import fresh_copy
 
@@ -173,9 +174,33 @@ def test_bt_rhs_for_constant_matrix(ch):
 
 def test_bt_integrability(ch):
     p, pde = ch.problem, ch.pde
-    assert bt_integrability_check(p.cmat("M"), pde, p)
-    assert bt_integrability_check(phi_of(ch, "inv(g)*g_x"), pde, p)
-    assert not bt_integrability_check(p.u, pde, p)
+    assert bt_seed_check(p.cmat("M"), pde, p).is_symmetry
+    assert bt_seed_check(phi_of(ch, "inv(g)*g_x"), pde, p).is_symmetry
+    assert not bt_seed_check(p.u, pde, p).is_symmetry
+
+
+def test_bt_apply_builds_one_reduction_context_to_integrate(ch, monkeypatch):
+    """bt_apply reduces the seed's symmetry condition in one reduction
+    context and integrates in one more, whose reduction the targets and
+    the rows of every candidate share."""
+    from jetsym import backlund, calculus, symmetry
+    counts = {"reduction": 0, "derivation": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    new_context = counted("reduction", symmetry.reduction)
+    new_map = counted("derivation", calculus.derivation)
+    for module in (symmetry, backlund):
+        monkeypatch.setattr(module, "reduction", new_context)
+    for module in (calculus, symmetry):
+        monkeypatch.setattr(module, "derivation", new_map)
+    p, pde = ch.problem, ch.pde
+    assert bt_apply(p.cmat("M"), pde, p) is not None
+    assert counts == {"reduction": 2, "derivation": 9}
 
 
 def test_bt_apply_constant_matrix_gives_commutator_with_potential(ch):
@@ -318,7 +343,9 @@ def test_bt_rows_are_reduced_total_derivatives():
         want = [[nf(fresh_copy(reduce_mod_pde(total_derivative(b, c, p),
                                               pde, p)))
                  for c in p.coordinates] for b in basis]
-        assert bt_rows(basis, pde, p) == want
+        rows = [[nf_divide(row, d) for row in rows]
+                for rows, d in _bt_columns(basis, *reduction(pde, p))]
+        assert rows == want
 
     list(chain(check))
     assert sizes == [26, 40, 57, 77]

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import jetsym
 from jetsym import Verdict, check_symmetry
 from jetsym.catalog import CATALOG_NAMES, get_pde, load_catalog, validate_entry
 from jetsym.parsing import parse_expr
@@ -14,6 +20,20 @@ def test_catalog_names():
 @pytest.mark.parametrize("name", sorted(CATALOG_NAMES))
 def test_entry_validates(name):
     validate_entry(get_pde(name))
+
+
+def test_catalog_needs_no_yaml():
+    """With PyYAML unimportable, the CLI imports and every catalog entry
+    loads and validates: the catalog is JSON read by the standard library."""
+    script = ("import sys; sys.modules['yaml'] = None\n"
+              "import jetsym.cli\n"
+              "from jetsym.catalog import load_catalog, validate_entry\n"
+              "for entry in load_catalog().values():\n"
+              "    validate_entry(entry)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(jetsym.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_get_pde_unknown():

@@ -7,10 +7,12 @@ import weakref
 
 import click
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
 from jetsym import normalize
+from jetsym.catalog import CATALOG_NAMES
 from jetsym.core import JetsymError
 from jetsym.cli import main
 
@@ -447,3 +449,50 @@ def test_in_process_cli_keeps_no_stream_alive(args, tmp_path):
     del out, err
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# --- random input ---------------------------------------------------------
+
+# the expression alphabet: jets of both catalog dependents, coordinates,
+# constants and the catalog potential, then function heads, digits and
+# punctuation, and the operator grammar's D_x and F
+_SYMBOLS = ("u", "u_x", "u_t", "u_xt", "g", "g_x", "g_t", "x", "t", "c",
+            "M", "X")
+_TOKENS = (*_SYMBOLS, "inv(", "comm(", "D(", "sin(", "exp(", *"0123456789",
+           *"+-*/(),", " ", "D_x", "F")
+# token soup, which mostly fails to parse, and well-formed expressions and
+# operators over the same alphabet, which mostly parse
+_EXPR = st.recursive(
+    st.sampled_from((*_SYMBOLS, *"0123")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        st.tuples(st.sampled_from(("inv(", "sin(", "exp(", "-(")), inner)
+        .map(lambda a: f"{a[0]}{a[1]})"),
+        st.tuples(inner, inner).map(lambda a: f"comm({a[0]}, {a[1]})"),
+        st.tuples(inner, st.sampled_from("xt"))
+        .map(lambda a: f"D({a[0]}, {a[1]})")),
+    max_leaves=6)
+_OPERATOR = st.lists(
+    st.tuples(_EXPR, st.lists(st.sampled_from(("D_x", "D_t")), max_size=2),
+              st.sampled_from(("", "*M")))
+    .map(lambda a: "*".join((f"({a[0]})", *a[1], "F")) + a[2]),
+    min_size=1, max_size=3).map(" + ".join)
+_TEXT = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join), _EXPR)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.sampled_from(
+    ["parse", "reduce", "--q", "--phi", "bracket", "certify"]),
+    _TEXT, st.one_of(_TEXT, _OPERATOR))
+def test_random_cli_input_exits_or_reports(pde, command, text, other):
+    """Text drawn from the expression alphabet, on any catalog PDE, ends
+    in an exit status, a usage error or a JetsymError: `code` re-raises
+    anything else."""
+    args = {"parse": ["parse", text], "reduce": ["reduce", text],
+            "--q": ["check", "--no-find", "--q", text],
+            "--phi": ["check", "--no-find", "--phi", text],
+            "bracket": ["bracket", "--q1", text, "--q2", other],
+            "certify": ["certify", "--q", text, "--lhat", other]}[command]
+    r = invoke(CliRunner(), "--pde", pde, *args)
+    assert code(r) in (0, 1, 2)
