@@ -3,19 +3,22 @@ floats).
 
 A column is a dict from row key to a nonzero rational, an `int` or a
 `Fraction` (normal-form coefficients are ints while they are integral);
-keys need only be hashable.  Columns are taken in order, and each is
-reduced against the pivots found before it.  A nonzero remainder makes it
-a pivot, so the pivot columns are exactly the columns independent of the
-columns before them, whatever the row order and whichever key is chosen as
-a pivot.
+keys need only be hashable.  `Echelon(columns)` factors a list of columns
+once and then solves any number of targets against it.  Columns are taken
+in order, and each is reduced against the pivots found before it.  A
+nonzero remainder makes it a pivot, so the pivot columns are exactly the
+columns independent of the columns before them, whatever the row order and
+whichever key is chosen as a pivot.
 
-Elimination runs on ints (`_eliminate`): `_prepared` clears each column of
-denominators with `normalize.clear_denominators`, the one clearing
-primitive, as it renumbers its keys, and the pivots are primitive int
+Elimination runs on ints, in one loop (`_reduce`): each column is cleared
+of denominators with `normalize.clear_denominators`, the one clearing
+primitive, as its keys are renumbered, and the pivots are primitive int
 vectors.  Only the factors that express a column in the pivots are
-rationals.  Every quotient goes through `_div`, which gives an int when the
-division is exact and a Fraction otherwise, never through int / int, which
-would give a float.  `solve` returns Fractions.
+rationals.  `Echelon.solve` reduces a target with the same loop against
+the stored pivots, which it does not change, so one echelon answers many
+targets, in any order.  Every quotient goes through `_div`, which gives an
+int when the division is exact and a Fraction otherwise, never through
+int / int, which would give a float.  `solve` returns Fractions.
 """
 from __future__ import annotations
 
@@ -37,99 +40,116 @@ def _div(a: Rational, b: Rational) -> Rational:
     return a / b  # one side is a Fraction, so the quotient is one too
 
 
-def _prepared(columns: list[Column]) -> list[tuple[dict[int, int], int]]:
-    """(d*column, d) for each column, cleared of denominators and keyed by
-    small ints, zero entries dropped: row keys such as normal-form terms
-    are hashed once here instead of at every elimination step.  Each
-    (d*column) is a new dict, which `_eliminate` may change."""
-    index: dict[Hashable, int] = {}
-    out = []
-    for c in columns:
-        c, d = clear_denominators(c)
-        out.append(({index.setdefault(k, len(index)): v
-                     for k, v in c.items() if v}, d))
-    return out
+def _reduce(rest: dict[int, int], s: int, keys: list[int],
+            pivots: list[dict[int, int]]) -> tuple[dict[int, int], int]:
+    """Reduce rest = s*column, an int vector (s an int), against the pivots
+    in place, fraction-free: rest is kept as s*column - sum_i a[i]*pivot_i
+    with int s and a[i]; removing pivot i multiplies rest by lead_i/g and
+    subtracts rest[key_i]/g times pivot i, with g their gcd.  Returns (a, s),
+    so that
 
+        column = sum_i (a[i]/s) * pivot_i + rest/s,
 
-def _eliminate(columns: list[tuple[dict[int, int], int]]
-               ) -> list[tuple[dict[int, Rational], Optional[Rational]]]:
-    """Greedy column echelon form, fraction-free: pivot i is a primitive int
-    vector (its entries have no common factor) that is 0 at the key of
-    every pivot before it and nonzero at its own key.  For each column,
-    (factors, scale) with
-
-        column = sum_i factors[i] * pivot_i + scale * (the new pivot),
-
-    where scale is None when the column depends on the columns before it
-    (its remainder is zero) and no pivot is added.
-
-    Each column comes cleared of denominators, as (s*column, s)
-    (`_prepared`), and is reduced on ints: the remainder `rest` is kept as
-    s*column - sum_i a[i]*pivot_i with int s and a[i]; removing pivot i
-    multiplies rest by lead_i/g and subtracts rest[key_i]/g times pivot i,
-    with g their gcd.  Only the factors a[i]/s and the scale are
+    where rest is now 0 at every pivot's key.  Only the quotients a[i]/s are
     rationals, so the cost of a system does not depend on how many of its
     entries are integral."""
-    keys: list[int] = []
-    pivots: list[dict[int, int]] = []
-    out = []
-    for rest, s in columns:
-        a: dict[int, int] = {}
-        for i, key in enumerate(keys):
-            f = rest.get(key)
-            if not f:
-                continue
-            pivot = pivots[i]
-            lead = pivot[key]
-            g = gcd(f, lead)
-            m, f = lead // g, f // g
-            if m != 1:
-                s *= m
-                for j in a:
-                    a[j] *= m
-                for k in rest:
-                    rest[k] *= m
-            a[i] = f
-            for k, w in pivot.items():
-                v = rest.get(k, 0) - f * w
-                if v:
-                    rest[k] = v
-                else:
-                    del rest[k]
-        factors = {i: _div(v, s) for i, v in a.items()}
-        scale = None
+    a: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        f = rest.get(key)
+        if not f:
+            continue
+        pivot = pivots[i]
+        lead = pivot[key]
+        g = gcd(f, lead)
+        m, f = lead // g, f // g
+        if m != 1:
+            s *= m
+            for j in a:
+                a[j] *= m
+            for k in rest:
+                rest[k] *= m
+        a[i] = f
+        for k, w in pivot.items():
+            v = rest.get(k, 0) - f * w
+            if v:
+                rest[k] = v
+            else:
+                del rest[k]
+    return a, s
+
+
+class Echelon:
+    """Greedy column echelon form of a list of columns, fraction-free:
+    pivot i is a primitive int vector (its entries have no common factor)
+    that is 0 at the key of every pivot before it and nonzero at its own
+    key.  Pivot i comes from column j_i, with
+
+        column j_i = sum_{i' < i} factors_i[i'] * pivot_i' + scale_i * pivot_i,
+
+    and it is kept as (j_i, scale_i, factors_i) for `solve`; a column that
+    depends on the columns before it adds no pivot and is not kept.  Keys
+    are renumbered by small ints on the way in (`_index`), so that row keys
+    such as normal-form terms are hashed once, not at every elimination
+    step."""
+
+    def __init__(self, columns: list[Column]):
+        self._size = len(columns)
+        self._index: dict[Hashable, int] = {}
+        self._keys: list[int] = []
+        self._pivots: list[dict[int, int]] = []
+        self._steps: list[tuple[int, Rational, dict[int, Rational]]] = []
+        for j, column in enumerate(columns):
+            column, s = clear_denominators(column)
+            rest = {self._index.setdefault(k, len(self._index)): v
+                    for k, v in column.items() if v}
+            a, s = _reduce(rest, s, self._keys, self._pivots)
+            if rest:
+                c = gcd(*rest.values())
+                self._keys.append(next(iter(rest)))
+                self._pivots.append({k: v // c for k, v in rest.items()})
+                self._steps.append((j, _div(c, s),
+                                    {i: _div(v, s) for i, v in a.items()}))
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def solve(self, target: Column) -> Optional[list[Fraction]]:
+        """A particular solution x of  sum_j x[j] * columns[j] = target  over
+        the rationals, with every non-pivot x[j] fixed to zero (which makes
+        it unique); None when the system is inconsistent, at once when the
+        target has a key that no column holds."""
+        target, s = clear_denominators(target)
+        rest: dict[int, int] = {}
+        for k, v in target.items():
+            if v:
+                i = self._index.get(k)
+                if i is None:
+                    return None
+                rest[i] = v
+        a, s = _reduce(rest, s, self._keys, self._pivots)
         if rest:
-            c = gcd(*rest.values())
-            keys.append(next(iter(rest)))
-            pivots.append({k: v // c for k, v in rest.items()})
-            scale = _div(c, s)
-        out.append((factors, scale))
-    return out
+            return None
+        coeffs = {i: _div(v, s) for i, v in a.items()}
+        # target = sum_i coeffs[i] * pivot_i; rewrite the pivots in terms of
+        # their columns, last pivot first (pivot i only involves pivots
+        # before it).
+        x: list[Rational] = [0] * self._size
+        for i in range(len(self._steps) - 1, -1, -1):
+            c = coeffs.pop(i, 0)
+            if not c:
+                continue
+            j, scale, factors = self._steps[i]
+            x[j] = _div(c, scale)
+            for p, f in factors.items():
+                coeffs[p] = coeffs.get(p, 0) - x[j] * f
+        return [Fraction(v) for v in x]
 
 
 def solve(columns: list[Column], target: Column) -> Optional[list[Fraction]]:
-    """A particular solution x of  sum_j x[j] * columns[j] = target  over the
-    rationals, with every non-pivot x[j] fixed to zero (which makes it
-    unique); None when the system is inconsistent."""
-    *steps, (coeffs, outside) = _eliminate(_prepared([*columns, target]))
-    if outside is not None:
-        return None
-    # target = sum_i coeffs[i] * pivot_i; rewrite the pivots in terms of their
-    # columns, last pivot first (pivot i only involves pivots before it).
-    pivot_steps = [(j, scale, factors)
-                   for j, (factors, scale) in enumerate(steps)
-                   if scale is not None]
-    x: list[Rational] = [0] * len(steps)
-    for i in range(len(pivot_steps) - 1, -1, -1):
-        j, scale, factors = pivot_steps[i]
-        c = coeffs.pop(i, 0)
-        if not c:
-            continue
-        x[j] = _div(c, scale)
-        for p, f in factors.items():
-            coeffs[p] = coeffs.get(p, 0) - x[j] * f
-    return [Fraction(v) for v in x]
+    """`Echelon.solve` of target against the columns."""
+    return Echelon(columns).solve(target)
 
 
 def rank(columns: list[Column]) -> int:
-    return sum(scale is not None for _, scale in _eliminate(_prepared(columns)))
+    return Echelon(columns).rank

@@ -24,6 +24,16 @@ jet of the rhs strictly below the leading jet.  Such rankings are
 well-orders compatible with every D_i, so every jet of R[J] ranks below J,
 the values that R[J] needs belong to lower principal jets, and filling the
 table terminates.
+
+A certificate search (`find_operator`) solves D_Q F = sum_k c_k column_k
+for the columns left_k * D_Jk F * right_k of the ansatz, which depend on
+F, the problem's coordinates and constant matrices and the ansatz bounds,
+and never on Q.  Each Pde keeps, per Problem and AnsatzConfig, the ansatz
+terms and the `linsolve.Echelon` of their columns, so that every later
+search reduces only its target.  Like the table, it cannot go stale: a
+Pde is immutable, and a Problem never changes what it has declared (it
+only adds potentials, with fixed gradients), so a column computed once
+keeps its value.
 """
 from __future__ import annotations
 
@@ -40,7 +50,7 @@ from .core import (Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
                    as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
-from .linsolve import rank, solve
+from .linsolve import Echelon, solve
 from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
                         key_sort_key, map_nf, nf, normal_form, rebuild,
                         substitute)
@@ -75,6 +85,14 @@ class Pde:
     table: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                      init=False, compare=False, hash=False,
                                      repr=False)
+    # problem -> {AnsatzConfig: (ansatz terms, Echelon of their columns on
+    # F)}, filled by `_ansatz` and dropped with its problem; a column
+    # left * D_J F * right depends only on F, the coordinates, the
+    # constant matrices and the bounds, which a Problem never changes, and
+    # never on Q; dataclasses.replace starts an empty store
+    ansatz: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                      init=False, compare=False, hash=False,
+                                      repr=False)
 
 
 def _lex_unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
@@ -325,6 +343,18 @@ def _match_linear(targets: list[NF], candidates: list[list[NF]]
     return solve([column(row) for row in candidates], column(targets))
 
 
+def _ansatz(pde: Pde, problem: Problem,
+            cfg: AnsatzConfig) -> tuple[tuple, Echelon]:
+    """The candidate terms of the ansatz and the Echelon of their columns
+    on F, kept in pde.ansatz for every later search on this problem."""
+    kept = pde.ansatz.setdefault(problem, {})
+    if cfg not in kept:
+        terms = tuple(_candidate_terms(problem, cfg))
+        columns = LinearOperatorAnsatz(terms).columns(nf(pde.f), problem)
+        kept[cfg] = terms, Echelon(columns)
+    return kept[cfg]
+
+
 def find_operator(pde: Pde, Q: Characteristic | None, problem: Problem,
                   cfg: AnsatzConfig | None = None,
                   lhs: Expr | None = None) -> Optional[LinearOperatorAnsatz]:
@@ -338,11 +368,10 @@ def find_operator(pde: Pde, Q: Characteristic | None, problem: Problem,
 
 def _find_operator_nf(pde: Pde, target: NF, problem: Problem,
                       cfg: AnsatzConfig) -> Optional[LinearOperatorAnsatz]:
-    """`find_operator` for the normal form target of D_Q F."""
-    f = nf(pde.f)
-    terms = _candidate_terms(problem, cfg)
-    columns = LinearOperatorAnsatz(tuple(terms)).columns(f, problem)
-    sol = _match_linear([target], [[c] for c in columns])
+    """`find_operator` for the normal form target of D_Q F: one target
+    reduced against the ansatz's Echelon (`_ansatz`)."""
+    terms, echelon = _ansatz(pde, problem, cfg)
+    sol = echelon.solve(target)
     if sol is None:
         return None
     kept = tuple((mul(Rat(c), left), j, right)
@@ -367,15 +396,15 @@ def structure_constants(pde: Pde, basis: list[Characteristic],
     for q in basis:
         if not check_symmetry(pde, q, problem).is_symmetry:
             raise BasisError(f"{q.name} is not a symmetry of {pde.name}")
-    basis_nfs = [nf(q.q) for q in basis]
-    if rank(basis_nfs) < len(basis):
+    echelon = Echelon([nf(q.q) for q in basis])
+    if echelon.rank < len(basis):
         raise BasisError("basis dependent")
     n = len(basis)
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             br = bracket_characteristic(basis[i], basis[j], problem)
-            coeffs = _match_linear([nf(br.q)], [[b] for b in basis_nfs])
+            coeffs = echelon.solve(nf(br.q))
             if coeffs is None:
                 raise SpanError(
                     f"bracket not in span: [{basis[i].name}, {basis[j].name}]")

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import shlex
 import sys
 import weakref
 
@@ -496,3 +497,54 @@ def test_random_cli_input_exits_or_reports(pde, command, text, other):
             "certify": ["certify", "--q", text, "--lhat", other]}[command]
     r = invoke(CliRunner(), "--pde", pde, *args)
     assert code(r) in (0, 1, 2)
+
+
+# a batch line: a well-formed command, token soup (which may hold quotes,
+# flags and '#'), a line with an unbalanced quote, a comment or a blank
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(("parse", "reduce")), _EXPR)
+    .map(lambda a: f"{a[0]} {shlex.quote(a[1])}"),
+    _EXPR.map(lambda q: f"check --no-find --q {shlex.quote(q)}"),
+    _OPERATOR.map(lambda op: f"certify --q u_x --lhat {shlex.quote(op)}"))
+_LINE = st.one_of(
+    _COMMANDS,
+    st.lists(st.sampled_from((*_TOKENS, "parse", "reduce", "check",
+                              "--no-find", "--q", "--json", '"', "'", "#")),
+             max_size=10).map(" ".join),
+    st.tuples(st.sampled_from(("parse", "reduce")), _TEXT,
+              st.sampled_from('"\'')).map(lambda a: f"{a[0]} {a[2]}{a[1]}"),
+    st.text(st.sampled_from("abc xt"), max_size=8).map(lambda c: "# " + c),
+    st.just(""))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.lists(_LINE, min_size=1,
+                                                max_size=6))
+def test_random_batch_files_report_every_bad_line(tmp_path_factory, pde,
+                                                  lines):
+    """A batch file of mixed lines ends in an exit status; each line that
+    fails to split or to run is reported on stderr under its line number,
+    and every line runs as it would on its own, also after a bad one."""
+    path = tmp_path_factory.mktemp("batch") / "cmds.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    r = invoke(CliRunner(), "--pde", pde, "batch", str(path))
+    stdout, bad, failed = "", [], False
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        try:
+            args = shlex.split(line)
+        except ValueError:  # unbalanced quotes
+            bad.append(lineno)
+            continue
+        alone = invoke(CliRunner(), "--pde", pde, *args)
+        status = code(alone)
+        stdout += alone.stdout
+        failed = failed or status != 0
+        if status == 2:
+            bad.append(lineno)
+    assert code(r) == (1 if failed or bad else 0)
+    assert r.stdout == stdout
+    reported = [int(line.split(":")[1].split()[1])
+                for line in r.stderr.splitlines() if line.startswith("error:")]
+    assert reported == bad

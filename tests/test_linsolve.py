@@ -1,12 +1,13 @@
 """Sparse exact elimination checked against sympy's dense rational matrices
 on seeded random systems: full-rank, rank-deficient (columns that are
-combinations of earlier or later ones), consistent and inconsistent."""
+combinations of earlier or later ones), consistent and inconsistent; and
+one Echelon solving many targets against the dense references."""
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from jetsym.linsolve import rank, solve
+from jetsym.linsolve import Echelon, rank, solve
 
 from helpers import reference_rank, reference_solve
 
@@ -157,3 +158,39 @@ def test_solution_scales_with_columns_and_target(seed):
         assert y is None
     else:
         assert y == [b * xj / aj for xj, aj in zip(x, a)]
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_one_echelon_solves_many_targets(seed):
+    """Targets A, B, A against one echelon, each answered as the dense
+    reference answers it: A gets the same answer both times, so a solve
+    leaves the echelon as it found it."""
+    keys, cols, a = random_system(seed)
+    rng = Random(f"targets-{seed}")
+    b = (_combine(rng, cols) if rng.random() < 0.5 else
+         {k: _rat(rng) for k in rng.sample(keys, min(3, len(keys)))})
+    echelon = Echelon(cols)
+    first = echelon.solve(a)
+    assert first == reference_solve(cols, a)
+    assert echelon.solve(b) == reference_solve(cols, b)
+    assert echelon.solve(a) == first
+    assert echelon.rank == reference_rank(cols)
+
+
+def test_a_key_that_no_column_holds_is_inconsistent():
+    echelon = Echelon([{"a": 1, "b": 2}, {"b": Fraction(1, 3)}])
+    assert echelon.solve({"c": 1}) is None
+    assert echelon.solve({"a": 1, "c": 1}) is None
+    assert echelon.solve({"a": 1, "b": 2}) == [1, 0]  # no key was added
+    assert Echelon([]).solve({"a": 1}) is None
+
+
+def test_dependent_columns_keep_coefficient_zero():
+    c0, c1 = {"a": 2, "b": 1}, {"b": 3, "c": Fraction(-1, 2)}
+    cols = [c0, {k: 2 * v for k, v in c0.items()}, c1,
+            {k: c0.get(k, 0) + c1.get(k, 0) for k in {*c0, *c1}}, {}]
+    echelon = Echelon(cols)
+    assert echelon.rank == 2
+    target = {"a": 4, "b": 5, "c": Fraction(-1, 2)}  # 2*c0 + c1
+    assert echelon.solve(target) == [2, 0, 1, 0, 0]
+    assert echelon.solve(target) == reference_solve(cols, target)

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -8,7 +10,10 @@ from jetsym import (Characteristic, Verdict, bracket_characteristic,
                     check_symmetry, certify_operator, find_operator, is_zero,
                     make_pde, normal_form, reduce_mod_pde,
                     structure_constants)
+from jetsym import catalog
+from jetsym.backlund import declare_potential
 from jetsym.catalog import get_pde
+from jetsym.core import PotentialDef, Problem
 from jetsym.parsing import parse_expr, parse_operator
 from jetsym.symmetry import (AnsatzConfig, BasisError, IDENTITY_OPERATOR,
                              PdeError, SpanError, ZERO_OPERATOR)
@@ -250,3 +255,55 @@ def test_ansatz_config_bounds():
     Q = Q_of(HEAT, "x*u_x + 2*t*u_t")
     cfg = AnsatzConfig(max_deriv_order=0, coeff_degree=0)
     assert find_operator(HEAT.pde, Q, HEAT.problem, cfg=cfg) is None
+
+
+# --- the ansatz echelon kept per problem -----------------------------------
+
+# a catalog PDE, its ansatz bounds, and a potential that can be declared on
+# it (a new name, with a gradient whose cross derivatives agree mod F)
+HISTORY = {"kdv": ((4, 3), "V", {"x": "u", "t": "-(1/2*u*u + u_xx)"}, False),
+           "chiral": ((2, 2), "Y", {"x": "inv(g)*g_t", "t": "-(inv(g)*g_x)"},
+                      True)}
+
+
+def private_copy(entry):
+    """A Problem declared like the catalog's, and its Pde made anew."""
+    p0, pde = entry.problem, entry.pde
+    p = Problem(coords=[c.name for c in p0.coordinates],
+                dependent=p0.dependent, constants=p0.constants,
+                matrices=[(m.name, m.invertible)
+                          for m in p0.matrices.values()])
+    return p, make_pde(pde.name, pde.f, pde.leading, pde.rhs, p)
+
+
+@pytest.mark.parametrize("name", sorted(HISTORY))
+def test_certificate_does_not_depend_on_call_history(name):
+    """find_operator gives the same certificate on the first call, on the
+    second, after a potential is declared on the problem, and on a private
+    problem: the kept echelon changes no answer.  The catalog entry is
+    built anew, so that the potential reaches no other test."""
+    bounds, pot, gradient, matrix = HISTORY[name]
+    cfg = AnsatzConfig(*bounds)
+    entry = catalog._build_entry(name, catalog._load_raw()["pdes"][name])
+    p, pde = entry.problem, entry.pde
+    chars = [c.q for c in entry.characteristics]
+
+    def certificates(pde, p):
+        out = [find_operator(pde, q, p, cfg) for q in chars]
+        assert all(c is not None for c in out)
+        return [c.canonical() for c in out]
+
+    first = certificates(pde, p)
+    assert first == certificates(pde, p)
+    declare_potential(PotentialDef(pot, {c: parse_expr(g, p)
+                                         for c, g in gradient.items()},
+                                   matrix=matrix), pde, p)
+    assert certificates(pde, p) == first
+    private, private_pde = private_copy(entry)
+    assert certificates(private_pde, private) == first
+
+    assert len(pde.ansatz) == 1 == len(private_pde.ansatz)
+    assert len(dataclasses.replace(pde).ansatz) == 0
+    del private
+    gc.collect()
+    assert len(private_pde.ansatz) == 0

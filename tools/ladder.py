@@ -28,6 +28,12 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
 * pretty: `pretty` of the normal form of (g + g_x)^k on the catalog
   chiral problem (2^k terms) for k = 8..13, with the term count and the
   length of the printed text.
+* find: `find_operator` on the catalog kdv's scaling symmetry and the
+  catalog chiral's scaling Phi-form at each ansatz bound of FIND_LADDER,
+  with the ansatz's columns, their rank and their nonzero entries.  The
+  cold time is the first question on a fresh `Pde`, which builds and
+  eliminates the columns; the warm time is the same question asked again,
+  which solves one target against the echelon the `Pde` kept.
 
 Every rung records its operation counts (terms, candidates) next to the
 best of REPEATS wall-clock times, so records from noisy machines can still
@@ -60,6 +66,8 @@ FED_BACK = {"kdv": ("(u_x + u_t)", "", range(1, 7)),
             "chiral": ("(inv(g)*g_x + inv(g)*g_t)", "g*", range(1, 6))}
 SUBSTITUTE = {"kdv": range(1, 6), "chiral": range(1, 6)}
 PRETTY_POWERS = range(8, 14)
+FIND_LADDER = {"kdv": ("q4", [(2, 2), (3, 3), (4, 3), (5, 3)]),
+               "chiral": ("phi3", [(2, 2), (3, 2)])}
 
 
 def timed(fn, *args):
@@ -185,6 +193,31 @@ def pretty_ladder() -> list[dict]:
     return out
 
 
+def find_ladder() -> list[dict]:
+    out = []
+    for name, (char, cfgs) in FIND_LADDER.items():
+        entry = catalog.get_pde(name)
+        p, pde, q = entry.problem, entry.pde, entry.characteristic(char).q
+        for bounds in cfgs:
+            cfg = symmetry.AnsatzConfig(*bounds)
+            cold = []
+            for _ in range(REPEATS):
+                fresh = symmetry.make_pde(pde.name, pde.f, pde.leading,
+                                          pde.rhs, p)
+                cold.append(timed(symmetry.find_operator, fresh, q, p,
+                                  cfg)[0])
+            warm = best_of(symmetry.find_operator, fresh, q, p, cfg)[0]
+            terms, echelon = symmetry._ansatz(fresh, p, cfg)
+            columns = symmetry.LinearOperatorAnsatz(terms).columns(
+                nf(pde.f), p)
+            out.append({"pde": name, "q": char, "cfg": list(bounds),
+                        "columns": len(columns), "rank": echelon.rank,
+                        "nonzeros": sum(map(len, columns)),
+                        "cold_best_s": min(cold), "cold_runs_s": cold,
+                        "warm_best_s": min(warm), "warm_runs_s": warm})
+    return out
+
+
 def main() -> int:
     record = {
         "machine": {"python": platform.python_version(),
@@ -198,6 +231,7 @@ def main() -> int:
         "reduce_fed_back": fed_back_ladder(),
         "substitute_solved_form_in_f_k": substitute_ladder(),
         "pretty_chiral_g_plus_g_x_k": pretty_ladder(),
+        "find_operator_ansatz": find_ladder(),
     }
     path = os.path.join(ROOT, "BENCH_ladder.json")
     with open(path, "w") as fh:
@@ -222,6 +256,11 @@ def main() -> int:
     for r in record["pretty_chiral_g_plus_g_x_k"]:
         print(f"pretty (g + g_x)^{r['k']}: {r['terms']} terms, "
               f"{r['chars']} chars, {r['best_s']:.4f} s")
+    for r in record["find_operator_ansatz"]:
+        print(f"find {r['pde']} {r['q']} at {tuple(r['cfg'])}: "
+              f"{r['columns']} columns, rank {r['rank']}, {r['nonzeros']} "
+              f"nonzeros, cold {r['cold_best_s']:.4f} s, warm "
+              f"{r['warm_best_s']:.4f} s")
     return 0
 
 
