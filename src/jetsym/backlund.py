@@ -9,6 +9,18 @@ symmetry condition D_{g*Phi} F = 0 (the Phi-form of D_Q F, Q = g*Phi):
 
 Integrating it sends symmetry characteristics Q = g*Phi to new, generally
 nonlocal, characteristics Q' = g*Phi'.
+
+A chain of such steps declares a potential from each image, and each
+potential grows the candidate basis of the next step.  The basis lists its
+candidates in order of the alphabet's declaration (`default_bt_basis`), so
+that a step's basis is a prefix of the next one's.  A candidate's rows
+R(D_x b), R(D_t b) depend only on F and the potentials' fixed gradients,
+so each Pde keeps per problem the denominators of the candidates' cleared
+rows and one `linsolve.Echelon` of their columns (`Pde.chain`), and each
+integration computes rows for the new candidates only and extends that
+echelon with them.  A problem only appends potentials, so the extended
+echelon is the one built at once on the same basis: the kept store cannot
+go stale.
 """
 from __future__ import annotations
 
@@ -21,10 +33,11 @@ from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    inverse, mul)
 from .calculus import (Characteristic, Image, char_derivative,
                        derive_cleared, derive_nf, total_images)
-from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf,
+from .linsolve import Echelon
+from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf, nf_divide,
                         normal_form, rebuild)
-from .symmetry import (Pde, SymmetryReport, _match_linear, check_symmetry,
-                       reduction)
+from .symmetry import (Pde, SymmetryReport, _match_linear, _row_column,
+                       check_symmetry, reduction)
 
 
 class PotentialError(JetsymError):
@@ -69,21 +82,26 @@ def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
 def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     """Register a gradient-defined potential after checking that its mixed
     second derivatives agree mod the PDE: R(D_j g_i) = R(D_i g_j) for its
-    gradient g, computed as (R o D_j) R(g_i) (`symmetry.reduction`)."""
+    gradient g, computed as (R o D_j) R(g_i) (`symmetry.reduction`).  Each
+    side is taken on ints, as (r, d) with the side equal to r/d
+    (`calculus.derive_cleared`), and ri/di = rj/dj is tested as
+    dj*ri = di*rj; the residual is divided out only for the error."""
     coords = problem.coordinates
     gradient = pdef.gradient(coords)  # before any reduction work
     reduce, totals = reduction(pde, problem)
     grad = [reduce(nf(as_expr(g))) for g in gradient]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            residual = _nf_add(derive_nf(grad[i], totals[j]),
-                               _nf_scale(derive_nf(grad[j], totals[i]), -1))
-            if residual:
-                ci, cj = coords[i], coords[j]
-                raise PotentialError(
-                    f"potential {pdef.name}: D_{cj.name}({pdef.name}_{ci.name})"
-                    f" != D_{ci.name}({pdef.name}_{cj.name}) mod {pde.name}",
-                    rebuild(residual))
+            ri, di = derive_cleared(grad[i], totals[j])
+            rj, dj = derive_cleared(grad[j], totals[i])
+            if _nf_scale(ri, dj) == _nf_scale(rj, di):
+                continue
+            ci, cj = coords[i], coords[j]
+            raise PotentialError(
+                f"potential {pdef.name}: D_{cj.name}({pdef.name}_{ci.name})"
+                f" != D_{ci.name}({pdef.name}_{cj.name}) mod {pde.name}",
+                rebuild(_nf_add(nf_divide(ri, di),
+                                _nf_scale(nf_divide(rj, dj), -1))))
     return problem.register_potential(pdef)
 
 
@@ -121,16 +139,27 @@ def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
 
 def default_bt_basis(problem: Problem) -> list[Expr]:
     """Candidate alphabet for integrating the Backlund system: the left
-    currents, registered potentials and constant matrices, their products
-    of two, and single commutators of alphabet pairs."""
+    currents, constant matrices and registered potentials, their products
+    of two, and single commutators of alphabet pairs.
+
+    The letters go in order of declaration (currents, then constant
+    matrices, then potentials), and each letter c brings its candidates
+    after those of the letters before it: c, then a*c and c*a for each
+    earlier letter a, then c*c, then [a, c] for each earlier a.  Declaring
+    a potential then only appends candidates, so a chain step's basis is a
+    prefix of the next step's, and `bt_integrate` extends the echelon it
+    kept (`Pde.chain`) instead of building a new one."""
     x, t = _xt(problem)
     alphabet: list[Expr] = [left_current(problem, x), left_current(problem, t)]
-    alphabet.extend(problem.potential(n) for n in problem.potentials)
     alphabet.extend(problem.matrices.values())
-    basis: list[Expr] = list(alphabet)
-    basis.extend(mul(a, b) for a in alphabet for b in alphabet)
-    basis.extend(commutator(a, b)
-                 for i, a in enumerate(alphabet) for b in alphabet[i + 1:])
+    alphabet.extend(problem.potential(n) for n in problem.potentials)
+    basis: list[Expr] = []
+    for k, c in enumerate(alphabet):
+        basis.append(c)
+        for a in alphabet[:k]:
+            basis.extend((mul(a, c), mul(c, a)))
+        basis.append(mul(c, c))
+        basis.extend(commutator(a, c) for a in alphabet[:k])
     return basis
 
 
@@ -158,22 +187,38 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     return bt_integrate(phi, pde, problem)
 
 
+def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
+               totals: list[Image]) -> tuple[list[Expr], list[int], Echelon]:
+    """The candidates of `default_bt_basis`, the denominator d_k of each
+    one's cleared rows and the Echelon of their columns.  pde.chain keeps
+    the denominators and the echelon of the candidates taken so far, a
+    prefix of the basis: rows are computed for the new candidates only,
+    all of them before the store changes."""
+    basis = default_bt_basis(problem)
+    kept = pde.chain.get(problem)
+    if kept is None:
+        kept = pde.chain[problem] = ([], Echelon([]))
+    scales, echelon = kept
+    columns = _bt_columns(basis[len(scales):], reduce, totals)
+    echelon.extend([_row_column(rows) for rows, _ in columns])
+    scales.extend(d for _, d in columns)
+    return basis, scales, echelon
+
+
 def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     """Phi' for a seed Phi that solves the symmetry condition: the exact
     rational combination of basis candidates, with the rows of each from
     `_bt_columns` and constants of integration zero, that satisfies both
     equations mod F.  None signals that the integration lies outside the
     candidate basis (basis insufficiency), not that no Phi' exists."""
-    basis = default_bt_basis(problem)
     pair = bt_rhs(phi, problem)  # two coordinates: totals are R o D_x, R o D_t
     reduce, totals = reduction(pde, problem)
     targets = [reduce(nf(r)) for r in (pair.rhs_x, pair.rhs_t)]
-    columns = _bt_columns(basis, reduce, totals)
-    sol = _match_linear(targets, [rows for rows, _ in columns])
+    basis, scales, echelon = _bt_system(pde, problem, reduce, totals)
+    sol = _match_linear(targets, echelon)
     if sol is None:
         return None
     # candidate k's column holds d_k times its rows, so its coefficient in
     # Phi' is d_k times the one solved for
     return normal_form(add(*(mul(Rat(c * dk), b)
-                             for c, (_, dk), b in zip(sol, columns, basis)
-                             if c)))
+                             for c, dk, b in zip(sol, scales, basis) if c)))

@@ -8,7 +8,13 @@ once and then solves any number of targets against it.  Columns are taken
 in order, and each is reduced against the pivots found before it.  A
 nonzero remainder makes it a pivot, so the pivot columns are exactly the
 columns independent of the columns before them, whatever the row order and
-whichever key is chosen as a pivot.
+whichever key is chosen as a pivot.  `Echelon.extend(columns)` appends
+columns to an echelon, each reduced against the pivots found so far, and
+`Echelon(columns)` is `extend` on an empty one: extending chunk by chunk
+gives the echelon built at once on the same columns in the same order, so
+a system that only grows (a Backlund chain's basis) is factored once
+across its growth, and a solve between two extends answers for the
+columns taken so far.
 
 Elimination runs on ints, in one loop (`_reduce`): each column is cleared
 of denominators with `normalize.clear_denominators`, the one clearing
@@ -93,12 +99,19 @@ class Echelon:
     step."""
 
     def __init__(self, columns: list[Column]):
-        self._size = len(columns)
+        self._size = 0
         self._index: dict[Hashable, int] = {}
         self._keys: list[int] = []
         self._pivots: list[dict[int, int]] = []
         self._steps: list[tuple[int, Rational, dict[int, Rational]]] = []
-        for j, column in enumerate(columns):
+        self.extend(columns)
+
+    def extend(self, columns: list[Column]) -> None:
+        """Append columns after those taken so far, each reduced against
+        the pivots found before it: the echelon equals the one built at
+        once on all the columns in the same order."""
+        for j, column in enumerate(columns, self._size):
+            self._size = j + 1
             column, s = clear_denominators(column)
             rest = {self._index.setdefault(k, len(self._index)): v
                     for k, v in column.items() if v}

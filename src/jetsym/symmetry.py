@@ -33,7 +33,9 @@ terms and the `linsolve.Echelon` of their columns, so that every later
 search reduces only its target.  Like the table, it cannot go stale: a
 Pde is immutable, and a Problem never changes what it has declared (it
 only adds potentials, with fixed gradients), so a column computed once
-keeps its value.
+keeps its value.  For the same reason each Pde keeps, per Problem, the
+echelon of the Backlund candidates' rows (`Pde.chain`), which
+`backlund.bt_integrate` extends as potentials are declared.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from .core import (Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
                    as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
-from .linsolve import Echelon, solve
+from .linsolve import Echelon
 from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
                         key_sort_key, map_nf, nf, normal_form, rebuild,
                         substitute)
@@ -93,6 +95,17 @@ class Pde:
     ansatz: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                       init=False, compare=False, hash=False,
                                       repr=False)
+    # problem -> ([the denominator d of each Backlund candidate b's cleared
+    # rows d*R(D_x b), d*R(D_t b)], Echelon of those rows' columns), for
+    # the candidates of `backlund.default_bt_basis` taken so far, a prefix
+    # of the basis; extended by `backlund.bt_integrate` with the candidates
+    # new since its last call on the problem and dropped with it; a row
+    # depends only on F and the potentials' gradients, and a Problem only
+    # appends potentials, which only appends candidates;
+    # dataclasses.replace starts an empty store
+    chain: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                     init=False, compare=False, hash=False,
+                                     repr=False)
 
 
 def _lex_unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
@@ -332,15 +345,18 @@ def _candidate_terms(problem: Problem, cfg: AnsatzConfig):
     return terms
 
 
-def _match_linear(targets: list[NF], candidates: list[list[NF]]
+def _row_column(rows: list[NF]) -> dict:
+    """The column of an unknown whose value in row r is rows[r], keyed by
+    (row, normal-form term), so that matching term coefficients row by row
+    is one linear system."""
+    return {(r, key): v for r, n in enumerate(rows) for key, v in n.items()}
+
+
+def _match_linear(targets: list[NF], echelon: Echelon
                   ) -> Optional[list[Fraction]]:
     """Solve  sum_k c_k * candidates[k][r] = targets[r]  for every row r,
-    by matching the term coefficients of normal forms: the unknowns' columns
-    are keyed by (row, normal-form term)."""
-    def column(row: list[NF]) -> dict:
-        return {(r, key): v for r, n in enumerate(row) for key, v in n.items()}
-
-    return solve([column(row) for row in candidates], column(targets))
+    where the echelon holds each candidate's `_row_column`."""
+    return echelon.solve(_row_column(targets))
 
 
 def _ansatz(pde: Pde, problem: Problem,

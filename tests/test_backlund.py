@@ -1,20 +1,26 @@
 from fractions import Fraction
 from random import Random
 
+import gc
+from dataclasses import replace
+
 import pytest
 
 from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
                     inverse, is_zero, make_pde, mul, normal_form,
                     reduce_mod_pde, total_derivative)
-from jetsym.backlund import (PotentialError, _bt_columns, bt_apply, bt_rhs,
-                             bt_seed_check, chiral_phi_condition,
-                             declare_potential, default_bt_basis, left_current)
+from jetsym.backlund import (PotentialError, _bt_columns, bt_apply,
+                             bt_integrate, bt_rhs, bt_seed_check,
+                             chiral_phi_condition, declare_potential,
+                             default_bt_basis, left_current)
 from jetsym.catalog import get_pde
-from jetsym.core import NonlocalActionError, PotentialDef, Problem, Dependent
+from jetsym.core import (Comm, NonlocalActionError, PotentialDef, Problem,
+                         Dependent)
+from jetsym.linsolve import Echelon
 from jetsym.normalize import nf, nf_divide
 from jetsym.parsing import parse_expr
 from jetsym.printing import render
-from jetsym.symmetry import reduction
+from jetsym.symmetry import _row_column, reduction
 
 from helpers import fresh_copy
 
@@ -302,12 +308,9 @@ def test_default_basis_contains_currents_and_potentials(ch):
 CHAIN_SEED = "2*M - inv(g)*g_x + 1/3*inv(g)*g_t"
 
 
-def chain(before_step=None):
-    """Four bt_apply steps on a fresh chiral problem with the constant
-    matrix M and the potential X, declaring potential P<k> from the
-    Backlund pair of each image before step k, as perfbench's chain does;
-    yields each image, rendered.  before_step(p, pde) runs before each
-    bt_apply."""
+def chain_problem():
+    """A fresh chiral problem with the constant matrix M and the potential
+    X, as perfbench's chain starts from."""
     p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
                 matrices=[("M", False)])
     pde = make_pde("chiral",
@@ -317,13 +320,27 @@ def chain(before_step=None):
     declare_potential(PotentialDef("X", {"x": parse_expr("inv(g)*g_t", p),
                                          "t": parse_expr("-(inv(g)*g_x)", p)}),
                       pde, p)
+    return p, pde
+
+
+def declare_image_potential(step, phi, pde, p):
+    """Declare the potential P<step> whose gradient is phi's Backlund
+    pair."""
+    pair = bt_rhs(phi, p)
+    declare_potential(PotentialDef(f"P{step}", {"x": pair.rhs_x,
+                                                "t": pair.rhs_t}), pde, p)
+
+
+def chain(before_step=None):
+    """Four bt_apply steps on a fresh `chain_problem`, declaring potential
+    P<k> from the Backlund pair of each image before step k, as
+    perfbench's chain does; yields each image, rendered.
+    before_step(p, pde) runs before each bt_apply."""
+    p, pde = chain_problem()
     phi = parse_expr(CHAIN_SEED, p)
     for step in range(4):
         if step:
-            pair = bt_rhs(phi, p)
-            declare_potential(PotentialDef(f"P{step}", {"x": pair.rhs_x,
-                                                        "t": pair.rhs_t}),
-                              pde, p)
+            declare_image_potential(step, phi, pde, p)
         if before_step is not None:
             before_step(p, pde)
         phi = bt_apply(phi, pde, p)
@@ -368,3 +385,108 @@ def test_chain_does_not_depend_on_call_history(ch):
         unrelated()
         assert next(second) == a
     assert next(second, None) is None
+
+
+def test_kept_chain_store_does_not_depend_on_call_history(ch):
+    """The step-3 image of the chain, whose integrations extend one kept
+    echelon step by step, equals bt_integrate on a fresh problem where X,
+    P1, P2 and P3 were all declared before the first Backlund call, and
+    the image of a chain run after unrelated bt_apply calls on the catalog
+    chiral problem.  The store is per problem: dataclasses.replace starts
+    without it, and a private problem's entry goes with the problem."""
+    p_ch = ch.problem
+
+    def unrelated(*_):
+        bt_apply(p_ch.cmat("M"), ch.pde, p_ch)
+        bt_apply(phi_of(ch, "inv(g)*g_x"), ch.pde, p_ch)
+
+    images = list(chain())
+    assert list(chain(unrelated)) == images
+    p, pde = chain_problem()
+    for step in (1, 2, 3):
+        phi = parse_expr(images[step - 1], p)
+        declare_image_potential(step, phi, pde, p)
+    assert len(pde.chain) == 0
+    assert render(bt_integrate(phi, pde, p), p) == images[3]
+    assert len(pde.chain) == 1
+    assert len(replace(pde).chain) == 0
+    del p
+    gc.collect()
+    assert len(pde.chain) == 0
+
+
+def test_each_integration_computes_rows_for_new_candidates_only(monkeypatch):
+    """Along the chain each step's basis is a prefix of the next one's, and
+    each bt_apply computes rows for the candidates that the step before
+    did not have: 26, then 14, 17 and 20 of 40, 57 and 77."""
+    from jetsym import backlund
+    computed, bases = [], []
+
+    def counting(basis, reduce, totals):
+        computed.append(len(basis))
+        return _bt_columns(basis, reduce, totals)
+
+    monkeypatch.setattr(backlund, "_bt_columns", counting)
+    list(chain(lambda p, pde: bases.append(default_bt_basis(p))))
+    assert computed == [26, 14, 17, 20]
+    assert [len(b) for b in bases] == [26, 40, 57, 77]
+    for before, after in zip(bases, bases[1:]):
+        assert after[:len(before)] == before
+
+
+def test_a_failed_integration_leaves_the_kept_store_as_it_was(monkeypatch):
+    """Rows that raise part way leave the kept candidates and echelon as
+    they were, and the next integration gives the chain's image."""
+    from jetsym import backlund
+    want = list(chain())[1]
+    p, pde = chain_problem()
+    phi = bt_apply(parse_expr(CHAIN_SEED, p), pde, p)
+    declare_image_potential(1, phi, pde, p)
+    scales, echelon = pde.chain[p]
+    kept = (len(scales), echelon.rank)
+
+    def failing(basis, reduce, totals):
+        rows = _bt_columns(basis[:3], reduce, totals)
+        raise RuntimeError(f"stopped after {len(rows)} rows")
+
+    with monkeypatch.context() as m:
+        m.setattr(backlund, "_bt_columns", failing)
+        with pytest.raises(RuntimeError):
+            bt_apply(phi, pde, p)
+    assert kept[0] == 26
+    assert (len(scales), echelon.rank) == kept
+    assert render(bt_apply(phi, pde, p), p) == want
+
+
+def test_commutator_candidates_never_take_part(monkeypatch):
+    """Each commutator candidate [a, b] has the rows of a*b - b*a, two
+    candidates before it, so along the whole chain its column adds no
+    pivot and its coefficient in every solution is 0: dropping the
+    commutators from the basis would change no image."""
+    from jetsym import backlund
+    solutions, bases = [], []
+    match = backlund._match_linear
+
+    def recording(targets, echelon):
+        sol = match(targets, echelon)
+        solutions.append(sol)
+        return sol
+
+    monkeypatch.setattr(backlund, "_match_linear", recording)
+
+    def check(p, pde):
+        basis = default_bt_basis(p)
+        bases.append(basis)
+        echelon = Echelon([])
+        for b, (rows, _) in zip(basis, _bt_columns(basis, *reduction(pde, p))):
+            rank = echelon.rank
+            echelon.extend([_row_column(rows)])
+            if isinstance(b, Comm):
+                assert echelon.rank == rank, b
+
+    list(chain(check))
+    assert [sum(isinstance(b, Comm) for b in basis) for basis in bases] == [
+        6, 10, 15, 21]
+    for basis, sol in zip(bases, solutions):
+        assert len(sol) == len(basis)
+        assert all(not c for c, b in zip(sol, basis) if isinstance(b, Comm))

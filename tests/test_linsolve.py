@@ -194,3 +194,46 @@ def test_dependent_columns_keep_coefficient_zero():
     target = {"a": 4, "b": 5, "c": Fraction(-1, 2)}  # 2*c0 + c1
     assert echelon.solve(target) == [2, 0, 1, 0, 0]
     assert echelon.solve(target) == reference_solve(cols, target)
+
+
+def _other_target(rng: Random, keys: list, cols: list[dict]) -> dict:
+    return (_combine(rng, cols) if cols and rng.random() < 0.5 else
+            {k: _rat(rng) for k in rng.sample(keys, min(3, len(keys)))})
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_extending_chunk_by_chunk_gives_the_one_shot_echelon(seed):
+    """The columns split at random points (empty chunks included) and
+    appended chunk by chunk, with a solve against the columns taken so far
+    between two extends: every partial solve, the rank and the solve of
+    several targets at the end equal those of the one-shot Echelon and
+    the dense reference."""
+    keys, cols, a = random_system(seed)
+    rng = Random(f"extend-{seed}")
+    targets = [a, _other_target(rng, keys, cols), {}]
+    cuts = sorted(rng.choices(range(len(cols) + 1), k=rng.randint(0, 3)))
+    bounds = [0, *cuts, len(cols)]
+    echelon = Echelon([])
+    for lo, hi in zip(bounds, bounds[1:]):
+        echelon.extend(cols[lo:hi])
+        assert echelon.solve(a) == reference_solve(cols[:hi], a)
+        assert echelon.rank == reference_rank(cols[:hi])
+    one_shot = Echelon(cols)
+    assert echelon.rank == one_shot.rank == reference_rank(cols)
+    for target in targets:
+        assert (echelon.solve(target) == one_shot.solve(target)
+                == reference_solve(cols, target))
+
+
+def test_extend_with_no_columns_is_a_no_op():
+    cols = [{"a": 2, "b": 1}, {"b": 3}, {"a": 4, "b": 2}]
+    echelon = Echelon(cols)
+    target = {"a": 2, "b": 4}
+    before = echelon.solve(target)
+    echelon.extend([])
+    assert echelon.rank == 2
+    assert echelon.solve(target) == before == reference_solve(cols, target)
+    empty = Echelon([])
+    empty.extend([])
+    assert empty.rank == 0 and empty.solve({}) == []
+    assert empty.solve({"a": 1}) is None

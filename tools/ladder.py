@@ -15,7 +15,10 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   `bt_rhs` plus `declare_potential`), and step s applies `bt_apply` to
   that image, so the candidate basis grows 26 -> 40 -> 57 -> 77.  Each
   step records both times, the image's term count and the lcm of its
-  coefficients' denominators.  Each repetition builds the chain afresh.
+  coefficients' denominators, the rows it computed (for the candidates
+  new since the step before: 26 -> 14 -> 17 -> 20) and the rank of the
+  echelon it solved against, which the `Pde` keeps and each step
+  extends.  Each repetition builds the chain afresh, so step 0 is cold.
 * fed back: `reduce_mod_pde(char_derivative(F, Q))`, an engine output
   passed back in, on the catalog kdv with Q = (u_x + u_t)^k for k = 1..6
   and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
@@ -116,10 +119,12 @@ def declare(phi, step: int, pde, p) -> None:
 
 def chain_once(seed: str) -> list[tuple]:
     """(candidates, image terms, image denominator, bt_apply seconds,
-    declare seconds or None at step 0) of each step of one chain."""
+    declare seconds or None at step 0, rows computed, echelon rank) of
+    each step of one chain."""
     p, pde = private_chiral()
     phi = parsing.parse_expr(seed, p)
     steps = []
+    kept = 0
     for step in range(CHAIN_STEPS):
         declare_s = timed(declare, phi, step, pde, p)[0] if step else None
         candidates = len(backlund.default_bt_basis(p))
@@ -128,7 +133,10 @@ def chain_once(seed: str) -> list[tuple]:
             raise RuntimeError(f"chain step {step}: no image")
         n = nf(phi)
         den = lcm(*(Fraction(v).denominator for v in n.values()))
-        steps.append((candidates, len(n), den, secs, declare_s))
+        scales, echelon = pde.chain[p]
+        steps.append((candidates, len(n), den, secs, declare_s,
+                      len(scales) - kept, echelon.rank))
+        kept = len(scales)
     return steps
 
 
@@ -136,9 +144,10 @@ def chain_ladder(seed: str) -> list[dict]:
     chains = [chain_once(seed) for _ in range(REPEATS)]
     out = []
     for step, rungs in enumerate(zip(*chains)):
-        candidates, terms, den, _, _ = rungs[0]
+        candidates, terms, den, _, _, rows, rank = rungs[0]
         runs = [r[3] for r in rungs]
-        rung = {"step": step, "candidates": candidates, "image_terms": terms,
+        rung = {"step": step, "candidates": candidates, "rows": rows,
+                "rank": rank, "image_terms": terms,
                 "image_denominator": den, "best_s": min(runs), "runs_s": runs}
         if step:
             declares = [r[4] for r in rungs]
@@ -244,7 +253,8 @@ def main() -> int:
             declared = (f", declare {r['declare_best_s']:.4f} s"
                         if r["step"] else "")
             print(f"{kind} chain step {r['step']}: {r['candidates']} "
-                  f"candidates, {r['image_terms']} image terms over "
+                  f"candidates, {r['rows']} rows computed, rank "
+                  f"{r['rank']}, {r['image_terms']} image terms over "
                   f"{r['image_denominator']}, bt_apply {r['best_s']:.4f} s"
                   f"{declared}")
     for r in record["reduce_fed_back"]:
