@@ -11,22 +11,30 @@ Integrating it sends symmetry characteristics Q = g*Phi to new, generally
 nonlocal, characteristics Q' = g*Phi'.
 
 A chain of such steps declares a potential from each image, and each
-potential grows the candidate basis of the next step.  The basis lists its
-candidates in order of the alphabet's declaration (`default_bt_basis`), so
-that a step's basis is a prefix of the next one's.  A candidate's rows
-R(D_x b), R(D_t b) depend only on F and the potentials' fixed gradients,
-so each Pde keeps per problem the denominators of the candidates' cleared
-rows and one `linsolve.Echelon` of their columns (`Pde.chain`), and each
-integration computes rows for the new candidates only and extends that
-echelon with them.  A problem only appends potentials, so the extended
-echelon is the one built at once on the same basis: the kept store cannot
-go stale.
+potential grows the candidate basis of the next step.  The basis is built
+from letters, the left currents, the constant matrices and the potentials
+in order of declaration, and lists each letter's candidates after those of
+the letters before it (`_basis_order`), so that a step's basis is a prefix
+of the next one's.  A letter's rows R(D_x c), R(D_t c) depend only on F
+and the potentials' fixed gradients, and they are the only rows derived:
+as R (reduction mod F) is a ring homomorphism and R o D_i a derivation, a
+product's rows follow from its letters' by the Leibniz rule,
+R o D_i(a*c) = R o D_i(a) R(c) + R(a) R o D_i(c).  The commutators [a, c]
+are listed in the basis but never formed: their rows are those of
+a*c - c*a, two candidates before them, so their columns would never add a
+pivot, and leaving them out changes neither the pivots nor the solution.
+Each Pde keeps per problem the letters' rows, the candidate and
+denominator of each column and one `linsolve.Echelon` of the columns
+(`Pde.chain`); each integration derives the new letters only and extends
+that echelon with the products they bring.  A problem only appends
+potentials, so the extended echelon is the one built at once on the same
+letters: the kept store cannot go stale.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
@@ -137,46 +145,105 @@ def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     return check_symmetry(pde, phi_characteristic(phi, problem), problem)
 
 
-def default_bt_basis(problem: Problem) -> list[Expr]:
-    """Candidate alphabet for integrating the Backlund system: the left
-    currents, constant matrices and registered potentials, their products
-    of two, and single commutators of alphabet pairs.
-
-    The letters go in order of declaration (currents, then constant
-    matrices, then potentials), and each letter c brings its candidates
-    after those of the letters before it: c, then a*c and c*a for each
-    earlier letter a, then c*c, then [a, c] for each earlier a.  Declaring
-    a potential then only appends candidates, so a chain step's basis is a
-    prefix of the next step's, and `bt_integrate` extends the echelon it
-    kept (`Pde.chain`) instead of building a new one."""
+def _alphabet(problem: Problem) -> list[Expr]:
+    """The letters of the candidate basis in order of declaration: the left
+    currents, then the constant matrices, then the registered potentials."""
     x, t = _xt(problem)
     alphabet: list[Expr] = [left_current(problem, x), left_current(problem, t)]
     alphabet.extend(problem.matrices.values())
     alphabet.extend(problem.potential(n) for n in problem.potentials)
-    basis: list[Expr] = []
-    for k, c in enumerate(alphabet):
-        basis.append(c)
-        for a in alphabet[:k]:
-            basis.extend((mul(a, c), mul(c, a)))
-        basis.append(mul(c, c))
-        basis.extend(commutator(a, c) for a in alphabet[:k])
-    return basis
+    return alphabet
 
 
-def _bt_columns(basis: list[Expr], reduce: Callable[[NF], NF],
-                totals: list[Image]) -> list[tuple[list[NF], int]]:
-    """([d*R(D_x b), d*R(D_t b)], d) for every candidate b, where R is the
-    reduction mod F of one `symmetry.reduction` context (reduce, totals):
-    R o D_i applied to R(b), with int coefficients and their one
+def _basis_order(letters: int, start: int = 0
+                 ) -> Iterator[tuple[str, int, int]]:
+    """The candidates that the letters start, ..., letters - 1 bring to the
+    basis, in its order, as (kind, a, c) over letter indices: ("letter",
+    c, c) is the letter c, ("product", a, c) the product a*c and
+    ("commutator", a, c) the commutator [a, c].  Each letter c brings c,
+    then a*c and c*a for each earlier letter a, then c*c, then [a, c] for
+    each earlier a."""
+    for c in range(start, letters):
+        yield "letter", c, c
+        for a in range(c):
+            yield "product", a, c
+            yield "product", c, a
+        yield "product", c, c
+        for a in range(c):
+            yield "commutator", a, c
+
+
+def default_bt_basis(problem: Problem) -> list[Expr]:
+    """Candidate alphabet for integrating the Backlund system: the left
+    currents, constant matrices and registered potentials, their products
+    of two, and single commutators of alphabet pairs, in `_basis_order`.
+
+    Declaring a potential only appends a letter, so a chain step's basis
+    is a prefix of the next step's, and `bt_integrate` extends the system
+    it kept (`Pde.chain`) instead of building a new one.  The commutators
+    are listed but never formed there: [a, c] has the rows of a*c - c*a,
+    two candidates before it, so its column would never add a pivot and
+    its coefficient is 0 in every image."""
+    alphabet = _alphabet(problem)
+    form = {"letter": lambda a, c: c, "product": mul,
+            "commutator": commutator}
+    return [form[kind](alphabet[a], alphabet[c])
+            for kind, a, c in _basis_order(len(alphabet))]
+
+
+Letter = tuple[NF, list[NF], int]
+
+
+def _bt_rows(b: Expr, reduce: Callable[[NF], NF],
+             totals: list[Image]) -> Letter:
+    """(R(b), [d*R(D_x b), d*R(D_t b)], d) for an expression b, where R is
+    the reduction mod F of one `symmetry.reduction` context (reduce,
+    totals): R o D_i applied to R(b), with int coefficients and their one
     denominator d, which a potential's gradient brings in."""
+    n = reduce(nf(b))
+    rows = [derive_cleared(n, total) for total in totals]
+    d = lcm(*(dr for _, dr in rows))
+    return n, [_nf_scale(row, d // dr) if dr != d else row
+               for row, dr in rows], d
+
+
+def _leibniz_rows(a: Letter, c: Letter) -> tuple[list[NF], int]:
+    """([d*R(D_x(a*c)), d*R(D_t(a*c))], d) from the `_bt_rows` of a and c,
+    with d = lcm(d_a, d_c): R is a ring homomorphism and R o D_i a
+    derivation, so R o D_i(a*c) = R o D_i(a) R(c) + R(a) R o D_i(c)."""
+    (na, ra, da), (nc, rc, dc) = a, c
+    d = lcm(da, dc)
+    rows = []
+    for ri, rj in zip(ra, rc):
+        left, right = _nf_mul(ri, nc), _nf_mul(na, rj)
+        if d != da:
+            left = _nf_scale(left, d // da)
+        if d != dc:
+            right = _nf_scale(right, d // dc)
+        rows.append(_nf_add(left, right))
+    return rows, d
+
+
+def _bt_columns(problem: Problem, letters: list[Letter],
+                reduce: Callable[[NF], NF], totals: list[Image]
+                ) -> tuple[list[Letter], list[tuple[Expr, list[NF], int]]]:
+    """The `_bt_rows` of the letters after the first len(letters), and (b,
+    [d*R(D_x b), d*R(D_t b)], d) for each candidate b that they bring, in
+    basis order.  Only a letter is derived; a product's rows come from
+    its letters' (`_leibniz_rows`), and a commutator is skipped: its rows
+    are those of a*c - c*a, two candidates before it."""
+    alphabet = _alphabet(problem)
+    taken = list(letters)
     out = []
-    for b in basis:
-        n = reduce(nf(b))
-        rows = [derive_cleared(n, total) for total in totals]
-        d = lcm(*(dr for _, dr in rows))
-        out.append(([_nf_scale(row, d // dr) if dr != d else row
-                     for row, dr in rows], d))
-    return out
+    for kind, a, c in _basis_order(len(alphabet), len(letters)):
+        if kind == "letter":
+            taken.append(_bt_rows(alphabet[c], reduce, totals))
+            _, rows, d = taken[c]
+            out.append((alphabet[c], rows, d))
+        elif kind == "product":
+            rows, d = _leibniz_rows(taken[a], taken[c])
+            out.append((mul(alphabet[a], alphabet[c]), rows, d))
+    return taken[len(letters):], out
 
 
 def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
@@ -188,21 +255,22 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
 
 
 def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
-               totals: list[Image]) -> tuple[list[Expr], list[int], Echelon]:
-    """The candidates of `default_bt_basis`, the denominator d_k of each
-    one's cleared rows and the Echelon of their columns.  pde.chain keeps
-    the denominators and the echelon of the candidates taken so far, a
-    prefix of the basis: rows are computed for the new candidates only,
-    all of them before the store changes."""
-    basis = default_bt_basis(problem)
+               totals: list[Image]) -> tuple[list[tuple[Expr, int]], Echelon]:
+    """The candidate b and the denominator d of its cleared rows for each
+    column of the Echelon of the Backlund system, and that echelon.
+    pde.chain keeps the letters' `_bt_rows`, the columns and the echelon
+    of the letters taken so far: only new letters are derived, and only
+    the candidates they bring get rows, all of them before the store
+    changes."""
     kept = pde.chain.get(problem)
     if kept is None:
-        kept = pde.chain[problem] = ([], Echelon([]))
-    scales, echelon = kept
-    columns = _bt_columns(basis[len(scales):], reduce, totals)
-    echelon.extend([_row_column(rows) for rows, _ in columns])
-    scales.extend(d for _, d in columns)
-    return basis, scales, echelon
+        kept = pde.chain[problem] = ([], [], Echelon([]))
+    letters, columns, echelon = kept
+    new_letters, new = _bt_columns(problem, letters, reduce, totals)
+    echelon.extend([_row_column(rows) for _, rows, _ in new])
+    letters.extend(new_letters)
+    columns.extend((b, d) for b, _, d in new)
+    return columns, echelon
 
 
 def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
@@ -214,11 +282,11 @@ def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     pair = bt_rhs(phi, problem)  # two coordinates: totals are R o D_x, R o D_t
     reduce, totals = reduction(pde, problem)
     targets = [reduce(nf(r)) for r in (pair.rhs_x, pair.rhs_t)]
-    basis, scales, echelon = _bt_system(pde, problem, reduce, totals)
+    columns, echelon = _bt_system(pde, problem, reduce, totals)
     sol = _match_linear(targets, echelon)
     if sol is None:
         return None
-    # candidate k's column holds d_k times its rows, so its coefficient in
-    # Phi' is d_k times the one solved for
-    return normal_form(add(*(mul(Rat(c * dk), b)
-                             for c, dk, b in zip(sol, scales, basis) if c)))
+    # column k holds d_k times its candidate's rows, so the candidate's
+    # coefficient in Phi' is d_k times the one solved for
+    return normal_form(add(*(mul(Rat(x * dk), b)
+                             for x, (b, dk) in zip(sol, columns) if x)))

@@ -34,8 +34,9 @@ search reduces only its target.  Like the table, it cannot go stale: a
 Pde is immutable, and a Problem never changes what it has declared (it
 only adds potentials, with fixed gradients), so a column computed once
 keeps its value.  For the same reason each Pde keeps, per Problem, the
-echelon of the Backlund candidates' rows (`Pde.chain`), which
-`backlund.bt_integrate` extends as potentials are declared.
+rows of the Backlund letters and the echelon of the candidates' rows
+(`Pde.chain`), which `backlund.bt_integrate` extends as potentials are
+declared.
 """
 from __future__ import annotations
 
@@ -95,14 +96,18 @@ class Pde:
     ansatz: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                       init=False, compare=False, hash=False,
                                       repr=False)
-    # problem -> ([the denominator d of each Backlund candidate b's cleared
-    # rows d*R(D_x b), d*R(D_t b)], Echelon of those rows' columns), for
-    # the candidates of `backlund.default_bt_basis` taken so far, a prefix
-    # of the basis; extended by `backlund.bt_integrate` with the candidates
-    # new since its last call on the problem and dropped with it; a row
-    # depends only on F and the potentials' gradients, and a Problem only
-    # appends potentials, which only appends candidates;
-    # dataclasses.replace starts an empty store
+    # problem -> ([(R(c), [d*R(D_x c), d*R(D_t c)], d) for each Backlund
+    # letter c taken so far], [(b, d_b) for each echelon column: its
+    # candidate b and the denominator of its cleared rows], Echelon of the
+    # columns), over the letters of `backlund.default_bt_basis`; extended by
+    # `backlund.bt_integrate` with the letters new since its last call on
+    # the problem and dropped with it.  Only a letter's rows are derived;
+    # a product's come from its letters' by the Leibniz rule.  The
+    # commutators are listed in the basis but get no rows and no column:
+    # [a, c] has the rows of a*c - c*a, two columns before it, so it would
+    # never add a pivot.  A row depends only on F and the potentials'
+    # gradients, and a Problem only appends potentials, which only appends
+    # letters; dataclasses.replace starts an empty store
     chain: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                      init=False, compare=False, hash=False,
                                      repr=False)

@@ -9,7 +9,7 @@ import pytest
 from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
                     inverse, is_zero, make_pde, mul, normal_form,
                     reduce_mod_pde, total_derivative)
-from jetsym.backlund import (PotentialError, _bt_columns, bt_apply,
+from jetsym.backlund import (PotentialError, _bt_rows, bt_apply,
                              bt_integrate, bt_rhs, bt_seed_check,
                              chiral_phi_condition, declare_potential,
                              default_bt_basis, left_current)
@@ -348,24 +348,43 @@ def chain(before_step=None):
         yield render(phi, p)
 
 
-def test_bt_rows_are_reduced_total_derivatives():
-    """Every row that bt_apply solves with, taken as the derivation with
-    reduced atom images applied to the reduced candidate, equals the
-    reduced total derivative of the candidate, along the whole chain."""
-    sizes = []
+def test_bt_rows_are_reduced_total_derivatives(monkeypatch):
+    """Every row that bt_apply solves with, a letter's by derivation and a
+    product's by the Leibniz rule from its letters' rows, divided by its
+    denominator, equals the reduced total derivative of its candidate, at
+    every step of the chain.  The columns are the basis without its
+    commutators, in order.  CHAIN_SEED's 1/3 puts Fractions in P1's
+    gradient, so some product joins letters of different denominators."""
+    from jetsym import backlund
+    build, leibniz = backlund._bt_columns, backlund._leibniz_rows
+    steps, denominators, bases = [], [], []
 
-    def check(p, pde):
-        basis = default_bt_basis(p)
-        sizes.append(len(basis))
-        want = [[nf(fresh_copy(reduce_mod_pde(total_derivative(b, c, p),
-                                              pde, p)))
-                 for c in p.coordinates] for b in basis]
-        rows = [[nf_divide(row, d) for row in rows]
-                for rows, d in _bt_columns(basis, *reduction(pde, p))]
-        assert rows == want
+    def recording(problem, letters, reduce, totals):
+        new_letters, new = build(problem, letters, reduce, totals)
+        steps.append(new)
+        return new_letters, new
 
-    list(chain(check))
-    assert sizes == [26, 40, 57, 77]
+    def products(a, c):
+        denominators.append((a[2], c[2]))
+        return leibniz(a, c)
+
+    monkeypatch.setattr(backlund, "_bt_columns", recording)
+    monkeypatch.setattr(backlund, "_leibniz_rows", products)
+    kept = []
+    list(chain(lambda p, pde: kept.append((p, pde))))
+    p, pde = kept[-1]
+    assert [len(new) for new in steps] == [20, 10, 12, 14]
+    for new in steps:
+        for b, rows, d in new:
+            want = [nf(fresh_copy(reduce_mod_pde(total_derivative(b, c, p),
+                                                 pde, p)))
+                    for c in p.coordinates]
+            assert [nf_divide(row, d) for row in rows] == want, b
+    basis = default_bt_basis(p)
+    assert len(basis) == 77
+    assert [b for new in steps for b, _, _ in new] == [
+        b for b in basis if not isinstance(b, Comm)]
+    assert any(da != dc for da, dc in denominators)
 
 
 def test_chain_does_not_depend_on_call_history(ch):
@@ -415,78 +434,102 @@ def test_kept_chain_store_does_not_depend_on_call_history(ch):
     assert len(pde.chain) == 0
 
 
-def test_each_integration_computes_rows_for_new_candidates_only(monkeypatch):
+def test_each_integration_computes_rows_for_new_candidates_only(
+        monkeypatch):
     """Along the chain each step's basis is a prefix of the next one's, and
-    each bt_apply computes rows for the candidates that the step before
-    did not have: 26, then 14, 17 and 20 of 40, 57 and 77."""
+    each bt_apply derives only the letters that the step before did not
+    have, 4, then 1, 1 and 1, and assembles rows only for the products
+    new since then: 16, then 9, 11 and 13."""
     from jetsym import backlund
-    computed, bases = [], []
+    derive, leibniz = backlund._bt_rows, backlund._leibniz_rows
+    counts, bases = [], []
 
-    def counting(basis, reduce, totals):
-        computed.append(len(basis))
-        return _bt_columns(basis, reduce, totals)
+    def deriving(b, reduce, totals):
+        counts[-1][0] += 1
+        return derive(b, reduce, totals)
 
-    monkeypatch.setattr(backlund, "_bt_columns", counting)
-    list(chain(lambda p, pde: bases.append(default_bt_basis(p))))
-    assert computed == [26, 14, 17, 20]
+    def assembling(a, c):
+        counts[-1][1] += 1
+        return leibniz(a, c)
+
+    def before_step(p, pde):
+        bases.append(default_bt_basis(p))
+        counts.append([0, 0])
+
+    monkeypatch.setattr(backlund, "_bt_rows", deriving)
+    monkeypatch.setattr(backlund, "_leibniz_rows", assembling)
+    list(chain(before_step))
+    assert counts == [[4, 16], [1, 9], [1, 11], [1, 13]]
     assert [len(b) for b in bases] == [26, 40, 57, 77]
     for before, after in zip(bases, bases[1:]):
         assert after[:len(before)] == before
 
 
 def test_a_failed_integration_leaves_the_kept_store_as_it_was(monkeypatch):
-    """Rows that raise part way leave the kept candidates and echelon as
+    """Rows that raise part way through a step, after its new letter was
+    derived, leave the kept letters, the column map and the echelon as
     they were, and the next integration gives the chain's image."""
     from jetsym import backlund
     want = list(chain())[1]
     p, pde = chain_problem()
     phi = bt_apply(parse_expr(CHAIN_SEED, p), pde, p)
     declare_image_potential(1, phi, pde, p)
-    scales, echelon = pde.chain[p]
-    kept = (len(scales), echelon.rank)
+    letters, columns, echelon = pde.chain[p]
+    kept = (list(letters), list(columns), echelon.rank)
+    leibniz, assembled = backlund._leibniz_rows, []
 
-    def failing(basis, reduce, totals):
-        rows = _bt_columns(basis[:3], reduce, totals)
-        raise RuntimeError(f"stopped after {len(rows)} rows")
+    def failing(a, c):
+        if len(assembled) == 3:
+            raise RuntimeError(f"stopped after {len(assembled)} products")
+        assembled.append(leibniz(a, c))
+        return assembled[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(backlund, "_bt_columns", failing)
+        m.setattr(backlund, "_leibniz_rows", failing)
         with pytest.raises(RuntimeError):
             bt_apply(phi, pde, p)
-    assert kept[0] == 26
-    assert (len(scales), echelon.rank) == kept
+    assert (len(kept[0]), len(kept[1])) == (4, 20)
+    assert (letters, columns, echelon.rank) == kept
     assert render(bt_apply(phi, pde, p), p) == want
 
 
 def test_commutator_candidates_never_take_part(monkeypatch):
     """Each commutator candidate [a, b] has the rows of a*b - b*a, two
-    candidates before it, so along the whole chain its column adds no
-    pivot and its coefficient in every solution is 0: dropping the
-    commutators from the basis would change no image."""
+    candidates before it.  Derived with every other candidate of the full
+    basis into one Echelon, its column adds no pivot at any step of the
+    chain, its coefficient is 0 in every solution, and each step's
+    targets solved on that reference system give the image of the kept
+    store, which never forms the commutators."""
     from jetsym import backlund
-    solutions, bases = [], []
+    references, targets = [], []
     match = backlund._match_linear
 
-    def recording(targets, echelon):
-        sol = match(targets, echelon)
-        solutions.append(sol)
-        return sol
+    def recording(rows, echelon):
+        targets.append(rows)
+        return match(rows, echelon)
 
     monkeypatch.setattr(backlund, "_match_linear", recording)
 
-    def check(p, pde):
+    def reference(p, pde):
         basis = default_bt_basis(p)
-        bases.append(basis)
-        echelon = Echelon([])
-        for b, (rows, _) in zip(basis, _bt_columns(basis, *reduction(pde, p))):
+        echelon, scales = Echelon([]), []
+        for b in basis:
+            _, rows, d = _bt_rows(b, *reduction(pde, p))
             rank = echelon.rank
             echelon.extend([_row_column(rows)])
+            scales.append(d)
             if isinstance(b, Comm):
                 assert echelon.rank == rank, b
+        references.append((p, basis, scales, echelon))
 
-    list(chain(check))
-    assert [sum(isinstance(b, Comm) for b in basis) for basis in bases] == [
-        6, 10, 15, 21]
-    for basis, sol in zip(bases, solutions):
+    images = list(chain(reference))
+    assert [sum(isinstance(b, Comm) for b in basis)
+            for _, basis, _, _ in references] == [6, 10, 15, 21]
+    for (p, basis, scales, echelon), rows, image in zip(references, targets,
+                                                        images):
+        sol = match(rows, echelon)
         assert len(sol) == len(basis)
         assert all(not c for c, b in zip(sol, basis) if isinstance(b, Comm))
+        got = normal_form(add(*(mul(Rat(c * d), b)
+                                for c, d, b in zip(sol, scales, basis) if c)))
+        assert render(got, p) == image

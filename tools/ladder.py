@@ -15,10 +15,13 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   `bt_rhs` plus `declare_potential`), and step s applies `bt_apply` to
   that image, so the candidate basis grows 26 -> 40 -> 57 -> 77.  Each
   step records both times, the image's term count and the lcm of its
-  coefficients' denominators, the rows it computed (for the candidates
-  new since the step before: 26 -> 14 -> 17 -> 20) and the rank of the
-  echelon it solved against, which the `Pde` keeps and each step
-  extends.  Each repetition builds the chain afresh, so step 0 is cold.
+  coefficients' denominators, the letters it derived (those new since the
+  step before: 4 -> 1 -> 1 -> 1), the products whose rows it assembled
+  from its letters' (16 -> 9 -> 11 -> 13), the columns it extended the
+  echelon with (letters and products; the commutators get none:
+  20 -> 10 -> 12 -> 14) and the rank of that echelon, which the `Pde`
+  keeps and each step extends.  Each repetition builds the chain afresh,
+  so step 0 is cold.
 * fed back: `reduce_mod_pde(char_derivative(F, Q))`, an engine output
   passed back in, on the catalog kdv with Q = (u_x + u_t)^k for k = 1..6
   and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
@@ -119,12 +122,12 @@ def declare(phi, step: int, pde, p) -> None:
 
 def chain_once(seed: str) -> list[tuple]:
     """(candidates, image terms, image denominator, bt_apply seconds,
-    declare seconds or None at step 0, rows computed, echelon rank) of
-    each step of one chain."""
+    declare seconds or None at step 0, letters derived, columns extended,
+    echelon rank) of each step of one chain."""
     p, pde = private_chiral()
     phi = parsing.parse_expr(seed, p)
     steps = []
-    kept = 0
+    kept = (0, 0)
     for step in range(CHAIN_STEPS):
         declare_s = timed(declare, phi, step, pde, p)[0] if step else None
         candidates = len(backlund.default_bt_basis(p))
@@ -133,10 +136,11 @@ def chain_once(seed: str) -> list[tuple]:
             raise RuntimeError(f"chain step {step}: no image")
         n = nf(phi)
         den = lcm(*(Fraction(v).denominator for v in n.values()))
-        scales, echelon = pde.chain[p]
+        letters, columns, echelon = pde.chain[p]
         steps.append((candidates, len(n), den, secs, declare_s,
-                      len(scales) - kept, echelon.rank))
-        kept = len(scales)
+                      len(letters) - kept[0], len(columns) - kept[1],
+                      echelon.rank))
+        kept = (len(letters), len(columns))
     return steps
 
 
@@ -144,9 +148,10 @@ def chain_ladder(seed: str) -> list[dict]:
     chains = [chain_once(seed) for _ in range(REPEATS)]
     out = []
     for step, rungs in enumerate(zip(*chains)):
-        candidates, terms, den, _, _, rows, rank = rungs[0]
+        candidates, terms, den, _, _, letters, columns, rank = rungs[0]
         runs = [r[3] for r in rungs]
-        rung = {"step": step, "candidates": candidates, "rows": rows,
+        rung = {"step": step, "candidates": candidates, "letters": letters,
+                "products": columns - letters, "columns": columns,
                 "rank": rank, "image_terms": terms,
                 "image_denominator": den, "best_s": min(runs), "runs_s": runs}
         if step:
@@ -253,7 +258,9 @@ def main() -> int:
             declared = (f", declare {r['declare_best_s']:.4f} s"
                         if r["step"] else "")
             print(f"{kind} chain step {r['step']}: {r['candidates']} "
-                  f"candidates, {r['rows']} rows computed, rank "
+                  f"candidates, {r['letters']} letters derived, "
+                  f"{r['products']} products assembled, {r['columns']} "
+                  f"columns extended, rank "
                   f"{r['rank']}, {r['image_terms']} image terms over "
                   f"{r['image_denominator']}, bt_apply {r['best_s']:.4f} s"
                   f"{declared}")
