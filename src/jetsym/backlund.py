@@ -23,12 +23,11 @@ R o D_i(a*c) = R o D_i(a) R(c) + R(a) R o D_i(c).  The commutators [a, c]
 are listed in the basis but never formed: their rows are those of
 a*c - c*a, two candidates before them, so their columns would never add a
 pivot, and leaving them out changes neither the pivots nor the solution.
-Each Pde keeps per problem the letters' rows, the candidate and
-denominator of each column and one `linsolve.Echelon` of the columns
-(`Pde.chain`); each integration derives the new letters only and extends
-that echelon with the products they bring.  A problem only appends
-potentials, so the extended echelon is the one built at once on the same
-letters: the kept store cannot go stale.
+The problem's `symmetry.Store` keeps the letters' rows, the candidate and
+denominator of each column and one `linsolve.Echelon` of the columns; each
+integration derives the new letters only and extends that echelon with the
+products they bring, which gives the echelon built at once on the same
+letters.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ from .linsolve import Echelon
 from .normalize import (NF, _nf_add, _nf_mul, _nf_scale, nf, nf_divide,
                         normal_form, rebuild)
 from .symmetry import (Pde, SymmetryReport, _match_linear, _row_column,
-                       check_symmetry, reduction)
+                       check_symmetry, reduction, store)
 
 
 class PotentialError(JetsymError):
@@ -180,10 +179,10 @@ def default_bt_basis(problem: Problem) -> list[Expr]:
 
     Declaring a potential only appends a letter, so a chain step's basis
     is a prefix of the next step's, and `bt_integrate` extends the system
-    it kept (`Pde.chain`) instead of building a new one.  The commutators
-    are listed but never formed there: [a, c] has the rows of a*c - c*a,
-    two candidates before it, so its column would never add a pivot and
-    its coefficient is 0 in every image."""
+    it kept (`symmetry.Store`) instead of building a new one.  The
+    commutators are listed but never formed there: [a, c] has the rows of
+    a*c - c*a, two candidates before it, so its column would never add a
+    pivot and its coefficient is 0 in every image."""
     alphabet = _alphabet(problem)
     form = {"letter": lambda a, c: c, "product": mul,
             "commutator": commutator}
@@ -257,20 +256,17 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
 def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
                totals: list[Image]) -> tuple[list[tuple[Expr, int]], Echelon]:
     """The candidate b and the denominator d of its cleared rows for each
-    column of the Echelon of the Backlund system, and that echelon.
-    pde.chain keeps the letters' `_bt_rows`, the columns and the echelon
-    of the letters taken so far: only new letters are derived, and only
-    the candidates they bring get rows, all of them before the store
-    changes."""
-    kept = pde.chain.get(problem)
-    if kept is None:
-        kept = pde.chain[problem] = ([], [], Echelon([]))
-    letters, columns, echelon = kept
-    new_letters, new = _bt_columns(problem, letters, reduce, totals)
-    echelon.extend([_row_column(rows) for _, rows, _ in new])
-    letters.extend(new_letters)
-    columns.extend((b, d) for b, _, d in new)
-    return columns, echelon
+    column of the Echelon of the Backlund system, and that echelon.  The
+    problem's `symmetry.Store` keeps the letters' `_bt_rows`, the columns
+    and the echelon of the letters taken so far: only new letters are
+    derived, and only the candidates they bring get rows, all of them
+    before the store changes."""
+    kept = store(pde, problem)
+    new_letters, new = _bt_columns(problem, kept.letters, reduce, totals)
+    kept.echelon.extend([_row_column(rows) for _, rows, _ in new])
+    kept.letters.extend(new_letters)
+    kept.columns.extend((b, d) for b, _, d in new)
+    return kept.columns, kept.echelon
 
 
 def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:

@@ -13,8 +13,8 @@ atom a is R(D_i a).  Hence the one rule for the values,
     R[leading] = rhs,   R[J] = (R o D_i) R[J - i]
 
 for a coordinate i in J - leading.  `reduction` gives R and every R o D_i
-for one call; each Pde keeps one table of the values per Problem, held as
-normal forms.  R is a ring homomorphism, so reducing a normal form
+for one call; each Pde keeps the values per Problem, as normal forms, in
+that problem's `Store`.  R is a ring homomorphism, so reducing a normal form
 (`reduce_nf`) is `normalize.map_nf` with each principal jet sent to its
 table value: it maps the normal form term by term, with no tree built.
 
@@ -28,15 +28,9 @@ table terminates.
 A certificate search (`find_operator`) solves D_Q F = sum_k c_k column_k
 for the columns left_k * D_Jk F * right_k of the ansatz, which depend on
 F, the problem's coordinates and constant matrices and the ansatz bounds,
-and never on Q.  Each Pde keeps, per Problem and AnsatzConfig, the ansatz
+and never on Q.  The problem's `Store` keeps, per AnsatzConfig, the ansatz
 terms and the `linsolve.Echelon` of their columns, so that every later
-search reduces only its target.  Like the table, it cannot go stale: a
-Pde is immutable, and a Problem never changes what it has declared (it
-only adds potentials, with fixed gradients), so a column computed once
-keeps its value.  For the same reason each Pde keeps, per Problem, the
-rows of the Backlund letters and the echelon of the candidates' rows
-(`Pde.chain`), which `backlund.bt_integrate` extends as potentials are
-declared.
+search reduces only its target.
 """
 from __future__ import annotations
 
@@ -72,6 +66,34 @@ class SpanError(JetsymError):
     """A bracket left the span of the basis (not a subalgebra)."""
 
 
+@dataclass(eq=False)
+class Store:
+    """What a Pde keeps for one Problem, as plain data (`store`):
+    - table: {principal multi-index J: normal form of R[J]}, seeded with
+      leading -> rhs and filled by `reduction`;
+    - ansatz: {AnsatzConfig: (terms, Echelon of their columns on F)},
+      filled by `_ansatz`;
+    - letters, columns, echelon: the Backlund system of
+      `backlund._bt_system`: (R(c), [d*R(D_x c), d*R(D_t c)], d) per
+      letter c taken so far, (candidate b, denominator d_b of its cleared
+      rows) per echelon column, and the Echelon of the columns.
+
+    Nothing kept goes stale: an entry depends only on F, the ansatz bounds
+    and the problem's declarations, a Pde is immutable, and a Problem only
+    appends potentials, whose gradients are fixed.  `Pde.stores` holds
+    problems weakly, so a record goes with its problem, and
+    dataclasses.replace starts a Pde with none.  No closure is kept: the
+    image maps R o D_i and the guard against a cyclic value belong to each
+    `reduction` context, which refers to the record and not back, so a
+    dropped record is freed at once."""
+
+    table: dict
+    ansatz: dict = field(default_factory=dict)
+    letters: list = field(default_factory=list)
+    columns: list = field(default_factory=list)
+    echelon: Echelon = field(default_factory=lambda: Echelon([]))
+
+
 @dataclass(frozen=True)
 class Pde:
     """F[u] = 0 together with a validated solved form leading = rhs."""
@@ -80,37 +102,10 @@ class Pde:
     f: Expr
     leading: Jet
     rhs: Expr
-    # problem -> {principal multi-index J: normal form of R[J]}, filled by
-    # `reduction` as R[J] = (R o D_i) R[J - i] and dropped with its problem;
-    # a value depends only on rhs, the coordinates and the potentials'
-    # gradients, which a Problem never changes; dataclasses.replace starts
-    # an empty table
-    table: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
-                                     init=False, compare=False, hash=False,
-                                     repr=False)
-    # problem -> {AnsatzConfig: (ansatz terms, Echelon of their columns on
-    # F)}, filled by `_ansatz` and dropped with its problem; a column
-    # left * D_J F * right depends only on F, the coordinates, the
-    # constant matrices and the bounds, which a Problem never changes, and
-    # never on Q; dataclasses.replace starts an empty store
-    ansatz: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+    # problem -> its Store, created by `store`
+    stores: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                       init=False, compare=False, hash=False,
                                       repr=False)
-    # problem -> ([(R(c), [d*R(D_x c), d*R(D_t c)], d) for each Backlund
-    # letter c taken so far], [(b, d_b) for each echelon column: its
-    # candidate b and the denominator of its cleared rows], Echelon of the
-    # columns), over the letters of `backlund.default_bt_basis`; extended by
-    # `backlund.bt_integrate` with the letters new since its last call on
-    # the problem and dropped with it.  Only a letter's rows are derived;
-    # a product's come from its letters' by the Leibniz rule.  The
-    # commutators are listed in the basis but get no rows and no column:
-    # [a, c] has the rows of a*c - c*a, two columns before it, so it would
-    # never add a pivot.  A row depends only on F and the potentials'
-    # gradients, and a Problem only appends potentials, which only appends
-    # letters; dataclasses.replace starts an empty store
-    chain: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
-                                     init=False, compare=False, hash=False,
-                                     repr=False)
 
 
 def _lex_unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
@@ -180,6 +175,14 @@ def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
     return Pde(name, normal_form(f), leading, normal_form(rhs))
 
 
+def store(pde: Pde, problem: Problem) -> Store:
+    """The Store that pde keeps for problem, created on first use."""
+    kept = pde.stores.get(problem)
+    if kept is None:
+        kept = pde.stores[problem] = Store({pde.leading.idx: nf(pde.rhs)})
+    return kept
+
+
 def reduction(pde: Pde, problem: Problem
               ) -> tuple[Callable[[NF], NF], list[Image]]:
     """The reduction mod F (R) as a context for one call: reduce(n) puts
@@ -187,13 +190,12 @@ def reduction(pde: Pde, problem: Problem
     is R o D_i, the derivation whose image of an atom a is R(D_i a): the
     value of u_(K+i) for a jet u_K, R(D_i X) for a potential X and D_i a
     for any other atom.  Its image maps live as long as the context; the
-    values go into pde.table, which every call on this problem shares."""
+    values go into the table of the problem's `Store`, which every call
+    on this problem shares."""
     dep, lead = pde.leading.dep, pde.leading.idx
     principal = _principal_test(pde.leading)
     lead_count = Counter(lead)
-    table = pde.table.setdefault(problem, {})
-    if lead not in table:
-        table[lead] = nf(pde.rhs)
+    table = store(pde, problem).table
     busy: set[tuple[int, ...]] = set()  # entries being filled
 
     def value(idx: tuple[int, ...]) -> NF:
@@ -367,8 +369,8 @@ def _match_linear(targets: list[NF], echelon: Echelon
 def _ansatz(pde: Pde, problem: Problem,
             cfg: AnsatzConfig) -> tuple[tuple, Echelon]:
     """The candidate terms of the ansatz and the Echelon of their columns
-    on F, kept in pde.ansatz for every later search on this problem."""
-    kept = pde.ansatz.setdefault(problem, {})
+    on F, kept in the problem's `Store` for every later search on it."""
+    kept = store(pde, problem).ansatz
     if cfg not in kept:
         terms = tuple(_candidate_terms(problem, cfg))
         columns = LinearOperatorAnsatz(terms).columns(nf(pde.f), problem)

@@ -210,7 +210,7 @@ def reference_reduce_nf(n: dict, pde, problem: Problem) -> dict:
             return None
         if j not in values:
             reduce_nf(nf(j), pde, problem)
-            values[j] = rebuild(pde.table[problem][j.idx])
+            values[j] = rebuild(pde.stores[problem].table[j.idx])
         return values[j]
 
     n, d = clear_denominators(n)

@@ -3,6 +3,8 @@ from random import Random
 
 import gc
 from dataclasses import replace
+from types import (BuiltinFunctionType, CellType, FunctionType, MethodType,
+                   ModuleType)
 
 import pytest
 
@@ -12,7 +14,8 @@ from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
 from jetsym.backlund import (PotentialError, _bt_rows, bt_apply,
                              bt_integrate, bt_rhs, bt_seed_check,
                              chiral_phi_condition, declare_potential,
-                             default_bt_basis, left_current)
+                             default_bt_basis, left_current,
+                             phi_characteristic)
 from jetsym.catalog import get_pde
 from jetsym.core import (Comm, NonlocalActionError, PotentialDef, Problem,
                          Dependent)
@@ -20,7 +23,8 @@ from jetsym.linsolve import Echelon
 from jetsym.normalize import nf, nf_divide
 from jetsym.parsing import parse_expr
 from jetsym.printing import render
-from jetsym.symmetry import _row_column, reduction
+from jetsym.symmetry import (AnsatzConfig, _row_column, find_operator,
+                             reduction)
 
 from helpers import fresh_copy
 
@@ -411,8 +415,9 @@ def test_kept_chain_store_does_not_depend_on_call_history(ch):
     echelon step by step, equals bt_integrate on a fresh problem where X,
     P1, P2 and P3 were all declared before the first Backlund call, and
     the image of a chain run after unrelated bt_apply calls on the catalog
-    chiral problem.  The store is per problem: dataclasses.replace starts
-    without it, and a private problem's entry goes with the problem."""
+    chiral problem.  The store is per problem: the declares create the
+    problem's record with no chain columns, dataclasses.replace starts
+    without it, and a private problem's record goes with the problem."""
     p_ch = ch.problem
 
     def unrelated(*_):
@@ -425,13 +430,15 @@ def test_kept_chain_store_does_not_depend_on_call_history(ch):
     for step in (1, 2, 3):
         phi = parse_expr(images[step - 1], p)
         declare_image_potential(step, phi, pde, p)
-    assert len(pde.chain) == 0
+    kept = pde.stores[p]
+    assert (kept.letters, kept.columns, kept.echelon.rank) == ([], [], 0)
     assert render(bt_integrate(phi, pde, p), p) == images[3]
-    assert len(pde.chain) == 1
-    assert len(replace(pde).chain) == 0
+    assert list(pde.stores.values()) == [kept]
+    assert kept.columns and kept.echelon.rank
+    assert len(replace(pde).stores) == 0
     del p
     gc.collect()
-    assert len(pde.chain) == 0
+    assert len(pde.stores) == 0
 
 
 def test_each_integration_computes_rows_for_new_candidates_only(
@@ -474,8 +481,8 @@ def test_a_failed_integration_leaves_the_kept_store_as_it_was(monkeypatch):
     p, pde = chain_problem()
     phi = bt_apply(parse_expr(CHAIN_SEED, p), pde, p)
     declare_image_potential(1, phi, pde, p)
-    letters, columns, echelon = pde.chain[p]
-    kept = (list(letters), list(columns), echelon.rank)
+    kept = pde.stores[p]
+    before = (list(kept.letters), list(kept.columns), kept.echelon.rank)
     leibniz, assembled = backlund._leibniz_rows, []
 
     def failing(a, c):
@@ -488,9 +495,37 @@ def test_a_failed_integration_leaves_the_kept_store_as_it_was(monkeypatch):
         m.setattr(backlund, "_leibniz_rows", failing)
         with pytest.raises(RuntimeError):
             bt_apply(phi, pde, p)
-    assert (len(kept[0]), len(kept[1])) == (4, 20)
-    assert (letters, columns, echelon.rank) == kept
+    assert (len(before[0]), len(before[1])) == (4, 20)
+    assert (kept.letters, kept.columns, kept.echelon.rank) == before
     assert render(bt_apply(phi, pde, p), p) == want
+
+
+def test_one_record_per_problem_holds_data_only():
+    """A declare, a reduce, a certificate search and a Backlund step on a
+    private chiral problem all fill the one record that the Pde keeps for
+    it: its table, its ansatz and its chain.  The record holds data only:
+    what it refers to reaches no function, method or cell, and not the
+    problem, so no reduction context lives on in it."""
+    p, pde = chain_problem()
+    reduce_mod_pde(p.jet("ttt"), pde, p)
+    cfg = AnsatzConfig(0, 0)
+    assert find_operator(pde, phi_characteristic(p.cmat("M"), p), p,
+                         cfg) is not None
+    assert bt_apply(parse_expr(CHAIN_SEED, p), pde, p) is not None
+    kept = pde.stores[p]
+    assert list(pde.stores.values()) == [kept]
+    assert len(kept.table) > 1 and list(kept.ansatz) == [cfg]
+    assert kept.letters and kept.columns and kept.echelon.rank
+    seen, todo = {id(kept)}, [kept]
+    while todo:
+        o = todo.pop()
+        assert o is not p
+        assert not isinstance(o, (FunctionType, MethodType,
+                                  BuiltinFunctionType, CellType)), o
+        for r in gc.get_referents(o):
+            if not isinstance(r, (type, ModuleType)) and id(r) not in seen:
+                seen.add(id(r))
+                todo.append(r)
 
 
 def test_commutator_candidates_never_take_part(monkeypatch):

@@ -156,7 +156,8 @@ def test_potential_in_rhs_keeps_a_table_per_problem():
     assert got1 == reference_reduce(e, pde, p1)
     assert got2 == reference_reduce(e, pde, p2)
     assert reduce_mod_pde(e, pde, p1) == got1
-    assert len(pde.table) == 2
+    assert len(pde.stores) == 2
+    assert pde.stores[p1].table is not pde.stores[p2].table
 
 
 def test_a_table_goes_with_its_problem():
@@ -164,10 +165,10 @@ def test_a_table_goes_with_its_problem():
     pde = fresh_pde(entry)
     p = Problem(coords=("x", "t"), dependent=entry.problem.dependent)
     reduce_mod_pde(parse_expr("u_tt", p), pde, p)
-    assert len(pde.table) == 1
+    assert len(pde.stores) == 1
     del p
     gc.collect()
-    assert len(pde.table) == 0
+    assert len(pde.stores) == 0
 
 
 def test_jets_that_cancel_fill_no_entries():
@@ -178,8 +179,8 @@ def test_jets_that_cancel_fill_no_entries():
     ut8 = mul(*[p.jet("t")] * 8)
     assert reduce_mod_pde(add(ut8, -ut8, p.jet("tt")), pde, p) == \
         reduce_mod_pde(p.jet("tt"), fresh_pde(entry), p)
-    assert sorted(pde.table[p]) == [(0, 0, 0, 1), (0, 0, 1), (0, 1), (1,),
-                                    (1, 1)]
+    assert sorted(pde.stores[p].table) == [(0, 0, 0, 1), (0, 0, 1), (0, 1),
+                                           (1,), (1, 1)]
 
 
 def test_potential_that_leads_back_to_its_jet_is_an_error():

@@ -302,8 +302,10 @@ def test_certificate_does_not_depend_on_call_history(name):
     private, private_pde = private_copy(entry)
     assert certificates(private_pde, private) == first
 
-    assert len(pde.ansatz) == 1 == len(private_pde.ansatz)
-    assert len(dataclasses.replace(pde).ansatz) == 0
+    assert len(pde.stores) == 1 == len(private_pde.stores)
+    assert list(pde.stores[p].ansatz) == [cfg]
+    assert list(private_pde.stores[private].ansatz) == [cfg]
+    assert len(dataclasses.replace(pde).stores) == 0
     del private
     gc.collect()
-    assert len(private_pde.ansatz) == 0
+    assert len(private_pde.stores) == 0

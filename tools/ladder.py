@@ -20,8 +20,8 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   from its letters' (16 -> 9 -> 11 -> 13), the columns it extended the
   echelon with (letters and products; the commutators get none:
   20 -> 10 -> 12 -> 14) and the rank of that echelon, which the `Pde`
-  keeps and each step extends.  Each repetition builds the chain afresh,
-  so step 0 is cold.
+  keeps in the problem's `symmetry.Store` and each step extends.  Each
+  repetition builds the chain afresh, so step 0 is cold.
 * fed back: `reduce_mod_pde(char_derivative(F, Q))`, an engine output
   passed back in, on the catalog kdv with Q = (u_x + u_t)^k for k = 1..6
   and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
@@ -136,11 +136,11 @@ def chain_once(seed: str) -> list[tuple]:
             raise RuntimeError(f"chain step {step}: no image")
         n = nf(phi)
         den = lcm(*(Fraction(v).denominator for v in n.values()))
-        letters, columns, echelon = pde.chain[p]
+        chain = pde.stores[p]
         steps.append((candidates, len(n), den, secs, declare_s,
-                      len(letters) - kept[0], len(columns) - kept[1],
-                      echelon.rank))
-        kept = (len(letters), len(columns))
+                      len(chain.letters) - kept[0],
+                      len(chain.columns) - kept[1], chain.echelon.rank))
+        kept = (len(chain.letters), len(chain.columns))
     return steps
 
 
@@ -221,7 +221,7 @@ def find_ladder() -> list[dict]:
                 cold.append(timed(symmetry.find_operator, fresh, q, p,
                                   cfg)[0])
             warm = best_of(symmetry.find_operator, fresh, q, p, cfg)[0]
-            terms, echelon = symmetry._ansatz(fresh, p, cfg)
+            terms, echelon = fresh.stores[p].ansatz[cfg]
             columns = symmetry.LinearOperatorAnsatz(terms).columns(
                 nf(pde.f), p)
             out.append({"pde": name, "q": char, "cfg": list(bounds),
