@@ -28,10 +28,22 @@ denominator of each column and one `linsolve.Echelon` of the columns; each
 integration derives the new letters only and extends that echelon with the
 products they bring, which gives the echelon built at once on the same
 letters.
+
+An image certifies its seed, so `bt_apply` integrates without checking the
+seed first.  A solution Phi' of the system has R o D_x R(Phi') = R(rhs_x)
+and R o D_t R(Phi') = R(rhs_t), and R o D_x, R o D_t commute: on jets
+always, on a potential because `declare_potential` checked its cross
+derivatives.  So R(D_t rhs_x - D_x rhs_t) = 0, and D_t rhs_x - D_x rhs_t
+is D_{g*Phi} C for the chiral operator C = D_x(inv(g)g_x) + D_t(inv(g)g_t):
+a seed with an image passes `bt_seed_check` whenever F is a nonzero
+rational multiple of C, which `bt_integrate` checks once per problem.  A
+seed that fails the check has no image, and the CLI asks `bt_seed_check`
+only then, to tell a failed seed from an insufficient basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional
 
@@ -139,9 +151,33 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
 
 def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     """The report on D_{g*Phi} F = 0 mod F, which for chiral is
-    (Phi'_x)_t = (Phi'_t)_x mod F, for two coordinates only."""
+    (Phi'_x)_t = (Phi'_t)_x mod F, for two coordinates only.  It is the
+    check independent of the integration: every seed with a `bt_integrate`
+    image passes it, and the CLI and `catalog.validate_entry` run it to
+    explain a missing image and to check each image."""
     _xt(problem)
     return check_symmetry(pde, phi_characteristic(phi, problem), problem)
+
+
+def _check_chiral(pde: Pde, problem: Problem) -> None:
+    """Raise unless F is a nonzero rational multiple of the chiral operator
+    D_x(inv(g)g_x) + D_t(inv(g)g_t) of the problem, without which an image
+    would not certify its seed."""
+    x, t = _xt(problem)
+    totals = total_images(problem)
+    chiral: NF = {}
+    for c in (x, t):
+        _nf_add(chiral, derive_nf(nf(left_current(problem, c)),
+                                  totals[c.index]))
+    f = nf(pde.f)
+    k = next(iter(chiral))
+    if k in f and f == _nf_scale(chiral, Fraction(f[k]) / chiral[k]):
+        return
+    g = problem.dependent.name
+    c_x, c_t = (f"D_{c.name}(inv({g})*{g}_{c.name})" for c in (x, t))
+    raise JetsymError(
+        f"the Backlund transformation needs the chiral equation: F of "
+        f"{pde.name} is not a nonzero rational multiple of {c_x} + {c_t}")
 
 
 def _alphabet(problem: Problem) -> list[Expr]:
@@ -245,14 +281,6 @@ def _bt_columns(problem: Problem, letters: list[Letter],
     return taken[len(letters):], out
 
 
-def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
-    """`bt_integrate` for a seed Phi that passes `bt_seed_check`, and None
-    for one that fails it."""
-    if not bt_seed_check(phi, pde, problem).is_symmetry:
-        return None
-    return bt_integrate(phi, pde, problem)
-
-
 def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
                totals: list[Image]) -> tuple[list[tuple[Expr, int]], Echelon]:
     """The candidate b and the denominator d of its cleared rows for each
@@ -260,8 +288,11 @@ def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
     problem's `symmetry.Store` keeps the letters' `_bt_rows`, the columns
     and the echelon of the letters taken so far: only new letters are
     derived, and only the candidates they bring get rows, all of them
-    before the store changes."""
+    before the store changes.  F is checked to be chiral
+    (`_check_chiral`) once, before the store takes its first letters."""
     kept = store(pde, problem)
+    if not kept.letters:
+        _check_chiral(pde, problem)
     new_letters, new = _bt_columns(problem, kept.letters, reduce, totals)
     kept.echelon.extend([_row_column(rows) for _, rows, _ in new])
     kept.letters.extend(new_letters)
@@ -270,11 +301,15 @@ def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
 
 
 def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
-    """Phi' for a seed Phi that solves the symmetry condition: the exact
-    rational combination of basis candidates, with the rows of each from
-    `_bt_columns` and constants of integration zero, that satisfies both
-    equations mod F.  None signals that the integration lies outside the
-    candidate basis (basis insufficiency), not that no Phi' exists."""
+    """Phi' for a seed Phi: the exact rational combination of basis
+    candidates, with the rows of each from `_bt_columns` and constants of
+    integration zero, that satisfies both equations mod F, in one
+    reduction context.  An image certifies that the seed passes
+    `bt_seed_check` (module docstring), so a seed that fails it gets
+    None, as does one whose integral lies outside the candidate basis
+    (basis insufficiency), which is not a proof that no Phi' exists.
+    Raises JetsymError unless F is a nonzero rational multiple of the
+    chiral operator (`_check_chiral`)."""
     pair = bt_rhs(phi, problem)  # two coordinates: totals are R o D_x, R o D_t
     reduce, totals = reduction(pde, problem)
     targets = [reduce(nf(r)) for r in (pair.rhs_x, pair.rhs_t)]
@@ -286,3 +321,7 @@ def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     # coefficient in Phi' is d_k times the one solved for
     return normal_form(add(*(mul(Rat(x * dk), b)
                              for x, (b, dk) in zip(sol, columns) if x)))
+
+
+# the Backlund step: the integration alone, as an image certifies its seed
+bt_apply = bt_integrate

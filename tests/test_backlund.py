@@ -16,11 +16,12 @@ from jetsym.backlund import (PotentialError, _bt_rows, bt_apply,
                              chiral_phi_condition, declare_potential,
                              default_bt_basis, left_current,
                              phi_characteristic)
+from jetsym.calculus import derive_nf
 from jetsym.catalog import get_pde
-from jetsym.core import (Comm, NonlocalActionError, PotentialDef, Problem,
-                         Dependent)
+from jetsym.core import (Comm, JetsymError, NonlocalActionError,
+                         PotentialDef, Problem, Dependent)
 from jetsym.linsolve import Echelon
-from jetsym.normalize import nf, nf_divide
+from jetsym.normalize import _nf_add, _nf_scale, nf, nf_divide
 from jetsym.parsing import parse_expr
 from jetsym.printing import render
 from jetsym.symmetry import (AnsatzConfig, _row_column, find_operator,
@@ -189,10 +190,79 @@ def test_bt_integrability(ch):
     assert not bt_seed_check(p.u, pde, p).is_symmetry
 
 
+CERTIFICATE_WORDS = ("M", "inv(g)*g_x", "inv(g)*g_t", "X", "g_x", "g", "x",
+                     "t")
+
+
+def test_an_image_certifies_its_seed():
+    """On a chain problem with P1 declared, for 300 seeded rational
+    combinations of words of length <= 2: a seed with a bt_apply image
+    passes bt_seed_check, and its image satisfies both equations of its
+    pair mod F; a seed that fails the check has no image.  The pair's
+    residual R o D_t R(rhs_x) - R o D_x R(rhs_t) is the check's remainder
+    for every seed, as the argument for integrating unchecked says."""
+    p, pde = chain_problem()
+    declare_image_potential(1, bt_apply(parse_expr(CHAIN_SEED, p), pde, p),
+                            pde, p)
+    x, t = p.coordinates
+    letters = [parse_expr(text, p) for text in CERTIFICATE_WORDS]
+    rng = Random(25)
+    outcomes = {"image": 0, "no integral": 0, "not symmetry": 0}
+    for _ in range(300):
+        phi = add(*(mul(Rat(Fraction(rng.randint(-3, 3) or 1,
+                                     rng.randint(1, 3))),
+                        *rng.choices(letters, k=rng.randint(1, 2)))
+                    for _ in range(rng.randint(1, 3))))
+        got = bt_apply(phi, pde, p)
+        report = bt_seed_check(phi, pde, p)
+        pair = bt_rhs(phi, p)
+        reduce, totals = reduction(pde, p)
+        residual = derive_nf(reduce(nf(pair.rhs_x)), totals[t.index])
+        residual = _nf_add(residual, _nf_scale(
+            derive_nf(reduce(nf(pair.rhs_t)), totals[x.index]), -1))
+        assert residual == nf(report.remainder), render(phi, p)
+        if got is not None:
+            assert report.is_symmetry, render(phi, p)
+            for c, rhs in ((x, pair.rhs_x), (t, pair.rhs_t)):
+                assert is_zero(reduce_mod_pde(
+                    total_derivative(got, c, p) - rhs, pde, p)), render(phi, p)
+            outcomes["image"] += 1
+        else:
+            outcomes["no integral" if report.is_symmetry
+                     else "not symmetry"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_bt_apply_accepts_a_rational_multiple_of_chiral(ch):
+    """F scaled by -1 keeps the solved form and the reduction mod F, so
+    every catalog seed integrates to the catalog's image."""
+    p = ch.problem
+    pde = make_pde("minus-chiral", mul(Rat(-1), ch.pde.f), ch.pde.leading,
+                   ch.pde.rhs, p)
+    for phi, image in ch.bt_fixtures:
+        got = bt_apply(phi, pde, p)
+        assert got is not None and is_zero(got - image), render(phi, p)
+
+
+def test_bt_apply_needs_a_chiral_pde():
+    """On a matrix PDE that is not a multiple of the chiral one, no image
+    would certify its seed: bt_apply raises, whether or not the seed is a
+    symmetry, and leaves the problem's record without letters."""
+    p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
+                matrices=[("M", False)])
+    pde = make_pde("group-heat", parse_expr("g_t - g_xx", p), p.jet("t"),
+                   p.jet("xx"), p)
+    for text in ("M", "inv(g)*g_x", "g_x"):
+        with pytest.raises(JetsymError, match="needs the chiral equation"):
+            bt_apply(parse_expr(text, p), pde, p)
+    assert not pde.stores[p].letters
+
+
 def test_bt_apply_builds_one_reduction_context_to_integrate(ch, monkeypatch):
-    """bt_apply reduces the seed's symmetry condition in one reduction
-    context and integrates in one more, whose reduction the targets and
-    the rows of every candidate share."""
+    """bt_apply checks no seed: it integrates in one reduction context,
+    whose reduction the targets and the rows of every candidate share.
+    bt_rhs and that context take two derivation maps each, and the first
+    integration on a (pde, problem) two more, to check that F is chiral."""
     from jetsym import backlund, calculus, symmetry
     counts = {"reduction": 0, "derivation": 0}
 
@@ -208,9 +278,12 @@ def test_bt_apply_builds_one_reduction_context_to_integrate(ch, monkeypatch):
         monkeypatch.setattr(module, "reduction", new_context)
     for module in (calculus, symmetry):
         monkeypatch.setattr(module, "derivation", new_map)
-    p, pde = ch.problem, ch.pde
+    p, pde = ch.problem, replace(ch.pde)  # a Pde with no store yet
     assert bt_apply(p.cmat("M"), pde, p) is not None
-    assert counts == {"reduction": 2, "derivation": 9}
+    assert counts == {"reduction": 1, "derivation": 6}
+    counts.update(reduction=0, derivation=0)
+    assert bt_apply(p.cmat("M"), pde, p) is not None
+    assert counts == {"reduction": 1, "derivation": 4}
 
 
 def test_bt_apply_constant_matrix_gives_commutator_with_potential(ch):

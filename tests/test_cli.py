@@ -98,6 +98,16 @@ def test_certify_phi_on_a_non_chiral_group_pde(runner):
     assert code(r) == 0
 
 
+@pytest.mark.parametrize("phi", ["M", "inv(g)*g_x", "g_x"])
+def test_bt_apply_needs_a_chiral_pde(runner, phi):
+    # the Backlund step is the chiral field's: on another PDE it answers
+    # no seed, a symmetry (M, inv(g)*g_x) or not (g_x), and exits 2
+    r = invoke(runner, *GROUP_HEAT, "bt-apply", "--phi", phi)
+    assert code(r) == 2
+    assert "needs the chiral equation" in str(r.exception)
+    assert r.output == ""
+
+
 def test_phi_form_needs_an_invertible_matrix_dependent(runner):
     r = invoke(runner, "--pde", "heat", "check", "--phi", "u_x")
     assert code(r) == 2
@@ -189,8 +199,9 @@ def test_bt_apply_tells_its_failures_apart(runner, phi, verdict):
     ("M", "Integrated"),
 ])
 def test_bt_apply_asks_check_symmetry_once(runner, monkeypatch, phi, verdict):
-    """bt-apply decides on the one report of the seed's check: a failure
-    is told apart without asking check_symmetry again."""
+    """bt-apply integrates first, as an image certifies its seed: an
+    integrated seed is never checked, and a failure is told apart on the
+    one report of the seed's check."""
     from jetsym import backlund, cli, symmetry
     calls = []
 
@@ -202,7 +213,7 @@ def test_bt_apply_asks_check_symmetry_once(runner, monkeypatch, phi, verdict):
         monkeypatch.setattr(module, "check_symmetry", counted)
     r = invoke(runner, "--json", "--pde", "chiral", "bt-apply", "--phi", phi)
     assert json.loads(r.output)["verdict"] == verdict
-    assert len(calls) == 1
+    assert len(calls) == (verdict != "Integrated")
 
 
 # --- parse / list ---------------------------------------------------------
