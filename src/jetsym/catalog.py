@@ -24,6 +24,7 @@ from .core import (DeclarationError, Dependent, Expr, Jet, PotentialDef,
 from .calculus import Characteristic
 from .normalize import is_zero
 from .parsing import parse_expr, parse_operator
+from .printing import render
 from .symmetry import (LinearOperatorAnsatz, Pde, certify_operator,
                        check_symmetry, make_pde, structure_constants)
 from .backlund import (bt_apply, bt_seed_check, declare_potential,
@@ -161,6 +162,6 @@ def validate_entry(entry: CatalogEntry) -> None:
     for phi, expected in entry.bt_fixtures:
         got = bt_apply(phi, pde, problem)
         assert got is not None and is_zero(got - expected), \
-            f"{entry.name}: BT fixture mismatch for {phi}"
+            f"{entry.name}: BT fixture mismatch for {render(phi, problem)}"
         assert bt_seed_check(got, pde, problem).is_symmetry, \
             f"{entry.name}: BT image fails the symmetry condition"

@@ -6,12 +6,11 @@ command to a single deterministic JSON document on stdout.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import shlex
 import sys
 from typing import Callable
-
-import click
 
 from .core import (Dependent, JetsymError, Jet, Problem)
 from .calculus import Characteristic, bracket_characteristic
@@ -22,6 +21,10 @@ from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
 from .backlund import bt_integrate, bt_seed_check, phi_characteristic
+
+
+class UsageError(JetsymError):
+    """A command line the CLI cannot read (exit 2, as every JetsymError)."""
 
 
 class Session:
@@ -43,167 +46,112 @@ class Session:
     def question(self, q: str | None, phi: str | None) -> Characteristic:
         """The characteristic of exactly one of --q / --phi (Q = g*Phi)."""
         if (q is None) == (phi is None):
-            raise click.UsageError("pass exactly one of --q / --phi")
+            raise UsageError("pass exactly one of --q / --phi")
         if phi is None:
             return self.characteristic(q)
         return phi_characteristic(parse_expr(phi, self.problem), self.problem)
 
 
-def _emit(ctx, text_lines: Callable[[], list[str]], **fields):
-    """Print the JSON document of fields, or else the lines that text_lines
-    makes: text only is pretty-printed, so it is made only when asked for."""
-    # every echo names its stream: for the default one, click caches a
-    # wrapper per sys.stdout that keeps a redirected buffer alive
-    if ctx.obj["json"]:
-        doc = {"command": ctx.command.name, "inputs": {}, "verdict": None,
-               "remainder": None, "certificate": None, "values": {}}
-        click.echo(json.dumps({**doc, **fields}, sort_keys=True),
-                   file=sys.stdout)
-    else:
-        for line in text_lines():
-            click.echo(line, file=sys.stdout)
+def _emit(args, text_lines: Callable[[], list[str]], **fields):
+    """Print the JSON document of fields, or else the lines text_lines makes
+    (only text is pretty-printed), flushed to keep order with batch errors."""
+    doc = {"command": args.command, "inputs": {}, "verdict": None,
+           "remainder": None, "certificate": None, "values": {}, **fields}
+    for line in [json.dumps(doc, sort_keys=True)] if args.json else text_lines():
+        print(line, flush=True)
 
 
-def _session(ctx) -> Session:
-    opts = ctx.obj
-    if opts["pde"] in CATALOG_NAMES:
-        return Session(entry=get_pde(opts["pde"]))
-    if opts["pde"] is not None:
-        raise click.UsageError(
-            f"unknown catalog PDE {opts['pde']!r}; for a custom PDE pass "
-            "--coords/--dependent/--f/--solved instead")
-    dep = Dependent(opts["dependent"], "matrix" if opts["matrix"] else "scalar",
-                    opts["invertible"])
-    problem = Problem(coords=opts["coords"].split(","), dependent=dep,
-                      constants=[s for s in opts["constants"].split(",") if s],
-                      matrices=[(s, False) for s in opts["matrices"].split(",") if s],
+def _session(args) -> Session:
+    if args.pde is not None:
+        return Session(entry=get_pde(args.pde))
+    dep = Dependent(args.dependent, "matrix" if args.matrix else "scalar",
+                    args.invertible)
+    problem = Problem(coords=args.coords.split(","), dependent=dep,
+                      constants=[s for s in args.constants.split(",") if s],
+                      matrices=[(s, False) for s in args.matrices.split(",") if s],
                       base_functions=[(s, dep.kind == "matrix")
-                                      for s in opts["basefuncs"].split(",") if s])
+                                      for s in args.basefuncs.split(",") if s])
     pde = None
-    if opts["f"]:
-        if not opts["solved"]:
-            raise click.UsageError("--f requires --solved \"lead = rhs\"")
-        lead_txt, _, rhs_txt = opts["solved"].partition("=")
+    if args.f:
+        if not args.solved:
+            raise UsageError("--f requires --solved \"lead = rhs\"")
+        lead_txt, _, rhs_txt = args.solved.partition("=")
         lead = parse_expr(lead_txt.strip(), problem)
         if not isinstance(lead, Jet):
-            raise click.UsageError("--solved left side must be a jet coordinate")
-        pde = make_pde("custom", parse_expr(opts["f"], problem), lead,
+            raise UsageError("--solved left side must be a jet coordinate")
+        pde = make_pde("custom", parse_expr(args.f, problem), lead,
                        parse_expr(rhs_txt.strip(), problem), problem)
     return Session(problem=problem, pde=pde)
 
 
 def _need_pde(sess: Session):
     if sess.pde is None:
-        raise click.UsageError("this command needs --pde or --f/--solved")
+        raise UsageError("this command needs --pde or --f/--solved")
     return sess.pde
 
 
-@click.group()
-@click.option("--json", "json_out", is_flag=True, help="machine-readable output")
-@click.option("--pde", default=None, help=f"catalog PDE ({', '.join(CATALOG_NAMES)})")
-@click.option("--coords", default="x,t", help="comma-separated coordinates")
-@click.option("--dependent", default="u", help="dependent variable name")
-@click.option("--matrix", is_flag=True, help="dependent is matrix-valued")
-@click.option("--invertible", is_flag=True, help="dependent is invertible")
-@click.option("--constants", default="", help="comma-separated opaque constants")
-@click.option("--matrices", default="", help="comma-separated constant matrices")
-@click.option("--basefuncs", default="", help="comma-separated base functions")
-@click.option("--f", default=None, help="custom PDE expression F")
-@click.option("--solved", default=None, help='custom solved form "lead = rhs"')
-@click.pass_context
-def main(ctx, json_out, **opts):
-    """Symbolic symmetry engine for (matrix-valued) jet-space PDEs."""
-    ctx.ensure_object(dict)
-    ctx.obj = dict(opts)
-    ctx.obj["json"] = json_out
-
-
-@main.command("parse")
-@click.argument("expression")
-@click.pass_context
-def cmd_parse(ctx, expression):
+def cmd_parse(args):
     """Parse an expression and print its normal form."""
-    sess = _session(ctx)
-    e = normal_form(parse_expr(expression, sess.problem))
-    _emit(ctx, lambda: [pretty(e, sess.problem)],
-          inputs={"expression": expression},
+    sess = _session(args)
+    e = normal_form(parse_expr(args.expression, sess.problem))
+    _emit(args, lambda: [pretty(e, sess.problem)],
+          inputs={"expression": args.expression},
           values={"normal_form": render(e, sess.problem)})
 
 
-@main.command("check")
-@click.option("--q", default=None, help="characteristic Q (expression or catalog name)")
-@click.option("--phi", default=None,
-              help="Phi-form seed: Q = g*Phi, for an invertible matrix g")
-@click.option("--find/--no-find", "find", default=True,
-              help="search for an operator certificate")
-@click.pass_context
-def cmd_check(ctx, q, phi, find):
+def cmd_check(args):
     """Check the symmetry condition D_Q F = 0 mod F."""
-    sess = _session(ctx)
+    sess = _session(args)
     pde = _need_pde(sess)
     p = sess.problem
-    report = check_symmetry(pde, sess.question(q, phi), p,
-                            search_certificate=find)
+    report = check_symmetry(pde, sess.question(args.q, args.phi), p,
+                            search_certificate=args.find)
     cert = (render_operator(report.certificate, p)
             if report.certificate is not None else None)
-    _emit(ctx, lambda: [f"verdict: {report.verdict.value}",
-                        f"remainder: {pretty(report.remainder, p)}"]
+    _emit(args, lambda: [f"verdict: {report.verdict.value}",
+                         f"remainder: {pretty(report.remainder, p)}"]
           + ([f"certificate: {cert}"] if cert is not None else []),
-          inputs={"pde": pde.name, "q": q, "phi": phi},
+          inputs={"pde": pde.name, "q": args.q, "phi": args.phi},
           verdict=report.verdict.value, remainder=render(report.remainder, p),
           certificate=cert, values={"raw": render(report.raw, p)})
-    ctx.exit(0 if report.is_symmetry else 1)
+    return 0 if report.is_symmetry else 1
 
 
-@main.command("certify")
-@click.option("--q", required=False, default=None)
-@click.option("--phi", default=None,
-              help="Phi-form seed: Q = g*Phi, for an invertible matrix g")
-@click.option("--lhat", required=True, help='operator spec, e.g. "t*D_x*F"')
-@click.pass_context
-def cmd_certify(ctx, q, phi, lhat):
+def cmd_certify(args):
     """Verify D_Q F = L-hat F identically."""
-    sess = _session(ctx)
+    sess = _session(args)
     pde = _need_pde(sess)
     p = sess.problem
-    ok = certify_operator(pde, sess.question(q, phi),
-                          parse_operator(lhat, p), p)
-    _emit(ctx, lambda: [f"certified: {ok}"],
-          inputs={"pde": pde.name, "q": q, "phi": phi, "lhat": lhat},
+    ok = certify_operator(pde, sess.question(args.q, args.phi),
+                          parse_operator(args.lhat, p), p)
+    _emit(args, lambda: [f"certified: {ok}"],
+          inputs={"pde": pde.name, "q": args.q, "phi": args.phi, "lhat": args.lhat},
           verdict="Certified" if ok else "NotCertified",
-          certificate=lhat if ok else None)
-    ctx.exit(0 if ok else 1)
+          certificate=args.lhat if ok else None)
+    return 0 if ok else 1
 
 
-@main.command("bracket")
-@click.option("--q1", required=True)
-@click.option("--q2", required=True)
-@click.pass_context
-def cmd_bracket(ctx, q1, q2):
+def cmd_bracket(args):
     """Lie bracket of two characteristics."""
-    sess = _session(ctx)
+    sess = _session(args)
     p = sess.problem
-    br = bracket_characteristic(sess.characteristic(q1, "Q1"),
-                                sess.characteristic(q2, "Q2"), p)
-    _emit(ctx, lambda: [pretty(br.q, p)], inputs={"q1": q1, "q2": q2},
+    br = bracket_characteristic(sess.characteristic(args.q1, "Q1"),
+                                sess.characteristic(args.q2, "Q2"), p)
+    _emit(args, lambda: [pretty(br.q, p)], inputs={"q1": args.q1, "q2": args.q2},
           values={"bracket": render(br.q, p)})
 
 
-@main.command("structconsts")
-@click.option("--basis", default=None,
-              help="comma-separated characteristics (default: catalog basis)")
-@click.pass_context
-def cmd_structconsts(ctx, basis):
+def cmd_structconsts(args):
     """Structure constants of a symmetry basis."""
-    sess = _session(ctx)
+    sess = _session(args)
     pde = _need_pde(sess)
     p = sess.problem
-    if basis is None:
+    if args.basis is None:
         if sess.entry is None or not sess.entry.structure_basis:
-            raise click.UsageError("--basis required for this PDE")
+            raise UsageError("--basis required for this PDE")
         names = list(sess.entry.structure_basis)
     else:
-        names = [s.strip() for s in basis.split(",")]
+        names = [s.strip() for s in args.basis.split(",")]
     qs = [sess.characteristic(n, n) for n in names]
     sc = structure_constants(pde, qs, p)
     n = len(qs)
@@ -212,33 +160,27 @@ def cmd_structconsts(ctx, basis):
                if sc[i, j, k]}
     lines = [f"basis: {', '.join(q.name for q in qs)}"]
     lines += [f"{k} = {v}" for k, v in sorted(entries.items())] or ["all zero"]
-    _emit(ctx, lambda: lines, inputs={"pde": pde.name, "basis": names},
+    _emit(args, lambda: lines, inputs={"pde": pde.name, "basis": names},
           values={"nonzero": entries})
 
 
-@main.command("reduce")
-@click.argument("expression")
-@click.pass_context
-def cmd_reduce(ctx, expression):
+def cmd_reduce(args):
     """Reduce an expression mod the PDE's solved form."""
-    sess = _session(ctx)
+    sess = _session(args)
     pde = _need_pde(sess)
     p = sess.problem
-    out = reduce_mod_pde(parse_expr(expression, p), pde, p)
-    _emit(ctx, lambda: [pretty(out, p)],
-          inputs={"pde": pde.name, "expression": expression},
+    out = reduce_mod_pde(parse_expr(args.expression, p), pde, p)
+    _emit(args, lambda: [pretty(out, p)],
+          inputs={"pde": pde.name, "expression": args.expression},
           remainder=render(out, p))
 
 
-@main.command("bt-apply")
-@click.option("--phi", required=True, help="seed Phi for the Backlund system")
-@click.pass_context
-def cmd_bt_apply(ctx, phi):
+def cmd_bt_apply(args):
     """Integrate the chiral Backlund transformation for a new symmetry."""
-    sess = _session(ctx)
+    sess = _session(args)
     pde = _need_pde(sess)
     p = sess.problem
-    phi_e = parse_expr(phi, p)
+    phi_e = parse_expr(args.phi, p)
     out = bt_integrate(phi_e, pde, p)
     if out is None:  # an image certifies its seed: check only without one
         report = bt_seed_check(phi_e, pde, p)
@@ -253,20 +195,18 @@ def cmd_bt_apply(ctx, phi):
                     "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
                     f"remainder: {pretty(report.remainder, p)}"]
 
-        _emit(ctx, lines, inputs={"pde": pde.name, "phi": phi},
+        _emit(args, lines, inputs={"pde": pde.name, "phi": args.phi},
               verdict=verdict, remainder=None if report.is_symmetry
               else render(report.remainder, p))
-        ctx.exit(1)
+        return 1
     qprime = phi_characteristic(out, p).q
-    _emit(ctx, lambda: [f"phi' = {pretty(out, p)}",
-                        f"Q' = {pretty(qprime, p)}"],
-          inputs={"pde": pde.name, "phi": phi}, verdict="Integrated",
+    _emit(args, lambda: [f"phi' = {pretty(out, p)}",
+                         f"Q' = {pretty(qprime, p)}"],
+          inputs={"pde": pde.name, "phi": args.phi}, verdict="Integrated",
           values={"phi_prime": render(out, p), "q_prime": render(qprime, p)})
 
 
-@main.command("list")
-@click.pass_context
-def cmd_list(ctx):
+def cmd_list(args):
     """List the catalog."""
     cat = load_catalog()
     values = {name: {"doc": e.doc,
@@ -279,65 +219,124 @@ def cmd_list(ctx):
             q_txt = render(c.q.q, e.problem)
             lines.append(f"  {c.name}: Q = {q_txt}" +
                          (f"  ({c.doc})" if c.doc else ""))
-    _emit(ctx, lambda: lines, values=values)
+    _emit(args, lambda: lines, values=values)
 
 
-@main.command("batch")
-@click.argument("path", type=click.Path(exists=True))
-@click.pass_context
-def cmd_batch(ctx, path):
+def cmd_batch(args):
     """Run commands from a file: one CLI argument vector per line, '#'
     comments allowed; global flags from this invocation apply to each.  A
     line that fails (a NotSymmetry verdict, or an error, which is reported
     on stderr) counts as a failure and the lines after it still run."""
     base = []  # this invocation's global flags, as a command line
-    for param in main.params:
-        value = ctx.parent.params[param.name]
-        if param.is_flag:
-            base += [param.opts[0]] if value else []
-        elif value is not None:
-            base += [param.opts[0], value]
-    failures = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                args = base + shlex.split(line)
-            except ValueError as exc:  # unbalanced quotes
-                click.echo(f"error: line {lineno}: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            try:
-                rv = main.main(args=args, standalone_mode=False,
-                               prog_name="jetsym")
-                if isinstance(rv, int) and rv:
-                    failures += 1
-            except click.exceptions.Exit as exc:
-                if exc.exit_code:
-                    failures += 1
-            except (click.UsageError, JetsymError) as exc:
-                msg = (exc.format_message()
-                       if isinstance(exc, click.UsageError) else str(exc))
-                click.echo(f"error: line {lineno}: {msg}", file=sys.stderr)
-                failures += 1
-    ctx.exit(1 if failures else 0)
-
-
-def run():  # console entry point with error-to-exit-code-2 mapping
+    for flag in GLOBAL_OPTIONS:
+        value = getattr(args, flag[2:])  # a flag's is a bool, an option's a str
+        if value not in (None, False):
+            base += [flag] if value is True else [flag, value]
     try:
-        rv = main(standalone_mode=False)
-        sys.exit(rv if isinstance(rv, int) else 0)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
-        sys.exit(2)
+        with open(args.path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
+        raise UsageError(f"cannot read {args.path}: {exc}") from exc
+    failed = False
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            try:
+                argv = base + shlex.split(line)
+            except ValueError as exc:  # unbalanced quotes
+                raise UsageError(exc) from exc
+            failed |= main(argv) != 0
+        except JetsymError as exc:
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
+
+
+# add_argument's keywords per option; a handler returns its exit status, None for 0
+GLOBAL_OPTIONS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--pde": {"choices": CATALOG_NAMES, "metavar": "PDE",
+              "help": f"catalog PDE ({', '.join(CATALOG_NAMES)})"},
+    "--coords": {"default": "x,t", "help": "comma-separated coordinates"},
+    "--dependent": {"default": "u", "help": "dependent variable name"},
+    "--matrix": {"action": "store_true", "help": "dependent is matrix-valued"},
+    "--invertible": {"action": "store_true", "help": "dependent is invertible"},
+    "--constants": {"default": "", "help": "comma-separated opaque constants"},
+    "--matrices": {"default": "", "help": "comma-separated constant matrices"},
+    "--basefuncs": {"default": "", "help": "comma-separated base functions"},
+    "--f": {"help": "custom PDE expression F"},
+    "--solved": {"help": 'custom solved form "lead = rhs"'},
+}
+PHI = {"help": "Phi-form seed: Q = g*Phi, for an invertible matrix g"}
+COMMANDS = {
+    "parse": (cmd_parse, {"expression": {}}),
+    "check": (cmd_check, {
+        "--q": {"help": "characteristic Q (expression or catalog name)"}, "--phi": PHI,
+        "--find": {"action": argparse.BooleanOptionalAction, "default": True,
+                   "help": "search for an operator certificate"}}),
+    "certify": (cmd_certify, {"--q": {}, "--phi": PHI, "--lhat": {
+        "required": True, "help": 'operator spec, e.g. "t*D_x*F"'}}),
+    "bracket": (cmd_bracket, {"--q1": {"required": True}, "--q2": {"required": True}}),
+    "structconsts": (cmd_structconsts, {"--basis": {
+        "help": "comma-separated characteristics (default: catalog basis)"}}),
+    "reduce": (cmd_reduce, {"expression": {}}),
+    "bt-apply": (cmd_bt_apply, {"--phi": {
+        "required": True, "help": "seed Phi for the Backlund system"}}),
+    "list": (cmd_list, {}),
+    "batch": (cmd_batch, {"path": {}}),
+}
+TAKES_VALUE = {flag for _, opts in [(None, GLOBAL_OPTIONS), *COMMANDS.values()]
+               for flag, spec in opts.items()
+               if flag[0] == "-" and "action" not in spec}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # raise where argparse would exit
+        raise UsageError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="jetsym", allow_abbrev=False, description=(
+        "Symbolic symmetry engine for (matrix-valued) jet-space PDEs."))
+    for flag, spec in GLOBAL_OPTIONS.items():
+        parser.add_argument(flag, **spec)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=handler.__doc__.partition(".")[0],
+                                  description=handler.__doc__, allow_abbrev=False)
+        for flag, spec in options.items():
+            sub.add_argument(flag, **spec)
+    return parser
+
+
+PARSER = _build_parser()
+
+
+def main(argv: list[str]) -> int:
+    """Run one command line (no program name) and return its exit status.
+    Raises UsageError or another JetsymError on error, never SystemExit."""
+    # glue each value to its option, --q=-3*u_x: alone, -3*u_x reads as an option
+    glued, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in TAKES_VALUE else None
+        glued.append(token if value is None else f"{token}={value}")
+    try:
+        args = PARSER.parse_args(glued)
+    except SystemExit as exc:  # only --help exits, once it has printed
+        return exc.code
+    return COMMANDS[args.command][0](args) or 0
+
+
+main.main = lambda args, **_: main(args)  # click's call, kept for perfbench/client.py
+
+
+def run():  # console entry point: an error is reported on stderr, exit 2
+    try:
+        sys.exit(main(sys.argv[1:]))
     except JetsymError as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except click.Abort:
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 

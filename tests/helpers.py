@@ -6,20 +6,26 @@ with the engine's jet map (`normalize.map_nf`), for `substitute`,
 reference total and characteristic derivatives that walk the expression
 tree instead of acting on normal forms (`calculus.derive_nf`); the order
 key computed by a walk over the tree, for the key each interned atom
-carries; and a dense elimination in Fractions only, for `linsolve`."""
+carries; a dense elimination in Fractions only, for `linsolve`; and an
+in-process run of the command line, for the CLI tests."""
 from __future__ import annotations
 
+import io
+import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import prod
 from random import Random
+from typing import NamedTuple
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
                     as_expr, commutator, func, inverse, iterated_total, mul,
                     normal_form)
+from jetsym.cli import main
 from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
-                         FUNC_DERIVATIVES, Inv, Jet, KindError, Mul,
-                         NonlocalActionError, Pot, ZERO, neg)
+                         FUNC_DERIVATIVES, Inv, Jet, JetsymError, KindError,
+                         Mul, NonlocalActionError, Pot, ZERO, neg)
 from jetsym.normalize import (clear_denominators, collect_jets, nf,
                               nf_divide, rebuild)
 from jetsym.symmetry import reduce_nf
@@ -351,3 +357,23 @@ def reference_rank(columns: list[dict]) -> int:
     `linsolve.rank`."""
     rows = list(dict.fromkeys(k for c in columns for k in c))
     return len(_reference_echelon(columns, rows)[1])
+
+
+class CliResult(NamedTuple):
+    code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(*args: str) -> CliResult:
+    """Run `jetsym.cli.main` in-process on args, as the console entry point
+    does: an error is exit status 2 with its message on stderr.  Any other
+    exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except JetsymError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    return CliResult(code, out.getvalue(), err.getvalue())

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import jetsym
 from jetsym import Verdict, check_symmetry
 from jetsym.catalog import CATALOG_NAMES, get_pde, load_catalog, validate_entry
 from jetsym.parsing import parse_expr
+from jetsym.printing import render
 from jetsym.core import JetsymError
 
 
@@ -34,6 +36,18 @@ def test_catalog_needs_no_yaml():
     r = subprocess.run([sys.executable, "-c", script], env=env,
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_a_failed_bt_fixture_names_its_seed_as_it_is_written():
+    ch = get_pde("chiral")
+    phi = ch.bt_fixtures[1][0]
+    wrong = dataclasses.replace(ch, characteristics=(), structure_basis=(),
+                                bt_fixtures=((phi, phi),))
+    with pytest.raises(AssertionError) as exc:
+        validate_entry(wrong)
+    assert str(exc.value) == ("chiral: BT fixture mismatch for "
+                              f"{render(phi, ch.problem)}")
+    assert render(phi, ch.problem) == "inv(g)*g_x"
 
 
 def test_get_pde_unknown():

@@ -15,10 +15,9 @@ import shlex
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from jetsym import catalog
-from jetsym.cli import main
+
+from helpers import invoke
 
 GOLDEN = Path(__file__).parent / "data" / "catalog_cli.txt"
 
@@ -41,15 +40,11 @@ def invocations() -> list[list[str]]:
 
 def transcript() -> str:
     """Each invocation's command line, its stdout and its exit status."""
-    runner, parts = CliRunner(), []
+    parts = []
     for args in invocations():
-        result = runner.invoke(main, args, standalone_mode=False)
-        if result.exception is not None and \
-                not isinstance(result.exception, SystemExit):
-            raise result.exception
-        rv = result.return_value
+        result = invoke(*args)
         parts.append(f"$ jetsym {shlex.join(args)}\n{result.stdout}"
-                     f"[exit {rv if isinstance(rv, int) else 0}]\n")
+                     f"[exit {result.code}]\n")
     return "".join(parts)
 
 

@@ -1,10 +1,14 @@
-"""No module of the engine imports a name it does not use.
+"""No module of the engine imports a name it does not use, or a module
+from outside jetsym and the standard library.
 
 No linter is a dependency, so the check walks each module's syntax tree:
 every name bound by an import must occur as a name elsewhere in the module,
 in code or in a string annotation.  `__init__.py` imports to re-export and
-is skipped, as are `from __future__` imports."""
+is skipped there, as are `from __future__` imports.  Every module imported
+must be jetsym's own or in `sys.stdlib_module_names`: the engine has no
+runtime dependency."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,35 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules imported that are neither jetsym's nor the standard
+    library's."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return sorted(m for m in modules if m.split(".")[0] != "jetsym"
+                  and m.split(".")[0] not in sys.stdlib_module_names)
+
+
+def test_checker_sees_foreign_modules():
+    source = ("from __future__ import annotations\n"
+              "import os.path, click\n"
+              "from yaml import safe_load\n"
+              "from . import core\n"
+              "from .core import Expr\n"
+              "from jetsym.core import Expr\n")
+    assert foreign_imports(source) == ["click", "yaml"]
+
+
+ALL_MODULES = sorted(SRC.rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", ALL_MODULES,
+                         ids=[p.stem for p in ALL_MODULES])
+def test_only_standard_library_imports(path):
+    assert foreign_imports(path.read_text()) == []
