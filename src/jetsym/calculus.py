@@ -10,10 +10,12 @@ A derivation is fixed by its value on the atoms, and it acts on normal
 forms (`normalize.nf`) term by term: `derive_nf` applies the Leibniz rule
 to each factor of each term, and `derivation` gives the image of each
 factor (an atom, the inverse of one, or an analytic function), taken once
-per call and held in a dict local to that call.  Every derivative is taken
-there: D_i, D_Q, D_J (`jet_totals`) and the formal partial d/du_J.  The
-`_nf` functions take and return normal forms; an `Expr` tree is built only
-where a public function returns a result.
+and held, cleared, in a dict: kept per problem for D_i (`total_images`)
+and per (pde, problem) for R o D_i (`symmetry.reduction`), local to the
+call for D_Q and d/du_J.  Every derivative is taken there: D_i, D_Q, D_J
+(`jet_totals`) and the formal partial d/du_J.  The `_nf` functions take
+and return normal forms; an `Expr` tree is built only where a public
+function returns a result.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 from .core import (Base, CMat, Coord, Coordinate, Dependent, Expr, Fn,
                    FUNC_DERIVATIVES, Inv, Jet, KindError, NonlocalActionError,
@@ -121,11 +124,12 @@ def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> Cleared:
     raise TypeError(f"cannot differentiate factor {type(f).__name__}")
 
 
-def derivation(atom: Callable[[Expr], NF]) -> Image:
+def derivation(atom: Callable[[Expr], NF],
+               images: dict[Expr, Cleared]) -> Image:
     """The image map of the derivation whose value on each atom a is the
     normal form atom(a).  It holds each factor's image once taken and
-    cleared, so one map serves one call and is dropped with it."""
-    images: dict[Expr, Cleared] = {}
+    cleared in `images`: a fresh dict, dropped with the map, or one kept
+    for every later map of the same derivation."""
 
     def image(f: Expr) -> Cleared:
         d = images.get(f)
@@ -155,9 +159,19 @@ def total_derivative(e: Expr, coord: Coordinate, problem: Problem) -> Expr:
     return rebuild(jet_totals(nf(as_expr(e)), problem)((coord.index,)))
 
 
+# problem -> the images of D_i by coordinate index (`total_images`)
+_TOTALS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def total_images(problem: Problem) -> list[Image]:
-    """The D_i image map of each coordinate, by coordinate index."""
-    return [derivation(total_atoms(c, problem)) for c in problem.coordinates]
+    """The D_i image map of each coordinate, by coordinate index, on the
+    images kept for the problem: D_i of a factor depends only on the
+    declarations, which only append potentials with fixed gradients."""
+    kept = _TOTALS.get(problem)
+    if kept is None:
+        kept = _TOTALS[problem] = [{} for _ in problem.coordinates]
+    return [derivation(total_atoms(c, problem), images)
+            for c, images in zip(problem.coordinates, kept)]
 
 
 def jet_totals(n: NF, problem: Problem) -> Callable[[tuple[int, ...]], NF]:
@@ -204,7 +218,7 @@ def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
                 f"{a.name!r} under characteristic {Q.name!r}")
         return _nf_scale(nf(images[Q.name]), d)
 
-    return nf_divide(derive_nf(n, derivation(atom)), d)
+    return nf_divide(derive_nf(n, derivation(atom, {})), d)
 
 
 def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
@@ -239,7 +253,7 @@ def jet_partial(target: Jet) -> Image:
     """The image map of the formal partial derivative d/d(target): 1 on the
     jet atom `target`, 0 on every other atom."""
     one = {((), ()): 1}
-    return derivation(lambda a: one if a == target else {})
+    return derivation(lambda a: one if a == target else {}, {})
 
 
 def formal_jet_partial(e: Expr, target: Jet) -> Expr:

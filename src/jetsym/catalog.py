@@ -145,10 +145,12 @@ def validate_entry(entry: CatalogEntry) -> None:
     problem, pde = entry.problem, entry.pde
     for c in entry.characteristics:
         report = check_symmetry(pde, c.q, problem)
-        assert report.is_symmetry, f"{entry.name}/{c.name}: not a symmetry"
-        if c.certificate is not None:
-            assert certify_operator(pde, c.q, c.certificate, problem), \
-                f"{entry.name}/{c.name}: certificate does not certify"
+        if not report.is_symmetry:
+            raise AssertionError(f"{entry.name}/{c.name}: not a symmetry")
+        if c.certificate is not None and not certify_operator(
+                pde, c.q, c.certificate, problem):
+            raise AssertionError(
+                f"{entry.name}/{c.name}: certificate does not certify")
     if entry.structure_basis:
         basis = [entry.characteristic(n).q for n in entry.structure_basis]
         sc = structure_constants(pde, basis, problem)
@@ -157,11 +159,14 @@ def validate_entry(entry: CatalogEntry) -> None:
             i, j = index[claim.i], index[claim.j]
             for name, k in index.items():
                 expected = claim.coefficients.get(name, Fraction(0))
-                assert sc[i, j, k] == expected, \
-                    f"{entry.name}: c[{claim.i}][{claim.j}]^{name} != {expected}"
+                if sc[i, j, k] != expected:
+                    raise AssertionError(f"{entry.name}: c[{claim.i}][{claim.j}]"
+                                         f"^{name} != {expected}")
     for phi, expected in entry.bt_fixtures:
         got = bt_apply(phi, pde, problem)
-        assert got is not None and is_zero(got - expected), \
-            f"{entry.name}: BT fixture mismatch for {render(phi, problem)}"
-        assert bt_seed_check(got, pde, problem).is_symmetry, \
-            f"{entry.name}: BT image fails the symmetry condition"
+        if got is None or not is_zero(got - expected):
+            raise AssertionError(f"{entry.name}: BT fixture mismatch for "
+                                 f"{render(phi, problem)}")
+        if not bt_seed_check(got, pde, problem).is_symmetry:
+            raise AssertionError(
+                f"{entry.name}: BT image fails the symmetry condition")

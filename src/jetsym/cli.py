@@ -10,7 +10,7 @@ import argparse
 import json
 import shlex
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .core import (Dependent, JetsymError, Jet, Problem)
 from .calculus import Characteristic, bracket_characteristic
@@ -52,7 +52,7 @@ class Session:
         return phi_characteristic(parse_expr(phi, self.problem), self.problem)
 
 
-def _emit(args, text_lines: Callable[[], list[str]], **fields):
+def _emit(args, text_lines: Callable[[], Iterable[str]], **fields):
     """Print the JSON document of fields, or else the lines text_lines makes
     (only text is pretty-printed), flushed to keep order with batch errors."""
     doc = {"command": args.command, "inputs": {}, "verdict": None,
@@ -212,14 +212,15 @@ def cmd_list(args):
     values = {name: {"doc": e.doc,
                      "characteristics": [c.name for c in e.characteristics]}
               for name, e in cat.items()}
-    lines = []
-    for name, e in cat.items():
-        lines.append(f"{name}: {e.doc}")
-        for c in e.characteristics:
-            q_txt = render(c.q.q, e.problem)
-            lines.append(f"  {c.name}: Q = {q_txt}" +
-                         (f"  ({c.doc})" if c.doc else ""))
-    _emit(args, lambda: lines, values=values)
+
+    def lines() -> Iterator[str]:
+        for name, e in cat.items():
+            yield f"{name}: {e.doc}"
+            for c in e.characteristics:
+                yield (f"  {c.name}: Q = {render(c.q.q, e.problem)}" +
+                       (f"  ({c.doc})" if c.doc else ""))
+
+    _emit(args, lines, values=values)
 
 
 def cmd_batch(args):

@@ -13,10 +13,11 @@ atom a is R(D_i a).  Hence the one rule for the values,
     R[leading] = rhs,   R[J] = (R o D_i) R[J - i]
 
 for a coordinate i in J - leading.  `reduction` gives R and every R o D_i
-for one call; each Pde keeps the values per Problem, as normal forms, in
-that problem's `Store`.  R is a ring homomorphism, so reducing a normal form
-(`reduce_nf`) is `normalize.map_nf` with each principal jet sent to its
-table value: it maps the normal form term by term, with no tree built.
+for one call; each Pde keeps, per Problem, the values and the images of
+each R o D_i, as normal forms, in that problem's `Store`.  R is a ring
+homomorphism, so reducing a normal form (`reduce_nf`) is `normalize.map_nf`
+with each principal jet sent to its table value: it maps the normal form
+term by term, with no tree built.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
@@ -71,6 +72,8 @@ class Store:
     """What a Pde keeps for one Problem, as plain data (`store`):
     - table: {principal multi-index J: normal form of R[J]}, seeded with
       leading -> rhs and filled by `reduction`;
+    - images: the images of R o D_i, {factor: cleared normal form}, by
+      coordinate index, filled by `reduction`'s image maps;
     - ansatz: {AnsatzConfig: (terms, Echelon of their columns on F)},
       filled by `_ansatz`;
     - letters, columns, echelon: the Backlund system of
@@ -83,11 +86,13 @@ class Store:
     appends potentials, whose gradients are fixed.  `Pde.stores` holds
     problems weakly, so a record goes with its problem, and
     dataclasses.replace starts a Pde with none.  No closure is kept: the
-    image maps R o D_i and the guard against a cyclic value belong to each
-    `reduction` context, which refers to the record and not back, so a
-    dropped record is freed at once."""
+    image maps R o D_i, which hold their images here, and the guard
+    against a cyclic value belong to each `reduction` context, which
+    refers to the record and not back, so a dropped record is freed at
+    once."""
 
     table: dict
+    images: list
     ansatz: dict = field(default_factory=dict)
     letters: list = field(default_factory=list)
     columns: list = field(default_factory=list)
@@ -179,7 +184,8 @@ def store(pde: Pde, problem: Problem) -> Store:
     """The Store that pde keeps for problem, created on first use."""
     kept = pde.stores.get(problem)
     if kept is None:
-        kept = pde.stores[problem] = Store({pde.leading.idx: nf(pde.rhs)})
+        kept = pde.stores[problem] = Store({pde.leading.idx: nf(pde.rhs)},
+                                          [{} for _ in problem.coordinates])
     return kept
 
 
@@ -190,12 +196,13 @@ def reduction(pde: Pde, problem: Problem
     is R o D_i, the derivation whose image of an atom a is R(D_i a): the
     value of u_(K+i) for a jet u_K, R(D_i X) for a potential X and D_i a
     for any other atom.  Its image maps live as long as the context; the
-    values go into the table of the problem's `Store`, which every call
-    on this problem shares."""
+    values and the images that they take go into the problem's `Store`,
+    which every call on this problem shares."""
     dep, lead = pde.leading.dep, pde.leading.idx
     principal = _principal_test(pde.leading)
     lead_count = Counter(lead)
-    table = store(pde, problem).table
+    kept = store(pde, problem)
+    table = kept.table
     busy: set[tuple[int, ...]] = set()  # entries being filled
 
     def value(idx: tuple[int, ...]) -> NF:
@@ -224,7 +231,8 @@ def reduction(pde: Pde, problem: Problem
         return map_nf(n, lambda j: value(j.idx) if principal(j) else None)
 
     totals = [derivation(lambda a, total=total_atoms(c, problem):
-                         reduce(total(a))) for c in problem.coordinates]
+                         reduce(total(a)), images)
+              for c, images in zip(problem.coordinates, kept.images)]
     return reduce, totals
 
 

@@ -2,21 +2,23 @@ from fractions import Fraction
 from random import Random
 
 import gc
+import weakref
 from dataclasses import replace
 from types import (BuiltinFunctionType, CellType, FunctionType, MethodType,
                    ModuleType)
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jetsym import (Characteristic, Rat, add, check_symmetry, commutator,
-                    inverse, is_zero, make_pde, mul, normal_form,
+from jetsym import (Characteristic, Rat, add, calculus, check_symmetry,
+                    commutator, inverse, is_zero, make_pde, mul, normal_form,
                     reduce_mod_pde, total_derivative)
 from jetsym.backlund import (PotentialError, _bt_rows, bt_apply,
                              bt_integrate, bt_rhs, bt_seed_check,
                              chiral_phi_condition, declare_potential,
                              default_bt_basis, left_current,
                              phi_characteristic)
-from jetsym.calculus import derive_nf
+from jetsym.calculus import derive_cleared, derive_nf
 from jetsym.catalog import get_pde
 from jetsym.core import (Comm, JetsymError, NonlocalActionError,
                          PotentialDef, Problem, Dependent)
@@ -576,9 +578,11 @@ def test_a_failed_integration_leaves_the_kept_store_as_it_was(monkeypatch):
 def test_one_record_per_problem_holds_data_only():
     """A declare, a reduce, a certificate search and a Backlund step on a
     private chiral problem all fill the one record that the Pde keeps for
-    it: its table, its ansatz and its chain.  The record holds data only:
-    what it refers to reaches no function, method or cell, and not the
-    problem, so no reduction context lives on in it."""
+    it: its table, its images of R o D_i, its ansatz and its chain, and
+    the record of D_i's images kept for the problem.  Both records hold
+    data only: what they refer to reaches no function, method or cell,
+    and not the problem, so no reduction context or derivation map lives
+    on in them."""
     p, pde = chain_problem()
     reduce_mod_pde(p.jet("ttt"), pde, p)
     cfg = AnsatzConfig(0, 0)
@@ -588,8 +592,11 @@ def test_one_record_per_problem_holds_data_only():
     kept = pde.stores[p]
     assert list(pde.stores.values()) == [kept]
     assert len(kept.table) > 1 and list(kept.ansatz) == [cfg]
+    assert all(kept.images) and len(kept.images) == 2
     assert kept.letters and kept.columns and kept.echelon.rank
-    seen, todo = {id(kept)}, [kept]
+    totals = calculus._TOTALS[p]
+    assert all(totals) and len(totals) == 2
+    seen, todo = {id(kept), id(totals)}, [kept, totals]
     while todo:
         o = todo.pop()
         assert o is not p
@@ -599,6 +606,98 @@ def test_one_record_per_problem_holds_data_only():
             if not isinstance(r, (type, ModuleType)) and id(r) not in seen:
                 seen.add(id(r))
                 todo.append(r)
+
+
+def test_kept_total_images_go_with_their_problem():
+    """The images of D_i kept for a problem refer not back to it: the
+    problem is freed, and its record with it, once nothing else holds it."""
+    p, _ = chain_problem()
+    total_derivative(parse_expr("X*inv(g)*g_x", p), p.coordinates[0], p)
+    assert all(calculus._TOTALS[p][:1])
+    gc.collect()
+    kept, alive = len(calculus._TOTALS), weakref.ref(p)
+    del p
+    gc.collect()
+    assert alive() is None
+    assert len(calculus._TOTALS) == kept - 1
+
+
+# the factors that the kept-image property draws its normal forms from
+KEPT_LETTERS = {
+    "scalar": ["x", "t", "u", "u_x", "u_t", "u_xx", "u_xt", "sin(u_x)",
+               "exp(x*u)", "cos(u*u_t)"],
+    "matrix": ["x", "g", "inv(g)", "g_x", "g_t", "g_xx", "g_xt", "M", "X",
+               "sin(x)"],
+}
+
+
+@pytest.fixture(scope="module")
+def kept_cases():
+    """(problem, pde, letters) for the catalog kdv, heat and chiral and for
+    a private chain problem with P1 declared."""
+    cases = {}
+    for name in ("kdv", "heat", "chiral"):
+        e = get_pde(name)
+        kind = e.problem.dependent.kind
+        cases[name] = e.problem, e.pde, [parse_expr(t, e.problem)
+                                         for t in KEPT_LETTERS[kind]]
+    p, pde = chain_problem()
+    declare_image_potential(1, bt_apply(parse_expr(CHAIN_SEED, p), pde, p),
+                            pde, p)
+    cases["chain"] = p, pde, [parse_expr(t, p)
+                              for t in KEPT_LETTERS["matrix"] + ["P1"]]
+    return cases
+
+
+def seeded_nf(seed: int, letters: list) -> dict:
+    """A normal form of one to four rational multiples of products of one
+    to three letters, drawn from the seed."""
+    rng = Random(seed)
+    return nf(add(*(mul(Rat(Fraction(rng.randint(-3, 3) or 1,
+                                     rng.randint(1, 3))),
+                        *rng.choices(letters, k=rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 4)))))
+
+
+def assert_kept_images_are_fresh(n: dict, i: int, p, pde) -> None:
+    """derive_cleared of n, and of R(n), by the maps of D_i and R o D_i on
+    the kept images equals derive_cleared by a map on fresh images."""
+    total = calculus.total_atoms(p.coordinates[i], p)
+    assert derive_cleared(n, calculus.total_images(p)[i]) == \
+        derive_cleared(n, calculus.derivation(total, {}))
+    reduce, totals = reduction(pde, p)
+    r = reduce(n)
+    assert derive_cleared(r, totals[i]) == derive_cleared(
+        r, calculus.derivation(lambda a: reduce(total(a)), {}))
+
+
+@pytest.mark.parametrize("name", ["kdv", "heat", "chiral", "chain"])
+@settings(max_examples=25, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 1)),
+                      min_size=1, max_size=4))
+def test_kept_images_equal_fresh_ones_in_every_call_order(kept_cases, name,
+                                                          calls):
+    """Derivations on the images kept per problem, and per (pde, problem),
+    give what a fresh map gives, whatever was derived before: each example
+    runs its calls in its own order on images that every earlier example
+    on the problem filled."""
+    p, pde, letters = kept_cases[name]
+    for seed, i in calls:
+        assert_kept_images_are_fresh(seeded_nf(seed, letters), i, p, pde)
+
+
+def test_a_wrong_kept_image_shows():
+    """A wrong image planted in either kept record makes the comparison
+    of the property above fail."""
+    for plant in ("D_i", "R o D_i"):
+        p, pde = chain_problem()
+        n = nf(parse_expr("X*g_x", p))
+        assert_kept_images_are_fresh(n, 0, p, pde)
+        kept = (calculus._TOTALS[p] if plant == "D_i"
+                else pde.stores[p].images)
+        kept[0][p.potential("X")] = nf(p.cmat("M")), 1
+        with pytest.raises(AssertionError):
+            assert_kept_images_are_fresh(n, 0, p, pde)
 
 
 def test_commutator_candidates_never_take_part(monkeypatch):

@@ -50,6 +50,24 @@ def test_a_failed_bt_fixture_names_its_seed_as_it_is_written():
     assert render(phi, ch.problem) == "inv(g)*g_x"
 
 
+def test_a_failed_bt_fixture_fails_under_python_o():
+    """`python -O` strips asserts; validate_entry still raises on the wrong
+    fixture of the test above, with the same message."""
+    script = ("import dataclasses\n"
+              "from jetsym.catalog import get_pde, validate_entry\n"
+              "ch = get_pde('chiral')\n"
+              "phi = ch.bt_fixtures[1][0]\n"
+              "validate_entry(dataclasses.replace(\n"
+              "    ch, characteristics=(), structure_basis=(),\n"
+              "    bt_fixtures=((phi, phi),)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(jetsym.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode != 0
+    assert ("AssertionError: chiral: BT fixture mismatch for inv(g)*g_x"
+            in r.stderr), r.stderr
+
+
 def test_get_pde_unknown():
     with pytest.raises(JetsymError):
         get_pde("laplace")

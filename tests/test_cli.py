@@ -240,6 +240,25 @@ def test_list_catalog():
     assert {"heat", "kdv", "chiral"} <= names
 
 
+def test_json_list_renders_no_characteristic(monkeypatch):
+    """`--json list` prints no Q, so it renders none; the text listing
+    renders one per catalog characteristic."""
+    from jetsym import cli
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return render(*args)
+
+    render = cli.render
+    monkeypatch.setattr(cli, "render", counted)
+    assert invoke("--json", "list").code == 0
+    assert calls == []
+    assert invoke("list").code == 0
+    assert len(calls) == sum(len(e.characteristics) for e in
+                             jetsym.catalog.load_catalog().values())
+
+
 # --- custom problems ------------------------------------------------------
 
 def test_custom_pde():

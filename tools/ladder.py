@@ -40,6 +40,14 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   cold time is the first question on a fresh `Pde`, which builds and
   eliminates the columns; the warm time is the same question asked again,
   which solves one target against the echelon the `Pde` kept.
+* char_nf: D_Q F (`calculus.char_nf`) on the catalog kdv with Q = (u_x +
+  u_t)^k and on the catalog chiral with Q = g*Phi, Phi = (inv(g)*g_x +
+  inv(g)*g_t)^k, for each k of CHAR_NF.  The cold time is the first D_Q F
+  on a fresh problem, built as the catalog builds it, and the warm time
+  the same D_Q F again, which finds every image of D_i that it needs kept
+  for the problem.  Each rung records the term counts of Q and of D_Q F
+  and the images of D_i kept per coordinate before and after the cold
+  call.
 
 Every rung records its operation counts (terms, candidates) next to the
 best of REPEATS wall-clock times, so records from noisy machines can still
@@ -74,6 +82,8 @@ SUBSTITUTE = {"kdv": range(1, 6), "chiral": range(1, 6)}
 PRETTY_POWERS = range(8, 14)
 FIND_LADDER = {"kdv": ("q4", [(2, 2), (3, 3), (4, 3), (5, 3)]),
                "chiral": ("phi3", [(2, 2), (3, 2)])}
+CHAR_NF = {name: (factor, prefix, range(1, 5))
+           for name, (factor, prefix, _) in FED_BACK.items()}
 
 
 def timed(fn, *args):
@@ -232,6 +242,36 @@ def find_ladder() -> list[dict]:
     return out
 
 
+def kept_images(p: Problem) -> list[int]:
+    """The images of D_i kept for p, per coordinate."""
+    kept = calculus._TOTALS.get(p) or [{} for _ in p.coordinates]
+    return [len(images) for images in kept]
+
+
+def char_nf_ladder() -> list[dict]:
+    out = []
+    raw = catalog._load_raw()["pdes"]
+    for name, (factor, prefix, powers) in CHAR_NF.items():
+        for k in powers:
+            text = prefix + "*".join([factor] * k)
+            cold = []
+            for _ in range(REPEATS):
+                entry = catalog._build_entry(name, raw[name])  # fresh problem
+                p, f = entry.problem, nf(entry.pde.f)
+                q = calculus.Characteristic("Q", parsing.parse_expr(text, p),
+                                            p.dependent)
+                before = kept_images(p)
+                secs, r = timed(calculus.char_nf, f, q, p)
+                cold.append(secs)
+            warm = best_of(calculus.char_nf, f, q, p)[0]
+            out.append({"pde": name, "k": k, "q_terms": len(nf(q.q)),
+                        "terms": len(r), "kept_before": before,
+                        "kept": kept_images(p),
+                        "cold_best_s": min(cold), "cold_runs_s": cold,
+                        "warm_best_s": min(warm), "warm_runs_s": warm})
+    return out
+
+
 def main() -> int:
     record = {
         "machine": {"python": platform.python_version(),
@@ -246,6 +286,7 @@ def main() -> int:
         "substitute_solved_form_in_f_k": substitute_ladder(),
         "pretty_chiral_g_plus_g_x_k": pretty_ladder(),
         "find_operator_ansatz": find_ladder(),
+        "char_nf_cold_warm": char_nf_ladder(),
     }
     path = os.path.join(ROOT, "BENCH_ladder.json")
     with open(path, "w") as fh:
@@ -278,6 +319,11 @@ def main() -> int:
               f"{r['columns']} columns, rank {r['rank']}, {r['nonzeros']} "
               f"nonzeros, cold {r['cold_best_s']:.4f} s, warm "
               f"{r['warm_best_s']:.4f} s")
+    for r in record["char_nf_cold_warm"]:
+        print(f"char_nf {r['pde']} k={r['k']}: {r['q_terms']} -> "
+              f"{r['terms']} terms, kept images {r['kept_before']} -> "
+              f"{r['kept']}, cold {r['cold_best_s']:.5f} s, warm "
+              f"{r['warm_best_s']:.5f} s")
     return 0
 
 
