@@ -6,16 +6,14 @@ from .core import (CMat, Comm, Coord, Coordinate, Dependent, Expr, Fn, Inv,
                    commutator, func, inverse, mk_jet, mul, neg, rat, sub)
 from .normalize import is_zero, normal_form, substitute
 from .calculus import (Characteristic, bracket_characteristic,
-                       char_derivative, iterated_total,
-                       scalar_prolongation_apply, scale_characteristic,
-                       total_derivative)
+                       char_derivative, scalar_prolongation_apply,
+                       scale_characteristic, total_derivative)
 from .symmetry import (AnsatzConfig, LinearOperatorAnsatz, Pde,
                        SymmetryReport, Verdict, certify_operator,
                        check_symmetry, find_operator, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import (BtPair, bt_apply, bt_integrate, bt_rhs,
-                       bt_seed_check, chiral_phi_condition,
-                       declare_potential, left_current)
+from .backlund import (BtPair, bt_apply, bt_rhs, bt_seed_check,
+                       chiral_phi_condition, declare_potential, left_current)
 from .parsing import ParseError, parse_expr, parse_operator
 from .printing import pretty, render
 from .catalog import CatalogEntry, get_pde, load_catalog, validate_entry

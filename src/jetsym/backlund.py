@@ -36,7 +36,7 @@ always, on a potential because `declare_potential` checked its cross
 derivatives.  So R(D_t rhs_x - D_x rhs_t) = 0, and D_t rhs_x - D_x rhs_t
 is D_{g*Phi} C for the chiral operator C = D_x(inv(g)g_x) + D_t(inv(g)g_t):
 a seed with an image passes `bt_seed_check` whenever F is a nonzero
-rational multiple of C, which `bt_integrate` checks once per problem.  A
+rational multiple of C, which `bt_apply` checks once per problem.  A
 seed that fails the check has no image, and the CLI asks `bt_seed_check`
 only then, to tell a failed seed from an insufficient basis.
 """
@@ -71,7 +71,6 @@ class PotentialError(JetsymError):
 class BtPair:
     """Right-hand sides of the Backlund system for a seed Phi."""
 
-    phi: Expr
     rhs_x: Expr  # candidate Phi'_x
     rhs_t: Expr  # candidate Phi'_t (sign already folded in)
 
@@ -129,8 +128,7 @@ def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
     D_t Phi + [inv(g)g_t, Phi] and -(D_x Phi + [inv(g)g_x, Phi]).  Each
     D_c Phi is taken on ints (`calculus.derive_cleared`)."""
     x, t = _xt(problem)
-    phi = as_expr(phi)
-    n = nf(phi)
+    n = nf(as_expr(phi))
     totals = total_images(problem)
 
     def side(c: Coordinate) -> NF:  # D_c Phi + [inv(g)g_c, Phi]
@@ -138,7 +136,7 @@ def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
         return _nf_add(_nf_add(derive_nf(n, totals[c.index]), _nf_mul(a, n)),
                        _nf_scale(_nf_mul(n, a), -1))
 
-    return BtPair(phi, rebuild(side(t)), rebuild(_nf_scale(side(x), -1)))
+    return BtPair(rebuild(side(t)), rebuild(_nf_scale(side(x), -1)))
 
 
 def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
@@ -152,7 +150,7 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
 def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     """The report on D_{g*Phi} F = 0 mod F, which for chiral is
     (Phi'_x)_t = (Phi'_t)_x mod F, for two coordinates only.  It is the
-    check independent of the integration: every seed with a `bt_integrate`
+    check independent of the integration: every seed with a `bt_apply`
     image passes it, and the CLI and `catalog.validate_entry` run it to
     explain a missing image and to check each image."""
     _xt(problem)
@@ -214,7 +212,7 @@ def default_bt_basis(problem: Problem) -> list[Expr]:
     of two, and single commutators of alphabet pairs, in `_basis_order`.
 
     Declaring a potential only appends a letter, so a chain step's basis
-    is a prefix of the next step's, and `bt_integrate` extends the system
+    is a prefix of the next step's, and `bt_apply` extends the system
     it kept (`symmetry.Store`) instead of building a new one.  The
     commutators are listed but never formed there: [a, c] has the rows of
     a*c - c*a, two candidates before it, so its column would never add a
@@ -300,7 +298,7 @@ def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
     return kept.columns, kept.echelon
 
 
-def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
+def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     """Phi' for a seed Phi: the exact rational combination of basis
     candidates, with the rows of each from `_bt_columns` and constants of
     integration zero, that satisfies both equations mod F, in one
@@ -321,7 +319,3 @@ def bt_integrate(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     # coefficient in Phi' is d_k times the one solved for
     return normal_form(add(*(mul(Rat(x * dk), b)
                              for x, (b, dk) in zip(sol, columns) if x)))
-
-
-# the Backlund step: the integration alone, as an image certifies its seed
-bt_apply = bt_integrate

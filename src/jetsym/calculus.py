@@ -190,13 +190,6 @@ def jet_totals(n: NF, problem: Problem) -> Callable[[tuple[int, ...]], NF]:
     return totals
 
 
-def iterated_total(e: Expr, idx, problem: Problem) -> Expr:
-    """D_J e for a multi-index of coordinates or coordinate indices, in
-    normal form."""
-    return rebuild(jet_totals(nf(as_expr(e)), problem)(
-        tuple(i.index if isinstance(i, Coordinate) else i for i in idx)))
-
-
 def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
     """D_Q n for a normal form n, as a normal form.  D_Q is linear in Q, so
     it is taken along d*Q, cleared of denominators, and divided by d."""
@@ -262,8 +255,8 @@ def formal_jet_partial(e: Expr, target: Jet) -> Expr:
     return rebuild(derive_nf(nf(as_expr(e)), jet_partial(target)))
 
 
-def scalar_prolongation_apply(e: Expr, Q: Characteristic, problem: Problem,
-                              max_order: int | None = None) -> Expr:
+def scalar_prolongation_apply(e: Expr, Q: Characteristic,
+                              problem: Problem) -> Expr:
     """Differential-operator representation of D_Q for scalar dependents:
     sum over jets u_J of (D_J Q) * (de/du_J).  Cross-check oracle for
     char_derivative."""
@@ -272,10 +265,6 @@ def scalar_prolongation_apply(e: Expr, Q: Characteristic, problem: Problem,
                         "valid for a scalar dependent")
     e = as_expr(e)
     jets = {j for j in collect_jets(e) if j.dep == problem.dependent}
-    if max_order is not None:
-        too_high = [j for j in jets if j.order > max_order]
-        if too_high:
-            raise ValueError(f"expression contains jets above order {max_order}")
     n, totals = nf(e), jet_totals(nf(as_expr(Q.q)), problem)
     out: NF = {}
     for j in sorted(jets, key=lambda j: (j.order, j.idx)):

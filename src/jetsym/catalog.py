@@ -19,8 +19,7 @@ from functools import cache
 from importlib import resources
 from typing import Optional
 
-from .core import (DeclarationError, Dependent, Expr, Jet, PotentialDef,
-                   Problem)
+from .core import DeclarationError, Dependent, Expr, PotentialDef, Problem
 from .calculus import Characteristic
 from .normalize import is_zero
 from .parsing import parse_expr, parse_operator
@@ -29,8 +28,6 @@ from .symmetry import (LinearOperatorAnsatz, Pde, certify_operator,
                        check_symmetry, make_pde, structure_constants)
 from .backlund import (bt_apply, bt_seed_check, declare_potential,
                        phi_characteristic)
-
-CATALOG_NAMES = ("sine-gordon", "heat", "burgers", "wave", "kdv", "chiral")
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,10 @@ def _load_raw() -> dict:
         resources.files("jetsym.data").joinpath("catalog.json").read_text())
 
 
+# the catalog's PDEs, in the data file's order
+CATALOG_NAMES = tuple(_load_raw()["pdes"])
+
+
 def _build_entry(name: str, raw: dict) -> CatalogEntry:
     dep_raw = raw["dependent"]
     dep = Dependent(dep_raw["name"], dep_raw.get("kind", "scalar"),
@@ -83,10 +84,8 @@ def _build_entry(name: str, raw: dict) -> CatalogEntry:
                      matrices=[(m["name"], m.get("invertible", False))
                                for m in raw.get("matrices", [])])
     f = parse_expr(raw["f"], problem)
-    leading = parse_expr(raw["solved"]["leading"], problem)
-    assert isinstance(leading, Jet)
-    rhs = parse_expr(raw["solved"]["rhs"], problem)
-    pde = make_pde(name, f, leading, rhs, problem)
+    pde = make_pde(name, f, parse_expr(raw["solved"]["leading"], problem),
+                   parse_expr(raw["solved"]["rhs"], problem), problem)
 
     for praw in raw.get("potentials", []):
         pdef = PotentialDef(praw["name"],

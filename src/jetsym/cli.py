@@ -12,7 +12,7 @@ import shlex
 import sys
 from typing import Callable, Iterable, Iterator
 
-from .core import (Dependent, JetsymError, Jet, Problem)
+from .core import Dependent, JetsymError, Problem
 from .calculus import Characteristic, bracket_characteristic
 from .catalog import CATALOG_NAMES, get_pde, load_catalog
 from .normalize import normal_form
@@ -20,7 +20,7 @@ from .parsing import parse_expr, parse_operator
 from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import bt_integrate, bt_seed_check, phi_characteristic
+from .backlund import bt_apply, bt_seed_check, phi_characteristic
 
 
 class UsageError(JetsymError):
@@ -75,12 +75,10 @@ def _session(args) -> Session:
     if args.f:
         if not args.solved:
             raise UsageError("--f requires --solved \"lead = rhs\"")
-        lead_txt, _, rhs_txt = args.solved.partition("=")
-        lead = parse_expr(lead_txt.strip(), problem)
-        if not isinstance(lead, Jet):
-            raise UsageError("--solved left side must be a jet coordinate")
-        pde = make_pde("custom", parse_expr(args.f, problem), lead,
-                       parse_expr(rhs_txt.strip(), problem), problem)
+        lead, _, rhs = args.solved.partition("=")
+        pde = make_pde("custom", parse_expr(args.f, problem),
+                       parse_expr(lead.strip(), problem),
+                       parse_expr(rhs.strip(), problem), problem)
     return Session(problem=problem, pde=pde)
 
 
@@ -181,7 +179,7 @@ def cmd_bt_apply(args):
     pde = _need_pde(sess)
     p = sess.problem
     phi_e = parse_expr(args.phi, p)
-    out = bt_integrate(phi_e, pde, p)
+    out = bt_apply(phi_e, pde, p)
     if out is None:  # an image certifies its seed: check only without one
         report = bt_seed_check(phi_e, pde, p)
         verdict = "NoIntegral" if report.is_symmetry else "NotSymmetry"
@@ -225,14 +223,10 @@ def cmd_list(args):
 
 def cmd_batch(args):
     """Run commands from a file: one CLI argument vector per line, '#'
-    comments allowed; global flags from this invocation apply to each.  A
+    comments allowed; each line is parsed into a copy of this invocation's
+    options, so its global flags apply unless the line gives its own.  A
     line that fails (a NotSymmetry verdict, or an error, which is reported
     on stderr) counts as a failure and the lines after it still run."""
-    base = []  # this invocation's global flags, as a command line
-    for flag in GLOBAL_OPTIONS:
-        value = getattr(args, flag[2:])  # a flag's is a bool, an option's a str
-        if value not in (None, False):
-            base += [flag] if value is True else [flag, value]
     try:
         with open(args.path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -245,10 +239,10 @@ def cmd_batch(args):
             continue
         try:
             try:
-                argv = base + shlex.split(line)
+                argv = shlex.split(line)
             except ValueError as exc:  # unbalanced quotes
                 raise UsageError(exc) from exc
-            failed |= main(argv) != 0
+            failed |= main(argv, argparse.Namespace(**vars(args))) != 0
         except JetsymError as exc:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             failed = True
@@ -315,8 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
 PARSER = _build_parser()
 
 
-def main(argv: list[str]) -> int:
+def main(argv: list[str], namespace: argparse.Namespace | None = None) -> int:
     """Run one command line (no program name) and return its exit status.
+    An option the line does not give keeps its value in `namespace`, when
+    given (`cmd_batch` passes a copy of its own), else takes its default.
     Raises UsageError or another JetsymError on error, never SystemExit."""
     # glue each value to its option, --q=-3*u_x: alone, -3*u_x reads as an option
     glued, tokens = [], iter(argv)
@@ -324,7 +320,7 @@ def main(argv: list[str]) -> int:
         value = next(tokens, None) if token in TAKES_VALUE else None
         glued.append(token if value is None else f"{token}={value}")
     try:
-        args = PARSER.parse_args(glued)
+        args = PARSER.parse_args(glued, namespace)
     except SystemExit as exc:  # only --help exits, once it has printed
         return exc.code
     return COMMANDS[args.command][0](args) or 0

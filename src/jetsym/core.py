@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 SCALAR = "scalar"
 MATRIX = "matrix"
@@ -429,17 +430,24 @@ def _atom_key(e: Atom) -> tuple:
     return expr_key(e.base) + (("inv",),)  # Inv
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialDef:
-    """Gradient-defined nonlocal variable: derivatives[coord name] = Expr.
+    """Gradient-defined nonlocal variable: derivatives[coord name] = Expr,
+    held as a read-only copy, because the D_i images kept per problem
+    (`calculus.total_images`) and mod F (`symmetry.Store`) depend on it.
 
     `char_images` optionally registers the action of a characteristic
-    derivative on the potential, keyed by characteristic name."""
+    derivative on the potential, keyed by characteristic name.  D_Q's
+    images are taken per call, so it is a dict read on each call."""
 
     name: str
-    derivatives: dict[str, Expr]
+    derivatives: Mapping[str, Expr]
     char_images: dict[str, Expr] = field(default_factory=dict)
     matrix: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "derivatives",
+                           MappingProxyType(dict(self.derivatives)))
 
     def atom(self) -> Pot:
         return Pot(self.name, self.matrix)
@@ -480,7 +488,10 @@ class Problem:
             name, matrix = b if isinstance(b, tuple) else (b, False)
             self.base_functions[name] = self._declare(name,
                                                       Base(name, bool(matrix)))
-        self.potentials: dict[str, PotentialDef] = {}
+        self._potentials: dict[str, PotentialDef] = {}
+        # read-only: `register_potential` is the one way to append
+        self.potentials: Mapping[str, PotentialDef] = MappingProxyType(
+            self._potentials)
 
     def _declare(self, name: str, atom: Expr) -> Expr:
         """Enter a name in the one table of declared names, exactly once.
@@ -536,5 +547,5 @@ class Problem:
         cross-derivative compatibility check first."""
         pdef.gradient(self.coordinates)
         atom = self._declare(pdef.name, pdef.atom())
-        self.potentials[pdef.name] = pdef
+        self._potentials[pdef.name] = pdef
         return atom

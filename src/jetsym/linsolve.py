@@ -96,7 +96,7 @@ class Echelon:
     depends on the columns before it adds no pivot and is not kept.  Keys
     are renumbered by small ints on the way in (`_index`), so that row keys
     such as normal-form terms are hashed once, not at every elimination
-    step."""
+    step.  `rank` is the number of pivots."""
 
     def __init__(self, columns: list[Column]):
         self._size = 0
@@ -122,10 +122,7 @@ class Echelon:
                 self._pivots.append({k: v // c for k, v in rest.items()})
                 self._steps.append((j, _div(c, s),
                                     {i: _div(v, s) for i, v in a.items()}))
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+        self.rank = len(self._pivots)
 
     def solve(self, target: Column) -> Optional[list[Fraction]]:
         """A particular solution x of  sum_j x[j] * columns[j] = target  over
@@ -162,7 +159,3 @@ class Echelon:
 def solve(columns: list[Column], target: Column) -> Optional[list[Fraction]]:
     """`Echelon.solve` of target against the columns."""
     return Echelon(columns).solve(target)
-
-
-def rank(columns: list[Column]) -> int:
-    return Echelon(columns).rank

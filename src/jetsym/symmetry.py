@@ -149,11 +149,14 @@ def _principal_test(leading: Jet) -> Callable[[Jet], bool]:
     return principal
 
 
-def make_pde(name: str, f: Expr, leading: Jet, rhs: Expr,
+def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
              problem: Problem) -> Pde:
-    if leading.dep != problem.dependent:
+    """F = 0 with its solved form leading = rhs.  Raises PdeError unless
+    leading is a jet of the problem's dependent, a ranking puts every jet
+    of rhs below it, and the solved form makes F vanish."""
+    if not (isinstance(leading, Jet) and leading.dep == problem.dependent):
         raise PdeError(f"solved form leads with {render(leading, problem)}, "
-                       "which is not over the problem's dependent")
+                       "which is not a jet of the problem's dependent")
     jets = sorted((j for j in collect_jets(rhs) if j.dep == leading.dep),
                   key=lambda j: (j.order, j.idx))
     principal = _principal_test(leading)

@@ -20,8 +20,8 @@ from random import Random
 from typing import NamedTuple
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
-                    as_expr, commutator, func, inverse, iterated_total, mul,
-                    normal_form)
+                    as_expr, commutator, func, inverse, mul, normal_form,
+                    total_derivative)
 from jetsym.cli import main
 from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
                          FUNC_DERIVATIVES, Inv, Jet, JetsymError, KindError,
@@ -196,7 +196,9 @@ def reference_reduce(e: Expr, pde, problem: Problem) -> Expr:
             return out
         j = max(reducible, key=lambda j: (j.order, j.idx))
         extra = Counter(j.idx) - lead
-        repl = iterated_total(pde.rhs, tuple(extra.elements()), problem)
+        repl = pde.rhs
+        for i in extra.elements():
+            repl = total_derivative(repl, problem.coordinates[i], problem)
         out = reference_substitute(out, j, repl)
 
 
@@ -354,7 +356,7 @@ def reference_solve(columns: list[dict], target: dict):
 
 def reference_rank(columns: list[dict]) -> int:
     """The rank by dense elimination in Fractions: the reference for
-    `linsolve.rank`."""
+    `linsolve.Echelon.rank`."""
     rows = list(dict.fromkeys(k for c in columns for k in c))
     return len(_reference_echelon(columns, rows)[1])
 

@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from jetsym import (Characteristic, Rat, add, calculus, check_symmetry,
                     commutator, inverse, is_zero, make_pde, mul, normal_form,
                     reduce_mod_pde, total_derivative)
-from jetsym.backlund import (PotentialError, _bt_rows, bt_apply,
-                             bt_integrate, bt_rhs, bt_seed_check,
-                             chiral_phi_condition, declare_potential,
-                             default_bt_basis, left_current,
-                             phi_characteristic)
+from jetsym.backlund import (PotentialError, _bt_rows, bt_apply, bt_rhs,
+                             bt_seed_check, chiral_phi_condition,
+                             declare_potential, default_bt_basis,
+                             left_current, phi_characteristic)
 from jetsym.calculus import derive_cleared, derive_nf
 from jetsym.catalog import get_pde
 from jetsym.core import (Comm, JetsymError, NonlocalActionError,
@@ -487,7 +486,7 @@ def test_chain_does_not_depend_on_call_history(ch):
 
 def test_kept_chain_store_does_not_depend_on_call_history(ch):
     """The step-3 image of the chain, whose integrations extend one kept
-    echelon step by step, equals bt_integrate on a fresh problem where X,
+    echelon step by step, equals bt_apply on a fresh problem where X,
     P1, P2 and P3 were all declared before the first Backlund call, and
     the image of a chain run after unrelated bt_apply calls on the catalog
     chiral problem.  The store is per problem: the declares create the
@@ -507,7 +506,7 @@ def test_kept_chain_store_does_not_depend_on_call_history(ch):
         declare_image_potential(step, phi, pde, p)
     kept = pde.stores[p]
     assert (kept.letters, kept.columns, kept.echelon.rank) == ([], [], 0)
-    assert render(bt_integrate(phi, pde, p), p) == images[3]
+    assert render(bt_apply(phi, pde, p), p) == images[3]
     assert list(pde.stores.values()) == [kept]
     assert kept.columns and kept.echelon.rank
     assert len(replace(pde).stores) == 0

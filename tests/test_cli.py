@@ -277,6 +277,23 @@ def test_a_name_the_parser_cannot_read_exits_two(flags):
     assert "is not a letter followed by letters and digits" in r.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--f", "u_t - u_x", "check", "--q", "u"],
+     '--f requires --solved "lead = rhs"'),
+    (["--f", "u_t - u_x", "--solved", "u_t + u = u_x + u", "check", "--q",
+      "u"],
+     "solved form leads with u_t + u, which is not a jet of the problem's "
+     "dependent"),
+    (["reduce", "u_tt"], "this command needs --pde or --f/--solved"),
+    (["--f", "u_t - u_xx", "--solved", "u_t = u_xx", "structconsts"],
+     "--basis required for this PDE"),
+], ids=["f-without-solved", "non-jet-lead", "reduce-without-pde",
+        "structconsts-without-basis"])
+def test_a_command_line_without_a_usable_pde_exits_two(args, message):
+    r = invoke(*args)
+    assert (r.code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_pde_exit_two():
     r = invoke("--pde", "laplace", "check", "--q", "u_x")
     assert r.code == 2
@@ -332,6 +349,22 @@ def test_batch_forwards_every_global_flag(tmp_path, json_flag):
     r = invoke(*json_flag, *CUSTOM, "batch", str(script))
     assert r.code == 1
     assert r.stderr == ""
+    assert r.stdout == "".join(d.stdout for d in direct)
+
+
+def test_a_batch_line_keeps_its_own_options(tmp_path):
+    """A line's own --pde and --no-find win over the batch's, and the
+    batch's --json and --pde reach the lines that give none."""
+    script = tmp_path / "cmds.txt"
+    script.write_text("--pde kdv check --no-find --q u_x\n"
+                      "check --q u_x\n")
+    r = invoke("--json", "--pde", "heat", "batch", str(script))
+    direct = [invoke("--json", "--pde", "kdv", "check", "--no-find",
+                     "--q", "u_x"),
+              invoke("--json", "--pde", "heat", "check", "--q", "u_x")]
+    assert json.loads(direct[1].stdout)["certificate"] is not None
+    assert json.loads(direct[0].stdout)["certificate"] is None
+    assert (r.code, r.stderr) == (0, "")
     assert r.stdout == "".join(d.stdout for d in direct)
 
 

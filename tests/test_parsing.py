@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from random import Random
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 
 import pytest
 
-from jetsym import Rat, Sym, is_zero, normal_form, total_derivative
+from jetsym import (Problem, Rat, Sym, add, is_zero, mul, neg, normal_form,
+                    total_derivative)
 from jetsym.parsing import MAX_DEPTH, ParseError, parse_expr, parse_operator
 from jetsym.printing import pretty, render
 
@@ -100,6 +102,22 @@ def test_unbalanced_parens(sp):
 def test_empty_input(sp):
     with pytest.raises(ParseError):
         parse_expr("", sp)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator"),
+    ("inv(u, u)", "inv takes one argument"),
+    ("comm(u)", "comm takes two arguments"),
+    ("comm(u, u_x, u_t)", "comm takes two arguments"),
+    ("D(u)", "D takes an expression and a coordinate name"),
+    ("D(u, x, t)", "D takes an expression and a coordinate name"),
+    ("D(u, 1)", "D takes an expression and a coordinate name"),
+    ("sin(x, t)", "sin takes one argument"),
+])
+def test_zero_denominator_and_wrong_arity(mp, text, message):
+    with pytest.raises(ParseError,
+                       match=rf"^{re.escape(message)} \(at position \d+\)$"):
+        parse_expr(text, mp)
 
 
 # --- operator mini-grammar ------------------------------------------------
@@ -242,6 +260,30 @@ def test_render_examples(sp, mp):
     for text in ("inv(u)*u_x", "comm(u_x, A)"):
         e = normal_form(parse_expr(text, mp))
         assert normal_form(parse_expr(render(e, mp), mp)) == e
+
+
+@pytest.mark.parametrize("text", [
+    "D(D(u, x1), t)", "D(f, x1)", "D(D(f, x1), t)", "u_t",
+    "D(D(f, x1), x1)*D(u, x1) - 2*u_tt*D(f, t)"])
+def test_multi_letter_coordinates_round_trip(text):
+    """A jet or base-function partial with a multi-letter coordinate has
+    no subscript form: it renders as nested D(...), which parses back."""
+    p = Problem(coords=("x1", "t"), base_functions=["f"])
+    e = normal_form(parse_expr(text, p))
+    assert normal_form(parse_expr(render(e, p), p)) == e
+    if "*" not in text:  # one atom renders as it was written
+        assert render(e, p) == text
+
+
+def test_a_sum_inside_a_library_built_product_is_bracketed(sp):
+    """A product built without normalizing may hold a sum or a negative
+    number as a factor; each renders in brackets and parses back."""
+    x, u, ux = sp.coord("x"), sp.u, sp.jet("x")
+    for e, text in [(mul(x, add(u, ux)), "x*(u + u_x)"),
+                    (mul(Rat(-1), add(u, x)), "-(u + x)"),
+                    (mul(add(u, neg(x)), u, Rat(-1)), "(u - x)*u*(-1)")]:
+        assert render(e, sp) == text
+        assert normal_form(parse_expr(text, sp)) == normal_form(e)
 
 
 def test_pretty_resugars_commutators():

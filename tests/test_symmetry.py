@@ -13,7 +13,7 @@ from jetsym import (Characteristic, Verdict, bracket_characteristic,
 from jetsym import catalog
 from jetsym.backlund import declare_potential
 from jetsym.catalog import get_pde
-from jetsym.core import PotentialDef, Problem
+from jetsym.core import PotentialDef, Problem, ZERO
 from jetsym.parsing import parse_expr, parse_operator
 from jetsym.symmetry import (AnsatzConfig, BasisError, IDENTITY_OPERATOR,
                              PdeError, SpanError, ZERO_OPERATOR)
@@ -51,6 +51,21 @@ def test_make_pde_rejects_unranked_solved_form(sp):
                                        r"solved-form rhs jets u_xx, u_tt "
                                        r"below the leading jet u_xt$"):
         make_pde("bad", f, sp.jet("xt"), parse_expr("u_xx + u_tt", sp), sp)
+
+
+@pytest.mark.parametrize("lead", ["u_t + u", "x", "2*u_t", "0"])
+def test_make_pde_rejects_a_lead_that_is_not_a_jet(sp, lead):
+    f = parse_expr(f"{lead} - u_xx", sp)
+    with pytest.raises(PdeError, match=r"which is not a jet of the problem's "
+                                       r"dependent$"):
+        make_pde("bad", f, parse_expr(lead, sp), sp.jet("xx"), sp)
+
+
+def test_make_pde_rejects_a_jet_of_another_dependent(sp, mp):
+    with pytest.raises(PdeError, match=r"^solved form leads with u_t, which "
+                                       r"is not a jet of the problem's "
+                                       r"dependent$"):
+        make_pde("bad", mp.jet("t"), mp.jet("t"), ZERO, sp)
 
 
 @pytest.mark.parametrize("lead, rhs", [

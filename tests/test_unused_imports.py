@@ -1,12 +1,15 @@
 """No module of the engine imports a name it does not use, or a module
-from outside jetsym and the standard library.
+from outside jetsym and the standard library; none holds an `assert` or a
+second module-level name for a function.
 
 No linter is a dependency, so the check walks each module's syntax tree:
 every name bound by an import must occur as a name elsewhere in the module,
 in code or in a string annotation.  `__init__.py` imports to re-export and
 is skipped there, as are `from __future__` imports.  Every module imported
 must be jetsym's own or in `sys.stdlib_module_names`: the engine has no
-runtime dependency."""
+runtime dependency.  An `assert` vanishes under `python -O`, so a check
+that must hold raises instead; and `name = function` at module level gives
+one function two names, where one is enough."""
 import ast
 import sys
 from pathlib import Path
@@ -92,3 +95,51 @@ ALL_MODULES = sorted(SRC.rglob("*.py"))
                          ids=[p.stem for p in ALL_MODULES])
 def test_only_standard_library_imports(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def asserts(source: str) -> list[int]:
+    """The lines of the module's `assert` statements."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Assert))
+
+
+def function_aliases(source: str) -> list[str]:
+    """The module-level assignments that bind a name to a function the
+    module defines or imports under another name."""
+    tree = ast.parse(source)
+    functions = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            functions.update(alias.asname or alias.name
+                             for alias in node.names)
+    return [f"{ast.unparse(node).strip()} (line {node.lineno})"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Name)
+            and node.value.id in functions]
+
+
+def test_checker_sees_asserts_and_function_aliases():
+    source = ("from .core import nf\n"
+              "def f(x):\n"
+              "    assert x\n"
+              "    return x\n"
+              "g = f\n"
+              "h: object = nf\n"
+              "f.main = lambda *a: f(*a)\n"
+              "N = 3\n"
+              "M = N\n"
+              "assert N\n")
+    assert asserts(source) == [3, 10]
+    assert function_aliases(source) == ["g = f (line 5)",
+                                        "h: object = nf (line 6)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES,
+                         ids=[p.stem for p in ALL_MODULES])
+def test_no_asserts_and_no_function_aliases(path):
+    source = path.read_text()
+    assert asserts(source) == []
+    assert function_aliases(source) == []
