@@ -1,9 +1,9 @@
 """Noncommutative jet-space symmetry engine."""
 
-from .core import (CMat, Comm, Coord, Coordinate, Dependent, Expr, Fn, Inv,
-                   Jet, JetsymError, KindError, MATRIX, Mul, Pot,
-                   PotentialDef, Problem, Rat, SCALAR, Sym, add, as_expr,
-                   commutator, func, inverse, mk_jet, mul, neg, rat, sub)
+from .core import (CMat, Comm, Coord, Dependent, Expr, Fn, Inv, Jet,
+                   JetsymError, KindError, MATRIX, Mul, Pot, PotentialDef,
+                   Problem, Rat, SCALAR, Sym, add, as_expr, commutator, func,
+                   inverse, mk_jet, mul, neg, rat, sub)
 from .normalize import is_zero, normal_form, substitute
 from .calculus import (Characteristic, bracket_characteristic,
                        char_derivative, scalar_prolongation_apply,

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional
 
-from .core import (Coordinate, Expr, JetsymError, Jet, MATRIX, Pot,
+from .core import (Coord, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul)
 from .calculus import (Characteristic, Image, char_derivative,
@@ -75,13 +75,13 @@ class BtPair:
     rhs_t: Expr  # candidate Phi'_t (sign already folded in)
 
 
-def _xt(problem: Problem) -> tuple[Coordinate, Coordinate]:
+def _xt(problem: Problem) -> tuple[Coord, Coord]:
     if len(problem.coordinates) != 2:
         raise JetsymError("the Backlund machinery expects two coordinates")
     return problem.coordinates[0], problem.coordinates[1]
 
 
-def left_current(problem: Problem, coord: Coordinate) -> Expr:
+def left_current(problem: Problem, coord: Coord) -> Expr:
     """inv(g) * g_i for the problem's invertible matrix dependent."""
     if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
         raise JetsymError("left current needs an invertible matrix dependent")
@@ -131,7 +131,7 @@ def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
     n = nf(as_expr(phi))
     totals = total_images(problem)
 
-    def side(c: Coordinate) -> NF:  # D_c Phi + [inv(g)g_c, Phi]
+    def side(c: Coord) -> NF:  # D_c Phi + [inv(g)g_c, Phi]
         a = nf(left_current(problem, c))
         return _nf_add(_nf_add(derive_nf(n, totals[c.index]), _nf_mul(a, n)),
                        _nf_scale(_nf_mul(n, a), -1))
@@ -317,5 +317,5 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
         return None
     # column k holds d_k times its candidate's rows, so the candidate's
     # coefficient in Phi' is d_k times the one solved for
-    return normal_form(add(*(mul(Rat(x * dk), b)
-                             for x, (b, dk) in zip(sol, columns) if x)))
+    return normal_form(add(*(mul(Rat(x * columns[k][1]), columns[k][0])
+                             for k, x in sol.items())))

@@ -25,9 +25,9 @@ from math import lcm
 from typing import Callable
 from weakref import WeakKeyDictionary
 
-from .core import (Base, CMat, Coord, Coordinate, Dependent, Expr, Fn,
-                   FUNC_DERIVATIVES, Inv, Jet, KindError, NonlocalActionError,
-                   Pot, Problem, Rat, SCALAR, Sym, as_expr, mul)
+from .core import (Base, CMat, Coord, Dependent, Expr, Fn, FUNC_DERIVATIVES,
+                   Inv, Jet, KindError, NonlocalActionError, Pot, Problem, Rat,
+                   SCALAR, Sym, as_expr, mul)
 from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_put,
                         _nf_scale, clear_denominators, collect_jets, nf,
                         nf_divide, normal_form, rebuild)
@@ -140,11 +140,11 @@ def derivation(atom: Callable[[Expr], NF],
     return image
 
 
-def total_atoms(coord: Coordinate, problem: Problem) -> Callable[[Expr], NF]:
+def total_atoms(coord: Coord, problem: Problem) -> Callable[[Expr], NF]:
     """The value of D_i on each atom, as a normal form."""
     def atom(a: Expr) -> NF:
         if isinstance(a, Coord):
-            return {((), ()): 1} if a.coordinate == coord else {}
+            return {((), ()): 1} if a is coord else {}
         if isinstance(a, Jet):
             return nf(Jet(a.dep, a.idx + (coord.index,)))
         if isinstance(a, Base):
@@ -154,7 +154,7 @@ def total_atoms(coord: Coordinate, problem: Problem) -> Callable[[Expr], NF]:
     return atom
 
 
-def total_derivative(e: Expr, coord: Coordinate, problem: Problem) -> Expr:
+def total_derivative(e: Expr, coord: Coord, problem: Problem) -> Expr:
     """D_i e, returned in normal form."""
     return rebuild(jet_totals(nf(as_expr(e)), problem)((coord.index,)))
 

@@ -152,10 +152,8 @@ def cmd_structconsts(args):
         names = [s.strip() for s in args.basis.split(",")]
     qs = [sess.characteristic(n, n) for n in names]
     sc = structure_constants(pde, qs, p)
-    n = len(qs)
-    entries = {f"c[{qs[i].name},{qs[j].name}]^{qs[k].name}": str(sc[i, j, k])
-               for i in range(n) for j in range(n) for k in range(n)
-               if sc[i, j, k]}
+    entries = {f"c[{qs[i].name},{qs[j].name}]^{qs[k].name}": str(v)
+               for (i, j, k), v in sc.c.items()}
     lines = [f"basis: {', '.join(q.name for q in qs)}"]
     lines += [f"{k} = {v}" for k, v in sorted(entries.items())] or ["all zero"]
     _emit(args, lambda: lines, inputs={"pde": pde.name, "basis": names},
@@ -226,7 +224,11 @@ def cmd_batch(args):
     comments allowed; each line is parsed into a copy of this invocation's
     options, so its global flags apply unless the line gives its own.  A
     line that fails (a NotSymmetry verdict, or an error, which is reported
-    on stderr) counts as a failure and the lines after it still run."""
+    on stderr) counts as a failure and the lines after it still run.  A
+    line cannot run batch itself, so no file runs itself or another one
+    that runs it."""
+    if "batch_line" in args:
+        raise UsageError("a batch file cannot run batch")
     try:
         with open(args.path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -242,7 +244,8 @@ def cmd_batch(args):
                 argv = shlex.split(line)
             except ValueError as exc:  # unbalanced quotes
                 raise UsageError(exc) from exc
-            failed |= main(argv, argparse.Namespace(**vars(args))) != 0
+            line_args = argparse.Namespace(**vars(args), batch_line=lineno)
+            failed |= main(argv, line_args) != 0
         except JetsymError as exc:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             failed = True

@@ -49,12 +49,6 @@ class NonlocalActionError(JetsymError):
 
 
 @dataclass(frozen=True)
-class Coordinate:
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
 class Dependent:
     name: str
     kind: str = SCALAR
@@ -161,7 +155,11 @@ class Sym(Atom):
 
 @_atom
 class Coord(Atom):
-    coordinate: Coordinate
+    """A base coordinate: its declared name and its index, the position in
+    `Problem.coordinates` that jet multi-indices and partials refer to."""
+
+    name: str
+    index: int
 
 
 @_atom
@@ -312,8 +310,8 @@ def commutator(a: Expr, b: Expr) -> Expr:
     return Comm(as_expr(a), as_expr(b))
 
 
-def mk_jet(dep: Dependent, idx: Iterable[Union[int, Coordinate]]) -> Jet:
-    ints = tuple(i.index if isinstance(i, Coordinate) else int(i) for i in idx)
+def mk_jet(dep: Dependent, idx: Iterable[Union[int, Coord]]) -> Jet:
+    ints = tuple(i.index if isinstance(i, Coord) else int(i) for i in idx)
     return Jet(dep, ints)
 
 
@@ -414,7 +412,7 @@ def expr_key(e: Expr) -> tuple:
 def _atom_key(e: Atom) -> tuple:
     """The key of a new atom, in the rank order that `expr_key` states."""
     if isinstance(e, Coord):
-        return (1, e.coordinate.index)
+        return (1, e.index)
     if isinstance(e, Sym):
         return (2, e.name)
     if isinstance(e, Jet):
@@ -452,7 +450,7 @@ class PotentialDef:
     def atom(self) -> Pot:
         return Pot(self.name, self.matrix)
 
-    def gradient(self, coordinates: tuple[Coordinate, ...]) -> list[Expr]:
+    def gradient(self, coordinates: tuple[Coord, ...]) -> list[Expr]:
         """The derivative for each coordinate, in their order."""
         for c in coordinates:
             if c.name not in self.derivatives:
@@ -472,9 +470,8 @@ class Problem:
                  matrices: Iterable = (),
                  base_functions: Iterable = ()):
         self._atoms: dict[str, Expr] = {}
-        self.coordinates = tuple(Coordinate(n, i) for i, n in enumerate(coords))
-        for c in self.coordinates:
-            self._declare(c.name, Coord(c))
+        self.coordinates = tuple(self._declare(n, Coord(n, i))
+                                 for i, n in enumerate(coords))
         self.dependent = dependent or Dependent("u")
         self._declare(self.dependent.name, Jet(self.dependent))
         self.constants = tuple(self._declare(n, Sym(n)).name for n in constants)
@@ -516,10 +513,7 @@ class Problem:
             raise DeclarationError(f"unknown {what} {name!r}")
         return atom
 
-    def coordinate(self, name: str) -> Coordinate:
-        return self.coord(name).coordinate
-
-    def coord(self, name: str) -> Coord:
+    def coordinate(self, name: str) -> Coord:
         return self._lookup(name, Coord, "coordinate")
 
     @property

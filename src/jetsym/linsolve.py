@@ -23,27 +23,30 @@ vectors.  Only the factors that express a column in the pivots are
 rationals.  `Echelon.solve` reduces a target with the same loop against
 the stored pivots, which it does not change, so one echelon answers many
 targets, in any order.  Every quotient goes through `_div`, which gives an
-int when the division is exact and a Fraction otherwise, never through
-int / int, which would give a float.  `solve` returns Fractions.
+int when the quotient is integral and a Fraction otherwise, never through
+int / int, which would give a float.  A solution has the shape of a
+column: `solve` returns {column index: coefficient} with the nonzero
+coefficients only, in column order, each following the normal-form
+coefficient rule (an int while it is integral).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
-from .normalize import clear_denominators
+from .normalize import Coeff, clear_denominators
 
-Rational = Union[int, Fraction]
-Column = dict[Hashable, Rational]
+Column = dict[Hashable, Coeff]
 
 
-def _div(a: Rational, b: Rational) -> Rational:
-    """a / b exactly: an int when both are ints and b divides a."""
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when the quotient is integral."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    return a / b  # one side is a Fraction, so the quotient is one too
+    q = a / b  # one side is a Fraction, so the quotient is one too
+    return q.numerator if q.denominator == 1 else q
 
 
 def _reduce(rest: dict[int, int], s: int, keys: list[int],
@@ -103,7 +106,7 @@ class Echelon:
         self._index: dict[Hashable, int] = {}
         self._keys: list[int] = []
         self._pivots: list[dict[int, int]] = []
-        self._steps: list[tuple[int, Rational, dict[int, Rational]]] = []
+        self._steps: list[tuple[int, Coeff, dict[int, Coeff]]] = []
         self.extend(columns)
 
     def extend(self, columns: list[Column]) -> None:
@@ -124,11 +127,12 @@ class Echelon:
                                     {i: _div(v, s) for i, v in a.items()}))
         self.rank = len(self._pivots)
 
-    def solve(self, target: Column) -> Optional[list[Fraction]]:
+    def solve(self, target: Column) -> Optional[dict[int, Coeff]]:
         """A particular solution x of  sum_j x[j] * columns[j] = target  over
         the rationals, with every non-pivot x[j] fixed to zero (which makes
-        it unique); None when the system is inconsistent, at once when the
-        target has a key that no column holds."""
+        it unique), as {j: x[j]} for the nonzero x[j] only, in column order;
+        None when the system is inconsistent, at once when the target has a
+        key that no column holds."""
         target, s = clear_denominators(target)
         rest: dict[int, int] = {}
         for k, v in target.items():
@@ -144,18 +148,19 @@ class Echelon:
         # target = sum_i coeffs[i] * pivot_i; rewrite the pivots in terms of
         # their columns, last pivot first (pivot i only involves pivots
         # before it).
-        x: list[Rational] = [0] * self._size
+        x: dict[int, Coeff] = {}
         for i in range(len(self._steps) - 1, -1, -1):
             c = coeffs.pop(i, 0)
             if not c:
                 continue
             j, scale, factors = self._steps[i]
-            x[j] = _div(c, scale)
+            x[j] = v = _div(c, scale)
             for p, f in factors.items():
-                coeffs[p] = coeffs.get(p, 0) - x[j] * f
-        return [Fraction(v) for v in x]
+                coeffs[p] = coeffs.get(p, 0) - v * f
+        return dict(reversed(x.items()))
 
 
-def solve(columns: list[Column], target: Column) -> Optional[list[Fraction]]:
+def solve(columns: list[Column], target: Column
+          ) -> Optional[dict[int, Coeff]]:
     """`Echelon.solve` of target against the columns."""
     return Echelon(columns).solve(target)

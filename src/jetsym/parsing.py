@@ -198,6 +198,8 @@ class Parser:
             head, _, subs = name.partition("_")
             if head != p.dependent.name:
                 raise ParseError(f"unknown jet head {head!r}", tok.pos)
+            if not subs:
+                raise ParseError(f"empty jet subscript in {name!r}", tok.pos)
             try:
                 return p.jet(subs)
             except DeclarationError as exc:
@@ -239,7 +241,7 @@ class _OperatorParser(Parser):
                 seen_f = True
                 self._advance()
             elif isinstance(coord, Coord):
-                deriv.append(coord.coordinate.index)
+                deriv.append(coord.index)
                 self._advance()
             elif name[:2] == "D_" and self.problem.dependent.name != "D":
                 raise ParseError(f"unknown coordinate {name[2:]!r}",

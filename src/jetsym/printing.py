@@ -48,7 +48,7 @@ def render(e: Expr, problem: Problem) -> str:
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Coord):
-        return e.coordinate.name
+        return e.name
     if isinstance(e, Jet):
         return _render_jet(e, problem)
     if isinstance(e, Base):

@@ -38,9 +38,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
@@ -49,7 +48,7 @@ from .core import (Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import Echelon
-from .normalize import (NF, _nf_add, _nf_mul, collect_jets, is_zero,
+from .normalize import (NF, Coeff, _nf_add, _nf_mul, collect_jets, is_zero,
                         key_sort_key, map_nf, nf, normal_form, rebuild,
                         substitute)
 from .printing import render
@@ -279,7 +278,7 @@ class LinearOperatorAnsatz:
         """Order-independent fingerprint for comparing operators: the
         coefficient of each (left term, J, right term), like terms
         collected and zeros dropped."""
-        coeffs: dict[tuple, Fraction] = {}
+        coeffs: dict[tuple, Coeff] = {}
         for left, j, right in self.terms:
             j = tuple(sorted(j))
             for lk, lv in nf(left).items():
@@ -338,9 +337,8 @@ class AnsatzConfig:
 
 def _coordinate_monomials(problem: Problem, degree: int) -> list[Expr]:
     out: list[Expr] = [ONE]
-    coords = [problem.coord(c.name) for c in problem.coordinates]
     for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(coords, d):
+        for combo in combinations_with_replacement(problem.coordinates, d):
             out.append(mul(*combo))
     return out
 
@@ -371,9 +369,10 @@ def _row_column(rows: list[NF]) -> dict:
 
 
 def _match_linear(targets: list[NF], echelon: Echelon
-                  ) -> Optional[list[Fraction]]:
+                  ) -> Optional[dict[int, Coeff]]:
     """Solve  sum_k c_k * candidates[k][r] = targets[r]  for every row r,
-    where the echelon holds each candidate's `_row_column`."""
+    where the echelon holds each candidate's `_row_column`: {k: c_k} for
+    the nonzero c_k (`linsolve.Echelon.solve`)."""
     return echelon.solve(_row_column(targets))
 
 
@@ -408,19 +407,17 @@ def _find_operator_nf(pde: Pde, target: NF, problem: Problem,
     sol = echelon.solve(target)
     if sol is None:
         return None
-    kept = tuple((mul(Rat(c), left), j, right)
-                 for c, (left, j, right) in zip(sol, terms) if c)
-    return LinearOperatorAnsatz(kept)
+    return LinearOperatorAnsatz(tuple(
+        (mul(Rat(c), terms[k][0]), *terms[k][1:]) for k, c in sol.items()))
 
 
 @dataclass(frozen=True)
 class StructureConstants:
     basis: tuple[Characteristic, ...]
-    c: tuple  # c[i][j][k], antisymmetric in (i, j)
+    c: dict  # {(i, j, k): c} for the nonzero c only, antisymmetric in (i, j)
 
     def __getitem__(self, ijk):
-        i, j, k = ijk
-        return self.c[i][j][k]
+        return self.c.get(ijk, 0)
 
 
 def structure_constants(pde: Pde, basis: list[Characteristic],
@@ -433,18 +430,13 @@ def structure_constants(pde: Pde, basis: list[Characteristic],
     echelon = Echelon([nf(q.q) for q in basis])
     if echelon.rank < len(basis):
         raise BasisError("basis dependent")
-    n = len(basis)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = bracket_characteristic(basis[i], basis[j], problem)
-            coeffs = echelon.solve(nf(br.q))
-            if coeffs is None:
-                raise SpanError(
-                    f"bracket not in span: [{basis[i].name}, {basis[j].name}]")
-            for k in range(n):
-                c[i][j][k] = coeffs[k]
-                c[j][i][k] = -coeffs[k]
-    return StructureConstants(tuple(basis),
-                              tuple(tuple(tuple(row) for row in plane)
-                                    for plane in c))
+    c = {}
+    for i, j in combinations(range(len(basis)), 2):
+        br = bracket_characteristic(basis[i], basis[j], problem)
+        coeffs = echelon.solve(nf(br.q))
+        if coeffs is None:
+            raise SpanError(
+                f"bracket not in span: [{basis[i].name}, {basis[j].name}]")
+        for k, v in coeffs.items():
+            c[i, j, k], c[j, i, k] = v, -v
+    return StructureConstants(tuple(basis), c)

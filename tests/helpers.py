@@ -59,17 +59,17 @@ def _leaf(rng: Random, p: Problem, scalar_only: bool) -> Expr:
     if kind == "sym":
         return Sym(p.constants[0])
     if kind == "coord":
-        return p.coord(rng.choice([c.name for c in p.coordinates]))
+        return p.coordinate(rng.choice([c.name for c in p.coordinates]))
     if kind == "jet":
         if scalar_only and p.dependent.kind != "scalar":
-            return p.coord("x")
+            return p.coordinate("x")
         order = rng.randint(0, 2)
         subs = "".join(rng.choice("xt") for _ in range(order))
         return p.jet(subs)
     if kind == "base":
         scalars = [n for n, b in p.base_functions.items() if not b.matrix]
         names = scalars if scalar_only else list(p.base_functions)
-        return p.base(rng.choice(names)) if names else p.coord("t")
+        return p.base(rng.choice(names)) if names else p.coordinate("t")
     if kind == "inv_u":
         return inverse(p.u)
     return p.cmat(rng.choice(list(p.matrices)))
@@ -257,7 +257,7 @@ def reference_total(e: Expr, coord, problem: Problem) -> Expr:
     `jetsym.total_derivative`."""
     def atom(a: Expr) -> Expr:
         if isinstance(a, Coord):
-            return Rat(1) if a.coordinate == coord else ZERO
+            return Rat(1) if a is coord else ZERO
         if isinstance(a, Jet):
             return Jet(a.dep, a.idx + (coord.index,))
         if isinstance(a, Base):
@@ -294,7 +294,7 @@ def reference_expr_key(e: Expr) -> tuple:
     if isinstance(e, Rat):
         return (0, e.value.numerator, e.value.denominator)
     if isinstance(e, Coord):
-        return (1, e.coordinate.index)
+        return (1, e.index)
     if isinstance(e, Sym):
         return (2, e.name)
     if isinstance(e, Jet):
@@ -343,15 +343,15 @@ def reference_solve(columns: list[dict], target: dict):
     """The solution of sum_j x[j] * columns[j] = target with x[j] = 0 for
     every column that depends on the columns before it, by dense
     Gauss-Jordan elimination in Fractions; None when inconsistent: the
-    reference for `linsolve.solve`."""
+    reference for `linsolve.solve`, in its shape, {j: x[j]} for the
+    nonzero x[j] in column order, an int where x[j] is integral."""
     rows = list(dict.fromkeys(k for c in (*columns, target) for k in c))
     m, pivots = _reference_echelon([*columns, target], rows)
     if len(columns) in pivots:
         return None
-    x = [Fraction(0)] * len(columns)
-    for r, j in enumerate(pivots):
-        x[j] = m[r][-1]
-    return x
+    x = {j: m[r][-1] for r, j in enumerate(pivots) if m[r][-1]}
+    return {j: v.numerator if v.denominator == 1 else v
+            for j, v in x.items()}
 
 
 def reference_rank(columns: list[dict]) -> int:

@@ -52,7 +52,7 @@ def _both_flavors():
 
 def test_criterion_1_micro_examples():
     with criterion(1, "worked micro-examples match exactly"):
-        x, t = SP.coord("x"), SP.coord("t")
+        x, t = SP.coordinate("x"), SP.coordinate("t")
         ux = SP.jet("x")
         got = total_derivative(x * t * ux * ux, SP.coordinate("t"), SP)
         uxt = SP.jet("xt")

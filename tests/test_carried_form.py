@@ -91,7 +91,7 @@ def test_rebuilt_tree_inside_a_larger_tree_answers_from_its_form():
     for p, text in ((scalar_problem(), "u_x*u + 2/4*x*u_t + 3 + sin(u)"),
                     (matrix_problem(), "u_x*A - 2*A*u_t*inv(u) + 3*x*u")):
         inner = rebuild(nf(parse_expr(text, p)))
-        outers = [mul(p.jet("t"), inner, p.coord("x"), inner),
+        outers = [mul(p.jet("t"), inner, p.coordinate("x"), inner),
                   add(p.jet("t"), mul(-1, inner))]
         if p.dependent.kind == "scalar":
             outers.append(mul(func("sin", inner), inner))

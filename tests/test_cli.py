@@ -333,6 +333,22 @@ def test_batch_too_deep_line_fails_on_its_own(tmp_path):
     assert "verdict: Symmetry" in r.stdout
 
 
+@pytest.mark.parametrize("files", [1, 2], ids=["self", "each-other"])
+def test_a_batch_line_cannot_run_batch(tmp_path, files):
+    """A batch file that names itself, or two that name each other: the
+    nested batch line fails on its own with a usage error, and the lines
+    after it still run, once."""
+    paths = [tmp_path / f"cmds{i}.txt" for i in range(files)]
+    for i, path in enumerate(paths):
+        path.write_text(f"batch {paths[(i + 1) % files]}\n"
+                        "check --q u_x\n")
+    r = invoke("--pde", "heat", "batch", str(paths[0]))
+    assert r.code == 1
+    assert r.stderr.splitlines() == [
+        "error: line 1: a batch file cannot run batch"]
+    assert r.stdout.count("verdict: Symmetry") == 1
+
+
 CUSTOM = ["--coords", "x,t", "--constants", "k", "--f", "u_t - k*u_xx",
           "--solved", "u_t = k*u_xx"]
 

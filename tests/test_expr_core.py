@@ -152,7 +152,7 @@ def every_kind_of_atom(p: Problem) -> list:
     nested function arguments and inverses included."""
     p.register_potential(PotentialDef("X", {"x": p.jet("t"),
                                             "t": p.jet("x")}))
-    x, t, c = p.coord("x"), p.coord("t"), p.const("c")
+    x, t, c = p.coordinate("x"), p.coordinate("t"), p.const("c")
     return [x, t, c, p.u, p.jet("xt"), p.jet("ttx"), p.base("f"),
             Base("f", True, (1, 0)), p.cmat("M"), p.potential("X"),
             inverse(p.u), Fn("sin", c * x + 1), func("exp", x * t - 2),
@@ -166,7 +166,8 @@ def test_equal_atoms_are_one_object():
     assert Base("f", False, (1, 0)) is Base("f", partials=(0, 1))
     p = chiral_shaped()
     assert Inv(p.u) is inverse(p.u)
-    assert Fn("sin", p.coord("x") + 1) is func("sin", p.coord("x") + 1)
+    x = p.coordinate("x")
+    assert Fn("sin", x + 1) is func("sin", x + 1)
     assert Jet(dep) is not Jet(Dependent("u", invertible=True))
 
 

@@ -1,7 +1,8 @@
 """Sparse exact elimination checked against sympy's dense rational matrices
 on seeded random systems: full-rank, rank-deficient (columns that are
 combinations of earlier or later ones), consistent and inconsistent; and
-one Echelon solving many targets against the dense references."""
+one Echelon solving many targets against the dense references.  A solution
+is sparse, {column index: coefficient}, like a column (`assert_sparse`)."""
 from fractions import Fraction
 from random import Random
 
@@ -63,6 +64,16 @@ def random_system(seed: int):
     return order, cols, target
 
 
+def assert_sparse(x: dict, columns: int) -> None:
+    """The shape of a solution: column indices in column order, only
+    nonzero coefficients, each an int while it is integral."""
+    assert list(x) == sorted(x)
+    assert all(0 <= j < columns for j in x)
+    assert all(v for v in x.values())
+    assert all(type(v) is int if Fraction(v).denominator == 1
+               else type(v) is Fraction for v in x.values())
+
+
 def dense(keys, cols, target):
     a = sympy.Matrix([[sympy.Rational(c.get(k, 0)) for c in cols]
                       for k in keys])
@@ -80,27 +91,40 @@ def test_solve_and_rank_match_sympy(seed):
     assert Echelon(cols).rank == a.rank()
     if x is None:
         return
-    assert len(x) == len(cols)
-    assert all(isinstance(v, Fraction) for v in x)
+    assert_sparse(x, len(cols))
     got: dict = {}
-    for xj, col in zip(x, cols):
-        for k, v in col.items():
+    for j, xj in x.items():
+        for k, v in cols[j].items():
             got[k] = got.get(k, 0) + xj * v
     assert {k: v for k, v in got.items() if v} == target
     _, pivots = a.rref()
-    assert all(not x[j] for j in range(len(cols)) if j not in pivots)
+    assert set(x) <= set(pivots)
+
+
+def test_solution_is_sparse_in_column_order():
+    """Echelon.solve returns {column index: coefficient} for the nonzero
+    coefficients only, in column order, an int where one is integral:
+    the dependent columns 1 and 3 and the unused column 5 are absent."""
+    cols = [{"a": 2}, {"a": 4}, {"b": 3}, {"a": 1, "b": 1},
+            {"c": Fraction(1, 2)}, {"d": 1}]
+    target = {"a": 1, "b": 6, "c": 1}
+    x = Echelon(cols).solve(target)
+    assert x == reference_solve(cols, target) == {0: Fraction(1, 2), 2: 2,
+                                                  4: 2}
+    assert list(x) == [0, 2, 4]
+    assert [type(v) for v in x.values()] == [Fraction, int, int]
 
 
 def test_empty_system():
-    assert solve([], {}) == []
+    assert solve([], {}) == {}
     assert solve([], {"k": Fraction(1)}) is None
     assert Echelon([]).rank == 0
 
 
 def test_solution_is_exact():
     cols = [{"a": Fraction(3), "b": Fraction(1)}, {"a": Fraction(1)}]
-    assert solve(cols, {"a": Fraction(1), "b": Fraction(1, 3)}) == [
-        Fraction(1, 3), Fraction(0)]
+    assert solve(cols, {"a": Fraction(1), "b": Fraction(1, 3)}) == {
+        0: Fraction(1, 3)}
 
 
 def test_integer_system_with_a_fractional_solution():
@@ -108,12 +132,16 @@ def test_integer_system_with_a_fractional_solution():
     integral: 2a + b = 1, a + 3b = 0."""
     cols, target = [{0: 2, 1: 1}, {0: 1, 1: 3}], {0: 1}
     x = solve(cols, target)
-    assert x == reference_solve(cols, target) == [Fraction(3, 5),
-                                                  Fraction(-1, 5)]
-    assert all(type(v) is Fraction for v in x)
+    assert x == reference_solve(cols, target) == {0: Fraction(3, 5),
+                                                  1: Fraction(-1, 5)}
+    assert all(type(v) is Fraction for v in x.values())
     assert Echelon(cols).rank == reference_rank(cols) == 2
-    assert solve(cols, {0: 4, 1: 7}) == [1, 2]
-    assert all(type(v) is Fraction for v in solve(cols, {0: 4, 1: 7}))
+    assert solve(cols, {0: 4, 1: 7}) == {0: 1, 1: 2}
+    assert all(type(v) is int for v in solve(cols, {0: 4, 1: 7}).values())
+    # Fraction entries whose solution is integral: ints come out
+    x = solve([{0: Fraction(1, 2)}, {1: Fraction(2, 3)}], {0: 1, 1: 2})
+    assert x == {0: 2, 1: 3}
+    assert all(type(v) is int for v in x.values())
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -135,7 +163,8 @@ def test_integer_systems_match_the_fraction_only_elimination(seed):
     target = {k: v for k, v in target.items() if v}
     x = solve(cols, target)
     assert x == reference_solve(cols, target), seed
-    assert x is None or all(type(v) is Fraction for v in x)
+    if x is not None:
+        assert_sparse(x, len(cols))
     assert Echelon(cols).rank == reference_rank(cols)
 
 
@@ -157,7 +186,7 @@ def test_solution_scales_with_columns_and_target(seed):
     if x is None:
         assert y is None
     else:
-        assert y == [b * xj / aj for xj, aj in zip(x, a)]
+        assert y == {j: b * xj / a[j] for j, xj in x.items()}
 
 
 @pytest.mark.parametrize("seed", range(CASES))
@@ -181,7 +210,7 @@ def test_a_key_that_no_column_holds_is_inconsistent():
     echelon = Echelon([{"a": 1, "b": 2}, {"b": Fraction(1, 3)}])
     assert echelon.solve({"c": 1}) is None
     assert echelon.solve({"a": 1, "c": 1}) is None
-    assert echelon.solve({"a": 1, "b": 2}) == [1, 0]  # no key was added
+    assert echelon.solve({"a": 1, "b": 2}) == {0: 1}  # no key was added
     assert Echelon([]).solve({"a": 1}) is None
 
 
@@ -192,7 +221,7 @@ def test_dependent_columns_keep_coefficient_zero():
     echelon = Echelon(cols)
     assert echelon.rank == 2
     target = {"a": 4, "b": 5, "c": Fraction(-1, 2)}  # 2*c0 + c1
-    assert echelon.solve(target) == [2, 0, 1, 0, 0]
+    assert echelon.solve(target) == {0: 2, 2: 1}
     assert echelon.solve(target) == reference_solve(cols, target)
 
 
@@ -235,5 +264,5 @@ def test_extend_with_no_columns_is_a_no_op():
     assert echelon.solve(target) == before == reference_solve(cols, target)
     empty = Echelon([])
     empty.extend([])
-    assert empty.rank == 0 and empty.solve({}) == []
+    assert empty.rank == 0 and empty.solve({}) == {}
     assert empty.solve({"a": 1}) is None

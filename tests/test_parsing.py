@@ -85,6 +85,16 @@ def test_unknown_jet_coordinate(sp):
         parse_expr("u_y", sp)
 
 
+def test_empty_jet_subscript(sp, mp):
+    """u_ names no jet: the dependent itself is u, and Problem.jet(())
+    is the library's way to it."""
+    for p, text in ((sp, "u_"), (sp, "u_ + u"), (mp, "inv(u)*u_")):
+        with pytest.raises(ParseError, match="empty jet subscript") as exc:
+            parse_expr(text, p)
+        assert exc.value.pos == text.index("_") - 1
+    assert sp.jet(()) is sp.u
+
+
 def test_error_positions(sp):
     with pytest.raises(ParseError) as exc:
         parse_expr("u_x + ", sp)
@@ -177,8 +187,8 @@ def test_parse_operator_folds_consecutive_signs():
 def test_parse_operator_splits_outside_brackets_only(sp):
     op = parse_operator("((-2)*t)*D_x*F + (x - t)*F", sp)
     got = op.apply(sp.u, sp)
-    want = normal_form(-2 * sp.coord("t") * sp.jet("x")
-                       + (sp.coord("x") - sp.coord("t")) * sp.u)
+    want = normal_form(-2 * sp.coordinate("t") * sp.jet("x")
+                       + (sp.coordinate("x") - sp.coordinate("t")) * sp.u)
     assert is_zero(got - want)
 
 
@@ -278,7 +288,7 @@ def test_multi_letter_coordinates_round_trip(text):
 def test_a_sum_inside_a_library_built_product_is_bracketed(sp):
     """A product built without normalizing may hold a sum or a negative
     number as a factor; each renders in brackets and parses back."""
-    x, u, ux = sp.coord("x"), sp.u, sp.jet("x")
+    x, u, ux = sp.coordinate("x"), sp.u, sp.jet("x")
     for e, text in [(mul(x, add(u, ux)), "x*(u + u_x)"),
                     (mul(Rat(-1), add(u, x)), "-(u + x)"),
                     (mul(add(u, neg(x)), u, Rat(-1)), "(u - x)*u*(-1)")]:

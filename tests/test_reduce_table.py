@@ -57,7 +57,7 @@ def random_jet_polynomial(rng: Random, p: Problem):
         for _ in range(rng.randint(1, 3)):
             kind = rng.random()
             if kind < 0.15:
-                factors.append(p.coord(rng.choice("xt")))
+                factors.append(p.coordinate(rng.choice("xt")))
             elif kind < 0.3 and p.dependent.invertible:
                 factors.append(inverse(p.u))
             else:

@@ -25,7 +25,7 @@ CASES = 100
 
 P = Problem(coords=["x", "t"], dependent=Dependent("u"))
 COORDS = [sympy.Symbol(c.name) for c in P.coordinates]
-LEAVES = [P.coord("x"), P.coord("t")] + [
+LEAVES = [P.coordinate("x"), P.coordinate("t")] + [
     P.jet(s) for s in ("", "x", "t", "xx", "xt", "tt")]
 
 
@@ -45,7 +45,7 @@ def to_sympy(e):
     if isinstance(e, Rat):
         return sympy.Rational(e.value.numerator, e.value.denominator)
     if isinstance(e, Coord):
-        return COORDS[e.coordinate.index]
+        return COORDS[e.index]
     if isinstance(e, Jet):
         return _jet(e.idx)
     if isinstance(e, Add):
@@ -142,7 +142,7 @@ def random_rational_product(rng: Random, zero_args: bool = False):
     function of a constant, and the engine keeps it an atom).  With
     zero_args, half of the functions are instead sin, cos or exp of a
     monomial minus itself, which both evaluate at 0."""
-    jets = [PI.coord("x"), PI.coord("t")] + [
+    jets = [PI.coordinate("x"), PI.coordinate("t")] + [
         PI.jet(s) for s in ("", "x", "t", "xt")]
     leaves = jets + [inverse(PI.u)]
 
