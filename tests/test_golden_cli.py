@@ -1,7 +1,12 @@
 """Rendered CLI output over the catalog, compared byte for byte with the
 transcript in tests/data/catalog_cli.txt: `list` and `--json list`, `check`
 on every catalog characteristic in text and `--json`, the chiral `bt-apply`
-success and failure seeds, and kdv's `structconsts`.
+success and failure seeds, and in text and `--json` every other command on
+a catalog entry: `parse`, `reduce`, `bracket`, `certify` with a catalog
+certificate and with a wrong one, `check --phi`, kdv's and chiral's
+`structconsts`, and `structconsts --basis` on an independent and a
+dependent basis.  An invocation's stderr, when it writes any, is recorded
+after its stdout.
 
 After a change that is meant to alter rendered output, regenerate the
 transcript from the repository root with
@@ -23,6 +28,24 @@ GOLDEN = Path(__file__).parent / "data" / "catalog_cli.txt"
 
 BT_SEEDS = ("M", "g_x", "x*inv(g)*g_t - t*inv(g)*g_x", "comm(X, M)")
 
+COMMANDS = (
+    ["--pde", "kdv", "parse", "u_x*u + 2*u*u_x"],
+    ["--pde", "chiral", "parse", "comm(X, M) + inv(g)*g_x*inv(g)"],
+    ["--pde", "kdv", "reduce", "u_tx"],
+    ["--pde", "chiral", "reduce", "g_tt*X"],
+    ["--pde", "kdv", "bracket", "--q1", "q2", "--q2", "q3"],
+    ["--pde", "chiral", "bracket", "--q1", "phi1", "--q2", "phi3"],
+    ["--pde", "kdv", "certify", "--q", "q4",
+     "--lhat", "5*F + x*D_x*F + 3*t*D_t*F"],
+    ["--pde", "kdv", "certify", "--q", "q3", "--lhat", "D_x*F"],
+    ["--pde", "chiral", "certify", "--phi", "M", "--lhat", "F*M - M*F"],
+    ["--pde", "chiral", "check", "--phi", "x*inv(g)*g_x + t*inv(g)*g_t"],
+    ["--pde", "chiral", "check", "--phi", "g_x"],
+    ["--pde", "chiral", "structconsts"],
+    ["--pde", "kdv", "structconsts", "--basis", "q1,q2"],
+    ["--pde", "kdv", "structconsts", "--basis", "q1,q1"],
+)
+
 
 def invocations() -> list[list[str]]:
     out = [["list"], ["--json", "list"]]
@@ -33,17 +56,20 @@ def invocations() -> list[list[str]]:
     for phi in BT_SEEDS:
         out += [["--pde", "chiral", "bt-apply", "--phi", phi],
                 ["--json", "--pde", "chiral", "bt-apply", "--phi", phi]]
-    out += [["--pde", "kdv", "structconsts"],
-            ["--json", "--pde", "kdv", "structconsts"]]
+    for args in (["--pde", "kdv", "structconsts"], *COMMANDS):
+        out += [args, ["--json", *args]]
     return out
 
 
 def transcript() -> str:
-    """Each invocation's command line, its stdout and its exit status."""
+    """Each invocation's command line, its stdout, its stderr (each line
+    marked `stderr: `) and its exit status."""
     parts = []
     for args in invocations():
         result = invoke(*args)
-        parts.append(f"$ jetsym {shlex.join(args)}\n{result.stdout}"
+        err = "".join(f"stderr: {line}\n"
+                      for line in result.stderr.splitlines())
+        parts.append(f"$ jetsym {shlex.join(args)}\n{result.stdout}{err}"
                      f"[exit {result.code}]\n")
     return "".join(parts)
 
