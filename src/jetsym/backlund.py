@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional
 
-from .core import (Coord, Expr, JetsymError, Jet, MATRIX, Pot,
+from .core import (CMat, Coord, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
                    inverse, mul)
 from .calculus import (Characteristic, Image, char_derivative,
@@ -182,10 +182,8 @@ def _alphabet(problem: Problem) -> list[Expr]:
     """The letters of the candidate basis in order of declaration: the left
     currents, then the constant matrices, then the registered potentials."""
     x, t = _xt(problem)
-    alphabet: list[Expr] = [left_current(problem, x), left_current(problem, t)]
-    alphabet.extend(problem.matrices.values())
-    alphabet.extend(problem.potential(n) for n in problem.potentials)
-    return alphabet
+    return [left_current(problem, x), left_current(problem, t),
+            *problem.atoms(CMat), *problem.atoms(Pot)]
 
 
 def _basis_order(letters: int, start: int = 0

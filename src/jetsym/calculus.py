@@ -165,8 +165,8 @@ _TOTALS: WeakKeyDictionary = WeakKeyDictionary()
 
 def total_images(problem: Problem) -> list[Image]:
     """The D_i image map of each coordinate, by coordinate index, on the
-    images kept for the problem: D_i of a factor depends only on the
-    declarations, which only append potentials with fixed gradients."""
+    images kept for the problem.  They cannot go stale: a Problem changes
+    only by `register_potential`, which fixes the new potential's gradient."""
     kept = _TOTALS.get(problem)
     if kept is None:
         kept = _TOTALS[problem] = [{} for _ in problem.coordinates]
@@ -204,12 +204,9 @@ def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
                 raise KindError(
                     "characteristic declared for a different dependent")
             return totals(a.idx)
-        images = problem.potentials[a.name].char_images
-        if Q.name not in images:
-            raise NonlocalActionError(
-                f"nonlocal action undefined: no image of potential "
-                f"{a.name!r} under characteristic {Q.name!r}")
-        return _nf_scale(nf(images[Q.name]), d)
+        raise NonlocalActionError(
+            f"nonlocal action undefined: no image of potential "
+            f"{a.name!r} under characteristic {Q.name!r}")
 
     return nf_divide(derive_nf(n, derivation(atom, {})), d)
 

@@ -431,16 +431,13 @@ def _atom_key(e: Atom) -> tuple:
 @dataclass(frozen=True)
 class PotentialDef:
     """Gradient-defined nonlocal variable: derivatives[coord name] = Expr,
-    held as a read-only copy, because the D_i images kept per problem
-    (`calculus.total_images`) and mod F (`symmetry.Store`) depend on it.
-
-    `char_images` optionally registers the action of a characteristic
-    derivative on the potential, keyed by characteristic name.  D_Q's
-    images are taken per call, so it is a dict read on each call."""
+    held as a read-only copy.  A declaration is fixed once made: the D_i
+    images kept per problem (`calculus.total_images`) and mod F
+    (`symmetry.Store`) depend on the gradient, and D_Q of the potential is
+    not defined by it (`calculus.char_nf` refuses it)."""
 
     name: str
     derivatives: Mapping[str, Expr]
-    char_images: dict[str, Expr] = field(default_factory=dict)
     matrix: bool = True
 
     def __post_init__(self):
@@ -462,7 +459,8 @@ class PotentialDef:
 class Problem:
     """Declaration context: coordinates, the single dependent, constants,
     constant matrices, base functions and the potential registry.  One table
-    maps each declared name to its atom, and no name is declared twice."""
+    maps each declared name to its atom, and no name is declared twice; only
+    `register_potential` adds to it later, and no public value is mutable."""
 
     def __init__(self, coords: Iterable[str] = ("x", "t"),
                  dependent: Dependent = None,
@@ -474,17 +472,12 @@ class Problem:
                                  for i, n in enumerate(coords))
         self.dependent = dependent or Dependent("u")
         self._declare(self.dependent.name, Jet(self.dependent))
-        self.constants = tuple(self._declare(n, Sym(n)).name for n in constants)
-        self.matrices: dict[str, CMat] = {}
-        for m in matrices:  # a name, or (name, invertible)
-            name, invertible = m if isinstance(m, tuple) else (m, False)
-            self.matrices[name] = self._declare(name,
-                                                CMat(name, bool(invertible)))
-        self.base_functions: dict[str, Base] = {}
-        for b in base_functions:  # a name, or (name, matrix-valued)
-            name, matrix = b if isinstance(b, tuple) else (b, False)
-            self.base_functions[name] = self._declare(name,
-                                                      Base(name, bool(matrix)))
+        for n in constants:
+            self._declare(n, Sym(n))
+        for kind, names in ((CMat, matrices), (Base, base_functions)):
+            for n in names:  # a name, or (name, invertible / matrix-valued)
+                name, flag = n if isinstance(n, tuple) else (n, False)
+                self._declare(name, kind(name, bool(flag)))
         self._potentials: dict[str, PotentialDef] = {}
         # read-only: `register_potential` is the one way to append
         self.potentials: Mapping[str, PotentialDef] = MappingProxyType(
@@ -506,6 +499,10 @@ class Problem:
     def declared(self, name: str) -> Expr | None:
         """The atom declared under `name`, or None."""
         return self._atoms.get(name)
+
+    def atoms(self, kind: type) -> tuple[Expr, ...]:
+        """The declared atoms of one kind, in order of declaration."""
+        return tuple(a for a in self._atoms.values() if isinstance(a, kind))
 
     def _lookup(self, name: str, kind: type, what: str) -> Expr:
         atom = self._atoms.get(name)

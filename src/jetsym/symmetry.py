@@ -43,7 +43,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
-from .core import (Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
+from .core import (CMat, Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
                    as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_characteristic,
                        char_nf, derivation, derive_nf, jet_totals, total_atoms)
@@ -80,15 +80,15 @@ class Store:
       letter c taken so far, (candidate b, denominator d_b of its cleared
       rows) per echelon column, and the Echelon of the columns.
 
-    Nothing kept goes stale: an entry depends only on F, the ansatz bounds
-    and the problem's declarations, a Pde is immutable, and a Problem only
-    appends potentials, whose gradients are fixed.  `Pde.stores` holds
-    problems weakly, so a record goes with its problem, and
-    dataclasses.replace starts a Pde with none.  No closure is kept: the
-    image maps R o D_i, which hold their images here, and the guard
-    against a cyclic value belong to each `reduction` context, which
-    refers to the record and not back, so a dropped record is freed at
-    once."""
+    Nothing kept goes stale, by construction: an entry depends only on F,
+    the ansatz bounds and the problem's declarations, a Pde is immutable,
+    and a Problem changes only by `register_potential`, which adds a
+    potential with a fixed gradient.  `Pde.stores` holds problems weakly,
+    so a record goes with its problem, and dataclasses.replace starts a Pde
+    with none.  No closure is kept: the image maps R o D_i, which hold
+    their images here, and the guard against a cyclic value belong to each
+    `reduction` context, which refers to the record and not back, so a
+    dropped record is freed at once."""
 
     table: dict
     images: list
@@ -354,7 +354,7 @@ def _candidate_terms(problem: Problem, cfg: AnsatzConfig):
         js.extend(combinations_with_replacement(range(ncoords), d))
     terms = [(m, j, ONE) for j in js for m in monos]
     if problem.dependent.kind == MATRIX:
-        for cm in problem.matrices.values():
+        for cm in problem.atoms(CMat):
             for m in monos:
                 terms.append((mul(m, cm), (), ONE))
                 terms.append((m, (), cm))

@@ -51,13 +51,13 @@ def _leaf(rng: Random, p: Problem, scalar_only: bool) -> Expr:
     if p.dependent.invertible and (p.dependent.kind == "scalar"
                                    or not scalar_only):
         choices.append("inv_u")
-    if p.matrices and not scalar_only:
+    if p.atoms(CMat) and not scalar_only:
         choices.append("cmat")
     kind = rng.choice(choices)
     if kind == "rat":
         return Rat(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])))
     if kind == "sym":
-        return Sym(p.constants[0])
+        return p.atoms(Sym)[0]
     if kind == "coord":
         return p.coordinate(rng.choice([c.name for c in p.coordinates]))
     if kind == "jet":
@@ -67,12 +67,11 @@ def _leaf(rng: Random, p: Problem, scalar_only: bool) -> Expr:
         subs = "".join(rng.choice("xt") for _ in range(order))
         return p.jet(subs)
     if kind == "base":
-        scalars = [n for n, b in p.base_functions.items() if not b.matrix]
-        names = scalars if scalar_only else list(p.base_functions)
-        return p.base(rng.choice(names)) if names else p.coordinate("t")
+        bases = [b for b in p.atoms(Base) if not (scalar_only and b.matrix)]
+        return rng.choice(bases) if bases else p.coordinate("t")
     if kind == "inv_u":
         return inverse(p.u)
-    return p.cmat(rng.choice(list(p.matrices)))
+    return rng.choice(p.atoms(CMat))
 
 
 def term_bound(e: Expr) -> int:
@@ -280,10 +279,7 @@ def reference_char(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
             for i in a.idx:
                 out = reference_total(out, problem.coordinates[i], problem)
             return out
-        images = problem.potentials[a.name].char_images
-        if Q.name not in images:
-            raise NonlocalActionError(f"no image of {a.name} under {Q.name}")
-        return images[Q.name]
+        raise NonlocalActionError(f"no image of {a.name} under {Q.name}")
 
     return normal_form(_reference_derive(as_expr(e), atom))
 

@@ -3,14 +3,15 @@ import dataclasses
 import pickle
 from fractions import Fraction
 from itertools import permutations
+from types import MappingProxyType
 
 import pytest
 
 from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
                     is_zero, mk_jet, normal_form, parse_expr)
-from jetsym.core import (Atom, Base, DeclarationError, Fn, Inv, InversionError,
-                         Jet, KindError, Mul, Rat, expr_key, func, is_scalar,
-                         nodes)
+from jetsym.core import (Atom, Base, CMat, Coord, DeclarationError, Fn, Inv,
+                         InversionError, Jet, KindError, Mul, Pot, Rat, Sym,
+                         expr_key, func, is_scalar, nodes)
 from jetsym.normalize import collect_jets, nf
 from jetsym.printing import render
 
@@ -145,6 +146,30 @@ def test_a_potential_may_not_reuse_a_declared_name(name):
         p.register_potential(PotentialDef(name, gradient))
     assert parse_expr(name, p) == declared
     assert list(p.potentials) == ["X"]
+
+
+def test_a_problem_stores_each_declaration_once():
+    """The one table of declared names is a Problem's only record of its
+    declarations: every public attribute of a problem with every kind of
+    declaration is a tuple, a read-only mapping or a frozen value, and
+    `atoms` lists the declared atoms of one kind in order of declaration."""
+    p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True),
+                constants=["k", "c"], matrices=[("N", True), "M"],
+                base_functions=[("f", True), "a"])
+    X = p.register_potential(PotentialDef("X", {"x": p.jet("t"),
+                                                "t": p.jet("x")}))
+    public = {k: v for k, v in vars(p).items() if not k.startswith("_")}
+    for name, value in public.items():
+        assert isinstance(value, (tuple, MappingProxyType)) or (
+            dataclasses.is_dataclass(value)
+            and value.__dataclass_params__.frozen), name
+    assert set(public) == {"coordinates", "dependent", "potentials"}
+    assert p.atoms(Coord) == p.coordinates
+    assert p.atoms(Sym) == (p.const("k"), p.const("c"))
+    assert p.atoms(CMat) == (CMat("N", True), CMat("M"))
+    assert p.atoms(Base) == (Base("f", True), Base("a"))
+    assert p.atoms(Pot) == (X,)
+    assert p.atoms(Jet) == (p.u,)
 
 
 def every_kind_of_atom(p: Problem) -> list:

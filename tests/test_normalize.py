@@ -10,7 +10,8 @@ from fractions import Fraction
 from jetsym import (commutator, get_pde, inverse, is_zero, normal_form,
                     parse_expr, substitute)
 from jetsym.calculus import char_nf, jet_totals
-from jetsym.core import Comm, Fn, Inv, InversionError, Rat, nodes, rat
+from jetsym.core import (CMat, Comm, Fn, Inv, InversionError, Rat, nodes,
+                         rat)
 from jetsym.normalize import (MAX_TERMS, _join, _nf_add, _nf_mul,
                               clear_denominators, collect_jets, map_nf, nf,
                               nf_divide)
@@ -141,7 +142,7 @@ def test_substitute_matches_reference_walker(problem):
     p = problem
     rng = Random(f"substitute-{p.dependent.kind}")
     special = [inverse(p.u), p.jet("x"), Rat(0), Rat(2)] + \
-        [p.cmat(m) for m in p.matrices]
+        list(p.atoms(CMat))
     seen = {Fn: 0, Inv: 0, Comm: 0, InversionError: 0, "value": 0}
     for _ in range(300):
         e = random_expr(rng, p, 4)
@@ -174,8 +175,8 @@ def _jet_map(rng: Random, p) -> dict:
                                                  scalar_only=scalar))
     if rng.random() < 0.7:
         values[p.u] = nf(rng.choice([Rat(Fraction(2, 3)), inverse(p.u),
-                                     *(p.cmat(m) for m in p.matrices
-                                       if p.cmat(m).invertible)]))
+                                     *(m for m in p.atoms(CMat)
+                                       if m.invertible)]))
     return values
 
 

@@ -13,7 +13,7 @@ from jetsym import (Characteristic, Verdict, bracket_characteristic,
 from jetsym import catalog
 from jetsym.backlund import declare_potential
 from jetsym.catalog import get_pde
-from jetsym.core import PotentialDef, Problem, ZERO
+from jetsym.core import CMat, PotentialDef, Problem, Sym, ZERO
 from jetsym.parsing import parse_expr, parse_operator
 from jetsym.symmetry import (AnsatzConfig, BasisError, IDENTITY_OPERATOR,
                              PdeError, SpanError, ZERO_OPERATOR)
@@ -285,9 +285,9 @@ def private_copy(entry):
     """A Problem declared like the catalog's, and its Pde made anew."""
     p0, pde = entry.problem, entry.pde
     p = Problem(coords=[c.name for c in p0.coordinates],
-                dependent=p0.dependent, constants=p0.constants,
-                matrices=[(m.name, m.invertible)
-                          for m in p0.matrices.values()])
+                dependent=p0.dependent,
+                constants=[c.name for c in p0.atoms(Sym)],
+                matrices=[(m.name, m.invertible) for m in p0.atoms(CMat)])
     return p, make_pde(pde.name, pde.f, pde.leading, pde.rhs, p)
 
 
