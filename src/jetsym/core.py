@@ -97,7 +97,7 @@ class Rat(Expr):
         v = self.value
         if type(v) is not int:
             if type(v) is not Fraction:
-                v = Fraction(v)
+                raise TypeError(f"cannot interpret {v!r} as a rational")
             object.__setattr__(self, "value",
                                v.numerator if v.denominator == 1 else v)
 

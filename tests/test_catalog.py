@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import jetsym
-from jetsym import Verdict, check_symmetry
-from jetsym.catalog import CATALOG_NAMES, get_pde, load_catalog, validate_entry
-from jetsym.parsing import parse_expr
+from jetsym import Characteristic, Verdict, catalog, check_symmetry
+from jetsym.catalog import (CATALOG_NAMES, StructureClaim, get_pde,
+                            load_catalog, validate_entry)
+from jetsym.parsing import parse_expr, parse_operator
 from jetsym.printing import render
 from jetsym.core import JetsymError
 
@@ -66,6 +69,48 @@ def test_a_failed_bt_fixture_fails_under_python_o():
     assert r.returncode != 0
     assert ("AssertionError: chiral: BT fixture mismatch for inv(g)*g_x"
             in r.stderr), r.stderr
+
+
+def _kdv_with(**changes):
+    return dataclasses.replace(get_pde("kdv"), **changes)
+
+
+def _kdv_characteristic(name, **changes):
+    kdv = get_pde("kdv")
+    return _kdv_with(characteristics=tuple(
+        dataclasses.replace(c, **changes) if c.name == name else c
+        for c in kdv.characteristics))
+
+
+def _chiral_image_failing_its_check(monkeypatch):
+    """A fixture whose image fails the symmetry condition.  An image that
+    `bt_apply` integrates certifies its seed, so the check is reached
+    through a stand-in for `bt_apply` that returns the fixture's image."""
+    ch = get_pde("chiral")
+    g_x = ch.problem.jet("x")
+    monkeypatch.setattr(catalog, "bt_apply", lambda phi, pde, problem: g_x)
+    return dataclasses.replace(ch, characteristics=(), structure_basis=(),
+                               bt_fixtures=((ch.bt_fixtures[0][0], g_x),))
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (lambda mp: _kdv_characteristic(
+        "q1", q=Characteristic("q1", get_pde("kdv").problem.u,
+                               get_pde("kdv").problem.dependent)),
+     "kdv/q1: not a symmetry"),
+    (lambda mp: _kdv_characteristic(
+        "q3", certificate=parse_operator("D_x*F", get_pde("kdv").problem)),
+     "kdv/q3: certificate does not certify"),
+    (lambda mp: _kdv_with(structure_claims=(
+        StructureClaim("q2", "q3", {"q1": Fraction(1)}),)),
+     "kdv: c[q2][q3]^q1 != 1"),
+    (_chiral_image_failing_its_check,
+     "chiral: BT image fails the symmetry condition"),
+], ids=["not-a-symmetry", "certificate", "structure-constant", "bt-image"])
+def test_validate_entry_names_each_failed_check(monkeypatch, doctor, message):
+    with pytest.raises(AssertionError) as exc:
+        validate_entry(doctor(monkeypatch))
+    assert str(exc.value) == message
 
 
 def test_get_pde_unknown():

@@ -17,6 +17,7 @@ import jetsym
 from jetsym import normalize
 from jetsym.catalog import CATALOG_NAMES
 from jetsym.cli import UsageError, main
+from jetsym.symmetry import BasisError
 
 from helpers import invoke
 
@@ -131,6 +132,25 @@ def test_structconsts_catalog_basis():
     assert r.code == 0
     payload = json.loads(r.stdout)
     assert payload["inputs"]["basis"] == ["q1", "q2", "q3", "q4"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_structconsts_given_basis(flags):
+    """`--basis` takes the place of the catalog basis: two translations
+    commute, and a dependent basis is a BasisError, which exits 2."""
+    args = [*flags, "--pde", "kdv", "structconsts", "--basis"]
+    r = invoke(*args, "q1,q2")
+    assert r.code == 0
+    if flags:
+        payload = json.loads(r.stdout)
+        assert payload["inputs"]["basis"] == ["q1", "q2"]
+        assert payload["values"]["nonzero"] == {}
+    else:
+        assert r.stdout == "basis: q1, q2\nall zero\n"
+    with pytest.raises(BasisError, match="^basis dependent$"):
+        main([*args, "q1,q1"])
+    r = invoke(*args, "q1,q1")
+    assert (r.code, r.stdout, r.stderr) == (2, "", "error: basis dependent\n")
 
 
 # --- reduce / bt-apply ----------------------------------------------------

@@ -11,7 +11,7 @@ from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
                     is_zero, mk_jet, normal_form, parse_expr)
 from jetsym.core import (Atom, Base, CMat, Coord, DeclarationError, Fn, Inv,
                          InversionError, Jet, KindError, Mul, Pot, Rat, Sym,
-                         expr_key, func, is_scalar, nodes)
+                         as_expr, expr_key, func, is_scalar, nodes)
 from jetsym.normalize import collect_jets, nf
 from jetsym.printing import render
 
@@ -146,6 +146,17 @@ def test_a_potential_may_not_reuse_a_declared_name(name):
         p.register_potential(PotentialDef(name, gradient))
     assert parse_expr(name, p) == declared
     assert list(p.potentials) == ["X"]
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, "1", 1j],
+                         ids=["float", "integral-float", "bool", "str",
+                              "complex"])
+def test_rat_refuses_what_as_expr_refuses(value):
+    """A rational constant is an int or a Fraction: anything else, a float
+    or a bool included, is refused, by `Rat` as by `as_expr`."""
+    for make in (Rat, as_expr):
+        with pytest.raises(TypeError):
+            make(value)
 
 
 def test_a_problem_stores_each_declaration_once():

@@ -201,13 +201,15 @@ def test_parse_operator_rejects_dangling_pieces(sp, text):
 OPERATOR_ERRORS = {"D_x*F + x*D_y*F": "unknown coordinate 'y'",
                    "F + (x + )*F": "unexpected token ')'",
                    "2*F + F*F": "duplicate F in operator term",
-                   "x*F - (t*%)*F": "unexpected character '%'"}
+                   "x*F - (t*%)*F": "unexpected character '%'",
+                   "F)": "trailing input ')'"}
 
 
 @pytest.mark.parametrize("text,pos", [("D_x*F + x*D_y*F", 10),
                                       ("F + (x + )*F", 9),
                                       ("2*F + F*F", 8),
-                                      ("x*F - (t*%)*F", 9)])
+                                      ("x*F - (t*%)*F", 9),
+                                      ("F)", 1)])
 def test_parse_operator_error_positions(sp, text, pos):
     with pytest.raises(ParseError) as exc:
         parse_operator(text, sp)
