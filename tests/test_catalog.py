@@ -2,9 +2,8 @@ import dataclasses
 import os
 import subprocess
 import sys
-from pathlib import Path
-
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -76,9 +75,12 @@ def _kdv_with(**changes):
 
 
 def _kdv_characteristic(name, **changes):
+    """kdv with fields of its characteristic `name` replaced, each new value
+    made from the problem."""
     kdv = get_pde("kdv")
+    new = {k: make(kdv.problem) for k, make in changes.items()}
     return _kdv_with(characteristics=tuple(
-        dataclasses.replace(c, **changes) if c.name == name else c
+        dataclasses.replace(c, **new) if c.name == name else c
         for c in kdv.characteristics))
 
 
@@ -95,11 +97,10 @@ def _chiral_image_failing_its_check(monkeypatch):
 
 @pytest.mark.parametrize("doctor, message", [
     (lambda mp: _kdv_characteristic(
-        "q1", q=Characteristic("q1", get_pde("kdv").problem.u,
-                               get_pde("kdv").problem.dependent)),
+        "q1", q=lambda p: Characteristic("q1", p.u, p.dependent)),
      "kdv/q1: not a symmetry"),
     (lambda mp: _kdv_characteristic(
-        "q3", certificate=parse_operator("D_x*F", get_pde("kdv").problem)),
+        "q3", certificate=lambda p: parse_operator("D_x*F", p)),
      "kdv/q3: certificate does not certify"),
     (lambda mp: _kdv_with(structure_claims=(
         StructureClaim("q2", "q3", {"q1": Fraction(1)}),)),

@@ -141,8 +141,7 @@ def test_substitute_matches_reference_walker(problem):
     expression under inv() and raise InversionError on the same inputs."""
     p = problem
     rng = Random(f"substitute-{p.dependent.kind}")
-    special = [inverse(p.u), p.jet("x"), Rat(0), Rat(2)] + \
-        list(p.atoms(CMat))
+    special = [inverse(p.u), p.jet("x"), Rat(0), Rat(2), *p.atoms(CMat)]
     seen = {Fn: 0, Inv: 0, Comm: 0, InversionError: 0, "value": 0}
     for _ in range(300):
         e = random_expr(rng, p, 4)
