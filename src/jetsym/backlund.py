@@ -29,12 +29,15 @@ integration derives the new letters only and extends that echelon with the
 products they bring, which gives the echelon built at once on the same
 letters.
 
-An image certifies its seed, so `bt_apply` integrates without checking the
-seed first.  A solution Phi' of the system has R o D_x R(Phi') = R(rhs_x)
-and R o D_t R(Phi') = R(rhs_t), and R o D_x, R o D_t commute: on jets
-always, on a potential because `declare_potential` checked its cross
-derivatives.  So R(D_t rhs_x - D_x rhs_t) = 0, and D_t rhs_x - D_x rhs_t
-is D_{g*Phi} C for the chiral operator C = D_x(inv(g)g_x) + D_t(inv(g)g_t):
+`bt_apply` forms the pair of right-hand sides once, as normal forms, and
+reduces them as they are; `bt_rhs` rebuilds the pair as trees for a
+caller.  An image certifies its seed, so `bt_apply` integrates without
+checking the seed first.  A solution Phi' of the system has
+R o D_x R(Phi') = R(rhs_x) and R o D_t R(Phi') = R(rhs_t), and R o D_x,
+R o D_t commute: on jets always, on a potential because
+`declare_potential` checked its cross derivatives.  So
+R(D_t rhs_x - D_x rhs_t) = 0, and D_t rhs_x - D_x rhs_t is D_{g*Phi} C
+for the chiral operator C = D_x(inv(g)g_x) + D_t(inv(g)g_t):
 a seed with an image passes `bt_seed_check` whenever F is a nonzero
 rational multiple of C, which `bt_apply` checks once per problem.  A
 seed that fails the check has no image, and the CLI asks `bt_seed_check`
@@ -88,13 +91,20 @@ def left_current(problem: Problem, coord: Coord) -> Expr:
     return mul(inverse(problem.u), Jet(problem.dependent, (coord.index,)))
 
 
-def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
-    """The characteristic Q = g*Phi of a Phi-form seed, for any invertible
-    matrix dependent g."""
+def _phi_q(phi: Expr, problem: Problem) -> Characteristic:
+    """The characteristic Q = g*Phi of a Phi-form seed as the product g*Phi,
+    not normalized: D_Q reads only its normal form."""
     if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
         raise JetsymError("the Phi-form needs an invertible matrix dependent")
-    return Characteristic("Q", normal_form(mul(problem.u, as_expr(phi))),
+    return Characteristic("Q", mul(problem.u, as_expr(phi)),
                           problem.dependent)
+
+
+def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
+    """The characteristic Q = g*Phi of a Phi-form seed, normalized, for any
+    invertible matrix dependent g."""
+    q = _phi_q(phi, problem)
+    return Characteristic(q.name, normal_form(q.q), q.dependent)
 
 
 def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
@@ -123,10 +133,8 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     return problem.register_potential(pdef)
 
 
-def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
-    """The pair of right-hand sides defining Phi' up to integration,
-    D_t Phi + [inv(g)g_t, Phi] and -(D_x Phi + [inv(g)g_x, Phi]).  Each
-    D_c Phi is taken on ints (`calculus.derive_cleared`)."""
+def _bt_pair(phi: Expr, problem: Problem) -> tuple[NF, NF]:
+    """The normal forms of the pair of `bt_rhs`."""
     x, t = _xt(problem)
     n = nf(as_expr(phi))
     totals = total_images(problem)
@@ -136,7 +144,13 @@ def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
         return _nf_add(_nf_add(derive_nf(n, totals[c.index]), _nf_mul(a, n)),
                        _nf_scale(_nf_mul(n, a), -1))
 
-    return BtPair(rebuild(side(t)), rebuild(_nf_scale(side(x), -1)))
+    return side(t), _nf_scale(side(x), -1)
+
+
+def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
+    """The pair of right-hand sides defining Phi' up to integration,
+    D_t Phi + [inv(g)g_t, Phi] and -(D_x Phi + [inv(g)g_x, Phi])."""
+    return BtPair(*map(rebuild, _bt_pair(phi, problem)))
 
 
 def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
@@ -144,7 +158,7 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
     (not reduced mod F).  As D_{g*Phi}(inv(g)g_i) = Phi_i + [inv(g)g_i, Phi],
     for chiral it is the cross derivative of the Backlund pair,
     D_x(Phi_x + [inv(g)g_x, Phi]) + D_t(Phi_t + [inv(g)g_t, Phi])."""
-    return char_derivative(pde.f, phi_characteristic(phi, problem), problem)
+    return char_derivative(pde.f, _phi_q(phi, problem), problem)
 
 
 def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
@@ -154,7 +168,7 @@ def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     image passes it, and the CLI and `catalog.validate_entry` run it to
     explain a missing image and to check each image."""
     _xt(problem)
-    return check_symmetry(pde, phi_characteristic(phi, problem), problem)
+    return check_symmetry(pde, _phi_q(phi, problem), problem)
 
 
 def _check_chiral(pde: Pde, problem: Problem) -> None:
@@ -306,9 +320,9 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     (basis insufficiency), which is not a proof that no Phi' exists.
     Raises JetsymError unless F is a nonzero rational multiple of the
     chiral operator (`_check_chiral`)."""
-    pair = bt_rhs(phi, problem)  # two coordinates: totals are R o D_x, R o D_t
+    pair = _bt_pair(phi, problem)  # two coordinates: R o D_x, R o D_t
     reduce, totals = reduction(pde, problem)
-    targets = [reduce(nf(r)) for r in (pair.rhs_x, pair.rhs_t)]
+    targets = [reduce(r) for r in pair]
     columns, echelon = _bt_system(pde, problem, reduce, totals)
     sol = _match_linear(targets, echelon)
     if sol is None:

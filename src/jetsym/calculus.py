@@ -28,9 +28,9 @@ from weakref import WeakKeyDictionary
 from .core import (Base, CMat, Coord, Dependent, Expr, Fn, FUNC_DERIVATIVES,
                    Inv, Jet, KindError, NonlocalActionError, Pot, Problem, Rat,
                    SCALAR, Sym, as_expr, mul)
-from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_put,
-                        _nf_scale, clear_denominators, collect_jets, nf,
-                        nf_divide, normal_form, rebuild)
+from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_scale,
+                        clear_denominators, collect_jets, nf, nf_divide,
+                        normal_form, rebuild)
 
 # a normal form n as (d*n, d) with d*n's coefficients ints
 # (`normalize.clear_denominators`, `derive_cleared`)
@@ -88,7 +88,11 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
             rest = cmono[:i] + ((a, e - 1),) + cmono[i + 1:] if e != 1 \
                 else cmono[:i] + cmono[i + 1:]
             for (dc, dw), dv in da.items():
-                _nf_put(out, (_merge_cmono(rest, dc), _join(dw, word)), m * dv)
+                key = (_merge_cmono(rest, dc) if rest and dc else rest or dc,
+                       _join(dw, word) if dw and word else dw or word)
+                out[key] = v = out.get(key, 0) + m * dv  # `_nf_put` in line
+                if not v:
+                    del out[key]
         for i, f in enumerate(word):
             da, di = image(f)
             if not da:
@@ -96,8 +100,15 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
             m = c * to_common(di)
             left, right = word[:i], word[i + 1:]
             for (dc, dw), dv in da.items():
-                _nf_put(out, (_merge_cmono(cmono, dc),
-                              _join(_join(left, dw), right)), m * dv)
+                if left:
+                    dw = _join(left, dw) if dw else left
+                if right:
+                    dw = _join(dw, right) if dw else right
+                key = (_merge_cmono(cmono, dc) if cmono and dc
+                       else cmono or dc, dw)
+                out[key] = v = out.get(key, 0) + m * dv
+                if not v:
+                    del out[key]
     return out, d * dn
 
 

@@ -20,7 +20,7 @@ from .parsing import parse_expr, parse_operator
 from .printing import pretty, render, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_mod_pde, structure_constants)
-from .backlund import bt_apply, bt_seed_check, phi_characteristic
+from .backlund import _phi_q, bt_apply, bt_seed_check, phi_characteristic
 
 
 class UsageError(JetsymError):
@@ -40,8 +40,8 @@ class Session:
             for c in self.entry.characteristics:
                 if c.name == text:
                     return c.q
-        q = parse_expr(text, self.problem)
-        return Characteristic(name, normal_form(q), self.problem.dependent)
+        return Characteristic(name, parse_expr(text, self.problem),
+                              self.problem.dependent)
 
     def question(self, q: str | None, phi: str | None) -> Characteristic:
         """The characteristic of exactly one of --q / --phi (Q = g*Phi)."""
@@ -49,7 +49,7 @@ class Session:
             raise UsageError("pass exactly one of --q / --phi")
         if phi is None:
             return self.characteristic(q)
-        return phi_characteristic(parse_expr(phi, self.problem), self.problem)
+        return _phi_q(parse_expr(phi, self.problem), self.problem)
 
 
 def _emit(args, text_lines: Callable[[], Iterable[str]], **fields):

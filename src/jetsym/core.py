@@ -123,11 +123,15 @@ class _Interned(type):
 
 class Atom(Expr, metaclass=_Interned):
     """An interned leaf of the expression tree (or an inverse or analytic
-    function of one expression), hashed and compared by identity."""
+    function of one expression), hashed and compared by identity and
+    ordered by its key; distinct atoms of one problem have distinct keys."""
 
     __hash__ = object.__hash__
     __eq__ = object.__eq__
     key: tuple  # expr_key(self), set once when the atom is interned
+
+    def __lt__(self, other: "Atom") -> bool:
+        return self.key < other.key
 
     def __copy__(self):
         return self

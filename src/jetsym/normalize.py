@@ -12,12 +12,19 @@ caller needs it over the rationals.  Then the cost does not depend on
 whether the coefficients happen to be integral.  The commuting monomial
 collects scalar-class atoms with integer exponents, sorted by their `key`;
 the word is the ordered tuple of matrix-class factors.  Atoms are
-interned, so term keys hash by identity.  Rewrites applied: distribute
-products over sums, flatten, extract scalars, cancel adjacent w*inv(w)
-pairs, expand commutators, collect like terms, and evaluate sin, cos and
-exp at 0 (at any other constant they stay atoms, so no float enters).
+interned, so term keys hash by identity, and they order by their `key`
+(`core.Atom`), so terms sort on their words and monomials as they are.
+Rewrites applied: distribute products over sums, flatten, extract
+scalars, cancel adjacent w*inv(w) pairs, expand commutators, collect like
+terms, and evaluate sin, cos and exp at 0 (at any other constant they
+stay atoms, so no float enters).
 Commutators between scalar-class expressions therefore collapse to zero,
 and fully commuting words reorder into the canonical monomial.
+
+The product kernel takes fast paths: an empty monomial or word is the
+other side as it is, a one-atom monomial goes into the other by key, and
+words join in one piece unless their meeting pair cancels.  No path
+returns an input dict: a caller adds into a result it owns.
 
 A normal form is a value that no caller mutates, so it is shared, never
 copied.  `rebuild` hands each Add or Mul it returns the normal form that
@@ -58,11 +65,21 @@ def _atom_order(item: tuple) -> tuple:
 
 
 def _merge_cmono(a: tuple, b: tuple) -> tuple:
-    """The product of two commuting monomials."""
-    if not a:
-        return b
-    if not b:
-        return a
+    """The product of two commuting monomials.  A one-atom monomial goes
+    into the other by key, with no dict built and no sort run."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((atom, e),) = b
+        key = atom.key
+        for i, (x, f) in enumerate(a):
+            if x is atom:
+                s = e + f
+                return a[:i] + ((x, s),) + a[i + 1:] if s else \
+                    a[:i] + a[i + 1:]
+            if key < x.key:
+                return a[:i] + b + a[i:]
+        return a + b
     exps = dict(a)
     for atom, e in b:
         s = exps.get(atom, 0) + e
@@ -81,15 +98,19 @@ def _inverse_pair(a: Expr, b: Expr) -> bool:
 def _join(u: tuple, v: tuple) -> tuple:
     """The reduced word of u*v for reduced words u and v (every word of a
     normal form is reduced): w*inv(w) -> 1 is confluent, so pairs cancel
-    only where the two meet."""
+    only where the two meet, and only when the meeting pair does."""
     if not u:
         return v
     if not v:
         return u
-    i, n = 0, min(len(u), len(v))
+    a, b = u[-1], v[0]
+    if not ((type(a) is Inv and a.base is b)
+            or (type(b) is Inv and b.base is a)):
+        return u + v
+    i, n = 1, min(len(u), len(v))
     while i < n and _inverse_pair(u[-1 - i], v[i]):
         i += 1
-    return u[:len(u) - i] + v[i:] if i else u + v
+    return u[:len(u) - i] + v[i:]
 
 
 def _nf_put(a: NF, k: Key, c: Coeff) -> None:
@@ -125,7 +146,8 @@ def _nf_mul(a: NF, b: NF) -> NF:
     out: NF = {}
     for (ca, wa), va in a.items():
         for (cb, wb), vb in b.items():
-            key = (_merge_cmono(ca, cb), _join(wa, wb))
+            key = (_merge_cmono(ca, cb) if ca and cb else ca or cb,
+                   _join(wa, wb) if wa and wb else wa or wb)
             s = out.get(key)  # `_nf_put` in line: the hottest loop
             if s is None:
                 out[key] = va * vb
@@ -282,16 +304,16 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
 
 
 def key_sort_key(key: Key) -> tuple:
-    """Sortable surrogate for an internal term key (word length, then word
-    factor keys, then commuting-monomial keys): every factor of a term key
-    is an interned atom, which carries its `expr_key` as `key`."""
+    """Sortable surrogate for an internal term key: word length, then the
+    word, then the commuting monomial.  Every factor of a term key is an
+    interned atom, and atoms order by their key (`core.Atom`)."""
     cmono, word = key
-    return (len(word), tuple(f.key for f in word),
-            tuple((a.key, e) for a, e in cmono))
+    return len(word), word, cmono
 
 
 def _term_sort_key(item):
-    return key_sort_key(item[0])
+    cmono, word = item[0]  # `key_sort_key` in line: one call per term
+    return len(word), word, cmono
 
 
 def rebuild(n: NF) -> Expr:

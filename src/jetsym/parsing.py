@@ -44,6 +44,9 @@ class _Tok:
     text: str
     pos: int
 
+    def __str__(self) -> str:  # as an error message names the token
+        return "end of input" if self.kind == "end" else repr(self.text)
+
 
 def _lex(text: str) -> list[_Tok]:
     toks = []
@@ -84,7 +87,7 @@ class Parser:
 
     def _expect(self, text: str):
         if self.cur.kind != "op" or self.cur.text != text:
-            raise ParseError(f"expected {text!r}, got {self.cur.text!r}",
+            raise ParseError(f"expected {text!r}, got {self.cur}",
                              self.cur.pos)
         return self._advance()
 
@@ -148,7 +151,8 @@ class Parser:
             if self.cur.kind == "op" and self.cur.text == "(":
                 return self._call(tok)
             return self._resolve(tok)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        what = "end of input" if tok.kind == "end" else f"token {tok}"
+        raise ParseError(f"unexpected {what}", tok.pos)
 
     def _call(self, tok: _Tok) -> Expr:
         name = tok.text

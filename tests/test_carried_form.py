@@ -13,9 +13,11 @@ import pytest
 
 from jetsym import (Characteristic, Dependent, PotentialDef, Problem, add,
                     func, mul, parse_expr, pretty)
-from jetsym.backlund import bt_apply, bt_rhs, declare_potential
+from jetsym.backlund import (bt_apply, bt_rhs, bt_seed_check,
+                             chiral_phi_condition, declare_potential)
 from jetsym.calculus import char_derivative
 from jetsym.catalog import CATALOG_NAMES, get_pde
+from jetsym.cli import main
 from jetsym.core import Add, Mul
 from jetsym.normalize import nf, rebuild
 from jetsym.printing import resugar_commutators
@@ -143,7 +145,16 @@ def test_no_entry_point_changes_a_form_it_is_given():
     phi = rebuild(nf(parse_expr("1/3*M + 2*inv(g)*g_x - inv(g)*g_t", cp)))
     pair = bt_rhs(phi, cp)
     folds = rebuild(nf(parse_expr("g_x*M - M*g_x + 2*g_t*M", cp)))
+    chiral = get_pde("chiral")
+    cli_phi = ["--json", "--pde", "chiral", "check", "--phi",
+               "1/3*M + 2*inv(g)*g_x - inv(g)*g_t"]
     calls += [
+        ("chiral_phi_condition",
+         lambda: chiral_phi_condition(phi, cpde, cp), [phi, cpde.f]),
+        ("bt_seed_check", lambda: bt_seed_check(phi, cpde, cp),
+         [phi, cpde.f, cpde.rhs]),
+        ("cli check --phi", lambda: main(cli_phi),
+         [chiral.pde.f, chiral.pde.rhs]),
         ("bt_rhs", lambda: bt_rhs(phi, cp), [phi]),
         ("declare_potential", lambda: declare_potential(
             PotentialDef("P", {"x": pair.rhs_x, "t": pair.rhs_t}), cpde, cp),

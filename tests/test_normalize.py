@@ -1,4 +1,6 @@
 import copy
+from collections import Counter
+from itertools import combinations_with_replacement
 from math import lcm
 from random import Random
 
@@ -7,14 +9,15 @@ from hypothesis import given, settings
 
 from fractions import Fraction
 
-from jetsym import (commutator, get_pde, inverse, is_zero, normal_form,
+from jetsym import (commutator, get_pde, inverse, is_zero, mul, normal_form,
                     parse_expr, substitute)
-from jetsym.calculus import char_nf, jet_totals
-from jetsym.core import (CMat, Comm, Fn, Inv, InversionError, Rat, nodes,
-                         rat)
-from jetsym.normalize import (MAX_TERMS, _join, _nf_add, _nf_mul,
-                              clear_denominators, collect_jets, map_nf, nf,
-                              nf_divide)
+from jetsym.calculus import char_nf, derive_nf, jet_totals, total_images
+from jetsym.catalog import CATALOG_NAMES
+from jetsym.core import (Atom, CMat, Comm, Fn, Inv, InversionError, Jet, Rat,
+                         nodes, rat)
+from jetsym.normalize import (MAX_TERMS, _join, _merge_cmono, _nf_add,
+                              _nf_mul, clear_denominators, collect_jets,
+                              map_nf, nf, nf_divide)
 from jetsym.symmetry import reduce_nf
 
 from conftest import seeded_exprs
@@ -331,3 +334,134 @@ def test_clearing_an_integral_fraction_gives_ints():
     assert d == 1 and cleared == n
     assert all(type(v) is int for v in cleared.values())
     assert any(type(v) is Fraction for v in n.values())
+
+
+# --- the product kernel against an independent reference ------------------
+
+def reference_mono(a: tuple, b: tuple) -> tuple:
+    """The product of two commuting monomials by a Counter merge."""
+    exps = Counter(dict(a))
+    exps.update(dict(b))
+    return tuple(sorted(((x, e) for x, e in exps.items() if e),
+                        key=lambda t: t[0].key))
+
+
+def reference_mul(a: dict, b: dict) -> dict:
+    """The product of two normal forms, term by term, each word reduced by
+    repeated pair deletion."""
+    out = Counter()
+    for (ca, wa), va in a.items():
+        for (cb, wb), vb in b.items():
+            out[reference_mono(ca, cb),
+                reference_cancel_word(wa + wb)] += va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_derive(n: dict, image) -> dict:
+    """The derivation with the cleared image map `image`, applied factor
+    by factor through `reference_mul`."""
+    out = Counter()
+    for (cmono, word), c in n.items():
+        sites = [(a, c * e, tuple((x, f - (j == i))
+                                  for j, (x, f) in enumerate(cmono)
+                                  if f - (j == i)), (), word)
+                 for i, (a, e) in enumerate(cmono)]
+        sites += [(f, c, cmono, word[:i], word[i + 1:])
+                  for i, f in enumerate(word)]
+        for f, m, mono, left, right in sites:
+            da, d = image(f)
+            term = reference_mul(reference_mul({(mono, left): Fraction(m, d)},
+                                               da), {((), right): 1})
+            out.update(term)
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
+def test_product_kernel_matches_a_reference(problem):
+    """_nf_mul, _merge_cmono and _join agree with a Counter merge and an
+    explicit w*inv(w) cancel loop on seeded normal forms, with negative
+    exponents (inv(u) on a scalar problem) and cancelling words (inv(u)
+    and inv(B) on a matrix problem) among them.  Each fast path is hit
+    where it must cancel: a one-atom monomial that cancels an exponent to
+    0, and a meeting pair that cancels."""
+    p = problem
+    rng = Random(f"kernel-{p.dependent.kind}")
+    u = p.u  # a ends in an invertible factor that b often starts to cancel
+    ends = [u] + [m for m in p.atoms(CMat) if m.invertible]
+    seen = Counter()
+    for _ in range(150):
+        end = rng.choice(ends)
+        a = nf(mul(random_expr(rng, p, 3), end))
+        b = nf(mul(rng.choice([inverse(end), Rat(1)]),
+                   random_expr(rng, p, 3)))
+        for n in (a, b):
+            assert _nf_mul({((), ()): 1}, n) is not n
+        assert _nf_mul(a, b) == reference_mul(a, b)
+        for ca, wa in a:
+            for cb, wb in b:
+                merged = _merge_cmono(ca, cb)
+                assert merged == reference_mono(ca, cb), (ca, cb)
+                assert _join(wa, wb) == reference_cancel_word(wa + wb)
+                if min(len(ca), len(cb)) == 1 and \
+                        len(merged) < len({x for x, _ in ca + cb}):
+                    seen["one-atom cancel"] += 1
+                if wa and wb and len(_join(wa, wb)) < len(wa + wb):
+                    seen["word cancel"] += 1
+                seen["empty"] += not (ca and cb and wa and wb)
+    wanted = ["empty", "one-atom cancel" if p is SP else "word cancel"]
+    assert min(seen[k] for k in wanted) >= 20, seen
+
+
+@pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
+def test_derive_nf_matches_a_reference(problem):
+    """derive_nf by D_x and D_t agrees with the Leibniz rule applied
+    factor by factor through the reference product."""
+    p = problem
+    rng = Random(f"derive-{p.dependent.kind}")
+    totals = total_images(p)
+    for _ in range(60):
+        n = nf(random_expr(rng, p, 3))
+        for image in totals:
+            assert derive_nf(n, image) == reference_derive(n, image), n
+
+
+def test_kernel_cancellations_and_empty_sides(sp, mp):
+    u, x = sp.u, sp.coordinate("x")
+    assert _merge_cmono(((u, 1),), ((u, -1),)) == ()
+    assert _merge_cmono(((x, 1), (u, 2)), ((u, -2),)) == ((x, 1),)
+    assert _merge_cmono(((u, -1),), ((x, 2), (u, 3))) == ((x, 2), (u, 2))
+    assert _merge_cmono((), ((u, 1),)) == ((u, 1),)
+    assert _merge_cmono(((u, 1),), ()) == ((u, 1),)
+    assert _merge_cmono((), ()) == ()
+    assert normal_form(u * x * inverse(u)) == x
+    g, M, A = mp.u, mp.cmat("B"), mp.cmat("A")
+    assert _join((M, g), (inverse(g), inverse(M))) == ()
+    assert _join((A, M, g), (inverse(g), inverse(M), A)) == (A, A)
+    assert _join((), (g,)) == (g,) and _join((g,), ()) == (g,)
+    assert _join((), ()) == ()
+    assert normal_form(M * g * inverse(g) * inverse(M)) == rat(1)
+    one = {((), ()): 3}
+    assert _nf_mul(one, one) == {((), ()): 9}
+    assert _nf_mul(one, {}) == {} and _nf_mul({}, one) == {}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_distinct_atoms_of_a_catalog_problem_have_distinct_keys(name):
+    """Atoms order by key (`core.Atom`), so a term order that compares
+    atoms is the order of their keys only if no two atoms share one."""
+    entry = get_pde(name)
+    p, pde = entry.problem, entry.pde
+    atoms = set(p.atoms(Atom))
+    for k in range(4):
+        for idx in combinations_with_replacement(range(len(p.coordinates)),
+                                                 k):
+            atoms.add(Jet(p.dependent, idx))
+    forms = [nf(pde.f), nf(pde.rhs)]
+    for c in entry.characteristics:
+        raw = char_nf(nf(pde.f), c.q, p)
+        forms += [raw, reduce_nf(raw, pde, p)]
+    for n in forms:
+        for cmono, word in n:
+            atoms.update(x for x, _ in cmono)
+            atoms.update(word)
+    assert len({a.key for a in atoms}) == len(atoms)

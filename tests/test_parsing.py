@@ -123,6 +123,9 @@ def test_empty_input(sp):
     ("D(u, x, t)", "D takes an expression and a coordinate name"),
     ("D(u, 1)", "D takes an expression and a coordinate name"),
     ("sin(x, t)", "sin takes one argument"),
+    ("", "unexpected end of input"),
+    ("2*", "unexpected end of input"),
+    ("(u", "expected ')', got end of input"),
 ])
 def test_zero_denominator_and_wrong_arity(mp, text, message):
     with pytest.raises(ParseError,
@@ -202,14 +205,15 @@ OPERATOR_ERRORS = {"D_x*F + x*D_y*F": "unknown coordinate 'y'",
                    "F + (x + )*F": "unexpected token ')'",
                    "2*F + F*F": "duplicate F in operator term",
                    "x*F - (t*%)*F": "unexpected character '%'",
-                   "F)": "trailing input ')'"}
+                   "F)": "trailing input ')'",
+                   "D_x*F +": "unexpected end of input"}
 
 
 @pytest.mark.parametrize("text,pos", [("D_x*F + x*D_y*F", 10),
                                       ("F + (x + )*F", 9),
                                       ("2*F + F*F", 8),
                                       ("x*F - (t*%)*F", 9),
-                                      ("F)", 1)])
+                                      ("F)", 1), ("D_x*F +", 7)])
 def test_parse_operator_error_positions(sp, text, pos):
     with pytest.raises(ParseError) as exc:
         parse_operator(text, sp)
