@@ -227,14 +227,20 @@ def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
     return rebuild(char_nf(nf(as_expr(e)), Q, problem))
 
 
+def bracket_nf(Q1: Characteristic, Q2: Characteristic,
+               problem: Problem) -> NF:
+    """The Lie bracket D_1 Q2 - D_2 Q1 as a normal form."""
+    if Q1.dependent != Q2.dependent:
+        raise KindError("bracket of characteristics over different dependents")
+    return _nf_add(char_nf(nf(as_expr(Q2.q)), Q1, problem),
+                   _nf_scale(char_nf(nf(as_expr(Q1.q)), Q2, problem), -1))
+
+
 def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,
                            problem: Problem) -> Characteristic:
     """Characteristic of the Lie bracket: D_1 Q2 - D_2 Q1."""
-    if Q1.dependent != Q2.dependent:
-        raise KindError("bracket of characteristics over different dependents")
-    q = _nf_add(char_nf(nf(as_expr(Q2.q)), Q1, problem),
-                _nf_scale(char_nf(nf(as_expr(Q1.q)), Q2, problem), -1))
-    return Characteristic(f"[{Q1.name},{Q2.name}]", rebuild(q), Q1.dependent)
+    return Characteristic(f"[{Q1.name},{Q2.name}]",
+                          rebuild(bracket_nf(Q1, Q2, problem)), Q1.dependent)
 
 
 def scale_characteristic(Q: Characteristic, lam) -> Characteristic:

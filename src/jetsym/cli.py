@@ -2,7 +2,9 @@
 
 Exit status: 0 on Symmetry/success, 1 on NotSymmetry (or a failed
 certificate / unintegrable seed), 2 on error.  `--json` switches every
-command to a single deterministic JSON document on stdout.
+command to a single deterministic JSON document on stdout.  An answer the
+engine computes as a normal form (check, reduce, parse, bracket, bt-apply)
+is printed straight from it (`printing.render_nf`), with no tree built.
 """
 from __future__ import annotations
 
@@ -13,14 +15,14 @@ import sys
 from typing import Callable, Iterable, Iterator
 
 from .core import Dependent, JetsymError, Problem
-from .calculus import Characteristic, bracket_characteristic
+from .calculus import Characteristic, bracket_nf
 from .catalog import CATALOG_NAMES, get_pde, load_catalog
-from .normalize import normal_form
+from .normalize import nf
 from .parsing import parse_expr, parse_operator
-from .printing import pretty, render, render_operator
+from .printing import pretty_nf, render, render_nf, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
-                       reduce_mod_pde, structure_constants)
-from .backlund import _phi_q, bt_apply, bt_seed_check, phi_characteristic
+                       reduce_nf, structure_constants)
+from .backlund import _phi_q, bt_apply, bt_seed_check
 
 
 class UsageError(JetsymError):
@@ -90,11 +92,11 @@ def _need_pde(sess: Session):
 
 def cmd_parse(args):
     """Parse an expression and print its normal form."""
-    sess = _session(args)
-    e = normal_form(parse_expr(args.expression, sess.problem))
-    _emit(args, lambda: [pretty(e, sess.problem)],
+    p = _session(args).problem
+    n = nf(parse_expr(args.expression, p))
+    _emit(args, lambda: [pretty_nf(n, p)],
           inputs={"expression": args.expression},
-          values={"normal_form": render(e, sess.problem)})
+          values={"normal_form": render_nf(n, p)})
 
 
 def cmd_check(args):
@@ -107,11 +109,12 @@ def cmd_check(args):
     cert = (render_operator(report.certificate, p)
             if report.certificate is not None else None)
     _emit(args, lambda: [f"verdict: {report.verdict.value}",
-                         f"remainder: {pretty(report.remainder, p)}"]
+                         f"remainder: {pretty_nf(report.remainder_nf, p)}"]
           + ([f"certificate: {cert}"] if cert is not None else []),
           inputs={"pde": pde.name, "q": args.q, "phi": args.phi},
-          verdict=report.verdict.value, remainder=render(report.remainder, p),
-          certificate=cert, values={"raw": render(report.raw, p)})
+          verdict=report.verdict.value,
+          remainder=render_nf(report.remainder_nf, p), certificate=cert,
+          values={"raw": render_nf(report.raw_nf, p)})
     return 0 if report.is_symmetry else 1
 
 
@@ -133,10 +136,10 @@ def cmd_bracket(args):
     """Lie bracket of two characteristics."""
     sess = _session(args)
     p = sess.problem
-    br = bracket_characteristic(sess.characteristic(args.q1, "Q1"),
-                                sess.characteristic(args.q2, "Q2"), p)
-    _emit(args, lambda: [pretty(br.q, p)], inputs={"q1": args.q1, "q2": args.q2},
-          values={"bracket": render(br.q, p)})
+    br = bracket_nf(sess.characteristic(args.q1, "Q1"),
+                    sess.characteristic(args.q2, "Q2"), p)
+    _emit(args, lambda: [pretty_nf(br, p)], inputs={"q1": args.q1, "q2": args.q2},
+          values={"bracket": render_nf(br, p)})
 
 
 def cmd_structconsts(args):
@@ -165,10 +168,10 @@ def cmd_reduce(args):
     sess = _session(args)
     pde = _need_pde(sess)
     p = sess.problem
-    out = reduce_mod_pde(parse_expr(args.expression, p), pde, p)
-    _emit(args, lambda: [pretty(out, p)],
+    out = reduce_nf(nf(parse_expr(args.expression, p)), pde, p)
+    _emit(args, lambda: [pretty_nf(out, p)],
           inputs={"pde": pde.name, "expression": args.expression},
-          remainder=render(out, p))
+          remainder=render_nf(out, p))
 
 
 def cmd_bt_apply(args):
@@ -189,17 +192,18 @@ def cmd_bt_apply(args):
                         "candidate basis (basis insufficiency)"]
             return [f"verdict: {verdict}",
                     "Phi fails the symmetry condition D_{g*Phi} F = 0 mod F",
-                    f"remainder: {pretty(report.remainder, p)}"]
+                    f"remainder: {pretty_nf(report.remainder_nf, p)}"]
 
         _emit(args, lines, inputs={"pde": pde.name, "phi": args.phi},
               verdict=verdict, remainder=None if report.is_symmetry
-              else render(report.remainder, p))
+              else render_nf(report.remainder_nf, p))
         return 1
-    qprime = phi_characteristic(out, p).q
-    _emit(args, lambda: [f"phi' = {pretty(out, p)}",
-                         f"Q' = {pretty(qprime, p)}"],
+    phi_prime, q_prime = nf(out), nf(_phi_q(out, p).q)
+    _emit(args, lambda: [f"phi' = {pretty_nf(phi_prime, p)}",
+                         f"Q' = {pretty_nf(q_prime, p)}"],
           inputs={"pde": pde.name, "phi": args.phi}, verdict="Integrated",
-          values={"phi_prime": render(out, p), "q_prime": render(qprime, p)})
+          values={"phi_prime": render_nf(phi_prime, p),
+                  "q_prime": render_nf(q_prime, p)})
 
 
 def cmd_list(args):

@@ -11,24 +11,31 @@ Multiplication is explicit and order-preserving; juxtaposition is a parse
 error.  Jets use underscore subscripts of single-letter coordinates
 (u_xt, order-insensitive); multi-character coordinates need the explicit
 form D(u, x1).  Builtins: inv(E), comm(A, B), D(E, coord), sin/cos/exp(E).
+
+The input is lexed by one scan of one regular expression into plain
+(kind, text, position) tuples, and a bad character is reported before any
+parse error.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (Coord, DeclarationError, Expr, FUNC_DERIVATIVES,
                    JetsymError, ONE, Problem, Rat, add, commutator, func,
-                   inverse, mul, neg)
+                   inverse, mul)
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<op>[+\-*/(),]))")
+# one alternative per token kind; whitespace is skipped, and any other
+# character is an error
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<op>[+\-*/(),])|(?P<space>\s+)|(?P<bad>.)", re.S)
 
 _BUILTINS = ("inv", "comm", "D") + tuple(FUNC_DERIVATIVES)
 
 #: deepest nesting of factors (brackets, calls, signs) the parser accepts
 MAX_DEPTH = 100
+
+_MINUS_ONE = Rat(-1)
 
 
 class ParseError(JetsymError):
@@ -38,76 +45,74 @@ class ParseError(JetsymError):
         self.pos = pos
 
 
-@dataclass
-class _Tok:
-    kind: str  # 'num' | 'name' | 'op' | 'end'
-    text: str
-    pos: int
-
-    def __str__(self) -> str:  # as an error message names the token
-        return "end of input" if self.kind == "end" else repr(self.text)
+#: a token: its kind ('num', 'name', 'end', or the operator character
+#: itself), its text and its position in the input
+_Token = tuple[str, str, int]
 
 
-def _lex(text: str) -> list[_Tok]:
+def _lex(text: str) -> list[_Token]:
+    """The tokens of text by one scan, ending with an 'end' token."""
     toks = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            rest = text[i:]
-            stripped = rest.lstrip()
-            if stripped:
-                raise ParseError(f"unexpected character {stripped[0]!r}",
-                                 i + len(rest) - len(stripped))
-            break
-        for kind in ("num", "name", "op"):
-            if m.group(kind) is not None:
-                toks.append(_Tok(kind, m.group(kind), m.start(kind)))
-        i = m.end()
-    toks.append(_Tok("end", "", len(text)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        word = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        toks.append((word if kind == "op" else kind, word, m.start()))
+    toks.append(("end", "", len(text)))
     return toks
 
 
 class Parser:
+    """Recursive descent over the tokens of one text.  The current token
+    is held in three plain attributes, its kind, its text (`word`) and its
+    position, which `_advance` moves on."""
+
     def __init__(self, text: str, problem: Problem):
         self.text = text
         self.problem = problem
         self.toks = _lex(text)
         self.i = 0
+        self.kind, self.word, self.pos = self.toks[0]
         self.depth = 0
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.i]
-
-    def _advance(self) -> _Tok:
-        t = self.cur
+    def _advance(self) -> _Token:
+        tok = self.toks[self.i]
         self.i += 1
-        return t
+        self.kind, self.word, self.pos = self.toks[self.i]
+        return tok
 
-    def _expect(self, text: str):
-        if self.cur.kind != "op" or self.cur.text != text:
-            raise ParseError(f"expected {text!r}, got {self.cur}",
-                             self.cur.pos)
+    def _expect(self, op: str):
+        if self.kind != op:
+            got = "end of input" if self.kind == "end" else repr(self.word)
+            raise ParseError(f"expected {op!r}, got {got}", self.pos)
         return self._advance()
 
     def parse(self) -> Expr:
         e = self._expr()
-        if self.cur.kind != "end":
-            raise ParseError(f"trailing input {self.cur.text!r}", self.cur.pos)
+        if self.kind != "end":
+            raise ParseError(f"trailing input {self.word!r}", self.pos)
         return e
 
     def _expr(self) -> Expr:
-        terms = [self._term()]
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self._advance().text
+        t = self._term()
+        if self.kind != "+" and self.kind != "-":
+            return t
+        terms = [t]
+        while self.kind == "+" or self.kind == "-":
+            op = self._advance()[0]
             t = self._term()
-            terms.append(t if op == "+" else neg(t))
+            terms.append(t if op == "+" else mul(_MINUS_ONE, t))
         return add(*terms)
 
     def _term(self) -> Expr:
-        factors = [self._factor()]
-        while self.cur.kind == "op" and self.cur.text == "*":
+        f = self._factor()
+        if self.kind != "*":
+            return f
+        factors = [f]
+        while self.kind == "*":
             self._advance()
             factors.append(self._factor())
         return mul(*factors)
@@ -116,101 +121,101 @@ class Parser:
         # every recursive production passes through here, so this depth
         # bounds the Python stack the parser and the tree walkers need
         if self.depth >= MAX_DEPTH:
-            raise ParseError("expression nested too deeply", self.cur.pos)
+            raise ParseError("expression nested too deeply", self.pos)
+        kind = self.kind
+        if kind == "num" or (kind == "name"
+                             and self.toks[self.i + 1][0] != "("):
+            return self._primary()  # a leaf: nothing nests below it
         self.depth += 1
         try:
-            if self.cur.kind == "op" and self.cur.text == "-":
+            if kind == "-":
                 self._advance()
-                return neg(self._factor())
+                return mul(_MINUS_ONE, self._factor())
             return self._primary()
         finally:
             self.depth -= 1
 
     def _primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "num":
+        kind, word, pos = self.kind, self.word, self.pos
+        if kind != "num" and kind != "name" and kind != "(":
+            what = "end of input" if kind == "end" else f"token {word!r}"
+            raise ParseError(f"unexpected {what}", pos)
+        tok = self._advance()
+        if kind == "num":
+            if self.kind != "/":
+                return Rat(int(word))
             self._advance()
-            num = int(tok.text)
-            if self.cur.kind == "op" and self.cur.text == "/":
-                self._advance()
-                den = self.cur
-                if den.kind != "num":
-                    raise ParseError("expected integer denominator", den.pos)
-                self._advance()
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                return Rat(Fraction(num, int(den.text)))
-            return Rat(num)
-        if tok.kind == "op" and tok.text == "(":
+            if self.kind != "num":
+                raise ParseError("expected integer denominator", self.pos)
+            den = int(self.word)
+            if den == 0:
+                raise ParseError("zero denominator", self.pos)
             self._advance()
-            e = self._expr()
-            self._expect(")")
-            return e
-        if tok.kind == "name":
-            self._advance()
-            if self.cur.kind == "op" and self.cur.text == "(":
+            return Rat(Fraction(int(word), den))
+        if kind == "name":
+            if self.kind == "(":
                 return self._call(tok)
-            return self._resolve(tok)
-        what = "end of input" if tok.kind == "end" else f"token {tok}"
-        raise ParseError(f"unexpected {what}", tok.pos)
+            return self._resolve(word, pos)
+        e = self._expr()
+        self._expect(")")
+        return e
 
-    def _call(self, tok: _Tok) -> Expr:
-        name = tok.text
+    def _call(self, tok: _Token) -> Expr:
+        _, name, pos = tok
         if name not in _BUILTINS:
-            raise ParseError(f"unknown function {name!r}", tok.pos)
+            raise ParseError(f"unknown function {name!r}", pos)
         self._expect("(")
         args = [self._expr()]
-        while self.cur.kind == "op" and self.cur.text == ",":
+        while self.kind == ",":
             self._advance()
             # the second argument of D is a coordinate name, not an expression
-            if name == "D" and len(args) == 1 and self.cur.kind == "name":
+            if name == "D" and len(args) == 1 and self.kind == "name":
                 args.append(self._advance())
             else:
                 args.append(self._expr())
         self._expect(")")
         try:
-            return self._apply(name, args, tok)
+            return self._apply(name, args, pos)
         except JetsymError as exc:
             if isinstance(exc, ParseError):
                 raise
-            raise ParseError(str(exc), tok.pos) from exc
+            raise ParseError(str(exc), pos) from exc
 
-    def _apply(self, name: str, args: list, tok: _Tok) -> Expr:
+    def _apply(self, name: str, args: list, pos: int) -> Expr:
         if name == "inv":
             if len(args) != 1:
-                raise ParseError("inv takes one argument", tok.pos)
+                raise ParseError("inv takes one argument", pos)
             return inverse(args[0])
         if name == "comm":
             if len(args) != 2:
-                raise ParseError("comm takes two arguments", tok.pos)
+                raise ParseError("comm takes two arguments", pos)
             return commutator(args[0], args[1])
         if name == "D":
-            if len(args) != 2 or not isinstance(args[1], _Tok):
+            if len(args) != 2 or not isinstance(args[1], tuple):
                 raise ParseError("D takes an expression and a coordinate name",
-                                 tok.pos)
+                                 pos)
             from .calculus import total_derivative
-            coord = self.problem.coordinate(args[1].text)
+            coord = self.problem.coordinate(args[1][1])
             return total_derivative(args[0], coord, self.problem)
         if len(args) != 1:
-            raise ParseError(f"{name} takes one argument", tok.pos)
+            raise ParseError(f"{name} takes one argument", pos)
         return func(name, args[0])
 
-    def _resolve(self, tok: _Tok) -> Expr:
-        name = tok.text
+    def _resolve(self, name: str, pos: int) -> Expr:
         p = self.problem
         if "_" in name:
             head, _, subs = name.partition("_")
             if head != p.dependent.name:
-                raise ParseError(f"unknown jet head {head!r}", tok.pos)
+                raise ParseError(f"unknown jet head {head!r}", pos)
             if not subs:
-                raise ParseError(f"empty jet subscript in {name!r}", tok.pos)
+                raise ParseError(f"empty jet subscript in {name!r}", pos)
             try:
                 return p.jet(subs)
             except DeclarationError as exc:
-                raise ParseError(str(exc), tok.pos) from exc
+                raise ParseError(str(exc), pos) from exc
         atom = p.declared(name)
         if atom is None:
-            raise ParseError(f"undeclared symbol {name!r}", tok.pos)
+            raise ParseError(f"undeclared symbol {name!r}", pos)
         return atom
 
 
@@ -225,23 +230,23 @@ class _OperatorParser(Parser):
 
     def parse(self) -> list:
         terms = [self._op_term()]
-        while self.cur.kind == "op" and self.cur.text in "+-":
+        while self.kind == "+" or self.kind == "-":
             terms.append(self._op_term())
-        if self.cur.kind != "end":
-            raise ParseError(f"trailing input {self.cur.text!r}", self.cur.pos)
+        if self.kind != "end":
+            raise ParseError(f"trailing input {self.word!r}", self.pos)
         return terms
 
     def _op_term(self) -> tuple:
         sign, left, right, deriv, seen_f = 1, [], [], [], False
         while True:
-            while self.cur.kind == "op" and self.cur.text in "+-":
-                sign *= -1 if self._advance().text == "-" else 1
-            name = self.cur.text if self.cur.kind == "name" else ""
+            while self.kind == "+" or self.kind == "-":
+                sign *= -1 if self._advance()[0] == "-" else 1
+            name = self.word if self.kind == "name" else ""
             coord = self.problem.declared(name[2:]) if name[:2] == "D_" else None
             if name == "F":
                 if seen_f:
                     raise ParseError("duplicate F in operator term",
-                                     self.cur.pos)
+                                     self.pos)
                 seen_f = True
                 self._advance()
             elif isinstance(coord, Coord):
@@ -249,10 +254,10 @@ class _OperatorParser(Parser):
                 self._advance()
             elif name[:2] == "D_" and self.problem.dependent.name != "D":
                 raise ParseError(f"unknown coordinate {name[2:]!r}",
-                                 self.cur.pos)
+                                 self.pos)
             else:
                 (right if seen_f else left).append(self._factor())
-            if not (self.cur.kind == "op" and self.cur.text == "*"):
+            if self.kind != "*":
                 break
             self._advance()
         return (mul(Rat(sign), *left), tuple(sorted(deriv)),

@@ -3,12 +3,19 @@
 The output of `render` parses back (with the same problem declarations) to
 an expression with the same normal form.  Commutator re-sugaring is applied
 to normalized two-factor word pairs a*b - b*a when requested.
+
+`render_nf` prints a normal form straight from its terms, in the order
+`rebuild` lays them out, and gives the same text as `render` of the rebuilt
+tree with no tree built.  The CLI prints every answer it holds as a normal
+form this way, and `pretty` prints from the normal form of its tree.
+`render` of a tree still walks the tree, also a tree that carries its
+form.
 """
 from __future__ import annotations
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, ONE,
                    Pot, Problem, Rat, Sym, ZERO)
-from .normalize import _term_sort_key, nf, normal_form, rebuild
+from .normalize import NF, _term_sort_key, nf, normal_form, rebuild
 
 
 def _coord_names(problem: Problem, idx) -> list[str]:
@@ -70,25 +77,68 @@ def render(e: Expr, problem: Problem) -> str:
             factors = factors[1:]
         return sign + "*".join(_render_factor(f, problem) for f in factors)
     if isinstance(e, Add):
-        parts = []
-        for i, t in enumerate(e.terms):
-            s = render(t, problem)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
+        return _join_terms([render(t, problem) for t in e.terms])
     raise TypeError(f"cannot render node {type(e).__name__}")
 
 
-def resugar_commutators(e: Expr, problem: Problem) -> Expr:
-    """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
-    into  c*comm(a, b).  Purely cosmetic; used by the pretty printer.  The
-    normal form of e is read, never changed: a tree that carries it and
-    folds no pair is returned as it is."""
-    n = nf(e)
+def _join_terms(parts: list[str]) -> str:
+    """The text of a sum of terms with these texts (of none, "0"): a term
+    that opens with a minus sign is subtracted."""
+    if not parts:
+        return "0"
+    out = [parts[0]]
+    for s in parts[1:]:
+        out.append(" - " + s[1:] if s[:1] == "-" else " + " + s)
+    return "".join(out)
+
+
+def _term_texts(n: NF, problem: Problem) -> list[str]:
+    """The text of each term of rebuild(n), in rebuild's order, as `render`
+    prints that term; each atom's text is made once."""
+    names: dict[Expr, str] = {}
+    parts = []
+    for (cmono, word), c in sorted(n.items(), key=_term_sort_key):
+        factors = []
+        for a, e in cmono:
+            s = names.get(a)
+            if s is None:
+                s = names[a] = render(a, problem)
+            if e > 0:
+                factors += [s] * e
+            else:  # rebuild lays a^e, e < 0, out as inv(a)^-e
+                factors += [f"inv({s})"] * -e
+        for a in word:
+            s = names.get(a)
+            if s is None:
+                s = names[a] = render(a, problem)
+            factors.append(s)
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if not factors:
+            parts.append(str(c))
+            continue
+        text = "*".join(factors)
+        if type(c) is not int or c < -1:  # bracketed, as `render` does
+            parts.append(f"({c})*{text}")
+        elif c == 1:
+            parts.append(text)
+        elif c == -1:
+            parts.append("-" + text)
+        else:
+            parts.append(f"{c}*{text}")
+    return parts
+
+
+def render_nf(n: NF, problem: Problem) -> str:
+    """render(rebuild(n), problem), printed from the normal form n term by
+    term with no tree built."""
+    return _join_terms(_term_texts(n, problem))
+
+
+def _commutator_pairs(n: NF) -> tuple[list[Expr], set]:
+    """The commutator terms c*comm(a, b) that fold the term pairs
+    c*a*b - c*b*a of n (two-factor words), and the keys of the terms they
+    fold."""
     pieces: list[Expr] = []
     folded: set[tuple] = set()
     for (cmono, word), coeff in sorted(
@@ -100,6 +150,17 @@ def resugar_commutators(e: Expr, problem: Problem) -> Expr:
             scal = rebuild({(cmono, ()): coeff})
             com = Comm(a, b)
             pieces.append(com if scal == ONE else Mul((scal, com)))
+    return pieces, folded
+
+
+def resugar_commutators(e: Expr, problem: Problem) -> Expr:
+    """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
+    into  c*comm(a, b).  Purely cosmetic: `pretty` prints the same text
+    from the normal form (`pretty_nf`).  The normal form of e is read,
+    never changed: a tree that carries it and folds no pair is returned as
+    it is."""
+    n = nf(e)
+    pieces, folded = _commutator_pairs(n)
     if not pieces:
         return e if getattr(e, "form", None) is n else rebuild(n)
     rest = rebuild({k: v for k, v in n.items() if k not in folded})
@@ -108,8 +169,19 @@ def resugar_commutators(e: Expr, problem: Problem) -> Expr:
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
+def pretty_nf(n: NF, problem: Problem) -> str:
+    """render(resugar_commutators(rebuild(n))), printed from the normal
+    form: the folded commutators first, then the other terms of n."""
+    pieces, folded = _commutator_pairs(n)
+    if not pieces:
+        return render_nf(n, problem)
+    rest = {k: v for k, v in n.items() if k not in folded}
+    return _join_terms([render(t, problem) for t in pieces]
+                       + _term_texts(rest, problem))
+
+
 def pretty(e: Expr, problem: Problem) -> str:
-    return render(resugar_commutators(e, problem), problem)
+    return pretty_nf(nf(e), problem)
 
 
 def render_operator(ansatz, problem: Problem) -> str:

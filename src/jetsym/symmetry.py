@@ -38,15 +38,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
 from .core import (CMat, Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
                    as_expr, mul)
-from .calculus import (Characteristic, Image, bracket_characteristic,
-                       char_nf, derivation, derive_nf, jet_totals, total_atoms)
+from .calculus import (Characteristic, Image, bracket_nf, char_nf,
+                       derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import Echelon
 from .normalize import (NF, Coeff, _nf_add, _nf_mul, collect_jets, is_zero,
                         key_sort_key, map_nf, nf, normal_form, rebuild,
@@ -297,10 +297,23 @@ IDENTITY_OPERATOR = LinearOperatorAnsatz(((ONE, (), ONE),))
 
 @dataclass(frozen=True)
 class SymmetryReport:
+    """The verdict on D_Q F = 0 mod F, with the normal forms of D_Q F
+    (`raw_nf`) and of its reduction mod F (`remainder_nf`).  `raw` and
+    `remainder` are their trees, rebuilt when first read; the CLI prints
+    from the normal forms and builds neither."""
+
     verdict: Verdict
-    raw: Expr
-    remainder: Expr
+    raw_nf: NF = field(hash=False)
+    remainder_nf: NF = field(hash=False)
     certificate: Optional[LinearOperatorAnsatz] = None
+
+    @cached_property
+    def raw(self) -> Expr:
+        return rebuild(self.raw_nf)
+
+    @cached_property
+    def remainder(self) -> Expr:
+        return rebuild(self.remainder_nf)
 
     @property
     def is_symmetry(self) -> bool:
@@ -317,8 +330,7 @@ def check_symmetry(pde: Pde, Q: Characteristic, problem: Problem,
     certificate = None
     if search_certificate and verdict is Verdict.SYMMETRY:
         certificate = _find_operator_nf(pde, raw, problem, AnsatzConfig())
-    return SymmetryReport(verdict, rebuild(raw), rebuild(remainder),
-                          certificate)
+    return SymmetryReport(verdict, raw, remainder, certificate)
 
 
 def certify_operator(pde: Pde, Q: Characteristic,
@@ -432,8 +444,7 @@ def structure_constants(pde: Pde, basis: list[Characteristic],
         raise BasisError("basis dependent")
     c = {}
     for i, j in combinations(range(len(basis)), 2):
-        br = bracket_characteristic(basis[i], basis[j], problem)
-        coeffs = echelon.solve(nf(br.q))
+        coeffs = echelon.solve(bracket_nf(basis[i], basis[j], problem))
         if coeffs is None:
             raise SpanError(
                 f"bracket not in span: [{basis[i].name}, {basis[j].name}]")

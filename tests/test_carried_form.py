@@ -6,7 +6,9 @@ the same terms in the same order, each coefficient of the same type; it
 must not change the tree's value; and no engine entry point may change a
 form it is given."""
 import copy
+import json
 import pickle
+import sys
 from random import Random
 
 import pytest
@@ -18,11 +20,12 @@ from jetsym.backlund import (bt_apply, bt_rhs, bt_seed_check,
 from jetsym.calculus import char_derivative
 from jetsym.catalog import CATALOG_NAMES, get_pde
 from jetsym.cli import main
+from jetsym import normalize
 from jetsym.core import Add, Mul
 from jetsym.normalize import nf, rebuild
-from jetsym.printing import resugar_commutators
-from jetsym.symmetry import (find_operator, make_pde, reduce_mod_pde,
-                             reduce_nf, structure_constants)
+from jetsym.printing import render, resugar_commutators
+from jetsym.symmetry import (check_symmetry, find_operator, make_pde,
+                             reduce_mod_pde, reduce_nf, structure_constants)
 
 from helpers import fresh_copy, matrix_problem, random_expr, scalar_problem
 from test_reduce_table import COEFFICIENTS, random_jet_polynomial
@@ -167,3 +170,76 @@ def test_no_entry_point_changes_a_form_it_is_given():
         call()
         for t, items in snapshot:
             assert nf(t) is t.form and list(t.form.items()) == items, what
+
+
+def _questions(name: str) -> list[Characteristic]:
+    """The catalog characteristics of one PDE, and each plus u*u (u*g for
+    chiral), which is a symmetry of none of them."""
+    entry = get_pde(name)
+    p = entry.problem
+    extra = parse_expr("u*u" if p.dependent.kind == "scalar" else "g*g", p)
+    qs = [c.q for c in entry.characteristics]
+    return qs + [Characteristic(q.name + "+", add(q.q, extra), q.dependent)
+                 for q in qs]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_report_trees_are_the_rebuilt_forms(name):
+    """A report holds the normal forms of D_Q F and of its remainder; its
+    `raw` and `remainder` are those forms rebuilt, built once, and reading
+    them changes neither the report's value nor its hash."""
+    entry = get_pde(name)
+    p, pde = entry.problem, entry.pde
+    verdicts = set()
+    for q in _questions(name):
+        rep = check_symmetry(pde, q, p)
+        again = check_symmetry(pde, q, p)
+        assert rep == again and hash(rep) == hash(again), q.name
+        assert rep.raw == rebuild(rep.raw_nf), q.name
+        assert rep.remainder == rebuild(rep.remainder_nf), q.name
+        assert nf(rep.raw) == rep.raw_nf, q.name
+        assert nf(rep.remainder) == rep.remainder_nf, q.name
+        assert rep.raw is rep.raw and rep.remainder is rep.remainder
+        assert rep == again and hash(rep) == hash(again), q.name
+        assert rep.is_symmetry == (not rep.remainder_nf), q.name
+        verdicts.add(rep.verdict)
+    assert len(verdicts) == 2
+    first, *rest = [check_symmetry(pde, q, p) for q in _questions(name)]
+    assert all(first != r for r in rest if r.raw_nf != first.raw_nf)
+
+
+@pytest.mark.parametrize("args", [
+    ["--pde", "kdv", "check", "--no-find", "--q", "x*u_x + u*u"],
+    ["--pde", "sine-gordon", "check", "--no-find", "--q", "u_x - 1/2*u*u"],
+    ["--pde", "chiral", "check", "--no-find", "--phi", "g_x - 2/3*inv(g)"],
+    ["--pde", "kdv", "check", "--q", "t*u_x - 1"],
+])
+def test_cli_check_rebuilds_neither_raw_nor_remainder(monkeypatch, capsys,
+                                                      args):
+    """`check` prints raw and remainder from the normal forms its report
+    holds: `rebuild`, counted wherever a module binds it, sees neither."""
+    original = normalize.rebuild
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return original(n)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("jetsym")]:
+        if getattr(mod, "rebuild", None) is original:
+            monkeypatch.setattr(mod, "rebuild", counted)
+    main(["--json", *args])
+    doc = json.loads(capsys.readouterr().out)
+    printed = [doc["values"]["raw"], doc["remainder"]]
+    monkeypatch.undo()
+    entry = get_pde(args[1])
+    p = entry.problem
+    flag, text = args[-2:]
+    q = parse_expr(text, p)
+    if flag == "--phi":
+        q = mul(p.u, q)
+    rep = check_symmetry(entry.pde, Characteristic("Q", q, p.dependent), p)
+    assert rep.raw_nf
+    assert printed == [render(rep.raw, p), render(rep.remainder, p)]
+    assert all(n != rep.raw_nf for n in seen)
+    assert all(n != rep.remainder_nf for n in seen) or not rep.remainder_nf

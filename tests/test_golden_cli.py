@@ -5,7 +5,9 @@ success and failure seeds, and in text and `--json` every other command on
 a catalog entry: `parse`, `reduce`, `bracket`, `certify` with a catalog
 certificate and with a wrong one, `check --phi`, kdv's and chiral's
 `structconsts`, and `structconsts --basis` on an independent and a
-dependent basis.  An invocation's stderr, when it writes any, is recorded
+dependent basis; and `check`, `reduce` and `parse` on custom declarations
+(constants, a base function, sin(u), a multi-letter coordinate), whose
+answers carry fractional and negative coefficients.  An invocation's stderr, when it writes any, is recorded
 after its stdout.
 
 After a change that is meant to alter rendered output, regenerate the
@@ -28,6 +30,12 @@ GOLDEN = Path(__file__).parent / "data" / "catalog_cli.txt"
 
 BT_SEEDS = ("M", "g_x", "x*inv(g)*g_t - t*inv(g)*g_x", "comm(X, M)")
 
+# a custom PDE with declared constants, a base function and sin(u), whose
+# answers carry fractional and negative coefficients and base partials
+CUSTOM = ["--constants", "a,b", "--basefuncs", "f",
+          "--f", "u_t - a*u_xx - f*u_x + 1/2*sin(u)",
+          "--solved", "u_t = a*u_xx + f*u_x - 1/2*sin(u)"]
+
 COMMANDS = (
     ["--pde", "kdv", "parse", "u_x*u + 2*u*u_x"],
     ["--pde", "chiral", "parse", "comm(X, M) + inv(g)*g_x*inv(g)"],
@@ -44,6 +52,13 @@ COMMANDS = (
     ["--pde", "chiral", "structconsts"],
     ["--pde", "kdv", "structconsts", "--basis", "q1,q2"],
     ["--pde", "kdv", "structconsts", "--basis", "q1,q1"],
+    [*CUSTOM, "check", "--q", "u_x - 2/3*b*u"],
+    [*CUSTOM, "reduce", "u_tx - 1/2*b*u_t*u_t"],
+    ["--constants", "a", "--f", "u_t - a*u_xx", "--solved", "u_t = a*u_xx",
+     "check", "--q", "-1/2*u + 2*u_x"],
+    ["--coords", "x1,t", "--invertible", "--constants", "a", "--basefuncs",
+     "f", "parse", "-u*D(f, x1) - 1/2*a*sin(u) + 3*D(u, x1)*inv(u)*inv(u)"
+     " - exp(u_t) - 2*t*u"],
 )
 
 

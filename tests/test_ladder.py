@@ -27,6 +27,8 @@ def ladder():
     module.SUBSTITUTE = {name: powers[:2]
                          for name, powers in module.SUBSTITUTE.items()}
     module.PRETTY_POWERS = module.PRETTY_POWERS[:1]
+    module.PARSE_SIZES = module.PARSE_SIZES[:3]
+    module.RENDER_POWERS = module.RENDER_POWERS[:1]
     module.FIND_LADDER = {name: (char, cfgs[:1]) for name, (char, cfgs)
                           in module.FIND_LADDER.items()}
     module.CHAR_NF = {name: (factor, prefix, powers[:2]) for name,
@@ -55,6 +57,8 @@ RUNGS = {
     "reduce_fed_back": lambda m: m.fed_back_ladder(),
     "substitute_solved_form_in_f_k": lambda m: m.substitute_ladder(),
     "pretty_chiral_g_plus_g_x_k": lambda m: m.pretty_ladder(),
+    "parse_kdv_combination_k": lambda m: m.parse_ladder(),
+    "render_chiral_g_plus_g_x_k": lambda m: m.render_ladder(),
     "find_operator_ansatz": lambda m: m.find_ladder(),
     "char_nf_cold_warm": lambda m: m.char_nf_ladder(),
 }

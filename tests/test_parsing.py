@@ -133,6 +133,49 @@ def test_zero_denominator_and_wrong_arity(mp, text, message):
         parse_expr(text, mp)
 
 
+# messages and positions the lexer and parser give on bad characters, on
+# runs of tab, newline and non-breaking-space whitespace, and on input
+# that ends mid-expression; parse_expr and parse_operator give the same
+LEXER_ERRORS = [
+    ("u $ u_x", "unexpected character '$'", 2),
+    ("$", "unexpected character '$'", 0),
+    ("u_x*@", "unexpected character '@'", 4),
+    ("2*\u00fc", "unexpected character '\u00fc'", 2),
+    ("\u00fcu", "unexpected character '\u00fc'", 0),
+    ("u\t\xa0$", "unexpected character '$'", 3),
+    ("\xa0\xa0@", "unexpected character '@'", 2),
+    ("u_x u $", "unexpected character '$'", 6),
+    ("\t\n\xa0", "unexpected end of input", 3),
+    ("u_x +\t\n", "unexpected end of input", 7),
+    ("u_x*\xa0", "unexpected end of input", 5),
+    ("u +\xa0-", "unexpected end of input", 5),
+    ("(u + u_x", "expected ')', got end of input", 8),
+    ("sin(u", "expected ')', got end of input", 5),
+    ("inv(", "unexpected end of input", 4),
+    ("comm(u,", "unexpected end of input", 7),
+    ("D(u,", "unexpected end of input", 4),
+    ("2/", "expected integer denominator", 2),
+    ("2/\t", "expected integer denominator", 3),
+    ("3/\n0", "zero denominator", 3),
+    ("u_x u", "trailing input 'u'", 4),
+    ("u_x\n)", "trailing input ')'", 4),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", LEXER_ERRORS)
+def test_lexer_error_table(sp, text, message, pos):
+    for parse in (parse_expr, parse_operator):
+        with pytest.raises(ParseError) as exc:
+            parse(text, sp)
+        assert (exc.value.message, exc.value.pos) == (message, pos)
+
+
+@pytest.mark.parametrize("text", ["u\t\t+\t u_x", "u\n\n+\nu_x",
+                                  "u\xa0+\xa0\xa0u_x", "\t u\n+ u_x\xa0"])
+def test_runs_of_whitespace_separate_tokens(sp, text):
+    assert parse_expr(text, sp) == parse_expr("u + u_x", sp)
+
+
 # --- operator mini-grammar ------------------------------------------------
 
 def test_parse_operator_terms(sp):

@@ -34,6 +34,15 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
 * pretty: `pretty` of the normal form of (g + g_x)^k on the catalog
   chiral problem (2^k terms) for k = 8..13, with the term count and the
   length of the printed text.
+* parse: `parse_expr` of a combination of k of the catalog kdv's
+  generators (PARSE_GENERATORS, taken in turn) with fractional and
+  negative coefficients, for each k of PARSE_SIZES, with the length of
+  the text and its token count.
+* render: the two ways to print the normal form of (g + g_x)^k on the
+  catalog chiral problem, for k = 8..13: `render` of the rebuilt tree
+  (`rebuild` and the tree walk, both timed) and `printing.render_nf`
+  straight from the form, with the term count and the printed length,
+  which the two share.
 * find: `find_operator` on the catalog kdv's scaling symmetry and the
   catalog chiral's scaling Phi-form at each ansatz bound of FIND_LADDER,
   with the ansatz's columns, their rank and their nonzero entries.  The
@@ -69,7 +78,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from jetsym import (backlund, calculus, catalog, parsing, printing,  # noqa: E402
                     symmetry)
 from jetsym.core import Dependent, PotentialDef, Problem, mul  # noqa: E402
-from jetsym.normalize import nf, normal_form, substitute  # noqa: E402
+from jetsym.normalize import (nf, normal_form, rebuild,  # noqa: E402
+                              substitute)
 
 REPEATS = 3
 KDV_ORDERS = range(4, 11)
@@ -80,6 +90,10 @@ FED_BACK = {"kdv": ("(u_x + u_t)", "", range(1, 7)),
             "chiral": ("(inv(g)*g_x + inv(g)*g_t)", "g*", range(1, 6))}
 SUBSTITUTE = {"kdv": range(1, 6), "chiral": range(1, 6)}
 PRETTY_POWERS = range(8, 14)
+PARSE_GENERATORS = ("u_x", "u_t", "t*u_x - 1", "x*u_x + 3*t*u_t + 2*u",
+                    "u_xxxxx + 5/3*u*u_xxx + 10/3*u_x*u_xx + 5/6*u*u*u_x")
+PARSE_SIZES = (1, 2, 4, 8, 16, 32)
+RENDER_POWERS = range(8, 14)
 FIND_LADDER = {"kdv": ("q4", [(2, 2), (3, 3), (4, 3), (5, 3)]),
                "chiral": ("phi3", [(2, 2), (3, 2)])}
 CHAR_NF = {name: (factor, prefix, range(1, 5))
@@ -217,6 +231,43 @@ def pretty_ladder() -> list[dict]:
     return out
 
 
+def combination(k: int) -> str:
+    """k of PARSE_GENERATORS in turn, the i-th times (-1)^i (i+1)/(i+2)."""
+    parts = []
+    for i in range(k):
+        c = Fraction((-1) ** i * (i + 1), i + 2)
+        g = PARSE_GENERATORS[i % len(PARSE_GENERATORS)]
+        parts.append(f"{'-' if c < 0 else '+'} {abs(c)}*({g})")
+    return " ".join(parts).lstrip("+ ")
+
+
+def parse_ladder() -> list[dict]:
+    p = catalog.get_pde("kdv").problem
+    out = []
+    for k in PARSE_SIZES:
+        text = combination(k)
+        runs, _ = best_of(parsing.parse_expr, text, p)
+        out.append({"k": k, "chars": len(text),
+                    "tokens": len(parsing._lex(text)), "best_s": min(runs),
+                    "runs_s": runs})
+    return out
+
+
+def render_ladder() -> list[dict]:
+    p = catalog.get_pde("chiral").problem
+    out = []
+    for k in RENDER_POWERS:
+        n = nf(parsing.parse_expr("*".join(["(g + g_x)"] * k), p))
+        tree, text = best_of(lambda: printing.render(rebuild(n), p))
+        form, same = best_of(printing.render_nf, n, p)
+        if same != text:
+            raise RuntimeError(f"render_nf differs from render at k={k}")
+        out.append({"k": k, "terms": len(n), "chars": len(text),
+                    "tree_best_s": min(tree), "tree_runs_s": tree,
+                    "nf_best_s": min(form), "nf_runs_s": form})
+    return out
+
+
 def find_ladder() -> list[dict]:
     out = []
     for name, (char, cfgs) in FIND_LADDER.items():
@@ -285,6 +336,8 @@ def main() -> int:
         "reduce_fed_back": fed_back_ladder(),
         "substitute_solved_form_in_f_k": substitute_ladder(),
         "pretty_chiral_g_plus_g_x_k": pretty_ladder(),
+        "parse_kdv_combination_k": parse_ladder(),
+        "render_chiral_g_plus_g_x_k": render_ladder(),
         "find_operator_ansatz": find_ladder(),
         "char_nf_cold_warm": char_nf_ladder(),
     }
@@ -314,6 +367,13 @@ def main() -> int:
     for r in record["pretty_chiral_g_plus_g_x_k"]:
         print(f"pretty (g + g_x)^{r['k']}: {r['terms']} terms, "
               f"{r['chars']} chars, {r['best_s']:.4f} s")
+    for r in record["parse_kdv_combination_k"]:
+        print(f"parse {r['k']} generators: {r['chars']} chars, "
+              f"{r['tokens']} tokens, {r['best_s']:.5f} s")
+    for r in record["render_chiral_g_plus_g_x_k"]:
+        print(f"render (g + g_x)^{r['k']}: {r['terms']} terms, "
+              f"{r['chars']} chars, rebuilt tree {r['tree_best_s']:.4f} s, "
+              f"from the form {r['nf_best_s']:.4f} s")
     for r in record["find_operator_ansatz"]:
         print(f"find {r['pde']} {r['q']} at {tuple(r['cfg'])}: "
               f"{r['columns']} columns, rank {r['rank']}, {r['nonzeros']} "
