@@ -3,11 +3,10 @@
 from .core import (CMat, Comm, Coord, Dependent, Expr, Fn, Inv, Jet,
                    JetsymError, KindError, MATRIX, Mul, Pot, PotentialDef,
                    Problem, Rat, SCALAR, Sym, add, as_expr, commutator, func,
-                   inverse, mk_jet, mul, neg, rat, sub)
+                   inverse, mul)
 from .normalize import is_zero, normal_form, substitute
 from .calculus import (Characteristic, bracket_characteristic,
-                       char_derivative, scalar_prolongation_apply,
-                       scale_characteristic, total_derivative)
+                       char_derivative, total_derivative)
 from .symmetry import (AnsatzConfig, LinearOperatorAnsatz, Pde,
                        SymmetryReport, Verdict, certify_operator,
                        check_symmetry, find_operator, make_pde,

@@ -12,25 +12,22 @@ to each factor of each term, and `derivation` gives the image of each
 factor (an atom, the inverse of one, or an analytic function), taken once
 and held, cleared, in a dict: kept per problem for D_i (`total_images`)
 and per (pde, problem) for R o D_i (`symmetry.reduction`), local to the
-call for D_Q and d/du_J.  Every derivative is taken there: D_i, D_Q, D_J
-(`jet_totals`) and the formal partial d/du_J.  The `_nf` functions take
-and return normal forms; an `Expr` tree is built only where a public
-function returns a result.
+call for D_Q.  Every derivative is taken there: D_i, D_Q and D_J
+(`jet_totals`).  The `_nf` functions take and return normal forms; an
+`Expr` tree is built only where a public function returns a result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable
 from weakref import WeakKeyDictionary
 
 from .core import (Base, CMat, Coord, Dependent, Expr, Fn, FUNC_DERIVATIVES,
-                   Inv, Jet, KindError, NonlocalActionError, Pot, Problem, Rat,
-                   SCALAR, Sym, as_expr, mul)
+                   Inv, Jet, KindError, NonlocalActionError, Pot, Problem, Sym,
+                   as_expr)
 from .normalize import (NF, _join, _merge_cmono, _nf_add, _nf_mul, _nf_scale,
-                        clear_denominators, collect_jets, nf, nf_divide,
-                        normal_form, rebuild)
+                        clear_denominators, nf, nf_divide, rebuild)
 
 # a normal form n as (d*n, d) with d*n's coefficients ints
 # (`normalize.clear_denominators`, `derive_cleared`)
@@ -242,45 +239,3 @@ def bracket_characteristic(Q1: Characteristic, Q2: Characteristic,
     return Characteristic(f"[{Q1.name},{Q2.name}]",
                           rebuild(bracket_nf(Q1, Q2, problem)), Q1.dependent)
 
-
-def scale_characteristic(Q: Characteristic, lam) -> Characteristic:
-    """lam * Q for a constant lam (rational or declared symbol); scaling by
-    non-constant base functions would break commutation with the totals."""
-    if isinstance(lam, (int, Fraction)):
-        factor: Expr = Rat(lam)
-    elif isinstance(lam, Sym):
-        factor = lam
-    else:
-        raise KindError("characteristics scale only by declared constants")
-    return Characteristic(f"{lam}*{Q.name}", normal_form(mul(factor, Q.q)),
-                          Q.dependent)
-
-
-def jet_partial(target: Jet) -> Image:
-    """The image map of the formal partial derivative d/d(target): 1 on the
-    jet atom `target`, 0 on every other atom."""
-    one = {((), ()): 1}
-    return derivation(lambda a: one if a == target else {}, {})
-
-
-def formal_jet_partial(e: Expr, target: Jet) -> Expr:
-    """Formal commutative partial derivative with respect to a jet atom;
-    only meaningful for scalar dependents."""
-    return rebuild(derive_nf(nf(as_expr(e)), jet_partial(target)))
-
-
-def scalar_prolongation_apply(e: Expr, Q: Characteristic,
-                              problem: Problem) -> Expr:
-    """Differential-operator representation of D_Q for scalar dependents:
-    sum over jets u_J of (D_J Q) * (de/du_J).  Cross-check oracle for
-    char_derivative."""
-    if problem.dependent.kind != SCALAR:
-        raise KindError("the differential-operator representation is only "
-                        "valid for a scalar dependent")
-    e = as_expr(e)
-    jets = {j for j in collect_jets(e) if j.dep == problem.dependent}
-    n, totals = nf(e), jet_totals(nf(as_expr(Q.q)), problem)
-    out: NF = {}
-    for j in sorted(jets, key=lambda j: (j.order, j.idx)):
-        _nf_add(out, _nf_mul(totals(j.idx), derive_nf(n, jet_partial(j))))
-    return rebuild(out)

@@ -267,10 +267,6 @@ def as_expr(v) -> Expr:
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
-def rat(num, den=1) -> Rat:
-    return Rat(Fraction(num, den))
-
-
 def add(*terms: Expr) -> Expr:
     flat: list[Expr] = []
     for t in terms:
@@ -305,18 +301,9 @@ def neg(e: Expr) -> Expr:
     return mul(Rat(-1), e)
 
 
-def sub(a: Expr, b: Expr) -> Expr:
-    return add(a, neg(b))
-
-
 def commutator(a: Expr, b: Expr) -> Expr:
     """[A, B] = AB - BA, kept as a node until normalization."""
     return Comm(as_expr(a), as_expr(b))
-
-
-def mk_jet(dep: Dependent, idx: Iterable[Union[int, Coord]]) -> Jet:
-    ints = tuple(i.index if isinstance(i, Coord) else int(i) for i in idx)
-    return Jet(dep, ints)
 
 
 def inverse(e: Expr) -> Expr:

@@ -306,16 +306,11 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
     return _nf_add(nf_divide(total, d), out)
 
 
-def key_sort_key(key: Key) -> tuple:
-    """Sortable surrogate for an internal term key: word length, then the
+def _term_sort_key(item):
+    """The order of a (term key, coefficient) item: word length, then the
     word, then the commuting monomial.  Every factor of a term key is an
     interned atom, and atoms order by their key (`core.Atom`)."""
-    cmono, word = key
-    return len(word), word, cmono
-
-
-def _term_sort_key(item):
-    cmono, word = item[0]  # `key_sort_key` in line: one call per term
+    cmono, word = item[0]
     return len(word), word, cmono
 
 

@@ -14,7 +14,7 @@ form.
 from __future__ import annotations
 
 from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, ONE,
-                   Pot, Problem, Rat, Sym, ZERO)
+                   Pot, Problem, Rat, Sym)
 from .normalize import NF, _term_sort_key, nf, normal_form, rebuild
 
 
@@ -153,25 +153,10 @@ def _commutator_pairs(n: NF) -> tuple[list[Expr], set]:
     return pieces, folded
 
 
-def resugar_commutators(e: Expr, problem: Problem) -> Expr:
-    """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
-    into  c*comm(a, b).  Purely cosmetic: `pretty` prints the same text
-    from the normal form (`pretty_nf`).  The normal form of e is read,
-    never changed: a tree that carries it and folds no pair is returned as
-    it is."""
-    n = nf(e)
-    pieces, folded = _commutator_pairs(n)
-    if not pieces:
-        return e if getattr(e, "form", None) is n else rebuild(n)
-    rest = rebuild({k: v for k, v in n.items() if k not in folded})
-    terms = pieces + (list(rest.terms) if isinstance(rest, Add)
-                      else ([] if rest == ZERO else [rest]))
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
-
-
 def pretty_nf(n: NF, problem: Problem) -> str:
-    """render(resugar_commutators(rebuild(n))), printed from the normal
-    form: the folded commutators first, then the other terms of n."""
+    """render_nf(n), with each pair of terms  c*a*b - c*b*a  (two-factor
+    words) folded into  c*comm(a, b): the folded commutators first, then
+    the other terms of n."""
     pieces, folded = _commutator_pairs(n)
     if not pieces:
         return render_nf(n, problem)

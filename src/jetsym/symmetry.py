@@ -49,8 +49,7 @@ from .calculus import (Characteristic, Image, bracket_nf, char_nf,
                        derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import Echelon
 from .normalize import (NF, Coeff, _nf_add, _nf_mul, collect_jets, is_zero,
-                        key_sort_key, map_nf, nf, normal_form, rebuild,
-                        substitute)
+                        map_nf, nf, normal_form, rebuild, substitute)
 from .printing import render
 
 
@@ -283,7 +282,7 @@ class LinearOperatorAnsatz:
             j = tuple(sorted(j))
             for lk, lv in nf(left).items():
                 for rk, rv in nf(right).items():
-                    key = (key_sort_key(lk), j, key_sort_key(rk))
+                    key = (lk, j, rk)
                     coeffs[key] = coeffs.get(key, 0) + lv * rv
         return tuple(sorted((k, v) for k, v in coeffs.items() if v))
 

@@ -4,10 +4,12 @@ reference substitution and reduction by a tree walk that shares no code
 with the engine's jet map (`normalize.map_nf`), for `substitute`,
 `reduce_mod_pde` and the term-by-term `reduce_nf`;
 reference total and characteristic derivatives that walk the expression
-tree instead of acting on normal forms (`calculus.derive_nf`); the order
-key computed by a walk over the tree, for the key each interned atom
-carries; a dense elimination in Fractions only, for `linsolve`; and an
-in-process run of the command line, for the CLI tests."""
+tree instead of acting on normal forms (`calculus.derive_nf`), and the
+scalar prolongation formula built on them; the commutator folding that
+`printing.pretty_nf` prints, as a tree; the order key computed by a walk
+over the tree, for the key each interned atom carries; a dense
+elimination in Fractions only, for `linsolve`; and an in-process run of
+the command line, for the CLI tests."""
 from __future__ import annotations
 
 import io
@@ -28,6 +30,7 @@ from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
                          Mul, NonlocalActionError, Pot, ZERO, neg)
 from jetsym.normalize import (clear_denominators, collect_jets, nf,
                               nf_divide, rebuild)
+from jetsym.printing import _commutator_pairs
 from jetsym.symmetry import reduce_nf
 
 
@@ -266,6 +269,15 @@ def reference_total(e: Expr, coord, problem: Problem) -> Expr:
     return normal_form(_reference_derive(as_expr(e), atom))
 
 
+def _reference_jet_total(Q: Characteristic, j: Jet, problem: Problem
+                         ) -> Expr:
+    """D_J Q for the jet j = u_J, one `reference_total` at a time."""
+    out = as_expr(Q.q)
+    for i in j.idx:
+        out = reference_total(out, problem.coordinates[i], problem)
+    return out
+
+
 def reference_char(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
     """D_Q e by the tree walk, with D_J Q from `reference_total`,
     normalized: the reference for `jetsym.char_derivative`."""
@@ -275,13 +287,47 @@ def reference_char(e: Expr, Q: Characteristic, problem: Problem) -> Expr:
         if isinstance(a, Jet):
             if a.dep != Q.dependent:
                 raise KindError("characteristic of another dependent")
-            out = as_expr(Q.q)
-            for i in a.idx:
-                out = reference_total(out, problem.coordinates[i], problem)
-            return out
+            return _reference_jet_total(Q, a, problem)
         raise NonlocalActionError(f"no image of {a.name} under {Q.name}")
 
     return normal_form(_reference_derive(as_expr(e), atom))
+
+
+def reference_prolongation(e: Expr, Q: Characteristic, problem: Problem
+                           ) -> Expr:
+    """D_Q e for a scalar dependent by the prolongation formula (Olver,
+    Applications of Lie Groups to Differential Equations, ch. 5): the sum
+    over the jets u_J of e of (D_J Q) * de/du_J, with D_J Q from
+    `reference_total` and de/du_J by the tree walk that is 1 on u_J and 0
+    on every other atom, normalized.  It calls nothing in
+    `jetsym.calculus`: a reference for `jetsym.char_derivative` in the
+    representation the paper claims for it."""
+    if problem.dependent.kind != "scalar":
+        raise KindError("the differential-operator representation holds "
+                        "only for a scalar dependent")
+    e = as_expr(e)
+    terms = []
+    for j in collect_jets(e):
+        if j.dep == problem.dependent:
+            de = _reference_derive(e, lambda a: Rat(1) if a is j else ZERO)
+            terms.append(mul(_reference_jet_total(Q, j, problem), de))
+    return normal_form(add(*terms))
+
+
+def resugar_commutators(e: Expr, problem: Problem) -> Expr:
+    """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
+    into  c*comm(a, b).  Purely cosmetic: `pretty` prints the same text
+    from the normal form (`pretty_nf`).  The normal form of e is read,
+    never changed: a tree that carries it and folds no pair is returned as
+    it is."""
+    n = nf(e)
+    pieces, folded = _commutator_pairs(n)
+    if not pieces:
+        return e if getattr(e, "form", None) is n else rebuild(n)
+    rest = rebuild({k: v for k, v in n.items() if k not in folded})
+    terms = pieces + (list(rest.terms) if isinstance(rest, Add)
+                      else ([] if rest == ZERO else [rest]))
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 def reference_expr_key(e: Expr) -> tuple:

@@ -10,8 +10,7 @@ from random import Random
 from jetsym import (Characteristic, Rat, Verdict, bracket_characteristic,
                     char_derivative, check_symmetry, certify_operator,
                     commutator, find_operator, inverse, is_zero, normal_form,
-                    scalar_prolongation_apply, structure_constants,
-                    total_derivative)
+                    structure_constants, total_derivative)
 from jetsym.backlund import (PotentialError, bt_apply, chiral_phi_condition,
                              declare_potential, left_current,
                              phi_characteristic)
@@ -20,7 +19,7 @@ from jetsym.core import Dependent, PotentialDef, Problem
 from jetsym.parsing import parse_expr, parse_operator
 
 from helpers import (fresh_copy, matrix_problem, random_characteristic,
-                     random_expr, scalar_problem)
+                     random_expr, reference_prolongation, scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -258,7 +257,7 @@ def test_criterion_7_oracle_equivalence():
             e = random_expr(rng, SP, rng.randint(0, 4), scalar_only=True)
             Q = random_characteristic(rng, SP)
             assert (char_derivative(e, Q, SP)
-                    == scalar_prolongation_apply(e, Q, SP))
+                    == reference_prolongation(e, Q, SP))
 
 
 def test_criterion_8_negative_controls():

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 
 import pytest
 
-from jetsym import (Characteristic, Sym, bracket_characteristic,
+from jetsym import (Characteristic, bracket_characteristic,
                     char_derivative, commutator, inverse, is_zero,
-                    normal_form, scalar_prolongation_apply,
-                    scale_characteristic, total_derivative)
+                    normal_form, total_derivative)
 from jetsym import calculus
-from jetsym.calculus import formal_jet_partial, jet_totals
+from jetsym.calculus import derivation, derive_nf, jet_totals
 from jetsym.core import (Comm, Fn, Inv, KindError, NonlocalActionError, Pot,
                          PotentialDef, Problem, Rat, ZERO, add, func, nodes)
 from jetsym.normalize import collect_jets, nf, rebuild
@@ -20,7 +19,7 @@ from jetsym.parsing import parse_expr
 from conftest import seeded_characteristics, seeded_exprs
 from helpers import (_reference_derive, fresh_copy, matrix_problem,
                      random_characteristic, random_expr, reference_char,
-                     reference_total, scalar_problem)
+                     reference_prolongation, reference_total, scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -162,51 +161,54 @@ def test_bracket_kdv_examples(sp):
     assert is_zero(bracket_characteristic(q3, q3, sp).q)
 
 
-def test_scaling_rejects_nonconstants(sp):
-    Q = Q_of(sp, sp.jet("x"))
-    scale_characteristic(Q, 2)
-    scale_characteristic(Q, Sym("lam"))
-    with pytest.raises(KindError):
-        scale_characteristic(Q, sp.base("f"))
-
-
-# --- prolongation oracle --------------------------------------------------
+# --- the prolongation formula (scalar dependents) --------------------------
 
 def test_prolongation_simple(sp):
     Q = Q_of(sp, sp.base("f") * sp.u)
-    got = scalar_prolongation_apply(sp.u * sp.u, Q, sp)
+    got = reference_prolongation(sp.u * sp.u, Q, sp)
     assert got == normal_form(2 * sp.u * Q.q)
+    assert got == char_derivative(sp.u * sp.u, Q, sp)
 
 
 def test_prolongation_heat(sp):
     Q = Q_of(sp, sp.u)
     e = sp.jet("t") - sp.jet("xx")
-    assert scalar_prolongation_apply(e, Q, sp) == normal_form(e)
+    assert reference_prolongation(e, Q, sp) == normal_form(e)
+    assert char_derivative(e, Q, sp) == normal_form(e)
 
 
 def test_prolongation_kdv_shape(sp):
     Q = Q_of(sp, sp.jet("x"))
     e = sp.jet("t") + sp.u * sp.jet("x") + sp.jet("xxx")
-    assert scalar_prolongation_apply(e, Q, sp) == char_derivative(e, Q, sp)
+    assert reference_prolongation(e, Q, sp) == char_derivative(e, Q, sp)
 
 
 def test_prolongation_rejects_matrix(mp):
     Q = Q_of(mp, mp.jet("x"))
     with pytest.raises(KindError):
-        scalar_prolongation_apply(mp.u, Q, mp)
+        reference_prolongation(mp.u, Q, mp)
+
+
+def jet_partial(e, j):
+    """d/du_J e by the engine: `derive_nf` with the atom map 1 on the jet
+    j = u_J and 0 on every other atom."""
+    one = {((), ()): 1}
+    return rebuild(derive_nf(nf(e), derivation(
+        lambda a: one if a is j else {}, {})))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_formal_jet_partial_matches_the_tree_walk(seed):
-    """d/du_J against the reference walk with the atom map 1 on u_J and 0
-    elsewhere, on scalar expressions with inv(u) and function arguments."""
+    """d/du_J by `derive_nf` against the reference walk with the atom map
+    1 on u_J and 0 elsewhere, on scalar expressions with inv(u) and
+    function arguments."""
     rng = Random(seed)
     e = random_expr(rng, SP, 4, scalar_only=True) \
         + inverse(SP.u) * random_expr(rng, SP, 3, scalar_only=True)
     for j in sorted(collect_jets(e), key=lambda j: j.idx):
         want = normal_form(_reference_derive(
             e, lambda a: Rat(1) if a == j else ZERO))
-        got = normal_form(fresh_copy(formal_jet_partial(e, j)))
+        got = normal_form(fresh_copy(jet_partial(e, j)))
         assert got == want, (seed, j.idx)
 
 
@@ -289,7 +291,7 @@ def test_jacobi_scalar(q1, q2, q3):
 @settings(max_examples=100, deadline=None)
 @given(seeded_exprs(SP, depth=3), seeded_characteristics(SP))
 def test_oracle_equivalence_sample(e, Q):
-    assert char_derivative(e, Q, SP) == scalar_prolongation_apply(e, Q, SP)
+    assert char_derivative(e, Q, SP) == reference_prolongation(e, Q, SP)
 
 
 def _kinds(e) -> set:

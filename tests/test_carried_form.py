@@ -23,7 +23,7 @@ from jetsym.cli import main
 from jetsym import normalize
 from jetsym.core import Add, Mul
 from jetsym.normalize import nf, rebuild
-from jetsym.printing import render, resugar_commutators
+from jetsym.printing import render
 from jetsym.symmetry import (check_symmetry, find_operator, make_pde,
                              reduce_mod_pde, reduce_nf, structure_constants)
 
@@ -102,14 +102,6 @@ def test_rebuilt_tree_inside_a_larger_tree_answers_from_its_form():
             outers.append(mul(func("sin", inner), inner))
         for outer in outers:
             assert walked(nf(outer)) == walked(nf(fresh_copy(outer))), outer
-
-
-def test_resugar_returns_a_carrying_tree_that_folds_no_pair():
-    p = get_pde("chiral").problem
-    e = rebuild(nf(parse_expr("g_x*M + inv(g)*g_t*x", p)))
-    assert resugar_commutators(e, p) is e
-    folds = rebuild(nf(parse_expr("g_x*M - M*g_x + g_t", p)))
-    assert pretty(folds, p) == "comm(g_x, M) + g_t"
 
 
 def _snapshot(trees) -> list:

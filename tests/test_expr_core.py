@@ -8,7 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from jetsym import (Dependent, PotentialDef, Problem, commutator, inverse,
-                    is_zero, mk_jet, normal_form, parse_expr)
+                    is_zero, normal_form, parse_expr)
 from jetsym.core import (Atom, Base, CMat, Coord, DeclarationError, Fn, Inv,
                          InversionError, Jet, KindError, Mul, Pot, Rat, Sym,
                          as_expr, expr_key, func, is_scalar, nodes)
@@ -20,16 +20,16 @@ from helpers import reference_expr_key
 
 def test_jet_indices_canonicalize(sp):
     x, t = 0, 1
-    assert mk_jet(sp.dependent, [t, x]) == mk_jet(sp.dependent, [x, t])
-    assert mk_jet(sp.dependent, []) == sp.u
-    assert mk_jet(sp.dependent, [x, x]).idx == (x, x)
+    assert Jet(sp.dependent, (t, x)) == Jet(sp.dependent, (x, t))
+    assert Jet(sp.dependent, ()) == sp.u
+    assert Jet(sp.dependent, (x, x)).idx == (x, x)
 
 
 def test_jet_permutation_invariance(sp):
     for idx in [(0, 1, 1), (1, 0, 0, 1)]:
-        base = mk_jet(sp.dependent, idx)
+        base = Jet(sp.dependent, idx)
         for perm in permutations(idx):
-            assert mk_jet(sp.dependent, perm) == base
+            assert Jet(sp.dependent, perm) == base
 
 
 def test_unknown_coordinate_rejected(sp):
@@ -198,7 +198,7 @@ def every_kind_of_atom(p: Problem) -> list:
 def test_equal_atoms_are_one_object():
     dep = Dependent("u")
     assert Jet(dep, (1, 0)) is Jet(dep, (0, 1))
-    assert Jet(Dependent("u"), (0, 0, 1)) is mk_jet(dep, [1, 0, 0])
+    assert Jet(Dependent("u"), (0, 0, 1)) is Jet(dep, (1, 0, 0))
     assert Base("f", False, (1, 0)) is Base("f", partials=(0, 1))
     p = chiral_shaped()
     assert Inv(p.u) is inverse(p.u)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 
 import pytest
 
-from jetsym import (Problem, Rat, Sym, add, is_zero, mul, neg, normal_form,
+from jetsym import (Problem, Rat, Sym, add, is_zero, mul, normal_form,
                     total_derivative)
+from jetsym.core import neg
 from jetsym.parsing import MAX_DEPTH, ParseError, parse_expr, parse_operator
 from jetsym.printing import pretty, render
 

@@ -10,12 +10,13 @@ from random import Random
 
 import pytest
 
-from jetsym import Dependent, Problem, parse_expr
+from jetsym import Dependent, Problem, parse_expr, pretty
 from jetsym.catalog import CATALOG_NAMES, get_pde
 from jetsym.normalize import nf, rebuild
-from jetsym.printing import pretty_nf, render, render_nf, resugar_commutators
+from jetsym.printing import pretty_nf, render, render_nf
 
-from helpers import matrix_problem, random_expr, scalar_problem
+from helpers import (matrix_problem, random_expr, resugar_commutators,
+                     scalar_problem)
 from test_reduce_table import COEFFICIENTS, random_jet_polynomial
 
 
@@ -97,3 +98,13 @@ def test_pretty_nf_folds_commutators_before_the_other_terms():
         n = nf(parse_expr(text, p))
         assert pretty_nf(n, p) == want
         assert render(resugar_commutators(rebuild(n), p), p) == want
+
+
+def test_resugar_returns_a_carrying_tree_that_folds_no_pair():
+    """The reference fold reads the normal form a tree carries and returns
+    the tree itself when no pair folds; `pretty` folds from the form."""
+    p = get_pde("chiral").problem
+    e = rebuild(nf(parse_expr("g_x*M + inv(g)*g_t*x", p)))
+    assert resugar_commutators(e, p) is e
+    folds = rebuild(nf(parse_expr("g_x*M - M*g_x + g_t", p)))
+    assert pretty(folds, p) == "comm(g_x, M) + g_t"

@@ -9,7 +9,12 @@ is skipped there, as are `from __future__` imports.  Every module imported
 must be jetsym's own or in `sys.stdlib_module_names`: the engine has no
 runtime dependency.  An `assert` vanishes under `python -O`, so a check
 that must hold raises instead; and `name = function` at module level gives
-one function two names, where one is enough."""
+one function two names, where one is enough.
+
+Every name the package exports is used outside the module that defines
+it: by another engine module, by the benchmark or by a tool, or it is on
+a short keep-list with the reason it is public.  A function that only
+tests call belongs in the tests."""
 import ast
 import sys
 from pathlib import Path
@@ -143,3 +148,81 @@ def test_no_asserts_and_no_function_aliases(path):
     source = path.read_text()
     assert asserts(source) == []
     assert function_aliases(source) == []
+
+
+ROOT = SRC.parent.parent
+CALLERS = sorted(p for d in ("perfbench", "tools")
+                 for p in (ROOT / d).rglob("*.py"))
+
+#: exported names that no other engine module, benchmark file or tool
+#: uses, and why each is public
+KEEP = {
+    "BtPair": "the type bt_rhs returns",
+    "CatalogEntry": "the type get_pde returns",
+    "ParseError": "the error parse_expr and parse_operator raise",
+    "SCALAR": "with MATRIX, a value of Dependent.kind",
+    "Verdict": "the type of SymmetryReport.verdict, compared against",
+    "bracket_characteristic": "the Lie bracket of characteristics as one "
+                              "(Example 5.1); the CLI takes bracket_nf",
+    "left_current": "the chiral current inv(g)*g_i, the first letters of "
+                    "bt_apply's basis",
+    "validate_entry": "re-derives every claim of a catalog entry",
+}
+
+
+def exports(source: str) -> dict[str, str]:
+    """The names a package `__init__` imports from its own modules, each
+    with the module it comes from."""
+    return {alias.asname or alias.name: node.module
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def names_used(source: str) -> set[str]:
+    """The names a module reads, reads as an attribute or imports from a
+    module."""
+    used = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            used.update(alias.name for alias in n.names)
+    return used
+
+
+def unused_exports(init: str, modules: dict[str, str], callers: list[str],
+                   keep) -> list[str]:
+    """The names `init` exports that are on no keep-list and that neither
+    a module other than the defining one (modules: name -> source) nor
+    any caller source uses."""
+    used = {m: names_used(source) for m, source in modules.items()}
+    outside = set().union(*map(names_used, callers))
+    return sorted(name for name, module in exports(init).items()
+                  if name not in keep and name not in outside
+                  and not any(name in names for m, names in used.items()
+                              if m != module))
+
+
+def test_checker_sees_test_only_exports():
+    init = ("from .core import add, neg\n"
+            "from .calc import total, scale, Kept\n")
+    modules = {"core": "def add(*a): pass\n"
+                       "def neg(e): return add(e)\n",
+               "calc": "from .core import add\n"
+                       "def total(e): return add(e)\n"
+                       "def scale(e): pass\n"
+                       "class Kept: pass\n"}
+    callers = ["import jetsym\njetsym.total(1)\n"]
+    assert unused_exports(init, modules, callers, {"Kept": "public type"}) \
+        == ["neg", "scale"]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    init = (SRC / "__init__.py").read_text()
+    assert set(KEEP) <= set(exports(init))
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in CALLERS]
+    assert unused_exports(init, modules, callers, KEEP) == []
