@@ -116,12 +116,12 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
     dj*ri = di*rj; the residual is divided out only for the error."""
     coords = problem.coordinates
     gradient = pdef.gradient(coords)  # before any reduction work
-    reduce, totals = reduction(pde, problem)
+    reduce, total = reduction(pde, problem)
     grad = [reduce(nf(as_expr(g))) for g in gradient]
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            ri, di = derive_cleared(grad[i], totals[j])
-            rj, dj = derive_cleared(grad[j], totals[i])
+            ri, di = derive_cleared(grad[i], total(j))
+            rj, dj = derive_cleared(grad[j], total(i))
             if _nf_scale(ri, dj) == _nf_scale(rj, di):
                 continue
             ci, cj = coords[i], coords[j]
@@ -240,13 +240,13 @@ Letter = tuple[NF, list[NF], int]
 
 
 def _bt_rows(b: Expr, reduce: Callable[[NF], NF],
-             totals: list[Image]) -> Letter:
+             total: Callable[[int], Image]) -> Letter:
     """(R(b), [d*R(D_x b), d*R(D_t b)], d) for an expression b, where R is
     the reduction mod F of one `symmetry.reduction` context (reduce,
-    totals): R o D_i applied to R(b), with int coefficients and their one
+    total): R o D_i applied to R(b), with int coefficients and their one
     denominator d, which a potential's gradient brings in."""
     n = reduce(nf(b))
-    rows = [derive_cleared(n, total) for total in totals]
+    rows = [derive_cleared(n, total(i)) for i in (0, 1)]  # x, t
     d = lcm(*(dr for _, dr in rows))
     return n, [_nf_scale(row, d // dr) if dr != d else row
                for row, dr in rows], d
@@ -270,7 +270,7 @@ def _leibniz_rows(a: Letter, c: Letter) -> tuple[list[NF], int]:
 
 
 def _bt_columns(problem: Problem, letters: list[Letter],
-                reduce: Callable[[NF], NF], totals: list[Image]
+                reduce: Callable[[NF], NF], total: Callable[[int], Image]
                 ) -> tuple[list[Letter], list[tuple[Expr, list[NF], int]]]:
     """The `_bt_rows` of the letters after the first len(letters), and (b,
     [d*R(D_x b), d*R(D_t b)], d) for each candidate b that they bring, in
@@ -282,7 +282,7 @@ def _bt_columns(problem: Problem, letters: list[Letter],
     out = []
     for kind, a, c in _basis_order(len(alphabet), len(letters)):
         if kind == "letter":
-            taken.append(_bt_rows(alphabet[c], reduce, totals))
+            taken.append(_bt_rows(alphabet[c], reduce, total))
             _, rows, d = taken[c]
             out.append((alphabet[c], rows, d))
         elif kind == "product":
@@ -292,7 +292,8 @@ def _bt_columns(problem: Problem, letters: list[Letter],
 
 
 def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
-               totals: list[Image]) -> tuple[list[tuple[Expr, int]], Echelon]:
+               total: Callable[[int], Image]
+               ) -> tuple[list[tuple[Expr, int]], Echelon]:
     """The candidate b and the denominator d of its cleared rows for each
     column of the Echelon of the Backlund system, and that echelon.  The
     problem's `symmetry.Store` keeps the letters' `_bt_rows`, the columns
@@ -303,7 +304,7 @@ def _bt_system(pde: Pde, problem: Problem, reduce: Callable[[NF], NF],
     kept = store(pde, problem)
     if not kept.letters:
         _check_chiral(pde, problem)
-    new_letters, new = _bt_columns(problem, kept.letters, reduce, totals)
+    new_letters, new = _bt_columns(problem, kept.letters, reduce, total)
     kept.echelon.extend([_row_column(rows) for _, rows, _ in new])
     kept.letters.extend(new_letters)
     kept.columns.extend((b, d) for b, _, d in new)
@@ -321,9 +322,9 @@ def bt_apply(phi: Expr, pde: Pde, problem: Problem) -> Optional[Expr]:
     Raises JetsymError unless F is a nonzero rational multiple of the
     chiral operator (`_check_chiral`)."""
     pair = _bt_pair(phi, problem)  # two coordinates: R o D_x, R o D_t
-    reduce, totals = reduction(pde, problem)
+    reduce, total = reduction(pde, problem)
     targets = [reduce(r) for r in pair]
-    columns, echelon = _bt_system(pde, problem, reduce, totals)
+    columns, echelon = _bt_system(pde, problem, reduce, total)
     sol = _match_linear(targets, echelon)
     if sol is None:
         return None

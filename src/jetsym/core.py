@@ -495,14 +495,11 @@ class Problem:
         """The declared atoms of one kind, in order of declaration."""
         return tuple(a for a in self._atoms.values() if isinstance(a, kind))
 
-    def _lookup(self, name: str, kind: type, what: str) -> Expr:
-        atom = self._atoms.get(name)
-        if not isinstance(atom, kind):
-            raise DeclarationError(f"unknown {what} {name!r}")
-        return atom
-
     def coordinate(self, name: str) -> Coord:
-        return self._lookup(name, Coord, "coordinate")
+        atom = self._atoms.get(name)
+        if not isinstance(atom, Coord):
+            raise DeclarationError(f"unknown coordinate {name!r}")
+        return atom
 
     @property
     def u(self) -> Jet:
@@ -511,18 +508,6 @@ class Problem:
     def jet(self, subscripts: Iterable[str]) -> Jet:
         return Jet(self.dependent,
                    tuple(self.coordinate(s).index for s in subscripts))
-
-    def const(self, name: str) -> Sym:
-        return self._lookup(name, Sym, "constant")
-
-    def cmat(self, name: str) -> CMat:
-        return self._lookup(name, CMat, "constant matrix")
-
-    def base(self, name: str) -> Base:
-        return self._lookup(name, Base, "base function")
-
-    def potential(self, name: str) -> Pot:
-        return self._lookup(name, Pot, "potential")
 
     def register_potential(self, pdef: PotentialDef) -> Pot:
         """Raw registration; `backlund.declare_potential` performs the

@@ -17,7 +17,9 @@ for one call; each Pde keeps, per Problem, the values and the images of
 each R o D_i, as normal forms, in that problem's `Store`.  R is a ring
 homomorphism, so reducing a normal form (`reduce_nf`) is `normalize.map_nf`
 with each principal jet sent to its table value: it maps the normal form
-term by term, with no tree built.
+term by term, with no tree built.  A value is kept sorted as
+`normalize.rebuild` lays it out, and a rational multiple of it keeps
+that order (`normalize._nf_mul`), so R(c*u_J) comes out in output order.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
@@ -48,8 +50,9 @@ from .core import (CMat, Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
 from .calculus import (Characteristic, Image, bracket_nf, char_nf,
                        derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import Echelon
-from .normalize import (NF, Coeff, _nf_add, _nf_mul, collect_jets, is_zero,
-                        map_nf, nf, normal_form, rebuild, substitute)
+from .normalize import (NF, Coeff, _nf_add, _nf_mul, _term_sort_key,
+                        collect_jets, is_zero, map_nf, nf, normal_form,
+                        rebuild, substitute)
 from .printing import render
 
 
@@ -69,7 +72,8 @@ class SpanError(JetsymError):
 class Store:
     """What a Pde keeps for one Problem, as plain data (`store`):
     - table: {principal multi-index J: normal form of R[J]}, seeded with
-      leading -> rhs and filled by `reduction`;
+      leading -> rhs and filled by `reduction`, each value in `rebuild`'s
+      order;
     - images: the images of R o D_i, {factor: cleared normal form}, by
       coordinate index, filled by `reduction`'s image maps;
     - ansatz: {AnsatzConfig: (terms, Echelon of their columns on F)},
@@ -86,8 +90,8 @@ class Store:
     so a record goes with its problem, and dataclasses.replace starts a Pde
     with none.  No closure is kept: the image maps R o D_i, which hold
     their images here, and the guard against a cyclic value belong to each
-    `reduction` context, which refers to the record and not back, so a
-    dropped record is freed at once."""
+    `reduction` context, which refers to the record's parts and not to
+    the record, so a dropped record is freed at once."""
 
     table: dict
     images: list
@@ -136,15 +140,12 @@ def _ranked(lead: list[int], jets: list[list[int]]) -> bool:
     return orderly or not _lex_unranked(lead, jets)
 
 
-def _principal_test(leading: Jet) -> Callable[[Jet], bool]:
-    """The test that is true for the leading jet and its derivatives.
-    Dependents are compared by value: equal ones need not be one object."""
-    dep, need = leading.dep, tuple(Counter(leading.idx).items())
-
-    def principal(j: Jet) -> bool:
-        return j.dep == dep and all(j.idx.count(c) >= k for c, k in need)
-
-    return principal
+def _principal(j: Jet, leading: Jet) -> bool:
+    """True for the leading jet and its derivatives.  Dependents are
+    compared by value: equal ones need not be one object."""
+    lead = leading.idx
+    return j.dep == leading.dep and all(j.idx.count(c) >= lead.count(c)
+                                        for c in lead)
 
 
 def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
@@ -157,9 +158,8 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
                        "which is not a jet of the problem's dependent")
     jets = sorted((j for j in collect_jets(rhs) if j.dep == leading.dep),
                   key=lambda j: (j.order, j.idx))
-    principal = _principal_test(leading)
     for j in jets:
-        if principal(j):
+        if _principal(j, leading):
             raise PdeError(
                 f"solved-form rhs contains {render(j, problem)} at or above "
                 f"the leading jet {render(leading, problem)}")
@@ -191,50 +191,61 @@ def store(pde: Pde, problem: Problem) -> Store:
 
 
 def reduction(pde: Pde, problem: Problem
-              ) -> tuple[Callable[[NF], NF], list[Image]]:
+              ) -> tuple[Callable[[NF], NF], Callable[[int], Image]]:
     """The reduction mod F (R) as a context for one call: reduce(n) puts
-    each principal jet's value in place in the normal form n, and totals[i]
+    each principal jet's value in place in the normal form n, and total(i)
     is R o D_i, the derivation whose image of an atom a is R(D_i a): the
     value of u_(K+i) for a jet u_K, R(D_i X) for a potential X and D_i a
-    for any other atom.  Its image maps live as long as the context; the
-    values and the images that they take go into the problem's `Store`,
-    which every call on this problem shares."""
-    dep, lead = pde.leading.dep, pde.leading.idx
-    principal = _principal_test(pde.leading)
-    lead_count = Counter(lead)
-    kept = store(pde, problem)
-    table = kept.table
+    for any other atom.  Its image maps are made when first asked for and
+    live as long as the context; the values and the images that they take
+    go into the problem's `Store`, which every call on this problem
+    shares."""
+    leading = pde.leading
+    dep, lead = leading.dep, leading.idx
+    kept = store(pde, problem)  # no closure holds the record: its parts
+    table, images = kept.table, kept.images
     busy: set[tuple[int, ...]] = set()  # entries being filled
+    totals: list[Image] = []  # R o D_i by coordinate index
+
+    def total(i: int) -> Image:
+        if not totals:
+            totals.extend(derivation(lambda a, atom=total_atoms(c, problem):
+                                     reduce(atom(a)), kept_images)
+                          for c, kept_images in zip(problem.coordinates,
+                                                    images))
+        return totals[i]
 
     def value(idx: tuple[int, ...]) -> NF:
         """R[J] = (R o D_i) R[J - i] for the principal multi-index J, filled
         in a loop down J - i, J - i - i', ... to an entry in the table; i
         is a coordinate of J - leading that occurs least often in the
-        leading jet (D_x keeps u_x...x parametric when u_t leads)."""
+        leading jet (D_x keeps u_x...x parametric when u_t leads).  A value
+        goes into the table sorted as `rebuild` lays it out."""
         chain = []
         while idx not in table:
             if idx in busy:  # only a potential in rhs can lead back here
                 raise PdeError(f"the value of {render(Jet(dep, idx), problem)}"
                                " mod F depends on itself")
             busy.add(idx)
-            i = min(Counter(idx) - lead_count,
+            i = min(Counter(idx) - Counter(lead),
                     key=lambda c: (lead.count(c), c))
             chain.append((idx, i))
             k = idx.index(i)
             idx = idx[:k] + idx[k + 1:]
         n = table[idx]
         for idx, i in reversed(chain):
-            n = table[idx] = derive_nf(n, totals[i])
+            n = table[idx] = dict(sorted(derive_nf(n, total(i)).items(),
+                                         key=_term_sort_key))
             busy.discard(idx)
         return n
 
-    def reduce(n: NF) -> NF:
-        return map_nf(n, lambda j: value(j.idx) if principal(j) else None)
+    def values(j: Jet) -> Optional[NF]:
+        return value(j.idx) if _principal(j, leading) else None
 
-    totals = [derivation(lambda a, total=total_atoms(c, problem):
-                         reduce(total(a)), images)
-              for c, images in zip(problem.coordinates, kept.images)]
-    return reduce, totals
+    def reduce(n: NF) -> NF:
+        return map_nf(n, values)
+
+    return reduce, total
 
 
 def reduce_nf(n: NF, pde: Pde, problem: Problem) -> NF:

@@ -58,9 +58,9 @@ def test_criterion_1_micro_examples():
         want = x * ux * ux + x * t * (uxt * ux + ux * uxt)
         assert got == normal_form(want)
 
-        q = MP.base("a")  # opaque matrix proxy for an arbitrary Q
+        q = MP.declared("a")  # opaque matrix proxy for an arbitrary Q
         Q = Characteristic("Q", q, MP.dependent)
-        a, b = MP.base("a"), MP.base("b")
+        a, b = MP.declared("a"), MP.declared("b")
         u, mux, mut = MP.u, MP.jet("x"), MP.jet("t")
         got = char_derivative(a * u * u * b + commutator(mux, mut), Q, MP)
         dxq = total_derivative(q, MP.coordinate("x"), MP)

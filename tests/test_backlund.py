@@ -74,7 +74,7 @@ def test_declare_potential_accepts_conserved_gradient():
     pdef = PotentialDef("X", {"x": parse_expr("inv(g)*g_t", p),
                               "t": parse_expr("-(inv(g)*g_x)", p)})
     pot = declare_potential(pdef, pde, p)
-    assert p.potential("X") == pot
+    assert p.declared("X") == pot
 
 
 def test_declare_potential_rejects_sign_flip():
@@ -100,7 +100,7 @@ def test_declare_potential_residual_of_a_rational_gradient():
     assert residuals[1] == normal_form(mul(Rat(Fraction(2, 3)), residuals[0]))
     half = PotentialDef("W", {"x": parse_expr("1/2*inv(g)*g_t", p),
                               "t": parse_expr("-1/2*inv(g)*g_x", p)})
-    assert declare_potential(half, pde, p) == p.potential("W")
+    assert declare_potential(half, pde, p) == p.declared("W")
 
 
 def test_declare_potential_missing_coordinate():
@@ -116,7 +116,7 @@ def test_unregistered_char_image_raises(ch):
     p = ch.problem
     Q = Characteristic("q", p.jet("x"), p.dependent)
     with pytest.raises(NonlocalActionError):
-        char_derivative(p.potential("X") * p.u, Q, p)
+        char_derivative(p.declared("X") * p.u, Q, p)
 
 
 # --- Phi-form condition ---------------------------------------------------
@@ -177,7 +177,7 @@ def test_phi_condition_fails_for_g(ch):
 
 def test_bt_rhs_for_constant_matrix(ch):
     p = ch.problem
-    M = p.cmat("M")
+    M = p.declared("M")
     pair = bt_rhs(M, p)
     x, t = p.coordinates
     assert pair.rhs_x == normal_form(commutator(left_current(p, t), M))
@@ -186,7 +186,7 @@ def test_bt_rhs_for_constant_matrix(ch):
 
 def test_bt_integrability(ch):
     p, pde = ch.problem, ch.pde
-    assert bt_seed_check(p.cmat("M"), pde, p).is_symmetry
+    assert bt_seed_check(p.declared("M"), pde, p).is_symmetry
     assert bt_seed_check(phi_of(ch, "inv(g)*g_x"), pde, p).is_symmetry
     assert not bt_seed_check(p.u, pde, p).is_symmetry
 
@@ -217,10 +217,10 @@ def test_an_image_certifies_its_seed():
         got = bt_apply(phi, pde, p)
         report = bt_seed_check(phi, pde, p)
         pair = bt_rhs(phi, p)
-        reduce, totals = reduction(pde, p)
-        residual = derive_nf(reduce(nf(pair.rhs_x)), totals[t.index])
+        reduce, total = reduction(pde, p)
+        residual = derive_nf(reduce(nf(pair.rhs_x)), total(t.index))
         residual = _nf_add(residual, _nf_scale(
-            derive_nf(reduce(nf(pair.rhs_t)), totals[x.index]), -1))
+            derive_nf(reduce(nf(pair.rhs_t)), total(x.index)), -1))
         assert residual == nf(report.remainder), render(phi, p)
         if got is not None:
             assert report.is_symmetry, render(phi, p)
@@ -262,8 +262,10 @@ def test_bt_apply_needs_a_chiral_pde():
 def test_bt_apply_builds_one_reduction_context_to_integrate(ch, monkeypatch):
     """bt_apply checks no seed: it integrates in one reduction context,
     whose reduction the targets and the rows of every candidate share.
-    bt_rhs and that context take two derivation maps each, and the first
-    integration on a (pde, problem) two more, to check that F is chiral."""
+    bt_rhs takes two derivation maps; the context makes its two only when
+    it first derives, which the first integration on a (pde, problem)
+    does, with two more to check that F is chiral, and a second one, which
+    finds every letter's rows and every value kept, does not."""
     from jetsym import backlund, calculus, symmetry
     counts = {"reduction": 0, "derivation": 0}
 
@@ -280,19 +282,19 @@ def test_bt_apply_builds_one_reduction_context_to_integrate(ch, monkeypatch):
     for module in (calculus, symmetry):
         monkeypatch.setattr(module, "derivation", new_map)
     p, pde = ch.problem, replace(ch.pde)  # a Pde with no store yet
-    assert bt_apply(p.cmat("M"), pde, p) is not None
+    assert bt_apply(p.declared("M"), pde, p) is not None
     assert counts == {"reduction": 1, "derivation": 6}
     counts.update(reduction=0, derivation=0)
-    assert bt_apply(p.cmat("M"), pde, p) is not None
-    assert counts == {"reduction": 1, "derivation": 4}
+    assert bt_apply(p.declared("M"), pde, p) is not None
+    assert counts == {"reduction": 1, "derivation": 2}
 
 
 def test_bt_apply_constant_matrix_gives_commutator_with_potential(ch):
     p, pde = ch.problem, ch.pde
-    M = p.cmat("M")
+    M = p.declared("M")
     got = bt_apply(M, pde, p)
     assert got is not None
-    want = normal_form(commutator(p.potential("X"), M))
+    want = normal_form(commutator(p.declared("X"), M))
     assert got == want
 
 
@@ -315,7 +317,7 @@ def test_bt_apply_is_linear_in_a_rational_seed(ch):
         assert got == normal_form(mul(Rat(Fraction(c)), base)), c
     mixed = bt_apply(phi_of(ch, "1/2*M - 2/3*inv(g)*g_x"), pde, p)
     assert mixed == normal_form(
-        add(mul(Rat(Fraction(1, 2)), bt_apply(p.cmat("M"), pde, p)),
+        add(mul(Rat(Fraction(1, 2)), bt_apply(p.declared("M"), pde, p)),
             mul(Rat(Fraction(-2, 3)),
                 bt_apply(phi_of(ch, "inv(g)*g_x"), pde, p))))
 
@@ -333,7 +335,7 @@ def test_bt_apply_with_a_rational_potential():
     Y = declare_potential(PotentialDef(
         "Y", {"x": parse_expr("1/2*inv(g)*g_t", p),
               "t": parse_expr("-1/2*inv(g)*g_x", p)}), pde, p)
-    M = p.cmat("M")
+    M = p.declared("M")
     assert bt_apply(M, pde, p) == normal_form(commutator(mul(Rat(2), Y), M))
     assert bt_apply(parse_expr("1/5*M", p), pde, p) == normal_form(
         commutator(mul(Rat(Fraction(2, 5)), Y), M))
@@ -352,13 +354,13 @@ def test_bt_apply_nonintegrable_seed(ch):
 
 def test_bt_apply_tower_insufficiency(ch):
     p, pde = ch.problem, ch.pde
-    phi = normal_form(commutator(p.potential("X"), p.cmat("M")))
+    phi = normal_form(commutator(p.declared("X"), p.declared("M")))
     assert bt_apply(phi, pde, p) is None
 
 
 def test_bt_output_satisfies_phi_condition(ch):
     p, pde = ch.problem, ch.pde
-    got = bt_apply(p.cmat("M"), pde, p)
+    got = bt_apply(p.declared("M"), pde, p)
     cond = chiral_phi_condition(got, pde, p)
     assert is_zero(reduce_mod_pde(cond, pde, p))
 
@@ -437,8 +439,8 @@ def test_bt_rows_are_reduced_total_derivatives(monkeypatch):
     build, leibniz = backlund._bt_columns, backlund._leibniz_rows
     steps, denominators, bases = [], [], []
 
-    def recording(problem, letters, reduce, totals):
-        new_letters, new = build(problem, letters, reduce, totals)
+    def recording(problem, letters, reduce, total):
+        new_letters, new = build(problem, letters, reduce, total)
         steps.append(new)
         return new_letters, new
 
@@ -472,7 +474,7 @@ def test_chain_does_not_depend_on_call_history(ch):
     p = ch.problem
 
     def unrelated(*_):
-        bt_apply(p.cmat("M"), ch.pde, p)
+        bt_apply(p.declared("M"), ch.pde, p)
         bt_apply(phi_of(ch, "inv(g)*g_t"), ch.pde, p)
         reduce_mod_pde(kdv.problem.jet("ttt"), kdv.pde, kdv.problem)
         total_derivative(phi_of(ch, "X*inv(g)*g_x"), p.coordinates[1], p)
@@ -495,7 +497,7 @@ def test_kept_chain_store_does_not_depend_on_call_history(ch):
     p_ch = ch.problem
 
     def unrelated(*_):
-        bt_apply(p_ch.cmat("M"), ch.pde, p_ch)
+        bt_apply(p_ch.declared("M"), ch.pde, p_ch)
         bt_apply(phi_of(ch, "inv(g)*g_x"), ch.pde, p_ch)
 
     images = list(chain())
@@ -525,9 +527,9 @@ def test_each_integration_computes_rows_for_new_candidates_only(
     derive, leibniz = backlund._bt_rows, backlund._leibniz_rows
     counts, bases = [], []
 
-    def deriving(b, reduce, totals):
+    def deriving(b, reduce, total):
         counts[-1][0] += 1
-        return derive(b, reduce, totals)
+        return derive(b, reduce, total)
 
     def assembling(a, c):
         counts[-1][1] += 1
@@ -585,7 +587,7 @@ def test_one_record_per_problem_holds_data_only():
     p, pde = chain_problem()
     reduce_mod_pde(p.jet("ttt"), pde, p)
     cfg = AnsatzConfig(0, 0)
-    assert find_operator(pde, phi_characteristic(p.cmat("M"), p), p,
+    assert find_operator(pde, phi_characteristic(p.declared("M"), p), p,
                          cfg) is not None
     assert bt_apply(parse_expr(CHAIN_SEED, p), pde, p) is not None
     kept = pde.stores[p]
@@ -605,6 +607,20 @@ def test_one_record_per_problem_holds_data_only():
             if not isinstance(r, (type, ModuleType)) and id(r) not in seen:
                 seen.add(id(r))
                 todo.append(r)
+
+
+def test_a_live_reduction_context_holds_not_its_record():
+    """A reduction context refers to the parts of the record that it
+    fills, not to the record: while a context lives, its maps of R o D_i
+    made, a Pde that is dropped frees its record at once, with no
+    collection run."""
+    p, pde = chain_problem()
+    reduce, total = reduction(pde, p)
+    reduce(nf(p.jet("ttt")))
+    assert total(0) and pde.stores[p].images[0]
+    alive = weakref.ref(pde.stores[p])
+    del pde
+    assert alive() is None
 
 
 def test_kept_total_images_go_with_their_problem():
@@ -664,9 +680,9 @@ def assert_kept_images_are_fresh(n: dict, i: int, p, pde) -> None:
     total = calculus.total_atoms(p.coordinates[i], p)
     assert derive_cleared(n, calculus.total_images(p)[i]) == \
         derive_cleared(n, calculus.derivation(total, {}))
-    reduce, totals = reduction(pde, p)
+    reduce, reduced_total = reduction(pde, p)
     r = reduce(n)
-    assert derive_cleared(r, totals[i]) == derive_cleared(
+    assert derive_cleared(r, reduced_total(i)) == derive_cleared(
         r, calculus.derivation(lambda a: reduce(total(a)), {}))
 
 
@@ -694,7 +710,7 @@ def test_a_wrong_kept_image_shows():
         assert_kept_images_are_fresh(n, 0, p, pde)
         kept = (calculus._TOTALS[p] if plant == "D_i"
                 else pde.stores[p].images)
-        kept[0][p.potential("X")] = nf(p.cmat("M")), 1
+        kept[0][p.declared("X")] = nf(p.declared("M")), 1
         with pytest.raises(AssertionError):
             assert_kept_images_are_fresh(n, 0, p, pde)
 

@@ -40,7 +40,7 @@ def test_total_derivative_product_example(mp):
 
 
 def test_total_derivative_base_function(sp):
-    f = sp.base("f")
+    f = sp.declared("f")
     got = total_derivative(f, sp.coordinate("x"), sp)
     assert got == normal_form(total_derivative(f, sp.coordinate("x"), sp))
     assert not is_zero(got)
@@ -66,7 +66,7 @@ def test_potential_gradient_derivative():
     from jetsym.catalog import get_pde
     entry = get_pde("chiral")
     p = entry.problem
-    X = p.potential("X")
+    X = p.declared("X")
     got = total_derivative(X, p.coordinate("x"), p)
     want = normal_form(inverse(p.u) * p.jet("t"))
     assert got == want
@@ -78,9 +78,9 @@ def test_char_derivative_micro_example():
     p2 = scalar_problem()
     del p2  # only the matrix flavor is exercised here
     pq = matrix_problem()
-    q = pq.base("a")  # opaque matrix proxy for Q
+    q = pq.declared("a")  # opaque matrix proxy for Q
     Q = Q_of(pq, q)
-    a, b = pq.base("a"), pq.base("b")
+    a, b = pq.declared("a"), pq.declared("b")
     u, ux, ut = pq.u, pq.jet("x"), pq.jet("t")
     got = char_derivative(a * u * u * b + commutator(ux, ut), Q, pq)
     dxq = total_derivative(q, pq.coordinate("x"), pq)
@@ -91,14 +91,14 @@ def test_char_derivative_micro_example():
 
 def test_char_derivative_base_and_constants(sp, mp):
     Q = Q_of(sp, sp.jet("x"))
-    assert is_zero(char_derivative(sp.base("f"), Q, sp))
+    assert is_zero(char_derivative(sp.declared("f"), Q, sp))
     assert is_zero(char_derivative(sp.coordinate("x"), Q, sp))
     Qm = Q_of(mp, mp.jet("x"))
-    assert is_zero(char_derivative(mp.cmat("A"), Qm, mp))
+    assert is_zero(char_derivative(mp.declared("A"), Qm, mp))
 
 
 def test_char_derivative_inverse(mp):
-    q = mp.base("a")
+    q = mp.declared("a")
     Q = Q_of(mp, q)
     got = char_derivative(inverse(mp.u), Q, mp)
     want = -(inverse(mp.u) * q * inverse(mp.u))
@@ -122,7 +122,7 @@ def test_unregistered_potential_action_errors():
     for Q in [c.q for c in entry.characteristics] + [
             Characteristic("q1", p.jet("x"), p.dependent)]:
         with pytest.raises(NonlocalActionError):
-            char_derivative(p.potential("X"), Q, p)
+            char_derivative(p.declared("X"), Q, p)
 
 
 def test_a_registered_gradient_is_fixed():
@@ -134,7 +134,7 @@ def test_a_registered_gradient_is_fixed():
     u, u_t, x = p.u, p.jet("t"), p.coordinate("x")
     gradient = {"x": u_t, "t": u}
     p.register_potential(PotentialDef("X", gradient, matrix=False))
-    assert total_derivative(p.potential("X"), x, p) == normal_form(u_t)
+    assert total_derivative(p.declared("X"), x, p) == normal_form(u_t)
     with pytest.raises(TypeError):
         p.potentials["X"].derivatives["x"] = u
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -144,8 +144,8 @@ def test_a_registered_gradient_is_fixed():
     gradient["x"] = u
     fresh.register_potential(PotentialDef("X", {"x": u_t, "t": u},
                                           matrix=False))
-    assert total_derivative(p.potential("X"), x, p) == total_derivative(
-        fresh.potential("X"), x, fresh) == normal_form(u_t)
+    assert total_derivative(p.declared("X"), x, p) == total_derivative(
+        fresh.declared("X"), x, fresh) == normal_form(u_t)
     assert list(p.potentials) == ["X"]
 
 
@@ -164,7 +164,7 @@ def test_bracket_kdv_examples(sp):
 # --- the prolongation formula (scalar dependents) --------------------------
 
 def test_prolongation_simple(sp):
-    Q = Q_of(sp, sp.base("f") * sp.u)
+    Q = Q_of(sp, sp.declared("f") * sp.u)
     got = reference_prolongation(sp.u * sp.u, Q, sp)
     assert got == normal_form(2 * sp.u * Q.q)
     assert got == char_derivative(sp.u * sp.u, Q, sp)
@@ -366,7 +366,7 @@ def test_potentials_with_coprime_gradient_denominators():
         "V", {"x": parse_expr("3/4*B", p),
               "t": parse_expr("1/4*inv(u)*u_t", p)}))
     e = add(half * third * p.u, third * half, half + 5 * third,
-            x * half * p.jet("x") * third, t * third * p.cmat("A"))
+            x * half * p.jet("x") * third, t * third * p.declared("A"))
     word = half * third * sixth * fourth
     cancelling = add(half, third, -3 * sixth)
     for c in p.coordinates:

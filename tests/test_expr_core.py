@@ -48,7 +48,7 @@ def test_commutator_basics(sp, mp):
     ux, ut = mp.jet("x"), mp.jet("t")
     kept = normal_form(commutator(ux, ut))
     assert not is_zero(kept)
-    a = mp.cmat("A")
+    a = mp.declared("A")
     assert is_zero(commutator(a, a))
     assert is_zero(commutator(sp.jet("x"), sp.jet("t")))  # scalars commute
 
@@ -63,8 +63,8 @@ def test_inverse_validation(sp, mp):
     with pytest.raises(InversionError):
         inverse(mp.jet("x"))  # only the zero-order jet is invertible
     with pytest.raises(InversionError):
-        inverse(mp.cmat("A"))  # not declared invertible
-    inverse(mp.cmat("B"))
+        inverse(mp.declared("A"))  # not declared invertible
+    inverse(mp.declared("B"))
     with pytest.raises(InversionError):
         inverse(sp.u + sp.jet("x"))  # never a sum
 
@@ -176,7 +176,7 @@ def test_a_problem_stores_each_declaration_once():
             and value.__dataclass_params__.frozen), name
     assert set(public) == {"coordinates", "dependent", "potentials"}
     assert p.atoms(Coord) == p.coordinates
-    assert p.atoms(Sym) == (p.const("k"), p.const("c"))
+    assert p.atoms(Sym) == (p.declared("k"), p.declared("c"))
     assert p.atoms(CMat) == (CMat("N", True), CMat("M"))
     assert p.atoms(Base) == (Base("f", True), Base("a"))
     assert p.atoms(Pot) == (X,)
@@ -188,9 +188,9 @@ def every_kind_of_atom(p: Problem) -> list:
     nested function arguments and inverses included."""
     p.register_potential(PotentialDef("X", {"x": p.jet("t"),
                                             "t": p.jet("x")}))
-    x, t, c = p.coordinate("x"), p.coordinate("t"), p.const("c")
-    return [x, t, c, p.u, p.jet("xt"), p.jet("ttx"), p.base("f"),
-            Base("f", True, (1, 0)), p.cmat("M"), p.potential("X"),
+    x, t, c = p.coordinate("x"), p.coordinate("t"), p.declared("c")
+    return [x, t, c, p.u, p.jet("xt"), p.jet("ttx"), p.declared("f"),
+            Base("f", True, (1, 0)), p.declared("M"), p.declared("X"),
             inverse(p.u), Fn("sin", c * x + 1), func("exp", x * t - 2),
             Fn("cos", Fn("sin", t) * x)]
 

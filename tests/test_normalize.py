@@ -17,7 +17,7 @@ from jetsym.core import (Atom, CMat, Comm, Fn, Inv, InversionError, Jet, Rat,
                          nodes)
 from jetsym.normalize import (MAX_TERMS, _join, _merge_cmono, _nf_add,
                               _nf_mul, clear_denominators, collect_jets,
-                              map_nf, nf, nf_divide)
+                              map_nf, nf, nf_divide, rebuild)
 from jetsym.symmetry import reduce_nf
 
 from conftest import seeded_exprs
@@ -35,7 +35,7 @@ def test_inverse_cancellation(mp):
 
 
 def test_inverse_cancellation_cascades(mp):
-    A, B, u = mp.cmat("A"), mp.cmat("B"), mp.u
+    A, B, u = mp.declared("A"), mp.declared("B"), mp.u
     assert normal_form(B * u * inverse(u) * inverse(B) * A) == A
     assert normal_form(inverse(u) * u * inverse(u)) == inverse(u)
     # two reduced words, where one cancellation exposes the next
@@ -61,7 +61,7 @@ def reference_cancel_word(word: tuple) -> tuple:
 
 def test_cancel_word_matches_repeated_pair_deletion(mp):
     """Any word, reduced by joining its letters one at a time."""
-    u, A, B = mp.u, mp.cmat("A"), mp.cmat("B")
+    u, A, B = mp.u, mp.declared("A"), mp.declared("B")
     letters = [u, inverse(u), A, B, inverse(B)]
     for seed in range(400):
         rng = Random(seed)
@@ -73,7 +73,7 @@ def test_cancel_word_matches_repeated_pair_deletion(mp):
 
 
 def test_join_of_reduced_words_matches_repeated_pair_deletion(mp):
-    u, A, B = mp.u, mp.cmat("A"), mp.cmat("B")
+    u, A, B = mp.u, mp.declared("A"), mp.declared("B")
     letters = [u, inverse(u), A, B, inverse(B)]
     for seed in range(400):
         rng = Random(seed)
@@ -97,8 +97,8 @@ def test_commutativity_class(sp, mp):
 
 def test_two_word_sum_survives(mp):
     # a(x,t)(Qu + uQ)b(x,t) with everything matrix-class keeps both words
-    a, b = mp.base("a"), mp.base("b")
-    q = mp.base("b")  # any matrix factor as a stand-in characteristic value
+    a, b = mp.declared("a"), mp.declared("b")
+    q = mp.declared("b")  # any matrix factor stands in for a characteristic
     e = normal_form(a * (q * mp.u + mp.u * q) * b)
     assert len(e.terms) == 2
 
@@ -413,6 +413,46 @@ def test_product_kernel_matches_a_reference(problem):
 
 
 @pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
+def test_a_unit_side_scales_the_other_in_its_order(problem):
+    """A product with a one-term side of key ((), ()) is a scaling: it
+    equals the reference product, term for term and coefficient type for
+    coefficient type, and keeps the other side's keys in their order, on
+    either side and for int, Fraction and integral-Fraction coefficients
+    on both."""
+    p = problem
+    rng = Random(f"unit-{p.dependent.kind}")
+    for _ in range(60):
+        n = nf(random_expr(rng, p, 3))
+        for form in (n, {k: Fraction(v) for k, v in n.items()}):
+            for c in (3, -1, Fraction(2, 3), Fraction(-4, 1)):
+                unit = {((), ()): c}
+                for got in (_nf_mul(unit, form), _nf_mul(form, unit)):
+                    assert got == reference_mul(unit, form)
+                    assert list(got) == list(form)
+                    assert [type(v) for v in got.values()] == \
+                        [type(c * v) for v in form.values()]
+
+
+@pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
+def test_rebuild_does_not_depend_on_the_order_of_terms(problem):
+    """rebuild sorts: a normal form with its terms shuffled rebuilds to
+    the tree, and the carried form, of the form in rebuild order."""
+    p = problem
+    rng = Random(f"shuffle-{p.dependent.kind}")
+    shuffled = 0
+    while shuffled < 40:
+        n = nf(rebuild(nf(random_expr(rng, p, 3))))  # in rebuild order
+        items = list(n.items())
+        rng.shuffle(items)
+        if items == list(n.items()):
+            continue
+        shuffled += 1
+        got = rebuild(dict(items))
+        assert got == rebuild(n)
+        assert list(nf(got)) == list(n)
+
+
+@pytest.mark.parametrize("problem", [SP, MP], ids=["scalar", "matrix"])
 def test_derive_nf_matches_a_reference(problem):
     """derive_nf by D_x and D_t agrees with the Leibniz rule applied
     factor by factor through the reference product."""
@@ -434,7 +474,7 @@ def test_kernel_cancellations_and_empty_sides(sp, mp):
     assert _merge_cmono(((u, 1),), ()) == ((u, 1),)
     assert _merge_cmono((), ()) == ()
     assert normal_form(u * x * inverse(u)) == x
-    g, M, A = mp.u, mp.cmat("B"), mp.cmat("A")
+    g, M, A = mp.u, mp.declared("B"), mp.declared("A")
     assert _join((M, g), (inverse(g), inverse(M))) == ()
     assert _join((A, M, g), (inverse(g), inverse(M), A)) == (A, A)
     assert _join((), (g,)) == (g,) and _join((g,), ()) == (g,)

@@ -71,7 +71,7 @@ def test_total_derivative_builtin(sp):
 
 def test_constants_and_matrices(sp, mp):
     assert parse_expr("lam", sp) == Sym("lam")
-    assert parse_expr("A", mp) == mp.cmat("A")
+    assert parse_expr("A", mp) == mp.declared("A")
 
 
 # --- errors ---------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_parse_operator_matrix_sides():
     from jetsym.catalog import get_pde
     ch = get_pde("chiral")
     op = parse_operator("F*M - M*F", ch.problem)
-    got = op.apply(ch.problem.cmat("M"), ch.problem)
+    got = op.apply(ch.problem.declared("M"), ch.problem)
     assert is_zero(got)
 
 

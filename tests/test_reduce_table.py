@@ -14,7 +14,7 @@ from jetsym import (Characteristic, Dependent, PotentialDef, Problem, Rat,
 from jetsym.backlund import chiral_phi_condition
 from jetsym.catalog import CATALOG_NAMES, get_pde
 from jetsym.core import Inv, InversionError, Jet
-from jetsym.normalize import nf
+from jetsym.normalize import nf, rebuild
 from jetsym.parsing import parse_expr
 from jetsym.symmetry import PdeError, reduce_nf
 
@@ -147,7 +147,7 @@ def test_potential_in_rhs_keeps_a_table_per_problem():
     p1 = _potential_problem("u", "u_x")
     p2 = _potential_problem("u_x", "u_xx")
     pde = make_pde("nonlocal", parse_expr("u_t - X", p1), p1.jet("t"),
-                   p1.potential("X"), p1)
+                   p1.declared("X"), p1)
     e = parse_expr("u_tt + u_xt*u_t", p1)
     got1 = reduce_mod_pde(e, pde, p1)
     got2 = reduce_mod_pde(e, pde, p2)
@@ -186,7 +186,7 @@ def test_jets_that_cancel_fill_no_entries():
 def test_potential_that_leads_back_to_its_jet_is_an_error():
     p = _potential_problem("u_xx", "u_xt")  # X = u_x
     pde = make_pde("cyclic", parse_expr("u_x - X", p), p.jet("x"),
-                   p.potential("X"), p)
+                   p.declared("X"), p)
     with pytest.raises(PdeError, match="u_xx mod F depends on itself"):
         reduce_mod_pde(p.jet("xx"), pde, p)
 
@@ -301,3 +301,21 @@ def test_rational_solved_form_with_an_inverse_matches_reference():
     for text in ("g_tt", "g_xtt", "inv(g)*g_t", "2/5*g_ttt*inv(g)"):
         e = parse_expr(text, p)
         assert reduce_mod_pde(e, pde, p) == reference_reduce(e, pde, p), text
+
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_table_values_and_scaled_jets_come_in_rebuild_order(name):
+    """Every value that the reduction keeps in the table, the seed
+    leading -> rhs included, is sorted as `rebuild` lays it out, so a
+    rational multiple of a principal jet reduces straight into that
+    order."""
+    entry = get_pde(name)
+    p, pde = entry.problem, fresh_pde(entry)
+    for jet in principal_jets(entry):
+        n = reduce_nf(nf(Rat(Fraction(-7, 5)) * jet), pde, p)
+        assert list(n) == list(nf(rebuild(n))), jet
+    table = pde.stores[p].table
+    assert len(table) > 1 and pde.leading.idx in table
+    for idx, value in table.items():
+        assert list(value) == list(nf(rebuild(value))), idx

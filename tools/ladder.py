@@ -4,8 +4,11 @@
 
 Run it from the root of a checkout; it writes BENCH_ladder.json there.
 
-* reduce: kdv `reduce_mod_pde(u_t^k)` for k = 4..10, each on a cold
-  principal-jet table (a fresh `Pde`), with the term count of the result.
+* reduce: kdv `reduce_mod_pde(u_t^k)` for k = 4..10, with the term count
+  of the result.  The cold time is the question on a fresh `Pde`, whose
+  principal-jet table is empty; the warm time is the same question asked
+  again on the table the first one filled, the case that deep-reduce's
+  principal-jet rungs time.
 * chain: the chiral Backlund chain on a private problem with the potential
   X declared, once from each of CHAIN_SEEDS: an integral seed, and a
   fractional one whose image and potential gradients carry denominators
@@ -19,8 +22,9 @@ Run it from the root of a checkout; it writes BENCH_ladder.json there.
   step before: 4 -> 1 -> 1 -> 1), the products whose rows it assembled
   from its letters' (16 -> 9 -> 11 -> 13), the columns it extended the
   echelon with (letters and products; the commutators get none:
-  20 -> 10 -> 12 -> 14) and the rank of that echelon, which the `Pde`
-  keeps in the problem's `symmetry.Store` and each step extends.  Each
+  20 -> 10 -> 12 -> 14), and the rank of that echelon, which the `Pde`
+  keeps in the problem's `symmetry.Store` and each step extends, with
+  the nonzero entries of its pivots.  Each
   repetition builds the chain afresh, so step 0 is cold.
 * fed back: `reduce_mod_pde(char_derivative(F, Q))`, an engine output
   passed back in, on the catalog kdv with Q = (u_x + u_t)^k for k = 1..6
@@ -112,14 +116,15 @@ def reduce_ladder() -> list[dict]:
     out = []
     for k in KDV_ORDERS:
         jet = p.jet("t" * k)
-        runs, terms = [], None
+        cold = []
         for _ in range(REPEATS):
-            cold = symmetry.make_pde(pde.name, pde.f, pde.leading, pde.rhs, p)
-            secs, r = timed(symmetry.reduce_mod_pde, jet, cold, p)
-            runs.append(secs)
-            terms = len(nf(r))
-        out.append({"k": k, "terms": terms, "best_s": min(runs),
-                    "runs_s": runs})
+            fresh = symmetry.make_pde(pde.name, pde.f, pde.leading, pde.rhs,
+                                      p)
+            cold.append(timed(symmetry.reduce_mod_pde, jet, fresh, p)[0])
+        warm, r = best_of(symmetry.reduce_mod_pde, jet, fresh, p)
+        out.append({"k": k, "terms": len(nf(r)), "cold_best_s": min(cold),
+                    "cold_runs_s": cold, "warm_best_s": min(warm),
+                    "warm_runs_s": warm})
     return out
 
 
@@ -147,7 +152,7 @@ def declare(phi, step: int, pde, p) -> None:
 def chain_once(seed: str) -> list[tuple]:
     """(candidates, image terms, image denominator, bt_apply seconds,
     declare seconds or None at step 0, letters derived, columns extended,
-    echelon rank) of each step of one chain."""
+    echelon rank, pivot nonzeros) of each step of one chain."""
     p, pde = private_chiral()
     phi = parsing.parse_expr(seed, p)
     steps = []
@@ -163,7 +168,8 @@ def chain_once(seed: str) -> list[tuple]:
         chain = pde.stores[p]
         steps.append((candidates, len(n), den, secs, declare_s,
                       len(chain.letters) - kept[0],
-                      len(chain.columns) - kept[1], chain.echelon.rank))
+                      len(chain.columns) - kept[1], chain.echelon.rank,
+                      sum(map(len, chain.echelon._pivots))))
         kept = (len(chain.letters), len(chain.columns))
     return steps
 
@@ -172,11 +178,13 @@ def chain_ladder(seed: str) -> list[dict]:
     chains = [chain_once(seed) for _ in range(REPEATS)]
     out = []
     for step, rungs in enumerate(zip(*chains)):
-        candidates, terms, den, _, _, letters, columns, rank = rungs[0]
+        (candidates, terms, den, _, _, letters, columns, rank,
+         pivot_nonzeros) = rungs[0]
         runs = [r[3] for r in rungs]
         rung = {"step": step, "candidates": candidates, "letters": letters,
                 "products": columns - letters, "columns": columns,
-                "rank": rank, "image_terms": terms,
+                "rank": rank, "pivot_nonzeros": pivot_nonzeros,
+                "image_terms": terms,
                 "image_denominator": den, "best_s": min(runs), "runs_s": runs}
         if step:
             declares = [r[4] for r in rungs]
@@ -346,7 +354,8 @@ def main() -> int:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for r in record["reduce_kdv_u_t_k"]:
-        print(f"kdv u_t^{r['k']}: {r['terms']} terms, {r['best_s']:.4f} s")
+        print(f"kdv u_t^{r['k']}: {r['terms']} terms, cold "
+              f"{r['cold_best_s']:.4f} s, warm {r['warm_best_s']:.5f} s")
     for kind in CHAIN_SEEDS:
         for r in record[f"bt_apply_chain_{kind}"]:
             declared = (f", declare {r['declare_best_s']:.4f} s"
@@ -354,8 +363,9 @@ def main() -> int:
             print(f"{kind} chain step {r['step']}: {r['candidates']} "
                   f"candidates, {r['letters']} letters derived, "
                   f"{r['products']} products assembled, {r['columns']} "
-                  f"columns extended, rank "
-                  f"{r['rank']}, {r['image_terms']} image terms over "
+                  f"columns extended, rank {r['rank']} with "
+                  f"{r['pivot_nonzeros']} pivot nonzeros, {r['image_terms']} "
+                  f"image terms over "
                   f"{r['image_denominator']}, bt_apply {r['best_s']:.4f} s"
                   f"{declared}")
     for r in record["reduce_fed_back"]:
