@@ -22,13 +22,13 @@ Commutators between scalar-class expressions therefore collapse to zero,
 and fully commuting words reorder into the canonical monomial.
 
 The product kernel takes fast paths: an empty monomial or word is the
-other side as it is, a one-atom monomial goes into the other by key,
-words join in one piece unless their meeting pair cancels, and a side
-that is one constant term scales the other, whose keys it keeps in their
-order.  No path returns an input dict: a caller adds into a result it
-owns.  So a value kept in `rebuild`'s order (`symmetry.reduction`'s
-table) stays in it when only rescaled, and `rebuild` sorts it in n - 1
-comparisons.
+other side as it is, a one-atom monomial goes into the other by key, and
+words join in one piece unless their meeting pair cancels.  No path
+returns an input dict: a caller adds into a result it owns.  A product
+runs over its sides' terms in their order, so with one side a single
+constant term it keeps the other side's order: a value kept in `rebuild`'s
+order (`symmetry.reduction`'s table) stays in it when only rescaled, and
+`rebuild` sorts it in n - 1 comparisons.
 
 A normal form is a value that no caller mutates, so it is shared, never
 copied.  `rebuild` hands each Add or Mul it returns the normal form that
@@ -150,12 +150,6 @@ def _nf_mul(a: NF, b: NF) -> NF:
     if len(a) * len(b) > MAX_TERMS:
         raise TermBudgetError(f"a product of {len(a)} by {len(b)} terms "
                               f"exceeds the budget of {MAX_TERMS} terms")
-    if len(a) == 1 and ((), ()) in a:  # a scaling: b's keys, in their order
-        c = a[(), ()]
-        return {k: c * v for k, v in b.items()}
-    if len(b) == 1 and ((), ()) in b:
-        c = b[(), ()]
-        return {k: v * c for k, v in a.items()}
     out: NF = {}
     for (ca, wa), va in a.items():
         for (cb, wb), vb in b.items():
@@ -290,7 +284,7 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
     if not mapped:
         return out
     mapped, d = clear_denominators(mapped)  # the map is linear
-    total: Optional[NF] = None  # d times the image of the mapped terms
+    total: NF = {}  # d times the image of the mapped terms
     for (cmono, word), c in mapped.items():
         fixed, factors = [], []
         for a, e in cmono:  # a^e, e < 0, is laid out as inv(a)^-e
@@ -312,10 +306,7 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
                 start = i + 1
         if start < len(word):
             p = _nf_mul(p, {((), word[start:]): 1})
-        if total is None:  # a product of `_nf_mul`, which the map owns
-            total = p
-        else:
-            _nf_add(total, p)
+        _nf_add(total, p)
     return _nf_add(nf_divide(total, d), out)
 
 

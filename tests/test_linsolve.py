@@ -121,6 +121,17 @@ def test_empty_system():
     assert Echelon([]).rank == 0
 
 
+def test_nonzeros_counts_the_entries_of_the_pivots():
+    """A dependent column adds no pivot and no entries; a reduced column
+    adds its pivot's nonzero entries: {0: 1, 1: 1} less the first pivot
+    at its key 1 leaves {0: -3, 2: -3}, whose pivot is {0: -1, 2: -1}."""
+    e = Echelon([{0: 4, 1: 1, 2: 3}, {0: 8, 1: 2, 2: 6}])
+    assert (e.rank, e.nonzeros) == (1, 3)
+    e.extend([{0: 1, 1: 1}])
+    assert (e.rank, e.nonzeros) == (2, 5)
+    assert Echelon([]).nonzeros == 0
+
+
 def test_solution_is_exact():
     cols = [{"a": Fraction(3), "b": Fraction(1)}, {"a": Fraction(1)}]
     assert solve(cols, {"a": Fraction(1), "b": Fraction(1, 3)}) == {

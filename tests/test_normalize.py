@@ -416,9 +416,9 @@ def test_product_kernel_matches_a_reference(problem):
 def test_a_unit_side_scales_the_other_in_its_order(problem):
     """A product with a one-term side of key ((), ()) is a scaling: it
     equals the reference product, term for term and coefficient type for
-    coefficient type, and keeps the other side's keys in their order, on
-    either side and for int, Fraction and integral-Fraction coefficients
-    on both."""
+    coefficient type, and keeps the other side's keys in their order (the
+    kernel runs over each side's terms in order), on either side and for
+    int, Fraction and integral-Fraction coefficients on both."""
     p = problem
     rng = Random(f"unit-{p.dependent.kind}")
     for _ in range(60):

@@ -169,7 +169,7 @@ def chain_once(seed: str) -> list[tuple]:
         steps.append((candidates, len(n), den, secs, declare_s,
                       len(chain.letters) - kept[0],
                       len(chain.columns) - kept[1], chain.echelon.rank,
-                      sum(map(len, chain.echelon._pivots))))
+                      chain.echelon.nonzeros))
         kept = (len(chain.letters), len(chain.columns))
     return steps
 
