@@ -284,7 +284,7 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
     if not mapped:
         return out
     mapped, d = clear_denominators(mapped)  # the map is linear
-    total: NF = {}  # d times the image of the mapped terms
+    total: Optional[NF] = None  # d times the image of the mapped terms
     for (cmono, word), c in mapped.items():
         fixed, factors = [], []
         for a, e in cmono:  # a^e, e < 0, is laid out as inv(a)^-e
@@ -306,7 +306,10 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
                 start = i + 1
         if start < len(word):
             p = _nf_mul(p, {((), word[start:]): 1})
-        _nf_add(total, p)
+        if total is None:  # p is made here: taken, not copied term by term
+            total = p
+        else:
+            _nf_add(total, p)
     return _nf_add(nf_divide(total, d), out)
 
 
