@@ -8,18 +8,13 @@ once and then solves any number of targets against it.  Columns are taken
 in order, and each is reduced against the pivots found before it.  A
 nonzero remainder makes it a pivot, so the pivot columns are exactly the
 columns independent of the columns before them, whatever the row order and
-whichever key is chosen as a pivot.  The pivot key is one where the
-remainder's entry is smallest in absolute value, the newest such key on
-ties.  Reducing a later column by that pivot multiplies the column by
-that entry over a gcd, so the rule leaves smaller pivot entries, and
-pivots with fewer nonzero entries (`Echelon.nonzeros`), than taking the
-first key; no gain in time from it has been shown.
-`Echelon.extend(columns)` appends columns to an echelon, each reduced
-against the pivots found so far, and `Echelon(columns)` is `extend` on an
-empty one: extending chunk by chunk gives the echelon built at once on
-the same columns in the same order, so a system that only grows (a
-Backlund chain's basis) is factored once across its growth, and a solve
-between two extends answers for the columns taken so far.
+whichever key is chosen as a pivot.  `Echelon.extend(columns)` appends
+columns to an echelon, each reduced against the pivots found so far, and
+`Echelon(columns)` is `extend` on an empty one: extending chunk by chunk
+gives the echelon built at once on the same columns in the same order, so
+a system that only grows (a Backlund chain's basis) is factored once
+across its growth, and a solve between two extends answers for the
+columns taken so far.
 
 Elimination runs on ints, in one loop (`_reduce`): each column is cleared
 of denominators with `normalize.clear_denominators`, the one clearing
@@ -128,7 +123,7 @@ class Echelon:
             a, s = _reduce(rest, s, self._keys, self._pivots)
             if rest:
                 c = gcd(*rest.values())
-                self._keys.append(max(rest, key=lambda k: (-abs(rest[k]), k)))
+                self._keys.append(next(iter(rest)))
                 self._pivots.append({k: v // c for k, v in rest.items()})
                 self.nonzeros += len(rest)
                 self._steps.append((j, _div(c, s),

@@ -123,8 +123,8 @@ def test_empty_system():
 
 def test_nonzeros_counts_the_entries_of_the_pivots():
     """A dependent column adds no pivot and no entries; a reduced column
-    adds its pivot's nonzero entries: {0: 1, 1: 1} less the first pivot
-    at its key 1 leaves {0: -3, 2: -3}, whose pivot is {0: -1, 2: -1}."""
+    adds its pivot's nonzero entries: {0: 1, 1: 1} less a multiple of the
+    first pivot is nonzero at two keys, whichever key that pivot has."""
     e = Echelon([{0: 4, 1: 1, 2: 3}, {0: 8, 1: 2, 2: 6}])
     assert (e.rank, e.nonzeros) == (1, 3)
     e.extend([{0: 1, 1: 1}])
