@@ -109,25 +109,37 @@ def derive_cleared(n: NF, image: Image) -> Cleared:
     return out, d * dn
 
 
-def _derive(f: Expr, atom: Callable[[Expr], NF], image: Image) -> Cleared:
+def _image(f: Expr, atom: Callable[[Expr], NF],
+           images: dict[Expr, Cleared]) -> Cleared:
+    """images[f], taken by `_derive` and held there when missing."""
+    d = images.get(f)
+    if d is None:
+        d = images[f] = _derive(f, atom, images)
+    return d
+
+
+def _derive(f: Expr, atom: Callable[[Expr], NF],
+            images: dict[Expr, Cleared]) -> Cleared:
     """The image of one factor of a normal form, cleared of denominators,
     under the derivation whose value on each coordinate, jet, base-function
     or potential atom a is the normal form atom(a): zero on constants,
     -w^-1 (Dw) w^-1 on inverses, the chain rule through analytic
-    functions."""
+    functions.  The images of the factors inside it are read from and held
+    in `images`."""
     if isinstance(f, (Sym, CMat)):
         return {}, 1
     if isinstance(f, (Coord, Jet, Base, Pot)):
         return clear_denominators(atom(f))
     if isinstance(f, Inv):
-        db, d = image(f.base)
+        db, d = _image(f.base, atom, images)
         if not db:
             return {}, 1
         w = nf(f)  # one term, coefficient 1
         return _nf_scale(_nf_mul(_nf_mul(w, db), w), -1), d
     if isinstance(f, Fn):
         coeff, newname = FUNC_DERIVATIVES[f.fname]
-        da, d = derive_cleared(nf(f.arg), image)
+        da, d = derive_cleared(nf(f.arg),
+                               lambda g: _image(g, atom, images))
         return _nf_mul({(((Fn(newname, f.arg), 1),), ()): coeff}, da), d
     raise TypeError(f"cannot differentiate factor {type(f).__name__}")
 
@@ -137,13 +149,11 @@ def derivation(atom: Callable[[Expr], NF],
     """The image map of the derivation whose value on each atom a is the
     normal form atom(a).  It holds each factor's image once taken and
     cleared in `images`: a fresh dict, dropped with the map, or one kept
-    for every later map of the same derivation."""
+    for every later map of the same derivation.  The map does not refer to
+    itself, so it leaves no reference cycle behind."""
 
     def image(f: Expr) -> Cleared:
-        d = images.get(f)
-        if d is None:
-            d = images[f] = _derive(f, atom, image)
-        return d
+        return images.get(f) or _image(f, atom, images)  # a pair is true
 
     return image
 
@@ -184,16 +194,21 @@ def total_images(problem: Problem) -> list[Image]:
 
 def jet_totals(n: NF, problem: Problem) -> Callable[[tuple[int, ...]], NF]:
     """The map J -> D_J n on multi-indices of coordinate indices.  Totals
-    commute, so J is sorted; each sorted J is taken once, by one D_i from
-    its longest prefix already taken, and held in a dict local to the map."""
+    commute, so J is sorted; each sorted J is taken once, by one D_i at a
+    time from its longest prefix already taken, and held in a dict local
+    to the map."""
     total = total_images(problem)
     taken: dict[tuple[int, ...], NF] = {(): n}
 
     def totals(idx: tuple[int, ...]) -> NF:
         idx = tuple(sorted(idx))
-        if idx not in taken:
-            taken[idx] = derive_nf(totals(idx[:-1]), total[idx[-1]])
-        return taken[idx]
+        k = len(idx)
+        while idx[:k] not in taken:
+            k -= 1
+        n = taken[idx[:k]]
+        for m in range(k + 1, len(idx) + 1):
+            n = taken[idx[:m]] = derive_nf(n, total[idx[m - 1]])
+        return n
 
     return totals
 

@@ -84,26 +84,18 @@ def _session(args) -> Session:
     return Session(problem=problem, pde=pde)
 
 
-def _need_pde(sess: Session):
-    if sess.pde is None:
-        raise UsageError("this command needs --pde or --f/--solved")
-    return sess.pde
-
-
-def cmd_parse(args):
+def cmd_parse(args, sess: Session):
     """Parse an expression and print its normal form."""
-    p = _session(args).problem
+    p = sess.problem
     n = nf(parse_expr(args.expression, p))
     _emit(args, lambda: [pretty_nf(n, p)],
           inputs={"expression": args.expression},
           values={"normal_form": render_nf(n, p)})
 
 
-def cmd_check(args):
+def cmd_check(args, sess: Session):
     """Check the symmetry condition D_Q F = 0 mod F."""
-    sess = _session(args)
-    pde = _need_pde(sess)
-    p = sess.problem
+    pde, p = sess.pde, sess.problem
     report = check_symmetry(pde, sess.question(args.q, args.phi), p,
                             search_certificate=args.find)
     cert = (render_operator(report.certificate, p)
@@ -118,11 +110,9 @@ def cmd_check(args):
     return 0 if report.is_symmetry else 1
 
 
-def cmd_certify(args):
+def cmd_certify(args, sess: Session):
     """Verify D_Q F = L-hat F identically."""
-    sess = _session(args)
-    pde = _need_pde(sess)
-    p = sess.problem
+    pde, p = sess.pde, sess.problem
     ok = certify_operator(pde, sess.question(args.q, args.phi),
                           parse_operator(args.lhat, p), p)
     _emit(args, lambda: [f"certified: {ok}"],
@@ -132,9 +122,8 @@ def cmd_certify(args):
     return 0 if ok else 1
 
 
-def cmd_bracket(args):
+def cmd_bracket(args, sess: Session):
     """Lie bracket of two characteristics."""
-    sess = _session(args)
     p = sess.problem
     br = bracket_nf(sess.characteristic(args.q1, "Q1"),
                     sess.characteristic(args.q2, "Q2"), p)
@@ -142,11 +131,9 @@ def cmd_bracket(args):
           values={"bracket": render_nf(br, p)})
 
 
-def cmd_structconsts(args):
+def cmd_structconsts(args, sess: Session):
     """Structure constants of a symmetry basis."""
-    sess = _session(args)
-    pde = _need_pde(sess)
-    p = sess.problem
+    pde, p = sess.pde, sess.problem
     if args.basis is None:
         if sess.entry is None or not sess.entry.structure_basis:
             raise UsageError("--basis required for this PDE")
@@ -163,22 +150,18 @@ def cmd_structconsts(args):
           values={"nonzero": entries})
 
 
-def cmd_reduce(args):
+def cmd_reduce(args, sess: Session):
     """Reduce an expression mod the PDE's solved form."""
-    sess = _session(args)
-    pde = _need_pde(sess)
-    p = sess.problem
+    pde, p = sess.pde, sess.problem
     out = reduce_nf(nf(parse_expr(args.expression, p)), pde, p)
     _emit(args, lambda: [pretty_nf(out, p)],
           inputs={"pde": pde.name, "expression": args.expression},
           remainder=render_nf(out, p))
 
 
-def cmd_bt_apply(args):
+def cmd_bt_apply(args, sess: Session):
     """Integrate the chiral Backlund transformation for a new symmetry."""
-    sess = _session(args)
-    pde = _need_pde(sess)
-    p = sess.problem
+    pde, p = sess.pde, sess.problem
     phi_e = parse_expr(args.phi, p)
     out = bt_apply(phi_e, pde, p)
     if out is None:  # an image certifies its seed: check only without one
@@ -206,7 +189,7 @@ def cmd_bt_apply(args):
                   "q_prime": render_nf(q_prime, p)})
 
 
-def cmd_list(args):
+def cmd_list(args, _):
     """List the catalog."""
     cat = load_catalog()
     values = {name: {"doc": e.doc,
@@ -223,7 +206,7 @@ def cmd_list(args):
     _emit(args, lines, values=values)
 
 
-def cmd_batch(args):
+def cmd_batch(args, _):
     """Run commands from a file: one CLI argument vector per line, '#'
     comments allowed; each line is parsed into a copy of this invocation's
     options, so its global flags apply unless the line gives its own.  A
@@ -256,6 +239,8 @@ def cmd_batch(args):
     return 1 if failed else 0
 
 
+# what a command needs resolved before its handler runs
+NOTHING, PROBLEM, PDE = "nothing", "problem", "pde"
 # add_argument's keywords per option; a handler returns its exit status, None for 0
 GLOBAL_OPTIONS = {
     "--json": {"action": "store_true", "help": "machine-readable output"},
@@ -272,24 +257,27 @@ GLOBAL_OPTIONS = {
     "--solved": {"help": 'custom solved form "lead = rhs"'},
 }
 PHI = {"help": "Phi-form seed: Q = g*Phi, for an invertible matrix g"}
+# name -> (handler, what it needs, its options); a handler takes the parsed
+# arguments and the Session that main resolves for it, None for NOTHING
 COMMANDS = {
-    "parse": (cmd_parse, {"expression": {}}),
-    "check": (cmd_check, {
+    "parse": (cmd_parse, PROBLEM, {"expression": {}}),
+    "check": (cmd_check, PDE, {
         "--q": {"help": "characteristic Q (expression or catalog name)"}, "--phi": PHI,
         "--find": {"action": argparse.BooleanOptionalAction, "default": True,
                    "help": "search for an operator certificate"}}),
-    "certify": (cmd_certify, {"--q": {}, "--phi": PHI, "--lhat": {
+    "certify": (cmd_certify, PDE, {"--q": {}, "--phi": PHI, "--lhat": {
         "required": True, "help": 'operator spec, e.g. "t*D_x*F"'}}),
-    "bracket": (cmd_bracket, {"--q1": {"required": True}, "--q2": {"required": True}}),
-    "structconsts": (cmd_structconsts, {"--basis": {
+    "bracket": (cmd_bracket, PROBLEM,
+                {"--q1": {"required": True}, "--q2": {"required": True}}),
+    "structconsts": (cmd_structconsts, PDE, {"--basis": {
         "help": "comma-separated characteristics (default: catalog basis)"}}),
-    "reduce": (cmd_reduce, {"expression": {}}),
-    "bt-apply": (cmd_bt_apply, {"--phi": {
+    "reduce": (cmd_reduce, PDE, {"expression": {}}),
+    "bt-apply": (cmd_bt_apply, PDE, {"--phi": {
         "required": True, "help": "seed Phi for the Backlund system"}}),
-    "list": (cmd_list, {}),
-    "batch": (cmd_batch, {"path": {}}),
+    "list": (cmd_list, NOTHING, {}),
+    "batch": (cmd_batch, NOTHING, {"path": {}}),
 }
-TAKES_VALUE = {flag for _, opts in [(None, GLOBAL_OPTIONS), *COMMANDS.values()]
+TAKES_VALUE = {flag for *_, opts in [(GLOBAL_OPTIONS,), *COMMANDS.values()]
                for flag, spec in opts.items()
                if flag[0] == "-" and "action" not in spec}
 
@@ -305,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag, spec in GLOBAL_OPTIONS.items():
         parser.add_argument(flag, **spec)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, options) in COMMANDS.items():
+    for name, (handler, _, options) in COMMANDS.items():
         sub = commands.add_parser(name, help=handler.__doc__.partition(".")[0],
                                   description=handler.__doc__, allow_abbrev=False)
         for flag, spec in options.items():
@@ -320,7 +308,9 @@ def main(argv: list[str], namespace: argparse.Namespace | None = None) -> int:
     """Run one command line (no program name) and return its exit status.
     An option the line does not give keeps its value in `namespace`, when
     given (`cmd_batch` passes a copy of its own), else takes its default.
-    Raises UsageError or another JetsymError on error, never SystemExit."""
+    The command's Session, and for a PDE command its PDE, is resolved
+    here, once, before the handler runs.  Raises UsageError or another
+    JetsymError on error, never SystemExit."""
     # glue each value to its option, --q=-3*u_x: alone, -3*u_x reads as an option
     glued, tokens = [], iter(argv)
     for token in tokens:
@@ -330,7 +320,11 @@ def main(argv: list[str], namespace: argparse.Namespace | None = None) -> int:
         args = PARSER.parse_args(glued, namespace)
     except SystemExit as exc:  # only --help exits, once it has printed
         return exc.code
-    return COMMANDS[args.command][0](args) or 0
+    handler, needs, _ = COMMANDS[args.command]
+    sess = None if needs == NOTHING else _session(args)
+    if needs == PDE and sess.pde is None:
+        raise UsageError("this command needs --pde or --f/--solved")
+    return handler(args, sess) or 0
 
 
 main.main = lambda args, **_: main(args)  # click's call, kept for perfbench/client.py

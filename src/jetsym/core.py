@@ -267,34 +267,29 @@ def as_expr(v) -> Expr:
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
-def add(*terms: Expr) -> Expr:
+def _flat(kind: type, parts, unit: Expr) -> Expr:
+    """The sum (kind Add) or product (kind Mul) of parts, with each part of
+    that kind spliced in; unit when there are none, the one part alone."""
     flat: list[Expr] = []
-    for t in terms:
-        t = as_expr(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
+    for part in parts:
+        part = as_expr(part)
+        if isinstance(part, kind):
+            flat.extend(children(part))
         else:
-            flat.append(t)
+            flat.append(part)
     if not flat:
-        return ZERO
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return Add(tuple(flat))
+    return kind(tuple(flat))
+
+
+def add(*terms: Expr) -> Expr:
+    return _flat(Add, terms, ZERO)
 
 
 def mul(*factors: Expr) -> Expr:
-    flat: list[Expr] = []
-    for f in factors:
-        f = as_expr(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if not flat:
-        return ONE
-    if len(flat) == 1:
-        return flat[0]
-    return Mul(tuple(flat))
+    return _flat(Mul, factors, ONE)
 
 
 def neg(e: Expr) -> Expr:
@@ -435,9 +430,6 @@ class PotentialDef:
         object.__setattr__(self, "derivatives",
                            MappingProxyType(dict(self.derivatives)))
 
-    def atom(self) -> Pot:
-        return Pot(self.name, self.matrix)
-
     def gradient(self, coordinates: tuple[Coord, ...]) -> list[Expr]:
         """The derivative for each coordinate, in their order."""
         for c in coordinates:
@@ -513,6 +505,6 @@ class Problem:
         """Raw registration; `backlund.declare_potential` performs the
         cross-derivative compatibility check first."""
         pdef.gradient(self.coordinates)
-        atom = self._declare(pdef.name, pdef.atom())
+        atom = self._declare(pdef.name, Pot(pdef.name, pdef.matrix))
         self._potentials[pdef.name] = pdef
         return atom

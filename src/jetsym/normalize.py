@@ -36,8 +36,10 @@ copied.  `rebuild` hands each Add or Mul it returns the normal form that
 integral coefficient an int), and `nf` returns it, also where the tree sits
 in a larger one: an engine output fed back in is not normalized again.
 A tree is built only where a library caller asks for an `Expr`: the CLI
-prints a normal form in `rebuild`'s order with no tree built
-(`printing.render_nf`), while `printing.render` of a tree still walks it.
+prints a normal form term by term, with no tree built, by the one term
+printer of `printing` (`render_nf` in `rebuild`'s order, `pretty_nf` with
+its commutator pairs folded first), while `printing.render` of a tree
+still walks it.
 
 A map of jets to normal forms extends to one ring homomorphism on normal
 forms, `map_nf`, which maps a normal form term by term with no tree built.

@@ -1,21 +1,24 @@
 """Plain-text rendering of expressions in the CLI grammar.
 
 The output of `render` parses back (with the same problem declarations) to
-an expression with the same normal form.  Commutator re-sugaring is applied
-to normalized two-factor word pairs a*b - b*a when requested.
+an expression with the same normal form.
 
-`render_nf` prints a normal form straight from its terms, in the order
-`rebuild` lays them out, and gives the same text as `render` of the rebuilt
-tree with no tree built.  The CLI prints every answer it holds as a normal
-form this way, and `pretty` prints from the normal form of its tree.
-`render` of a tree still walks the tree, also a tree that carries its
+A normal form is printed by one term printer (`_term_texts`), term by term
+and with no tree built, as `render` prints the tree `rebuild` makes of it.
+`render_nf` prints the terms in `rebuild`'s order.  `pretty_nf` first folds
+each pair of two-factor words  c*a*b - c*b*a  into the one term
+c*comm(a, b), whose word is the single factor comm(a, b), and prints the
+folded terms before the others.  The CLI prints every answer it holds as a
+normal form this way, `pretty` prints from the normal form of its tree,
+and `render_operator` prints each side of an operator term from its normal
+form.  `render` of a tree walks the tree, also a tree that carries its
 form.
 """
 from __future__ import annotations
 
-from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, ONE,
-                   Pot, Problem, Rat, Sym)
-from .normalize import NF, _term_sort_key, nf, normal_form, rebuild
+from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, Pot,
+                   Problem, Rat, Sym)
+from .normalize import NF, _term_sort_key, nf
 
 
 def _coord_names(problem: Problem, idx) -> list[str]:
@@ -92,12 +95,13 @@ def _join_terms(parts: list[str]) -> str:
     return "".join(out)
 
 
-def _term_texts(n: NF, problem: Problem) -> list[str]:
-    """The text of each term of rebuild(n), in rebuild's order, as `render`
-    prints that term; each atom's text is made once."""
+def _term_texts(items, problem: Problem) -> list[str]:
+    """The text of each (term key, coefficient) item, in the order given,
+    as `render` prints that term of a rebuilt tree; each factor's text is
+    made once."""
     names: dict[Expr, str] = {}
     parts = []
-    for (cmono, word), c in sorted(n.items(), key=_term_sort_key):
+    for (cmono, word), c in items:
         factors = []
         for a, e in cmono:
             s = names.get(a)
@@ -131,38 +135,28 @@ def _term_texts(n: NF, problem: Problem) -> list[str]:
 
 def render_nf(n: NF, problem: Problem) -> str:
     """render(rebuild(n), problem), printed from the normal form n term by
-    term with no tree built."""
-    return _join_terms(_term_texts(n, problem))
-
-
-def _commutator_pairs(n: NF) -> tuple[list[Expr], set]:
-    """The commutator terms c*comm(a, b) that fold the term pairs
-    c*a*b - c*b*a of n (two-factor words), and the keys of the terms they
-    fold."""
-    pieces: list[Expr] = []
-    folded: set[tuple] = set()
-    for (cmono, word), coeff in sorted(
-            (t for t in n.items() if len(t[0][1]) == 2), key=_term_sort_key):
-        a, b = word
-        rev = (cmono, (b, a))
-        if a != b and rev not in folded and n.get(rev) == -coeff:
-            folded.update(((cmono, word), rev))
-            scal = rebuild({(cmono, ()): coeff})
-            com = Comm(a, b)
-            pieces.append(com if scal == ONE else Mul((scal, com)))
-    return pieces, folded
+    term in `rebuild`'s order, with no tree built."""
+    return _join_terms(_term_texts(sorted(n.items(), key=_term_sort_key),
+                                   problem))
 
 
 def pretty_nf(n: NF, problem: Problem) -> str:
     """render_nf(n), with each pair of terms  c*a*b - c*b*a  (two-factor
-    words) folded into  c*comm(a, b): the folded commutators first, then
-    the other terms of n."""
-    pieces, folded = _commutator_pairs(n)
-    if not pieces:
-        return render_nf(n, problem)
-    rest = {k: v for k, v in n.items() if k not in folded}
-    return _join_terms([render(t, problem) for t in pieces]
-                       + _term_texts(rest, problem))
+    words) folded into the one term  c*comm(a, b), whose word is the
+    factor comm(a, b): the folded terms first, then the other terms of n,
+    each in `rebuild`'s order."""
+    folded, rest, gone = [], [], set()
+    for (cmono, word), c in sorted(n.items(), key=_term_sort_key):
+        if len(word) == 2 and word[0] != word[1]:
+            if (cmono, word) in gone:
+                continue
+            a, b = word
+            if n.get((cmono, (b, a))) == -c:
+                gone.add((cmono, (b, a)))
+                folded.append(((cmono, (Comm(a, b),)), c))
+                continue
+        rest.append(((cmono, word), c))
+    return _join_terms(_term_texts(folded + rest, problem))
 
 
 def pretty(e: Expr, problem: Problem) -> str:
@@ -174,13 +168,13 @@ def render_operator(ansatz, problem: Problem) -> str:
     parts = []
     for left, j, right in ansatz.terms:
         bits = []
-        ls = render(normal_form(left), problem)
+        ls = render_nf(nf(left), problem)
         if ls != "1":
             bits.append(ls if "+" not in ls and "-" not in ls[1:] else f"({ls})")
         for i in j:
             bits.append(f"D_{problem.coordinates[i].name}")
         bits.append("F")
-        rs = render(normal_form(right), problem)
+        rs = render_nf(nf(right), problem)
         if rs != "1":
             bits.append(rs)
         parts.append("*".join(bits))

@@ -23,7 +23,9 @@ that order (`normalize._nf_mul`), so R(c*u_J) comes out in output order.
 
 The solved form must be ranked: some lex ranking of the jets (over an order
 of the coordinates) or orderly one (total order first, then lex) puts every
-jet of the rhs strictly below the leading jet.  Such rankings are
+jet of the rhs strictly below the leading jet.  This one check also
+refuses a principal jet in the rhs, which no ranking puts below the
+leading jet (`make_pde`).  Such rankings are
 well-orders compatible with every D_i, so every jet of R[J] ranks below J,
 the values that R[J] needs belong to lower principal jets, and filling the
 table terminates.
@@ -152,17 +154,15 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
              problem: Problem) -> Pde:
     """F = 0 with its solved form leading = rhs.  Raises PdeError unless
     leading is a jet of the problem's dependent, a ranking puts every jet
-    of rhs below it, and the solved form makes F vanish."""
+    of rhs below it, and the solved form makes F vanish.  No ranking puts
+    a principal jet of rhs below the leading jet: its exponents are at
+    least the leading jet's, so no lex ranking settles it, and its order
+    is higher unless it is the leading jet itself."""
     if not (isinstance(leading, Jet) and leading.dep == problem.dependent):
         raise PdeError(f"solved form leads with {render(leading, problem)}, "
                        "which is not a jet of the problem's dependent")
     jets = sorted((j for j in collect_jets(rhs) if j.dep == leading.dep),
                   key=lambda j: (j.order, j.idx))
-    for j in jets:
-        if _principal(j, leading):
-            raise PdeError(
-                f"solved-form rhs contains {render(j, problem)} at or above "
-                f"the leading jet {render(leading, problem)}")
     n = len(problem.coordinates)
 
     def exponents(j: Jet) -> list[int]:
@@ -279,30 +279,6 @@ class LinearOperatorAnsatz:
             col = totals(j) if left == ONE else _nf_mul(nf(left), totals(j))
             out.append(col if right == ONE else _nf_mul(col, nf(right)))
         return out
-
-    def apply(self, e: Expr, problem: Problem) -> Expr:
-        return rebuild(reduce(_nf_add, self.columns(nf(as_expr(e)), problem),
-                              {}))
-
-    def canonical(self) -> tuple:
-        """Order-independent fingerprint for comparing operators: the
-        coefficient of each (left term, J, right term), like terms
-        collected and zeros dropped."""
-        coeffs: dict[tuple, Coeff] = {}
-        for left, j, right in self.terms:
-            j = tuple(sorted(j))
-            for lk, lv in nf(left).items():
-                for rk, rv in nf(right).items():
-                    key = (lk, j, rk)
-                    coeffs[key] = coeffs.get(key, 0) + lv * rv
-        return tuple(sorted((k, v) for k, v in coeffs.items() if v))
-
-    def same_operator(self, other: "LinearOperatorAnsatz") -> bool:
-        return self.canonical() == other.canonical()
-
-
-ZERO_OPERATOR = LinearOperatorAnsatz(())
-IDENTITY_OPERATOR = LinearOperatorAnsatz(((ONE, (), ONE),))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ with the engine's jet map (`normalize.map_nf`), for `substitute`,
 reference total and characteristic derivatives that walk the expression
 tree instead of acting on normal forms (`calculus.derive_nf`), and the
 scalar prolongation formula built on them; the commutator folding that
-`printing.pretty_nf` prints, as a tree; the order key computed by a walk
+`printing.pretty_nf` prints, by its own fold of the tree; an operator
+ansatz applied to an expression, and compared with another as a sum of
+like terms; the order key computed by a walk
 over the tree, for the key each interned atom carries; a dense
 elimination in Fractions only, for `linsolve`; and an in-process run of
 the command line, for the CLI tests."""
@@ -17,6 +19,7 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
 from math import prod
 from random import Random
 from typing import NamedTuple
@@ -27,11 +30,11 @@ from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
 from jetsym.cli import main
 from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
                          FUNC_DERIVATIVES, Inv, Jet, JetsymError, KindError,
-                         Mul, NonlocalActionError, Pot, ZERO, neg)
-from jetsym.normalize import (clear_denominators, collect_jets, nf,
+                         Mul, NonlocalActionError, Pot, ZERO,
+                         is_commuting_atom, neg)
+from jetsym.normalize import (_nf_add, clear_denominators, collect_jets, nf,
                               nf_divide, rebuild)
-from jetsym.printing import _commutator_pairs
-from jetsym.symmetry import reduce_nf
+from jetsym.symmetry import LinearOperatorAnsatz, reduce_nf
 
 
 def scalar_problem() -> Problem:
@@ -314,20 +317,72 @@ def reference_prolongation(e: Expr, Q: Characteristic, problem: Problem
     return normal_form(add(*terms))
 
 
+def _commutes(f: Expr) -> bool:
+    """True for a factor of a rebuilt term that belongs to its commuting
+    part: a number, a scalar atom or the inverse of one."""
+    return isinstance(f, Rat) or is_commuting_atom(
+        f.base if isinstance(f, Inv) else f)
+
+
 def resugar_commutators(e: Expr, problem: Problem) -> Expr:
-    """Fold normalized term pairs  c*a*b - c*b*a  (two-factor words) back
-    into  c*comm(a, b).  Purely cosmetic: `pretty` prints the same text
-    from the normal form (`pretty_nf`).  The normal form of e is read,
-    never changed: a tree that carries it and folds no pair is returned as
-    it is."""
+    """Fold term pairs  c*a*b - c*b*a  of the normalized tree, a and b
+    the two noncommuting factors that end each term, back into
+    c*comm(a, b): the folded terms first, in the tree's order, then the
+    others.  Purely cosmetic: `pretty` prints the same text from the
+    normal form (`pretty_nf`), which this fold of the tree is the
+    reference for.  The normal form of e is read, never changed: a tree
+    that carries it and folds no pair is returned as it is."""
     n = nf(e)
-    pieces, folded = _commutator_pairs(n)
+    tree = rebuild(n)
+    terms = list(tree.terms) if isinstance(tree, Add) else [tree]
+    split = {}  # term index -> (coefficient, commuting factors, word)
+    for i, t in enumerate(terms):
+        fs = list(t.factors) if isinstance(t, Mul) else [t]
+        c = fs.pop(0).value if isinstance(fs[0], Rat) else 1
+        k = len(fs)
+        while k and not _commutes(fs[k - 1]):
+            k -= 1
+        split[i] = c, tuple(fs[:k]), tuple(fs[k:])
+    index = {(rest, word): i for i, (_, rest, word) in split.items()}
+    pieces, folded = [], set()
+    for i, (c, rest, word) in split.items():
+        if len(word) != 2 or word[0] == word[1] or i in folded:
+            continue
+        a, b = word
+        j = index.get((rest, (b, a)))
+        if j is not None and split[j][0] == -c:
+            folded.update((i, j))
+            pieces.append(mul(*([Rat(c)] if c != 1 else []), *rest,
+                              Comm(a, b)))
     if not pieces:
-        return e if getattr(e, "form", None) is n else rebuild(n)
-    rest = rebuild({k: v for k, v in n.items() if k not in folded})
-    terms = pieces + (list(rest.terms) if isinstance(rest, Add)
-                      else ([] if rest == ZERO else [rest]))
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+        return e if getattr(e, "form", None) is n else tree
+    out = pieces + [t for i, t in enumerate(terms) if i not in folded]
+    return out[0] if len(out) == 1 else Add(tuple(out))
+
+
+def apply_operator(op: LinearOperatorAnsatz, e: Expr, problem: Problem
+                   ) -> Expr:
+    """The operator op applied to e: the sum of its columns on the normal
+    form of e, the sum `certify_operator` compares D_Q F with."""
+    return rebuild(reduce(_nf_add, op.columns(nf(as_expr(e)), problem), {}))
+
+
+def canonical(op: LinearOperatorAnsatz) -> tuple:
+    """Order-independent fingerprint for comparing operators: the
+    coefficient of each (left term, J, right term), like terms collected
+    and zeros dropped."""
+    coeffs: dict[tuple, Fraction] = {}
+    for left, j, right in op.terms:
+        j = tuple(sorted(j))
+        for lk, lv in nf(left).items():
+            for rk, rv in nf(right).items():
+                key = (lk, j, rk)
+                coeffs[key] = coeffs.get(key, 0) + lv * rv
+    return tuple(sorted((k, v) for k, v in coeffs.items() if v))
+
+
+def same_operator(a: LinearOperatorAnsatz, b: LinearOperatorAnsatz) -> bool:
+    return canonical(a) == canonical(b)
 
 
 def reference_expr_key(e: Expr) -> tuple:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -10,7 +11,8 @@ from jetsym import (Characteristic, bracket_characteristic,
                     char_derivative, commutator, inverse, is_zero,
                     normal_form, total_derivative)
 from jetsym import calculus
-from jetsym.calculus import derivation, derive_nf, jet_totals
+from jetsym.calculus import char_nf, derivation, derive_nf, jet_totals
+from jetsym.catalog import get_pde
 from jetsym.core import (Comm, Fn, Inv, KindError, NonlocalActionError, Pot,
                          PotentialDef, Problem, Rat, ZERO, add, func, nodes)
 from jetsym.normalize import collect_jets, nf, rebuild
@@ -63,7 +65,6 @@ def test_total_derivative_coordinates(sp):
 
 
 def test_potential_gradient_derivative():
-    from jetsym.catalog import get_pde
     entry = get_pde("chiral")
     p = entry.problem
     X = p.declared("X")
@@ -116,7 +117,6 @@ def test_char_derivative_second_order_jet(sp):
 def test_unregistered_potential_action_errors():
     """A potential's gradient does not fix D_Q of it, so D_Q of the chiral
     potential X raises under every catalog characteristic and any other."""
-    from jetsym.catalog import get_pde
     entry = get_pde("chiral")
     p = entry.problem
     for Q in [c.q for c in entry.characteristics] + [
@@ -242,6 +242,28 @@ def test_jet_totals_take_each_prefix_once(p, seed, monkeypatch):
         for i in j:
             want = reference_total(want, p.coordinates[i], p)
         assert got[j] == want, j
+
+
+@pytest.mark.parametrize("name", ["kdv", "chiral", "sine-gordon"])
+def test_a_warm_char_nf_leaves_no_reference_cycle(name):
+    """D_Q of F for every catalog characteristic, once the D_i images are
+    kept, leaves no cyclic garbage: neither the D_J map nor an image map
+    refers to itself, so each is freed when its call returns."""
+    entry = get_pde(name)
+    p, f = entry.problem, nf(entry.pde.f)
+    qs = [c.q for c in entry.characteristics]
+    for q in qs:
+        char_nf(f, q, p)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for q in qs:
+            char_nf(f, q, p)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- randomized properties (full 200-case versions live in acceptance) ----

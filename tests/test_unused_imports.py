@@ -13,8 +13,9 @@ one function two names, where one is enough.
 
 Every name the package exports is used outside the module that defines
 it: by another engine module, by the benchmark or by a tool, or it is on
-a short keep-list with the reason it is public.  A function that only
-tests call belongs in the tests."""
+a short keep-list with the reason it is public.  So is every public
+method, property and class constant of an exported class, read as an
+attribute name.  A function that only tests call belongs in the tests."""
 import ast
 import sys
 from pathlib import Path
@@ -161,7 +162,13 @@ KEEP = {
     "CatalogEntry": "the type get_pde returns",
     "ParseError": "the error parse_expr and parse_operator raise",
     "SCALAR": "with MATRIX, a value of Dependent.kind",
+    "SymmetryReport.raw": "the report's tree of D_Q F, documented in the "
+                          "README",
+    "SymmetryReport.remainder": "the report's tree of the remainder mod F, "
+                                "documented in the README",
     "Verdict": "the type of SymmetryReport.verdict, compared against",
+    "Verdict.NOT_SYMMETRY": "a value of SymmetryReport.verdict",
+    "Verdict.SYMMETRY": "a value of SymmetryReport.verdict",
     "bracket_characteristic": "the Lie bracket of characteristics as one "
                               "(Example 5.1); the CLI takes bracket_nf",
     "left_current": "the chiral current inv(g)*g_i, the first letters of "
@@ -193,36 +200,87 @@ def names_used(source: str) -> set[str]:
     return used
 
 
+def members(source: str, cls: str) -> list[str]:
+    """The public methods, properties and class constants of the class
+    `cls` that the module defines: the names its body binds by `def` or by
+    plain assignment, other than dunder and private names.  A dataclass
+    field is annotated, and is not one."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out.append(item.name)
+                elif isinstance(item, ast.Assign):
+                    out.extend(t.id for t in item.targets
+                               if isinstance(t, ast.Name))
+    return [m for m in out if not m.startswith("_")]
+
+
+def attributes_read(source: str) -> set[str]:
+    """The names a module reads as an attribute."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute)}
+
+
 def unused_exports(init: str, modules: dict[str, str], callers: list[str],
                    keep) -> list[str]:
-    """The names `init` exports that are on no keep-list and that neither
-    a module other than the defining one (modules: name -> source) nor
-    any caller source uses."""
+    """The names `init` exports, and the members ("Class.member") of the
+    classes it exports, that are on no keep-list and that neither a
+    module other than the defining one (modules: name -> source) nor any
+    caller source uses; a member counts as used where it is read as an
+    attribute."""
     used = {m: names_used(source) for m, source in modules.items()}
+    read = {m: attributes_read(source) for m, source in modules.items()}
     outside = set().union(*map(names_used, callers))
-    return sorted(name for name, module in exports(init).items()
-                  if name not in keep and name not in outside
-                  and not any(name in names for m, names in used.items()
-                              if m != module))
+    read_outside = set().union(*map(attributes_read, callers))
+    out = []
+    for name, module in exports(init).items():
+        if name not in keep and name not in outside \
+                and not any(name in names for m, names in used.items()
+                            if m != module):
+            out.append(name)
+        for member in members(modules[module], name):
+            if f"{name}.{member}" not in keep \
+                    and member not in read_outside \
+                    and not any(member in names for m, names in read.items()
+                                if m != module):
+                out.append(f"{name}.{member}")
+    return sorted(out)
 
 
 def test_checker_sees_test_only_exports():
-    init = ("from .core import add, neg\n"
+    init = ("from .core import add, neg, Op\n"
             "from .calc import total, scale, Kept\n")
     modules = {"core": "def add(*a): pass\n"
-                       "def neg(e): return add(e)\n",
+                       "def neg(e): return add(e)\n"
+                       "class Op:\n"
+                       "    UNIT = 1\n"
+                       "    kept = 2\n"
+                       "    terms: tuple\n"
+                       "    def __init__(self): self._n = self.UNIT\n"
+                       "    def apply(self, e): return self.terms\n"
+                       "    def _private(self): pass\n"
+                       "    @property\n"
+                       "    def size(self): return 0\n"
+                       "    def columns(self): return self.size\n",
                "calc": "from .core import add\n"
-                       "def total(e): return add(e)\n"
+                       "def total(e): return add(e).columns()\n"
                        "def scale(e): pass\n"
                        "class Kept: pass\n"}
-    callers = ["import jetsym\njetsym.total(1)\n"]
-    assert unused_exports(init, modules, callers, {"Kept": "public type"}) \
-        == ["neg", "scale"]
+    callers = ["import jetsym\njetsym.total(1)\njetsym.Op().apply\n"]
+    keep = {"Kept": "public type", "Op.kept": "documented"}
+    assert unused_exports(init, modules, callers, keep) \
+        == ["Op.UNIT", "Op.size", "neg", "scale"]
 
 
 def test_every_export_has_a_caller_outside_the_tests():
     init = (SRC / "__init__.py").read_text()
-    assert set(KEEP) <= set(exports(init))
     modules = {p.stem: p.read_text() for p in MODULES}
+    exported = exports(init)
+    for name in KEEP:  # every entry names an export or one of its members
+        cls, _, member = name.partition(".")
+        assert cls in exported, name
+        assert not member or member in members(modules[exported[cls]], cls)
     callers = [p.read_text() for p in CALLERS]
     assert unused_exports(init, modules, callers, KEEP) == []

@@ -81,7 +81,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from jetsym import (backlund, calculus, catalog, parsing, printing,  # noqa: E402
                     symmetry)
-from jetsym.core import Dependent, PotentialDef, Problem, mul  # noqa: E402
+from jetsym.core import PotentialDef, Problem, mul  # noqa: E402
 from jetsym.normalize import (nf, normal_form, rebuild,  # noqa: E402
                               substitute)
 
@@ -129,17 +129,11 @@ def reduce_ladder() -> list[dict]:
 
 
 def private_chiral() -> tuple[Problem, symmetry.Pde]:
-    p = Problem(coords=("x", "t"), dependent=Dependent("g", "matrix", True),
-                matrices=[("M", False)])
-    parse = parsing.parse_expr
-    pde = symmetry.make_pde(
-        "chiral", parse("D(inv(g)*g_x, x) + D(inv(g)*g_t, t)", p),
-        parse("g_tt", p), parse("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p),
-        p)
-    backlund.declare_potential(
-        PotentialDef("X", {"x": parse("inv(g)*g_t", p),
-                           "t": parse("-(inv(g)*g_x)", p)}), pde, p)
-    return p, pde
+    """The catalog's chiral problem and PDE, built anew, so that the
+    potentials a chain declares reach no other rung."""
+    raw = catalog._load_raw()["pdes"]["chiral"]
+    entry = catalog._build_entry("chiral", raw)
+    return entry.problem, entry.pde
 
 
 def declare(phi, step: int, pde, p) -> None:
