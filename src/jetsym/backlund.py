@@ -8,7 +8,9 @@ symmetry condition D_{g*Phi} F = 0 (the Phi-form of D_Q F, Q = g*Phi):
    -Phi'_t = Phi_x + [inv(g)*g_x, Phi]
 
 Integrating it sends symmetry characteristics Q = g*Phi to new, generally
-nonlocal, characteristics Q' = g*Phi'.
+nonlocal, characteristics Q' = g*Phi'.  `phi_characteristic` is the one
+way a Phi becomes its Q = g*Phi: the CLI, the catalog,
+`chiral_phi_condition` and `bt_seed_check` all take it.
 
 A chain of such steps declares a potential from each image, and each
 potential grows the candidate basis of the next step.  The basis is built
@@ -91,20 +93,13 @@ def left_current(problem: Problem, coord: Coord) -> Expr:
     return mul(inverse(problem.u), Jet(problem.dependent, (coord.index,)))
 
 
-def _phi_q(phi: Expr, problem: Problem) -> Characteristic:
-    """The characteristic Q = g*Phi of a Phi-form seed as the product g*Phi,
-    not normalized: D_Q reads only its normal form."""
-    if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
-        raise JetsymError("the Phi-form needs an invertible matrix dependent")
-    return Characteristic("Q", mul(problem.u, as_expr(phi)),
-                          problem.dependent)
-
-
 def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
     """The characteristic Q = g*Phi of a Phi-form seed, normalized, for any
-    invertible matrix dependent g."""
-    q = _phi_q(phi, problem)
-    return Characteristic(q.name, normal_form(q.q), q.dependent)
+    invertible matrix dependent g: the one way a Phi-form becomes a Q."""
+    if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
+        raise JetsymError("the Phi-form needs an invertible matrix dependent")
+    return Characteristic("Q", normal_form(mul(problem.u, as_expr(phi))),
+                          problem.dependent)
 
 
 def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
@@ -158,7 +153,7 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
     (not reduced mod F).  As D_{g*Phi}(inv(g)g_i) = Phi_i + [inv(g)g_i, Phi],
     for chiral it is the cross derivative of the Backlund pair,
     D_x(Phi_x + [inv(g)g_x, Phi]) + D_t(Phi_t + [inv(g)g_t, Phi])."""
-    return char_derivative(pde.f, _phi_q(phi, problem), problem)
+    return char_derivative(pde.f, phi_characteristic(phi, problem), problem)
 
 
 def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
@@ -168,7 +163,7 @@ def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     image passes it, and the CLI and `catalog.validate_entry` run it to
     explain a missing image and to check each image."""
     _xt(problem)
-    return check_symmetry(pde, _phi_q(phi, problem), problem)
+    return check_symmetry(pde, phi_characteristic(phi, problem), problem)
 
 
 def _check_chiral(pde: Pde, problem: Problem) -> None:

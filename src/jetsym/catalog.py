@@ -6,7 +6,9 @@ characteristics with operator certificates, and (for the chiral field) the
 potential and Backlund fixtures.  All expressions use the CLI grammar;
 certificates use the operator grammar (products of coefficients, D_<coord>
 factors and constant matrices around an F placeholder).  The file holds one
-characteristic, structure claim or fixture per line.  `validate_entry`
+characteristic, structure claim or fixture per line.  `get_pde` builds an
+entry once per process (`functools.cache`), and every caller shares it, a
+registered potential included.  `validate_entry`
 re-runs every fixture through the engine; the test suite keeps the catalog
 self-validating.
 """
@@ -122,17 +124,15 @@ def _build_entry(name: str, raw: dict) -> CatalogEntry:
                         tuple(struct.get("basis", ())), claims, fixtures)
 
 
-_cache: dict[str, CatalogEntry] = {}
-
-
+@cache
 def get_pde(name: str) -> CatalogEntry:
-    if name not in _cache:
-        raw = _load_raw()["pdes"]
-        if name not in raw:
-            raise DeclarationError(
-                f"unknown catalog PDE {name!r}; known: {', '.join(CATALOG_NAMES)}")
-        _cache[name] = _build_entry(name, raw[name])
-    return _cache[name]
+    """The entry of a catalog PDE, built once per process; an unknown name
+    raises on every call (`functools.cache` keeps no exception)."""
+    raw = _load_raw()["pdes"]
+    if name not in raw:
+        raise DeclarationError(
+            f"unknown catalog PDE {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    return _build_entry(name, raw[name])
 
 
 def load_catalog() -> dict[str, CatalogEntry]:

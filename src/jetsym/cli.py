@@ -22,7 +22,7 @@ from .parsing import parse_expr, parse_operator
 from .printing import pretty_nf, render, render_nf, render_operator
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_nf, structure_constants)
-from .backlund import _phi_q, bt_apply, bt_seed_check
+from .backlund import bt_apply, bt_seed_check, phi_characteristic
 
 
 class UsageError(JetsymError):
@@ -51,7 +51,7 @@ class Session:
             raise UsageError("pass exactly one of --q / --phi")
         if phi is None:
             return self.characteristic(q)
-        return _phi_q(parse_expr(phi, self.problem), self.problem)
+        return phi_characteristic(parse_expr(phi, self.problem), self.problem)
 
 
 def _emit(args, text_lines: Callable[[], Iterable[str]], **fields):
@@ -181,7 +181,7 @@ def cmd_bt_apply(args, sess: Session):
               verdict=verdict, remainder=None if report.is_symmetry
               else render_nf(report.remainder_nf, p))
         return 1
-    phi_prime, q_prime = nf(out), nf(_phi_q(out, p).q)
+    phi_prime, q_prime = nf(out), nf(phi_characteristic(out, p).q)
     _emit(args, lambda: [f"phi' = {pretty_nf(phi_prime, p)}",
                          f"Q' = {pretty_nf(q_prime, p)}"],
           inputs={"pde": pde.name, "phi": args.phi}, verdict="Integrated",
@@ -311,11 +311,14 @@ def main(argv: list[str], namespace: argparse.Namespace | None = None) -> int:
     The command's Session, and for a PDE command its PDE, is resolved
     here, once, before the handler runs.  Raises UsageError or another
     JetsymError on error, never SystemExit."""
-    # glue each value to its option, --q=-3*u_x: alone, -3*u_x reads as an option
+    # glue each value to its option, --q=-3*u_x: alone, -3*u_x reads as an
+    # option; but not "--", which argparse drops from --q=--, leaving [], and
+    # reports as a missing value when it stands alone
     glued, tokens = [], iter(argv)
     for token in tokens:
         value = next(tokens, None) if token in TAKES_VALUE else None
-        glued.append(token if value is None else f"{token}={value}")
+        glued += ([token, value] if value == "--" else
+                  [token if value is None else f"{token}={value}"])
     try:
         args = PARSER.parse_args(glued, namespace)
     except SystemExit as exc:  # only --help exits, once it has printed

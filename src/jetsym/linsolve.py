@@ -22,31 +22,21 @@ primitive, as its keys are renumbered, and the pivots are primitive int
 vectors.  Only the factors that express a column in the pivots are
 rationals.  `Echelon.solve` reduces a target with the same loop against
 the stored pivots, which it does not change, so one echelon answers many
-targets, in any order.  Every quotient goes through `_div`, which gives an
-int when the quotient is integral and a Fraction otherwise, never through
-int / int, which would give a float.  A solution has the shape of a
+targets, in any order.  Every quotient goes through `normalize.quotient`,
+the one exact quotient, which gives an int when the quotient is integral
+and a Fraction otherwise, never a float.  A solution has the shape of a
 column: `solve` returns {column index: coefficient} with the nonzero
 coefficients only, in column order, each following the normal-form
 coefficient rule (an int while it is integral).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Hashable, Optional
 
-from .normalize import Coeff, clear_denominators
+from .normalize import Coeff, clear_denominators, nf_divide, quotient
 
 Column = dict[Hashable, Coeff]
-
-
-def _div(a: Coeff, b: Coeff) -> Coeff:
-    """a / b exactly: an int when the quotient is integral."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b  # one side is a Fraction, so the quotient is one too
-    return q.numerator if q.denominator == 1 else q
 
 
 def _reduce(rest: dict[int, int], s: int, keys: list[int],
@@ -126,8 +116,8 @@ class Echelon:
                 self._keys.append(next(iter(rest)))
                 self._pivots.append({k: v // c for k, v in rest.items()})
                 self.nonzeros += len(rest)
-                self._steps.append((j, _div(c, s),
-                                    {i: _div(v, s) for i, v in a.items()}))
+                self._steps.append((j, quotient(c, s),
+                                    nf_divide(a, s)))
         self.rank = len(self._pivots)
 
     def solve(self, target: Column) -> Optional[dict[int, Coeff]]:
@@ -147,7 +137,7 @@ class Echelon:
         a, s = _reduce(rest, s, self._keys, self._pivots)
         if rest:
             return None
-        coeffs = {i: _div(v, s) for i, v in a.items()}
+        coeffs = nf_divide(a, s)
         # target = sum_i coeffs[i] * pivot_i; rewrite the pivots in terms of
         # their columns, last pivot first (pivot i only involves pivots
         # before it).
@@ -157,7 +147,7 @@ class Echelon:
             if not c:
                 continue
             j, scale, factors = self._steps[i]
-            x[j] = v = _div(c, scale)
+            x[j] = v = quotient(c, scale)
             for p, f in factors.items():
                 coeffs[p] = coeffs.get(p, 0) - v * f
         return dict(reversed(x.items()))

@@ -7,13 +7,14 @@ noncommutative word).  A coefficient follows the rule of a `Rat` value: an
 and hashes as the int).  Fraction arithmetic costs many times int
 arithmetic, so a map linear over the rationals runs on ints:
 `clear_denominators`, the one clearing primitive, gives (d*n, d) with int
-coefficients, and a value is divided back once (`nf_divide`) where a
-caller needs it over the rationals.  Then the cost does not depend on
-whether the coefficients happen to be integral.  The commuting monomial
-collects scalar-class atoms with integer exponents, sorted by their `key`;
-the word is the ordered tuple of matrix-class factors.  Atoms are
-interned, so term keys hash by identity, and they order by their `key`
-(`core.Atom`), so terms sort on their words and monomials as they are.
+coefficients, and a value is divided back once (`nf_divide`, by the one
+exact `quotient`) where a caller needs it over the rationals.  Then the
+cost does not depend on whether the coefficients happen to be integral.
+The commuting monomial collects scalar-class atoms with integer
+exponents, sorted by their `key`; the word is the ordered tuple of
+matrix-class factors.  Atoms are interned, so term keys hash by
+identity, and they order by their `key` (`core.Atom`), so terms sort on
+their words and monomials as they are.
 Rewrites applied: distribute products over sums, flatten, extract
 scalars, cancel adjacent w*inv(w) pairs, expand commutators, collect like
 terms, and evaluate sin, cos and exp at 0 (at any other constant they
@@ -183,18 +184,19 @@ def clear_denominators(n: NF) -> tuple[NF, int]:
             for k, v in n.items()}, d
 
 
+def quotient(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when the quotient is integral, never a float
+    (as int / int would give)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b  # one side is a Fraction, so the quotient is one too
+    return q.numerator if q.denominator == 1 else q
+
+
 def nf_divide(n: NF, d: int) -> NF:
-    """n / d, exactly: an int coefficient stays an int when d divides it."""
-    if d == 1:
-        return n
-    out: NF = {}
-    for k, v in n.items():
-        if type(v) is int:
-            q, r = divmod(v, d)
-            out[k] = Fraction(v, d) if r else q
-        else:
-            out[k] = v / d
-    return out
+    """n / d, coefficient by coefficient (`quotient`)."""
+    return n if d == 1 else {k: quotient(v, d) for k, v in n.items()}
 
 
 def _atom_nf(atom: Expr, exp: int = 1) -> NF:

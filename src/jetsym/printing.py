@@ -25,23 +25,11 @@ def _coord_names(problem: Problem, idx) -> list[str]:
     return [problem.coordinates[i].name for i in idx]
 
 
-def _render_jet(e: Jet, p: Problem) -> str:
-    if not e.idx:
-        return e.dep.name
-    subs = _coord_names(p, e.idx)
-    if all(len(s) == 1 for s in subs):
-        return e.dep.name + "_" + "".join(subs)
-    out = e.dep.name
+def _render_partials(name: str, subs: list[str]) -> str:
+    """name differentiated by the coordinates named in subs: D(D(a, x), t)."""
     for s in subs:
-        out = f"D({out}, {s})"
-    return out
-
-
-def _render_base(e: Base, p: Problem) -> str:
-    out = e.name
-    for s in _coord_names(p, e.partials):
-        out = f"D({out}, {s})"
-    return out
+        name = f"D({name}, {s})"
+    return name
 
 
 def _render_factor(e: Expr, p: Problem) -> str:
@@ -60,9 +48,12 @@ def render(e: Expr, problem: Problem) -> str:
     if isinstance(e, Coord):
         return e.name
     if isinstance(e, Jet):
-        return _render_jet(e, problem)
+        subs = _coord_names(problem, e.idx)
+        if subs and all(len(s) == 1 for s in subs):  # u_xt
+            return e.dep.name + "_" + "".join(subs)
+        return _render_partials(e.dep.name, subs)
     if isinstance(e, Base):
-        return _render_base(e, problem)
+        return _render_partials(e.name, _coord_names(problem, e.partials))
     if isinstance(e, (CMat, Pot)):
         return e.name
     if isinstance(e, Inv):

@@ -28,7 +28,8 @@ refuses a principal jet in the rhs, which no ranking puts below the
 leading jet (`make_pde`).  Such rankings are
 well-orders compatible with every D_i, so every jet of R[J] ranks below J,
 the values that R[J] needs belong to lower principal jets, and filling the
-table terminates.
+table terminates.  F itself must be nondegenerate: a rational times
+invertible factors times leading - rhs (`make_pde`).
 
 A certificate search (`find_operator`) solves D_Q F = sum_k c_k column_k
 for the columns left_k * D_Jk F * right_k of the ansatz, which depend on
@@ -47,14 +48,14 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
-from .core import (CMat, Expr, Jet, JetsymError, MATRIX, ONE, Problem, Rat,
-                   as_expr, mul)
+from .core import (CMat, Expr, Inv, Jet, JetsymError, MATRIX, ONE, Problem,
+                   Rat, as_expr, mul)
 from .calculus import (Characteristic, Image, bracket_nf, char_nf,
                        derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import Echelon
-from .normalize import (NF, Coeff, _nf_add, _nf_mul, _term_sort_key,
-                        collect_jets, is_zero, map_nf, nf, normal_form,
-                        rebuild, substitute)
+from .normalize import (NF, Coeff, _merge_cmono, _nf_add, _nf_mul,
+                        _nf_scale, _term_sort_key, collect_jets, map_nf, nf,
+                        normal_form, rebuild)
 from .printing import render
 
 
@@ -154,10 +155,20 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
              problem: Problem) -> Pde:
     """F = 0 with its solved form leading = rhs.  Raises PdeError unless
     leading is a jet of the problem's dependent, a ranking puts every jet
-    of rhs below it, and the solved form makes F vanish.  No ranking puts
-    a principal jet of rhs below the leading jet: its exponents are at
-    least the leading jet's, so no lex ranking settles it, and its order
-    is higher unless it is the leading jet itself."""
+    of rhs below it, and F = r*c*(leading - rhs) for a rational r and a
+    product c of invertible atoms (inverses, invertible constant matrices,
+    the dependent when declared invertible).  No ranking puts a principal
+    jet of rhs below the leading jet: its exponents are at least the
+    leading jet's, so no lex ranking settles it, and its order is higher
+    unless it is the leading jet itself.
+
+    Exactly one term of nf(F) holds the leading jet: r is its coefficient
+    and c what stands to the left of the leading jet, with nothing to its
+    right (chiral's c is inv(g)).  Such an F is nondegenerate, as the
+    symmetry theory assumes (Olver, Applications of Lie Groups to
+    Differential Equations, 2nd ed., 1993, ch. 2).  A degenerate F such as
+    G*G also vanishes on the solved form, but every Q passes D_Q F = 0 mod
+    F for it."""
     if not (isinstance(leading, Jet) and leading.dep == problem.dependent):
         raise PdeError(f"solved form leads with {render(leading, problem)}, "
                        "which is not a jet of the problem's dependent")
@@ -176,9 +187,32 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
         raise PdeError(
             f"no lex or orderly ranking puts the solved-form rhs jets {names} "
             f"below the leading jet {render(leading, problem)}")
-    if not is_zero(substitute(f, leading, rhs)):
-        raise PdeError("substituting the solved form into F does not give 0")
-    return Pde(name, normal_form(f), leading, normal_form(rhs))
+    n = nf(f)
+    held = [(key, r) for key, r in n.items()
+            if leading in key[1] or any(a is leading for a, _ in key[0])]
+    if len(held) == 1:
+        (cmono, word), r = held[0]
+        # c: what stands left of a matrix leading jet (the comparison
+        # refuses anything to its right), or the rest of a commuting one's term
+        if leading in word:
+            word = word[:word.index(leading)]
+        else:
+            cmono = _merge_cmono(cmono, ((leading, -1),))
+        if all(map(_invertible, [a for a, _ in cmono] + [*word])) and \
+                n == _nf_mul({(cmono, word): r}, _nf_add(
+                    _nf_scale(nf(rhs), -1), nf(leading))):
+            return Pde(name, rebuild(n), leading, normal_form(rhs))
+    raise PdeError(
+        f"F is not r*c*({render(leading, problem)} - ({render(rhs, problem)}))"
+        " for a rational r and a product c of invertible atoms (a degenerate"
+        " F, such as G*G, would make every Q a symmetry)")
+
+
+def _invertible(a: Expr) -> bool:
+    """True for an atom that `core.inverse` inverts: an inverse, an
+    invertible constant matrix or the dependent declared invertible."""
+    return type(a) is Inv or (type(a) is CMat and a.invertible) or (
+        type(a) is Jet and not a.idx and a.dep.invertible)
 
 
 def store(pde: Pde, problem: Problem) -> Store:

@@ -115,8 +115,9 @@ def test_validate_entry_names_each_failed_check(monkeypatch, doctor, message):
 
 
 def test_get_pde_unknown():
-    with pytest.raises(JetsymError):
-        get_pde("laplace")
+    for _ in range(2):  # the cache keeps no exception: each call raises
+        with pytest.raises(JetsymError):
+            get_pde("laplace")
 
 
 def test_get_pde_is_cached():

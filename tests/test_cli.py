@@ -9,12 +9,12 @@ import sys
 import weakref
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
 import jetsym
-from jetsym import normalize
+from jetsym import cli, normalize
 from jetsym.catalog import CATALOG_NAMES
 from jetsym.cli import UsageError, main
 from jetsym.symmetry import BasisError
@@ -577,6 +577,43 @@ def test_an_option_takes_a_flag_as_its_value():
     assert r.stderr == "error: undeclared symbol 'no' (at position 2)\n"
 
 
+def _command_of(flag: str) -> list[str]:
+    """A command line that reads flag's value next: a global option before
+    the command, a command's own after it."""
+    if flag in cli.GLOBAL_OPTIONS:
+        return [flag]
+    name = next(n for n, (*_, opts) in cli.COMMANDS.items() if flag in opts)
+    return ["--pde", "kdv", name, flag]
+
+
+@pytest.mark.parametrize("flag", sorted(cli.TAKES_VALUE))
+def test_a_dash_dash_option_value_is_a_missing_value(flag):
+    """argparse drops "--" from --q=--, so the value is not glued: "--" alone
+    is reported as no value, not handed on as an empty list."""
+    r = invoke(*_command_of(flag), "--", "parse", "u")
+    assert (r.code, r.stdout) == (2, "")
+    assert r.stderr == f"error: argument {flag}: expected one argument\n"
+
+
+def test_a_dash_dash_option_value_fails_its_batch_line_only(tmp_path):
+    script = tmp_path / "cmds.txt"
+    script.write_text("check --q u_x\ncheck --q --\nreduce u_tt\n")
+    r = invoke("--pde", "heat", "batch", str(script))
+    assert r.code == 1
+    assert r.stderr == "error: line 2: argument --q: expected one argument\n"
+    assert r.stdout.splitlines()[-1] == "u_xxxx"
+
+
+def test_a_degenerate_custom_f_exits_two():
+    """F = G*G vanishes on the solved form, but for it every Q would pass."""
+    r = invoke("--f", "(u_t + u_xxx)*(u_t + u_xxx)", "--solved",
+               "u_t = -u_xxx", "check", "--q", "x*u*u_xx")
+    assert (r.code, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: F is not r*c*(u_t - (-u_xxx)) for a "
+                               "rational r and a product c of invertible "
+                               "atoms")
+
+
 @pytest.mark.parametrize("args", [
     ["--help"], ["-h"], ["check", "--help"], ["--pde", "heat", "check", "--bogus"],
     ["--pde", "heat", "check", "--q"], ["--pde"], ["--pde", "heat"], [],
@@ -688,6 +725,7 @@ _TEXT = st.one_of(
 @given(st.sampled_from(CATALOG_NAMES), st.sampled_from(
     ["parse", "reduce", "--q", "--phi", "bracket", "certify"]),
     _TEXT, st.one_of(_TEXT, _OPERATOR))
+@example(pde="sine-gordon", command="--q", text="--", other="")
 def test_random_cli_input_exits_or_reports(pde, command, text, other):
     """Text drawn from the expression alphabet, on any catalog PDE, ends
     in an exit status, a usage error or a JetsymError: `invoke` re-raises

@@ -89,8 +89,8 @@ def transcript() -> str:
     return "".join(parts)
 
 
-def test_catalog_cli_output_matches_the_transcript(monkeypatch):
-    monkeypatch.setattr(catalog, "_cache", {})  # entries no test has touched
+def test_catalog_cli_output_matches_the_transcript():
+    catalog.get_pde.cache_clear()  # entries no test has touched
     assert transcript() == GOLDEN.read_text()
 
 

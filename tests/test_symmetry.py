@@ -113,6 +113,64 @@ def test_make_pde_accepts_lex_and_orderly_rankings(sp, lead, rhs):
     make_pde("ranked", f, parse_expr(lead, sp), parse_expr(rhs, sp), sp)
 
 
+# u is not declared invertible here (it is in `sp`)
+PLAIN = Problem(coords=["x", "t"], dependent=Dependent("u"), constants=["c"])
+
+
+@pytest.mark.parametrize("f", [
+    "(u_t - u_xx)*(u_t - u_xx)", "u*(u_t - u_xx)", "x*(u_t - u_xx)",
+    "c*(u_t - u_xx)", "u_t*u_t - u_xx*u_xx", "u_t - u_xx + u_x*(u_t - u_xx)",
+    "sin(u_t) - sin(u_xx)", "0"],
+    ids=["square", "u-times", "x-times", "constant-times", "two-factors",
+         "non-invertible-sum", "inside-a-function", "zero"])
+def test_make_pde_refuses_a_degenerate_f(f):
+    """F must be r*c*(leading - rhs) with r rational and c a product of
+    invertible atoms.  For F = G*G every Q passes D_Q F = 0 mod F."""
+    with pytest.raises(PdeError, match=r"^F is not r\*c\*\(u_t - \(u_xx\)\) "
+                                       r"for a rational r and a product c "
+                                       r"of invertible atoms"):
+        make_pde("bad", parse_expr(f, PLAIN), PLAIN.jet("t"), PLAIN.jet("xx"),
+                 PLAIN)
+
+
+@pytest.mark.parametrize("problem, f, lead, rhs", [
+    ("sp", "2*(u_t - u_xx)", "u_t", "u_xx"),
+    ("sp", "-(u_t - u_xx)", "u_t", "u_xx"),
+    ("sp", "(1/3)*u_t - (1/3)*u_xx", "u_t", "u_xx"),
+    ("sp", "u*(u_t - u_xx)", "u_t", "u_xx"),
+    ("sp", "-2*inv(u)*u*inv(u)*(u_t - u_xx)", "u_t", "u_xx"),
+    ("sp", "u_xx - u_t", "u_t", "u_xx"),
+    ("mp", "inv(u)*(u_t - u_xx)", "u_t", "u_xx"),
+    ("mp", "B*u*(u_t - u_x*u_x)", "u_t", "u_x*u_x"),
+    ("mp", "u_x*u_x - u_t", "u_t", "u_x*u_x"),
+], ids=["two", "minus", "third", "invertible-u", "inverse", "reversed",
+        "inverse-matrix", "invertible-matrices", "matrix-reversed"])
+def test_make_pde_accepts_rational_and_invertible_multiples(request, problem,
+                                                            f, lead, rhs):
+    p = request.getfixturevalue(problem)
+    pde = make_pde("ok", parse_expr(f, p), parse_expr(lead, p),
+                   parse_expr(rhs, p), p)
+    assert pde.f == normal_form(parse_expr(f, p))
+
+
+def test_make_pde_wants_one_term_with_the_leading_jet(sp):
+    """u*(u - x) is an invertible multiple of u - x, but two of its terms
+    hold the leading jet u, so no one term tells r and c."""
+    with pytest.raises(PdeError, match=r"^F is not r\*c\*\(u - \(x\)\)"):
+        make_pde("bad", parse_expr("u*(u - x)", sp), sp.u,
+                 sp.coordinate("x"), sp)
+
+
+@pytest.mark.parametrize("f", ["(u_t - u_xx)*u", "A*(u_t - u_xx)",
+                               "u_x*(u_t - u_xx)", "(u_t - u_xx)*B"],
+                         ids=["right", "singular-matrix", "jet", "right-B"])
+def test_make_pde_refuses_a_matrix_factor_that_is_not_a_left_unit(mp, f):
+    """c stands to the left of the leading jet and is invertible; nothing
+    stands to its right."""
+    with pytest.raises(PdeError, match=r"^F is not r\*c\*"):
+        make_pde("bad", parse_expr(f, mp), mp.jet("t"), mp.jet("xx"), mp)
+
+
 # --- reduce_mod_pde -------------------------------------------------------
 
 def test_reduce_heat_utt():

@@ -151,6 +151,30 @@ def test_no_asserts_and_no_function_aliases(path):
     assert function_aliases(source) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """The underscore names a module imports from a jetsym module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and (
+                      node.level or node.module.split(".")[0] == "jetsym")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_checker_sees_private_engine_imports():
+    source = ("from __future__ import annotations\n"
+              "from functools import _lru_cache_wrapper\n"
+              "from .core import _flat, add\n"
+              "from . import _helpers\n"
+              "from jetsym.backlund import _bt_pair\n")
+    assert private_imports(source) == ["_bt_pair", "_flat", "_helpers"]
+
+
+@pytest.mark.parametrize("name", ["cli", "catalog"])
+def test_the_front_ends_import_no_private_engine_name(name):
+    """The CLI and the catalog reach the engine through its public names
+    only, as a library caller does."""
+    assert private_imports((SRC / f"{name}.py").read_text()) == []
+
+
 ROOT = SRC.parent.parent
 CALLERS = sorted(p for d in ("perfbench", "tools")
                  for p in (ROOT / d).rglob("*.py"))

@@ -31,6 +31,14 @@ def load(path: str) -> dict:
         return json.load(fh)
 
 
+def differences(parent: dict, change: dict) -> tuple[list[str], list]:
+    """The operations whose outputs differ between the two records, and
+    those that printed different outputs in different rounds of either."""
+    differ = sorted(k for k in set(parent["outputs"]) | set(change["outputs"])
+                    if parent["outputs"].get(k) != change["outputs"].get(k))
+    return differ, parent.get("mismatched", []) + change.get("mismatched", [])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/compare_runs.py PARENT.json CHANGE.json",
@@ -47,9 +55,7 @@ def main(argv: list[str]) -> int:
         cells = [f"{v:10.3f}" if v is not None else f"{'-':>10}"
                  for v in (pa, ch)]
         print(f"{i:>4}  {label.get(i, '?'):<28} {cells[0]} {cells[1]} {ratio}")
-    differ = sorted(k for k in set(parent["outputs"]) | set(change["outputs"])
-                    if parent["outputs"].get(k) != change["outputs"].get(k))
-    unsteady = parent.get("mismatched", []) + change.get("mismatched", [])
+    differ, unsteady = differences(parent, change)
     if differ:
         print(f"outputs differ at operations {', '.join(differ)}")
     if unsteady:

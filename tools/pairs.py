@@ -6,14 +6,19 @@
 PARENT and CHANGE are the roots of two checkouts.  Each pair runs
 `perfbench/run.py --workload W --seed K --seconds S --trace 0` once in
 each checkout, alternating which side runs first (pair 1 runs the parent
-first), then `tools/compare_runs.py` on the two run records.  The script
-prints every pair's end-to-end metrics side by side, then for each metric
-the pairs the change won (ties count for neither side), both medians, the
-parent's interquartile range and whether the claim rule holds: the change
-wins at least nine tenths of the pairs, and its median is better than the
-parent's by more than the parent's interquartile range.  The metrics and
-which direction is better are read from CHANGE's BENCHMARK.json.  It
-exits 1 when some pair's outputs differ, else 0.
+first), and compares the outputs of the two run records
+(`compare_runs.differences`).  The script prints every pair's end-to-end
+metrics side by side, with the operations each side completed, then for
+each metric the pairs the change won (ties count for neither side), both
+medians, the parent's interquartile range and whether the claim rule
+holds: the change wins at least nine tenths of the pairs, and its median
+is better than the parent's by more than the parent's interquartile
+range.  The metrics and which direction is better are read from CHANGE's
+BENCHMARK.json.  One more metric, `raw_p50_ms` (lower is better), is read
+from each run record: the median over the operations of each one's
+median raw time (`compare_runs.median_ms`), unscaled by the speed probe,
+which runs inside the measured process.  It exits 1 when some pair's
+outputs differ, else 0.
 """
 from __future__ import annotations
 
@@ -25,27 +30,25 @@ import statistics
 import subprocess
 import sys
 
-COMPARE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "compare_runs.py")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import compare_runs  # noqa: E402
 
 
 def run_side(checkout: str, workload: str, seed: int,
-             seconds: float) -> tuple[dict, str]:
-    """(the last line of run.py's output, the path of its run record)."""
+             seconds: float) -> tuple[dict, dict]:
+    """(the last line of run.py's output, with `raw_p50_ms` added to its
+    metrics, and its run record)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    record = os.path.join(checkout, ".perfbench_runs",
-                          f"{workload}-{seed}-0.json")
-    return json.loads(proc.stdout.splitlines()[-1]), record
-
-
-def compare(parent_record: str, change_record: str) -> bool:
-    """True when compare_runs.py finds the outputs identical."""
-    proc = subprocess.run([sys.executable, COMPARE, parent_record,
-                           change_record], capture_output=True, text=True)
-    return proc.returncode == 0
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    record = compare_runs.load(os.path.join(
+        checkout, ".perfbench_runs", f"{workload}-{seed}-0.json"))
+    doc["metrics"]["raw_p50_ms"] = {"unit": "ms", "value": statistics.median(
+        compare_runs.median_ms(record).values())}
+    return doc, record
 
 
 def iqr(values: list[float]) -> float:
@@ -80,7 +83,9 @@ def pair_lines(i: int, first: str, parent: dict, change: dict,
                identical: bool, better: dict[str, str]) -> list[str]:
     """One pair's metrics side by side, its failures and its outputs."""
     out = [f"pair {i} ({first} first): outputs "
-           f"{'identical' if identical else 'DIFFER'}; failed "
+           f"{'identical' if identical else 'DIFFER'}; completed "
+           f"{parent['attempted'] - parent['failed']} -> "
+           f"{change['attempted'] - change['failed']}; failed "
            f"{parent['failed']}/{parent['attempted']} -> "
            f"{change['failed']}/{change['attempted']}; correct "
            f"{parent['correct']} -> {change['correct']}"]
@@ -103,13 +108,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better["raw_p50_ms"] = "lower"
     sides = {"parent": args.parent, "change": args.change}
     pairs, all_identical = [], True
     for i in range(1, args.pairs + 1):
         order = ["parent", "change"] if i % 2 else ["change", "parent"]
         runs = {side: run_side(sides[side], args.workload, args.seed,
                                args.seconds) for side in order}
-        identical = compare(runs["parent"][1], runs["change"][1])
+        identical = not any(compare_runs.differences(runs["parent"][1],
+                                                     runs["change"][1]))
         all_identical &= identical
         pair = (runs["parent"][0], runs["change"][0])
         pairs.append(pair)
