@@ -15,6 +15,6 @@ from .backlund import (BtPair, bt_apply, bt_rhs, bt_seed_check,
                        chiral_phi_condition, declare_potential, left_current)
 from .parsing import ParseError, parse_expr, parse_operator
 from .printing import pretty, render
-from .catalog import CatalogEntry, get_pde, load_catalog, validate_entry
+from .catalog import CatalogEntry, get_pde, load_catalog
 
 __version__ = "0.1.0"

@@ -160,7 +160,7 @@ def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
     """The report on D_{g*Phi} F = 0 mod F, which for chiral is
     (Phi'_x)_t = (Phi'_t)_x mod F, for two coordinates only.  It is the
     check independent of the integration: every seed with a `bt_apply`
-    image passes it, and the CLI and `catalog.validate_entry` run it to
+    image passes it, and the CLI and the tests' catalog check run it to
     explain a missing image and to check each image."""
     _xt(problem)
     return check_symmetry(pde, phi_characteristic(phi, problem), problem)

@@ -77,10 +77,11 @@ def _session(args) -> Session:
     if args.f:
         if not args.solved:
             raise UsageError("--f requires --solved \"lead = rhs\"")
-        lead, _, rhs = args.solved.partition("=")
+        sides = [s.strip() for s in args.solved.split("=")]
+        if len(sides) != 2 or not all(sides):
+            raise UsageError('--solved needs "lead = rhs"')
         pde = make_pde("custom", parse_expr(args.f, problem),
-                       parse_expr(lead.strip(), problem),
-                       parse_expr(rhs.strip(), problem), problem)
+                       *(parse_expr(s, problem) for s in sides), problem)
     return Session(problem=problem, pde=pde)
 
 
@@ -140,6 +141,8 @@ def cmd_structconsts(args, sess: Session):
         names = list(sess.entry.structure_basis)
     else:
         names = [s.strip() for s in args.basis.split(",")]
+        if not all(names):
+            raise UsageError("an entry of --basis is empty")
     qs = [sess.characteristic(n, n) for n in names]
     sc = structure_constants(pde, qs, p)
     entries = {f"c[{qs[i].name},{qs[j].name}]^{qs[k].name}": str(v)

@@ -10,8 +10,10 @@ scalar prolongation formula built on them; the commutator folding that
 ansatz applied to an expression, and compared with another as a sum of
 like terms; the order key computed by a walk
 over the tree, for the key each interned atom carries; a dense
-elimination in Fractions only, for `linsolve`; and an in-process run of
-the command line, for the CLI tests."""
+elimination in Fractions only, for `linsolve`; the fixtures the catalog's
+data file holds beside each equation, and the check that re-derives them
+through the engine; and an in-process run of the command line, for the CLI
+tests."""
 from __future__ import annotations
 
 import io
@@ -25,8 +27,10 @@ from random import Random
 from typing import NamedTuple
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
-                    as_expr, commutator, func, inverse, mul, normal_form,
-                    total_derivative)
+                    as_expr, catalog, commutator, func, inverse, is_zero,
+                    mul, normal_form, total_derivative)
+from jetsym.backlund import bt_apply, bt_seed_check
+from jetsym.catalog import CatalogEntry
 from jetsym.cli import main
 from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
                          FUNC_DERIVATIVES, Inv, Jet, JetsymError, KindError,
@@ -34,7 +38,10 @@ from jetsym.core import (Add, Base, CMat, Comm, Coord, Expr, Fn,
                          is_commuting_atom, neg)
 from jetsym.normalize import (_nf_add, clear_denominators, collect_jets, nf,
                               nf_divide, rebuild)
-from jetsym.symmetry import LinearOperatorAnsatz, reduce_nf
+from jetsym.parsing import parse_expr, parse_operator
+from jetsym.printing import render
+from jetsym.symmetry import (LinearOperatorAnsatz, certify_operator,
+                             check_symmetry, reduce_nf, structure_constants)
 
 
 def scalar_problem() -> Problem:
@@ -456,6 +463,78 @@ def reference_rank(columns: list[dict]) -> int:
     `linsolve.Echelon.rank`."""
     rows = list(dict.fromkeys(k for c in columns for k in c))
     return len(_reference_echelon(columns, rows)[1])
+
+
+class Fixtures(NamedTuple):
+    """What the catalog's data file claims about one entry, beside its
+    equation: the Phi-form of each chiral characteristic, the operator
+    certificate of each characteristic, the structure constants (i, j,
+    {basis name: c_ij^k}, absent = 0) and the Backlund pairs (Phi, the
+    expected Phi')."""
+    phis: dict[str, Expr]
+    certificates: dict[str, LinearOperatorAnsatz]
+    structure_claims: tuple[tuple[str, str, dict[str, Fraction]], ...]
+    backlund: tuple[tuple[Expr, Expr], ...]
+
+
+def catalog_fixtures(entry: CatalogEntry) -> Fixtures:
+    """The fixtures of a catalog entry as the data file writes them, parsed
+    against the entry's problem."""
+    raw = catalog._load_raw()["pdes"][entry.name]
+    p = entry.problem
+    chars = raw.get("characteristics", [])
+    return Fixtures(
+        {c["name"]: parse_expr(c["phi"], p) for c in chars if "phi" in c},
+        {c["name"]: parse_operator(c["certificate"], p)
+         for c in chars if "certificate" in c},
+        tuple((c["i"], c["j"],
+               {k: Fraction(v) for k, v in c.get("c", {}).items()})
+              for c in raw.get("structure", {}).get("expected", [])),
+        tuple((parse_expr(b["phi"], p), parse_expr(b["phi_prime"], p))
+              for b in raw.get("backlund", [])))
+
+
+def validate_entry(entry: CatalogEntry, fixtures: Fixtures | None = None
+                   ) -> tuple[int, int, int]:
+    """Re-run every fixture of the entry (by default the data file's)
+    through the engine; raise AssertionError naming the first mismatch.
+    Returns how many certificates, structure claims and Backlund fixtures
+    it checked."""
+    fx = catalog_fixtures(entry) if fixtures is None else fixtures
+    problem, pde = entry.problem, entry.pde
+    certified = 0
+    for c in entry.characteristics:
+        report = check_symmetry(pde, c.q, problem)
+        if not report.is_symmetry:
+            raise AssertionError(f"{entry.name}/{c.name}: not a symmetry")
+        certificate = fx.certificates.get(c.name)
+        if certificate is not None:
+            if not certify_operator(pde, c.q, certificate, problem):
+                raise AssertionError(
+                    f"{entry.name}/{c.name}: certificate does not certify")
+            certified += 1
+    claims = 0
+    if entry.structure_basis:
+        basis = [entry.characteristic(n).q for n in entry.structure_basis]
+        sc = structure_constants(pde, basis, problem)
+        index = {n: k for k, n in enumerate(entry.structure_basis)}
+        for ni, nj, coefficients in fx.structure_claims:
+            i, j = index[ni], index[nj]
+            for name, k in index.items():
+                expected = coefficients.get(name, Fraction(0))
+                if sc[i, j, k] != expected:
+                    raise AssertionError(
+                        f"{entry.name}: c[{ni}][{nj}]^{name} != {expected}")
+            claims += 1
+    for phi, expected in fx.backlund:
+        got = bt_apply(phi, pde, problem)
+        if got is None or not is_zero(got - expected):
+            raise AssertionError(f"{entry.name}: BT fixture mismatch for "
+                                 f"{render(phi, problem)}")
+        if not bt_seed_check(got, pde, problem).is_symmetry:
+            raise AssertionError(
+                f"{entry.name}: BT image fails the symmetry condition")
+    return certified, claims, len(fx.backlund)
 
 
 class CliResult(NamedTuple):

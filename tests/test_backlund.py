@@ -28,7 +28,7 @@ from jetsym.printing import render
 from jetsym.symmetry import (AnsatzConfig, _row_column, find_operator,
                              reduction)
 
-from helpers import fresh_copy
+from helpers import catalog_fixtures, fresh_copy
 
 
 @pytest.fixture()
@@ -155,8 +155,9 @@ def random_phi_words(ch, n, seed):
 
 def test_phi_condition_is_the_textbook_formula(ch):
     p, pde = ch.problem, ch.pde
-    phis = [c.phi for c in ch.characteristics if c.phi is not None]
-    for phi, image in ch.bt_fixtures:
+    fx = catalog_fixtures(ch)
+    phis = list(fx.phis.values())
+    for phi, image in fx.backlund:
         phis += [phi, image, bt_apply(phi, pde, p)]
     phis += [phi_of(ch, text) for text in ("g", "X", "g_xt*inv(g)",
                                            "comm(X, M)*inv(g)*g_x")]
@@ -240,7 +241,7 @@ def test_bt_apply_accepts_a_rational_multiple_of_chiral(ch):
     p = ch.problem
     pde = make_pde("minus-chiral", mul(Rat(-1), ch.pde.f), ch.pde.leading,
                    ch.pde.rhs, p)
-    for phi, image in ch.bt_fixtures:
+    for phi, image in catalog_fixtures(ch).backlund:
         got = bt_apply(phi, pde, p)
         assert got is not None and is_zero(got - image), render(phi, p)
 

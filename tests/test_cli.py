@@ -307,8 +307,21 @@ def test_a_name_the_parser_cannot_read_exits_two(flags):
     (["reduce", "u_tt"], "this command needs --pde or --f/--solved"),
     (["--f", "u_t - u_xx", "--solved", "u_t = u_xx", "structconsts"],
      "--basis required for this PDE"),
+    (["--f", "u_t - u_xx", "--solved", "u_t", "check", "--q", "u_x"],
+     '--solved needs "lead = rhs"'),
+    (["--f", "u_t - u_xx", "--solved", "= u_xx", "check", "--q", "u_x"],
+     '--solved needs "lead = rhs"'),
+    (["--f", "u_t - u_xx", "--solved", "u_t = u_xx = 1", "check", "--q",
+      "u_x"],
+     '--solved needs "lead = rhs"'),
+    (["--pde", "kdv", "structconsts", "--basis", ""],
+     "an entry of --basis is empty"),
+    (["--pde", "kdv", "structconsts", "--basis", "q1,,q2"],
+     "an entry of --basis is empty"),
 ], ids=["f-without-solved", "non-jet-lead", "reduce-without-pde",
-        "structconsts-without-basis"])
+        "structconsts-without-basis", "solved-without-equals",
+        "solved-without-lead", "solved-with-two-equals", "empty-basis",
+        "basis-with-an-empty-entry"])
 def test_a_command_line_without_a_usable_pde_exits_two(args, message):
     r = invoke(*args)
     assert (r.code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")

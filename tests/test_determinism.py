@@ -19,6 +19,8 @@ from pathlib import Path
 from jetsym import catalog
 from jetsym.printing import render_operator
 
+from helpers import catalog_fixtures
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 BT_SEEDS = ("M", "g_x", "inv(g)*g_x", "x*inv(g)*g_t - t*inv(g)*g_x",
@@ -42,10 +44,11 @@ def batch_lines() -> list[str]:
     for name in catalog.CATALOG_NAMES:
         entry = catalog.get_pde(name)
         names = [c.name for c in entry.characteristics]
+        certificates = catalog_fixtures(entry).certificates
         for c in entry.characteristics:
             lines.append(f"--json --pde {name} check --q {c.name}")
-            if c.certificate is not None:
-                lhat = render_operator(c.certificate, entry.problem)
+            if c.name in certificates:
+                lhat = render_operator(certificates[c.name], entry.problem)
                 lines.append(f'--pde {name} certify --q {c.name} '
                              f'--lhat "{lhat}"')
         for a, b in combinations(names, 2):

@@ -18,7 +18,7 @@ from jetsym.normalize import nf, rebuild
 from jetsym.parsing import parse_expr
 from jetsym.symmetry import PdeError, reduce_nf
 
-from helpers import reference_reduce, reference_reduce_nf
+from helpers import catalog_fixtures, reference_reduce, reference_reduce_nf
 
 MAX_ORDER = 5
 MAX_KDV_T = 4  # kdv's u_t...t grows fastest; the reference takes seconds at 5
@@ -89,14 +89,14 @@ def test_random_polynomials_match_reference(name):
 def test_characteristic_conditions_match_reference(name):
     entry = get_pde(name)
     p, pde = entry.problem, entry.pde
-    raws = []
+    raws, phis = [], catalog_fixtures(entry).phis
     for c in entry.characteristics:
         raws.append(char_derivative(pde.f, c.q, p))
         perturbed = Characteristic(c.name, add(c.q.q, p.jet("xx")),
                                    c.q.dependent)
         raws.append(char_derivative(pde.f, perturbed, p))
-        if c.phi is not None:
-            raws.append(chiral_phi_condition(c.phi, pde, p))
+        if c.name in phis:
+            raws.append(chiral_phi_condition(phis[c.name], pde, p))
     for raw in raws:
         assert reduce_mod_pde(raw, pde, p) == reference_reduce(raw, pde, p)
 

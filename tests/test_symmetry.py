@@ -11,7 +11,6 @@ from jetsym import (Characteristic, Verdict, bracket_characteristic,
                     check_symmetry, certify_operator, find_operator, is_zero,
                     make_pde, normal_form, reduce_mod_pde,
                     structure_constants)
-from jetsym import catalog
 from jetsym.backlund import declare_potential
 from jetsym.catalog import get_pde
 from jetsym.core import (CMat, Dependent, ONE, PotentialDef, Problem, Rat,
@@ -22,8 +21,8 @@ from jetsym.symmetry import (AnsatzConfig, BasisError, LinearOperatorAnsatz,
                              PdeError, SpanError)
 
 from conftest import seeded_characteristics
-from helpers import (apply_operator, canonical, same_operator,
-                     scalar_problem)
+from helpers import (apply_operator, canonical, catalog_fixtures,
+                     same_operator, scalar_problem)
 
 SP = scalar_problem()
 HEAT = get_pde("heat")
@@ -291,7 +290,9 @@ def test_find_operator_none_for_nonsymmetry():
 def test_chiral_constant_conjugation_certificate():
     ch = get_pde("chiral")
     cc = ch.characteristic("phi4")
-    assert certify_operator(ch.pde, cc.q, cc.certificate, ch.problem)
+    assert certify_operator(ch.pde, cc.q,
+                            catalog_fixtures(ch).certificates["phi4"],
+                            ch.problem)
 
 
 def test_identity_operator_applies():
@@ -392,7 +393,7 @@ def test_certificate_does_not_depend_on_call_history(name):
     built anew, so that the potential reaches no other test."""
     bounds, pot, gradient, matrix = HISTORY[name]
     cfg = AnsatzConfig(*bounds)
-    entry = catalog._build_entry(name, catalog._load_raw()["pdes"][name])
+    entry = get_pde.__wrapped__(name)
     p, pde = entry.problem, entry.pde
     chars = [c.q for c in entry.characteristics]
 

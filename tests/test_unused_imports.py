@@ -197,7 +197,6 @@ KEEP = {
                               "(Example 5.1); the CLI takes bracket_nf",
     "left_current": "the chiral current inv(g)*g_i, the first letters of "
                     "bt_apply's basis",
-    "validate_entry": "re-derives every claim of a catalog entry",
 }
 
 

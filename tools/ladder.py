@@ -131,8 +131,7 @@ def reduce_ladder() -> list[dict]:
 def private_chiral() -> tuple[Problem, symmetry.Pde]:
     """The catalog's chiral problem and PDE, built anew, so that the
     potentials a chain declares reach no other rung."""
-    raw = catalog._load_raw()["pdes"]["chiral"]
-    entry = catalog._build_entry("chiral", raw)
+    entry = catalog.get_pde.__wrapped__("chiral")
     return entry.problem, entry.pde
 
 
@@ -303,13 +302,12 @@ def kept_images(p: Problem) -> list[int]:
 
 def char_nf_ladder() -> list[dict]:
     out = []
-    raw = catalog._load_raw()["pdes"]
     for name, (factor, prefix, powers) in CHAR_NF.items():
         for k in powers:
             text = prefix + "*".join([factor] * k)
             cold = []
             for _ in range(REPEATS):
-                entry = catalog._build_entry(name, raw[name])  # fresh problem
+                entry = catalog.get_pde.__wrapped__(name)  # fresh problem
                 p, f = entry.problem, nf(entry.pde.f)
                 q = calculus.Characteristic("Q", parsing.parse_expr(text, p),
                                             p.dependent)
