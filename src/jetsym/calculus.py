@@ -18,7 +18,7 @@ call for D_Q.  Every derivative is taken there: D_i, D_Q and D_J
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable
 from weakref import WeakKeyDictionary
@@ -43,6 +43,7 @@ class Characteristic:
     name: str
     q: Expr
     dependent: Dependent
+    doc: str = field(default="", compare=False)  # a catalog note, for `list`
 
 
 def derive_nf(n: NF, image: Image) -> NF:

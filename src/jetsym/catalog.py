@@ -4,12 +4,15 @@
 An entry is a PDE in solved form, its known symmetry characteristics (a
 chiral one written as its Phi-form, Q = g*Phi), the basis of its structure
 constants and, for the chiral field, the potential; every expression uses
-the CLI grammar.  The file also holds an operator certificate for each
-characteristic, expected structure constants and Backlund fixtures, one per
-line: claims that the test suite re-derives (`tests/helpers.py`) and that
-no entry carries.  `get_pde` builds an entry once per process
-(`functools.cache`), and every caller shares it, a registered potential
-included; `get_pde.__wrapped__(name)` builds an unshared one.
+the CLI grammar.  Each characteristic is a `calculus.Characteristic` whose
+`doc` holds the file's note, and `CatalogEntry.characteristic` is the one
+lookup by name (the CLI answers a declared problem from an entry too).
+The file also holds an operator certificate for each characteristic,
+expected structure constants and Backlund fixtures, one per line: claims
+that the test suite re-derives (`tests/helpers.py`) and that no entry
+carries.  `get_pde` builds an entry once per process (`functools.cache`),
+and every caller shares it, a registered potential included;
+`get_pde.__wrapped__(name)` builds an unshared one.
 """
 from __future__ import annotations
 
@@ -26,22 +29,15 @@ from .backlund import declare_potential, phi_characteristic
 
 
 @dataclass(frozen=True)
-class CatalogCharacteristic:
-    name: str
-    q: Characteristic
-    doc: str = ""
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     doc: str
     problem: Problem
-    pde: Pde
-    characteristics: tuple[CatalogCharacteristic, ...]
+    pde: Pde | None  # None for a CLI problem declared without --f
+    characteristics: tuple[Characteristic, ...]
     structure_basis: tuple[str, ...] = ()
 
-    def characteristic(self, name: str) -> CatalogCharacteristic:
+    def characteristic(self, name: str) -> Characteristic:
         for c in self.characteristics:
             if c.name == name:
                 return c
@@ -84,9 +80,8 @@ def _build_entry(name: str, raw: dict) -> CatalogEntry:
                                         problem).q
         else:
             q_expr = parse_expr(craw["q"], problem)
-        chars.append(CatalogCharacteristic(
-            craw["name"], Characteristic(craw["name"], q_expr, dep),
-            craw.get("doc", "")))
+        chars.append(Characteristic(craw["name"], q_expr, dep,
+                                    craw.get("doc", "")))
 
     return CatalogEntry(name, raw.get("doc", ""), problem, pde, tuple(chars),
                         tuple(raw.get("structure", {}).get("basis", ())))

@@ -5,6 +5,9 @@ certificate / unintegrable seed), 2 on error.  `--json` switches every
 command to a single deterministic JSON document on stdout.  An answer the
 engine computes as a normal form (check, reduce, parse, bracket, bt-apply)
 is printed straight from it (`printing.render_nf`), with no tree built.
+A command answers from a `catalog.CatalogEntry`: the catalog's for --pde,
+else one built from the declaration flags, whose comma-separated options
+are read by one rule (`_names`).
 """
 from __future__ import annotations
 
@@ -14,9 +17,9 @@ import shlex
 import sys
 from typing import Callable, Iterable, Iterator
 
-from .core import Dependent, JetsymError, Problem
+from .core import DeclarationError, Dependent, JetsymError, Problem
 from .calculus import Characteristic, bracket_nf
-from .catalog import CATALOG_NAMES, get_pde, load_catalog
+from .catalog import CATALOG_NAMES, CatalogEntry, get_pde, load_catalog
 from .normalize import nf
 from .parsing import parse_expr, parse_operator
 from .printing import pretty_nf, render, render_nf, render_operator
@@ -29,29 +32,23 @@ class UsageError(JetsymError):
     """A command line the CLI cannot read (exit 2, as every JetsymError)."""
 
 
-class Session:
-    """A problem + PDE resolved from the catalog or from declaration flags."""
+def characteristic(entry: CatalogEntry, text: str, name="Q") -> Characteristic:
+    """The entry's characteristic named text, else text parsed as Q."""
+    try:
+        return entry.characteristic(text)
+    except DeclarationError:
+        return Characteristic(name, parse_expr(text, entry.problem),
+                              entry.problem.dependent)
 
-    def __init__(self, entry=None, problem=None, pde=None):
-        self.entry = entry
-        self.problem = problem if problem is not None else entry.problem
-        self.pde = pde if pde is not None else (entry.pde if entry else None)
 
-    def characteristic(self, text: str, name: str = "Q") -> Characteristic:
-        if self.entry is not None:
-            for c in self.entry.characteristics:
-                if c.name == text:
-                    return c.q
-        return Characteristic(name, parse_expr(text, self.problem),
-                              self.problem.dependent)
-
-    def question(self, q: str | None, phi: str | None) -> Characteristic:
-        """The characteristic of exactly one of --q / --phi (Q = g*Phi)."""
-        if (q is None) == (phi is None):
-            raise UsageError("pass exactly one of --q / --phi")
-        if phi is None:
-            return self.characteristic(q)
-        return phi_characteristic(parse_expr(phi, self.problem), self.problem)
+def question(entry: CatalogEntry, q: str | None,
+             phi: str | None) -> Characteristic:
+    """The characteristic of exactly one of --q / --phi (Q = g*Phi)."""
+    if (q is None) == (phi is None):
+        raise UsageError("pass exactly one of --q / --phi")
+    if phi is None:
+        return characteristic(entry, q)
+    return phi_characteristic(parse_expr(phi, entry.problem), entry.problem)
 
 
 def _emit(args, text_lines: Callable[[], Iterable[str]], **fields):
@@ -63,16 +60,30 @@ def _emit(args, text_lines: Callable[[], Iterable[str]], **fields):
         print(line, flush=True)
 
 
-def _session(args) -> Session:
+def _names(option: str, text: str) -> list[str]:
+    """The entries of a comma-separated option, each stripped: an empty
+    entry exits 2, and an empty text is no names only where that is the
+    option's default."""
+    if not text and GLOBAL_OPTIONS.get(option, {}).get("default") == "":
+        return []
+    names = [s.strip() for s in text.split(",")]
+    if not all(names):
+        raise UsageError(f"an entry of {option} is empty")
+    return names
+
+
+def _session(args) -> CatalogEntry:
+    """The catalog entry of --pde, else one for the declaration flags."""
     if args.pde is not None:
-        return Session(entry=get_pde(args.pde))
+        return get_pde(args.pde)
     dep = Dependent(args.dependent, "matrix" if args.matrix else "scalar",
                     args.invertible)
-    problem = Problem(coords=args.coords.split(","), dependent=dep,
-                      constants=[s for s in args.constants.split(",") if s],
-                      matrices=[(s, False) for s in args.matrices.split(",") if s],
-                      base_functions=[(s, dep.kind == "matrix")
-                                      for s in args.basefuncs.split(",") if s])
+    problem = Problem(coords=_names("--coords", args.coords), dependent=dep,
+                      constants=_names("--constants", args.constants),
+                      matrices=[(s, False)
+                                for s in _names("--matrices", args.matrices)],
+                      base_functions=[(s, dep.kind == "matrix") for s in
+                                      _names("--basefuncs", args.basefuncs)])
     pde = None
     if args.f:
         if not args.solved:
@@ -82,22 +93,22 @@ def _session(args) -> Session:
             raise UsageError('--solved needs "lead = rhs"')
         pde = make_pde("custom", parse_expr(args.f, problem),
                        *(parse_expr(s, problem) for s in sides), problem)
-    return Session(problem=problem, pde=pde)
+    return CatalogEntry("custom", "", problem, pde, ())
 
 
-def cmd_parse(args, sess: Session):
+def cmd_parse(args, entry: CatalogEntry):
     """Parse an expression and print its normal form."""
-    p = sess.problem
+    p = entry.problem
     n = nf(parse_expr(args.expression, p))
     _emit(args, lambda: [pretty_nf(n, p)],
           inputs={"expression": args.expression},
           values={"normal_form": render_nf(n, p)})
 
 
-def cmd_check(args, sess: Session):
+def cmd_check(args, entry: CatalogEntry):
     """Check the symmetry condition D_Q F = 0 mod F."""
-    pde, p = sess.pde, sess.problem
-    report = check_symmetry(pde, sess.question(args.q, args.phi), p,
+    pde, p = entry.pde, entry.problem
+    report = check_symmetry(pde, question(entry, args.q, args.phi), p,
                             search_certificate=args.find)
     cert = (render_operator(report.certificate, p)
             if report.certificate is not None else None)
@@ -111,10 +122,10 @@ def cmd_check(args, sess: Session):
     return 0 if report.is_symmetry else 1
 
 
-def cmd_certify(args, sess: Session):
+def cmd_certify(args, entry: CatalogEntry):
     """Verify D_Q F = L-hat F identically."""
-    pde, p = sess.pde, sess.problem
-    ok = certify_operator(pde, sess.question(args.q, args.phi),
+    pde, p = entry.pde, entry.problem
+    ok = certify_operator(pde, question(entry, args.q, args.phi),
                           parse_operator(args.lhat, p), p)
     _emit(args, lambda: [f"certified: {ok}"],
           inputs={"pde": pde.name, "q": args.q, "phi": args.phi, "lhat": args.lhat},
@@ -123,27 +134,25 @@ def cmd_certify(args, sess: Session):
     return 0 if ok else 1
 
 
-def cmd_bracket(args, sess: Session):
+def cmd_bracket(args, entry: CatalogEntry):
     """Lie bracket of two characteristics."""
-    p = sess.problem
-    br = bracket_nf(sess.characteristic(args.q1, "Q1"),
-                    sess.characteristic(args.q2, "Q2"), p)
+    p = entry.problem
+    br = bracket_nf(characteristic(entry, args.q1, "Q1"),
+                    characteristic(entry, args.q2, "Q2"), p)
     _emit(args, lambda: [pretty_nf(br, p)], inputs={"q1": args.q1, "q2": args.q2},
           values={"bracket": render_nf(br, p)})
 
 
-def cmd_structconsts(args, sess: Session):
+def cmd_structconsts(args, entry: CatalogEntry):
     """Structure constants of a symmetry basis."""
-    pde, p = sess.pde, sess.problem
+    pde, p = entry.pde, entry.problem
     if args.basis is None:
-        if sess.entry is None or not sess.entry.structure_basis:
+        if not entry.structure_basis:
             raise UsageError("--basis required for this PDE")
-        names = list(sess.entry.structure_basis)
+        names = list(entry.structure_basis)
     else:
-        names = [s.strip() for s in args.basis.split(",")]
-        if not all(names):
-            raise UsageError("an entry of --basis is empty")
-    qs = [sess.characteristic(n, n) for n in names]
+        names = _names("--basis", args.basis)
+    qs = [characteristic(entry, n, n) for n in names]
     sc = structure_constants(pde, qs, p)
     entries = {f"c[{qs[i].name},{qs[j].name}]^{qs[k].name}": str(v)
                for (i, j, k), v in sc.c.items()}
@@ -153,18 +162,18 @@ def cmd_structconsts(args, sess: Session):
           values={"nonzero": entries})
 
 
-def cmd_reduce(args, sess: Session):
+def cmd_reduce(args, entry: CatalogEntry):
     """Reduce an expression mod the PDE's solved form."""
-    pde, p = sess.pde, sess.problem
+    pde, p = entry.pde, entry.problem
     out = reduce_nf(nf(parse_expr(args.expression, p)), pde, p)
     _emit(args, lambda: [pretty_nf(out, p)],
           inputs={"pde": pde.name, "expression": args.expression},
           remainder=render_nf(out, p))
 
 
-def cmd_bt_apply(args, sess: Session):
+def cmd_bt_apply(args, entry: CatalogEntry):
     """Integrate the chiral Backlund transformation for a new symmetry."""
-    pde, p = sess.pde, sess.problem
+    pde, p = entry.pde, entry.problem
     phi_e = parse_expr(args.phi, p)
     out = bt_apply(phi_e, pde, p)
     if out is None:  # an image certifies its seed: check only without one
@@ -203,7 +212,7 @@ def cmd_list(args, _):
         for name, e in cat.items():
             yield f"{name}: {e.doc}"
             for c in e.characteristics:
-                yield (f"  {c.name}: Q = {render(c.q.q, e.problem)}" +
+                yield (f"  {c.name}: Q = {render(c.q, e.problem)}" +
                        (f"  ({c.doc})" if c.doc else ""))
 
     _emit(args, lines, values=values)
@@ -261,7 +270,7 @@ GLOBAL_OPTIONS = {
 }
 PHI = {"help": "Phi-form seed: Q = g*Phi, for an invertible matrix g"}
 # name -> (handler, what it needs, its options); a handler takes the parsed
-# arguments and the Session that main resolves for it, None for NOTHING
+# arguments and the entry that main resolves for it, None for NOTHING
 COMMANDS = {
     "parse": (cmd_parse, PROBLEM, {"expression": {}}),
     "check": (cmd_check, PDE, {
@@ -311,7 +320,7 @@ def main(argv: list[str], namespace: argparse.Namespace | None = None) -> int:
     """Run one command line (no program name) and return its exit status.
     An option the line does not give keeps its value in `namespace`, when
     given (`cmd_batch` passes a copy of its own), else takes its default.
-    The command's Session, and for a PDE command its PDE, is resolved
+    The command's entry, and for a PDE command its PDE, is resolved
     here, once, before the handler runs.  Raises UsageError or another
     JetsymError on error, never SystemExit."""
     # glue each value to its option, --q=-3*u_x: alone, -3*u_x reads as an
@@ -327,10 +336,10 @@ def main(argv: list[str], namespace: argparse.Namespace | None = None) -> int:
     except SystemExit as exc:  # only --help exits, once it has printed
         return exc.code
     handler, needs, _ = COMMANDS[args.command]
-    sess = None if needs == NOTHING else _session(args)
-    if needs == PDE and sess.pde is None:
+    entry = None if needs == NOTHING else _session(args)
+    if needs == PDE and entry.pde is None:
         raise UsageError("this command needs --pde or --f/--solved")
-    return handler(args, sess) or 0
+    return handler(args, entry) or 0
 
 
 main.main = lambda args, **_: main(args)  # click's call, kept for perfbench/client.py

@@ -195,7 +195,11 @@ class Parser:
                 raise ParseError("D takes an expression and a coordinate name",
                                  pos)
             from .calculus import total_derivative
-            coord = self.problem.coordinate(args[1][1])
+            _, word, at = args[1]
+            try:
+                coord = self.problem.coordinate(word)
+            except DeclarationError as exc:  # at the coordinate, not the D
+                raise ParseError(str(exc), at) from exc
             return total_derivative(args[0], coord, self.problem)
         if len(args) != 1:
             raise ParseError(f"{name} takes one argument", pos)

@@ -504,18 +504,18 @@ def validate_entry(entry: CatalogEntry, fixtures: Fixtures | None = None
     problem, pde = entry.problem, entry.pde
     certified = 0
     for c in entry.characteristics:
-        report = check_symmetry(pde, c.q, problem)
+        report = check_symmetry(pde, c, problem)
         if not report.is_symmetry:
             raise AssertionError(f"{entry.name}/{c.name}: not a symmetry")
         certificate = fx.certificates.get(c.name)
         if certificate is not None:
-            if not certify_operator(pde, c.q, certificate, problem):
+            if not certify_operator(pde, c, certificate, problem):
                 raise AssertionError(
                     f"{entry.name}/{c.name}: certificate does not certify")
             certified += 1
     claims = 0
     if entry.structure_basis:
-        basis = [entry.characteristic(n).q for n in entry.structure_basis]
+        basis = [entry.characteristic(n) for n in entry.structure_basis]
         sc = structure_constants(pde, basis, problem)
         index = {n: k for k, n in enumerate(entry.structure_basis)}
         for ni, nj, coefficients in fx.structure_claims:

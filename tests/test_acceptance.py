@@ -128,7 +128,7 @@ def test_criterion_3_wave_derived_certificate():
 def test_criterion_4_structure_constants():
     with criterion(4, "structure constants exact for kdv and chiral"):
         kdv = get_pde("kdv")
-        basis = [kdv.characteristic(n).q for n in kdv.structure_basis]
+        basis = [kdv.characteristic(n) for n in kdv.structure_basis]
         sc = structure_constants(kdv.pde, basis, kdv.problem)
         n = len(basis)
         assert all(sc[0, 1, k] == 0 for k in range(n))
@@ -136,7 +136,7 @@ def test_criterion_4_structure_constants():
         assert all(sc[1, 2, k] == 0 for k in range(1, n))
 
         ch = get_pde("chiral")
-        basis = [ch.characteristic(n).q for n in ch.structure_basis]
+        basis = [ch.characteristic(n) for n in ch.structure_basis]
         sc = structure_constants(ch.pde, basis, ch.problem)
         n = len(basis)
         assert all(sc[0, 1, k] == 0 for k in range(n))

@@ -111,6 +111,18 @@ def test_declare_potential_missing_coordinate():
         declare_potential(pdef, pde, p)
 
 
+@pytest.mark.parametrize("problem, call, message", [
+    (Problem(coords=["x", "t", "y"], dependent=Dependent("g", "matrix", True)),
+     lambda p: bt_rhs(p.jet("x"), p),
+     "the Backlund machinery expects two coordinates"),
+    (Problem(), lambda p: left_current(p, p.coordinate("x")),
+     "left current needs an invertible matrix dependent"),
+], ids=["three-coordinates", "scalar-dependent"])
+def test_the_backlund_system_needs_the_chiral_setting(problem, call, message):
+    with pytest.raises(JetsymError, match=f"^{message}$"):
+        call(problem)
+
+
 def test_unregistered_char_image_raises(ch):
     from jetsym import char_derivative
     p = ch.problem

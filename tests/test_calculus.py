@@ -119,8 +119,8 @@ def test_unregistered_potential_action_errors():
     potential X raises under every catalog characteristic and any other."""
     entry = get_pde("chiral")
     p = entry.problem
-    for Q in [c.q for c in entry.characteristics] + [
-            Characteristic("q1", p.jet("x"), p.dependent)]:
+    for Q in [*entry.characteristics,
+              Characteristic("q1", p.jet("x"), p.dependent)]:
         with pytest.raises(NonlocalActionError):
             char_derivative(p.declared("X"), Q, p)
 
@@ -181,6 +181,17 @@ def test_prolongation_kdv_shape(sp):
     Q = Q_of(sp, sp.jet("x"))
     e = sp.jet("t") + sp.u * sp.jet("x") + sp.jet("xxx")
     assert reference_prolongation(e, Q, sp) == char_derivative(e, Q, sp)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: char_derivative(SP.jet("x"), Q_of(MP, MP.jet("x")), SP),
+     "characteristic declared for a different dependent"),
+    (lambda: bracket_characteristic(Q_of(SP, SP.u), Q_of(MP, MP.u), SP),
+     "bracket of characteristics over different dependents"),
+], ids=["char-derivative", "bracket"])
+def test_a_characteristic_of_another_dependent_is_a_kind_error(call, message):
+    with pytest.raises(KindError, match=f"^{message}$"):
+        call()
 
 
 def test_prolongation_rejects_matrix(mp):
@@ -251,7 +262,7 @@ def test_a_warm_char_nf_leaves_no_reference_cycle(name):
     refers to itself, so each is freed when its call returns."""
     entry = get_pde(name)
     p, f = entry.problem, nf(entry.pde.f)
-    qs = [c.q for c in entry.characteristics]
+    qs = list(entry.characteristics)
     for q in qs:
         char_nf(f, q, p)
     enabled = gc.isenabled()

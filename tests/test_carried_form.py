@@ -117,7 +117,7 @@ def test_no_entry_point_changes_a_form_it_is_given():
     carries is the same, in the same order, afterwards."""
     kdv = get_pde("kdv")
     p, pde = kdv.problem, kdv.pde
-    basis = [Characteristic(c.name, rebuild(nf(c.q.q)), p.dependent)
+    basis = [Characteristic(c.name, rebuild(nf(c.q)), p.dependent)
              for c in kdv.characteristics if c.name in kdv.structure_basis]
     Q = basis[-1]
     cond = char_derivative(pde.f, Q, p)
@@ -170,7 +170,7 @@ def _questions(name: str) -> list[Characteristic]:
     entry = get_pde(name)
     p = entry.problem
     extra = parse_expr("u*u" if p.dependent.kind == "scalar" else "g*g", p)
-    qs = [c.q for c in entry.characteristics]
+    qs = list(entry.characteristics)
     return qs + [Characteristic(q.name + "+", add(q.q, extra), q.dependent)
                  for q in qs]
 

@@ -13,7 +13,7 @@ from jetsym import Characteristic, Verdict, check_symmetry
 from jetsym.catalog import CATALOG_NAMES, _load_raw, get_pde, load_catalog
 from jetsym.parsing import parse_expr, parse_operator
 from jetsym.printing import render
-from jetsym.core import JetsymError
+from jetsym.core import DeclarationError, JetsymError
 
 from helpers import catalog_fixtures, validate_entry
 
@@ -82,12 +82,12 @@ def test_a_failed_bt_fixture_names_its_seed_as_it_is_written():
 
 
 def _kdv_characteristic(name, make):
-    """kdv with the Q of its characteristic `name` replaced by make(problem),
-    and the data file's fixtures."""
+    """kdv with its characteristic `name` replaced by make(problem), and
+    the data file's fixtures."""
     kdv = get_pde("kdv")
     q = make(kdv.problem)
     return dataclasses.replace(kdv, characteristics=tuple(
-        dataclasses.replace(c, q=q) if c.name == name else c
+        q if c.name == name else c
         for c in kdv.characteristics)), catalog_fixtures(kdv)
 
 
@@ -137,6 +137,12 @@ def test_get_pde_unknown():
             get_pde("laplace")
 
 
+def test_an_unknown_characteristic_name_raises():
+    with pytest.raises(DeclarationError,
+                       match="^kdv: no characteristic 'nope'$"):
+        get_pde("kdv").characteristic("nope")
+
+
 def test_get_pde_is_cached():
     assert get_pde("heat") is get_pde("heat")
 
@@ -178,7 +184,7 @@ def test_chiral_characteristics_wrap_phi():
     phis = catalog_fixtures(ch).phis
     for c in ch.characteristics:
         assert c.name in phis
-        assert is_zero(normal_form(c.q.q) - normal_form(p.u * phis[c.name]))
+        assert is_zero(normal_form(c.q) - normal_form(p.u * phis[c.name]))
 
 
 def test_scalar_entries_have_no_phi():

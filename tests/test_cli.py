@@ -289,12 +289,24 @@ def test_custom_pde():
 
 
 @pytest.mark.parametrize("flags", [("--constants", "c_1"),
-                                   ("--coords", "x,,t"),
+                                   ("--coords", "x,1t"),
                                    ("--dependent", "1u")])
 def test_a_name_the_parser_cannot_read_exits_two(flags):
     r = invoke(*flags, "parse", "x")
     assert r.code == 2
     assert "is not a letter followed by letters and digits" in r.stderr
+
+
+def test_list_options_strip_entries_and_may_be_empty():
+    """Spaces around an entry are dropped, as --basis drops them, and an
+    empty --constants, --matrices or --basefuncs declares no names."""
+    r = invoke("--json", "--coords", "x, t", "--constants", " k ", "parse",
+               "k*u_t")
+    assert (r.code, json.loads(r.stdout)["values"]["normal_form"]) == (
+        0, "k*u_t")
+    r = invoke("--constants", "", "--matrices", "", "--basefuncs", "",
+               "parse", "u_x")
+    assert (r.code, r.stdout) == (0, "u_x\n")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -318,10 +330,21 @@ def test_a_name_the_parser_cannot_read_exits_two(flags):
      "an entry of --basis is empty"),
     (["--pde", "kdv", "structconsts", "--basis", "q1,,q2"],
      "an entry of --basis is empty"),
+    (["--coords", "x,,t", "parse", "x"], "an entry of --coords is empty"),
+    (["--coords", "", "parse", "x"], "an entry of --coords is empty"),
+    (["--coords", "x, ", "parse", "x"], "an entry of --coords is empty"),
+    (["--constants", "c,,d", "parse", "x"],
+     "an entry of --constants is empty"),
+    (["--constants", " ", "parse", "x"], "an entry of --constants is empty"),
+    (["--matrices", "M,", "parse", "x"], "an entry of --matrices is empty"),
+    (["--basefuncs", ",f", "parse", "x"], "an entry of --basefuncs is empty"),
 ], ids=["f-without-solved", "non-jet-lead", "reduce-without-pde",
         "structconsts-without-basis", "solved-without-equals",
         "solved-without-lead", "solved-with-two-equals", "empty-basis",
-        "basis-with-an-empty-entry"])
+        "basis-with-an-empty-entry", "coords-with-an-empty-entry",
+        "empty-coords", "coords-with-a-blank-entry",
+        "constants-with-an-empty-entry", "blank-constants",
+        "matrices-with-an-empty-entry", "basefuncs-with-an-empty-entry"])
 def test_a_command_line_without_a_usable_pde_exits_two(args, message):
     r = invoke(*args)
     assert (r.code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")

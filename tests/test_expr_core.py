@@ -69,6 +69,21 @@ def test_inverse_validation(sp, mp):
         inverse(sp.u + sp.jet("x"))  # never a sum
 
 
+def test_an_unknown_dependent_kind_is_refused():
+    with pytest.raises(DeclarationError,
+                       match="^unknown dependent kind 'tensor'$"):
+        Dependent("u", "tensor")
+
+
+def test_a_number_left_of_plus_or_minus_builds_the_same_sum(sp):
+    """1 + u and 1 - u keep the number first, as Rat(1) + u and
+    Rat(1) - u do."""
+    u = sp.u
+    assert 1 + u == Rat(1) + u
+    assert 1 - u == Rat(1) - u
+    assert (render(1 + u, sp), render(1 - u, sp)) == ("1 + u", "1 - u")
+
+
 def test_non_invertible_dependent():
     p = Problem(coords=["x", "t"], dependent=Dependent("v"))
     with pytest.raises(InversionError):

@@ -113,6 +113,12 @@ def test_substitute_heat(sp):
     assert substitute(ut * ut, ut, uxx) == normal_form(uxx * uxx)
 
 
+def test_substitute_refuses_a_target_that_is_not_a_jet(sp):
+    with pytest.raises(TypeError,
+                       match="^substitution target must be a jet coordinate$"):
+        substitute(sp.u, sp.coordinate("x"), sp.jet("x"))
+
+
 def test_substitute_chiral_solved_form():
     from jetsym.catalog import get_pde
     entry = get_pde("chiral")
@@ -498,7 +504,7 @@ def test_distinct_atoms_of_a_catalog_problem_have_distinct_keys(name):
             atoms.add(Jet(p.dependent, idx))
     forms = [nf(pde.f), nf(pde.rhs)]
     for c in entry.characteristics:
-        raw = char_nf(nf(pde.f), c.q, p)
+        raw = char_nf(nf(pde.f), c, p)
         forms += [raw, reduce_nf(raw, pde, p)]
     for n in forms:
         for cmono, word in n:

@@ -136,8 +136,9 @@ def test_zero_denominator_and_wrong_arity(mp, text, message):
 
 
 # messages and positions the lexer and parser give on bad characters, on
-# runs of tab, newline and non-breaking-space whitespace, and on input
-# that ends mid-expression; parse_expr and parse_operator give the same
+# runs of tab, newline and non-breaking-space whitespace, on input that
+# ends mid-expression and on D(...) of an unknown coordinate, which is
+# placed at the coordinate; parse_expr and parse_operator give the same
 LEXER_ERRORS = [
     ("u $ u_x", "unexpected character '$'", 2),
     ("$", "unexpected character '$'", 0),
@@ -161,6 +162,7 @@ LEXER_ERRORS = [
     ("3/\n0", "zero denominator", 3),
     ("u_x u", "trailing input 'u'", 4),
     ("u_x\n)", "trailing input ')'", 4),
+    ("u + D(u_x, y)", "unknown coordinate 'y'", 11),
 ]
 
 

@@ -91,9 +91,8 @@ def test_characteristic_conditions_match_reference(name):
     p, pde = entry.problem, entry.pde
     raws, phis = [], catalog_fixtures(entry).phis
     for c in entry.characteristics:
-        raws.append(char_derivative(pde.f, c.q, p))
-        perturbed = Characteristic(c.name, add(c.q.q, p.jet("xx")),
-                                   c.q.dependent)
+        raws.append(char_derivative(pde.f, c, p))
+        perturbed = Characteristic(c.name, add(c.q, p.jet("xx")), c.dependent)
         raws.append(char_derivative(pde.f, perturbed, p))
         if c.name in phis:
             raws.append(chiral_phi_condition(phis[c.name], pde, p))

@@ -275,10 +275,10 @@ def test_certificate_search_of_check_symmetry(name):
     entry = get_pde(name)
     pde, p = entry.pde, entry.problem
     for c in entry.characteristics:
-        report = check_symmetry(pde, c.q, p, search_certificate=True)
+        report = check_symmetry(pde, c, p, search_certificate=True)
         if not report.is_symmetry:
             continue
-        assert report.certificate == find_operator(pde, c.q, p), c.name
+        assert report.certificate == find_operator(pde, c, p), c.name
         assert report.certificate == find_operator(pde, None, p,
                                                    lhs=report.raw), c.name
 
@@ -290,7 +290,7 @@ def test_find_operator_none_for_nonsymmetry():
 def test_chiral_constant_conjugation_certificate():
     ch = get_pde("chiral")
     cc = ch.characteristic("phi4")
-    assert certify_operator(ch.pde, cc.q,
+    assert certify_operator(ch.pde, cc,
                             catalog_fixtures(ch).certificates["phi4"],
                             ch.problem)
 
@@ -395,7 +395,7 @@ def test_certificate_does_not_depend_on_call_history(name):
     cfg = AnsatzConfig(*bounds)
     entry = get_pde.__wrapped__(name)
     p, pde = entry.problem, entry.pde
-    chars = [c.q for c in entry.characteristics]
+    chars = list(entry.characteristics)
 
     def certificates(pde, p):
         out = [find_operator(pde, q, p, cfg) for q in chars]

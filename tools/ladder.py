@@ -273,7 +273,7 @@ def find_ladder() -> list[dict]:
     out = []
     for name, (char, cfgs) in FIND_LADDER.items():
         entry = catalog.get_pde(name)
-        p, pde, q = entry.problem, entry.pde, entry.characteristic(char).q
+        p, pde, q = entry.problem, entry.pde, entry.characteristic(char)
         for bounds in cfgs:
             cfg = symmetry.AnsatzConfig(*bounds)
             cold = []
