@@ -48,13 +48,12 @@ only then, to tell a failed seed from an insufficient basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional
 
 from .core import (CMat, Coord, Expr, JetsymError, Jet, MATRIX, Pot,
                    PotentialDef, Problem, Rat, add, as_expr, commutator,
-                   inverse, mul)
+                   inverse, mul, quotient)
 from .calculus import (Characteristic, Image, char_derivative,
                        derive_cleared, derive_nf, total_images)
 from .linsolve import Echelon
@@ -86,18 +85,23 @@ def _xt(problem: Problem) -> tuple[Coord, Coord]:
     return problem.coordinates[0], problem.coordinates[1]
 
 
+def _needs_invertible_matrix(problem: Problem, what: str) -> None:
+    """Raise "<what> needs an invertible matrix dependent" unless the
+    problem's dependent is one."""
+    if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
+        raise JetsymError(f"{what} needs an invertible matrix dependent")
+
+
 def left_current(problem: Problem, coord: Coord) -> Expr:
     """inv(g) * g_i for the problem's invertible matrix dependent."""
-    if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
-        raise JetsymError("left current needs an invertible matrix dependent")
+    _needs_invertible_matrix(problem, "left current")
     return mul(inverse(problem.u), Jet(problem.dependent, (coord.index,)))
 
 
 def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
     """The characteristic Q = g*Phi of a Phi-form seed, normalized, for any
     invertible matrix dependent g: the one way a Phi-form becomes a Q."""
-    if problem.dependent.kind != MATRIX or not problem.dependent.invertible:
-        raise JetsymError("the Phi-form needs an invertible matrix dependent")
+    _needs_invertible_matrix(problem, "the Phi-form")
     return Characteristic("Q", normal_form(mul(problem.u, as_expr(phi))),
                           problem.dependent)
 
@@ -178,7 +182,7 @@ def _check_chiral(pde: Pde, problem: Problem) -> None:
                                   totals[c.index]))
     f = nf(pde.f)
     k = next(iter(chiral))
-    if k in f and f == _nf_scale(chiral, Fraction(f[k]) / chiral[k]):
+    if k in f and f == _nf_scale(chiral, quotient(f[k], chiral[k])):
         return
     g = problem.dependent.name
     c_x, c_t = (f"D_{c.name}(inv({g})*{g}_{c.name})" for c in (x, t))

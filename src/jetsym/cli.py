@@ -22,7 +22,8 @@ from .calculus import Characteristic, bracket_nf
 from .catalog import CATALOG_NAMES, CatalogEntry, get_pde, load_catalog
 from .normalize import nf
 from .parsing import parse_expr, parse_operator
-from .printing import pretty_nf, render, render_nf, render_operator
+from .printing import (pretty_nf, render, render_nf, render_number,
+                       render_operator)
 from .symmetry import (certify_operator, check_symmetry, make_pde,
                        reduce_nf, structure_constants)
 from .backlund import bt_apply, bt_seed_check, phi_characteristic
@@ -154,7 +155,7 @@ def cmd_structconsts(args, entry: CatalogEntry):
         names = _names("--basis", args.basis)
     qs = [characteristic(entry, n, n) for n in names]
     sc = structure_constants(pde, qs, p)
-    entries = {f"c[{qs[i].name},{qs[j].name}]^{qs[k].name}": str(v)
+    entries = {f"c[{qs[i].name},{qs[j].name}]^{qs[k].name}": render_number(v)
                for (i, j, k), v in sc.c.items()}
     lines = [f"basis: {', '.join(q.name for q in qs)}"]
     lines += [f"{k} = {v}" for k, v in sorted(entries.items())] or ["all zero"]

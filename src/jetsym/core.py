@@ -15,6 +15,12 @@ holds one entry per distinct atom built in the process, bounded by the
 declared names, the jet orders reached and the analytic-function arguments
 met (a whole verdict-stream benchmark run builds 48).  Rat, Add, Mul and
 Comm stay value nodes, compared and hashed by their fields.
+
+An atom is checked once, when it is built.  `Inv` holds only an atom that
+`invertible` accepts, the one statement of which atoms invert, and `Fn`
+only a known function of a scalar argument; each raises the error the
+parser reports otherwise.  `inverse` and `func` build them, and no later
+step checks an atom again.
 """
 from __future__ import annotations
 
@@ -26,6 +32,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 SCALAR = "scalar"
 MATRIX = "matrix"
+#: a rational: an int while it is integral, else a Fraction (`Rat`)
+Coeff = Union[int, Fraction]
 
 
 class JetsymError(Exception):
@@ -91,7 +99,7 @@ class Rat(Expr):
     """A rational constant.  Its value follows the coefficient rule of a
     normal form: an `int` while it is integral, a `Fraction` otherwise."""
 
-    value: Union[int, Fraction]
+    value: Coeff
 
     def __post_init__(self):
         v = self.value
@@ -100,6 +108,16 @@ class Rat(Expr):
                 raise TypeError(f"cannot interpret {v!r} as a rational")
             object.__setattr__(self, "value",
                                v.numerator if v.denominator == 1 else v)
+
+
+def quotient(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when the quotient is integral, never a float
+    (as int / int would give).  The one exact quotient of the engine."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b  # one side is a Fraction, so the quotient is one too
+    return q.numerator if q.denominator == 1 else q
 
 
 #: (atom class, field values) -> the one atom with those values
@@ -229,7 +247,20 @@ class Mul(Expr):
 
 @_atom
 class Inv(Atom):
-    base: Expr
+    base: Expr  # an atom that `invertible` accepts, checked when built
+
+    def __post_init__(self):
+        b = self.base
+        if invertible(b):
+            return
+        if isinstance(b, Jet):
+            what = "a derivative of" if b.idx else "dependent"
+            raise InversionError(f"{what} {b.dep.name} is not declared "
+                                 "invertible")
+        if isinstance(b, CMat):
+            raise InversionError(f"constant matrix {b.name} is not invertible")
+        raise InversionError("inverse is only defined for invertible atoms, "
+                             f"got {type(b).__name__}")
 
 
 @dataclass(frozen=True)
@@ -240,10 +271,17 @@ class Comm(Expr):
 
 @_atom
 class Fn(Atom):
-    """Analytic scalar function applied to a scalar argument."""
+    """A known analytic function (FUNC_DERIVATIVES) of a scalar argument."""
 
     fname: str
     arg: Expr
+
+    def __post_init__(self):
+        if self.fname not in FUNC_DERIVATIVES:
+            raise DeclarationError(f"unknown analytic function {self.fname!r}")
+        if not is_scalar(self.arg):
+            raise KindError(
+                f"{self.fname} applied to a matrix-valued argument")
 
 
 ZERO = Rat(0)
@@ -301,35 +339,27 @@ def commutator(a: Expr, b: Expr) -> Expr:
     return Comm(as_expr(a), as_expr(b))
 
 
+def invertible(a: Expr) -> bool:
+    """True for an atom that has an inverse: the dependent declared
+    invertible (order 0) or an invertible constant matrix."""
+    return (type(a) is Jet and not a.idx and a.dep.invertible) or (
+        type(a) is CMat and a.invertible)
+
+
 def inverse(e: Expr) -> Expr:
-    """Inverse of an invertible atom; rejects sums and general monomials."""
+    """Inverse of a rational, of an inverse, or (Inv) of an invertible atom."""
     e = as_expr(e)
     if isinstance(e, Rat):
         if e.value == 0:
             raise InversionError("cannot invert zero")
-        return Rat(Fraction(1) / e.value)
+        return Rat(quotient(1, e.value))
     if isinstance(e, Inv):
         return e.base
-    if isinstance(e, Jet):
-        if e.idx or not e.dep.invertible:
-            what = "a derivative of" if e.idx else "dependent"
-            raise InversionError(f"{what} {e.dep.name} is not declared "
-                                 "invertible")
-        return Inv(e)
-    if isinstance(e, CMat):
-        if not e.invertible:
-            raise InversionError(f"constant matrix {e.name} is not invertible")
-        return Inv(e)
-    raise InversionError(f"inverse is only defined for invertible atoms, got {type(e).__name__}")
+    return Inv(e)
 
 
 def func(fname: str, arg: Expr) -> Fn:
-    if fname not in FUNC_DERIVATIVES:
-        raise DeclarationError(f"unknown analytic function {fname!r}")
-    arg = as_expr(arg)
-    if not is_scalar(arg):
-        raise KindError(f"{fname} applied to a matrix-valued argument")
-    return Fn(fname, arg)
+    return Fn(fname, as_expr(arg))
 
 
 def is_commuting_atom(a: Expr) -> bool:
@@ -411,7 +441,7 @@ def _atom_key(e: Atom) -> tuple:
         return (6, e.name)
     if isinstance(e, Pot):
         return (7, e.name)
-    return expr_key(e.base) + (("inv",),)  # Inv
+    return e.base.key + (("inv",),)  # Inv
 
 
 @dataclass(frozen=True)

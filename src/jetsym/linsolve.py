@@ -22,7 +22,7 @@ primitive, as its keys are renumbered, and the pivots are primitive int
 vectors.  Only the factors that express a column in the pivots are
 rationals.  `Echelon.solve` reduces a target with the same loop against
 the stored pivots, which it does not change, so one echelon answers many
-targets, in any order.  Every quotient goes through `normalize.quotient`,
+targets, in any order.  Every quotient goes through `core.quotient`,
 the one exact quotient, which gives an int when the quotient is integral
 and a Fraction otherwise, never a float.  A solution has the shape of a
 column: `solve` returns {column index: coefficient} with the nonzero
@@ -34,7 +34,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Hashable, Optional
 
-from .normalize import Coeff, clear_denominators, nf_divide, quotient
+from .core import Coeff, quotient
+from .normalize import clear_denominators, nf_divide
 
 Column = dict[Hashable, Coeff]
 

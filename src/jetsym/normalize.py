@@ -8,7 +8,7 @@ and hashes as the int).  Fraction arithmetic costs many times int
 arithmetic, so a map linear over the rationals runs on ints:
 `clear_denominators`, the one clearing primitive, gives (d*n, d) with int
 coefficients, and a value is divided back once (`nf_divide`, by the one
-exact `quotient`) where a caller needs it over the rationals.  Then the
+exact `core.quotient`) where a caller needs it over the rationals.  Then the
 cost does not depend on whether the coefficients happen to be integral.
 The commuting monomial collects scalar-class atoms with integer
 exponents, sorted by their `key`; the word is the ordered tuple of
@@ -20,7 +20,10 @@ scalars, cancel adjacent w*inv(w) pairs, expand commutators, collect like
 terms, and evaluate sin, cos and exp at 0 (at any other constant they
 stay atoms, so no float enters).
 Commutators between scalar-class expressions therefore collapse to zero,
-and fully commuting words reorder into the canonical monomial.
+and fully commuting words reorder into the canonical monomial.  An
+inverse enters as its base's negative power when the base commutes, and
+as a word factor otherwise; `core.Inv` has checked the base when it was
+built, so no step here checks it again.
 
 The product kernel takes fast paths: an empty monomial or word is the
 other side as it is, a one-atom monomial goes into the other by key, and
@@ -49,17 +52,15 @@ the reduction mod F (`symmetry.reduce_nf`) maps every principal jet.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, FUNC_AT_ZERO, Inv,
-                   InversionError, Jet, JetsymError, Mul, Pot, Rat, Sym, ZERO,
-                   inverse, is_commuting_atom, nodes)
+from .core import (Add, Base, CMat, Coeff, Comm, Coord, Expr, Fn,
+                   FUNC_AT_ZERO, Inv, Jet, JetsymError, Mul, Pot, Rat, Sym,
+                   ZERO, inverse, is_commuting_atom, nodes, quotient)
 
 # cmono: tuple[(atom, int exponent)] sorted by atom.key; word: tuple[factor]
 Key = tuple[tuple, tuple]
-Coeff = Union[int, Fraction]
 NF = dict[Key, Coeff]
 
 #: most terms a product may form, as the product of its factors' term counts
@@ -184,16 +185,6 @@ def clear_denominators(n: NF) -> tuple[NF, int]:
             for k, v in n.items()}, d
 
 
-def quotient(a: Coeff, b: Coeff) -> Coeff:
-    """a / b exactly: an int when the quotient is integral, never a float
-    (as int / int would give)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b  # one side is a Fraction, so the quotient is one too
-    return q.numerator if q.denominator == 1 else q
-
-
 def nf_divide(n: NF, d: int) -> NF:
     """n / d, coefficient by coefficient (`quotient`)."""
     return n if d == 1 else {k: quotient(v, d) for k, v in n.items()}
@@ -234,16 +225,9 @@ def nf(e: Expr) -> NF:
             else:
                 out = _nf_mul(out, nf(f))
         return out if c == 1 else _nf_scale(out, c)
-    if isinstance(e, Inv):
-        base = e.base
-        if isinstance(base, Rat):
-            return nf(inverse(base))
-        if is_commuting_atom(base):
-            if not (isinstance(base, Jet) and not base.idx
-                    and base.dep.invertible):
-                raise InversionError(
-                    f"scalar inverse only for the declared-nonzero dependent")
-            return _atom_nf(base, -1)
+    if isinstance(e, Inv):  # its base is an invertible atom (`Inv`)
+        if is_commuting_atom(e.base):
+            return _atom_nf(e.base, -1)
         return _atom_nf(e)  # matrix atom inverse: opaque word factor
     if isinstance(e, Comm):
         lhs, rhs = nf(e.lhs), nf(e.rhs)
@@ -264,10 +248,9 @@ def map_nf(n: NF, values: Callable[[Jet], Optional[NF]]) -> NF:
     def image(f: Expr) -> Optional[NF]:
         if f not in images:
             im = values(f) if type(f) is Jet else None
-            if type(f) is Inv:
-                base = nf(f.base)
-                im = map_nf(base, values)
-                im = None if im == base else nf(inverse(rebuild(im)))
+            if type(f) is Inv:  # its base is an atom
+                im = values(f.base) if type(f.base) is Jet else None
+                im = None if im is None else nf(inverse(rebuild(im)))
             elif type(f) is Fn:  # nf folds a function at 0
                 arg = nf(f.arg)
                 im = map_nf(arg, values)

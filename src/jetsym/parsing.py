@@ -19,15 +19,18 @@ parse error.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .core import (Coord, DeclarationError, Expr, FUNC_DERIVATIVES,
                    JetsymError, ONE, Problem, Rat, add, commutator, func,
                    inverse, mul)
+from .calculus import total_derivative
+from .symmetry import LinearOperatorAnsatz
 
 # one alternative per token kind; whitespace is skipped, and any other
 # character is an error
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<op>[+\-*/(),])|(?P<space>\s+)|(?P<bad>.)", re.S)
 
 _BUILTINS = ("inv", "comm", "D") + tuple(FUNC_DERIVATIVES)
@@ -63,6 +66,17 @@ def _lex(text: str) -> list[_Token]:
         toks.append((word if kind == "op" else kind, word, m.start()))
     toks.append(("end", "", len(text)))
     return toks
+
+
+def _integer(digits: str, pos: int) -> int:
+    """The int that a NUMBER token spells; one longer than Python's limit
+    on int-from-text conversion is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:  # over sys.get_int_max_str_digits(), Python 3.11+
+        raise ParseError("number longer than Python's int conversion limit "
+                         f"of {sys.get_int_max_str_digits()} digits",
+                         pos) from None
 
 
 class Parser:
@@ -142,16 +156,17 @@ class Parser:
             raise ParseError(f"unexpected {what}", pos)
         tok = self._advance()
         if kind == "num":
+            num = _integer(word, pos)
             if self.kind != "/":
-                return Rat(int(word))
+                return Rat(num)
             self._advance()
             if self.kind != "num":
                 raise ParseError("expected integer denominator", self.pos)
-            den = int(self.word)
+            den = _integer(self.word, self.pos)
             if den == 0:
                 raise ParseError("zero denominator", self.pos)
             self._advance()
-            return Rat(Fraction(int(word), den))
+            return Rat(Fraction(num, den))
         if kind == "name":
             if self.kind == "(":
                 return self._call(tok)
@@ -194,7 +209,6 @@ class Parser:
             if len(args) != 2 or not isinstance(args[1], tuple):
                 raise ParseError("D takes an expression and a coordinate name",
                                  pos)
-            from .calculus import total_derivative
             _, word, at = args[1]
             try:
                 coord = self.problem.coordinate(word)
@@ -275,6 +289,4 @@ def parse_operator(text: str, problem: Problem):
     an optional F placeholder; factors after F multiply from the right.
     "0" denotes the zero operator.
     """
-    from .symmetry import LinearOperatorAnsatz
-
     return LinearOperatorAnsatz(tuple(_OperatorParser(text, problem).parse()))

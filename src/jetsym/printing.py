@@ -16,9 +16,23 @@ form.
 """
 from __future__ import annotations
 
-from .core import (Add, Base, CMat, Comm, Coord, Expr, Fn, Inv, Jet, Mul, Pot,
-                   Problem, Rat, Sym)
+import sys
+
+from .core import (Add, Base, CMat, Coeff, Comm, Coord, Expr, Fn, Inv, Jet,
+                   JetsymError, Mul, Pot, Problem, Rat, Sym)
 from .normalize import NF, _term_sort_key, nf
+
+
+def render_number(c: Coeff) -> str:
+    """The text of a rational: "n", or "n/d" for a Fraction.  The one place
+    a coefficient becomes text, so a number longer than Python's limit on
+    int-to-text conversion is a JetsymError, never a ValueError."""
+    try:
+        return str(c)
+    except ValueError:  # over sys.get_int_max_str_digits(), Python 3.11+
+        raise JetsymError("cannot print a number longer than Python's int "
+                          f"conversion limit of {sys.get_int_max_str_digits()}"
+                          " digits") from None
 
 
 def _coord_names(problem: Problem, idx) -> list[str]:
@@ -42,7 +56,7 @@ def _render_factor(e: Expr, p: Problem) -> str:
 
 def render(e: Expr, problem: Problem) -> str:
     if isinstance(e, Rat):
-        return str(e.value)  # an int, or a Fraction as "n/d"
+        return render_number(e.value)
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Coord):
@@ -110,17 +124,17 @@ def _term_texts(items, problem: Problem) -> list[str]:
         if type(c) is not int and c.denominator == 1:
             c = c.numerator
         if not factors:
-            parts.append(str(c))
+            parts.append(render_number(c))
             continue
         text = "*".join(factors)
         if type(c) is not int or c < -1:  # bracketed, as `render` does
-            parts.append(f"({c})*{text}")
+            parts.append(f"({render_number(c)})*{text}")
         elif c == 1:
             parts.append(text)
         elif c == -1:
             parts.append("-" + text)
         else:
-            parts.append(f"{c}*{text}")
+            parts.append(f"{render_number(c)}*{text}")
     return parts
 
 

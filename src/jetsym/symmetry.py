@@ -49,7 +49,7 @@ from typing import Callable, Optional
 from weakref import WeakKeyDictionary
 
 from .core import (CMat, Expr, Inv, Jet, JetsymError, MATRIX, ONE, Problem,
-                   Rat, as_expr, mul)
+                   Rat, as_expr, invertible, mul)
 from .calculus import (Characteristic, Image, bracket_nf, char_nf,
                        derivation, derive_nf, jet_totals, total_atoms)
 from .linsolve import Echelon
@@ -156,11 +156,11 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
     """F = 0 with its solved form leading = rhs.  Raises PdeError unless
     leading is a jet of the problem's dependent, a ranking puts every jet
     of rhs below it, and F = r*c*(leading - rhs) for a rational r and a
-    product c of invertible atoms (inverses, invertible constant matrices,
-    the dependent when declared invertible).  No ranking puts a principal
-    jet of rhs below the leading jet: its exponents are at least the
-    leading jet's, so no lex ranking settles it, and its order is higher
-    unless it is the leading jet itself.
+    product c of invertible atoms (inverses and the atoms that
+    `core.invertible` accepts).  No ranking puts a principal jet of rhs
+    below the leading jet: its exponents are at least the leading jet's,
+    so no lex ranking settles it, and its order is higher unless it is the
+    leading jet itself.
 
     Exactly one term of nf(F) holds the leading jet: r is its coefficient
     and c what stands to the left of the leading jet, with nothing to its
@@ -198,7 +198,8 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
             word = word[:word.index(leading)]
         else:
             cmono = _merge_cmono(cmono, ((leading, -1),))
-        if all(map(_invertible, [a for a, _ in cmono] + [*word])) and \
+        if all(type(a) is Inv or invertible(a)
+               for a in [*dict(cmono), *word]) and \
                 n == _nf_mul({(cmono, word): r}, _nf_add(
                     _nf_scale(nf(rhs), -1), nf(leading))):
             return Pde(name, rebuild(n), leading, normal_form(rhs))
@@ -206,13 +207,6 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
         f"F is not r*c*({render(leading, problem)} - ({render(rhs, problem)}))"
         " for a rational r and a product c of invertible atoms (a degenerate"
         " F, such as G*G, would make every Q a symmetry)")
-
-
-def _invertible(a: Expr) -> bool:
-    """True for an atom that `core.inverse` inverts: an inverse, an
-    invertible constant matrix or the dependent declared invertible."""
-    return type(a) is Inv or (type(a) is CMat and a.invertible) or (
-        type(a) is Jet and not a.idx and a.dep.invertible)
 
 
 def store(pde: Pde, problem: Problem) -> Store:

@@ -12,8 +12,9 @@ like terms; the order key computed by a walk
 over the tree, for the key each interned atom carries; a dense
 elimination in Fractions only, for `linsolve`; the fixtures the catalog's
 data file holds beside each equation, and the check that re-derives them
-through the engine; and an in-process run of the command line, for the CLI
-tests."""
+through the engine; an in-process run of the command line, for the CLI
+tests; and Python's limit on the digits of an int read from or printed as
+text."""
 from __future__ import annotations
 
 import io
@@ -25,6 +26,8 @@ from functools import reduce
 from math import prod
 from random import Random
 from typing import NamedTuple
+
+import pytest
 
 from jetsym import (Characteristic, Dependent, Problem, Rat, Sym, add,
                     as_expr, catalog, commutator, func, inverse, is_zero,
@@ -42,6 +45,13 @@ from jetsym.parsing import parse_expr, parse_operator
 from jetsym.printing import render
 from jetsym.symmetry import (LinearOperatorAnsatz, certify_operator,
                              check_symmetry, reduce_nf, structure_constants)
+
+#: Python's limit on the digits of an int converted from or to text
+#: (`sys.get_int_max_str_digits`, from Python 3.11); 0 where there is none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+#: marks a case that needs that limit
+NEEDS_INT_DIGITS = pytest.mark.skipif(not INT_DIGITS,
+                                      reason="no int conversion limit")
 
 
 def scalar_problem() -> Problem:

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from jetsym.catalog import CATALOG_NAMES
 from jetsym.cli import UsageError, main
 from jetsym.symmetry import BasisError
 
-from helpers import invoke
+from helpers import INT_DIGITS, NEEDS_INT_DIGITS, invoke
 
 
 # --- check ----------------------------------------------------------------
@@ -372,10 +373,15 @@ def test_batch(tmp_path):
 def test_batch_line_errors_do_not_stop_the_batch(tmp_path):
     script = tmp_path / "cmds.txt"
     script.write_text('check --q "u_x +"\n'
+                      f'parse "{HALF}*{HALF}*u"\n'  # too long to print
+                      f'parse "{"9" * (INT_DIGITS + 1)}"\n'  # or to read
                       "check --q u_x\n")
     r = invoke("--pde", "heat", "batch", str(script))
     assert r.code == 1
     assert "error: line 1:" in r.stderr
+    if INT_DIGITS:
+        assert "error: line 2: cannot print a number longer" in r.stderr
+        assert "error: line 3: number longer" in r.stderr
     assert "verdict: Symmetry" in r.stdout
 
 
@@ -514,19 +520,38 @@ def test_binomial_product_exits_two_at_the_term_budget(monkeypatch, capsys):
                        f"exceeds the budget of {normalize.MAX_TERMS} terms\n")
 
 
-@pytest.mark.parametrize("command", [["parse", nested_commutators(6)],
-                                     ["reduce", nested_commutators(6)],
-                                     ["check", "--phi", nested_commutators(6)],
-                                     ["parse", binomial_product(13)]],
-                         ids=["parse", "reduce", "check", "product"])
+BUDGET = r"a product of \d+ by \d+ terms exceeds the budget of 4096 terms"
+LIMIT = re.escape(f"Python's int conversion limit of {INT_DIGITS} digits")
+#: a number that parses, and whose square has too many digits to print
+HALF = "9" * (INT_DIGITS // 2 + 1)
+
+
+@pytest.mark.parametrize("command, message", [
+    pytest.param(["parse", nested_commutators(6)], BUDGET, id="parse"),
+    pytest.param(["reduce", nested_commutators(6)], BUDGET, id="reduce"),
+    pytest.param(["check", "--phi", nested_commutators(6)], BUDGET,
+                 id="check"),
+    pytest.param(["parse", binomial_product(13)], BUDGET, id="product"),
+    *(pytest.param(command, message, id=name, marks=NEEDS_INT_DIGITS)
+      for name, command, message in [
+          ("long-number", ["parse", "9" * (INT_DIGITS + 1)],
+           rf"number longer than {LIMIT} \(at position 0\)"),
+          ("long-denominator", ["reduce", "1/" + "7" * (INT_DIGITS + 1)],
+           rf"number longer than {LIMIT} \(at position 2\)"),
+          ("long-product", ["parse", f"{HALF}*{HALF}*g"],
+           f"cannot print a number longer than {LIMIT}"),
+          ("long-product-json", ["--json", "parse", f"{HALF}*{HALF}*g"],
+           f"cannot print a number longer than {LIMIT}")]),
+])
 def test_blowups_exit_two_with_a_readable_message(monkeypatch, capsys,
-                                                  command):
+                                                  command, message):
+    """A product over the term budget, and a number too long for Python to
+    read or print, exit 2 with a message that names the limit."""
     # a small budget keeps this quick; the test above uses the real one
     monkeypatch.setattr(normalize, "MAX_TERMS", 4096)
     status, out = run_cli(monkeypatch, capsys, "--pde", "chiral", *command)
-    assert status == 2
-    assert out.err.startswith("error: a product of ")
-    assert out.err.endswith(" terms exceeds the budget of 4096 terms\n")
+    assert (status, out.out) == (2, "")
+    assert re.fullmatch(f"error: {message}\n", out.err)
 
 
 def test_batch_blowup_line_fails_on_its_own(tmp_path, monkeypatch):

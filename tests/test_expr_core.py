@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
@@ -59,14 +60,25 @@ def test_nodes_are_immutable(sp):
 
 
 def test_inverse_validation(sp, mp):
+    """Inv refuses what inverse refuses, with the same message, when it is
+    built; inverse of an inverse is its base, but Inv of one is refused."""
     assert inverse(inverse(mp.u)) == mp.u
-    with pytest.raises(InversionError):
-        inverse(mp.jet("x"))  # only the zero-order jet is invertible
-    with pytest.raises(InversionError):
-        inverse(mp.declared("A"))  # not declared invertible
+    assert inverse(Inv(mp.u)) is mp.u
     inverse(mp.declared("B"))
-    with pytest.raises(InversionError):
-        inverse(sp.u + sp.jet("x"))  # never a sum
+    v = Problem(coords=["x", "t"], dependent=Dependent("v")).u
+    for x, message in (
+            (mp.jet("x"), "a derivative of u is not declared invertible"),
+            (mp.declared("A"), "constant matrix A is not invertible"),
+            (sp.u + sp.jet("x"),  # never a sum
+             "inverse is only defined for invertible atoms, got Add"),
+            (v, "dependent v is not declared invertible")):
+        for build in (inverse, Inv):
+            with pytest.raises(InversionError,
+                               match=f"^{re.escape(message)}$"):
+                build(x)
+    with pytest.raises(InversionError, match="^inverse is only defined for "
+                                             "invertible atoms, got Inv$"):
+        Inv(Inv(mp.u))
 
 
 def test_an_unknown_dependent_kind_is_refused():
@@ -91,11 +103,16 @@ def test_non_invertible_dependent():
 
 
 def test_func_requires_scalar_argument(sp, mp):
+    """Fn refuses what func refuses, when it is built: so no sin(u) of a
+    matrix u stands in a product as a commuting factor."""
     func("sin", sp.u)
-    with pytest.raises(KindError):
-        func("sin", mp.u)
-    with pytest.raises(DeclarationError):
-        func("tan", sp.u)
+    for build in (func, Fn):
+        with pytest.raises(KindError, match="^sin applied to a "
+                                            "matrix-valued argument$"):
+            build("sin", mp.u)
+        with pytest.raises(DeclarationError,
+                           match="^unknown analytic function 'tan'$"):
+            build("tan", sp.u)
 
 
 def test_duplicate_declarations_rejected():
@@ -267,15 +284,18 @@ def test_a_rat_value_is_an_int_while_integral(value, kind):
 
 
 def test_the_inverse_of_a_rational_is_a_fraction(sp):
-    """inverse and nf invert a rational exactly, never through a float."""
+    """inverse inverts a rational exactly, never through a float; Inv,
+    the inverse of an atom, refuses one."""
     for e, want in ((inverse(Rat(2)), Fraction(1, 2)),
                     (inverse(Rat(3)), Fraction(1, 3)),
                     (inverse(Rat(Fraction(2, 3))), Fraction(3, 2))):
         assert type(e.value) is Fraction and e.value == want
     assert type(inverse(Rat(-1)).value) is int
     for base, want in ((Rat(2), Fraction(1, 2)), (Rat(3), Fraction(1, 3))):
-        [v] = nf(Inv(base)).values()
+        [v] = nf(parse_expr(f"inv({base.value})", sp)).values()
         assert type(v) is Fraction and v == want
+        with pytest.raises(InversionError, match="got Rat$"):
+            Inv(base)
 
 
 def test_rendering_a_rat_does_not_depend_on_how_it_was_built(sp):

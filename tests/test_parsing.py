@@ -14,8 +14,9 @@ from jetsym.parsing import MAX_DEPTH, ParseError, parse_expr, parse_operator
 from jetsym.printing import pretty, render
 
 from conftest import seeded_exprs
-from helpers import (apply_operator, matrix_problem, random_expr,
-                     same_operator, scalar_problem)
+from helpers import (INT_DIGITS, NEEDS_INT_DIGITS, apply_operator,
+                     matrix_problem, random_expr, same_operator,
+                     scalar_problem)
 
 SP = scalar_problem()
 MP = matrix_problem()
@@ -135,10 +136,15 @@ def test_zero_denominator_and_wrong_arity(mp, text, message):
         parse_expr(text, mp)
 
 
-# messages and positions the lexer and parser give on bad characters, on
-# runs of tab, newline and non-breaking-space whitespace, on input that
-# ends mid-expression and on D(...) of an unknown coordinate, which is
-# placed at the coordinate; parse_expr and parse_operator give the same
+TOO_LONG = ("number longer than Python's int conversion limit of "
+            f"{INT_DIGITS} digits")
+
+# messages and positions the lexer and parser give on bad characters (a
+# digit outside ASCII among them), on runs of tab, newline and
+# non-breaking-space whitespace, on input that ends mid-expression, on
+# D(...) of an unknown coordinate, which is placed at the coordinate, and
+# on a number too long to convert; parse_expr and parse_operator give the
+# same
 LEXER_ERRORS = [
     ("u $ u_x", "unexpected character '$'", 2),
     ("$", "unexpected character '$'", 0),
@@ -163,6 +169,12 @@ LEXER_ERRORS = [
     ("u_x u", "trailing input 'u'", 4),
     ("u_x\n)", "trailing input ')'", 4),
     ("u + D(u_x, y)", "unknown coordinate 'y'", 11),
+    ("\u0663*u", "unexpected character '\u0663'", 0),
+    ("2*u_x + \u0663", "unexpected character '\u0663'", 8),
+    pytest.param("9" * (INT_DIGITS + 1), TOO_LONG, 0, id="long-number",
+                 marks=NEEDS_INT_DIGITS),
+    pytest.param("u + 1/" + "7" * (INT_DIGITS + 1), TOO_LONG, 6,
+                 id="long-denominator", marks=NEEDS_INT_DIGITS),
 ]
 
 

@@ -1,15 +1,17 @@
 """No module of the engine imports a name it does not use, or a module
-from outside jetsym and the standard library; none holds an `assert` or a
-second module-level name for a function.
+from outside jetsym and the standard library; none holds an `assert`, an
+import below its top level or a second module-level name for a function.
 
 No linter is a dependency, so the check walks each module's syntax tree:
 every name bound by an import must occur as a name elsewhere in the module,
 in code or in a string annotation.  `__init__.py` imports to re-export and
 is skipped there, as are `from __future__` imports.  Every module imported
 must be jetsym's own or in `sys.stdlib_module_names`: the engine has no
-runtime dependency.  An `assert` vanishes under `python -O`, so a check
-that must hold raises instead; and `name = function` at module level gives
-one function two names, where one is enough.
+runtime dependency.  Every import is a statement of the module itself,
+not of a function in it, so a module's dependencies show at its top.  An
+`assert` vanishes under `python -O`, so a check that must hold raises
+instead; and `name = function` at module level gives one function two
+names, where one is enough.
 
 Every name the package exports is used outside the module that defines
 it: by another engine module, by the benchmark or by a tool, or it is on
@@ -149,6 +151,34 @@ def test_no_asserts_and_no_function_aliases(path):
     source = path.read_text()
     assert asserts(source) == []
     assert function_aliases(source) == []
+
+
+def nested_imports(source: str) -> list[int]:
+    """The lines of the imports that are not statements of the module
+    itself: one inside a function or class hides a dependency."""
+    tree = ast.parse(source)
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, (ast.Import, ast.ImportFrom))
+                  and n not in tree.body)
+
+
+def test_checker_sees_nested_imports():
+    source = ("import re\n"
+              "from .core import nf\n"
+              "def f(x):\n"
+              "    from .calculus import total_derivative\n"
+              "    return total_derivative(x)\n"
+              "class C:\n"
+              "    import json\n"
+              "if re:\n"
+              "    import os\n")
+    assert nested_imports(source) == [4, 7, 9]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES,
+                         ids=[p.stem for p in ALL_MODULES])
+def test_imports_only_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
 
 
 def private_imports(source: str) -> list[str]:
