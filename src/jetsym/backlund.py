@@ -10,7 +10,8 @@ symmetry condition D_{g*Phi} F = 0 (the Phi-form of D_Q F, Q = g*Phi):
 Integrating it sends symmetry characteristics Q = g*Phi to new, generally
 nonlocal, characteristics Q' = g*Phi'.  `phi_characteristic` is the one
 way a Phi becomes its Q = g*Phi: the CLI, the catalog,
-`chiral_phi_condition` and `bt_seed_check` all take it.
+`chiral_phi_condition` and `bt_seed_check` all take it.  The system is
+for two coordinates only (`_currents`); `bt_seed_check` takes any.
 
 A chain of such steps declares a potential from each image, and each
 potential grows the candidate basis of the next step.  The basis is built
@@ -79,12 +80,6 @@ class BtPair:
     rhs_t: Expr  # candidate Phi'_t (sign already folded in)
 
 
-def _xt(problem: Problem) -> tuple[Coord, Coord]:
-    if len(problem.coordinates) != 2:
-        raise JetsymError("the Backlund machinery expects two coordinates")
-    return problem.coordinates[0], problem.coordinates[1]
-
-
 def _needs_invertible_matrix(problem: Problem, what: str) -> None:
     """Raise "<what> needs an invertible matrix dependent" unless the
     problem's dependent is one."""
@@ -96,6 +91,14 @@ def left_current(problem: Problem, coord: Coord) -> Expr:
     """inv(g) * g_i for the problem's invertible matrix dependent."""
     _needs_invertible_matrix(problem, "left current")
     return mul(inverse(problem.u), Jet(problem.dependent, (coord.index,)))
+
+
+def _currents(problem: Problem) -> list[tuple[Coord, Expr]]:
+    """(c, inv(g)*g_c) for the problem's coordinates c, x then t; raises
+    unless there are two of them and g is an invertible matrix."""
+    if len(problem.coordinates) != 2:
+        raise JetsymError("the Backlund machinery expects two coordinates")
+    return [(c, left_current(problem, c)) for c in problem.coordinates]
 
 
 def phi_characteristic(phi: Expr, problem: Problem) -> Characteristic:
@@ -134,16 +137,15 @@ def declare_potential(pdef: PotentialDef, pde: Pde, problem: Problem) -> Pot:
 
 def _bt_pair(phi: Expr, problem: Problem) -> tuple[NF, NF]:
     """The normal forms of the pair of `bt_rhs`."""
-    x, t = _xt(problem)
+    (x, a_x), (t, a_t) = [(c, nf(a)) for c, a in _currents(problem)]
     n = nf(as_expr(phi))
     totals = total_images(problem)
 
-    def side(c: Coord) -> NF:  # D_c Phi + [inv(g)g_c, Phi]
-        a = nf(left_current(problem, c))
+    def side(c: Coord, a: NF) -> NF:  # D_c Phi + [inv(g)g_c, Phi]
         return _nf_add(_nf_add(derive_nf(n, totals[c.index]), _nf_mul(a, n)),
                        _nf_scale(_nf_mul(n, a), -1))
 
-    return side(t), _nf_scale(side(x), -1)
+    return side(t, a_t), _nf_scale(side(x, a_x), -1)
 
 
 def bt_rhs(phi: Expr, problem: Problem) -> BtPair:
@@ -161,12 +163,11 @@ def chiral_phi_condition(phi: Expr, pde: Pde, problem: Problem) -> Expr:
 
 
 def bt_seed_check(phi: Expr, pde: Pde, problem: Problem) -> SymmetryReport:
-    """The report on D_{g*Phi} F = 0 mod F, which for chiral is
-    (Phi'_x)_t = (Phi'_t)_x mod F, for two coordinates only.  It is the
-    check independent of the integration: every seed with a `bt_apply`
-    image passes it, and the CLI and the tests' catalog check run it to
-    explain a missing image and to check each image."""
-    _xt(problem)
+    """The report on D_{g*Phi} F = 0 mod F, for any coordinates; for chiral
+    it is (Phi'_x)_t = (Phi'_t)_x mod F.  It is the check independent of
+    the integration: every seed with a `bt_apply` image passes it, and the
+    CLI and the tests' catalog check run it to explain a missing image
+    and to check each image."""
     return check_symmetry(pde, phi_characteristic(phi, problem), problem)
 
 
@@ -174,18 +175,17 @@ def _check_chiral(pde: Pde, problem: Problem) -> None:
     """Raise unless F is a nonzero rational multiple of the chiral operator
     D_x(inv(g)g_x) + D_t(inv(g)g_t) of the problem, without which an image
     would not certify its seed."""
-    x, t = _xt(problem)
+    currents = _currents(problem)
     totals = total_images(problem)
     chiral: NF = {}
-    for c in (x, t):
-        _nf_add(chiral, derive_nf(nf(left_current(problem, c)),
-                                  totals[c.index]))
+    for c, a in currents:
+        _nf_add(chiral, derive_nf(nf(a), totals[c.index]))
     f = nf(pde.f)
     k = next(iter(chiral))
     if k in f and f == _nf_scale(chiral, quotient(f[k], chiral[k])):
         return
     g = problem.dependent.name
-    c_x, c_t = (f"D_{c.name}(inv({g})*{g}_{c.name})" for c in (x, t))
+    c_x, c_t = (f"D_{c.name}(inv({g})*{g}_{c.name})" for c, _ in currents)
     raise JetsymError(
         f"the Backlund transformation needs the chiral equation: F of "
         f"{pde.name} is not a nonzero rational multiple of {c_x} + {c_t}")
@@ -194,9 +194,8 @@ def _check_chiral(pde: Pde, problem: Problem) -> None:
 def _alphabet(problem: Problem) -> list[Expr]:
     """The letters of the candidate basis in order of declaration: the left
     currents, then the constant matrices, then the registered potentials."""
-    x, t = _xt(problem)
-    return [left_current(problem, x), left_current(problem, t),
-            *problem.atoms(CMat), *problem.atoms(Pot)]
+    return [*(a for _, a in _currents(problem)), *problem.atoms(CMat),
+            *problem.atoms(Pot)]
 
 
 def _basis_order(letters: int, start: int = 0

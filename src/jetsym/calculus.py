@@ -216,7 +216,7 @@ def jet_totals(n: NF, problem: Problem) -> Callable[[tuple[int, ...]], NF]:
 
 def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
     """D_Q n for a normal form n, as a normal form.  D_Q is linear in Q, so
-    it is taken along d*Q, cleared of denominators, and divided by d."""
+    it is taken on ints along d*Q, cleared, and divided back once."""
     q, d = clear_denominators(nf(as_expr(Q.q)))
     totals = jet_totals(q, problem)  # D_J (d*Q)
 
@@ -232,7 +232,8 @@ def char_nf(n: NF, Q: Characteristic, problem: Problem) -> NF:
             f"nonlocal action undefined: no image of potential "
             f"{a.name!r} under characteristic {Q.name!r}")
 
-    return nf_divide(derive_nf(n, derivation(atom, {})), d)
+    r, dr = derive_cleared(n, derivation(atom, {}))
+    return nf_divide(r, dr * d)
 
 
 def char_derivative(e: Expr, Q: Characteristic, problem: Problem) -> Expr:

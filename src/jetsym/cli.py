@@ -6,8 +6,8 @@ command to a single deterministic JSON document on stdout.  An answer the
 engine computes as a normal form (check, reduce, parse, bracket, bt-apply)
 is printed straight from it (`printing.render_nf`), with no tree built.
 A command answers from a `catalog.CatalogEntry`: the catalog's for --pde,
-else one built from the declaration flags, whose comma-separated options
-are read by one rule (`_names`).
+which excludes the declaration flags, else one built from them, whose
+comma-separated options are read by one rule (`_names`).
 """
 from __future__ import annotations
 
@@ -61,11 +61,12 @@ def _emit(args, text_lines: Callable[[], Iterable[str]], **fields):
         print(line, flush=True)
 
 
-def _names(option: str, text: str) -> list[str]:
-    """The entries of a comma-separated option, each stripped: an empty
-    entry exits 2, and an empty text is no names only where that is the
-    option's default."""
-    if not text and GLOBAL_OPTIONS.get(option, {}).get("default") == "":
+def _names(option: str, text: str | None) -> list[str]:
+    """The entries of a comma-separated option (its default when None),
+    each stripped: an empty entry exits 2, and an empty text is no names
+    only where that is the option's default."""
+    text = DEFAULTS[option] if text is None else text
+    if not text and DEFAULTS.get(option) == "":
         return []
     names = [s.strip() for s in text.split(",")]
     if not all(names):
@@ -75,9 +76,16 @@ def _names(option: str, text: str) -> list[str]:
 
 def _session(args) -> CatalogEntry:
     """The catalog entry of --pde, else one for the declaration flags."""
+    given = [f for f in DEFAULTS if getattr(args, f[2:]) not in (None, False)]
     if args.pde is not None:
+        if given:
+            raise UsageError(f"--pde cannot be combined with {', '.join(given)}"
+                             ": a catalog PDE declares its own problem")
         return get_pde(args.pde)
-    dep = Dependent(args.dependent, "matrix" if args.matrix else "scalar",
+    if args.solved is not None and not args.f:
+        raise UsageError("--solved requires --f")
+    dep = Dependent(DEFAULTS["--dependent"] if args.dependent is None
+                    else args.dependent, "matrix" if args.matrix else "scalar",
                     args.invertible)
     problem = Problem(coords=_names("--coords", args.coords), dependent=dep,
                       constants=_names("--constants", args.constants),
@@ -259,16 +267,20 @@ GLOBAL_OPTIONS = {
     "--json": {"action": "store_true", "help": "machine-readable output"},
     "--pde": {"choices": CATALOG_NAMES, "metavar": "PDE",
               "help": f"catalog PDE ({', '.join(CATALOG_NAMES)})"},
-    "--coords": {"default": "x,t", "help": "comma-separated coordinates"},
-    "--dependent": {"default": "u", "help": "dependent variable name"},
+    "--coords": {"help": "comma-separated coordinates"},
+    "--dependent": {"help": "dependent variable name"},
     "--matrix": {"action": "store_true", "help": "dependent is matrix-valued"},
     "--invertible": {"action": "store_true", "help": "dependent is invertible"},
-    "--constants": {"default": "", "help": "comma-separated opaque constants"},
-    "--matrices": {"default": "", "help": "comma-separated constant matrices"},
-    "--basefuncs": {"default": "", "help": "comma-separated base functions"},
+    "--constants": {"help": "comma-separated opaque constants"},
+    "--matrices": {"help": "comma-separated constant matrices"},
+    "--basefuncs": {"help": "comma-separated base functions"},
     "--f": {"help": "custom PDE expression F"},
     "--solved": {"help": 'custom solved form "lead = rhs"'},
 }
+# each declaration flag, which --pde excludes, and its value when left out
+DEFAULTS = {"--coords": "x,t", "--dependent": "u", "--matrix": False,
+            "--invertible": False, "--constants": "", "--matrices": "",
+            "--basefuncs": "", "--f": None, "--solved": None}
 PHI = {"help": "Phi-form seed: Q = g*Phi, for an invertible matrix g"}
 # name -> (handler, what it needs, its options); a handler takes the parsed
 # arguments and the entry that main resolves for it, None for NOTHING

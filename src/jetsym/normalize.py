@@ -42,8 +42,8 @@ in a larger one: an engine output fed back in is not normalized again.
 A tree is built only where a library caller asks for an `Expr`: the CLI
 prints a normal form term by term, with no tree built, by the one term
 printer of `printing` (`render_nf` in `rebuild`'s order, `pretty_nf` with
-its commutator pairs folded first), while `printing.render` of a tree
-still walks it.
+its commutator pairs folded first); `term_factors` lays a term out for
+both.  `printing.render` of a tree still walks it.
 
 A map of jets to normal forms extends to one ring homomorphism on normal
 forms, `map_nf`, which maps a normal form term by term with no tree built.
@@ -308,6 +308,19 @@ def _term_sort_key(item):
     return len(word), word, cmono
 
 
+def term_factors(cmono: tuple, word: tuple) -> list[Expr]:
+    """The factors of a term, no coefficient: a^e as e copies of a, or -e
+    of inv(a) when e < 0, then the word."""
+    factors: list[Expr] = []
+    for atom, exp in cmono:
+        if exp == 1:  # most often: no list made
+            factors.append(atom)
+        else:
+            factors += [atom] * exp if exp > 0 else [Inv(atom)] * -exp
+    factors.extend(word)
+    return factors
+
+
 def rebuild(n: NF) -> Expr:
     """Deterministic canonical expression from an internal normal form.
     An Add or Mul it returns carries, as its `form`, the normal form that
@@ -318,17 +331,9 @@ def rebuild(n: NF) -> Expr:
         if type(coeff) is not int and coeff.denominator == 1:
             coeff = coeff.numerator
         form[cmono, word] = coeff
-        factors: list[Expr] = [] if coeff == 1 else [Rat(coeff)]
-        for atom, exp in cmono:
-            if exp == 1:
-                factors.append(atom)
-            elif exp > 0:
-                factors.extend([atom] * exp)
-            else:
-                factors.extend([Inv(atom)] * -exp)
-        factors.extend(word)
-        if not factors:
-            factors.append(Rat(1))
+        factors = term_factors(cmono, word)
+        if coeff != 1 or not factors:
+            factors.insert(0, Rat(coeff))
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
     if not terms:
         return ZERO

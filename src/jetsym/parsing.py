@@ -85,7 +85,6 @@ class Parser:
     position, which `_advance` moves on."""
 
     def __init__(self, text: str, problem: Problem):
-        self.text = text
         self.problem = problem
         self.toks = _lex(text)
         self.i = 0
@@ -197,14 +196,6 @@ class Parser:
             raise ParseError(str(exc), pos) from exc
 
     def _apply(self, name: str, args: list, pos: int) -> Expr:
-        if name == "inv":
-            if len(args) != 1:
-                raise ParseError("inv takes one argument", pos)
-            return inverse(args[0])
-        if name == "comm":
-            if len(args) != 2:
-                raise ParseError("comm takes two arguments", pos)
-            return commutator(args[0], args[1])
         if name == "D":
             if len(args) != 2 or not isinstance(args[1], tuple):
                 raise ParseError("D takes an expression and a coordinate name",
@@ -215,9 +206,12 @@ class Parser:
             except DeclarationError as exc:  # at the coordinate, not the D
                 raise ParseError(str(exc), at) from exc
             return total_derivative(args[0], coord, self.problem)
-        if len(args) != 1:
-            raise ParseError(f"{name} takes one argument", pos)
-        return func(name, args[0])
+        if len(args) != (2 if name == "comm" else 1):
+            what = "two arguments" if name == "comm" else "one argument"
+            raise ParseError(f"{name} takes {what}", pos)
+        if name == "comm":
+            return commutator(*args)
+        return inverse(args[0]) if name == "inv" else func(name, args[0])
 
     def _resolve(self, name: str, pos: int) -> Expr:
         p = self.problem

@@ -4,15 +4,15 @@ The output of `render` parses back (with the same problem declarations) to
 an expression with the same normal form.
 
 A normal form is printed by one term printer (`_term_texts`), term by term
-and with no tree built, as `render` prints the tree `rebuild` makes of it.
-`render_nf` prints the terms in `rebuild`'s order.  `pretty_nf` first folds
-each pair of two-factor words  c*a*b - c*b*a  into the one term
-c*comm(a, b), whose word is the single factor comm(a, b), and prints the
-folded terms before the others.  The CLI prints every answer it holds as a
-normal form this way, `pretty` prints from the normal form of its tree,
-and `render_operator` prints each side of an operator term from its normal
-form.  `render` of a tree walks the tree, also a tree that carries its
-form.
+with no tree built, as `render` prints the tree `rebuild` makes of it; both
+read the one term layout, `normalize.term_factors`.  `render_nf` prints the
+terms in `rebuild`'s order.  `pretty_nf` first folds each pair of two-factor
+words  c*a*b - c*b*a  into the one term c*comm(a, b), whose word is the
+single factor comm(a, b), and prints the folded terms before the others.
+The CLI prints every answer it holds as a normal form this way, `pretty`
+prints from the normal form of its tree, and `render_operator` prints each
+side of an operator term from its normal form.  `render` of a tree walks
+the tree, also a tree that carries its form.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import sys
 
 from .core import (Add, Base, CMat, Coeff, Comm, Coord, Expr, Fn, Inv, Jet,
                    JetsymError, Mul, Pot, Problem, Rat, Sym)
-from .normalize import NF, _term_sort_key, nf
+from .normalize import NF, _term_sort_key, nf, term_factors
 
 
 def render_number(c: Coeff) -> str:
@@ -57,9 +57,7 @@ def _render_factor(e: Expr, p: Problem) -> str:
 def render(e: Expr, problem: Problem) -> str:
     if isinstance(e, Rat):
         return render_number(e.value)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Coord):
+    if isinstance(e, (Sym, Coord, CMat, Pot)):
         return e.name
     if isinstance(e, Jet):
         subs = _coord_names(problem, e.idx)
@@ -68,8 +66,6 @@ def render(e: Expr, problem: Problem) -> str:
         return _render_partials(e.dep.name, subs)
     if isinstance(e, Base):
         return _render_partials(e.name, _coord_names(problem, e.partials))
-    if isinstance(e, (CMat, Pot)):
-        return e.name
     if isinstance(e, Inv):
         return f"inv({render(e.base, problem)})"
     if isinstance(e, Comm):
@@ -102,21 +98,13 @@ def _join_terms(parts: list[str]) -> str:
 
 def _term_texts(items, problem: Problem) -> list[str]:
     """The text of each (term key, coefficient) item, in the order given,
-    as `render` prints that term of a rebuilt tree; each factor's text is
-    made once."""
+    as `render` prints that term of a rebuilt tree: its factors laid out
+    by `term_factors`, each factor's text made once."""
     names: dict[Expr, str] = {}
     parts = []
     for (cmono, word), c in items:
         factors = []
-        for a, e in cmono:
-            s = names.get(a)
-            if s is None:
-                s = names[a] = render(a, problem)
-            if e > 0:
-                factors += [s] * e
-            else:  # rebuild lays a^e, e < 0, out as inv(a)^-e
-                factors += [f"inv({s})"] * -e
-        for a in word:
+        for a in term_factors(cmono, word):
             s = names.get(a)
             if s is None:
                 s = names[a] = render(a, problem)

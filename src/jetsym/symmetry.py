@@ -135,12 +135,12 @@ def _lex_unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
     return jets
 
 
-def _ranked(lead: list[int], jets: list[list[int]]) -> bool:
-    """True iff a lex or an orderly ranking puts every jet below `lead`."""
+def _unranked(lead: list[int], jets: list[list[int]]) -> list[list[int]]:
+    """The jets no lex ranking settles, or [] if an orderly one ranks all."""
     order = sum(lead)
     orderly = all(sum(v) <= order for v in jets) and not _lex_unranked(
         lead, [v for v in jets if sum(v) == order])
-    return orderly or not _lex_unranked(lead, jets)
+    return [] if orderly else _lex_unranked(lead, jets)
 
 
 def _principal(j: Jet, leading: Jet) -> bool:
@@ -180,8 +180,8 @@ def make_pde(name: str, f: Expr, leading: Expr, rhs: Expr,
         return [j.idx.count(i) for i in range(n)]
 
     lead, vectors = exponents(leading), [exponents(j) for j in jets]
-    if not _ranked(lead, vectors):
-        unsettled = _lex_unranked(lead, vectors)
+    unsettled = _unranked(lead, vectors)
+    if unsettled:
         names = ", ".join(render(j, problem) for j in jets
                           if exponents(j) in unsettled)
         raise PdeError(

@@ -60,13 +60,22 @@ def test_left_current_shape(ch):
 
 # --- potential declaration ------------------------------------------------
 
-def fresh_chiral():
-    from jetsym import make_pde
-    p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True))
+def chiral_on(p):
+    """The chiral equation in x and t on a problem of an invertible
+    matrix g, whatever its other coordinates."""
     f = parse_expr("D(inv(g)*g_x, x) + D(inv(g)*g_t, t)", p)
-    pde = make_pde("chiral", f, p.jet("tt"),
-                   parse_expr("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p), p)
-    return p, pde
+    return make_pde("chiral", f, p.jet("tt"),
+                    parse_expr("g_t*inv(g)*g_t + g_x*inv(g)*g_x - g_xx", p), p)
+
+
+def heat_on(p):
+    return make_pde("heat", parse_expr("u_t - u_xx", p), p.jet("t"),
+                    parse_expr("u_xx", p), p)
+
+
+def fresh_chiral():
+    p = Problem(coords=["x", "t"], dependent=Dependent("g", "matrix", True))
+    return p, chiral_on(p)
 
 
 def test_declare_potential_accepts_conserved_gradient():
@@ -111,16 +120,43 @@ def test_declare_potential_missing_coordinate():
         declare_potential(pdef, pde, p)
 
 
+def three_coordinates():
+    return Problem(coords=["x", "t", "y"],
+                   dependent=Dependent("g", "matrix", True))
+
+
+TWO_COORDINATES = "the Backlund machinery expects two coordinates"
+NOT_MATRIX = "left current needs an invertible matrix dependent"
+
+
 @pytest.mark.parametrize("problem, call, message", [
-    (Problem(coords=["x", "t", "y"], dependent=Dependent("g", "matrix", True)),
-     lambda p: bt_rhs(p.jet("x"), p),
-     "the Backlund machinery expects two coordinates"),
-    (Problem(), lambda p: left_current(p, p.coordinate("x")),
-     "left current needs an invertible matrix dependent"),
-], ids=["three-coordinates", "scalar-dependent"])
+    (three_coordinates(), lambda p: bt_rhs(p.jet("x"), p), TWO_COORDINATES),
+    (Problem(), lambda p: left_current(p, p.coordinate("x")), NOT_MATRIX),
+    (three_coordinates(), lambda p: bt_apply(p.jet("x"), chiral_on(p), p),
+     TWO_COORDINATES),
+    (three_coordinates(), default_bt_basis, TWO_COORDINATES),
+    (Problem(), lambda p: bt_rhs(p.jet("x"), p), NOT_MATRIX),
+    (Problem(), lambda p: bt_apply(p.jet("x"), heat_on(p), p), NOT_MATRIX),
+    (Problem(), default_bt_basis, NOT_MATRIX),
+], ids=["three-coordinates", "scalar-dependent", "bt-apply-three-coordinates",
+        "basis-three-coordinates", "bt-rhs-scalar-dependent",
+        "bt-apply-scalar-dependent", "basis-scalar-dependent"])
 def test_the_backlund_system_needs_the_chiral_setting(problem, call, message):
     with pytest.raises(JetsymError, match=f"^{message}$"):
         call(problem)
+
+
+@pytest.mark.parametrize("phi", ["inv(g)*g_x", "inv(g)*g_y", "g_y"])
+def test_the_seed_check_takes_any_coordinates(phi):
+    """D_{g*Phi} F mod F is defined for any coordinates: on three, the
+    seed check is the symmetry check of Q = g*Phi, as `check --phi` runs
+    it."""
+    p = three_coordinates()
+    pde, seed = chiral_on(p), parse_expr(phi, p)
+    report = bt_seed_check(seed, pde, p)
+    expected = check_symmetry(pde, phi_characteristic(seed, p), p)
+    assert (report.verdict, report.raw_nf, report.remainder_nf) == (
+        expected.verdict, expected.raw_nf, expected.remainder_nf)
 
 
 def test_unregistered_char_image_raises(ch):

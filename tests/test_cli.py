@@ -339,13 +339,39 @@ def test_list_options_strip_entries_and_may_be_empty():
     (["--constants", " ", "parse", "x"], "an entry of --constants is empty"),
     (["--matrices", "M,", "parse", "x"], "an entry of --matrices is empty"),
     (["--basefuncs", ",f", "parse", "x"], "an entry of --basefuncs is empty"),
+    (["--pde", "kdv", "--coords", "y,s", "check", "--q", "u_x"],
+     "--pde cannot be combined with --coords: a catalog PDE declares its "
+     "own problem"),
+    (["--pde", "kdv", "--f", "u_t", "--solved", "u_t = 0", "check", "--q",
+      "u_x"],
+     "--pde cannot be combined with --f, --solved: a catalog PDE declares "
+     "its own problem"),
+    (["--pde", "heat", "--coords", "x,t", "parse", "u"],
+     "--pde cannot be combined with --coords: a catalog PDE declares its "
+     "own problem"),
+    (["--pde", "chiral", "--matrix", "--invertible", "parse", "g"],
+     "--pde cannot be combined with --matrix, --invertible: a catalog PDE "
+     "declares its own problem"),
+    (["--pde", "heat", "--dependent", "u", "--constants", "", "--matrices",
+      "M", "--basefuncs", "f", "reduce", "u_t"],
+     "--pde cannot be combined with --dependent, --constants, --matrices, "
+     "--basefuncs: a catalog PDE declares its own problem"),
+    (["--pde", "heat", "--solved", "u_t = u_xx", "parse", "u"],
+     "--pde cannot be combined with --solved: a catalog PDE declares its "
+     "own problem"),
+    (["--solved", "u_t = u_xx", "parse", "u_x"], "--solved requires --f"),
+    (["--f", "", "--solved", "u_t = u_xx", "check", "--q", "u_x"],
+     "--solved requires --f"),
 ], ids=["f-without-solved", "non-jet-lead", "reduce-without-pde",
         "structconsts-without-basis", "solved-without-equals",
         "solved-without-lead", "solved-with-two-equals", "empty-basis",
         "basis-with-an-empty-entry", "coords-with-an-empty-entry",
         "empty-coords", "coords-with-a-blank-entry",
         "constants-with-an-empty-entry", "blank-constants",
-        "matrices-with-an-empty-entry", "basefuncs-with-an-empty-entry"])
+        "matrices-with-an-empty-entry", "basefuncs-with-an-empty-entry",
+        "pde-with-coords", "pde-with-f-and-solved", "pde-with-default-coords",
+        "pde-with-switches", "pde-with-name-lists", "pde-with-solved",
+        "solved-without-f", "solved-with-an-empty-f"])
 def test_a_command_line_without_a_usable_pde_exits_two(args, message):
     r = invoke(*args)
     assert (r.code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
@@ -383,6 +409,29 @@ def test_batch_line_errors_do_not_stop_the_batch(tmp_path):
         assert "error: line 2: cannot print a number longer" in r.stderr
         assert "error: line 3: number longer" in r.stderr
     assert "verdict: Symmetry" in r.stdout
+
+
+def test_a_batch_line_that_conflicts_with_its_flags_fails_on_its_own(
+        tmp_path):
+    """A line inherits the batch's flags: a declaration flag on a line of
+    a --pde batch, or --pde on a line of a declared one, is refused for
+    that line only."""
+    script = tmp_path / "cmds.txt"
+    script.write_text("--coords y,s check --q u_x\n"
+                      "check --q u_x\n")
+    r = invoke("--pde", "heat", "batch", str(script))
+    assert r.code == 1
+    assert r.stderr == ("error: line 1: --pde cannot be combined with "
+                        "--coords: a catalog PDE declares its own problem\n")
+    assert r.stdout.startswith("verdict: Symmetry\n")
+    script.write_text("--pde kdv check --q u_x\n"
+                      "check --no-find --q u_x\n")
+    r = invoke(*CUSTOM, "batch", str(script))
+    assert r.code == 1
+    assert r.stderr == ("error: line 1: --pde cannot be combined with "
+                        "--coords, --constants, --f, --solved: a catalog PDE "
+                        "declares its own problem\n")
+    assert r.stdout.startswith("verdict: Symmetry\n")
 
 
 def test_batch_too_deep_line_fails_on_its_own(tmp_path):

@@ -53,6 +53,11 @@ def test_eight_wins_or_a_gain_inside_the_spread_do_not():
 FAKE_RUN = """
 import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+calls = 1 + (int(open("calls").read()) if os.path.exists("calls") else 0)
+open("calls", "w").write(str(calls))
+if calls == FAIL_ON:
+    sys.exit("Traceback (most recent call last):\\n"
+             "RuntimeError: client exited with 1")
 os.makedirs(".perfbench_runs", exist_ok=True)
 name = f"{args['--workload']}-{args['--seed']}-0.json"
 with open(os.path.join(".perfbench_runs", name), "w") as fh:
@@ -66,14 +71,19 @@ TIMES = [[0, 0.010, False, 0.0], [1, 0.200, False, 0.1],
          [0, 0.020, False, 0.5], [1, 0.300, True, 0.6], [2, 0.004, False, 0.9]]
 
 
-def checkout(path, ops_per_s: float, output: str, speed: float = 1.0):
-    """A checkout whose run record holds TIMES divided by speed."""
+def checkout(path, ops_per_s: float, output: str, speed: float = 1.0,
+             correct: bool = True, fail_on: int = 0):
+    """A checkout whose run record holds TIMES divided by speed, whose
+    oracle reads `correct` and whose run number fail_on (from 1) exits 1
+    as run.py does when its client fails."""
     os.makedirs(path / "perfbench")
     times = [[i, s / speed, f, t] for i, s, f, t in TIMES]
     (path / "perfbench" / "run.py").write_text(
-        FAKE_RUN.replace("OUTPUT", repr(output))
+        FAKE_RUN.replace("OUTPUT", repr(output)).replace("FAIL_ON",
+                                                         repr(fail_on))
         .replace("TIMES", repr(times)).replace("DOC", repr(
-            {**doc(ops_per_s, 2.0), "attempted": 7, "failed": 1})))
+            {**doc(ops_per_s, 2.0), "attempted": 7, "failed": 1,
+             "correct": correct})))
     (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": n, "better": b} for n, b in BETTER.items()]}))
     return str(path)
@@ -105,3 +115,29 @@ def test_the_script_runs_both_sides_and_compares_their_outputs(tmp_path):
         got = verdicts(lines[-4:])
         assert got["ops_per_s"] == ("2/2", True)
         assert got["raw_p50_ms"] == ("2/2", True)
+
+
+def test_a_failed_or_incorrect_run_is_listed_and_the_pairs_go_on(tmp_path):
+    """A run that exits nonzero leaves its pair out, and the pairs after
+    it still run; it and every run whose oracle reads false are listed at
+    the end by side, pair, seed and exit code, and the script exits 1."""
+    parent = checkout(tmp_path / "parent", 100.0, "x", correct=False)
+    change = checkout(tmp_path / "change", 110.0, "x", fail_on=2)
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, parent, change, "--workload", "w",
+         "--pairs", "3", "--seconds", "1", "--seed", "7"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("correct False -> True")
+    assert lines[4] == "pair 2 (change first): change exited 1; not compared"
+    assert lines[5].startswith("pair 3 (parent first): outputs identical")
+    assert lines[9] == "w: 2 pairs of 1 s, seed 7"
+    assert verdicts(lines[10:14])["ops_per_s"] == ("2/2", True)
+    assert lines[14:] == [
+        "failed or incorrect runs:",
+        "  parent, pair 1, seed 7: exit 0, correct false",
+        "  parent, pair 2, seed 7: exit 0, correct false",
+        "  change, pair 2, seed 7: exit 1 (RuntimeError: client exited "
+        "with 1)",
+        "  parent, pair 3, seed 7: exit 0, correct false"]

@@ -17,8 +17,13 @@ range.  The metrics and which direction is better are read from CHANGE's
 BENCHMARK.json.  One more metric, `raw_p50_ms` (lower is better), is read
 from each run record: the median over the operations of each one's
 median raw time (`compare_runs.median_ms`), unscaled by the speed probe,
-which runs inside the measured process.  It exits 1 when some pair's
-outputs differ, else 0.
+which runs inside the measured process.
+
+A run that exits nonzero leaves its pair out of the comparison, and the
+pairs after it still run.  The script ends with a list of every run that
+failed or whose oracle read `"correct": false`, by side, pair, seed and
+exit code.  It exits 1 when some pair's outputs differ or some run is on
+that list, else 0.
 """
 from __future__ import annotations
 
@@ -36,19 +41,36 @@ import compare_runs  # noqa: E402
 
 
 def run_side(checkout: str, workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict]:
-    """(the last line of run.py's output, with `raw_p50_ms` added to its
-    metrics, and its run record)."""
+             seconds: float) -> tuple[subprocess.CompletedProcess,
+                                      dict | None, dict | None]:
+    """(run.py's finished process, the last line of its output, with
+    `raw_p50_ms` added to its metrics, and its run record); the last two
+    are None when it exited nonzero."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        return proc, None, None
     doc = json.loads(proc.stdout.splitlines()[-1])
     record = compare_runs.load(os.path.join(
         checkout, ".perfbench_runs", f"{workload}-{seed}-0.json"))
     doc["metrics"]["raw_p50_ms"] = {"unit": "ms", "value": statistics.median(
         compare_runs.median_ms(record).values())}
-    return doc, record
+    return proc, doc, record
+
+
+def bad_run(side: str, i: int, seed: int, proc: subprocess.CompletedProcess,
+            doc: dict | None) -> str | None:
+    """The line that lists a run which failed or read "correct": false,
+    with the last line of a failed run's stderr; None for a good run."""
+    if proc.returncode == 0 and doc["correct"]:
+        return None
+    line = f"  {side}, pair {i}, seed {seed}: exit {proc.returncode}"
+    if proc.returncode:
+        last = proc.stderr.strip().splitlines()[-1:]
+        return line + (f" ({last[0]})" if last else "")
+    return line + ", correct false"
 
 
 def iqr(values: list[float]) -> float:
@@ -110,22 +132,35 @@ def main(argv: list[str] | None = None) -> int:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     better["raw_p50_ms"] = "lower"
     sides = {"parent": args.parent, "change": args.change}
-    pairs, all_identical = [], True
+    pairs, all_identical, bad = [], True, []
     for i in range(1, args.pairs + 1):
         order = ["parent", "change"] if i % 2 else ["change", "parent"]
         runs = {side: run_side(sides[side], args.workload, args.seed,
                                args.seconds) for side in order}
-        identical = not any(compare_runs.differences(runs["parent"][1],
-                                                     runs["change"][1]))
+        for side in sides:
+            line = bad_run(side, i, args.seed, *runs[side][:2])
+            if line:
+                bad.append(line)
+        failed = [f"{side} exited {runs[side][0].returncode}"
+                  for side in sides if runs[side][0].returncode]
+        if failed:
+            print(f"pair {i} ({order[0]} first): {'; '.join(failed)}; "
+                  "not compared", flush=True)
+            continue
+        identical = not any(compare_runs.differences(runs["parent"][2],
+                                                     runs["change"][2]))
         all_identical &= identical
-        pair = (runs["parent"][0], runs["change"][0])
+        pair = (runs["parent"][1], runs["change"][1])
         pairs.append(pair)
         print("\n".join(pair_lines(i, order[0], *pair, identical, better)),
               flush=True)
     print(f"{args.workload}: {len(pairs)} pairs of {args.seconds:g} s, "
           f"seed {args.seed}")
-    print("\n".join(summary(pairs, better)))
-    return 0 if all_identical else 1
+    if pairs:
+        print("\n".join(summary(pairs, better)))
+    if bad:
+        print("failed or incorrect runs:\n" + "\n".join(bad))
+    return 0 if all_identical and not bad else 1
 
 
 if __name__ == "__main__":
